@@ -22,6 +22,7 @@ from .grid import (
     DerivativeScheme,
     Field,
     Grid,
+    _fd_matrix,
     _readonly,
     cumulative_integral,
     gradient,
@@ -175,8 +176,6 @@ def _masked_gradient(
     stencils (one-sided at run ends); runs too short for the stencil are
     masked in the output. Never differentiates across a masked zone.
     """
-    from .grid import _stencil_apply_box
-
     if not mask.any():
         return gradient(Field(grid, values), scheme).values, mask
     out = np.zeros_like(values)
@@ -185,7 +184,7 @@ def _masked_gradient(
         if stop - start < 6:
             out_mask[start:stop] = True
             continue
-        out[start:stop] = _stencil_apply_box(values[start:stop], grid.dx, 1)
+        out[start:stop] = (_fd_matrix(stop - start, 1, False) @ values[start:stop]) / grid.dx
     return out, out_mask
 
 

@@ -107,9 +107,10 @@ def collapse_time(traj, epsilon: float, target: Field | None = None):
     if target is not None:
         fids = np.array([fidelity(s, target) for s in traj.snapshots])
     else:
-        fids = np.asarray(traj.observables.get("fidelity_target"))
-        if fids is None or fids.size != times.size:
+        series = traj.observables.get("fidelity_target")
+        if series is None or np.size(series) != times.size:
             raise ValueError("trajectory carries no fidelity-to-target series")
+        fids = np.asarray(series)
     threshold = 1.0 - epsilon
     above = fids >= threshold
     if not above.any():

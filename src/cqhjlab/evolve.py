@@ -14,6 +14,13 @@ i psi_t = H0 psi - Phi psi with grad Phi = F(p): a Strang step whose
 nonlinear gauge phase is solved by implicit-midpoint fixed-point
 iteration. The state is renormalized every step and the applied scale
 factor is logged, which keeps the homogeneous dynamics auditable.
+
+All three propagators run on one stepping loop, `_drive`. Each supplies
+only a step function advance(vals, step) and a snapshot function
+record(vals, obs, cum_log), both on raw ndarrays; the loop owns the step
+count, the snapshot cadence (t = 0, every snapshot_stride-th step and the
+last step), the per-step renormalization with its gauge log, the assembly
+of the Trajectory, and attaching the partial trajectory to NodeApproach.
 """
 
 from __future__ import annotations
@@ -59,6 +66,10 @@ from .grid import (
 from .states import Potential
 
 OBSERVABLE_NODE_THRESHOLD = 1e-5
+# convergence criterion of the implicit-midpoint fixed point in
+# collapsible_evolve: L2 change between iterates, and the iteration budget
+FIXED_POINT_TOL = 1e-12
+MAX_FIXED_POINT_ITER = 50
 
 
 class Method(Enum):
@@ -155,11 +166,10 @@ class _CrankNicolsonKernel:
 
 
 def _make_kernel(grid: Grid, V: Potential, dt: float, method: Method):
-    if method is Method.SPLIT_STEP:
-        return _SplitStepKernel(grid, V, dt)
-    if method is Method.CRANK_NICOLSON:
-        return _CrankNicolsonKernel(grid, V, dt)
-    raise ValueError(f"{method} is not a wave-function propagation method")
+    if method is Method.RK4:
+        raise ValueError("RK4 integrates the momentum-field equation, not psi")
+    kernel = _SplitStepKernel if method is Method.SPLIT_STEP else _CrankNicolsonKernel
+    return kernel(grid, V, dt)
 
 
 # --------------------------------------------------------------------------
@@ -173,7 +183,8 @@ def _record_psi_observables(
     target: Field | None,
     gauge_log_magnitude: float = 0.0,
     gauge_phase: float = 0.0,
-) -> None:
+) -> Field:
+    """Append the observables of psi to the store; returns psi."""
     from .diagnostics import energy, fidelity
 
     scheme = psi.grid.best_scheme()
@@ -189,14 +200,66 @@ def _record_psi_observables(
     store.setdefault("H_std", []).append(std)
     store.setdefault("gauge_log_magnitude", []).append(gauge_log_magnitude)
     store.setdefault("gauge_phase", []).append(gauge_phase)
-
-
-def _finalize_observables(store: dict) -> dict[str, np.ndarray]:
-    return {k: np.asarray(v) for k, v in store.items()}
+    return psi
 
 
 # --------------------------------------------------------------------------
 # propagators
+
+
+def _psi_recorder(grid: Grid, V: Potential, target: Field | None):
+    """Snapshot function of the wave-function propagators."""
+    return lambda v, obs, log: _record_psi_observables(obs, make_field(grid, v), V, target, log)
+
+
+def _drive(
+    vals: np.ndarray,
+    grid: Grid,
+    spec: IntegratorSpec,
+    t_final: float,
+    snapshot_stride: int,
+    advance,
+    record,
+    *,
+    renormalize: bool,
+    gauge: list[GaugeFactor],
+    cum_log: float = 0.0,
+) -> Trajectory:
+    """The stepping loop of every propagator (see the module docstring).
+
+    advance(vals, step) returns the values after step `step`; record(vals,
+    obs, cum_log) appends a snapshot's observables to obs and returns the
+    snapshot. Renormalization factors are appended to `gauge`.
+    """
+    n_steps = max(1, int(round(t_final / spec.dt)))
+    obs: dict = {}
+    snaps = [record(vals, obs, cum_log)]
+    times = [0.0]
+
+    def trajectory() -> Trajectory:
+        return Trajectory(
+            times=np.asarray(times),
+            snapshots=snaps,
+            gauge_log=gauge,
+            observables={k: np.asarray(v) for k, v in obs.items()},
+        )
+
+    for step in range(1, n_steps + 1):
+        try:
+            vals = advance(vals, step)
+        except NodeApproach as exc:
+            exc.trajectory = trajectory()
+            raise
+        if renormalize:
+            scale = norm(Field(grid, vals))
+            vals = vals / scale
+            log_factor = -float(np.log(scale))
+            cum_log += log_factor
+            gauge.append(GaugeFactor(log_magnitude=log_factor, phase=0.0))
+        if step % snapshot_stride == 0 or step == n_steps:
+            snaps.append(record(vals, obs, cum_log))
+            times.append(step * spec.dt)
+    return trajectory()
 
 
 def schrodinger_evolve(
@@ -215,34 +278,14 @@ def schrodinger_evolve(
     unconditionally stable; dt only controls accuracy, with phase errors
     O(dt^2 E^3) per unit time for energy-E components.
     """
-    if spec.method is Method.RK4:
-        raise ValueError("RK4 integrates the momentum-field equation, not psi")
-    kernel = _make_kernel(psi0.grid, V, spec.dt, spec.method)
-    n_steps = max(1, int(round(t_final / spec.dt)))
-    psi = psi0.values.copy()
-    times = [0.0]
-    snaps = [Field(psi0.grid, psi)]
-    gauge: list[GaugeFactor] = []
-    obs: dict = {}
-    cum_log = 0.0
-    _record_psi_observables(obs, snaps[0], V, target, cum_log)
-    for step in range(1, n_steps + 1):
-        psi = kernel.step(psi)
-        if spec.renormalize_each_step:
-            scale = norm(Field(psi0.grid, psi))
-            psi = psi / scale
-            cum_log += -float(np.log(scale))
-            gauge.append(GaugeFactor(log_magnitude=-float(np.log(scale)), phase=0.0))
-        if step % snapshot_stride == 0 or step == n_steps:
-            f = make_field(psi0.grid, psi)
-            times.append(step * spec.dt)
-            snaps.append(f)
-            _record_psi_observables(obs, f, V, target, cum_log)
-    return Trajectory(
-        times=np.asarray(times),
-        snapshots=snaps,
-        gauge_log=gauge,
-        observables=_finalize_observables(obs),
+    grid = psi0.grid
+    kernel = _make_kernel(grid, V, spec.dt, spec.method)
+    return _drive(
+        psi0.values, grid, spec, t_final, snapshot_stride,
+        advance=lambda vals, step: kernel.step(vals),
+        record=_psi_recorder(grid, V, target),
+        renormalize=spec.renormalize_each_step,
+        gauge=[],
     )
 
 
@@ -291,38 +334,14 @@ def cqhj_evolve(
         )
     empty = np.zeros(grid.n_points, dtype=bool)
     project = grid.boundary is Boundary.BOX
+    dt = spec.dt
+    gauge: list[GaugeFactor] = []
 
     def rhs(vals: np.ndarray) -> np.ndarray:
         pf = MomentumField(Field(grid, vals), empty)
         return cqhj_rhs(pf, V, scheme).values
 
-    def record(vals: np.ndarray, t: float):
-        pf = MomentumField(Field(grid, vals), empty)
-        times.append(t)
-        snaps.append(pf)
-        try:
-            psi, gf = p_to_psi(pf)
-            gauge.append(gf)
-            _record_psi_observables(obs, psi, V, target, gf.log_magnitude, gf.phase)
-        except PeriodicityViolation:
-            # winding fields have no single-valued reconstruction; keep the
-            # observable series aligned with the snapshot series
-            keys = ["norm", "energy", "H_mean_re", "H_std", "gauge_log_magnitude", "gauge_phase"]
-            if target is not None:
-                keys.insert(2, "fidelity_target")
-            for key in keys:
-                store = obs.setdefault(key, [])
-                store.append(np.nan)
-
-    n_steps = max(1, int(round(t_final / spec.dt)))
-    vals = p0.values.copy()
-    times: list[float] = []
-    snaps: list[MomentumField] = []
-    gauge: list[GaugeFactor] = []
-    obs: dict = {}
-    record(vals, 0.0)
-    dt = spec.dt
-    for step in range(1, n_steps + 1):
+    def advance(vals: np.ndarray, step: int) -> np.ndarray:
         k1 = rhs(vals)
         k2 = rhs(vals + 0.5 * dt * k1)
         k3 = rhs(vals + 0.5 * dt * k2)
@@ -334,24 +353,32 @@ def cqhj_evolve(
         c = np.cumsum(vals.imag) * grid.dx
         rel = np.exp(-(c - c.min()))
         if rel.min() / rel.max() < node_threshold or not np.all(np.isfinite(vals)):
-            partial = Trajectory(
-                times=np.asarray(times),
-                snapshots=snaps,
-                gauge_log=gauge,
-                observables=_finalize_observables(obs),
-            )
             raise NodeApproach(
                 f"reconstructed magnitude fell below the node threshold at "
-                f"t = {step * dt:.6g}",
-                trajectory=partial,
+                f"t = {step * dt:.6g}"
             )
-        if step % snapshot_stride == 0 or step == n_steps:
-            record(vals, step * dt)
-    return Trajectory(
-        times=np.asarray(times),
-        snapshots=snaps,
-        gauge_log=gauge,
-        observables=_finalize_observables(obs),
+        return vals
+
+    def record(vals: np.ndarray, obs: dict, cum_log: float) -> MomentumField:
+        pf = MomentumField(Field(grid, vals), empty)
+        try:
+            psi, gf = p_to_psi(pf)
+            gauge.append(gf)
+            _record_psi_observables(obs, psi, V, target, gf.log_magnitude, gf.phase)
+        except PeriodicityViolation:
+            # winding fields have no single-valued reconstruction; keep the
+            # observable series aligned with the snapshot series
+            keys = ["norm", "energy", "H_mean_re", "H_std", "gauge_log_magnitude", "gauge_phase"]
+            if target is not None:
+                keys.insert(2, "fidelity_target")
+            for key in keys:
+                obs.setdefault(key, []).append(np.nan)
+        return pf
+
+    return _drive(
+        p0.values, grid, spec, t_final, snapshot_stride, advance, record,
+        renormalize=False,
+        gauge=gauge,
     )
 
 
@@ -365,32 +392,27 @@ def collapsible_evolve(
     snapshot_stride: int = 1,
     node_threshold: float = 1e-6,
     scheme: DerivativeScheme | None = None,
-    fixed_point_tol: float = 1e-12,
-    max_fixed_point_iter: int = 50,
     target: Field | None = None,
 ) -> Trajectory:
     """Nonlinear collapse evolution in the wave-function (gauge) form.
 
     Strang composition per step: linear half step, nonlinear gauge-phase
     step exp(i dt Phi) with Phi the line-integral lift of the force
-    evaluated at the implicit midpoint, linear half step. Any nonzero
-    input norm is accepted; the entry normalization and every per-step
-    renormalization factor are recorded in the gauge log.
+    evaluated at the implicit midpoint, linear half step. The midpoint
+    fixed point must reach FIXED_POINT_TOL within MAX_FIXED_POINT_ITER
+    iterations (FixedPointDivergence otherwise). Any nonzero input norm is
+    accepted; the entry normalization and every per-step renormalization
+    factor are recorded in the gauge log.
     """
-    if spec.method is Method.RK4:
-        raise ValueError("collapsible evolution integrates psi, not p")
     grid = psi0.grid
     scheme = scheme or grid.best_scheme()
     kernel = _make_kernel(grid, V, 0.5 * spec.dt, spec.method)
-    gauge: list[GaugeFactor] = []
+    dt = spec.dt
 
-    psi = psi0.values.copy()
-    scale = norm(Field(grid, psi))
+    scale = norm(Field(grid, psi0.values))
     if scale == 0.0:
         raise AllMasked("initial state has zero norm")
-    psi = psi / scale
     cum_log = -float(np.log(scale))
-    gauge.append(GaugeFactor(log_magnitude=cum_log, phase=0.0))
 
     def phi_of(vals: np.ndarray, t: float) -> np.ndarray:
         try:
@@ -410,48 +432,28 @@ def collapsible_evolve(
                 f = Field(grid, f.values - mean)
         return gauge_potential(f).values
 
-    dt = spec.dt
-    n_steps = max(1, int(round(t_final / dt)))
-    times = [0.0]
-    snaps = [Field(grid, psi)]
-    obs: dict = {}
-    _record_psi_observables(obs, snaps[0], V, target, cum_log)
-    is_null = force.kind is ForceKind.NULL
-    for step in range(1, n_steps + 1):
-        a = kernel.step(psi)
-        if is_null:
-            b = a
-        else:
-            t_mid = (step - 0.5) * dt
-            phase = np.exp(1j * dt * phi_of(a, t_mid))
-            guess = a * phase
-            for _ in range(max_fixed_point_iter):
-                mid = 0.5 * (a + guess)
-                new = a * np.exp(1j * dt * phi_of(mid, t_mid))
-                delta = norm(Field(grid, new - guess))
-                guess = new
-                if delta <= fixed_point_tol:
-                    break
-            else:
-                raise FixedPointDivergence(
-                    f"nonlinear midpoint iteration did not reach {fixed_point_tol:.1e} "
-                    f"in {max_fixed_point_iter} iterations at t = {step * dt:.6g}"
-                )
-            b = guess
-        psi = kernel.step(b)
-        if spec.renormalize_each_step:
-            scale = norm(Field(grid, psi))
-            psi = psi / scale
-            cum_log += -float(np.log(scale))
-            gauge.append(GaugeFactor(log_magnitude=-float(np.log(scale)), phase=0.0))
-        if step % snapshot_stride == 0 or step == n_steps:
-            f = make_field(grid, psi)
-            times.append(step * dt)
-            snaps.append(f)
-            _record_psi_observables(obs, f, V, target, cum_log)
-    return Trajectory(
-        times=np.asarray(times),
-        snapshots=snaps,
-        gauge_log=gauge,
-        observables=_finalize_observables(obs),
+    def advance(vals: np.ndarray, step: int) -> np.ndarray:
+        a = kernel.step(vals)
+        if force.kind is ForceKind.NULL:
+            return kernel.step(a)
+        t_mid = (step - 0.5) * dt
+        guess = a * np.exp(1j * dt * phi_of(a, t_mid))
+        for _ in range(MAX_FIXED_POINT_ITER):
+            mid = 0.5 * (a + guess)
+            new = a * np.exp(1j * dt * phi_of(mid, t_mid))
+            delta = norm(Field(grid, new - guess))
+            guess = new
+            if delta <= FIXED_POINT_TOL:
+                return kernel.step(guess)
+        raise FixedPointDivergence(
+            f"nonlinear midpoint iteration did not reach {FIXED_POINT_TOL:.1e} "
+            f"in {MAX_FIXED_POINT_ITER} iterations at t = {step * dt:.6g}"
+        )
+
+    return _drive(
+        psi0.values / scale, grid, spec, t_final, snapshot_stride, advance,
+        record=_psi_recorder(grid, V, target),
+        renormalize=spec.renormalize_each_step,
+        gauge=[GaugeFactor(log_magnitude=cum_log, phase=0.0)],
+        cum_log=cum_log,
     )

@@ -48,11 +48,10 @@ def _fd_weights(offsets: tuple[int, ...], order: int) -> np.ndarray:
     return _readonly(w)
 
 
-# 4th-order stencils: central interior, one-sided rows at box edges.
-_C4_D1 = (-2, -1, 0, 1, 2)
-_C4_D2 = (-2, -1, 0, 1, 2)
-_EDGE_D1 = [(0, 1, 2, 3, 4), (-1, 0, 1, 2, 3)]
-_EDGE_D2 = [(0, 1, 2, 3, 4, 5), (-1, 0, 1, 2, 3, 4)]
+# 4th-order stencils: central interior, one-sided rows at box edges
+# (first and second row; the last two rows mirror them), per derivative order.
+_C4 = (-2, -1, 0, 1, 2)
+_EDGES = {1: ((0, 1, 2, 3, 4), (-1, 0, 1, 2, 3)), 2: ((0, 1, 2, 3, 4, 5), (-1, 0, 1, 2, 3, 4))}
 
 
 @dataclass(frozen=True)
@@ -75,7 +74,6 @@ class Grid:
             raise ValueError(f"x_max ({self.x_max}) must exceed x_min ({self.x_min})")
         if self.n_points < 16:
             raise ValueError(f"n_points must be >= 16, got {self.n_points}")
-        length = self.x_max - self.x_min
         if self.boundary is Boundary.PERIODIC:
             x = self.x_min + self.dx * np.arange(self.n_points)
             w = np.full(self.n_points, self.dx)
@@ -83,7 +81,6 @@ class Grid:
             x = np.linspace(self.x_min, self.x_max, self.n_points)
             w = np.full(self.n_points, self.dx)
             w[0] = w[-1] = 0.5 * self.dx
-        del length
         object.__setattr__(self, "_x", _readonly(x))
         object.__setattr__(self, "_weights", _readonly(w))
 
@@ -210,43 +207,43 @@ def _spectral_derivative(grid: Grid, v: np.ndarray, order: int) -> np.ndarray:
     return np.fft.ifft(mult * np.fft.fft(v))
 
 
-def _stencil_apply_periodic(v, offsets, weights, dx, order):
-    out = np.zeros_like(v)
-    for off, w in zip(offsets, weights):
-        if w != 0.0:
-            out += w * np.roll(v, -off)
-    return out / dx**order
+@lru_cache(maxsize=32)
+def _fd_matrix(n: int, order: int, periodic: bool) -> sp.csr_array:
+    """4th-order finite-difference operator of the given derivative order on
+    n points, in units of dx**-order: central rows, wrapped on periodic
+    grids; on box grids the first two rows are one-sided and the last two
+    mirror them.
 
-
-def _stencil_apply_box(v, dx, order):
-    central = _C4_D1 if order == 1 else _C4_D2
-    edges = _EDGE_D1 if order == 1 else _EDGE_D2
-    wc = _fd_weights(central, order)
-    n = len(v)
-    out = np.empty_like(v)
-    half = 2
-    acc = np.zeros_like(v[half : n - half])
-    for off, w in zip(central, wc):
-        if w != 0.0:
-            acc = acc + w * v[half + off : n - half + off]
-    out[half : n - half] = acc
-    for row, offs in enumerate(edges):
-        w = _fd_weights(offs, order)
-        out[row] = np.dot(w, v[[row + o for o in offs]])
-        out[n - 1 - row] = np.dot(w * (-1.0) ** order, v[[n - 1 - row - o for o in offs]])
-    return out / dx**order
+    The CSR arrays are assembled directly and never sorted, so each row
+    keeps its entries in stencil order and a matvec sums the terms in that
+    order.
+    """
+    wc = _fd_weights(_C4, order)
+    offsets = np.asarray(_C4)[wc != 0.0]
+    wc = wc[wc != 0.0]
+    rows = np.arange(n) if periodic else np.arange(2, n - 2)
+    central = rows[:, None] + offsets
+    blocks = [(central % n if periodic else central, np.broadcast_to(wc, central.shape))]
+    if not periodic:
+        edges = np.asarray(_EDGES[order])
+        we = np.stack([_fd_weights(e, order) for e in _EDGES[order]])
+        blocks.insert(0, (np.arange(2)[:, None] + edges, we))
+        blocks.append((np.arange(n - 2, n)[:, None] - edges[::-1], (-1.0) ** order * we[::-1]))
+    cols = np.concatenate([c.ravel() for c, _ in blocks])
+    data = np.concatenate([w.ravel() for _, w in blocks])
+    row_len = np.concatenate([np.full(len(c), c.shape[1]) for c, _ in blocks])
+    indptr = np.concatenate([[0], np.cumsum(row_len)])
+    return sp.csr_array((data, cols, indptr), shape=(n, n))
 
 
 def _derivative(f: Field, scheme: DerivativeScheme, order: int) -> Field:
     f.check_finite()
     _check_scheme(f.grid, scheme)
+    g = f.grid
     if scheme is DerivativeScheme.SPECTRAL:
-        return Field(f.grid, _spectral_derivative(f.grid, f.values, order))
-    if f.grid.boundary is Boundary.PERIODIC:
-        offsets = _C4_D1 if order == 1 else _C4_D2
-        w = _fd_weights(offsets, order)
-        return Field(f.grid, _stencil_apply_periodic(f.values, offsets, w, f.grid.dx, order))
-    return Field(f.grid, _stencil_apply_box(f.values, f.grid.dx, order))
+        return Field(g, _spectral_derivative(g, f.values, order))
+    D = _fd_matrix(g.n_points, order, g.boundary is Boundary.PERIODIC)
+    return Field(g, (D @ f.values) / g.dx**order)
 
 
 def gradient(f: Field, scheme: DerivativeScheme) -> Field:

@@ -26,7 +26,6 @@ import numpy as np
 
 from . import __version__
 from .diagnostics import CollapseReport, collapse_time, make_collapse_report
-from .errors import CqhjError
 from .evolve import Trajectory, collapsible_evolve
 from .scenario import SCHEMA_VERSION, Scenario, apply_override, load_scenario
 
@@ -197,7 +196,7 @@ def _sweep_row(args):
             "final_fidelity": result.summary["final_fidelity_target"],
             "error": "",
         }
-    except (CqhjError, ValueError) as exc:
+    except Exception as exc:  # a failed row must not abort the sweep and lose finished rows
         return {
             "value": value,
             "status": "failed",

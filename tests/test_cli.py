@@ -4,8 +4,10 @@ import json
 
 import pytest
 
+from cqhjlab import runner
 from cqhjlab.cli import main
 from cqhjlab.runner import OUTPUT_ROOT_ENV, bundled_scenario_names
+from cqhjlab.scenario import load_scenario
 
 FAST_MINI = """
 [grid]
@@ -162,6 +164,20 @@ def test_sweep_writes_table_in_input_order(mini_config, tmp_path, capsys):
     assert lines[1].startswith("value,")
     assert lines[2].startswith("0.3,ok")
     assert lines[3].startswith("0.1,ok")
+
+
+def test_sweep_keeps_other_rows_when_one_raises(mini_config, monkeypatch):
+    real_execute = runner.execute
+
+    def execute(scenario):
+        if scenario.resolved["force"]["gamma"] == 0.1:
+            raise FloatingPointError("overflow encountered in exp")
+        return real_execute(scenario)
+
+    monkeypatch.setattr(runner, "execute", execute)
+    rows = runner.sweep(load_scenario(mini_config), "force.gamma", [0.3, 0.1, 0.2], workers=1)
+    assert [r["status"] for r in rows] == ["ok", "failed", "ok"]
+    assert rows[1]["error"].startswith("FloatingPointError: ")
 
 
 def test_sweep_bad_param_exit_two(mini_config, capsys):

@@ -111,6 +111,12 @@ def test_collapse_time_epsilon_guard():
         collapse_time(traj, 0.7)
 
 
+def test_collapse_time_without_fidelity_series_is_value_error():
+    traj = Trajectory(times=np.zeros(1), snapshots=[None], observables={"norm": np.ones(1)})
+    with pytest.raises(ValueError, match="no fidelity-to-target series"):
+        collapse_time(traj, 1e-3)
+
+
 def test_dimensionless_measure_two_level(ho_setup):
     grid, V, pairs = ho_setup
     psi = superpose([1.0, 1.0], [pairs[0].state, pairs[1].state])

@@ -113,6 +113,34 @@ def test_renormalization_logged(ho_box_setup):
     assert len(traj.gauge_log) == 200
 
 
+def test_snapshot_cadence_shared_by_all_propagators(ho_box_setup):
+    g, V, pairs = ho_box_setup
+    psi0 = superpose([1.0, 1.0], [pairs[0].state, pairs[1].state])
+    # a wide Gaussian magnitude keeps clear of the RK4 node monitor
+    p0 = MomentumField(Field(g, 0.2j * g.x), np.zeros(g.n_points, bool))
+    dt = 5e-4
+    cn = IntegratorSpec(Method.CRANK_NICOLSON, dt, True)
+    runs = {
+        "schrodinger": schrodinger_evolve(psi0, V, cn, 7 * dt, snapshot_stride=3, target=pairs[0].state),
+        "cqhj": cqhj_evolve(
+            p0, V, IntegratorSpec(Method.RK4, dt), 7 * dt, snapshot_stride=3, target=pairs[0].state
+        ),
+        "collapsible": collapsible_evolve(
+            psi0, V, pinning_force(pairs[0], 2.0), cn, 7 * dt, snapshot_stride=3, target=pairs[0].state
+        ),
+    }
+    # one gauge factor per renormalized step, plus the entry normalization
+    # of the collapsible run; momentum runs log one per reconstruction
+    gauge_len = {"schrodinger": 7, "cqhj": 4, "collapsible": 8}
+    for name, traj in runs.items():
+        assert np.array_equal(traj.times, [0.0, 3 * dt, 6 * dt, 7 * dt]), name
+        assert len(traj.snapshots) == 4, name
+        assert "fidelity_target" in traj.observables, name
+        for key, series in traj.observables.items():
+            assert len(series) == 4, (name, key)
+        assert len(traj.gauge_log) == gauge_len[name], name
+
+
 # -- momentum-space propagation --------------------------------------------------
 
 

@@ -102,6 +102,18 @@ def test_gradient_gaussian_analytic_oracle():
     assert np.max(np.abs(df.values - (-g.x * np.exp(-g.x**2 / 2)))) <= 1e-8
 
 
+def test_fd4_box_exact_on_quartic_at_every_point():
+    # degree 4 is inside the exactness range of every central and one-sided
+    # row; odd and even powers expose a sign slip in the mirrored edge rows
+    g = Grid(-1.0, 2.0, 41, Boundary.BOX)
+    x = g.x
+    f = make_field(g, (1.0 + 0.5j) + 2.0 * x - 3.0 * x**2 + 0.7j * x**3 + 1.3 * x**4)
+    d1 = 2.0 - 6.0 * x + 2.1j * x**2 + 5.2 * x**3
+    d2 = -6.0 + 4.2j * x + 15.6 * x**2
+    assert np.max(np.abs(gradient(f, C4).values - d1)) <= 1e-10
+    assert np.max(np.abs(laplacian(f, C4).values - d2)) <= 1e-9
+
+
 # -- laplacian ----------------------------------------------------------------
 
 
