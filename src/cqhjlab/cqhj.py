@@ -33,6 +33,8 @@ from .grid import (
 from .states import Potential
 
 DEFAULT_NODE_THRESHOLD = 1e-6
+# grid points masked_stats drops on each side of a masked point
+STATS_STENCIL_WIDTH = 3
 
 
 @dataclass(frozen=True)
@@ -293,9 +295,9 @@ def cqhj_rhs_from_state(
     return Field(psi.grid, -gradient(H, scheme).values), mask
 
 
-def masked_stats(field: Field, mask: np.ndarray, stencil_width: int = 3) -> tuple[complex, float]:
+def masked_stats(field: Field, mask: np.ndarray) -> tuple[complex, float]:
     """(mean, std) of a field over the complement of the dilated mask."""
-    keep = ~dilated_mask(mask, stencil_width) if mask.any() else np.ones(len(mask), bool)
+    keep = ~dilated_mask(mask, STATS_STENCIL_WIDTH) if mask.any() else np.ones(len(mask), bool)
     vals = field.values[keep]
     if vals.size == 0:
         raise NodePresent("mask covers the entire grid")

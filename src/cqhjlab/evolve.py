@@ -30,7 +30,6 @@ from enum import Enum
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import solve_banded
 from scipy.sparse.linalg import splu
 
 from .cqhj import (
@@ -66,6 +65,17 @@ from .grid import (
 from .states import Potential
 
 OBSERVABLE_NODE_THRESHOLD = 1e-5
+# the observable series of a trajectory, one value per snapshot, in the
+# column order of timeseries.csv
+OBSERVABLES = (
+    "norm",
+    "energy",
+    "fidelity_target",
+    "H_mean_re",
+    "H_std",
+    "gauge_log_magnitude",
+    "gauge_phase",
+)
 # convergence criterion of the implicit-midpoint fixed point in
 # collapsible_evolve: L2 change between iterates, and the iteration budget
 FIXED_POINT_TOL = 1e-12
@@ -131,38 +141,24 @@ class _SplitStepKernel:
 
 class _CrankNicolsonKernel:
     """Cayley step (1 + i dt H / 2)^-1 (1 - i dt H / 2) with H built from
-    the symmetric 4th-order kinetic operator. Box grids hold the walls at
-    zero; periodic grids use a prefactored sparse LU."""
+    the symmetric 4th-order kinetic operator. The matrix on the left is
+    constant, so it is factored once (sparse LU) on either boundary. The
+    unknowns are the interior points on box grids, whose walls stay at zero,
+    and every point on periodic grids."""
 
     def __init__(self, grid: Grid, V: Potential, dt: float):
-        self.grid = grid
-        self.box = grid.boundary is Boundary.BOX
+        self.inner = slice(1, -1) if grid.boundary is Boundary.BOX else slice(None)
         L = symmetric_second_derivative(grid)
-        v = V.samples[1:-1] if self.box else V.samples
+        v = V.samples[self.inner]
         H = (-0.5 * L + sp.diags_array(v.astype(np.complex128))).tocsc()
-        n = H.shape[0]
-        eye = sp.identity(n, dtype=np.complex128, format="csc")
-        A = (eye + 0.5j * dt * H).tocsc()
+        eye = sp.identity(H.shape[0], dtype=np.complex128, format="csc")
+        self._solve = splu((eye + 0.5j * dt * H).tocsc()).solve
         self.B = (eye - 0.5j * dt * H).tocsr()
-        if self.box:
-            # pentadiagonal banded solve
-            ab = np.zeros((5, n), dtype=np.complex128)
-            Ad = A.todia()
-            for off, row in zip(Ad.offsets, Ad.data):
-                ab[2 - off, :] = row
-            self._ab = ab
-            self._solve = lambda rhs: solve_banded((2, 2), self._ab, rhs)
-        else:
-            lu = splu(A)
-            self._solve = lu.solve
 
     def step(self, values: np.ndarray) -> np.ndarray:
-        if self.box:
-            inner = self._solve(self.B @ values[1:-1])
-            out = np.zeros_like(values)
-            out[1:-1] = inner
-            return out
-        return self._solve(self.B @ values)
+        out = np.zeros_like(values)
+        out[self.inner] = self._solve(self.B @ values[self.inner])
+        return out
 
 
 def _make_kernel(grid: Grid, V: Potential, dt: float, method: Method):
@@ -184,22 +180,27 @@ def _record_psi_observables(
     gauge_log_magnitude: float = 0.0,
     gauge_phase: float = 0.0,
 ) -> Field:
-    """Append the observables of psi to the store; returns psi."""
+    """Append the observables of psi to the store (no fidelity_target
+    series without a target); returns psi."""
     from .diagnostics import energy, fidelity
 
     scheme = psi.grid.best_scheme()
-    store.setdefault("norm", []).append(norm(psi))
-    store.setdefault("energy", []).append(energy(psi, V, scheme))
-    if target is not None:
-        store.setdefault("fidelity_target", []).append(fidelity(psi, target))
     H, mask = hamiltonian_field_from_state(
         psi, V, scheme, node_threshold=OBSERVABLE_NODE_THRESHOLD
     )
     mean, std = masked_stats(H, mask)
-    store.setdefault("H_mean_re", []).append(mean.real)
-    store.setdefault("H_std", []).append(std)
-    store.setdefault("gauge_log_magnitude", []).append(gauge_log_magnitude)
-    store.setdefault("gauge_phase", []).append(gauge_phase)
+    row = (
+        norm(psi),
+        energy(psi, V, scheme),
+        None if target is None else fidelity(psi, target),
+        mean.real,
+        std,
+        gauge_log_magnitude,
+        gauge_phase,
+    )
+    for key, value in zip(OBSERVABLES, row, strict=True):
+        if value is not None:
+            store.setdefault(key, []).append(value)
     return psi
 
 
@@ -310,9 +311,10 @@ def cqhj_evolve(
 ) -> Trajectory:
     """Direct momentum-space evolution p_t = rhs(p) by classical RK4.
 
-    The reconstructed magnitude is monitored each step; if it dips below
-    the node threshold the run aborts with the partial trajectory attached
-    to the NodeApproach error.
+    The reconstructed magnitude is monitored on p0 and after each step;
+    if it dips below the node threshold the run aborts with the partial
+    trajectory attached to the NodeApproach error (only the t = 0 snapshot
+    when p0 itself is below it; no step is taken then).
 
     On box grids every step ends with the re-projection p -> grad(int p),
     the discrete form of the exact identity p = -i grad(psi)/psi for
@@ -337,11 +339,23 @@ def cqhj_evolve(
     dt = spec.dt
     gauge: list[GaugeFactor] = []
 
+    def monitor(vals: np.ndarray, t: float) -> np.ndarray:
+        # magnitude ~ exp(-cumulative Im p)
+        c = np.cumsum(vals.imag) * grid.dx
+        rel = np.exp(-(c - c.min()))
+        if rel.min() / rel.max() < node_threshold or not np.all(np.isfinite(vals)):
+            raise NodeApproach(
+                f"reconstructed magnitude fell below the node threshold at t = {t:.6g}"
+            )
+        return vals
+
     def rhs(vals: np.ndarray) -> np.ndarray:
         pf = MomentumField(Field(grid, vals), empty)
         return cqhj_rhs(pf, V, scheme).values
 
     def advance(vals: np.ndarray, step: int) -> np.ndarray:
+        if step == 1:
+            monitor(vals, 0.0)
         k1 = rhs(vals)
         k2 = rhs(vals + 0.5 * dt * k1)
         k3 = rhs(vals + 0.5 * dt * k2)
@@ -349,15 +363,7 @@ def cqhj_evolve(
         vals = vals + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if project:
             vals = gradient(cumulative_integral(Field(grid, vals)), scheme).values
-        # node monitor: magnitude ~ exp(-cumulative Im p)
-        c = np.cumsum(vals.imag) * grid.dx
-        rel = np.exp(-(c - c.min()))
-        if rel.min() / rel.max() < node_threshold or not np.all(np.isfinite(vals)):
-            raise NodeApproach(
-                f"reconstructed magnitude fell below the node threshold at "
-                f"t = {step * dt:.6g}"
-            )
-        return vals
+        return monitor(vals, step * dt)
 
     def record(vals: np.ndarray, obs: dict, cum_log: float) -> MomentumField:
         pf = MomentumField(Field(grid, vals), empty)
@@ -368,11 +374,9 @@ def cqhj_evolve(
         except PeriodicityViolation:
             # winding fields have no single-valued reconstruction; keep the
             # observable series aligned with the snapshot series
-            keys = ["norm", "energy", "H_mean_re", "H_std", "gauge_log_magnitude", "gauge_phase"]
-            if target is not None:
-                keys.insert(2, "fidelity_target")
-            for key in keys:
-                obs.setdefault(key, []).append(np.nan)
+            for key in OBSERVABLES:
+                if target is not None or key != "fidelity_target":
+                    obs.setdefault(key, []).append(np.nan)
         return pf
 
     return _drive(
@@ -391,7 +395,6 @@ def collapsible_evolve(
     *,
     snapshot_stride: int = 1,
     node_threshold: float = 1e-6,
-    scheme: DerivativeScheme | None = None,
     target: Field | None = None,
 ) -> Trajectory:
     """Nonlinear collapse evolution in the wave-function (gauge) form.
@@ -405,7 +408,7 @@ def collapsible_evolve(
     factor are recorded in the gauge log.
     """
     grid = psi0.grid
-    scheme = scheme or grid.best_scheme()
+    scheme = grid.best_scheme()
     kernel = _make_kernel(grid, V, 0.5 * spec.dt, spec.method)
     dt = spec.dt
 

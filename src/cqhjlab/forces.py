@@ -16,8 +16,12 @@ import numpy as np
 
 from .cqhj import MomentumField, psi_to_p
 from .errors import GridMismatch
-from .grid import DerivativeScheme, Field, cumulative_integral
+from .grid import Field, cumulative_integral
 from .states import EigenPair
+
+# relative |integral of F| above which gauge_potential calls a periodic force
+# winding (see cumulative_integral)
+GAUGE_PERIODIC_TOLERANCE = 1e-6
 
 
 class ForceKind(Enum):
@@ -54,20 +58,17 @@ def null_force() -> CollapseForce:
 def pinning_force(
     target: MomentumField | EigenPair | Field,
     kappa: float,
-    scheme: DerivativeScheme | None = None,
     node_threshold: float = 1e-6,
 ) -> CollapseForce:
     """Force -kappa (p - p_target) pulling the momentum field onto that of
     the chosen pointer state. EigenPair / wave-function targets are
-    converted with the grid's best derivative scheme unless one is given."""
+    converted with the grid's best derivative scheme."""
     if kappa <= 0:
         raise ValueError("pinning rate kappa must be positive")
     if isinstance(target, EigenPair):
         target = target.state
     if isinstance(target, Field):
-        target = psi_to_p(
-            target, scheme or target.grid.best_scheme(), node_threshold
-        )
+        target = psi_to_p(target, target.grid.best_scheme(), node_threshold)
     return CollapseForce(kind=ForceKind.PINNING, kappa=kappa, target=target)
 
 
@@ -99,7 +100,7 @@ def evaluate(force: CollapseForce, p: MomentumField, t: float) -> Field:
     return Field(p.grid, vals)
 
 
-def gauge_potential(force_field: Field, periodic_tolerance: float = 1e-6) -> Field:
+def gauge_potential(force_field: Field) -> Field:
     """Line-integral lift Phi with dPhi/dx = F, anchored at the left edge.
 
     The free additive constant is physically irrelevant: it is absorbed by
@@ -108,4 +109,4 @@ def gauge_potential(force_field: Field, periodic_tolerance: float = 1e-6) -> Fie
     the tolerance is loose enough that near-node regularization residues,
     whose per-step phase jump is dt * integral, pass through.
     """
-    return cumulative_integral(force_field, periodic_tolerance=periodic_tolerance)
+    return cumulative_integral(force_field, periodic_tolerance=GAUGE_PERIODIC_TOLERANCE)

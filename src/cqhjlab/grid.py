@@ -14,7 +14,6 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.integrate import cumulative_trapezoid
 
 from .errors import GridMismatch, NonFiniteField, PeriodicityViolation, SchemeMismatch
 
@@ -299,7 +298,8 @@ def cumulative_integral(
         F = np.fft.ifft(Fhat) + mean * (g.x - g.x_min)
         F = F - F[0]
         return Field(g, F)
-    F = cumulative_trapezoid(v, dx=g.dx, initial=0.0)
+    F = np.zeros_like(v)
+    np.cumsum(g.dx * (v[1:] + v[:-1]) / 2.0, out=F[1:])
     fp = gradient(f, DerivativeScheme.CENTRAL4).values
     F = F - (g.dx**2 / 12.0) * (fp - fp[0])
     return Field(g, F)

@@ -26,27 +26,16 @@ import numpy as np
 
 from . import __version__
 from .diagnostics import CollapseReport, collapse_time, make_collapse_report
-from .evolve import Trajectory, collapsible_evolve
+from .evolve import OBSERVABLES, Trajectory, collapsible_evolve
 from .scenario import SCHEMA_VERSION, Scenario, apply_override, load_scenario
 
 OUTPUT_ROOT_ENV = "CQHJLAB_OUTPUT_ROOT"
 
-TIMESERIES_COLUMNS = [
-    "t",
-    "norm",
-    "energy",
-    "fidelity_target",
-    "H_mean_re",
-    "H_std",
-    "gauge_log_magnitude",
-    "gauge_phase",
-]
+TIMESERIES_COLUMNS = ["t", *OBSERVABLES]
 
 
 def _fmt(x) -> str:
     """Shortest round-trip decimal representation; deterministic bytes."""
-    if x is None:
-        return "nan"
     return repr(float(x))
 
 
@@ -118,22 +107,10 @@ def resolve_output_dir(scenario: Scenario, override=None) -> Path:
 
 
 def _timeseries_rows(traj: Trajectory):
-    obs = traj.observables
-    n = len(traj.times)
-    fid = obs.get("fidelity_target")
-    glog = obs.get("gauge_log_magnitude", np.zeros(n))
-    gphase = obs.get("gauge_phase", np.zeros(n))
-    for i in range(n):
-        yield [
-            _fmt(traj.times[i]),
-            _fmt(obs["norm"][i]),
-            _fmt(obs["energy"][i]),
-            _fmt(fid[i]) if fid is not None else "nan",
-            _fmt(obs["H_mean_re"][i]),
-            _fmt(obs["H_std"][i]),
-            _fmt(glog[i]),
-            _fmt(gphase[i]),
-        ]
+    """One row of formatted values per snapshot; "nan" for a missing series."""
+    series = [traj.times, *(traj.observables.get(k) for k in OBSERVABLES)]
+    for i in range(len(traj.times)):
+        yield [_fmt(s[i]) if s is not None else "nan" for s in series]
 
 
 def write_artifacts(result: RunResult, out_dir: Path, wall_time_s: float) -> None:

@@ -33,6 +33,10 @@ from .grid import (
     require_same_grid,
 )
 
+# largest Hamiltonian residual ho_eigenstate accepts before calling the
+# state unresolved on the grid
+EIGENSTATE_RESIDUAL_TOL = 1e-6
+
 
 class PotentialKind(Enum):
     FREE = "free"
@@ -130,7 +134,7 @@ def gaussian_packet(grid: Grid, x0: float, k0: float, sigma: float) -> Field:
     return make_field(grid, _normalize(grid, v))
 
 
-def ho_eigenstate(n: int, omega: float, grid: Grid, residual_tol: float = 1e-6) -> EigenPair:
+def ho_eigenstate(n: int, omega: float, grid: Grid) -> EigenPair:
     """Harmonic-oscillator eigenstate via the normalized Hermite-function
     three-term recurrence; energy (n + 1/2) omega."""
     if n < 0 or n > 20:
@@ -149,9 +153,10 @@ def ho_eigenstate(n: int, omega: float, grid: Grid, residual_tol: float = 1e-6) 
     pair = EigenPair(energy=(n + 0.5) * omega, state=state)
     V = harmonic_potential(grid, omega)
     res = hamiltonian_residual(pair, V, grid.best_scheme())
-    if res > residual_tol:
+    if res > EIGENSTATE_RESIDUAL_TOL:
         raise UnresolvedState(
-            f"oscillator state n={n} is not resolved: residual {res:.3e} > {residual_tol:.1e}"
+            f"oscillator state n={n} is not resolved: "
+            f"residual {res:.3e} > {EIGENSTATE_RESIDUAL_TOL:.1e}"
         )
     return pair
 

@@ -28,6 +28,8 @@ from cqhjlab import (
     superpose,
 )
 from cqhjlab.errors import NodeApproach, StabilityViolation
+from cqhjlab.evolve import _CrankNicolsonKernel
+from cqhjlab.grid import symmetric_second_derivative
 from cqhjlab.states import position_expectation, position_variance
 
 S = DerivativeScheme.SPECTRAL
@@ -84,6 +86,38 @@ def test_coherent_state_centroid():
     )
     xs = np.array([position_expectation(s) for s in traj.snapshots])
     assert np.max(np.abs(xs - np.cos(traj.times))) <= 1e-5
+
+
+@pytest.mark.parametrize("boundary", [Boundary.BOX, Boundary.PERIODIC])
+def test_crank_nicolson_step_matches_dense_cayley_solve(boundary):
+    g = Grid(-8.0, 8.0, 128, boundary)
+    V = harmonic_potential(g, 1.0)
+    dt = 1e-2
+    inner = slice(1, -1) if boundary is Boundary.BOX else slice(None)
+    H = -0.5 * symmetric_second_derivative(g).toarray() + np.diag(V.samples[inner])
+    eye = np.eye(H.shape[0])
+    r = np.random.default_rng(3)
+    v = r.standard_normal(g.n_points) + 1j * r.standard_normal(g.n_points)
+    if boundary is Boundary.BOX:
+        v[[0, -1]] = 0.0
+    want = np.zeros_like(v)
+    want[inner] = np.linalg.solve(eye + 0.5j * dt * H, (eye - 0.5j * dt * H) @ v[inner])
+    got = _CrankNicolsonKernel(g, V, dt).step(v)
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def test_crank_nicolson_periodic_eigenstate():
+    g = Grid(-12.0, 12.0, 512, Boundary.PERIODIC)
+    V = harmonic_potential(g, 1.0)
+    pair = ho_eigenstate(0, 1.0, g)
+    traj = schrodinger_evolve(
+        pair.state, V, IntegratorSpec(Method.CRANK_NICOLSON, 2e-3, False), 2 * np.pi,
+        snapshot_stride=10**9,
+    )
+    final = traj.final_state
+    assert abs(norm(final) - 1.0) <= 1e-12
+    drift = np.max(np.abs(np.abs(final.values) ** 2 - np.abs(pair.state.values) ** 2))
+    assert drift <= 1e-8
 
 
 def test_split_step_stability_guard():
@@ -198,7 +232,7 @@ def test_rk4_stability_guard():
 
 
 def test_node_approach_aborts_with_partial_trajectory():
-    # strong free self-steepening drives the reconstructed magnitude down
+    # min/max magnitude 0.048 at t = 0, already below the 0.05 threshold
     g = Grid(-8.0, 8.0, 256, Boundary.PERIODIC)
     psi0 = random_nodeless_state(g, np.random.default_rng(9), modes=6, amplitude=1.8)
     p0 = psi_to_p(psi0, S, node_threshold=1e-10)
@@ -213,6 +247,35 @@ def test_node_approach_aborts_with_partial_trajectory():
         )
     partial = err.value.trajectory
     assert partial is not None and len(partial.snapshots) >= 1
+
+
+def test_node_approach_mid_run_keeps_snapshots():
+    # min/max magnitude starts at 0.048, above the 0.04 threshold; free
+    # self-steepening crosses it after some hundred steps (t = 0.315 here)
+    g = Grid(-8.0, 8.0, 256, Boundary.PERIODIC)
+    psi0 = random_nodeless_state(g, np.random.default_rng(9), modes=6, amplitude=1.8)
+    p0 = psi_to_p(psi0, S, node_threshold=1e-10)
+    with pytest.raises(NodeApproach) as err:
+        cqhj_evolve(
+            p0,
+            free_potential(g),
+            IntegratorSpec(Method.RK4, 2e-4),
+            4.0,
+            snapshot_stride=100,
+            node_threshold=0.04,
+        )
+    times = err.value.trajectory.times
+    assert len(times) > 1 and np.allclose(np.diff(times), 100 * 2e-4)
+
+
+def test_node_monitor_checks_initial_momentum():
+    # relative magnitude exp(-32) at the walls: below the threshold at t = 0,
+    # so the run stops before its first step and keeps only the t = 0 snapshot
+    g = Grid(-8.0, 8.0, 512, Boundary.BOX)
+    p0 = MomentumField(Field(g, 1j * g.x), np.zeros(g.n_points, bool))
+    with pytest.raises(NodeApproach, match=r"at t = 0$") as err:
+        cqhj_evolve(p0, harmonic_potential(g, 1.0), IntegratorSpec(Method.RK4, 5e-4), 1e-2)
+    assert np.array_equal(err.value.trajectory.times, [0.0])
 
 
 def test_rk4_timestep_convergence():

@@ -1,5 +1,8 @@
 """Grid, field and operator substrate."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -185,6 +188,26 @@ def test_cumulative_periodic_rejects_nonzero_mean():
     g = Grid(0.0, 2 * np.pi, 128, Boundary.PERIODIC)
     with pytest.raises(PeriodicityViolation):
         cumulative_integral(make_field(g, np.ones(128)))
+
+
+@pytest.mark.parametrize("n", [16, 257, 512])
+def test_cumulative_box_matches_scipy_trapezoid_bitwise(n):
+    from scipy.integrate import cumulative_trapezoid
+
+    g = Grid(-8.0, 8.0, n, Boundary.BOX)
+    r = np.random.default_rng(n)
+    f = make_field(g, r.standard_normal(n) + 1j * r.standard_normal(n))
+    fp = gradient(f, C4).values
+    want = cumulative_trapezoid(f.values, dx=g.dx, initial=0.0) - (g.dx**2 / 12.0) * (fp - fp[0])
+    assert np.array_equal(cumulative_integral(f).values, want)
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    code = "import sys, cqhjlab; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "False"
 
 
 # -- operator properties --------------------------------------------------------
