@@ -7,7 +7,8 @@ Subcommands:
   convert-units ...       internal-to-SI collapse-time conversion
 
 Exit codes: 0 success, 1 verification failure, 2 config error,
-3 runtime solver error.
+3 runtime solver error (a failed run keeps the timeseries.csv of its
+partial trajectory next to an incomplete summary.json).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .runner import (
     run_to_directory,
     sweep as run_sweep,
     write_sweep_table,
+    write_timeseries,
 )
 from .verify import run_checks
 
@@ -89,6 +91,8 @@ def _cmd_run(args) -> int:
                       "incomplete": True,
                       "error": f"{type(exc).__name__}: {exc}"}
         out_dir.mkdir(parents=True, exist_ok=True)
+        if exc.trajectory is not None:
+            write_timeseries(exc.trajectory, out_dir)
         with open(out_dir / "summary.json", "w") as fh:
             json.dump(incomplete, fh, indent=2, sort_keys=True)
             fh.write("\n")

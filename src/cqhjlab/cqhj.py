@@ -26,6 +26,7 @@ from .grid import (
     _readonly,
     cumulative_integral,
     gradient,
+    laplacian,
     make_field,
     norm,
     require_same_grid,
@@ -48,9 +49,6 @@ class GaugeFactor:
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         return values * np.exp(self.log_magnitude + 1j * self.phase)
-
-    def invert(self) -> "GaugeFactor":
-        return GaugeFactor(-self.log_magnitude, -self.phase)
 
 
 @dataclass(frozen=True)
@@ -96,13 +94,12 @@ class MomentumField:
         return self
 
 
-def psi_to_p(
-    psi: Field,
-    scheme: DerivativeScheme,
-    node_threshold: float = DEFAULT_NODE_THRESHOLD,
-) -> MomentumField:
-    """Momentum field p = -i (grad psi)/psi, masked near nodes of psi."""
-    psi.check_finite()
+def _node_mask(psi: Field, node_threshold: float) -> np.ndarray:
+    """Points where |psi| falls below node_threshold times its peak.
+
+    A non-finite entry is never masked, so the derivative taken next
+    reports it as NonFiniteField.
+    """
     amp = np.abs(psi.values)
     peak = amp.max()
     if peak <= 0.0:
@@ -110,6 +107,16 @@ def psi_to_p(
     mask = amp < node_threshold * peak
     if mask.all():
         raise AllMasked("wave function vanishes everywhere at the node threshold")
+    return mask
+
+
+def psi_to_p(
+    psi: Field,
+    scheme: DerivativeScheme,
+    node_threshold: float = DEFAULT_NODE_THRESHOLD,
+) -> MomentumField:
+    """Momentum field p = -i (grad psi)/psi, masked near nodes of psi."""
+    mask = _node_mask(psi, node_threshold)
     dpsi = gradient(psi, scheme).values
     vals = np.zeros_like(psi.values)
     ok = ~mask
@@ -263,16 +270,8 @@ def hamiltonian_field_from_state(
     robust near nodes because psi itself stays smooth there. Returns the
     field together with the node mask (entries under the threshold hold V).
     """
-    from .grid import laplacian  # local import to keep module deps one-way
-
     require_same_grid(psi, V.grid)
-    amp = np.abs(psi.values)
-    peak = amp.max()
-    if peak <= 0.0:
-        raise AllMasked("wave function vanishes identically")
-    mask = amp < node_threshold * peak
-    if mask.all():
-        raise AllMasked("wave function vanishes everywhere at the node threshold")
+    mask = _node_mask(psi, node_threshold)
     lp = laplacian(psi, scheme).values
     vals = np.array(V.samples, dtype=np.complex128)
     ok = ~mask
@@ -347,8 +346,6 @@ def derivation_residuals(
     node_threshold: float = DEFAULT_NODE_THRESHOLD,
 ) -> DerivationResiduals:
     """Numerically verify the elimination chain on a nodeless state."""
-    from .grid import laplacian
-
     require_same_grid(psi, V.grid)
     p = psi_to_p(psi, scheme, node_threshold).require_nodeless()
     pv = p.values

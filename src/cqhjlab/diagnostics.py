@@ -15,7 +15,6 @@ import numpy as np
 from .errors import ZeroSpread, ZeroState
 from .grid import (
     Boundary,
-    DerivativeScheme,
     Field,
     norm,
     require_same_grid,
@@ -41,31 +40,30 @@ def fidelity(a: Field, b: Field) -> float:
     return float(min(val, 1.0))
 
 
-def _apply_h_symmetric(psi: Field, V: Potential, scheme: DerivativeScheme | None):
+def _apply_h_symmetric(psi: Field, V: Potential) -> np.ndarray:
     """H psi with an exactly symmetric discrete Hamiltonian.
 
     Box grids use the symmetric 4th-order kinetic matrix (one-sided edge
     stencils would break Hermiticity and leak imaginary parts into
-    expectation values); periodic grids use the requested scheme, whose
-    circulant/spectral operators are symmetric already.
+    expectation values); periodic grids use the spectral operator, which is
+    symmetric already.
     """
     if psi.grid.boundary is Boundary.BOX:
         L = symmetric_second_derivative(psi.grid)
         out = V.samples * psi.values
         out[1:-1] += -0.5 * (L @ psi.values[1:-1])
         return out
-    scheme = scheme or psi.grid.best_scheme()
-    return apply_hamiltonian(psi, V, scheme).values
+    return apply_hamiltonian(psi, V, psi.grid.best_scheme()).values
 
 
-def energy(psi: Field, V: Potential, scheme: DerivativeScheme | None = None) -> float:
+def energy(psi: Field, V: Potential) -> float:
     """Expectation of the linear Hamiltonian -1/2 lap + V, normalized.
 
     The imaginary residual must vanish (V real, symmetric operator); a
     residual above 1e-10 of the energy scale indicates a numerics bug.
     """
     require_same_grid(psi, V.grid)
-    hvals = _apply_h_symmetric(psi, V, scheme)
+    hvals = _apply_h_symmetric(psi, V)
     w = psi.grid.quadrature_weights
     num = complex(np.dot(w, np.conj(psi.values) * hvals))
     den = float(np.dot(w, np.abs(psi.values) ** 2).real)
@@ -80,12 +78,10 @@ def energy(psi: Field, V: Potential, scheme: DerivativeScheme | None = None) -> 
     return float(val.real)
 
 
-def energy_spread(
-    psi: Field, V: Potential, scheme: DerivativeScheme | None = None
-) -> float:
+def energy_spread(psi: Field, V: Potential) -> float:
     """Standard deviation of the linear Hamiltonian in the given state."""
     require_same_grid(psi, V.grid)
-    hvals = _apply_h_symmetric(psi, V, scheme)
+    hvals = _apply_h_symmetric(psi, V)
     w = psi.grid.quadrature_weights
     den = float(np.dot(w, np.abs(psi.values) ** 2).real)
     e1 = complex(np.dot(w, np.conj(psi.values) * hvals)) / den
@@ -94,23 +90,19 @@ def energy_spread(
     return float(np.sqrt(max(var, 0.0)))
 
 
-def collapse_time(traj, epsilon: float, target: Field | None = None):
+def collapse_time(traj, epsilon: float):
     """First time the fidelity to the target reaches 1 - epsilon.
 
-    Uses the trajectory's recorded fidelity series (or recomputes it from
-    the snapshots when an explicit target is given), with linear
+    Uses the trajectory's recorded fidelity series, with linear
     interpolation between snapshots. Returns None when never attained.
     """
     if not 0.0 < epsilon < 0.5:
         raise ValueError("epsilon must lie in (0, 0.5)")
     times = np.asarray(traj.times, dtype=float)
-    if target is not None:
-        fids = np.array([fidelity(s, target) for s in traj.snapshots])
-    else:
-        series = traj.observables.get("fidelity_target")
-        if series is None or np.size(series) != times.size:
-            raise ValueError("trajectory carries no fidelity-to-target series")
-        fids = np.asarray(series)
+    series = traj.observables.get("fidelity_target")
+    if series is None or np.size(series) != times.size:
+        raise ValueError("trajectory carries no fidelity-to-target series")
+    fids = np.asarray(series)
     threshold = 1.0 - epsilon
     above = fids >= threshold
     if not above.any():
@@ -125,13 +117,11 @@ def collapse_time(traj, epsilon: float, target: Field | None = None):
     return float(t0 + (threshold - f0) * (t1 - t0) / (f1 - f0))
 
 
-def dimensionless_measure(
-    tau: float, psi0: Field, V: Potential, scheme: DerivativeScheme | None = None
-) -> float:
+def dimensionless_measure(tau: float, psi0: Field, V: Potential) -> float:
     """Collapse time in units of the initial state's energy-uncertainty
     time: xi = tau * DeltaE (hbar = 1). Artifact-defined stand-in."""
-    dE = energy_spread(psi0, V, scheme)
-    e0 = abs(energy(psi0, V, scheme))
+    dE = energy_spread(psi0, V)
+    e0 = abs(energy(psi0, V))
     if dE <= 1e-6 * max(1.0, e0):
         raise ZeroSpread(
             f"energy spread {dE:.3e} is numerically zero; the measure is undefined"

@@ -2,7 +2,10 @@
 
 
 class CqhjError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package. An error raised by
+    a time step carries the partial trajectory computed before it."""
+
+    trajectory = None
 
 
 class GridMismatch(CqhjError):
@@ -59,11 +62,7 @@ class NodeBlowup(CqhjError):
 
 class NodeApproach(CqhjError):
     """Momentum-space evolution drove the reconstructed magnitude below the node
-    threshold; carries the partial trajectory computed so far."""
-
-    def __init__(self, message, trajectory=None):
-        super().__init__(message)
-        self.trajectory = trajectory
+    threshold."""
 
 
 class ZeroSpread(CqhjError):

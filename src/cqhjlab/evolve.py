@@ -20,7 +20,8 @@ only a step function advance(vals, step) and a snapshot function
 record(vals, obs, cum_log), both on raw ndarrays; the loop owns the step
 count, the snapshot cadence (t = 0, every snapshot_stride-th step and the
 last step), the per-step renormalization with its gauge log, the assembly
-of the Trajectory, and attaching the partial trajectory to NodeApproach.
+of the Trajectory, and attaching the partial trajectory to any CqhjError
+a step raises.
 """
 
 from __future__ import annotations
@@ -41,8 +42,10 @@ from .cqhj import (
     psi_to_p,
     p_to_psi,
 )
+from .diagnostics import energy, fidelity
 from .errors import (
     AllMasked,
+    CqhjError,
     FixedPointDivergence,
     NodeApproach,
     NodeBlowup,
@@ -182,16 +185,13 @@ def _record_psi_observables(
 ) -> Field:
     """Append the observables of psi to the store (no fidelity_target
     series without a target); returns psi."""
-    from .diagnostics import energy, fidelity
-
-    scheme = psi.grid.best_scheme()
     H, mask = hamiltonian_field_from_state(
-        psi, V, scheme, node_threshold=OBSERVABLE_NODE_THRESHOLD
+        psi, V, psi.grid.best_scheme(), node_threshold=OBSERVABLE_NODE_THRESHOLD
     )
     mean, std = masked_stats(H, mask)
     row = (
         norm(psi),
-        energy(psi, V, scheme),
+        energy(psi, V),
         None if target is None else fidelity(psi, target),
         mean.real,
         std,
@@ -248,7 +248,7 @@ def _drive(
     for step in range(1, n_steps + 1):
         try:
             vals = advance(vals, step)
-        except NodeApproach as exc:
+        except CqhjError as exc:
             exc.trajectory = trajectory()
             raise
         if renormalize:
@@ -424,16 +424,7 @@ def collapsible_evolve(
             raise NodeBlowup(
                 "force evaluation has no unmasked momentum values left"
             ) from exc
-        f = evaluate_force(force, p, t)
-        if grid.boundary is Boundary.PERIODIC:
-            # a small mean component is near-node regularization residue:
-            # drop it (no single-valued lift exists for it) instead of
-            # letting it tilt the domain; a genuinely winding force still
-            # fails the lift below.
-            mean = np.dot(grid.quadrature_weights, f.values) / grid.length
-            if abs(mean) * grid.length <= 1e-4 * max(float(np.max(np.abs(f.values))), 1.0):
-                f = Field(grid, f.values - mean)
-        return gauge_potential(f).values
+        return gauge_potential(evaluate_force(force, p, t)).values
 
     def advance(vals: np.ndarray, step: int) -> np.ndarray:
         a = kernel.step(vals)

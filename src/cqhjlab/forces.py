@@ -15,13 +15,13 @@ from enum import Enum
 import numpy as np
 
 from .cqhj import MomentumField, psi_to_p
-from .errors import GridMismatch
-from .grid import Field, cumulative_integral
+from .errors import GridMismatch, PeriodicityViolation
+from .grid import Boundary, Field, cumulative_integral
 from .states import EigenPair
 
-# relative |integral of F| above which gauge_potential calls a periodic force
-# winding (see cumulative_integral)
-GAUGE_PERIODIC_TOLERANCE = 1e-6
+# |mean of F| * L, relative to max(max|F|, 1), up to which gauge_potential
+# drops the mean of a force on a periodic grid instead of rejecting it
+GAUGE_MEAN_TOLERANCE = 1e-4
 
 
 class ForceKind(Enum):
@@ -105,8 +105,19 @@ def gauge_potential(force_field: Field) -> Field:
 
     The free additive constant is physically irrelevant: it is absorbed by
     the time-dependent scale factor of the homogeneous dynamics. On
-    periodic grids a genuinely winding force (integral O(1)) is rejected;
-    the tolerance is loose enough that near-node regularization residues,
-    whose per-step phase jump is dt * integral, pass through.
+    periodic grids a small mean of F, |mean| L <= GAUGE_MEAN_TOLERANCE *
+    max(max|F|, 1), is near-node regularization residue with no
+    single-valued lift: it is dropped rather than left to tilt Phi across
+    the domain. A larger mean (a winding force) raises PeriodicityViolation.
     """
-    return cumulative_integral(force_field, periodic_tolerance=GAUGE_PERIODIC_TOLERANCE)
+    g = force_field.grid
+    if g.boundary is Boundary.PERIODIC:
+        v = force_field.values
+        mean = np.dot(g.quadrature_weights, v) / g.length
+        if abs(mean) * g.length > GAUGE_MEAN_TOLERANCE * max(float(np.max(np.abs(v))), 1.0):
+            raise PeriodicityViolation(
+                f"force on periodic grid winds: |mean| * L = {abs(mean) * g.length:.3e} "
+                f"exceeds {GAUGE_MEAN_TOLERANCE:.1e} * max(max|F|, 1)"
+            )
+        force_field = Field(g, v - mean)
+    return cumulative_integral(force_field)

@@ -52,6 +52,10 @@ def _fd_weights(offsets: tuple[int, ...], order: int) -> np.ndarray:
 _C4 = (-2, -1, 0, 1, 2)
 _EDGES = {1: ((0, 1, 2, 3, 4), (-1, 0, 1, 2, 3)), 2: ((0, 1, 2, 3, 4, 5), (-1, 0, 1, 2, 3, 4))}
 
+# relative |integral of f| above which cumulative_integral calls a periodic
+# field multi-valued
+PERIODIC_INTEGRAL_TOLERANCE = 1e-8
+
 
 @dataclass(frozen=True)
 class Grid:
@@ -266,10 +270,8 @@ def norm(f: Field) -> float:
     return float(np.sqrt(np.dot(f.grid.quadrature_weights, np.abs(f.values) ** 2).real))
 
 
-def cumulative_integral(
-    f: Field, *, periodic_tolerance: float = 1e-8
-) -> Field:
-    """Antiderivative F(x)anchored at the left edge, F(x_min) = 0.
+def cumulative_integral(f: Field) -> Field:
+    """Antiderivative F(x) anchored at the left edge, F(x_min) = 0.
 
     Periodic grids use the exact spectral antiderivative and demand a
     (numerically) zero mean, otherwise the result would be multi-valued.
@@ -277,7 +279,6 @@ def cumulative_integral(
     correction, giving 4th-order global accuracy so that the discrete
     gradient inverts this operation to discretization tolerance.
     """
-    f.check_finite()
     g = f.grid
     v = f.values
     if g.boundary is Boundary.PERIODIC:
@@ -285,10 +286,10 @@ def cumulative_integral(
         # relative criterion with an absolute floor: near-zero fields have a
         # harmless (tiny) multivaluedness that must not trip the check
         scale = max(g.length * float(np.max(np.abs(v))), 1.0)
-        if total > periodic_tolerance * scale:
+        if total > PERIODIC_INTEGRAL_TOLERANCE * scale:
             raise PeriodicityViolation(
-                f"cumulative integral on periodic grid is multi-valued: "
-                f"|integral| = {total:.3e} exceeds {periodic_tolerance:.1e} * max(L max|f|, 1)"
+                f"cumulative integral on periodic grid is multi-valued: |integral| = "
+                f"{total:.3e} exceeds {PERIODIC_INTEGRAL_TOLERANCE:.1e} * max(L max|f|, 1)"
             )
         fhat = np.fft.fft(v)
         k = g.wavenumbers
@@ -298,35 +299,32 @@ def cumulative_integral(
         F = np.fft.ifft(Fhat) + mean * (g.x - g.x_min)
         F = F - F[0]
         return Field(g, F)
+    fp = gradient(f, DerivativeScheme.CENTRAL4).values
     F = np.zeros_like(v)
     np.cumsum(g.dx * (v[1:] + v[:-1]) / 2.0, out=F[1:])
-    fp = gradient(f, DerivativeScheme.CENTRAL4).values
     F = F - (g.dx**2 / 12.0) * (fp - fp[0])
     return Field(g, F)
 
 
 @lru_cache(maxsize=32)
-def symmetric_second_derivative(grid: Grid) -> sp.spmatrix:
-    """Symmetric 4th-order second-derivative operator D2 - dx^2/12 D2^2,
-    with D2 the three-point stencil (Dirichlet-clipped to the interior on
-    box grids, wrapped on periodic ones).
+def symmetric_second_derivative(grid: Grid) -> sp.csr_array:
+    """Symmetric 4th-order second-derivative operator: the wrapped 5-point
+    stencil on periodic grids; on box grids D2 - dx^2/12 D2^2 with D2 the
+    three-point stencil clipped to the interior (Dirichlet walls).
 
     Exact symmetry is what makes Cayley time stepping norm-preserving and
     expectation values of the kinetic term exactly real; accuracy is 4th
     order in the interior.
     """
-    n = grid.n_points if grid.boundary is Boundary.PERIODIC else grid.n_points - 2
-    inv = 1.0 / grid.dx**2
     if grid.boundary is Boundary.PERIODIC:
-        D2 = sp.diags_array(
-            [np.full(n, -2.0 * inv), np.full(n - 1, inv), np.full(n - 1, inv), [inv], [inv]],
-            offsets=[0, 1, -1, n - 1, -(n - 1)],
-            format="csr",
-        )
-    else:
-        D2 = sp.diags_array(
-            [np.full(n, -2.0 * inv), np.full(n - 1, inv), np.full(n - 1, inv)],
-            offsets=[0, 1, -1],
-            format="csr",
-        )
+        # the solved stencil weights are symmetric only to roundoff
+        D = _fd_matrix(grid.n_points, 2, True)
+        return (0.5 / grid.dx**2) * (D + D.T)
+    n = grid.n_points - 2
+    inv = 1.0 / grid.dx**2
+    D2 = sp.diags_array(
+        [np.full(n, -2.0 * inv), np.full(n - 1, inv), np.full(n - 1, inv)],
+        offsets=[0, 1, -1],
+        format="csr",
+    )
     return (D2 - (grid.dx**2 / 12.0) * (D2 @ D2)).tocsr()

@@ -113,13 +113,19 @@ def _timeseries_rows(traj: Trajectory):
         yield [_fmt(s[i]) if s is not None else "nan" for s in series]
 
 
-def write_artifacts(result: RunResult, out_dir: Path, wall_time_s: float) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
+def write_timeseries(traj: Trajectory, out_dir: Path) -> None:
+    """timeseries.csv of a finished run, or of the partial trajectory a
+    failed one carries."""
     with open(out_dir / "timeseries.csv", "w", newline="") as fh:
         fh.write(f"# cqhjlab timeseries schema_version={SCHEMA_VERSION}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(TIMESERIES_COLUMNS)
-        writer.writerows(_timeseries_rows(result.trajectory))
+        writer.writerows(_timeseries_rows(traj))
+
+
+def write_artifacts(result: RunResult, out_dir: Path, wall_time_s: float) -> None:
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_timeseries(result.trajectory, out_dir)
     with open(out_dir / "summary.json", "w") as fh:
         json.dump(result.summary, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -6,8 +6,9 @@ import pytest
 
 from cqhjlab import runner
 from cqhjlab.cli import main
+from cqhjlab.errors import FixedPointDivergence
 from cqhjlab.runner import OUTPUT_ROOT_ENV, bundled_scenario_names
-from cqhjlab.scenario import load_scenario
+from cqhjlab.scenario import load_scenario, parse_scenario
 
 FAST_MINI = """
 [grid]
@@ -41,6 +42,41 @@ fidelity_target = eigenstate:0
 
 [output]
 directory = out
+"""
+
+
+# equal-weight superposition of the two lowest oscillator states pinned to
+# the ground state at kappa = 3.5: the midpoint iteration diverges at t = 3.317
+DIVERGING_PINNING = """
+[grid]
+x_min = -8.0
+x_max = 8.0
+n_points = 512
+boundary = box
+
+[potential]
+kind = harmonic
+omega = 1.0
+
+[initial_state]
+kind = superposition
+indices = 0, 1
+coefficients = 0.7071067811865475+0j, 0.7071067811865475+0j
+
+[force]
+kind = pinning
+kappa = 3.5
+target = eigenstate:0
+
+[integrator]
+method = crank_nicolson
+dt = 1e-3
+renormalize = true
+
+[run]
+t_final = 4.0
+snapshot_stride = 20
+collapse_epsilon = 1e-3
 """
 
 
@@ -83,6 +119,30 @@ def test_run_solver_error_exit_three(mini_config, tmp_path, capsys):
     # partial artifacts are flagged incomplete
     summary = json.loads((out / "summary.json").read_text())
     assert summary["incomplete"] is True
+
+
+def test_fixed_point_divergence_keeps_partial_trajectory():
+    with pytest.raises(FixedPointDivergence, match=r"at t = 3\.317$") as err:
+        runner.execute(parse_scenario(DIVERGING_PINNING, name="diverging"))
+    traj = err.value.trajectory
+    assert len(traj.snapshots) == len(traj.times) == 166
+    assert round(traj.times[-1] / 1e-3) == 3300
+    assert all(len(v) == 166 for v in traj.observables.values())
+
+
+def test_run_solver_error_writes_partial_timeseries(tmp_path, capsys):
+    cfg = tmp_path / "diverging.ini"
+    cfg.write_text(DIVERGING_PINNING)
+    out = tmp_path / "diverging_out"
+    assert main(["run", str(cfg), "--output", str(out)]) == 3
+    assert "FixedPointDivergence" in capsys.readouterr().err
+    assert json.loads((out / "summary.json").read_text())["incomplete"] is True
+    lines = (out / "timeseries.csv").read_text().splitlines()
+    assert lines[1] == ",".join(runner.TIMESERIES_COLUMNS)
+    rows = [line.split(",") for line in lines[2:]]
+    assert len(rows) == 166
+    assert round(float(rows[-1][0]) / 1e-3) == 3300
+    assert "nan" not in {v for row in rows for v in row}
 
 
 def test_unknown_bundled_name_exit_two(capsys):

@@ -29,7 +29,7 @@ from cqhjlab import (
     unwrapped_phase,
 )
 from cqhjlab.cqhj import dilated_mask, masked_stats
-from cqhjlab.errors import AllMasked, NodePresent, PeriodicityViolation
+from cqhjlab.errors import AllMasked, NodePresent, NonFiniteField, PeriodicityViolation
 from cqhjlab.states import custom_potential, overlap
 
 S = DerivativeScheme.SPECTRAL
@@ -140,6 +140,16 @@ def test_p_to_psi_requires_nodeless(periodic_grid):
     p = psi_to_p(pair.state, S)
     with pytest.raises(NodePresent):
         p_to_psi(p)
+
+
+@pytest.mark.parametrize("boundary,scheme", [(Boundary.BOX, C4), (Boundary.PERIODIC, S)])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_psi_to_p_rejects_nonfinite_values(boundary, scheme, bad):
+    g = Grid(-4.0, 4.0, 64, boundary)
+    vals = np.exp(-(g.x**2)).astype(complex)
+    vals[20] = bad
+    with pytest.raises(NonFiniteField):
+        psi_to_p(Field(g, vals), scheme)
 
 
 def test_p_to_psi_periodic_winding_rejected():

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cqhjlab import (
     Boundary,
@@ -9,6 +10,7 @@ from cqhjlab import (
     Field,
     ForceKind,
     Grid,
+    cumulative_integral,
     evaluate,
     gauge_potential,
     gradient,
@@ -21,7 +23,8 @@ from cqhjlab import (
     superpose,
     unwrapped_phase,
 )
-from cqhjlab.errors import GridMismatch
+from cqhjlab.errors import GridMismatch, PeriodicityViolation
+from cqhjlab.forces import GAUGE_MEAN_TOLERANCE
 
 S = DerivativeScheme.SPECTRAL
 C4 = DerivativeScheme.CENTRAL4
@@ -96,6 +99,55 @@ def test_gauge_potential_constant_force():
     f = make_field(g, np.full(257, 0.7 + 0j))
     phi = gauge_potential(f)
     assert np.max(np.abs(phi.values - 0.7 * (g.x - g.x_min))) <= 1e-10
+
+
+def _lift_without_mean(f):
+    g = f.grid
+    mean = np.dot(g.quadrature_weights, f.values) / g.length
+    return cumulative_integral(Field(g, f.values - mean)).values
+
+
+def test_gauge_potential_drops_small_periodic_mean():
+    g = Grid(0.0, 10.0, 128, Boundary.PERIODIC)
+    wave = 0.8 * np.cos(2 * np.pi * g.x / g.length) + 0.3j * np.sin(6 * np.pi * g.x / g.length)
+    f = make_field(g, wave + 2e-7)  # |mean| L = 2e-6, under the 1e-4 tolerance
+    phi = gauge_potential(f)
+    assert np.array_equal(phi.values, _lift_without_mean(f))
+    # periodic: a ramp left in Phi would break its spectral derivative at the wrap
+    assert np.max(np.abs(gradient(phi, S).values - wave)) <= 1e-12
+
+
+def test_gauge_potential_rejects_mean_past_tolerance_on_long_domain():
+    # |mean| L = 1.15e-4, just over the 1e-4 tolerance: a winding force, not
+    # residue to drop, even though the ramp it would leave in Phi is small
+    g = Grid(0.0, 128.0, 1024, Boundary.PERIODIC)
+    f = make_field(g, np.cos(6 * np.pi * g.x / g.length) + 9e-7)
+    with pytest.raises(PeriodicityViolation):
+        gauge_potential(f)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    length=st.sampled_from([2 * np.pi, 20.0, 128.0]),
+    amplitudes=st.lists(st.floats(-2.0, 2.0), min_size=8, max_size=8),
+    ratio=st.one_of(st.floats(0.0, 0.9), st.floats(1.1, 100.0)),
+    angle=st.floats(0.0, 2 * np.pi),
+)
+def test_gauge_potential_periodic_mean_is_dropped_or_rejected(length, amplitudes, ratio, angle):
+    g = Grid(0.0, length, 128, Boundary.PERIODIC)
+    k = 2 * np.pi * np.arange(1, 5)[:, None] * g.x / length
+    a = np.asarray(amplitudes)
+    wave = a[:4] @ np.cos(k) + 1j * (a[4:] @ np.sin(k))
+    scale = max(float(np.max(np.abs(wave))), 1.0)
+    mean = ratio * GAUGE_MEAN_TOLERANCE * scale / length * np.exp(1j * angle)
+    f = make_field(g, wave + mean)
+    if ratio > 1.0:
+        with pytest.raises(PeriodicityViolation):
+            gauge_potential(f)
+        return
+    phi = gauge_potential(f)
+    assert np.array_equal(phi.values, _lift_without_mean(f))
+    assert np.max(np.abs(gradient(phi, S).values - wave)) <= 1e-10 * scale
 
 
 def test_kostin_gauge_is_phase_profile(periodic_grid):

@@ -23,6 +23,7 @@ from cqhjlab.errors import (
     PeriodicityViolation,
     SchemeMismatch,
 )
+from cqhjlab.grid import symmetric_second_derivative
 
 S = DerivativeScheme.SPECTRAL
 C4 = DerivativeScheme.CENTRAL4
@@ -190,6 +191,16 @@ def test_cumulative_periodic_rejects_nonzero_mean():
         cumulative_integral(make_field(g, np.ones(128)))
 
 
+@pytest.mark.parametrize("boundary", [Boundary.BOX, Boundary.PERIODIC])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_cumulative_rejects_nonfinite_values(boundary, bad):
+    g = Grid(0.0, 1.0, 64, boundary)
+    vals = np.cos(2 * np.pi * g.x).astype(complex)
+    vals[7] = bad
+    with pytest.raises(NonFiniteField):
+        cumulative_integral(Field(g, vals))
+
+
 @pytest.mark.parametrize("n", [16, 257, 512])
 def test_cumulative_box_matches_scipy_trapezoid_bitwise(n):
     from scipy.integrate import cumulative_trapezoid
@@ -269,3 +280,14 @@ def test_gradient_rejects_nonfinite_values():
     vals[5] = np.inf
     with pytest.raises(NonFiniteField):
         gradient(Field(g, vals), S)
+
+
+def test_periodic_symmetric_second_derivative_is_the_symmetric_5_point_stencil():
+    g = Grid(-5.0, 5.0, 64, Boundary.PERIODIC)
+    D = symmetric_second_derivative(g)
+    assert (D != D.T).nnz == 0
+    row = np.array([-1 / 12, 4 / 3, -5 / 2, 4 / 3, -1 / 12]) / g.dx**2
+    for i in (0, 1, 31, 62, 63):
+        want = np.zeros(64)
+        want[np.arange(i - 2, i + 3) % 64] = row
+        assert np.max(np.abs(D[[i], :].toarray()[0] - want)) <= 1e-15 * np.max(np.abs(row))
