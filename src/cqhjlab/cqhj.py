@@ -22,6 +22,7 @@ from .grid import (
     DerivativeScheme,
     Field,
     Grid,
+    _adopt,
     _fd_matrix,
     _readonly,
     cumulative_integral,
@@ -118,10 +119,9 @@ def psi_to_p(
     """Momentum field p = -i (grad psi)/psi, masked near nodes of psi."""
     mask = _node_mask(psi, node_threshold)
     dpsi = gradient(psi, scheme).values
-    vals = np.zeros_like(psi.values)
-    ok = ~mask
-    vals[ok] = -1j * dpsi[ok] / psi.values[ok]
-    return MomentumField(field=Field(psi.grid, vals), node_mask=mask)
+    vals = np.zeros(psi.values.shape, psi.values.dtype)
+    np.divide(-1j * dpsi, psi.values, out=vals, where=~mask)
+    return _adopt(MomentumField, field=_adopt(Field, grid=psi.grid, values=vals), node_mask=mask)
 
 
 def p_to_psi(p: MomentumField) -> tuple[Field, GaugeFactor]:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ZeroSpread, ZeroState
+from .errors import ImaginaryEnergy, ZeroSpread, ZeroState
 from .grid import (
     Boundary,
     Field,
@@ -60,7 +60,8 @@ def energy(psi: Field, V: Potential) -> float:
     """Expectation of the linear Hamiltonian -1/2 lap + V, normalized.
 
     The imaginary residual must vanish (V real, symmetric operator); a
-    residual above 1e-10 of the energy scale indicates a numerics bug.
+    residual above 1e-10 of the energy scale indicates a numerics bug and
+    raises ImaginaryEnergy.
     """
     require_same_grid(psi, V.grid)
     hvals = _apply_h_symmetric(psi, V)
@@ -72,7 +73,7 @@ def energy(psi: Field, V: Potential) -> float:
     val = num / den
     scale = max(1.0, abs(val))
     if abs(val.imag) > 1e-10 * scale:
-        raise ValueError(
+        raise ImaginaryEnergy(
             f"energy expectation has imaginary residual {val.imag:.3e}"
         )
     return float(val.real)

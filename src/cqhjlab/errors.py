@@ -3,7 +3,8 @@
 
 class CqhjError(Exception):
     """Base class for all errors raised by this package. An error raised by
-    a time step carries the partial trajectory computed before it."""
+    a time step or a snapshot carries the partial trajectory computed
+    before it."""
 
     trajectory = None
 
@@ -63,6 +64,10 @@ class NodeBlowup(CqhjError):
 class NodeApproach(CqhjError):
     """Momentum-space evolution drove the reconstructed magnitude below the node
     threshold."""
+
+
+class ImaginaryEnergy(CqhjError):
+    """The energy expectation of a state has an imaginary part above roundoff."""
 
 
 class ZeroSpread(CqhjError):

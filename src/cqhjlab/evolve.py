@@ -21,7 +21,7 @@ record(vals, obs, cum_log), both on raw ndarrays; the loop owns the step
 count, the snapshot cadence (t = 0, every snapshot_stride-th step and the
 last step), the per-step renormalization with its gauge log, the assembly
 of the Trajectory, and attaching the partial trajectory to any CqhjError
-a step raises.
+a step or a snapshot raises.
 """
 
 from __future__ import annotations
@@ -59,6 +59,7 @@ from .grid import (
     DerivativeScheme,
     Field,
     Grid,
+    _adopt,
     cumulative_integral,
     gradient,
     make_field,
@@ -159,7 +160,7 @@ class _CrankNicolsonKernel:
         self.B = (eye - 0.5j * dt * H).tocsr()
 
     def step(self, values: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(values)
+        out = np.zeros(values.shape, values.dtype)
         out[self.inner] = self._solve(self.B @ values[self.inner])
         return out
 
@@ -234,8 +235,8 @@ def _drive(
     """
     n_steps = max(1, int(round(t_final / spec.dt)))
     obs: dict = {}
-    snaps = [record(vals, obs, cum_log)]
-    times = [0.0]
+    snaps: list = []
+    times: list[float] = []
 
     def trajectory() -> Trajectory:
         return Trajectory(
@@ -245,21 +246,23 @@ def _drive(
             observables={k: np.asarray(v) for k, v in obs.items()},
         )
 
-    for step in range(1, n_steps + 1):
-        try:
+    try:
+        snaps.append(record(vals, obs, cum_log))
+        times.append(0.0)
+        for step in range(1, n_steps + 1):
             vals = advance(vals, step)
-        except CqhjError as exc:
-            exc.trajectory = trajectory()
-            raise
-        if renormalize:
-            scale = norm(Field(grid, vals))
-            vals = vals / scale
-            log_factor = -float(np.log(scale))
-            cum_log += log_factor
-            gauge.append(GaugeFactor(log_magnitude=log_factor, phase=0.0))
-        if step % snapshot_stride == 0 or step == n_steps:
-            snaps.append(record(vals, obs, cum_log))
-            times.append(step * spec.dt)
+            if renormalize:
+                scale = norm(_adopt(Field, grid=grid, values=vals))
+                vals = vals / scale
+                log_factor = -float(np.log(scale))
+                cum_log += log_factor
+                gauge.append(GaugeFactor(log_magnitude=log_factor, phase=0.0))
+            if step % snapshot_stride == 0 or step == n_steps:
+                snaps.append(record(vals, obs, cum_log))
+                times.append(step * spec.dt)
+    except CqhjError as exc:
+        exc.trajectory = trajectory()
+        raise
     return trajectory()
 
 
@@ -417,31 +420,38 @@ def collapsible_evolve(
         raise AllMasked("initial state has zero norm")
     cum_log = -float(np.log(scale))
 
-    def phi_of(vals: np.ndarray, t: float) -> np.ndarray:
+    def phi_of(vals: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """Gauge potential of the force at the state vals, and the node
+        mask it was evaluated with."""
         try:
-            p = psi_to_p(Field(grid, vals), scheme, node_threshold)
+            p = psi_to_p(_adopt(Field, grid=grid, values=vals), scheme, node_threshold)
         except AllMasked as exc:
             raise NodeBlowup(
                 "force evaluation has no unmasked momentum values left"
             ) from exc
-        return gauge_potential(evaluate_force(force, p, t)).values
+        return gauge_potential(evaluate_force(force, p, t)).values, p.node_mask
 
     def advance(vals: np.ndarray, step: int) -> np.ndarray:
         a = kernel.step(vals)
         if force.kind is ForceKind.NULL:
             return kernel.step(a)
         t_mid = (step - 0.5) * dt
-        guess = a * np.exp(1j * dt * phi_of(a, t_mid))
+        phi, mask = phi_of(a, t_mid)
+        guess = a * np.exp(1j * dt * phi)
         for _ in range(MAX_FIXED_POINT_ITER):
-            mid = 0.5 * (a + guess)
-            new = a * np.exp(1j * dt * phi_of(mid, t_mid))
-            delta = norm(Field(grid, new - guess))
+            prev_mask = mask
+            phi, mask = phi_of(0.5 * (a + guess), t_mid)
+            new = a * np.exp(1j * dt * phi)
+            delta = norm(_adopt(Field, grid=grid, values=new - guess))
             guess = new
             if delta <= FIXED_POINT_TOL:
                 return kernel.step(guess)
+        # the masks of the last two evaluations tell a node-mask 2-cycle
+        # (see README, Numerical notes) from a slow contraction
         raise FixedPointDivergence(
             f"nonlinear midpoint iteration did not reach {FIXED_POINT_TOL:.1e} "
-            f"in {MAX_FIXED_POINT_ITER} iterations at t = {step * dt:.6g}"
+            f"in {MAX_FIXED_POINT_ITER} iterations (last change {delta:.3e}; "
+            f"node mask {prev_mask.sum()}/{mask.sum()} points) at t = {step * dt:.6g}"
         )
 
     return _drive(

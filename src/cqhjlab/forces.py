@@ -16,7 +16,7 @@ import numpy as np
 
 from .cqhj import MomentumField, psi_to_p
 from .errors import GridMismatch, PeriodicityViolation
-from .grid import Boundary, Field, cumulative_integral
+from .grid import Boundary, Field, _adopt, cumulative_integral
 from .states import EigenPair
 
 # |mean of F| * L, relative to max(max|F|, 1), up to which gauge_potential
@@ -87,17 +87,17 @@ def evaluate(force: CollapseForce, p: MomentumField, t: float) -> Field:
     nodes, where p itself is undefined).
     """
     if force.kind is ForceKind.NULL:
-        return Field(p.grid, np.zeros(p.grid.n_points, dtype=np.complex128))
-    if force.kind is ForceKind.PINNING:
+        vals = np.zeros(p.grid.n_points, dtype=np.complex128)
+    elif force.kind is ForceKind.PINNING:
         tgt = force.target
         if tgt.grid != p.grid:
             raise GridMismatch("pinning target lives on a different grid")
         vals = -force.kappa * (p.values - tgt.values)
         vals[p.node_mask | tgt.node_mask] = 0.0
-        return Field(p.grid, vals)
-    vals = -force.gamma * p.classical.astype(np.complex128)
-    vals[p.node_mask] = 0.0
-    return Field(p.grid, vals)
+    else:
+        vals = -force.gamma * p.classical.astype(np.complex128)
+        vals[p.node_mask] = 0.0
+    return _adopt(Field, grid=p.grid, values=vals)
 
 
 def gauge_potential(force_field: Field) -> Field:
@@ -119,5 +119,5 @@ def gauge_potential(force_field: Field) -> Field:
                 f"force on periodic grid winds: |mean| * L = {abs(mean) * g.length:.3e} "
                 f"exceeds {GAUGE_MEAN_TOLERANCE:.1e} * max(max|F|, 1)"
             )
-        force_field = Field(g, v - mean)
+        force_field = _adopt(Field, grid=g, values=v - mean)
     return cumulative_integral(force_field)

@@ -34,6 +34,20 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _adopt(cls, **attrs):
+    """An instance of the frozen dataclass cls (Field, MomentumField) that
+    takes its arrays without the constructor's copy and checks: each array
+    is frozen in place. Only for arrays the package has just allocated, of
+    the dtype and shape the constructor would produce, that nothing else
+    holds for writing."""
+    for value in attrs.values():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    obj = object.__new__(cls)
+    obj.__dict__.update(attrs)
+    return obj
+
+
 @lru_cache(maxsize=None)
 def _fd_weights(offsets: tuple[int, ...], order: int) -> np.ndarray:
     """Finite-difference weights (in units of dx**-order) for the given
@@ -143,7 +157,7 @@ class Field:
         object.__setattr__(self, "values", _readonly(v))
 
     def check_finite(self) -> "Field":
-        if not np.all(np.isfinite(self.values)):
+        if not np.isfinite(self.values).all():
             raise NonFiniteField("field contains NaN or Inf entries")
         return self
 
@@ -244,9 +258,9 @@ def _derivative(f: Field, scheme: DerivativeScheme, order: int) -> Field:
     _check_scheme(f.grid, scheme)
     g = f.grid
     if scheme is DerivativeScheme.SPECTRAL:
-        return Field(g, _spectral_derivative(g, f.values, order))
+        return _adopt(Field, grid=g, values=_spectral_derivative(g, f.values, order))
     D = _fd_matrix(g.n_points, order, g.boundary is Boundary.PERIODIC)
-    return Field(g, (D @ f.values) / g.dx**order)
+    return _adopt(Field, grid=g, values=(D @ f.values) / g.dx**order)
 
 
 def gradient(f: Field, scheme: DerivativeScheme) -> Field:
@@ -297,13 +311,13 @@ def cumulative_integral(f: Field) -> Field:
         with np.errstate(divide="ignore", invalid="ignore"):
             Fhat = np.where(k != 0.0, fhat / (1j * k), 0.0)
         F = np.fft.ifft(Fhat) + mean * (g.x - g.x_min)
-        F = F - F[0]
-        return Field(g, F)
+        F -= F[0]
+        return _adopt(Field, grid=g, values=F)
     fp = gradient(f, DerivativeScheme.CENTRAL4).values
-    F = np.zeros_like(v)
+    F = np.zeros(v.shape, v.dtype)
     np.cumsum(g.dx * (v[1:] + v[:-1]) / 2.0, out=F[1:])
-    F = F - (g.dx**2 / 12.0) * (fp - fp[0])
-    return Field(g, F)
+    F -= (g.dx**2 / 12.0) * (fp - fp[0])
+    return _adopt(Field, grid=g, values=F)
 
 
 @lru_cache(maxsize=32)

@@ -1,10 +1,11 @@
 """Command-line interface: subcommands, exit codes, output layout."""
 
 import json
+import re
 
 import pytest
 
-from cqhjlab import runner
+from cqhjlab import diagnostics, runner
 from cqhjlab.cli import main
 from cqhjlab.errors import FixedPointDivergence
 from cqhjlab.runner import OUTPUT_ROOT_ENV, bundled_scenario_names
@@ -128,6 +129,39 @@ def test_fixed_point_divergence_keeps_partial_trajectory():
     assert len(traj.snapshots) == len(traj.times) == 166
     assert round(traj.times[-1] / 1e-3) == 3300
     assert all(len(v) == 166 for v in traj.observables.values())
+
+
+def test_fixed_point_divergence_reports_node_mask_two_cycle():
+    # one grid point enters and leaves the node mask on alternate midpoint
+    # iterates, so the iterate change stalls far above the tolerance
+    with pytest.raises(FixedPointDivergence) as err:
+        runner.execute(parse_scenario(DIVERGING_PINNING, name="diverging"))
+    m = re.search(
+        r"in 50 iterations \(last change (\S+); node mask (\d+)/(\d+) points\) at t = 3\.317$",
+        str(err.value),
+    )
+    assert m, str(err.value)
+    assert float(m[1]) == pytest.approx(7.699e-3, rel=1e-3)
+    assert abs(int(m[2]) - int(m[3])) == 1
+
+
+def test_run_imaginary_energy_exit_three(mini_config, tmp_path, monkeypatch, capsys):
+    # a non-Hermitian kinetic operator from the third snapshot on (t = 0.08 of
+    # the snapshots at t = 0, 0.04, 0.08, 0.1) leaves an imaginary energy
+    apply_h = diagnostics._apply_h_symmetric
+    calls = []
+
+    def leaky(psi, V):
+        calls.append(None)
+        return apply_h(psi, V) * (1.0 + 1e-3j if len(calls) >= 3 else 1.0)
+
+    monkeypatch.setattr(diagnostics, "_apply_h_symmetric", leaky)
+    out = tmp_path / "imaginary_out"
+    assert main(["run", str(mini_config), "--output", str(out)]) == 3
+    assert "ImaginaryEnergy" in capsys.readouterr().err
+    assert json.loads((out / "summary.json").read_text())["incomplete"] is True
+    rows = (out / "timeseries.csv").read_text().splitlines()[2:]
+    assert [float(r.split(",")[0]) for r in rows] == pytest.approx([0.0, 0.04])
 
 
 def test_run_solver_error_writes_partial_timeseries(tmp_path, capsys):

@@ -25,6 +25,7 @@ from cqhjlab import (
 )
 from cqhjlab.errors import GridMismatch, PeriodicityViolation
 from cqhjlab.forces import GAUGE_MEAN_TOLERANCE
+from cqhjlab.grid import _fd_matrix
 
 S = DerivativeScheme.SPECTRAL
 C4 = DerivativeScheme.CENTRAL4
@@ -179,3 +180,94 @@ def test_pinning_accepts_eigenpair_and_momentum_field(ho_setup):
     via_p = pinning_force(psi_to_p(pairs[0].state, S), 1.0)
     assert via_pair.kind is ForceKind.PINNING
     assert np.max(np.abs(via_pair.target.values - via_p.target.values)) <= 1e-14
+
+
+def _chain_inputs(boundary):
+    """A state with masked points and a nodeless-enough target: on the box
+    grid an oscillator superposition with one interior point set to zero
+    (its tails are masked too); on the periodic grid (1 - cos x) exp(g),
+    masked at its double zero x = 0."""
+    if boundary is Boundary.BOX:
+        g = Grid(-8.0, 8.0, 512, Boundary.BOX)
+        phi0, phi1 = (ho_eigenstate(n, 1.0, g).state.values for n in (0, 1))
+        vals = phi0 + 0.6j * phi1
+        vals[200] = 0.0
+        return g, Field(g, vals), Field(g, phi0)
+    g = Grid(0.0, 2 * np.pi, 256, Boundary.PERIODIC)
+    vals = (1.0 - np.cos(g.x)) * np.exp(0.3 * np.sin(g.x) + 0.2j * np.cos(2 * g.x))
+    return g, Field(g, vals), Field(g, np.exp(0.1j * np.sin(g.x)))
+
+
+def _chain_by_hand(g, psi, kind, rate, target):
+    """Phi of the force on psi, written out: 4th-order FD matrix or FFT
+    derivative, node mask, force with masked points zeroed, mean drop on
+    periodic grids, cumsum trapezoid (box) or spectral antiderivative."""
+    n, dx, periodic = g.n_points, g.dx, g.boundary is Boundary.PERIODIC
+    k = 2 * np.pi * np.fft.fftfreq(n, d=dx)
+
+    def d(v):
+        if periodic:
+            mult = 1j * k
+            mult[n // 2] = 0.0  # unpaired Nyquist mode
+            return np.fft.ifft(mult * np.fft.fft(v))
+        return (_fd_matrix(n, 1, False) @ v) / dx
+
+    def p_and_mask(v):
+        mask = np.abs(v) < 1e-6 * np.abs(v).max()
+        p = np.zeros(n, dtype=complex)
+        p[~mask] = -1j * d(v)[~mask] / v[~mask]
+        return p, mask
+
+    p, mask = p_and_mask(psi)
+    if kind is ForceKind.PINNING:
+        pt, mask_t = p_and_mask(target)
+        F = -rate * (p - pt)
+        F[mask | mask_t] = 0.0
+    else:
+        F = -rate * p.real.astype(complex)
+        F[mask] = 0.0
+    if periodic:
+        F = F - np.dot(np.full(n, dx), F) / g.length
+        fhat = np.fft.fft(F)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            Phi = np.fft.ifft(np.where(k != 0.0, fhat / (1j * k), 0.0))
+        Phi = Phi + fhat[0] / n * (g.x - g.x_min)
+        return Phi - Phi[0], mask
+    Phi = np.zeros(n, dtype=complex)
+    Phi[1:] = np.cumsum(dx * (F[1:] + F[:-1]) / 2.0)
+    fp = d(F)
+    return Phi - (dx**2 / 12.0) * (fp - fp[0]), mask
+
+
+@pytest.mark.parametrize("boundary", [Boundary.BOX, Boundary.PERIODIC])
+@pytest.mark.parametrize("kind", [ForceKind.PINNING, ForceKind.KOSTIN_FRICTION])
+def test_force_chain_matches_explicit_formula_bitwise(boundary, kind):
+    g, psi, target = _chain_inputs(boundary)
+    force = pinning_force(target, 2.5) if kind is ForceKind.PINNING else kostin_friction(0.4)
+    rate = 2.5 if kind is ForceKind.PINNING else 0.4
+    p = psi_to_p(psi, g.best_scheme())
+    phi = gauge_potential(evaluate(force, p, 0.0))
+    expected, mask = _chain_by_hand(g, psi.values, kind, rate, target.values)
+    assert mask.sum() >= 1 and not mask.all()
+    assert np.array_equal(p.node_mask, mask)
+    assert np.array_equal(phi.values, expected)
+
+
+@pytest.mark.parametrize("boundary", [Boundary.BOX, Boundary.PERIODIC])
+def test_force_chain_outputs_are_read_only_and_unshared(boundary):
+    g, psi, target = _chain_inputs(boundary)
+    scheme = g.best_scheme()
+    p = psi_to_p(psi, scheme)
+    pairs = [
+        (gradient(psi, scheme).values, psi.values),
+        (p.values, psi.values),
+        (p.node_mask, psi.values),
+    ]
+    for force in (pinning_force(target, 2.5), kostin_friction(0.4), null_force()):
+        f = evaluate(force, p, 0.0)
+        pairs += [(f.values, p.values), (gauge_potential(f).values, f.values)]
+    for out, source in pairs:
+        assert not out.flags.writeable
+        assert not np.shares_memory(out, source)
+        with pytest.raises(ValueError):
+            out[0] = out[1]
