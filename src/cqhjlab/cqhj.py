@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import AllMasked, NodePresent
 from .grid import (
+    Boundary,
     DerivativeScheme,
     Field,
     Grid,
@@ -140,12 +141,18 @@ def p_to_psi(p: MomentumField) -> tuple[Field, GaugeFactor]:
     return psi, GaugeFactor(log_magnitude=-float(np.log(scale)), phase=0.0)
 
 
-def dilated_mask(mask: np.ndarray, width: int = 3) -> np.ndarray:
+def dilated_mask(mask: np.ndarray, grid: Grid, width: int = 3) -> np.ndarray:
     """Node mask grown by `width` grid points on each side, so derivative
-    stencils evaluated outside it never touch a masked point."""
+    stencils evaluated outside it never touch a masked point. The growth
+    wraps around a periodic grid and stops at the walls of a box grid."""
+    periodic = grid.boundary is Boundary.PERIODIC
     out = mask.copy()
     for s in range(1, width + 1):
-        out |= np.roll(mask, s) | np.roll(mask, -s)
+        out[s:] |= mask[:-s]
+        out[:-s] |= mask[s:]
+        if periodic:
+            out[:s] |= mask[-s:]
+            out[-s:] |= mask[:s]
     return out
 
 
@@ -296,7 +303,7 @@ def cqhj_rhs_from_state(
 
 def masked_stats(field: Field, mask: np.ndarray) -> tuple[complex, float]:
     """(mean, std) of a field over the complement of the dilated mask."""
-    keep = ~dilated_mask(mask, STATS_STENCIL_WIDTH) if mask.any() else np.ones(len(mask), bool)
+    keep = ~dilated_mask(mask, field.grid, STATS_STENCIL_WIDTH)
     vals = field.values[keep]
     if vals.size == 0:
         raise NodePresent("mask covers the entire grid")

@@ -53,10 +53,6 @@ class StabilityViolation(CqhjError):
     """Time step violates the documented stability/accuracy bound of the integrator."""
 
 
-class FixedPointDivergence(CqhjError):
-    """The implicit midpoint iteration of the nonlinear step did not converge."""
-
-
 class NodeBlowup(CqhjError):
     """Force evaluation needed the momentum field where the state has collapsed to nodes."""
 

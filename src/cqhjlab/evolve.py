@@ -11,9 +11,16 @@ Three integrators:
 
 The nonlinear (collapsible) evolution integrates the wave-function form
 i psi_t = H0 psi - Phi psi with grad Phi = F(p): a Strang step whose
-nonlinear gauge phase is solved by implicit-midpoint fixed-point
-iteration. The state is renormalized every step and the applied scale
-factor is logged, which keeps the homogeneous dynamics auditable.
+nonlinear gauge sub-step psi_t = i Phi[psi] psi is solved exactly. Every
+force is linear in p = -i d/dx log psi, so with the node mask held at the
+sub-step's start state the sub-flow is u_t = -rate M u, for u = log psi
+minus that of the pinning target (or the unwrapped phase under Kostin
+friction), with rate = kappa (gamma) and M = lift o derivative o mask a
+projector. Then exp(-rate dt M) = I - (1 - exp(-rate dt)) M, which is
+psi exp(i tau Phi[psi]) with tau = -expm1(-rate dt) / rate: one force
+evaluation per step and no iteration. The state is renormalized every step
+and the applied scale factor is logged, which keeps the homogeneous
+dynamics auditable.
 
 All three propagators run on one stepping loop, `_drive`. Each supplies
 only a step function advance(vals, step) and a snapshot function
@@ -46,7 +53,6 @@ from .diagnostics import energy, fidelity
 from .errors import (
     AllMasked,
     CqhjError,
-    FixedPointDivergence,
     NodeApproach,
     NodeBlowup,
     PeriodicityViolation,
@@ -80,10 +86,6 @@ OBSERVABLES = (
     "gauge_log_magnitude",
     "gauge_phase",
 )
-# convergence criterion of the implicit-midpoint fixed point in
-# collapsible_evolve: L2 change between iterates, and the iteration budget
-FIXED_POINT_TOL = 1e-12
-MAX_FIXED_POINT_ITER = 50
 
 
 class Method(Enum):
@@ -402,13 +404,13 @@ def collapsible_evolve(
 ) -> Trajectory:
     """Nonlinear collapse evolution in the wave-function (gauge) form.
 
-    Strang composition per step: linear half step, nonlinear gauge-phase
-    step exp(i dt Phi) with Phi the line-integral lift of the force
-    evaluated at the implicit midpoint, linear half step. The midpoint
-    fixed point must reach FIXED_POINT_TOL within MAX_FIXED_POINT_ITER
-    iterations (FixedPointDivergence otherwise). Any nonzero input norm is
-    accepted; the entry normalization and every per-step renormalization
-    factor are recorded in the gauge log.
+    Strang composition per step: linear half step, the exact nonlinear
+    gauge sub-step psi exp(i tau Phi[psi]) with Phi the line-integral lift
+    of the force at the half-stepped state and tau = -expm1(-rate dt) / rate
+    (module docstring), linear half step. The node mask is that of the
+    half-stepped state; a state with no unmasked point left raises
+    NodeBlowup. Any nonzero input norm is accepted; the entry normalization
+    and every per-step renormalization factor are recorded in the gauge log.
     """
     grid = psi0.grid
     scheme = grid.best_scheme()
@@ -420,39 +422,26 @@ def collapsible_evolve(
         raise AllMasked("initial state has zero norm")
     cum_log = -float(np.log(scale))
 
-    def phi_of(vals: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """Gauge potential of the force at the state vals, and the node
-        mask it was evaluated with."""
+    def phi_of(vals: np.ndarray) -> np.ndarray:
+        """Gauge potential of the force at the state vals."""
         try:
             p = psi_to_p(_adopt(Field, grid=grid, values=vals), scheme, node_threshold)
         except AllMasked as exc:
             raise NodeBlowup(
                 "force evaluation has no unmasked momentum values left"
             ) from exc
-        return gauge_potential(evaluate_force(force, p, t)).values, p.node_mask
+        return gauge_potential(evaluate_force(force, p)).values
+
+    # the exact sub-step's time factor (module docstring); dt in the limit
+    # rate -> 0, which also covers the null force
+    rate = force.kappa if force.kind is ForceKind.PINNING else force.gamma
+    tau = -np.expm1(-rate * dt) / rate if rate else dt
 
     def advance(vals: np.ndarray, step: int) -> np.ndarray:
         a = kernel.step(vals)
         if force.kind is ForceKind.NULL:
             return kernel.step(a)
-        t_mid = (step - 0.5) * dt
-        phi, mask = phi_of(a, t_mid)
-        guess = a * np.exp(1j * dt * phi)
-        for _ in range(MAX_FIXED_POINT_ITER):
-            prev_mask = mask
-            phi, mask = phi_of(0.5 * (a + guess), t_mid)
-            new = a * np.exp(1j * dt * phi)
-            delta = norm(_adopt(Field, grid=grid, values=new - guess))
-            guess = new
-            if delta <= FIXED_POINT_TOL:
-                return kernel.step(guess)
-        # the masks of the last two evaluations tell a node-mask 2-cycle
-        # (see README, Numerical notes) from a slow contraction
-        raise FixedPointDivergence(
-            f"nonlinear midpoint iteration did not reach {FIXED_POINT_TOL:.1e} "
-            f"in {MAX_FIXED_POINT_ITER} iterations (last change {delta:.3e}; "
-            f"node mask {prev_mask.sum()}/{mask.sum()} points) at t = {step * dt:.6g}"
-        )
+        return kernel.step(a * np.exp(1j * tau * phi_of(a)))
 
     return _drive(
         psi0.values / scale, grid, spec, t_final, snapshot_stride, advance,

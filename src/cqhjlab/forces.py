@@ -32,7 +32,7 @@ class ForceKind(Enum):
 
 @dataclass(frozen=True)
 class CollapseForce:
-    """Descriptor of a collapse force F(x, p, t).
+    """Descriptor of a collapse force F(p) of the momentum field p.
 
     kind          which member of the family
     kappa         pinning rate (PINNING only)
@@ -80,8 +80,8 @@ def kostin_friction(gamma: float) -> CollapseForce:
     return CollapseForce(kind=ForceKind.KOSTIN_FRICTION, gamma=gamma)
 
 
-def evaluate(force: CollapseForce, p: MomentumField, t: float) -> Field:
-    """Force field at time t for the given momentum field.
+def evaluate(force: CollapseForce, p: MomentumField) -> Field:
+    """Force field for the given momentum field.
 
     Masked points contribute zero force (documented regularization near
     nodes, where p itself is undefined).

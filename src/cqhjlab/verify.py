@@ -208,7 +208,7 @@ def _eigenstate_rhs():
     for n in range(4):
         pair = ho_eigenstate(n, 1.0, g)
         rhs, mask = cqhj_rhs_from_state(pair.state, V, S, node_threshold=1e-5)
-        keep = ~dilated_mask(mask, 5)
+        keep = ~dilated_mask(mask, g, 5)
         worst = max(worst, np.max(np.abs(rhs.values[keep])))
     return worst, "momentum rate on stationary states, off-mask"
 
@@ -231,8 +231,8 @@ def _force_homogeneity():
     c = 1.7 - 0.4j
     worst = 0.0
     for force in (pinning_force(pair0, 2.0), kostin_friction(0.3)):
-        f1 = evaluate_force(force, psi_to_p(psi, C4), 0.0).values
-        f2 = evaluate_force(force, psi_to_p(Field(g, c * psi.values), C4), 0.0).values
+        f1 = evaluate_force(force, psi_to_p(psi, C4)).values
+        f2 = evaluate_force(force, psi_to_p(Field(g, c * psi.values), C4)).values
         worst = max(worst, np.max(np.abs(f1 - f2)))
     return worst, "force(p(c psi)) vs force(p(psi))"
 

@@ -136,7 +136,7 @@ def test_acceptance_3_eigenstate_characterization():
             assert std <= 1e-5 * pair.energy
             assert abs(mean.real - pair.energy) <= 1e-5 * pair.energy
             rhs, m2 = cqhj_rhs_from_state(pair.state, V, S, node_threshold=1e-5)
-            keep = ~dilated_mask(m2, 5)
+            keep = ~dilated_mask(m2, g, 5)
             assert np.max(np.abs(rhs.values[keep])) <= 1e-6
 
 

@@ -1,13 +1,12 @@
 """Command-line interface: subcommands, exit codes, output layout."""
 
 import json
-import re
 
 import pytest
 
-from cqhjlab import diagnostics, runner
+from cqhjlab import diagnostics, evolve, runner
 from cqhjlab.cli import main
-from cqhjlab.errors import FixedPointDivergence
+from cqhjlab.errors import NodeBlowup
 from cqhjlab.runner import OUTPUT_ROOT_ENV, bundled_scenario_names
 from cqhjlab.scenario import load_scenario, parse_scenario
 
@@ -47,8 +46,9 @@ directory = out
 
 
 # equal-weight superposition of the two lowest oscillator states pinned to
-# the ground state at kappa = 3.5: the midpoint iteration diverges at t = 3.317
-DIVERGING_PINNING = """
+# the ground state at kappa = 3.5; one grid point sits at the node threshold
+# near t = 3.3
+PHASE0_PINNING = """
 [grid]
 x_min = -8.0
 x_max = 8.0
@@ -122,27 +122,39 @@ def test_run_solver_error_exit_three(mini_config, tmp_path, capsys):
     assert summary["incomplete"] is True
 
 
-def test_fixed_point_divergence_keeps_partial_trajectory():
-    with pytest.raises(FixedPointDivergence, match=r"at t = 3\.317$") as err:
-        runner.execute(parse_scenario(DIVERGING_PINNING, name="diverging"))
+def _node_blowup_from_step(monkeypatch, step):
+    """Make the nonlinear step's gauge lift raise NodeBlowup from the given
+    step on (one lift per step)."""
+    lift = evolve.gauge_potential
+    calls = []
+
+    def failing(force_field):
+        calls.append(None)
+        if len(calls) >= step:
+            raise NodeBlowup("force evaluation has no unmasked momentum values left")
+        return lift(force_field)
+
+    monkeypatch.setattr(evolve, "gauge_potential", failing)
+
+
+def test_nonlinear_solver_error_keeps_partial_trajectory(monkeypatch):
+    _node_blowup_from_step(monkeypatch, 1001)
+    with pytest.raises(NodeBlowup) as err:
+        runner.execute(parse_scenario(PHASE0_PINNING, name="phase0"))
     traj = err.value.trajectory
-    assert len(traj.snapshots) == len(traj.times) == 166
-    assert round(traj.times[-1] / 1e-3) == 3300
-    assert all(len(v) == 166 for v in traj.observables.values())
+    assert len(traj.snapshots) == len(traj.times) == 51
+    assert round(traj.times[-1] / 1e-3) == 1000
+    assert all(len(v) == 51 for v in traj.observables.values())
 
 
-def test_fixed_point_divergence_reports_node_mask_two_cycle():
-    # one grid point enters and leaves the node mask on alternate midpoint
-    # iterates, so the iterate change stalls far above the tolerance
-    with pytest.raises(FixedPointDivergence) as err:
-        runner.execute(parse_scenario(DIVERGING_PINNING, name="diverging"))
-    m = re.search(
-        r"in 50 iterations \(last change (\S+); node mask (\d+)/(\d+) points\) at t = 3\.317$",
-        str(err.value),
-    )
-    assert m, str(err.value)
-    assert float(m[1]) == pytest.approx(7.699e-3, rel=1e-3)
-    assert abs(int(m[2]) - int(m[3])) == 1
+def test_phase0_pinning_collapses_through_the_former_two_cycle(tmp_path, capsys):
+    # regression: this input ended in FixedPointDivergence at t = 3.317
+    cfg = tmp_path / "phase0.ini"
+    cfg.write_text(PHASE0_PINNING)
+    assert main(["run", str(cfg), "--output", str(tmp_path / "phase0_out")]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["final_fidelity_target"] >= 1.0 - 1e-3
+    assert 3.5 * summary["collapse_report"]["tau_internal"] == pytest.approx(3.55, abs=0.01)
 
 
 def test_run_imaginary_energy_exit_three(mini_config, tmp_path, monkeypatch, capsys):
@@ -164,18 +176,19 @@ def test_run_imaginary_energy_exit_three(mini_config, tmp_path, monkeypatch, cap
     assert [float(r.split(",")[0]) for r in rows] == pytest.approx([0.0, 0.04])
 
 
-def test_run_solver_error_writes_partial_timeseries(tmp_path, capsys):
-    cfg = tmp_path / "diverging.ini"
-    cfg.write_text(DIVERGING_PINNING)
-    out = tmp_path / "diverging_out"
+def test_run_solver_error_writes_partial_timeseries(tmp_path, monkeypatch, capsys):
+    _node_blowup_from_step(monkeypatch, 1001)
+    cfg = tmp_path / "phase0.ini"
+    cfg.write_text(PHASE0_PINNING)
+    out = tmp_path / "phase0_out"
     assert main(["run", str(cfg), "--output", str(out)]) == 3
-    assert "FixedPointDivergence" in capsys.readouterr().err
+    assert "NodeBlowup" in capsys.readouterr().err
     assert json.loads((out / "summary.json").read_text())["incomplete"] is True
     lines = (out / "timeseries.csv").read_text().splitlines()
     assert lines[1] == ",".join(runner.TIMESERIES_COLUMNS)
     rows = [line.split(",") for line in lines[2:]]
-    assert len(rows) == 166
-    assert round(float(rows[-1][0]) / 1e-3) == 3300
+    assert len(rows) == 51
+    assert round(float(rows[-1][0]) / 1e-3) == 1000
     assert "nan" not in {v for row in rows for v in row}
 
 

@@ -205,6 +205,27 @@ def test_h_field_from_state_matches_p_route(ho_setup):
     assert np.max(np.abs(H_p.values - H_s.values)) <= 1e-8
 
 
+def test_masked_stats_keeps_the_far_wall_of_a_box_grid():
+    # a mask at the left wall drops that wall's dilation and nothing at the
+    # right wall (a wrapped dilation also dropped the last 3 points)
+    g = Grid(-1.0, 1.0, 64, Boundary.BOX)
+    values = np.arange(64.0) ** 2
+    mask = np.zeros(64, bool)
+    mask[0] = True
+    mean, _ = masked_stats(make_field(g, values), mask)
+    assert mean.real == pytest.approx(values[4:].mean(), rel=1e-15)
+
+
+def test_dilated_mask_wraps_only_on_periodic_grids():
+    mask = np.zeros(64, bool)
+    mask[[1, 40]] = True
+    box = Grid(-1.0, 1.0, 64, Boundary.BOX)
+    periodic = Grid(-1.0, 1.0, 64, Boundary.PERIODIC)
+    inner = [0, 1, 2, 3, 4, 37, 38, 39, 40, 41, 42, 43]
+    assert np.flatnonzero(dilated_mask(mask, box)).tolist() == inner
+    assert np.flatnonzero(dilated_mask(mask, periodic)).tolist() == inner + [62, 63]
+
+
 def test_eigenstate_characterization_all_levels(ho_setup):
     grid, V, pairs = ho_setup
     for pair in pairs:
@@ -228,11 +249,11 @@ def test_rhs_vanishes_on_eigenstates(ho_setup):
     grid, V, pairs = ho_setup
     p = psi_to_p(pairs[0].state, S)
     r = cqhj_rhs(p, V, S)
-    keep = ~dilated_mask(p.node_mask, 5)
+    keep = ~dilated_mask(p.node_mask, grid, 5)
     assert np.max(np.abs(r.values[keep])) <= 1e-6
     # cross-check through the H-field constancy route
     rs, mask = cqhj_rhs_from_state(pairs[0].state, V, S, node_threshold=1e-5)
-    assert np.max(np.abs(rs.values[~dilated_mask(mask, 5)])) <= 1e-6
+    assert np.max(np.abs(rs.values[~dilated_mask(mask, grid, 5)])) <= 1e-6
 
 
 def test_rhs_matches_schrodinger_side_spectral(periodic_grid):

@@ -42,7 +42,7 @@ def test_pinning_fixed_point_zero_field(ho_setup):
     grid, _, pairs = ho_setup
     force = pinning_force(pairs[0], 5.0)
     p = psi_to_p(pairs[0].state, S)
-    f = evaluate(force, p, 0.0)
+    f = evaluate(force, p)
     assert np.max(np.abs(f.values)) == 0.0  # identical arrays cancel exactly
 
 
@@ -50,7 +50,7 @@ def test_kostin_on_plane_wave():
     g = Grid(0.0, 2 * np.pi, 64, Boundary.PERIODIC)
     psi = make_field(g, np.exp(2j * g.x))
     p = psi_to_p(psi, S)
-    f = evaluate(kostin_friction(0.3), p, 0.0)
+    f = evaluate(kostin_friction(0.3), p)
     assert np.max(np.abs(f.values - (-0.6))) <= 1e-10
 
 
@@ -61,7 +61,7 @@ def test_pinning_acts_on_superpositions(ho_box_setup):
     psi = superpose([1.0, 1.0], [pairs[0].state, pairs[1].state])
     force = pinning_force(pairs[0], 1.0)
     p = psi_to_p(psi, C4)
-    f = evaluate(force, p, 0.0)
+    f = evaluate(force, p)
     assert np.max(np.abs(f.values)) > 1e-2
     phi = gauge_potential(f)
     ok = ~p.node_mask
@@ -73,8 +73,8 @@ def test_force_homogeneity(ho_box_setup):
     psi = superpose([0.8, 0.6j], [pairs[0].state, pairs[1].state])
     c = 1.9 * np.exp(0.7j)
     for force in (pinning_force(pairs[0], 2.0), kostin_friction(0.4)):
-        f1 = evaluate(force, psi_to_p(psi, C4), 0.0).values
-        f2 = evaluate(force, psi_to_p(Field(grid, c * psi.values), C4), 0.0).values
+        f1 = evaluate(force, psi_to_p(psi, C4)).values
+        f2 = evaluate(force, psi_to_p(Field(grid, c * psi.values), C4)).values
         assert np.max(np.abs(f1 - f2)) <= 1e-12
 
 
@@ -84,13 +84,13 @@ def test_grid_mismatch(ho_setup, box_grid):
     other = ho_eigenstate(0, 1.0, box_grid)
     p = psi_to_p(other.state, C4)
     with pytest.raises(GridMismatch):
-        evaluate(force, p, 0.0)
+        evaluate(force, p)
 
 
 def test_null_force_zero_field(ho_setup):
     grid, _, pairs = ho_setup
     p = psi_to_p(pairs[0].state, S)
-    f = evaluate(null_force(), p, 0.0)
+    f = evaluate(null_force(), p)
     assert np.max(np.abs(f.values)) == 0.0
     assert np.max(np.abs(gauge_potential(f).values)) == 0.0
 
@@ -159,7 +159,7 @@ def test_kostin_gauge_is_phase_profile(periodic_grid):
     psi = random_nodeless_state(periodic_grid, np.random.default_rng(12))
     gamma = 0.4
     p = psi_to_p(psi, S)
-    f = evaluate(kostin_friction(gamma), p, 0.0)
+    f = evaluate(kostin_friction(gamma), p)
     phi = gauge_potential(f)
     theta = unwrapped_phase(psi)
     oracle = -gamma * (theta - theta[0])
@@ -246,7 +246,7 @@ def test_force_chain_matches_explicit_formula_bitwise(boundary, kind):
     force = pinning_force(target, 2.5) if kind is ForceKind.PINNING else kostin_friction(0.4)
     rate = 2.5 if kind is ForceKind.PINNING else 0.4
     p = psi_to_p(psi, g.best_scheme())
-    phi = gauge_potential(evaluate(force, p, 0.0))
+    phi = gauge_potential(evaluate(force, p))
     expected, mask = _chain_by_hand(g, psi.values, kind, rate, target.values)
     assert mask.sum() >= 1 and not mask.all()
     assert np.array_equal(p.node_mask, mask)
@@ -264,7 +264,7 @@ def test_force_chain_outputs_are_read_only_and_unshared(boundary):
         (p.node_mask, psi.values),
     ]
     for force in (pinning_force(target, 2.5), kostin_friction(0.4), null_force()):
-        f = evaluate(force, p, 0.0)
+        f = evaluate(force, p)
         pairs += [(f.values, p.values), (gauge_potential(f).values, f.values)]
     for out, source in pairs:
         assert not out.flags.writeable
