@@ -55,7 +55,6 @@ from .forces import (  # noqa: F401
 )
 from .grid import (  # noqa: F401
     Boundary,
-    DerivativeScheme,
     Field,
     Grid,
     cumulative_integral,

@@ -20,7 +20,6 @@ import numpy as np
 from .errors import AllMasked, NodePresent
 from .grid import (
     Boundary,
-    DerivativeScheme,
     Field,
     Grid,
     _adopt,
@@ -112,14 +111,10 @@ def _node_mask(psi: Field, node_threshold: float) -> np.ndarray:
     return mask
 
 
-def psi_to_p(
-    psi: Field,
-    scheme: DerivativeScheme,
-    node_threshold: float = DEFAULT_NODE_THRESHOLD,
-) -> MomentumField:
+def psi_to_p(psi: Field, node_threshold: float = DEFAULT_NODE_THRESHOLD) -> MomentumField:
     """Momentum field p = -i (grad psi)/psi, masked near nodes of psi."""
     mask = _node_mask(psi, node_threshold)
-    dpsi = gradient(psi, scheme).values
+    dpsi = gradient(psi).values
     vals = np.zeros(psi.values.shape, psi.values.dtype)
     np.divide(-1j * dpsi, psi.values, out=vals, where=~mask)
     return _adopt(MomentumField, field=_adopt(Field, grid=psi.grid, values=vals), node_mask=mask)
@@ -183,17 +178,17 @@ def _segments(mask: np.ndarray):
 
 
 def _masked_gradient(
-    values: np.ndarray, mask: np.ndarray, grid: Grid, scheme: DerivativeScheme
+    values: np.ndarray, mask: np.ndarray, grid: Grid
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gradient of a field that is only defined off-mask.
 
-    With an empty mask this is the plain scheme gradient. Otherwise each
+    With an empty mask this is the plain grid gradient. Otherwise each
     contiguous unmasked run is differentiated independently with 4th-order
     stencils (one-sided at run ends); runs too short for the stencil are
     masked in the output. Never differentiates across a masked zone.
     """
     if not mask.any():
-        return gradient(Field(grid, values), scheme).values, mask
+        return gradient(Field(grid, values)).values, mask
     out = np.zeros_like(values)
     out_mask = mask.copy()
     for start, stop in _segments(mask):
@@ -207,7 +202,6 @@ def _masked_gradient(
 def quantum_hamiltonian_field(
     p: MomentumField,
     V: Potential,
-    scheme: DerivativeScheme,
     *,
     region: np.ndarray | None = None,
 ) -> Field:
@@ -225,7 +219,7 @@ def quantum_hamiltonian_field(
         region = ~p.node_mask
     if bool((p.node_mask & region).any()):
         raise NodePresent("momentum field is masked inside the requested region")
-    dp, _ = _masked_gradient(p.values, p.node_mask, p.grid, scheme)
+    dp, _ = _masked_gradient(p.values, p.node_mask, p.grid)
     vals = V.samples + 0.5 * p.values**2 - 0.5j * dp
     return Field(p.grid, vals)
 
@@ -238,7 +232,6 @@ class RhsForm(Enum):
 def cqhj_rhs(
     p: MomentumField,
     V: Potential,
-    scheme: DerivativeScheme,
     form: RhsForm = RhsForm.EXPANDED,
 ) -> Field:
     """Right-hand side of the closed momentum evolution equation,
@@ -254,20 +247,19 @@ def cqhj_rhs(
     if mask.all():
         raise NodePresent("momentum field is masked everywhere")
     if form is RhsForm.CANONICAL:
-        H = quantum_hamiltonian_field(p, V, scheme)
-        dH, _ = _masked_gradient(H.values, mask, p.grid, scheme)
+        H = quantum_hamiltonian_field(p, V)
+        dH, _ = _masked_gradient(H.values, mask, p.grid)
         return Field(p.grid, -dH)
-    gV, _ = _masked_gradient(V.samples.astype(np.complex128), mask, p.grid, scheme)
-    gp2, _ = _masked_gradient(p.values**2, mask, p.grid, scheme)
-    dp, dmask = _masked_gradient(p.values, mask, p.grid, scheme)
-    ggp, _ = _masked_gradient(dp, dmask, p.grid, scheme)
+    gV, _ = _masked_gradient(V.samples.astype(np.complex128), mask, p.grid)
+    gp2, _ = _masked_gradient(p.values**2, mask, p.grid)
+    dp, dmask = _masked_gradient(p.values, mask, p.grid)
+    ggp, _ = _masked_gradient(dp, dmask, p.grid)
     return Field(p.grid, -gV - 0.5 * gp2 + 0.5j * ggp)
 
 
 def hamiltonian_field_from_state(
     psi: Field,
     V: Potential,
-    scheme: DerivativeScheme,
     node_threshold: float = DEFAULT_NODE_THRESHOLD,
 ) -> tuple[Field, np.ndarray]:
     """Quantum-Hamiltonian field evaluated directly from the wave function,
@@ -279,7 +271,7 @@ def hamiltonian_field_from_state(
     """
     require_same_grid(psi, V.grid)
     mask = _node_mask(psi, node_threshold)
-    lp = laplacian(psi, scheme).values
+    lp = laplacian(psi).values
     vals = np.array(V.samples, dtype=np.complex128)
     ok = ~mask
     vals[ok] -= 0.5 * lp[ok] / psi.values[ok]
@@ -292,13 +284,12 @@ def hamiltonian_field_from_state(
 def cqhj_rhs_from_state(
     psi: Field,
     V: Potential,
-    scheme: DerivativeScheme,
     node_threshold: float = DEFAULT_NODE_THRESHOLD,
 ) -> tuple[Field, np.ndarray]:
     """Canonical-form right-hand side -grad H with H evaluated from psi.
     Returns the field and the node mask of the evaluation."""
-    H, mask = hamiltonian_field_from_state(psi, V, scheme, node_threshold)
-    return Field(psi.grid, -gradient(H, scheme).values), mask
+    H, mask = hamiltonian_field_from_state(psi, V, node_threshold)
+    return Field(psi.grid, -gradient(H).values), mask
 
 
 def masked_stats(field: Field, mask: np.ndarray) -> tuple[complex, float]:
@@ -349,18 +340,17 @@ class DerivationResiduals:
 def derivation_residuals(
     psi: Field,
     V: Potential,
-    scheme: DerivativeScheme,
     node_threshold: float = DEFAULT_NODE_THRESHOLD,
 ) -> DerivationResiduals:
     """Numerically verify the elimination chain on a nodeless state."""
     require_same_grid(psi, V.grid)
-    p = psi_to_p(psi, scheme, node_threshold).require_nodeless()
+    p = psi_to_p(psi, node_threshold).require_nodeless()
     pv = p.values
     g = psi.grid
 
-    lap_psi = laplacian(psi, scheme).values
-    grad_psi = gradient(psi, scheme).values
-    grad_p = gradient(p.field, scheme).values
+    lap_psi = laplacian(psi).values
+    grad_psi = gradient(psi).values
+    grad_p = gradient(p.field).values
 
     # psi_t from the linear Schroedinger equation
     psi_t = -1j * (-0.5 * lap_psi + V.samples * psi.values)
@@ -372,17 +362,17 @@ def derivation_residuals(
     rhs_weighted = 0.5 * pv * grad_p + 0.5j * pv**3 + 1j * pv * V.samples
     r_weighted = np.max(np.abs(-pv * ratio - rhs_weighted))
 
-    grad_psi_t = gradient(psi_t_field, scheme).values
-    gV = gradient(Field(g, V.samples.astype(np.complex128)), scheme).values
-    gp2 = gradient(Field(g, pv**2), scheme).values
-    ggp = gradient(Field(g, grad_p), scheme).values
+    grad_psi_t = gradient(psi_t_field).values
+    gV = gradient(Field(g, V.samples.astype(np.complex128))).values
+    gp2 = gradient(Field(g, pv**2)).values
+    ggp = gradient(Field(g, grad_p)).values
     rhs_gradient = (
         0.5j * ggp - 0.5 * pv * grad_p - 0.5 * gp2 - 0.5j * pv**3 - gV - 1j * pv * V.samples
     )
     r_gradient = np.max(np.abs(-1j * grad_psi_t / psi.values - rhs_gradient))
 
-    p_t = -1j * gradient(Field(g, ratio), scheme).values
-    closed = cqhj_rhs(p, V, scheme).values
+    p_t = -1j * gradient(Field(g, ratio)).values
+    closed = cqhj_rhs(p, V).values
     r_closed = np.max(np.abs(p_t - closed))
 
     return DerivationResiduals(

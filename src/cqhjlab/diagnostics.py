@@ -53,7 +53,7 @@ def _apply_h_symmetric(psi: Field, V: Potential) -> np.ndarray:
         out = V.samples * psi.values
         out[1:-1] += -0.5 * (L @ psi.values[1:-1])
         return out
-    return apply_hamiltonian(psi, V, psi.grid.best_scheme()).values
+    return apply_hamiltonian(psi, V).values
 
 
 def energy(psi: Field, V: Potential) -> float:

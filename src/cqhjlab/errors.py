@@ -14,7 +14,7 @@ class GridMismatch(CqhjError):
 
 
 class SchemeMismatch(CqhjError):
-    """Derivative scheme incompatible with the grid boundary (spectral needs periodic)."""
+    """An FFT-based operation (wavenumbers, split-step) requested on a box grid."""
 
 
 class NonFiniteField(CqhjError):

@@ -62,7 +62,6 @@ from .errors import (
 from .forces import CollapseForce, ForceKind, evaluate as evaluate_force, gauge_potential
 from .grid import (
     Boundary,
-    DerivativeScheme,
     Field,
     Grid,
     _adopt,
@@ -188,9 +187,7 @@ def _record_psi_observables(
 ) -> Field:
     """Append the observables of psi to the store (no fidelity_target
     series without a target); returns psi."""
-    H, mask = hamiltonian_field_from_state(
-        psi, V, psi.grid.best_scheme(), node_threshold=OBSERVABLE_NODE_THRESHOLD
-    )
+    H, mask = hamiltonian_field_from_state(psi, V, node_threshold=OBSERVABLE_NODE_THRESHOLD)
     mean, std = masked_stats(H, mask)
     row = (
         norm(psi),
@@ -295,8 +292,8 @@ def schrodinger_evolve(
     )
 
 
-def _rk4_stability_limit(grid: Grid, scheme: DerivativeScheme) -> float:
-    if scheme is DerivativeScheme.SPECTRAL:
+def _rk4_stability_limit(grid: Grid) -> float:
+    if grid.boundary is Boundary.PERIODIC:
         k2max = np.max(grid.wavenumbers) ** 2
     else:
         k2max = (16.0 / 3.0) / grid.dx**2
@@ -310,7 +307,6 @@ def cqhj_evolve(
     t_final: float,
     *,
     snapshot_stride: int = 1,
-    scheme: DerivativeScheme | None = None,
     node_threshold: float = 1e-6,
     target: Field | None = None,
 ) -> Trajectory:
@@ -333,11 +329,10 @@ def cqhj_evolve(
         raise ValueError("momentum-space evolution uses the RK4 method")
     p0.require_nodeless()
     grid = p0.grid
-    scheme = scheme or grid.best_scheme()
-    dt_max = _rk4_stability_limit(grid, scheme)
+    dt_max = _rk4_stability_limit(grid)
     if spec.dt > dt_max:
         raise StabilityViolation(
-            f"RK4 needs dt <= {dt_max:.3e} for this grid/scheme, got {spec.dt:.3e}"
+            f"RK4 needs dt <= {dt_max:.3e} for this grid, got {spec.dt:.3e}"
         )
     empty = np.zeros(grid.n_points, dtype=bool)
     project = grid.boundary is Boundary.BOX
@@ -356,7 +351,7 @@ def cqhj_evolve(
 
     def rhs(vals: np.ndarray) -> np.ndarray:
         pf = MomentumField(Field(grid, vals), empty)
-        return cqhj_rhs(pf, V, scheme).values
+        return cqhj_rhs(pf, V).values
 
     def advance(vals: np.ndarray, step: int) -> np.ndarray:
         if step == 1:
@@ -367,7 +362,7 @@ def cqhj_evolve(
         k4 = rhs(vals + dt * k3)
         vals = vals + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if project:
-            vals = gradient(cumulative_integral(Field(grid, vals)), scheme).values
+            vals = gradient(cumulative_integral(Field(grid, vals))).values
         return monitor(vals, step * dt)
 
     def record(vals: np.ndarray, obs: dict, cum_log: float) -> MomentumField:
@@ -413,7 +408,6 @@ def collapsible_evolve(
     and every per-step renormalization factor are recorded in the gauge log.
     """
     grid = psi0.grid
-    scheme = grid.best_scheme()
     kernel = _make_kernel(grid, V, 0.5 * spec.dt, spec.method)
     dt = spec.dt
 
@@ -425,7 +419,7 @@ def collapsible_evolve(
     def phi_of(vals: np.ndarray) -> np.ndarray:
         """Gauge potential of the force at the state vals."""
         try:
-            p = psi_to_p(_adopt(Field, grid=grid, values=vals), scheme, node_threshold)
+            p = psi_to_p(_adopt(Field, grid=grid, values=vals), node_threshold)
         except AllMasked as exc:
             raise NodeBlowup(
                 "force evaluation has no unmasked momentum values left"

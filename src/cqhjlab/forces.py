@@ -62,13 +62,13 @@ def pinning_force(
 ) -> CollapseForce:
     """Force -kappa (p - p_target) pulling the momentum field onto that of
     the chosen pointer state. EigenPair / wave-function targets are
-    converted with the grid's best derivative scheme."""
+    converted with psi_to_p."""
     if kappa <= 0:
         raise ValueError("pinning rate kappa must be positive")
     if isinstance(target, EigenPair):
         target = target.state
     if isinstance(target, Field):
-        target = psi_to_p(target, target.grid.best_scheme(), node_threshold)
+        target = psi_to_p(target, node_threshold)
     return CollapseForce(kind=ForceKind.PINNING, kappa=kappa, target=target)
 
 

@@ -1,6 +1,10 @@
 """Spatial grid, complex scalar fields and the 1-D differential/integral
 operators that every field equation in this package is evaluated on.
 
+The grid's boundary picks the derivative operator: FFT (spectral) on
+periodic grids, 4th-order finite differences with one-sided edge rows on
+box grids.
+
 Internal units use hbar = m = 1 throughout; physical units enter only in
 the diagnostics layer.
 """
@@ -21,11 +25,6 @@ from .errors import GridMismatch, NonFiniteField, PeriodicityViolation, SchemeMi
 class Boundary(Enum):
     PERIODIC = "periodic"
     BOX = "box"
-
-
-class DerivativeScheme(Enum):
-    SPECTRAL = "spectral"  # FFT-based, periodic grids only
-    CENTRAL4 = "central4"  # 4th-order finite differences, either boundary
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -127,11 +126,6 @@ class Grid:
             raise SchemeMismatch("wavenumbers are defined for periodic grids only")
         return 2.0 * np.pi * np.fft.fftfreq(self.n_points, d=self.dx)
 
-    def best_scheme(self) -> DerivativeScheme:
-        if self.boundary is Boundary.PERIODIC:
-            return DerivativeScheme.SPECTRAL
-        return DerivativeScheme.CENTRAL4
-
 
 def require_same_grid(a: "Field | Grid", b: "Field | Grid") -> Grid:
     ga = a if isinstance(a, Grid) else a.grid
@@ -209,11 +203,6 @@ def make_field(grid: Grid, values) -> Field:
     return Field(grid, values).check_finite()
 
 
-def _check_scheme(grid: Grid, scheme: DerivativeScheme) -> None:
-    if scheme is DerivativeScheme.SPECTRAL and grid.boundary is not Boundary.PERIODIC:
-        raise SchemeMismatch("spectral differentiation requires a periodic grid")
-
-
 def _spectral_derivative(grid: Grid, v: np.ndarray, order: int) -> np.ndarray:
     k = grid.wavenumbers
     mult = (1j * k) ** order
@@ -253,24 +242,24 @@ def _fd_matrix(n: int, order: int, periodic: bool) -> sp.csr_array:
     return sp.csr_array((data, cols, indptr), shape=(n, n))
 
 
-def _derivative(f: Field, scheme: DerivativeScheme, order: int) -> Field:
+def _derivative(f: Field, order: int) -> Field:
+    """Spectral derivative on periodic grids, the box _fd_matrix otherwise."""
     f.check_finite()
-    _check_scheme(f.grid, scheme)
     g = f.grid
-    if scheme is DerivativeScheme.SPECTRAL:
+    if g.boundary is Boundary.PERIODIC:
         return _adopt(Field, grid=g, values=_spectral_derivative(g, f.values, order))
-    D = _fd_matrix(g.n_points, order, g.boundary is Boundary.PERIODIC)
+    D = _fd_matrix(g.n_points, order, False)
     return _adopt(Field, grid=g, values=(D @ f.values) / g.dx**order)
 
 
-def gradient(f: Field, scheme: DerivativeScheme) -> Field:
+def gradient(f: Field) -> Field:
     """First spatial derivative of a complex field."""
-    return _derivative(f, scheme, 1)
+    return _derivative(f, 1)
 
 
-def laplacian(f: Field, scheme: DerivativeScheme) -> Field:
+def laplacian(f: Field) -> Field:
     """Second spatial derivative of a complex field."""
-    return _derivative(f, scheme, 2)
+    return _derivative(f, 2)
 
 
 def integrate(f: Field) -> complex:
@@ -313,7 +302,7 @@ def cumulative_integral(f: Field) -> Field:
         F = np.fft.ifft(Fhat) + mean * (g.x - g.x_min)
         F -= F[0]
         return _adopt(Field, grid=g, values=F)
-    fp = gradient(f, DerivativeScheme.CENTRAL4).values
+    fp = gradient(f).values
     F = np.zeros(v.shape, v.dtype)
     np.cumsum(g.dx * (v[1:] + v[:-1]) / 2.0, out=F[1:])
     F -= (g.dx**2 / 12.0) * (fp - fp[0])

@@ -22,7 +22,6 @@ from .errors import (
 )
 from .grid import (
     Boundary,
-    DerivativeScheme,
     Field,
     Grid,
     _readonly,
@@ -107,15 +106,15 @@ def _normalize(grid: Grid, values: np.ndarray) -> np.ndarray:
     return values / n
 
 
-def apply_hamiltonian(psi: Field, V: Potential, scheme: DerivativeScheme) -> Field:
-    """H0 psi = -1/2 psi'' + V psi with the given derivative scheme."""
+def apply_hamiltonian(psi: Field, V: Potential) -> Field:
+    """H0 psi = -1/2 psi'' + V psi with the grid's derivative operator."""
     require_same_grid(psi, V.grid)
-    return Field(psi.grid, -0.5 * laplacian(psi, scheme).values + V.samples * psi.values)
+    return Field(psi.grid, -0.5 * laplacian(psi).values + V.samples * psi.values)
 
 
-def hamiltonian_residual(pair: EigenPair, V: Potential, scheme: DerivativeScheme) -> float:
+def hamiltonian_residual(pair: EigenPair, V: Potential) -> float:
     """Relative residual |H0 psi - E psi| / |psi| of a candidate eigenpair."""
-    hp = apply_hamiltonian(pair.state, V, scheme)
+    hp = apply_hamiltonian(pair.state, V)
     return norm(hp - pair.energy * pair.state) / norm(pair.state)
 
 
@@ -152,7 +151,7 @@ def ho_eigenstate(n: int, omega: float, grid: Grid) -> EigenPair:
     state = make_field(grid, _normalize(grid, phi.astype(np.complex128)))
     pair = EigenPair(energy=(n + 0.5) * omega, state=state)
     V = harmonic_potential(grid, omega)
-    res = hamiltonian_residual(pair, V, grid.best_scheme())
+    res = hamiltonian_residual(pair, V)
     if res > EIGENSTATE_RESIDUAL_TOL:
         raise UnresolvedState(
             f"oscillator state n={n} is not resolved: "

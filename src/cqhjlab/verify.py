@@ -41,7 +41,6 @@ from .evolve import (
 from .forces import evaluate as evaluate_force, kostin_friction, null_force, pinning_force
 from .grid import (
     Boundary,
-    DerivativeScheme,
     Field,
     Grid,
     cumulative_integral,
@@ -58,10 +57,6 @@ from .states import (
     solve_eigenstates,
     superpose,
 )
-
-S = DerivativeScheme.SPECTRAL
-C4 = DerivativeScheme.CENTRAL4
-
 
 @dataclass
 class CheckResult:
@@ -108,7 +103,7 @@ def _spectral_plane_wave():
     g = Grid(0.0, 2 * np.pi, 64, Boundary.PERIODIC)
     k = 5.0
     f = make_field(g, np.exp(1j * k * g.x))
-    err = np.max(np.abs(gradient(f, S).values - 1j * k * f.values))
+    err = np.max(np.abs(gradient(f).values - 1j * k * f.values))
     return err, "d/dx exp(ikx) vs ik exp(ikx)"
 
 
@@ -121,8 +116,8 @@ def _gradient_linearity():
         f2 = random_nodeless_state(g, rng)
         a = complex(rng.normal(), rng.normal())
         b = complex(rng.normal(), rng.normal())
-        lhs = gradient(Field(g, a * f1.values + b * f2.values), S).values
-        rhs = a * gradient(f1, S).values + b * gradient(f2, S).values
+        lhs = gradient(Field(g, a * f1.values + b * f2.values)).values
+        rhs = a * gradient(f1).values + b * gradient(f2).values
         scale = np.max(np.abs(rhs))
         worst = max(worst, np.max(np.abs(lhs - rhs)) / scale)
     return worst, "relative, random complex combinations"
@@ -134,14 +129,14 @@ def _fd4_doubling_ratio():
         g = Grid(-10.0, 10.0, n, Boundary.BOX)
         f = make_field(g, np.exp(-g.x**2 / 2))
         exact = -g.x * np.exp(-g.x**2 / 2)
-        errs.append(np.max(np.abs(gradient(f, C4).values - exact)))
+        errs.append(np.max(np.abs(gradient(f).values - exact)))
     return errs[0] / errs[1], "gaussian derivative error ratio n=256/512"
 
 
 def _spectral_floor():
     g = Grid(-10.0, 10.0, 64, Boundary.PERIODIC)
     f = make_field(g, np.exp(-g.x**2 / 2))
-    err = np.max(np.abs(gradient(f, S).values - (-g.x * np.exp(-g.x**2 / 2))))
+    err = np.max(np.abs(gradient(f).values - (-g.x * np.exp(-g.x**2 / 2))))
     return err, "resolved gaussian at n=64"
 
 
@@ -150,7 +145,7 @@ def _fundamental_theorem():
     f = make_field(g, np.exp(-((g.x - 1.0) ** 2) / 4))
     from .grid import integrate
 
-    got = integrate(gradient(f, C4))
+    got = integrate(gradient(f))
     want = f.values[-1] - f.values[0]
     return abs(got - want), "integrate(grad f) vs boundary difference"
 
@@ -158,7 +153,7 @@ def _fundamental_theorem():
 def _cumulative_inverse():
     g = Grid(-10.0, 10.0, 256, Boundary.BOX)
     f = make_field(g, np.exp(-g.x**2 / 8))
-    err = np.max(np.abs(gradient(cumulative_integral(f), C4).values - f.values))
+    err = np.max(np.abs(gradient(cumulative_integral(f)).values - f.values))
     return err, "grad(cumulative(f)) vs f, box n=256"
 
 
@@ -172,7 +167,7 @@ def _residual_suite(n_states=20):
     worst = 0.0
     for _ in range(n_states):
         psi = random_nodeless_state(g, rng)
-        worst = max(worst, derivation_residuals(psi, V, S).max())
+        worst = max(worst, derivation_residuals(psi, V).max())
     return worst, f"{n_states} random nodeless states, n=512 spectral"
 
 
@@ -182,9 +177,9 @@ def _form_agreement():
     rng = np.random.default_rng(7)
     worst = 0.0
     for _ in range(5):
-        p = psi_to_p(random_nodeless_state(g, rng), S)
-        a = cqhj_rhs(p, V, S, RhsForm.EXPANDED).values
-        b = cqhj_rhs(p, V, S, RhsForm.CANONICAL).values
+        p = psi_to_p(random_nodeless_state(g, rng))
+        a = cqhj_rhs(p, V, RhsForm.EXPANDED).values
+        b = cqhj_rhs(p, V, RhsForm.CANONICAL).values
         worst = max(worst, np.max(np.abs(a - b)) / np.max(np.abs(a)))
     return worst, "expanded vs canonical right-hand side, relative"
 
@@ -195,7 +190,7 @@ def _eigenstate_hamiltonian():
     worst = 0.0
     for n in range(4):
         pair = ho_eigenstate(n, 1.0, g)
-        H, mask = hamiltonian_field_from_state(pair.state, V, S, node_threshold=1e-5)
+        H, mask = hamiltonian_field_from_state(pair.state, V, node_threshold=1e-5)
         mean, std = masked_stats(H, mask)
         worst = max(worst, std / pair.energy, abs(mean.real - pair.energy) / pair.energy)
     return worst, "H-field mean/std vs energy, oscillator n=0..3"
@@ -207,7 +202,7 @@ def _eigenstate_rhs():
     worst = 0.0
     for n in range(4):
         pair = ho_eigenstate(n, 1.0, g)
-        rhs, mask = cqhj_rhs_from_state(pair.state, V, S, node_threshold=1e-5)
+        rhs, mask = cqhj_rhs_from_state(pair.state, V, node_threshold=1e-5)
         keep = ~dilated_mask(mask, g, 5)
         worst = max(worst, np.max(np.abs(rhs.values[keep])))
     return worst, "momentum rate on stationary states, off-mask"
@@ -218,8 +213,8 @@ def _map_homogeneity():
     rng = np.random.default_rng(3)
     psi = random_nodeless_state(g, rng)
     c = 2.7 * np.exp(1j * np.pi / 5)
-    p1 = psi_to_p(psi, S)
-    p2 = psi_to_p(Field(g, c * psi.values), S)
+    p1 = psi_to_p(psi)
+    p2 = psi_to_p(Field(g, c * psi.values))
     return np.max(np.abs(p1.values - p2.values)), "p(c psi) vs p(psi), nodeless state"
 
 
@@ -231,8 +226,8 @@ def _force_homogeneity():
     c = 1.7 - 0.4j
     worst = 0.0
     for force in (pinning_force(pair0, 2.0), kostin_friction(0.3)):
-        f1 = evaluate_force(force, psi_to_p(psi, C4)).values
-        f2 = evaluate_force(force, psi_to_p(Field(g, c * psi.values), C4)).values
+        f1 = evaluate_force(force, psi_to_p(psi)).values
+        f2 = evaluate_force(force, psi_to_p(Field(g, c * psi.values))).values
         worst = max(worst, np.max(np.abs(f1 - f2)))
     return worst, "force(p(c psi)) vs force(p(psi))"
 
@@ -319,7 +314,7 @@ def _fd4_order_study():
     for n in (128, 256, 512):
         g = Grid(-10.0, 10.0, n, Boundary.BOX)
         f = make_field(g, np.exp(-g.x**2 / 2))
-        errs[n] = np.max(np.abs(gradient(f, C4).values - (-g.x * np.exp(-g.x**2 / 2))))
+        errs[n] = np.max(np.abs(gradient(f).values - (-g.x * np.exp(-g.x**2 / 2))))
     o1 = np.log2(errs[128] / errs[256])
     o2 = np.log2(errs[256] / errs[512])
     return min(o1, o2), f"orders {o1:.2f}, {o2:.2f} over n=128/256/512"
@@ -331,7 +326,7 @@ def _residual_resolution_study():
         g = Grid(-12.0, 12.0, n, Boundary.PERIODIC)
         V = custom_potential(g, 1.5 * np.cos(2 * np.pi * g.x / g.length))
         psi = random_nodeless_state(g, np.random.default_rng(7), modes=16, amplitude=2.5)
-        vals[n] = derivation_residuals(psi, V, S).closed_form
+        vals[n] = derivation_residuals(psi, V).closed_form
     return vals[256] / vals[512], f"closed-form residual {vals[256]:.2e} -> {vals[512]:.2e}"
 
 
@@ -339,7 +334,7 @@ def _cross_propagator():
     g = Grid(-8.0, 8.0, 512, Boundary.PERIODIC)
     V = free_potential(g)
     psi0 = random_nodeless_state(g, np.random.default_rng(3), modes=5, amplitude=0.35)
-    p0 = psi_to_p(psi0, S, node_threshold=1e-12)
+    p0 = psi_to_p(psi0, node_threshold=1e-12)
     e_max = 0.5 * np.max(g.wavenumbers) ** 2
     dt_psi = 0.95 * 0.1 / e_max
     tr_psi = schrodinger_evolve(
@@ -348,7 +343,7 @@ def _cross_propagator():
     tr_p = cqhj_evolve(
         p0, V, IntegratorSpec(Method.RK4, 2e-4), 1.0, snapshot_stride=10**9, node_threshold=1e-12
     )
-    p_from_psi = psi_to_p(tr_psi.final_state, S, node_threshold=1e-12)
+    p_from_psi = psi_to_p(tr_psi.final_state, node_threshold=1e-12)
     err = np.max(np.abs(p_from_psi.values - tr_p.final_state.values))
     return err, "momentum fields from both propagators at t=1"
 
@@ -366,7 +361,6 @@ def _momentum_stationarity():
         IntegratorSpec(Method.RK4, T / steps),
         T,
         snapshot_stride=10**9,
-        scheme=C4,
         node_threshold=1e-10,
     )
     weight = np.exp(-g.x**2 / 2)
@@ -398,7 +392,7 @@ def _rk4_order():
     g = Grid(-8.0, 8.0, 256, Boundary.PERIODIC)
     V = free_potential(g)
     psi = random_nodeless_state(g, np.random.default_rng(5), modes=5, amplitude=0.7)
-    p0 = psi_to_p(psi, S, node_threshold=1e-12)
+    p0 = psi_to_p(psi, node_threshold=1e-12)
     tf = 0.5
 
     def final(dt):

@@ -15,7 +15,6 @@ import pytest
 
 from cqhjlab import (
     Boundary,
-    DerivativeScheme,
     Field,
     Grid,
     IntegratorSpec,
@@ -43,8 +42,6 @@ from cqhjlab import (
 from cqhjlab.cqhj import dilated_mask, masked_stats
 from cqhjlab.states import custom_potential
 
-S = DerivativeScheme.SPECTRAL
-C4 = DerivativeScheme.CENTRAL4
 
 
 class Budget:
@@ -77,11 +74,11 @@ def test_acceptance_1_derivation_validity():
         rng = np.random.default_rng(42)
         for _ in range(20):
             psi = random_nodeless_state(g, rng)
-            res = derivation_residuals(psi, V, S)
+            res = derivation_residuals(psi, V)
             assert res.max() <= 1e-7
-            p = psi_to_p(psi, S)
-            a = cqhj_rhs(p, V, S, RhsForm.EXPANDED).values
-            b = cqhj_rhs(p, V, S, RhsForm.CANONICAL).values
+            p = psi_to_p(psi)
+            a = cqhj_rhs(p, V, RhsForm.EXPANDED).values
+            b = cqhj_rhs(p, V, RhsForm.CANONICAL).values
             assert np.max(np.abs(a - b)) / np.max(np.abs(a)) <= 1e-9
 
 
@@ -92,7 +89,7 @@ def _momentum_vs_wavefunction_error(n):
     g = Grid(-6.3, 6.3, n, Boundary.BOX)
     V = harmonic_potential(g, 1.0)
     psi0 = gaussian_packet(g, 0.0, 0.0, 0.9)
-    p0 = psi_to_p(psi0, C4, node_threshold=1e-12)
+    p0 = psi_to_p(psi0, node_threshold=1e-12)
     assert not p0.node_mask.any()
     tr_psi = schrodinger_evolve(
         psi0, V, IntegratorSpec(Method.CRANK_NICOLSON, 1e-4, False), 1.0,
@@ -106,11 +103,10 @@ def _momentum_vs_wavefunction_error(n):
         IntegratorSpec(Method.RK4, 1.0 / steps),
         1.0,
         snapshot_stride=10**9,
-        scheme=C4,
         node_threshold=1e-12,
     )
     psif = tr_psi.final_state
-    pf = psi_to_p(psif, C4, node_threshold=1e-12)
+    pf = psi_to_p(psif, node_threshold=1e-12)
     diff = np.abs(pf.values - tr_p.final_state.values)
     amp = np.abs(psif.values) / np.abs(psif.values).max()
     return np.max(diff[amp >= 1e-4]), np.max(diff[amp >= 1e-5])
@@ -131,11 +127,11 @@ def test_acceptance_3_eigenstate_characterization():
         V = harmonic_potential(g, 1.0)
         for n in range(4):
             pair = ho_eigenstate(n, 1.0, g)
-            H, mask = hamiltonian_field_from_state(pair.state, V, S, node_threshold=1e-5)
+            H, mask = hamiltonian_field_from_state(pair.state, V, node_threshold=1e-5)
             mean, std = masked_stats(H, mask)
             assert std <= 1e-5 * pair.energy
             assert abs(mean.real - pair.energy) <= 1e-5 * pair.energy
-            rhs, m2 = cqhj_rhs_from_state(pair.state, V, S, node_threshold=1e-5)
+            rhs, m2 = cqhj_rhs_from_state(pair.state, V, node_threshold=1e-5)
             keep = ~dilated_mask(m2, g, 5)
             assert np.max(np.abs(rhs.values[keep])) <= 1e-6
 

@@ -6,7 +6,6 @@ import pytest
 
 from cqhjlab import (
     Boundary,
-    DerivativeScheme,
     Field,
     Grid,
     MomentumField,
@@ -32,8 +31,6 @@ from cqhjlab.cqhj import dilated_mask, masked_stats
 from cqhjlab.errors import AllMasked, NodePresent, NonFiniteField, PeriodicityViolation
 from cqhjlab.states import custom_potential, overlap
 
-S = DerivativeScheme.SPECTRAL
-C4 = DerivativeScheme.CENTRAL4
 
 
 def cosine_potential(grid, amplitude=1.5):
@@ -47,21 +44,21 @@ def test_plane_wave_momentum():
     g = Grid(0.0, 2 * np.pi, 64, Boundary.PERIODIC)
     k = 5.0
     psi = make_field(g, np.exp(1j * k * g.x) / np.sqrt(2 * np.pi))
-    p = psi_to_p(psi, S)
+    p = psi_to_p(psi)
     assert not p.node_mask.any()
     assert np.max(np.abs(p.values - k)) <= 1e-10
 
 
 def test_gaussian_momentum_is_ix(periodic_grid):
     psi = make_field(periodic_grid, np.exp(-periodic_grid.x**2 / 2))
-    p = psi_to_p(psi, S)
+    p = psi_to_p(psi)
     ok = ~p.node_mask
     assert np.max(np.abs(p.values[ok] - 1j * periodic_grid.x[ok])) <= 1e-8
 
 
 def test_node_masking_first_excited(periodic_grid):
     pair = ho_eigenstate(1, 1.0, periodic_grid)
-    p = psi_to_p(pair.state, S)
+    p = psi_to_p(pair.state)
     center = periodic_grid.n_points // 2  # x = 0 lies on the grid
     assert p.node_mask[center]
     x = periodic_grid.x
@@ -73,7 +70,7 @@ def test_node_masking_first_excited(periodic_grid):
 
 def test_all_masked_raises(periodic_grid):
     with pytest.raises(AllMasked):
-        psi_to_p(Field(periodic_grid, np.zeros(periodic_grid.n_points)), S)
+        psi_to_p(Field(periodic_grid, np.zeros(periodic_grid.n_points)))
 
 
 def test_momentum_map_homogeneity(periodic_grid):
@@ -83,20 +80,18 @@ def test_momentum_map_homogeneity(periodic_grid):
         c = complex(rng.normal(), rng.normal())
         if abs(c) < 1e-3:
             continue
-        p1 = psi_to_p(psi, S)
-        p2 = psi_to_p(Field(periodic_grid, c * psi.values), S)
+        p1 = psi_to_p(psi)
+        p2 = psi_to_p(Field(periodic_grid, c * psi.values))
         assert np.array_equal(p1.node_mask, p2.node_mask)
         assert np.max(np.abs(p1.values - p2.values)) <= 1e-12
 
 
 def test_classical_osmotic_decomposition(periodic_grid):
     psi = random_nodeless_state(periodic_grid, np.random.default_rng(4))
-    p = psi_to_p(psi, S)
+    p = psi_to_p(psi)
     theta = unwrapped_phase(psi)
-    re_oracle = gradient(make_field(periodic_grid, theta), S).values.real
-    im_oracle = -gradient(
-        make_field(periodic_grid, np.log(np.abs(psi.values))), S
-    ).values.real
+    re_oracle = gradient(make_field(periodic_grid, theta)).values.real
+    im_oracle = -gradient(make_field(periodic_grid, np.log(np.abs(psi.values)))).values.real
     assert np.max(np.abs(p.classical - re_oracle)) <= 1e-8
     assert np.max(np.abs(p.osmotic - im_oracle)) <= 1e-8
 
@@ -119,7 +114,7 @@ def test_constant_momentum_reconstructs_plane_wave():
 def test_round_trip_fidelity():
     g = Grid(-9.0, 10.0, 513, Boundary.BOX)
     psi = gaussian_packet(g, 0.5, 1.0, 1.2)
-    p = psi_to_p(psi, C4, node_threshold=1e-15)
+    p = psi_to_p(psi, node_threshold=1e-15)
     back, _ = p_to_psi(p)
     assert 1.0 - abs(overlap(psi, back)) ** 2 <= 1e-8
 
@@ -137,19 +132,19 @@ def test_linear_imaginary_momentum_gives_gaussian():
 
 def test_p_to_psi_requires_nodeless(periodic_grid):
     pair = ho_eigenstate(1, 1.0, periodic_grid)
-    p = psi_to_p(pair.state, S)
+    p = psi_to_p(pair.state)
     with pytest.raises(NodePresent):
         p_to_psi(p)
 
 
-@pytest.mark.parametrize("boundary,scheme", [(Boundary.BOX, C4), (Boundary.PERIODIC, S)])
+@pytest.mark.parametrize("boundary", [Boundary.BOX, Boundary.PERIODIC])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_psi_to_p_rejects_nonfinite_values(boundary, scheme, bad):
+def test_psi_to_p_rejects_nonfinite_values(boundary, bad):
     g = Grid(-4.0, 4.0, 64, boundary)
     vals = np.exp(-(g.x**2)).astype(complex)
     vals[20] = bad
     with pytest.raises(NonFiniteField):
-        psi_to_p(Field(g, vals), scheme)
+        psi_to_p(Field(g, vals))
 
 
 def test_p_to_psi_periodic_winding_rejected():
@@ -166,15 +161,15 @@ def test_h_field_plane_wave_free():
     g = Grid(0.0, 2 * np.pi, 64, Boundary.PERIODIC)
     k = 5.0
     psi = make_field(g, np.exp(1j * k * g.x))
-    p = psi_to_p(psi, S)
-    H = quantum_hamiltonian_field(p, free_potential(g), S)
+    p = psi_to_p(psi)
+    H = quantum_hamiltonian_field(p, free_potential(g))
     assert np.max(np.abs(H.values - k * k / 2)) <= 1e-9
 
 
 def test_h_field_ground_state_constant(ho_setup):
     grid, V, pairs = ho_setup
-    p = psi_to_p(pairs[0].state, S)
-    H = quantum_hamiltonian_field(p, V, S)
+    p = psi_to_p(pairs[0].state)
+    H = quantum_hamiltonian_field(p, V)
     mean, std = masked_stats(H, p.node_mask)
     assert std <= 1e-6
     assert abs(mean.real - 0.5) <= 1e-6
@@ -183,24 +178,24 @@ def test_h_field_ground_state_constant(ho_setup):
 def test_h_field_non_eigenstate_varies(ho_setup):
     grid, V, _ = ho_setup
     psi = gaussian_packet(grid, 1.0, 0.0, 1.3)
-    p = psi_to_p(psi, S)
-    _, std = masked_stats(quantum_hamiltonian_field(p, V, S), p.node_mask)
+    p = psi_to_p(psi)
+    _, std = masked_stats(quantum_hamiltonian_field(p, V), p.node_mask)
     assert std > 1e-2
 
 
 def test_h_field_region_guard(ho_setup):
     grid, V, pairs = ho_setup
-    p = psi_to_p(pairs[1].state, S)  # masked at the node
+    p = psi_to_p(pairs[1].state)  # masked at the node
     with pytest.raises(NodePresent):
-        quantum_hamiltonian_field(p, V, S, region=np.ones(grid.n_points, bool))
+        quantum_hamiltonian_field(p, V, region=np.ones(grid.n_points, bool))
 
 
 def test_h_field_from_state_matches_p_route(ho_setup):
     grid, V, pairs = ho_setup
     psi = random_nodeless_state(grid, np.random.default_rng(8))
-    p = psi_to_p(psi, S)
-    H_p = quantum_hamiltonian_field(p, V, S)
-    H_s, mask = hamiltonian_field_from_state(psi, V, S)
+    p = psi_to_p(psi)
+    H_p = quantum_hamiltonian_field(p, V)
+    H_s, mask = hamiltonian_field_from_state(psi, V)
     assert not mask.any()
     assert np.max(np.abs(H_p.values - H_s.values)) <= 1e-8
 
@@ -229,7 +224,7 @@ def test_dilated_mask_wraps_only_on_periodic_grids():
 def test_eigenstate_characterization_all_levels(ho_setup):
     grid, V, pairs = ho_setup
     for pair in pairs:
-        H, mask = hamiltonian_field_from_state(pair.state, V, S, node_threshold=1e-5)
+        H, mask = hamiltonian_field_from_state(pair.state, V, node_threshold=1e-5)
         mean, std = masked_stats(H, mask)
         assert std <= 1e-5 * pair.energy
         assert abs(mean.real - pair.energy) <= 1e-5 * pair.energy
@@ -241,18 +236,18 @@ def test_eigenstate_characterization_all_levels(ho_setup):
 def test_rhs_zero_for_free_plane_wave():
     g = Grid(0.0, 2 * np.pi, 64, Boundary.PERIODIC)
     p = MomentumField(Field(g, np.full(64, 3.0 + 0j)), np.zeros(64, bool))
-    r = cqhj_rhs(p, free_potential(g), S)
+    r = cqhj_rhs(p, free_potential(g))
     assert np.max(np.abs(r.values)) <= 1e-12
 
 
 def test_rhs_vanishes_on_eigenstates(ho_setup):
     grid, V, pairs = ho_setup
-    p = psi_to_p(pairs[0].state, S)
-    r = cqhj_rhs(p, V, S)
+    p = psi_to_p(pairs[0].state)
+    r = cqhj_rhs(p, V)
     keep = ~dilated_mask(p.node_mask, grid, 5)
     assert np.max(np.abs(r.values[keep])) <= 1e-6
     # cross-check through the H-field constancy route
-    rs, mask = cqhj_rhs_from_state(pairs[0].state, V, S, node_threshold=1e-5)
+    rs, mask = cqhj_rhs_from_state(pairs[0].state, V, node_threshold=1e-5)
     assert np.max(np.abs(rs.values[~dilated_mask(mask, grid, 5)])) <= 1e-6
 
 
@@ -263,10 +258,10 @@ def test_rhs_matches_schrodinger_side_spectral(periodic_grid):
 
     V = cosine_potential(periodic_grid)
     psi = random_nodeless_state(periodic_grid, np.random.default_rng(6))
-    p = psi_to_p(psi, S)
-    psi_t = -1j * (-0.5 * laplacian(psi, S).values + V.samples * psi.values)
-    p_t = -1j * gradient(Field(periodic_grid, psi_t / psi.values), S).values
-    r = cqhj_rhs(p, V, S)
+    p = psi_to_p(psi)
+    psi_t = -1j * (-0.5 * laplacian(psi).values + V.samples * psi.values)
+    p_t = -1j * gradient(Field(periodic_grid, psi_t / psi.values)).values
+    r = cqhj_rhs(p, V)
     assert np.max(np.abs(r.values - p_t)) / np.max(np.abs(p_t)) <= 1e-6
 
 
@@ -278,11 +273,11 @@ def test_rhs_matches_schrodinger_side_gaussian_packet():
     g = Grid(-7.0, 7.0, 1024, Boundary.BOX)
     V = free_potential(g)
     psi = gaussian_packet(g, 0.0, 1.0, 1.0)
-    p = psi_to_p(psi, C4, node_threshold=1e-12)
+    p = psi_to_p(psi, node_threshold=1e-12)
     assert not p.node_mask.any()
-    psi_t = -1j * (-0.5 * laplacian(psi, C4).values)
-    p_t = -1j * gradient(Field(g, psi_t / psi.values), C4).values
-    r = cqhj_rhs(p, V, C4)
+    psi_t = -1j * (-0.5 * laplacian(psi).values)
+    p_t = -1j * gradient(Field(g, psi_t / psi.values)).values
+    r = cqhj_rhs(p, V)
     amp = np.abs(psi.values) / np.abs(psi.values).max()
     sel = amp >= 1e-3
     assert np.max(np.abs(r.values[sel] - p_t[sel])) / np.max(np.abs(p_t)) <= 1e-6
@@ -292,9 +287,9 @@ def test_rhs_form_agreement(periodic_grid):
     V = cosine_potential(periodic_grid)
     rng = np.random.default_rng(7)
     for _ in range(5):
-        p = psi_to_p(random_nodeless_state(periodic_grid, rng), S)
-        a = cqhj_rhs(p, V, S, RhsForm.EXPANDED).values
-        b = cqhj_rhs(p, V, S, RhsForm.CANONICAL).values
+        p = psi_to_p(random_nodeless_state(periodic_grid, rng))
+        a = cqhj_rhs(p, V, RhsForm.EXPANDED).values
+        b = cqhj_rhs(p, V, RhsForm.CANONICAL).values
         assert np.max(np.abs(a - b)) / np.max(np.abs(a)) <= 1e-9
 
 
@@ -304,7 +299,7 @@ def test_rhs_form_agreement(periodic_grid):
 def test_residuals_plane_wave():
     g = Grid(0.0, 2 * np.pi, 64, Boundary.PERIODIC)
     psi = make_field(g, np.exp(5j * g.x) / np.sqrt(2 * np.pi))
-    r = derivation_residuals(psi, free_potential(g), S)
+    r = derivation_residuals(psi, free_potential(g))
     assert r.max() <= 1e-10
 
 
@@ -314,7 +309,7 @@ def test_residuals_random_nodeless(periodic_grid):
     worst = 0.0
     for _ in range(20):
         psi = random_nodeless_state(periodic_grid, rng)
-        worst = max(worst, derivation_residuals(psi, V, S).max())
+        worst = max(worst, derivation_residuals(psi, V).max())
     assert worst <= 1e-7
 
 
@@ -324,11 +319,11 @@ def test_residuals_shrink_with_resolution():
         g = Grid(-12.0, 12.0, n, Boundary.PERIODIC)
         V = cosine_potential(g)
         psi = random_nodeless_state(g, np.random.default_rng(7), modes=16, amplitude=2.5)
-        vals[n] = derivation_residuals(psi, V, S).closed_form
+        vals[n] = derivation_residuals(psi, V).closed_form
     assert vals[256] / vals[512] >= 10.0
 
 
 def test_residuals_require_nodeless(ho_setup):
     grid, V, pairs = ho_setup
     with pytest.raises(NodePresent):
-        derivation_residuals(pairs[1].state, V, S)
+        derivation_residuals(pairs[1].state, V)

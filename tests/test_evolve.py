@@ -5,7 +5,6 @@ import pytest
 
 from cqhjlab import (
     Boundary,
-    DerivativeScheme,
     Field,
     Grid,
     IntegratorSpec,
@@ -34,8 +33,6 @@ from cqhjlab.forces import evaluate, gauge_potential
 from cqhjlab.grid import gradient, symmetric_second_derivative
 from cqhjlab.states import position_expectation, position_variance
 
-S = DerivativeScheme.SPECTRAL
-C4 = DerivativeScheme.CENTRAL4
 
 
 def split_step_dt(grid, safety=0.95):
@@ -193,7 +190,6 @@ def test_momentum_stationary_ground_state():
         IntegratorSpec(Method.RK4, T / steps),
         T,
         snapshot_stride=10**9,
-        scheme=C4,
         node_threshold=1e-10,
     )
     weight = np.exp(-g.x**2 / 2)
@@ -214,7 +210,7 @@ def test_cross_propagator_equivalence():
     g = Grid(-8.0, 8.0, 512, Boundary.PERIODIC)
     V = free_potential(g)
     psi0 = random_nodeless_state(g, np.random.default_rng(3), modes=5, amplitude=0.35)
-    p0 = psi_to_p(psi0, S, node_threshold=1e-12)
+    p0 = psi_to_p(psi0, node_threshold=1e-12)
     tr_psi = schrodinger_evolve(
         psi0, V, IntegratorSpec(Method.SPLIT_STEP, split_step_dt(g), False), 1.0,
         snapshot_stride=10**9,
@@ -222,7 +218,7 @@ def test_cross_propagator_equivalence():
     tr_p = cqhj_evolve(
         p0, V, IntegratorSpec(Method.RK4, 2e-4), 1.0, snapshot_stride=10**9, node_threshold=1e-12
     )
-    p_from_psi = psi_to_p(tr_psi.final_state, S, node_threshold=1e-12)
+    p_from_psi = psi_to_p(tr_psi.final_state, node_threshold=1e-12)
     assert np.max(np.abs(p_from_psi.values - tr_p.final_state.values)) <= 1e-4
 
 
@@ -237,7 +233,7 @@ def test_node_approach_aborts_with_partial_trajectory():
     # min/max magnitude 0.048 at t = 0, already below the 0.05 threshold
     g = Grid(-8.0, 8.0, 256, Boundary.PERIODIC)
     psi0 = random_nodeless_state(g, np.random.default_rng(9), modes=6, amplitude=1.8)
-    p0 = psi_to_p(psi0, S, node_threshold=1e-10)
+    p0 = psi_to_p(psi0, node_threshold=1e-10)
     with pytest.raises(NodeApproach) as err:
         cqhj_evolve(
             p0,
@@ -256,7 +252,7 @@ def test_node_approach_mid_run_keeps_snapshots():
     # self-steepening crosses it after some hundred steps (t = 0.315 here)
     g = Grid(-8.0, 8.0, 256, Boundary.PERIODIC)
     psi0 = random_nodeless_state(g, np.random.default_rng(9), modes=6, amplitude=1.8)
-    p0 = psi_to_p(psi0, S, node_threshold=1e-10)
+    p0 = psi_to_p(psi0, node_threshold=1e-10)
     with pytest.raises(NodeApproach) as err:
         cqhj_evolve(
             p0,
@@ -284,7 +280,7 @@ def test_rk4_timestep_convergence():
     g = Grid(-8.0, 8.0, 256, Boundary.PERIODIC)
     V = free_potential(g)
     psi = random_nodeless_state(g, np.random.default_rng(5), modes=5, amplitude=0.7)
-    p0 = psi_to_p(psi, S, node_threshold=1e-12)
+    p0 = psi_to_p(psi, node_threshold=1e-12)
     tf = 0.5
 
     def final(dt):
@@ -390,7 +386,7 @@ def test_collapsible_null_force_norm_drift(ho_box_setup):
 def _frozen_mask_phi(vals, grid, force, mask):
     """Gauge potential of the force at the state vals, with p taken on the
     given node mask rather than on the mask of vals."""
-    dpsi = gradient(Field(grid, vals), grid.best_scheme()).values
+    dpsi = gradient(Field(grid, vals)).values
     p = np.zeros_like(vals)
     np.divide(-1j * dpsi, vals, out=p, where=~mask)
     return gauge_potential(evaluate(force, MomentumField(Field(grid, p), mask))).values
@@ -420,7 +416,7 @@ def test_exact_gauge_substep_matches_fine_rk4(boundary):
         a = superpose([0.8, 0.6j], [pairs[0].state, pairs[1].state])
         rate = 0.3
         f = kostin_friction(rate)
-    p = psi_to_p(a, grid.best_scheme())
+    p = psi_to_p(a)
     mask = p.node_mask
     assert mask.any()  # the freeze matters: the tails are masked
 

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from cqhjlab import (
     Boundary,
-    DerivativeScheme,
     Field,
     ForceKind,
     Grid,
@@ -27,8 +26,6 @@ from cqhjlab.errors import GridMismatch, PeriodicityViolation
 from cqhjlab.forces import GAUGE_MEAN_TOLERANCE
 from cqhjlab.grid import _fd_matrix
 
-S = DerivativeScheme.SPECTRAL
-C4 = DerivativeScheme.CENTRAL4
 
 
 def test_every_nonnull_force_depends_on_p(ho_setup):
@@ -41,7 +38,7 @@ def test_every_nonnull_force_depends_on_p(ho_setup):
 def test_pinning_fixed_point_zero_field(ho_setup):
     grid, _, pairs = ho_setup
     force = pinning_force(pairs[0], 5.0)
-    p = psi_to_p(pairs[0].state, S)
+    p = psi_to_p(pairs[0].state)
     f = evaluate(force, p)
     assert np.max(np.abs(f.values)) == 0.0  # identical arrays cancel exactly
 
@@ -49,7 +46,7 @@ def test_pinning_fixed_point_zero_field(ho_setup):
 def test_kostin_on_plane_wave():
     g = Grid(0.0, 2 * np.pi, 64, Boundary.PERIODIC)
     psi = make_field(g, np.exp(2j * g.x))
-    p = psi_to_p(psi, S)
+    p = psi_to_p(psi)
     f = evaluate(kostin_friction(0.3), p)
     assert np.max(np.abs(f.values - (-0.6))) <= 1e-10
 
@@ -60,7 +57,7 @@ def test_pinning_acts_on_superpositions(ho_box_setup):
     grid, _, pairs = ho_box_setup
     psi = superpose([1.0, 1.0], [pairs[0].state, pairs[1].state])
     force = pinning_force(pairs[0], 1.0)
-    p = psi_to_p(psi, C4)
+    p = psi_to_p(psi)
     f = evaluate(force, p)
     assert np.max(np.abs(f.values)) > 1e-2
     phi = gauge_potential(f)
@@ -73,8 +70,8 @@ def test_force_homogeneity(ho_box_setup):
     psi = superpose([0.8, 0.6j], [pairs[0].state, pairs[1].state])
     c = 1.9 * np.exp(0.7j)
     for force in (pinning_force(pairs[0], 2.0), kostin_friction(0.4)):
-        f1 = evaluate(force, psi_to_p(psi, C4)).values
-        f2 = evaluate(force, psi_to_p(Field(grid, c * psi.values), C4)).values
+        f1 = evaluate(force, psi_to_p(psi)).values
+        f2 = evaluate(force, psi_to_p(Field(grid, c * psi.values))).values
         assert np.max(np.abs(f1 - f2)) <= 1e-12
 
 
@@ -82,14 +79,14 @@ def test_grid_mismatch(ho_setup, box_grid):
     _, _, pairs = ho_setup
     force = pinning_force(pairs[0], 1.0)
     other = ho_eigenstate(0, 1.0, box_grid)
-    p = psi_to_p(other.state, C4)
+    p = psi_to_p(other.state)
     with pytest.raises(GridMismatch):
         evaluate(force, p)
 
 
 def test_null_force_zero_field(ho_setup):
     grid, _, pairs = ho_setup
-    p = psi_to_p(pairs[0].state, S)
+    p = psi_to_p(pairs[0].state)
     f = evaluate(null_force(), p)
     assert np.max(np.abs(f.values)) == 0.0
     assert np.max(np.abs(gauge_potential(f).values)) == 0.0
@@ -115,7 +112,7 @@ def test_gauge_potential_drops_small_periodic_mean():
     phi = gauge_potential(f)
     assert np.array_equal(phi.values, _lift_without_mean(f))
     # periodic: a ramp left in Phi would break its spectral derivative at the wrap
-    assert np.max(np.abs(gradient(phi, S).values - wave)) <= 1e-12
+    assert np.max(np.abs(gradient(phi).values - wave)) <= 1e-12
 
 
 def test_gauge_potential_rejects_mean_past_tolerance_on_long_domain():
@@ -148,7 +145,7 @@ def test_gauge_potential_periodic_mean_is_dropped_or_rejected(length, amplitudes
         return
     phi = gauge_potential(f)
     assert np.array_equal(phi.values, _lift_without_mean(f))
-    assert np.max(np.abs(gradient(phi, S).values - wave)) <= 1e-10 * scale
+    assert np.max(np.abs(gradient(phi).values - wave)) <= 1e-10 * scale
 
 
 def test_kostin_gauge_is_phase_profile(periodic_grid):
@@ -158,7 +155,7 @@ def test_kostin_gauge_is_phase_profile(periodic_grid):
 
     psi = random_nodeless_state(periodic_grid, np.random.default_rng(12))
     gamma = 0.4
-    p = psi_to_p(psi, S)
+    p = psi_to_p(psi)
     f = evaluate(kostin_friction(gamma), p)
     phi = gauge_potential(f)
     theta = unwrapped_phase(psi)
@@ -177,7 +174,7 @@ def test_constructor_guards(ho_setup):
 def test_pinning_accepts_eigenpair_and_momentum_field(ho_setup):
     grid, _, pairs = ho_setup
     via_pair = pinning_force(pairs[0], 1.0)
-    via_p = pinning_force(psi_to_p(pairs[0].state, S), 1.0)
+    via_p = pinning_force(psi_to_p(pairs[0].state), 1.0)
     assert via_pair.kind is ForceKind.PINNING
     assert np.max(np.abs(via_pair.target.values - via_p.target.values)) <= 1e-14
 
@@ -245,7 +242,7 @@ def test_force_chain_matches_explicit_formula_bitwise(boundary, kind):
     g, psi, target = _chain_inputs(boundary)
     force = pinning_force(target, 2.5) if kind is ForceKind.PINNING else kostin_friction(0.4)
     rate = 2.5 if kind is ForceKind.PINNING else 0.4
-    p = psi_to_p(psi, g.best_scheme())
+    p = psi_to_p(psi)
     phi = gauge_potential(evaluate(force, p))
     expected, mask = _chain_by_hand(g, psi.values, kind, rate, target.values)
     assert mask.sum() >= 1 and not mask.all()
@@ -256,10 +253,9 @@ def test_force_chain_matches_explicit_formula_bitwise(boundary, kind):
 @pytest.mark.parametrize("boundary", [Boundary.BOX, Boundary.PERIODIC])
 def test_force_chain_outputs_are_read_only_and_unshared(boundary):
     g, psi, target = _chain_inputs(boundary)
-    scheme = g.best_scheme()
-    p = psi_to_p(psi, scheme)
+    p = psi_to_p(psi)
     pairs = [
-        (gradient(psi, scheme).values, psi.values),
+        (gradient(psi).values, psi.values),
         (p.values, psi.values),
         (p.node_mask, psi.values),
     ]

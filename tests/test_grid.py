@@ -8,14 +8,18 @@ import pytest
 
 from cqhjlab import (
     Boundary,
-    DerivativeScheme,
     Field,
     Grid,
+    IntegratorSpec,
+    Method,
     cumulative_integral,
+    free_potential,
+    gaussian_packet,
     gradient,
     integrate,
     laplacian,
     make_field,
+    schrodinger_evolve,
 )
 from cqhjlab.errors import (
     GridMismatch,
@@ -25,8 +29,6 @@ from cqhjlab.errors import (
 )
 from cqhjlab.grid import symmetric_second_derivative
 
-S = DerivativeScheme.SPECTRAL
-C4 = DerivativeScheme.CENTRAL4
 
 
 def test_grid_invariants():
@@ -72,10 +74,15 @@ def test_field_does_not_freeze_caller_array():
 
 
 def test_spectral_on_box_grid_rejected():
-    g = Grid(0.0, 1.0, 64, Boundary.BOX)
-    f = make_field(g, np.ones(64))
+    # the box grid's derivative is finite differences; the FFT-only
+    # operations still refuse it
+    g = Grid(-8.0, 8.0, 128, Boundary.BOX)
     with pytest.raises(SchemeMismatch):
-        gradient(f, S)
+        g.wavenumbers
+    psi = gaussian_packet(g, 0.0, 0.0, 1.0)
+    spec = IntegratorSpec(Method.SPLIT_STEP, 1e-4, False)
+    with pytest.raises(SchemeMismatch):
+        schrodinger_evolve(psi, free_potential(g), spec, 1e-3)
 
 
 # -- gradient ---------------------------------------------------------------
@@ -85,24 +92,24 @@ def test_gradient_plane_wave_spectral():
     g = Grid(0.0, 2 * np.pi, 64, Boundary.PERIODIC)
     k = 3.0  # a grid wavenumber
     f = make_field(g, np.exp(1j * k * g.x))
-    df = gradient(f, S)
+    df = gradient(f)
     assert np.max(np.abs(df.values - 1j * k * f.values)) <= 1e-12
 
 
 def test_gradient_constant_is_zero():
     g = Grid(-5.0, 5.0, 128, Boundary.PERIODIC)
     f = make_field(g, np.full(128, 2.3 + 1.1j))
-    assert np.max(np.abs(gradient(f, S).values)) <= 1e-13
+    assert np.max(np.abs(gradient(f).values)) <= 1e-13
     gb = Grid(-5.0, 5.0, 129, Boundary.BOX)
     fb = make_field(gb, np.full(129, 2.3 + 1.1j))
-    assert np.max(np.abs(gradient(fb, C4).values)) <= 1e-12
+    assert np.max(np.abs(gradient(fb).values)) <= 1e-12
 
 
 def test_gradient_gaussian_analytic_oracle():
     # d/dx exp(-x^2/2) = -x exp(-x^2/2), spectral at n=256
     g = Grid(-10.0, 10.0, 256, Boundary.PERIODIC)
     f = make_field(g, np.exp(-g.x**2 / 2))
-    df = gradient(f, S)
+    df = gradient(f)
     assert np.max(np.abs(df.values - (-g.x * np.exp(-g.x**2 / 2)))) <= 1e-8
 
 
@@ -114,8 +121,8 @@ def test_fd4_box_exact_on_quartic_at_every_point():
     f = make_field(g, (1.0 + 0.5j) + 2.0 * x - 3.0 * x**2 + 0.7j * x**3 + 1.3 * x**4)
     d1 = 2.0 - 6.0 * x + 2.1j * x**2 + 5.2 * x**3
     d2 = -6.0 + 4.2j * x + 15.6 * x**2
-    assert np.max(np.abs(gradient(f, C4).values - d1)) <= 1e-10
-    assert np.max(np.abs(laplacian(f, C4).values - d2)) <= 1e-9
+    assert np.max(np.abs(gradient(f).values - d1)) <= 1e-10
+    assert np.max(np.abs(laplacian(f).values - d2)) <= 1e-9
 
 
 # -- laplacian ----------------------------------------------------------------
@@ -125,21 +132,21 @@ def test_laplacian_plane_wave():
     g = Grid(0.0, 2 * np.pi, 64, Boundary.PERIODIC)
     k = 5.0
     f = make_field(g, np.exp(1j * k * g.x))
-    lf = laplacian(f, S)
+    lf = laplacian(f)
     assert np.max(np.abs(lf.values + k * k * f.values)) <= 1e-11
 
 
 def test_laplacian_linear_field_interior():
     g = Grid(-5.0, 5.0, 257, Boundary.BOX)
     f = make_field(g, 1.5 + 0.7 * g.x)
-    lf = laplacian(f, C4)
+    lf = laplacian(f)
     assert np.max(np.abs(lf.values[2:-2])) <= 1e-10
 
 
 def test_laplacian_gaussian_analytic_oracle():
     g = Grid(-10.0, 10.0, 256, Boundary.PERIODIC)
     f = make_field(g, np.exp(-g.x**2 / 2))
-    lf = laplacian(f, S)
+    lf = laplacian(f)
     exact = (g.x**2 - 1.0) * np.exp(-g.x**2 / 2)
     assert np.max(np.abs(lf.values - exact)) <= 1e-7
 
@@ -208,7 +215,7 @@ def test_cumulative_box_matches_scipy_trapezoid_bitwise(n):
     g = Grid(-8.0, 8.0, n, Boundary.BOX)
     r = np.random.default_rng(n)
     f = make_field(g, r.standard_normal(n) + 1j * r.standard_normal(n))
-    fp = gradient(f, C4).values
+    fp = gradient(f).values
     want = cumulative_trapezoid(f.values, dx=g.dx, initial=0.0) - (g.dx**2 / 12.0) * (fp - fp[0])
     assert np.array_equal(cumulative_integral(f).values, want)
 
@@ -232,8 +239,8 @@ def test_gradient_linearity_random():
         v2 = np.exp(-((g.x - rng.uniform(-2, 2)) ** 2) / 3)
         a = complex(rng.normal(), rng.normal())
         b = complex(rng.normal(), rng.normal())
-        lhs = gradient(make_field(g, a * v1 + b * v2), S).values
-        rhs = a * gradient(make_field(g, v1), S).values + b * gradient(make_field(g, v2), S).values
+        lhs = gradient(make_field(g, a * v1 + b * v2)).values
+        rhs = a * gradient(make_field(g, v1)).values + b * gradient(make_field(g, v2)).values
         assert np.max(np.abs(lhs - rhs)) <= 1e-12 * max(1.0, np.max(np.abs(rhs)))
 
 
@@ -242,7 +249,7 @@ def test_fd4_convergence_doubling():
     for n in (256, 512):
         g = Grid(-10.0, 10.0, n, Boundary.BOX)
         f = make_field(g, np.exp(-g.x**2 / 2))
-        errs.append(np.max(np.abs(gradient(f, C4).values - (-g.x * np.exp(-g.x**2 / 2)))))
+        errs.append(np.max(np.abs(gradient(f).values - (-g.x * np.exp(-g.x**2 / 2)))))
     assert errs[0] / errs[1] >= 12.0
 
 
@@ -251,7 +258,7 @@ def test_spectral_convergence_then_floor():
     for n in (16, 32, 64):
         g = Grid(-10.0, 10.0, n, Boundary.PERIODIC)
         f = make_field(g, np.exp(-g.x**2 / 2))
-        errs[n] = np.max(np.abs(gradient(f, S).values - (-g.x * np.exp(-g.x**2 / 2))))
+        errs[n] = np.max(np.abs(gradient(f).values - (-g.x * np.exp(-g.x**2 / 2))))
     assert errs[16] / errs[32] >= 100.0
     assert errs[64] <= 1e-13
 
@@ -259,18 +266,18 @@ def test_spectral_convergence_then_floor():
 def test_integrate_gradient_fundamental_theorem():
     g = Grid(-10.0, 10.0, 512, Boundary.BOX)
     f = make_field(g, np.exp(-((g.x - 1.0) ** 2) / 4) * np.exp(0.3j * g.x))
-    got = integrate(gradient(f, C4))
+    got = integrate(gradient(f))
     assert abs(got - (f.values[-1] - f.values[0])) <= 1e-8
 
 
 def test_gradient_inverts_cumulative():
     g = Grid(-10.0, 10.0, 256, Boundary.BOX)
     f = make_field(g, np.exp(-g.x**2 / 8))
-    err = np.max(np.abs(gradient(cumulative_integral(f), C4).values - f.values))
+    err = np.max(np.abs(gradient(cumulative_integral(f)).values - f.values))
     assert err <= 1e-6
     gp = Grid(-10.0, 10.0, 256, Boundary.PERIODIC)
     fp = make_field(gp, np.sin(2 * np.pi * gp.x / gp.length))
-    errp = np.max(np.abs(gradient(cumulative_integral(fp), S).values - fp.values))
+    errp = np.max(np.abs(gradient(cumulative_integral(fp)).values - fp.values))
     assert errp <= 1e-10
 
 
@@ -279,7 +286,7 @@ def test_gradient_rejects_nonfinite_values():
     vals = np.ones(64, dtype=complex)
     vals[5] = np.inf
     with pytest.raises(NonFiniteField):
-        gradient(Field(g, vals), S)
+        gradient(Field(g, vals))
 
 
 def test_periodic_symmetric_second_derivative_is_the_symmetric_5_point_stencil():

@@ -5,7 +5,6 @@ import pytest
 
 from cqhjlab import (
     Boundary,
-    DerivativeScheme,
     Grid,
     box_potential,
     gaussian_packet,
@@ -69,7 +68,7 @@ def test_ho_excited_energy_and_nodes(periodic_grid):
 def test_ho_discrete_residual(periodic_grid):
     pair = ho_eigenstate(0, 2.0, periodic_grid)
     V = harmonic_potential(periodic_grid, 2.0)
-    assert hamiltonian_residual(pair, V, DerivativeScheme.SPECTRAL) <= 1e-6
+    assert hamiltonian_residual(pair, V) <= 1e-6
 
 
 def test_ho_unresolved_grid_raises():
