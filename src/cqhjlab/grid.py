@@ -155,49 +155,6 @@ class Field:
             raise NonFiniteField("field contains NaN or Inf entries")
         return self
 
-    # -- light arithmetic so field equations read like the math ---------
-    def _coerce(self, other) -> np.ndarray:
-        if isinstance(other, Field):
-            require_same_grid(self, other)
-            return other.values
-        return np.asarray(other, dtype=np.complex128)
-
-    def __add__(self, other):
-        return Field(self.grid, self.values + self._coerce(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return Field(self.grid, self.values - self._coerce(other))
-
-    def __rsub__(self, other):
-        return Field(self.grid, self._coerce(other) - self.values)
-
-    def __mul__(self, other):
-        return Field(self.grid, self.values * self._coerce(other))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return Field(self.grid, self.values / self._coerce(other))
-
-    def __neg__(self):
-        return Field(self.grid, -self.values)
-
-    def conj(self) -> "Field":
-        return Field(self.grid, np.conj(self.values))
-
-    def abs(self) -> np.ndarray:
-        return np.abs(self.values)
-
-    @property
-    def real(self) -> np.ndarray:
-        return self.values.real
-
-    @property
-    def imag(self) -> np.ndarray:
-        return self.values.imag
-
 
 def make_field(grid: Grid, values) -> Field:
     return Field(grid, values).check_finite()

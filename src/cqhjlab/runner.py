@@ -6,10 +6,11 @@ A run writes three files into its output directory:
 - summary.json    collapse report and invariant margins (no timings)
 - manifest.json   resolved scenario echo, tool version, wall time
 
-Snapshots can optionally be dumped as per-time CSV files. Sweeps fan out
-over a process pool with no shared state; the result table preserves the
-input order of the parameter values and records per-row failures without
-aborting the remaining rows.
+Snapshots can optionally be dumped as CSV files, snapshots/t_<index>.csv
+with the snapshot's time in the header line. Sweeps fan out over a process
+pool with no shared state; the result table preserves the input order of
+the parameter values and records per-row failures without aborting the
+remaining rows.
 """
 
 from __future__ import annotations
@@ -143,8 +144,11 @@ def write_artifacts(result: RunResult, out_dir: Path, wall_time_s: float) -> Non
         snap_dir = out_dir / "snapshots"
         snap_dir.mkdir(exist_ok=True)
         grid = result.trajectory.snapshots[0].grid
-        for t, snap in zip(result.trajectory.times, result.trajectory.snapshots):
-            path = snap_dir / f"t_{t:012.6f}.csv"
+        times = result.trajectory.times
+        # named by snapshot index, zero-padded so the names sort in time order
+        width = len(str(len(times) - 1))
+        for i, (t, snap) in enumerate(zip(times, result.trajectory.snapshots)):
+            path = snap_dir / f"t_{i:0{width}d}.csv"
             with open(path, "w", newline="") as fh:
                 fh.write(f"# cqhjlab snapshot schema_version={SCHEMA_VERSION} t={_fmt(t)}\n")
                 writer = csv.writer(fh, lineterminator="\n")
@@ -194,8 +198,9 @@ def _sweep_row(args):
 def sweep(scenario: Scenario, param: str, values, workers: int | None = None) -> list[dict]:
     """Run the scenario once per parameter value; rows keep input order."""
     values = list(values)
-    # validate the override eagerly so a bad parameter fails before any run
-    apply_override(scenario, param, values[0])
+    # validate the overrides eagerly so a bad parameter or value fails before any run
+    for v in values:
+        apply_override(scenario, param, v)
     tasks = [(scenario.resolved, param, v) for v in values]
     if workers is None:
         workers = min(len(values), os.cpu_count() or 1)

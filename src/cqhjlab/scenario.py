@@ -8,6 +8,7 @@ manifest, so a config plus its echo fully documents a run.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass
 
 from .diagnostics import UnitSystem
@@ -150,6 +151,8 @@ class _SectionReader:
                 v = float(v)
             except ValueError as exc:
                 raise ConfigError(f"{self.name}.{key} is not a number: {v!r}") from exc
+        if v is not None and not math.isfinite(v):
+            raise ConfigError(f"{self.name}.{key} must be finite, got {v}")
         if v is not None and positive and not v > 0:
             raise ConfigError(f"{self.name}.{key} must be positive, got {v}")
         return v
@@ -346,5 +349,7 @@ def apply_override(scenario: Scenario, param: str, value: float) -> Scenario:
     old = resolved[section][key]
     if not isinstance(old, (int, float)) or isinstance(old, bool):
         raise ConfigError(f"sweep parameter {param!r} is not numeric")
+    if not math.isfinite(value):
+        raise ConfigError(f"sweep value for {param} must be finite, got {value}")
     resolved[section][key] = type(old)(value) if isinstance(old, int) else float(value)
     return Scenario(resolved=resolved)

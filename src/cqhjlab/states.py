@@ -115,7 +115,7 @@ def apply_hamiltonian(psi: Field, V: Potential) -> Field:
 def hamiltonian_residual(pair: EigenPair, V: Potential) -> float:
     """Relative residual |H0 psi - E psi| / |psi| of a candidate eigenpair."""
     hp = apply_hamiltonian(pair.state, V)
-    return norm(hp - pair.energy * pair.state) / norm(pair.state)
+    return norm(Field(hp.grid, hp.values - pair.energy * pair.state.values)) / norm(pair.state)
 
 
 def gaussian_packet(grid: Grid, x0: float, k0: float, sigma: float) -> Field:

@@ -105,6 +105,26 @@ def test_run_missing_key_exit_two(tmp_path, capsys):
     assert "integrator.dt" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "old,new,key",
+    [("t_final = 0.1", "t_final = inf", "run.t_final"), ("x0 = 0.5", "x0 = nan", "initial_state.x0")],
+    ids=["t_final-inf", "x0-nan"],
+)
+def test_run_nonfinite_number_exit_two(tmp_path, capsys, old, new, key):
+    bad = tmp_path / "bad.ini"
+    bad.write_text(FAST_MINI.replace(old, new))
+    assert main(["run", str(bad), "--output", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert key in err and "finite" in err
+
+
+def test_sweep_nonfinite_value_exit_two(mini_config, tmp_path, capsys):
+    args = ["--values", "0.1,inf", "--workers", "1", "--output", str(tmp_path / "out")]
+    assert main(["sweep", str(mini_config), "--param", "run.t_final", *args]) == 2
+    err = capsys.readouterr().err
+    assert "run.t_final" in err and "finite" in err
+
+
 def test_run_solver_error_exit_three(mini_config, tmp_path, capsys):
     # split-step on a periodic grid with a dt violating the kinetic bound
     text = (

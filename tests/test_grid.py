@@ -28,6 +28,7 @@ from cqhjlab.errors import (
     SchemeMismatch,
 )
 from cqhjlab.grid import symmetric_second_derivative
+from cqhjlab.states import overlap
 
 
 
@@ -55,7 +56,7 @@ def test_cross_grid_operations_rejected():
     a = make_field(Grid(0.0, 1.0, 64, Boundary.BOX), np.ones(64))
     b = make_field(Grid(0.0, 2.0, 64, Boundary.BOX), np.ones(64))
     with pytest.raises(GridMismatch):
-        a + b
+        overlap(a, b)
 
 
 def test_field_rejects_nonfinite():

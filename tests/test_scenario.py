@@ -140,6 +140,20 @@ def test_snapshot_dump(tmp_path):
     assert len(first) == 2 + 512
 
 
+def test_snapshot_files_one_per_snapshot(tmp_path):
+    # 11 snapshots 1e-7 apart; names built from t to 6 decimals kept 2 files
+    text = (
+        MINI.replace("dt = 2e-3", "dt = 1e-7")
+        .replace("t_final = 0.1", "t_final = 1e-6")
+        .replace("snapshot_stride = 10", "snapshot_stride = 1\nwrite_snapshots = true")
+    )
+    result = run_to_directory(parse_scenario(text, name="mini"), tmp_path / "snaps")
+    files = sorted((tmp_path / "snaps" / "snapshots").glob("t_*.csv"))
+    assert len(files) == result.summary["snapshots"] == 11
+    header_times = [float(f.read_text().split("\n", 1)[0].rsplit("t=", 1)[1]) for f in files]
+    assert header_times == list(result.trajectory.times)
+
+
 def test_sweep_rows_match_single_runs():
     s = parse_scenario(MINI, name="mini")
     rows = sweep(s, "integrator.dt", [2e-3, 1e-3], workers=1)
