@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -50,14 +51,24 @@ def _adopt(cls, **attrs):
 @lru_cache(maxsize=None)
 def _fd_weights(offsets: tuple[int, ...], order: int) -> np.ndarray:
     """Finite-difference weights (in units of dx**-order) for the given
-    integer stencil offsets, solved from the moment conditions."""
+    integer stencil offsets, solved from the moment conditions
+    sum_j w_j s_j**m = order! [m == order] in exact rational arithmetic, so
+    a central stencil's weights are exactly symmetric or antisymmetric.
+
+    Gauss-Jordan needs no pivoting here: each leading minor of the system
+    is the Vandermonde determinant of distinct offsets.
+    """
     n = len(offsets)
-    A = np.vander(np.asarray(offsets, dtype=float), n, increasing=True).T
-    b = np.zeros(n)
-    b[order] = float(math.factorial(order))
-    w = np.linalg.solve(A, b)
-    w[np.abs(w) < 1e-14] = 0.0
-    return _readonly(w)
+    rows = [
+        [Fraction(s) ** m for s in offsets] + [Fraction(math.factorial(order) * (m == order))]
+        for m in range(n)
+    ]
+    for i in range(n):
+        rows[i] = [a / rows[i][i] for a in rows[i]]
+        for r in range(n):
+            if r != i:
+                rows[r] = [a - rows[r][i] * b for a, b in zip(rows[r], rows[i])]
+    return _readonly(np.array([float(row[-1]) for row in rows]))
 
 
 # 4th-order stencils: central interior, one-sided rows at box edges
@@ -277,9 +288,7 @@ def symmetric_second_derivative(grid: Grid) -> sp.csr_array:
     order in the interior.
     """
     if grid.boundary is Boundary.PERIODIC:
-        # the solved stencil weights are symmetric only to roundoff
-        D = _fd_matrix(grid.n_points, 2, True)
-        return (0.5 / grid.dx**2) * (D + D.T)
+        return (1.0 / grid.dx**2) * _fd_matrix(grid.n_points, 2, True)
     n = grid.n_points - 2
     inv = 1.0 / grid.dx**2
     D2 = sp.diags_array(

@@ -27,7 +27,7 @@ from cqhjlab.errors import (
     PeriodicityViolation,
     SchemeMismatch,
 )
-from cqhjlab.grid import symmetric_second_derivative
+from cqhjlab.grid import _C4, _fd_matrix, _fd_weights, symmetric_second_derivative
 from cqhjlab.states import overlap
 
 
@@ -299,3 +299,17 @@ def test_periodic_symmetric_second_derivative_is_the_symmetric_5_point_stencil()
         want = np.zeros(64)
         want[np.arange(i - 2, i + 3) % 64] = row
         assert np.max(np.abs(D[[i], :].toarray()[0] - want)) <= 1e-15 * np.max(np.abs(row))
+
+
+def test_central_stencils_are_exactly_symmetric():
+    # first-derivative weights antisymmetric, second-derivative symmetric,
+    # bit for bit: on a periodic grid D = (-1)**order D^T, and the box
+    # operator is point-symmetric, D[i, j] = (-1)**order D[n-1-i, n-1-j]
+    for order in (1, 2):
+        sign = (-1) ** order
+        w = _fd_weights(_C4, order)
+        assert np.array_equal(w, sign * w[::-1])
+        D = _fd_matrix(64, order, True).toarray()
+        assert np.array_equal(D, sign * D.T)
+        B = _fd_matrix(64, order, False).toarray()
+        assert np.array_equal(B, sign * B[::-1, ::-1])
