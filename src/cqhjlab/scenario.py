@@ -7,6 +7,7 @@ manifest, so a config plus its echo fully documents a run.
 
 from __future__ import annotations
 
+import cmath
 import configparser
 import math
 from dataclasses import dataclass
@@ -188,9 +189,12 @@ class _SectionReader:
     def complex_list(self, key):
         raw = self._raw(key)
         try:
-            return [complex(t.strip().replace(" ", "")) for t in raw.split(",") if t.strip()]
+            values = [complex(t.strip().replace(" ", "")) for t in raw.split(",") if t.strip()]
         except ValueError as exc:
             raise ConfigError(f"{self.name}.{key} is not a complex list: {raw!r}") from exc
+        if not all(cmath.isfinite(v) for v in values):
+            raise ConfigError(f"{self.name}.{key} must be finite, got {raw!r}")
+        return values
 
 
 def _parse_target(reader: _SectionReader, key: str) -> int:

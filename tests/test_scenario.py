@@ -63,6 +63,9 @@ def test_parse_echoes_defaults():
         (("boundary = box", "boundary = moebius"), "grid.boundary"),
         (("kind = pinning", "kind = tractor_beam"), "force.kind"),
         (("t_final = 0.1", ""), "run.t_final"),
+        (("kappa = 4.0", "kappa = inf"), "force.kappa"),
+        (("x_min = -8.0", "x_min = -inf"), "grid.x_min"),
+        (("0.7071067811865476+0j, 0.7071067811865476+0j", "nan, 1"), "initial_state.coefficients"),
     ],
 )
 def test_validation_names_offending_key(mutation, anchor):
