@@ -16,7 +16,6 @@ from scipy.linalg import eigh, eigh_tridiagonal
 from .errors import (
     ConvergenceFailure,
     DomainOverflow,
-    GridMismatch,
     UnresolvedState,
     ZeroState,
 )
@@ -25,7 +24,6 @@ from .grid import (
     Field,
     Grid,
     _readonly,
-    integrate,
     laplacian,
     make_field,
     norm,

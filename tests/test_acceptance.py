@@ -43,7 +43,6 @@ from cqhjlab.cqhj import dilated_mask, masked_stats
 from cqhjlab.states import custom_potential
 
 
-
 class Budget:
     def __init__(self, number, name, seconds):
         self.number = number

@@ -32,7 +32,6 @@ from cqhjlab.errors import AllMasked, NodePresent, NonFiniteField, PeriodicityVi
 from cqhjlab.states import custom_potential, overlap
 
 
-
 def cosine_potential(grid, amplitude=1.5):
     return custom_potential(grid, amplitude * np.cos(2 * np.pi * grid.x / grid.length))
 

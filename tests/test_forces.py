@@ -27,7 +27,6 @@ from cqhjlab.forces import GAUGE_MEAN_TOLERANCE
 from cqhjlab.grid import _fd_matrix
 
 
-
 def test_every_nonnull_force_depends_on_p(ho_setup):
     _, _, pairs = ho_setup
     assert not null_force().depends_on_p

@@ -31,7 +31,6 @@ from cqhjlab.grid import _C4, _fd_matrix, _fd_weights, symmetric_second_derivati
 from cqhjlab.states import overlap
 
 
-
 def test_grid_invariants():
     g = Grid(0.0, 10.0, 101, Boundary.BOX)
     assert g.dx == pytest.approx(0.1)
