@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 
 from .cqhj import (  # noqa: F401
     DerivationResiduals,
-    GaugeFactor,
     MomentumField,
     RhsForm,
     cqhj_rhs,
@@ -67,7 +66,6 @@ from .grid import (  # noqa: F401
 from .states import (  # noqa: F401
     EigenPair,
     Potential,
-    PotentialKind,
     box_potential,
     custom_potential,
     double_well_potential,

@@ -1,5 +1,5 @@
 """The complex momentum-field representation: the map psi -> p, its inverse
-up to a gauge factor, the quantum-Hamiltonian field, the closed momentum
+up to a scale factor, the quantum-Hamiltonian field, the closed momentum
 evolution right-hand side, and numerical residuals of the identity chain
 that eliminates the wave function from the dynamics.
 
@@ -37,19 +37,6 @@ from .states import Potential
 DEFAULT_NODE_THRESHOLD = 1e-6
 # grid points masked_stats drops on each side of a masked point
 STATS_STENCIL_WIDTH = 3
-
-
-@dataclass(frozen=True)
-class GaugeFactor:
-    """Scale factor N applied during a reconstruction or renormalization
-    step, stored as log|N| and arg N: applying it to the raw (pre-step)
-    state reproduces the returned one."""
-
-    log_magnitude: float
-    phase: float
-
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        return values * np.exp(self.log_magnitude + 1j * self.phase)
 
 
 @dataclass(frozen=True)
@@ -120,12 +107,13 @@ def psi_to_p(psi: Field, node_threshold: float = DEFAULT_NODE_THRESHOLD) -> Mome
     return _adopt(MomentumField, field=_adopt(Field, grid=psi.grid, values=vals), node_mask=mask)
 
 
-def p_to_psi(p: MomentumField) -> tuple[Field, GaugeFactor]:
+def p_to_psi(p: MomentumField) -> tuple[Field, float]:
     """Reconstruct the wave function from a nodeless momentum field:
     psi = exp(i * integral of p from the left edge), then normalized.
 
-    Returns the normalized state and the gauge factor that was applied.
-    On periodic grids the cumulative integral demands single-valuedness.
+    Returns the normalized state and the log of the real scale factor that
+    was applied: psi = raw * exp(log_scale). On periodic grids the
+    cumulative integral demands single-valuedness.
     """
     p.require_nodeless()
     action = cumulative_integral(p.field)  # complex action/hbar, anchored left
@@ -133,7 +121,7 @@ def p_to_psi(p: MomentumField) -> tuple[Field, GaugeFactor]:
     raw_field = make_field(p.grid, raw)
     scale = norm(raw_field)
     psi = Field(p.grid, raw / scale)
-    return psi, GaugeFactor(log_magnitude=-float(np.log(scale)), phase=0.0)
+    return psi, -float(np.log(scale))
 
 
 def dilated_mask(mask: np.ndarray, grid: Grid, width: int = 3) -> np.ndarray:
@@ -199,26 +187,16 @@ def _masked_gradient(
     return out, out_mask
 
 
-def quantum_hamiltonian_field(
-    p: MomentumField,
-    V: Potential,
-    *,
-    region: np.ndarray | None = None,
-) -> Field:
+def quantum_hamiltonian_field(p: MomentumField, V: Potential) -> Field:
     """The quantum-Hamiltonian field H = V + p^2/2 - (i/2) grad p.
 
     On energy eigenstates H is spatially constant and equals the energy.
-    Requires p defined (unmasked) on the requested region (default: all
-    points). Masked fields are differentiated segment-wise so node zones
-    never contaminate the off-mask values.
+    Masked fields are differentiated segment-wise so node zones never
+    contaminate the off-mask values, which are the only meaningful ones.
     """
     require_same_grid(p.field, V.grid)
     if p.node_mask.all():
         raise NodePresent("momentum field is masked everywhere")
-    if region is None:
-        region = ~p.node_mask
-    if bool((p.node_mask & region).any()):
-        raise NodePresent("momentum field is masked inside the requested region")
     dp, _ = _masked_gradient(p.values, p.node_mask, p.grid)
     vals = V.samples + 0.5 * p.values**2 - 0.5j * dp
     return Field(p.grid, vals)
@@ -275,9 +253,6 @@ def hamiltonian_field_from_state(
     vals = np.array(V.samples, dtype=np.complex128)
     ok = ~mask
     vals[ok] -= 0.5 * lp[ok] / psi.values[ok]
-    # masked entries take the nearest off-mask value: the fill keeps the
-    # field jump-free so downstream global derivatives stay clean
-    vals = _nearest_fill(vals, mask)
     return Field(psi.grid, vals), mask
 
 
@@ -287,9 +262,15 @@ def cqhj_rhs_from_state(
     node_threshold: float = DEFAULT_NODE_THRESHOLD,
 ) -> tuple[Field, np.ndarray]:
     """Canonical-form right-hand side -grad H with H evaluated from psi.
-    Returns the field and the node mask of the evaluation."""
+    Returns the field and the node mask of the evaluation.
+
+    Masked entries of H take the nearest off-mask value before the global
+    derivative: the fill keeps the field jump-free so the derivative stays
+    clean off the mask.
+    """
     H, mask = hamiltonian_field_from_state(psi, V, node_threshold)
-    return Field(psi.grid, -gradient(H).values), mask
+    filled = Field(psi.grid, _nearest_fill(H.values, mask))
+    return Field(psi.grid, -gradient(filled).values), mask
 
 
 def masked_stats(field: Field, mask: np.ndarray) -> tuple[complex, float]:
@@ -327,14 +308,6 @@ class DerivationResiduals:
             self.gradient_rate,
             self.closed_form,
         )
-
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "laplacian_identity": self.laplacian_identity,
-            "weighted_rate": self.weighted_rate,
-            "gradient_rate": self.gradient_rate,
-            "closed_form": self.closed_form,
-        }
 
 
 def derivation_residuals(

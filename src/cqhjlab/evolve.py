@@ -18,16 +18,16 @@ minus that of the pinning target (or the unwrapped phase under Kostin
 friction), with rate = kappa (gamma) and M = lift o derivative o mask a
 projector. Then exp(-rate dt M) = I - (1 - exp(-rate dt)) M, which is
 psi exp(i tau Phi[psi]) with tau = -expm1(-rate dt) / rate: one force
-evaluation per step and no iteration. The state is renormalized every step
-and the applied scale factor is logged, which keeps the homogeneous
-dynamics auditable.
+evaluation per step and no iteration. The state is renormalized every step,
+and the running sum of the log scale factors is recorded at every snapshot
+(gauge_log_magnitude), which keeps the homogeneous dynamics auditable.
 
 All three propagators run on one stepping loop, `_drive`. Each supplies
 only a step function advance(vals, step) and a snapshot function
 record(vals, obs, cum_log), both on raw ndarrays; the loop owns the step
 count, the snapshot cadence (t = 0, every snapshot_stride-th step and the
-last step), the per-step renormalization with its gauge log, the assembly
-of the Trajectory, and attaching the partial trajectory to any CqhjError
+last step), the per-step renormalization and its running log scale, the
+assembly of the Trajectory, and attaching the partial trajectory to any CqhjError
 a step or a snapshot raises.
 """
 
@@ -41,7 +41,6 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .cqhj import (
-    GaugeFactor,
     MomentumField,
     cqhj_rhs,
     hamiltonian_field_from_state,
@@ -110,7 +109,6 @@ class Trajectory:
 
     times: np.ndarray
     snapshots: list
-    gauge_log: list[GaugeFactor] = dc_field(default_factory=list)
     observables: dict[str, np.ndarray] = dc_field(default_factory=dict)
 
     @property
@@ -183,7 +181,6 @@ def _record_psi_observables(
     V: Potential,
     target: Field | None,
     gauge_log_magnitude: float = 0.0,
-    gauge_phase: float = 0.0,
 ) -> Field:
     """Append the observables of psi to the store (no fidelity_target
     series without a target); returns psi."""
@@ -196,7 +193,7 @@ def _record_psi_observables(
         mean.real,
         std,
         gauge_log_magnitude,
-        gauge_phase,
+        0.0,  # gauge_phase: the scale factors are real
     )
     for key, value in zip(OBSERVABLES, row, strict=True):
         if value is not None:
@@ -223,14 +220,14 @@ def _drive(
     record,
     *,
     renormalize: bool,
-    gauge: list[GaugeFactor],
     cum_log: float = 0.0,
 ) -> Trajectory:
     """The stepping loop of every propagator (see the module docstring).
 
     advance(vals, step) returns the values after step `step`; record(vals,
     obs, cum_log) appends a snapshot's observables to obs and returns the
-    snapshot. Renormalization factors are appended to `gauge`.
+    snapshot. cum_log starts at the given log scale and adds that of every
+    renormalization.
     """
     n_steps = max(1, int(round(t_final / spec.dt)))
     obs: dict = {}
@@ -241,7 +238,6 @@ def _drive(
         return Trajectory(
             times=np.asarray(times),
             snapshots=snaps,
-            gauge_log=gauge,
             observables={k: np.asarray(v) for k, v in obs.items()},
         )
 
@@ -253,9 +249,7 @@ def _drive(
             if renormalize:
                 scale = norm(_adopt(Field, grid=grid, values=vals))
                 vals = vals / scale
-                log_factor = -float(np.log(scale))
-                cum_log += log_factor
-                gauge.append(GaugeFactor(log_magnitude=log_factor, phase=0.0))
+                cum_log -= float(np.log(scale))
             if step % snapshot_stride == 0 or step == n_steps:
                 snaps.append(record(vals, obs, cum_log))
                 times.append(step * spec.dt)
@@ -288,7 +282,6 @@ def schrodinger_evolve(
         advance=lambda vals, step: kernel.step(vals),
         record=_psi_recorder(grid, V, target),
         renormalize=spec.renormalize_each_step,
-        gauge=[],
     )
 
 
@@ -337,7 +330,6 @@ def cqhj_evolve(
     empty = np.zeros(grid.n_points, dtype=bool)
     project = grid.boundary is Boundary.BOX
     dt = spec.dt
-    gauge: list[GaugeFactor] = []
 
     def monitor(vals: np.ndarray, t: float) -> np.ndarray:
         # magnitude ~ exp(-cumulative Im p)
@@ -368,9 +360,8 @@ def cqhj_evolve(
     def record(vals: np.ndarray, obs: dict, cum_log: float) -> MomentumField:
         pf = MomentumField(Field(grid, vals), empty)
         try:
-            psi, gf = p_to_psi(pf)
-            gauge.append(gf)
-            _record_psi_observables(obs, psi, V, target, gf.log_magnitude, gf.phase)
+            psi, log_scale = p_to_psi(pf)
+            _record_psi_observables(obs, psi, V, target, log_scale)
         except PeriodicityViolation:
             # winding fields have no single-valued reconstruction; keep the
             # observable series aligned with the snapshot series
@@ -382,7 +373,6 @@ def cqhj_evolve(
     return _drive(
         p0.values, grid, spec, t_final, snapshot_stride, advance, record,
         renormalize=False,
-        gauge=gauge,
     )
 
 
@@ -404,8 +394,9 @@ def collapsible_evolve(
     of the force at the half-stepped state and tau = -expm1(-rate dt) / rate
     (module docstring), linear half step. The node mask is that of the
     half-stepped state; a state with no unmasked point left raises
-    NodeBlowup. Any nonzero input norm is accepted; the entry normalization
-    and every per-step renormalization factor are recorded in the gauge log.
+    NodeBlowup. Any nonzero input norm is accepted; the log scale of the
+    entry normalization and of every per-step renormalization is summed into
+    the gauge_log_magnitude series.
     """
     grid = psi0.grid
     kernel = _make_kernel(grid, V, 0.5 * spec.dt, spec.method)
@@ -441,6 +432,5 @@ def collapsible_evolve(
         psi0.values / scale, grid, spec, t_final, snapshot_stride, advance,
         record=_psi_recorder(grid, V, target),
         renormalize=spec.renormalize_each_step,
-        gauge=[GaugeFactor(log_magnitude=cum_log, phase=0.0)],
         cum_log=cum_log,
     )

@@ -34,21 +34,16 @@ class ForceKind(Enum):
 class CollapseForce:
     """Descriptor of a collapse force F(p) of the momentum field p.
 
-    kind          which member of the family
-    kappa         pinning rate (PINNING only)
-    gamma         friction rate (KOSTIN_FRICTION only)
-    target        momentum field of the pointer state (PINNING only)
-    depends_on_p  True for every non-null force (structural non-potentiality)
+    kind    which member of the family
+    kappa   pinning rate (PINNING only)
+    gamma   friction rate (KOSTIN_FRICTION only)
+    target  momentum field of the pointer state (PINNING only)
     """
 
     kind: ForceKind
     kappa: float = 0.0
     gamma: float = 0.0
     target: MomentumField | None = None
-
-    @property
-    def depends_on_p(self) -> bool:
-        return self.kind is not ForceKind.NULL
 
 
 def null_force() -> CollapseForce:

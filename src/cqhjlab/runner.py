@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .diagnostics import CollapseReport, collapse_time, make_collapse_report
+from .diagnostics import collapse_time, make_collapse_report
 from .evolve import OBSERVABLES, Trajectory, collapsible_evolve
 from .scenario import SCHEMA_VERSION, Scenario, apply_override, load_scenario
 
@@ -44,7 +44,6 @@ def _fmt(x) -> str:
 class RunResult:
     scenario: Scenario
     trajectory: Trajectory
-    report: CollapseReport | None
     summary: dict
 
 
@@ -96,7 +95,7 @@ def execute(scenario: Scenario) -> RunResult:
         ),
         "collapse_report": report.as_dict() if report is not None else None,
     }
-    return RunResult(scenario=scenario, trajectory=traj, report=report, summary=summary)
+    return RunResult(scenario=scenario, trajectory=traj, summary=summary)
 
 
 def resolve_output_dir(scenario: Scenario, override=None) -> Path:

@@ -8,7 +8,6 @@ These are the oracles the dynamical solvers are validated against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 from scipy.linalg import eigh, eigh_tridiagonal
@@ -35,22 +34,12 @@ from .grid import (
 EIGENSTATE_RESIDUAL_TOL = 1e-6
 
 
-class PotentialKind(Enum):
-    FREE = "free"
-    HARMONIC = "harmonic"
-    BOX = "box"
-    DOUBLE_WELL = "double_well"
-    CUSTOM = "custom"
-
-
 @dataclass(frozen=True)
 class Potential:
-    """Real potential sampled on a grid, tagged with its analytic kind."""
+    """Real potential sampled on a grid."""
 
-    kind: PotentialKind
     grid: Grid
     samples: np.ndarray
-    omega: float | None = None
 
     def __post_init__(self):
         s = np.asarray(self.samples, dtype=float)
@@ -62,31 +51,31 @@ class Potential:
 
 
 def free_potential(grid: Grid) -> Potential:
-    return Potential(PotentialKind.FREE, grid, np.zeros(grid.n_points))
+    return Potential(grid, np.zeros(grid.n_points))
 
 
 def harmonic_potential(grid: Grid, omega: float) -> Potential:
     if omega <= 0:
         raise ValueError("omega must be positive")
-    return Potential(PotentialKind.HARMONIC, grid, 0.5 * omega**2 * grid.x**2, omega=omega)
+    return Potential(grid, 0.5 * omega**2 * grid.x**2)
 
 
 def box_potential(grid: Grid) -> Potential:
     """Particle in a box: zero potential, hard walls from the Box boundary."""
     if grid.boundary is not Boundary.BOX:
         raise ValueError("box potential requires a Box grid")
-    return Potential(PotentialKind.BOX, grid, np.zeros(grid.n_points))
+    return Potential(grid, np.zeros(grid.n_points))
 
 
 def double_well_potential(grid: Grid, a: float, b: float) -> Potential:
     """Quartic double well V(x) = a (x^2 - b^2)^2 with minima at +-b."""
     if a <= 0 or b <= 0:
         raise ValueError("double-well shape parameters must be positive")
-    return Potential(PotentialKind.DOUBLE_WELL, grid, a * (grid.x**2 - b**2) ** 2)
+    return Potential(grid, a * (grid.x**2 - b**2) ** 2)
 
 
 def custom_potential(grid: Grid, samples) -> Potential:
-    return Potential(PotentialKind.CUSTOM, grid, samples)
+    return Potential(grid, samples)
 
 
 @dataclass(frozen=True)

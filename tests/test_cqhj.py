@@ -101,13 +101,13 @@ def test_classical_osmotic_decomposition(periodic_grid):
 def test_constant_momentum_reconstructs_plane_wave():
     g = Grid(-12.0, 12.0, 513, Boundary.BOX)
     p = MomentumField(Field(g, np.full(513, 2.0 + 0j)), np.zeros(513, bool))
-    psi, gf = p_to_psi(p)
+    psi, log_scale = p_to_psi(p)
     expected = np.exp(2j * (g.x - g.x_min))
     expected /= norm(make_field(g, expected))
     assert np.max(np.abs(psi.values - expected)) <= 1e-10
-    # applying the recorded factor to the raw construction reproduces psi
+    # applying the returned log scale to the raw construction reproduces psi
     raw = np.exp(2j * (g.x - g.x_min))
-    assert np.max(np.abs(gf.apply(raw) - psi.values)) <= 1e-12
+    assert np.max(np.abs(raw * np.exp(log_scale) - psi.values)) <= 1e-12
 
 
 def test_round_trip_fidelity():
@@ -180,13 +180,6 @@ def test_h_field_non_eigenstate_varies(ho_setup):
     p = psi_to_p(psi)
     _, std = masked_stats(quantum_hamiltonian_field(p, V), p.node_mask)
     assert std > 1e-2
-
-
-def test_h_field_region_guard(ho_setup):
-    grid, V, pairs = ho_setup
-    p = psi_to_p(pairs[1].state)  # masked at the node
-    with pytest.raises(NodePresent):
-        quantum_hamiltonian_field(p, V, region=np.ones(grid.n_points, bool))
 
 
 def test_h_field_from_state_matches_p_route(ho_setup):

@@ -27,13 +27,6 @@ from cqhjlab.forces import GAUGE_MEAN_TOLERANCE
 from cqhjlab.grid import _fd_matrix
 
 
-def test_every_nonnull_force_depends_on_p(ho_setup):
-    _, _, pairs = ho_setup
-    assert not null_force().depends_on_p
-    assert pinning_force(pairs[0], 1.0).depends_on_p
-    assert kostin_friction(0.5).depends_on_p
-
-
 def test_pinning_fixed_point_zero_field(ho_setup):
     grid, _, pairs = ho_setup
     force = pinning_force(pairs[0], 5.0)
