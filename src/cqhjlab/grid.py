@@ -244,8 +244,10 @@ def norm(f: Field) -> float:
 def cumulative_integral(f: Field) -> Field:
     """Antiderivative F(x) anchored at the left edge, F(x_min) = 0.
 
-    Periodic grids use the exact spectral antiderivative and demand a
-    (numerically) zero mean, otherwise the result would be multi-valued.
+    Periodic grids use the exact spectral antiderivative, with the unpaired
+    Nyquist mode of an even grid dropped as in the odd derivatives, and
+    demand a (numerically) zero mean, otherwise the result would be
+    multi-valued.
     Box grids use trapezoid summation with an endpoint-derivative
     correction, giving 4th-order global accuracy so that the discrete
     gradient inverts this operation to discretization tolerance.
@@ -267,6 +269,9 @@ def cumulative_integral(f: Field) -> Field:
         mean = fhat[0] / g.n_points
         with np.errstate(divide="ignore", invalid="ignore"):
             Fhat = np.where(k != 0.0, fhat / (1j * k), 0.0)
+        if g.n_points % 2 == 0:
+            # the unpaired Nyquist mode has no well-defined antiderivative
+            Fhat[g.n_points // 2] = 0.0
         F = np.fft.ifft(Fhat) + mean * (g.x - g.x_min)
         F -= F[0]
         return _adopt(Field, grid=g, values=F)

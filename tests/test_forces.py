@@ -219,8 +219,9 @@ def _chain_by_hand(g, psi, kind, rate, target):
         F = F - np.dot(np.full(n, dx), F) / g.length
         fhat = np.fft.fft(F)
         with np.errstate(divide="ignore", invalid="ignore"):
-            Phi = np.fft.ifft(np.where(k != 0.0, fhat / (1j * k), 0.0))
-        Phi = Phi + fhat[0] / n * (g.x - g.x_min)
+            Phi_hat = np.where(k != 0.0, fhat / (1j * k), 0.0)
+        Phi_hat[n // 2] = 0.0  # unpaired Nyquist mode, as in d(v)
+        Phi = np.fft.ifft(Phi_hat) + fhat[0] / n * (g.x - g.x_min)
         return Phi - Phi[0], mask
     Phi = np.zeros(n, dtype=complex)
     Phi[1:] = np.cumsum(dx * (F[1:] + F[:-1]) / 2.0)
