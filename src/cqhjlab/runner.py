@@ -168,10 +168,9 @@ def run_to_directory(scenario: Scenario, out_dir: Path) -> RunResult:
 
 def _sweep_row(args):
     """One sweep run; returns a plain dict (must stay picklable)."""
-    resolved, param, value = args
+    scenario, param, value = args
     try:
-        scenario = apply_override(Scenario(resolved=resolved), param, value)
-        result = execute(scenario)
+        result = execute(apply_override(scenario, param, value))
         rep = result.summary["collapse_report"] or {}
         return {
             "value": value,
@@ -200,7 +199,7 @@ def sweep(scenario: Scenario, param: str, values, workers: int | None = None) ->
     # validate the overrides eagerly so a bad parameter or value fails before any run
     for v in values:
         apply_override(scenario, param, v)
-    tasks = [(scenario.resolved, param, v) for v in values]
+    tasks = [(scenario, param, v) for v in values]
     if workers is None:
         workers = min(len(values), os.cpu_count() or 1)
     if workers <= 1 or len(values) == 1:

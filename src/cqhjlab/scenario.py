@@ -2,7 +2,9 @@
 (INI dialect) that parses into a fully validated Scenario object.
 
 Every default is made explicit in the resolved echo that lands in the run
-manifest, so a config plus its echo fully documents a run.
+manifest, so a config plus its echo fully documents a run. A key that no
+setting reads is an error, and a sweep override is resolved exactly as the
+same value in the file would be.
 """
 
 from __future__ import annotations
@@ -40,9 +42,11 @@ _METHODS = {
 
 @dataclass(frozen=True)
 class Scenario:
-    """Validated scenario; `resolved` echoes every effective setting."""
+    """Validated scenario; `resolved` echoes every effective setting and
+    `sections` keeps the text of every key, from which overrides resolve."""
 
     resolved: dict
+    sections: dict
 
     # -- builders ---------------------------------------------------------
     def build_grid(self) -> Grid:
@@ -116,18 +120,23 @@ class Scenario:
 
 
 _REQUIRED = object()
+_REQUIRED_SECTIONS = ("grid", "potential", "initial_state", "force", "integrator", "run")
+_OPTIONAL_SECTIONS = ("units", "output")
 
 
 class _SectionReader:
-    """Typed access to one config section with section.key error anchors."""
+    """Typed access to one config section with section.key error anchors;
+    records the keys it reads."""
 
-    def __init__(self, parser: configparser.ConfigParser, name: str):
+    def __init__(self, sections: dict, name: str):
         self.name = name
-        if not parser.has_section(name):
+        if name not in sections:
             raise ConfigError(f"missing required section [{name}]")
-        self.section = parser[name]
+        self.section = sections[name]
+        self.read: set[str] = set()
 
     def _raw(self, key: str, default=_REQUIRED):
+        self.read.add(key)
         if key not in self.section:
             if default is _REQUIRED:
                 raise ConfigError(f"missing required key {self.name}.{key}")
@@ -217,8 +226,14 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
         parser.read_string(text, source=name)
     except configparser.Error as exc:
         raise ConfigError(f"config syntax error: {exc}") from exc
+    return _resolve({s: dict(parser[s]) for s in parser.sections()}, name)
 
-    grid = _SectionReader(parser, "grid")
+
+def _resolve(sections: dict, name: str) -> Scenario:
+    """Validate the key texts of each section into a Scenario."""
+    readers = {s: _SectionReader(sections, s) for s in _REQUIRED_SECTIONS}
+    readers.update((s, _SectionReader(sections, s)) for s in _OPTIONAL_SECTIONS if s in sections)
+    grid = readers["grid"]
     resolved_grid = {
         "x_min": grid.number("x_min"),
         "x_max": grid.number("x_max"),
@@ -228,7 +243,7 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
     if not resolved_grid["x_max"] > resolved_grid["x_min"]:
         raise ConfigError("grid.x_max must exceed grid.x_min")
 
-    pot = _SectionReader(parser, "potential")
+    pot = readers["potential"]
     kind = pot.string("kind", choices={"free", "harmonic", "box", "double_well"})
     resolved_pot: dict = {"kind": kind}
     if kind == "harmonic":
@@ -239,7 +254,7 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
     if kind == "box" and resolved_grid["boundary"] != "box":
         raise ConfigError("potential.kind box requires grid.boundary = box")
 
-    init = _SectionReader(parser, "initial_state")
+    init = readers["initial_state"]
     ikind = init.string("kind", choices={"packet", "eigenstate", "superposition"})
     resolved_init: dict = {"kind": ikind}
     if ikind == "packet":
@@ -261,7 +276,7 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
         resolved_init["indices"] = indices
         resolved_init["coefficients"] = [str(c) for c in coefficients]
 
-    force = _SectionReader(parser, "force")
+    force = readers["force"]
     fkind = force.string("kind", choices={"null", "pinning", "kostin"})
     resolved_force: dict = {"kind": fkind}
     if fkind == "pinning":
@@ -270,7 +285,7 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
     elif fkind == "kostin":
         resolved_force["gamma"] = force.number("gamma", positive=True)
 
-    integ = _SectionReader(parser, "integrator")
+    integ = readers["integrator"]
     resolved_integ = {
         "method": integ.string("method", choices=set(_METHODS)),
         "dt": integ.number("dt", positive=True),
@@ -279,7 +294,7 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
     if resolved_integ["method"] == "split_step" and resolved_grid["boundary"] != "periodic":
         raise ConfigError("integrator.method split_step requires grid.boundary = periodic")
 
-    run = _SectionReader(parser, "run")
+    run = readers["run"]
     resolved_run = {
         "t_final": run.number("t_final", positive=True),
         "snapshot_stride": run.integer("snapshot_stride", default=10, minimum=1),
@@ -290,7 +305,7 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
     eps = resolved_run["collapse_epsilon"]
     if not 0.0 < eps < 0.5:
         raise ConfigError(f"run.collapse_epsilon must lie in (0, 0.5), got {eps}")
-    if "fidelity_target" in parser["run"]:
+    if "fidelity_target" in run.section:
         resolved_run["fidelity_target_index"] = _parse_target(run, "fidelity_target")
     elif fkind == "pinning":
         resolved_run["fidelity_target_index"] = resolved_force["target_index"]
@@ -308,24 +323,26 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
         "run": resolved_run,
     }
 
-    if parser.has_section("units"):
-        units = _SectionReader(parser, "units")
+    if "units" in readers:
+        units = readers["units"]
         resolved["units"] = {
             "mass_kg": units.number("mass_kg", positive=True),
             "length_m": units.number("length_m", positive=True),
         }
 
-    out = _SectionReader(parser, "output") if parser.has_section("output") else None
+    out = readers.get("output")
     resolved["output"] = {
         "directory": (out._raw("directory", "runs") if out else "runs"),
     }
 
-    known = {"grid", "potential", "initial_state", "force", "integrator", "run", "units", "output"}
-    extra = set(parser.sections()) - known
+    extra = set(sections) - set(readers)
     if extra:
         raise ConfigError(f"unknown config sections: {sorted(extra)}")
+    unread = [f"{r.name}.{k}" for r in readers.values() for k in r.section if k not in r.read]
+    if unread:
+        raise ConfigError(f"unknown config keys: {unread}")
 
-    return Scenario(resolved=resolved)
+    return Scenario(resolved=resolved, sections=sections)
 
 
 def load_scenario(path) -> Scenario:
@@ -340,20 +357,13 @@ def load_scenario(path) -> Scenario:
 
 
 def apply_override(scenario: Scenario, param: str, value: float) -> Scenario:
-    """New scenario with one dotted numeric field replaced (e.g. force.kappa)."""
+    """New scenario with one config key (e.g. force.kappa) set to a number,
+    validated as the same value in the file would be; an integral value
+    is written without its ".0", so integer keys accept it."""
     parts = param.split(".")
     if len(parts) != 2:
         raise ConfigError(f"sweep parameter must look like section.key, got {param!r}")
     section, key = parts
-    resolved = {k: (dict(v) if isinstance(v, dict) else v) for k, v in scenario.resolved.items()}
-    if section not in resolved or not isinstance(resolved[section], dict):
-        raise ConfigError(f"unknown scenario section {section!r}")
-    if key not in resolved[section]:
-        raise ConfigError(f"unknown scenario key {param!r}")
-    old = resolved[section][key]
-    if not isinstance(old, (int, float)) or isinstance(old, bool):
-        raise ConfigError(f"sweep parameter {param!r} is not numeric")
-    if not math.isfinite(value):
-        raise ConfigError(f"sweep value for {param} must be finite, got {value}")
-    resolved[section][key] = type(old)(value) if isinstance(old, int) else float(value)
-    return Scenario(resolved=resolved)
+    sections = {s: dict(keys) for s, keys in scenario.sections.items()}
+    sections.setdefault(section, {})[key] = repr(float(value)).removesuffix(".0")
+    return _resolve(sections, scenario.resolved["name"])

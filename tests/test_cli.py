@@ -307,6 +307,25 @@ def test_sweep_keeps_other_rows_when_one_raises(mini_config, monkeypatch):
     assert rows[1]["error"].startswith("FloatingPointError: ")
 
 
+@pytest.mark.parametrize(
+    "param, value, message",
+    [
+        ("run.snapshot_stride", "0", "run.snapshot_stride must be >= 1"),
+        ("integrator.dt", "-1", "integrator.dt must be positive"),
+        ("grid.n_points", "8", "grid.n_points must be >= 16"),
+        ("force.kappa", "-2", "force.kappa must be positive"),
+        ("run.collapse_epsilon", "0.9", "run.collapse_epsilon must lie in"),
+    ],
+)
+def test_sweep_invalid_value_exit_two_before_any_run(capsys, monkeypatch, param, value, message):
+    # validated like the same value in the file; a stride of 0 used to fail
+    # every row with ZeroDivisionError and exit 3
+    monkeypatch.setattr(runner, "execute", lambda scenario: pytest.fail("a row ran"))
+    args = ["sweep", "pinning_collapse", "--param", param, "--values", f"1,{value}"]
+    assert main([*args, "--workers", "1"]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_sweep_bad_param_exit_two(mini_config, capsys):
     assert (
         main(["sweep", str(mini_config), "--param", "force.nope", "--values", "1,2"]) == 2

@@ -165,13 +165,150 @@ def test_sweep_rows_match_single_runs():
     assert rows[1]["final_fidelity"] == single.summary["final_fidelity_target"]
 
 
-def test_sweep_records_row_failure_without_aborting():
+def test_sweep_rejects_invalid_value_before_any_run(monkeypatch):
+    # a negative dt is a config error, as it is in the file, not a failed row
+    from cqhjlab import runner
+
+    monkeypatch.setattr(runner, "execute", lambda scenario: pytest.fail("a row ran"))
     s = parse_scenario(MINI, name="mini")
-    # a dt above the stability/positivity guard of the spec fails one row only
-    rows = sweep(s, "integrator.dt", [1e-3, -1.0], workers=1)
-    assert rows[0]["status"] == "ok"
-    assert rows[1]["status"] == "failed"
-    assert rows[1]["error"]
+    with pytest.raises(ConfigError, match="integrator.dt must be positive"):
+        sweep(s, "integrator.dt", [1e-3, -1.0], workers=1)
+
+
+def test_pooled_sweep_rows_equal_single_runs():
+    # two worker processes; each row must equal the run of its own scenario
+    s = parse_scenario(MINI.replace("t_final = 0.1", "t_final = 1.2"), name="mini")
+    kappas = [4.0, 8.0]
+    rows = sweep(s, "force.kappa", kappas, workers=2)
+    for kappa, row in zip(kappas, rows, strict=True):
+        single = execute(apply_override(s, "force.kappa", kappa)).summary
+        assert row["status"] == "ok" and row["value"] == kappa
+        assert row["tau_internal"] is not None
+        assert row["tau_internal"] == single["collapse_report"]["tau_internal"]
+        assert row["final_fidelity"] == single["final_fidelity_target"]
+
+
+def test_misspelt_key_is_rejected():
+    # a misspelt defaulted key was ignored, and the run kept renormalize = true
+    from importlib import resources
+
+    text = (resources.files("cqhjlab") / "scenarios" / "pinning_collapse.ini").read_text()
+    bad = text.replace("renormalize = true", "renormalise = false")
+    with pytest.raises(ConfigError, match="integrator.renormalise"):
+        parse_scenario(bad, name="pinning_collapse")
+
+
+def test_override_of_integer_key_accepts_integral_value():
+    s = parse_scenario(MINI, name="mini")
+    assert apply_override(s, "grid.n_points", 256.0).resolved["grid"]["n_points"] == 256
+    assert apply_override(s, "run.snapshot_stride", 5).resolved["run"]["snapshot_stride"] == 5
+    with pytest.raises(ConfigError, match="grid.n_points is not an integer"):
+        apply_override(s, "grid.n_points", 256.5)
+
+
+def _finite_numbers(value):
+    if isinstance(value, dict):
+        return all(_finite_numbers(v) for v in value.values())
+    return value is None or isinstance(value, str) or bool(np.all(np.isfinite(value)))
+
+
+BOX_PINNING = """
+[grid]
+x_min = -1.0
+x_max = 1.0
+n_points = 129
+boundary = box
+
+[potential]
+kind = box
+
+[initial_state]
+kind = superposition
+indices = 0, 1
+coefficients = 1, 1
+
+[force]
+kind = pinning
+kappa = 4.0
+target = eigenstate:0
+
+[integrator]
+method = crank_nicolson
+dt = 1e-4
+
+[run]
+t_final = 0.02
+"""
+
+DOUBLE_WELL_EIGENSTATE = """
+[grid]
+x_min = -5.0
+x_max = 5.0
+n_points = 256
+boundary = box
+
+[potential]
+kind = double_well
+a = 1.0
+b = 1.5
+
+[initial_state]
+kind = eigenstate
+index = 1
+
+[force]
+kind = null
+
+[integrator]
+method = crank_nicolson
+dt = 1e-3
+renormalize = false
+
+[run]
+t_final = 0.05
+fidelity_target = eigenstate:1
+"""
+
+FREE_PACKET = """
+[grid]
+x_min = -10.0
+x_max = 10.0
+n_points = 128
+boundary = periodic
+
+[potential]
+kind = free
+
+[initial_state]
+kind = packet
+x0 = 0.0
+k0 = 1.0
+sigma = 1.0
+
+[force]
+kind = null
+
+[integrator]
+method = split_step
+dt = 1e-3
+renormalize = false
+
+[run]
+t_final = 0.05
+"""
+
+
+@pytest.mark.parametrize(
+    "text", [BOX_PINNING, DOUBLE_WELL_EIGENSTATE, FREE_PACKET], ids=["box", "double_well", "free"]
+)
+def test_scenarios_over_solver_built_potentials(text):
+    # the box and double-well states come from solve_eigenstates, not the
+    # oscillator recurrence
+    summary = execute(parse_scenario(text, name="paths")).summary
+    assert _finite_numbers(summary)
+    assert abs(summary["final_norm"] - 1.0) <= 1e-12
+    if summary["final_fidelity_target"] is not None:
+        assert summary["final_fidelity_target"] > 0.5
 
 
 def test_degenerate_sweep_equals_run():

@@ -7,6 +7,7 @@ from cqhjlab import (
     Boundary,
     Grid,
     box_potential,
+    free_potential,
     gaussian_packet,
     harmonic_potential,
     ho_eigenstate,
@@ -116,6 +117,19 @@ def test_eigensolver_matches_analytic_states():
         ana = ho_eigenstate(n, 1.0, g)
         fid = abs(overlap(pairs[n].state, ana.state)) ** 2
         assert fid >= 1.0 - 1e-6
+
+
+def test_eigensolver_periodic_free_ring_spectrum():
+    # the wrapped 3-point operator -1/2 D2 on n points has the exact
+    # spectrum E_j = (1 - cos(2 pi j / n)) / dx^2, j = 0..n-1
+    g = Grid(-4.0, 4.0, 64, Boundary.PERIODIC)
+    pairs = solve_eigenstates(free_potential(g), 8, g)
+    j = np.arange(g.n_points)
+    exact = np.sort((1.0 - np.cos(2.0 * np.pi * j / g.n_points)) / g.dx**2)[:8]
+    energies = np.array([pair.energy for pair in pairs])
+    assert np.max(np.abs(energies - exact)) <= 1e-10 * exact.max()
+    for pair in pairs:
+        assert abs(norm(pair.state) - 1.0) <= 1e-12
 
 
 def test_eigensolver_count_guard():
