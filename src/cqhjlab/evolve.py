@@ -27,8 +27,8 @@ only a step function advance(vals, step) and a snapshot function
 record(vals, obs, cum_log), both on raw ndarrays; the loop owns the step
 count, the snapshot cadence (t = 0, every snapshot_stride-th step and the
 last step), the per-step renormalization and its running log scale, the
-assembly of the Trajectory, and attaching the partial trajectory to any CqhjError
-a step or a snapshot raises.
+assembly of the Trajectory, and attaching the partial trajectory to any
+CqhjError a step or a snapshot raises.
 """
 
 from __future__ import annotations
@@ -180,7 +180,7 @@ def _record_psi_observables(
     psi: Field,
     V: Potential,
     target: Field | None,
-    gauge_log_magnitude: float = 0.0,
+    gauge_log_magnitude: float,
 ) -> Field:
     """Append the observables of psi to the store (no fidelity_target
     series without a target); returns psi."""
