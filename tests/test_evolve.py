@@ -28,7 +28,7 @@ from cqhjlab import (
 )
 from cqhjlab import evolve
 from cqhjlab.errors import NodeApproach, StabilityViolation
-from cqhjlab.evolve import _CrankNicolsonKernel
+from cqhjlab.evolve import _make_kernel
 from cqhjlab.forces import evaluate, gauge_potential
 from cqhjlab.grid import gradient, symmetric_second_derivative
 from cqhjlab.states import position_expectation, position_variance
@@ -88,6 +88,8 @@ def test_coherent_state_centroid():
 
 @pytest.mark.parametrize("boundary", [Boundary.BOX, Boundary.PERIODIC])
 def test_crank_nicolson_step_matches_dense_cayley_solve(boundary):
+    # one and two dense Cayley steps against the kernel's single and double
+    # step, both served by its one factorization of A^2
     g = Grid(-8.0, 8.0, 128, boundary)
     V = harmonic_potential(g, 1.0)
     dt = 1e-2
@@ -98,10 +100,33 @@ def test_crank_nicolson_step_matches_dense_cayley_solve(boundary):
     v = r.standard_normal(g.n_points) + 1j * r.standard_normal(g.n_points)
     if boundary is Boundary.BOX:
         v[[0, -1]] = 0.0
-    want = np.zeros_like(v)
-    want[inner] = np.linalg.solve(eye + 0.5j * dt * H, (eye - 0.5j * dt * H) @ v[inner])
-    got = _CrankNicolsonKernel(g, V, dt).step(v)
-    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+    kernel = _make_kernel(g, V, dt, Method.CRANK_NICOLSON)
+    want = v.copy()
+    for n in (1, 2):
+        want[inner] = np.linalg.solve(eye + 0.5j * dt * H, (eye - 0.5j * dt * H) @ want[inner])
+        got = kernel.step(v, n)
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want), n
+
+
+def test_split_step_double_step_merges_potential_factors():
+    g = Grid(-12.0, 12.0, 256, Boundary.PERIODIC)
+    kernel = _make_kernel(g, harmonic_potential(g, 1.0), 1e-4, Method.SPLIT_STEP)
+    r = np.random.default_rng(4)
+    v = r.standard_normal(g.n_points) + 1j * r.standard_normal(g.n_points)
+    want = kernel.step(kernel.step(v, 1), 1)
+    assert np.linalg.norm(kernel.step(v, 2) - want) <= 1e-14 * np.linalg.norm(want)
+
+
+def test_kernel_cached_per_grid_potential_dt_and_method():
+    g = Grid(-8.0, 8.0, 128, Boundary.PERIODIC)
+    cn = Method.CRANK_NICOLSON
+    kernel = _make_kernel(g, harmonic_potential(g, 1.0), 1e-4, cn)
+    # equal inputs in new objects share the kernel
+    same_grid = Grid(-8.0, 8.0, 128, Boundary.PERIODIC)
+    assert _make_kernel(same_grid, harmonic_potential(same_grid, 1.0), 1e-4, cn) is kernel
+    assert _make_kernel(g, harmonic_potential(g, 2.0), 1e-4, cn) is not kernel
+    assert _make_kernel(g, harmonic_potential(g, 1.0), 2e-4, cn) is not kernel
+    assert _make_kernel(g, harmonic_potential(g, 1.0), 1e-4, Method.SPLIT_STEP) is not kernel
 
 
 def test_crank_nicolson_periodic_eigenstate():
@@ -470,3 +495,33 @@ def test_one_force_evaluation_per_nonlinear_step(ho_box_setup, monkeypatch):
     spec = IntegratorSpec(Method.CRANK_NICOLSON, 1e-3, True)
     collapsible_evolve(psi0, V, pinning_force(pairs[0], 3.5), spec, 0.2, snapshot_stride=50)
     assert calls == {"psi_to_p": 200, "evaluate_force": 200, "gauge_potential": 200}
+
+
+@pytest.mark.parametrize("force_kind", ["pinning", "null"])
+def test_one_linear_solve_per_step(ho_box_setup, monkeypatch, force_kind):
+    # adjacent half steps between snapshots are one double half step: a
+    # nonlinear run makes one solve per step plus one per settled snapshot
+    # segment (4 snapshots after t = 0), a null-force run one per step
+    grid, V, pairs = ho_box_setup
+    spec = IntegratorSpec(Method.CRANK_NICOLSON, 1e-3, True)
+    kernel = _make_kernel(grid, V, 0.5 * spec.dt, spec.method)
+    counts = {"solves": 0, "forces": 0}
+    solve, real_evaluate = kernel._solve, evolve.evaluate_force
+
+    def counted_solve(rhs):
+        counts["solves"] += 1
+        return solve(rhs)
+
+    def counted_evaluate(*args):
+        counts["forces"] += 1
+        return real_evaluate(*args)
+
+    monkeypatch.setattr(kernel, "_solve", counted_solve)
+    monkeypatch.setattr(evolve, "evaluate_force", counted_evaluate)
+    force = pinning_force(pairs[0], 3.5) if force_kind == "pinning" else null_force()
+    psi0 = superpose([1.0, 1.0], [pairs[0].state, pairs[1].state])
+    collapsible_evolve(psi0, V, force, spec, 0.2, snapshot_stride=50)
+    if force_kind == "pinning":
+        assert counts == {"solves": 204, "forces": 200}
+    else:
+        assert counts == {"solves": 200, "forces": 0}
