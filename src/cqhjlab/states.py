@@ -10,7 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh, eigh_tridiagonal
+import scipy.sparse as sp
+from scipy.linalg import eigh
+from scipy.sparse.linalg import ArpackError, eigsh
 
 from .errors import (
     ConvergenceFailure,
@@ -27,6 +29,7 @@ from .grid import (
     make_field,
     norm,
     require_same_grid,
+    symmetric_second_derivative,
 )
 
 # largest Hamiltonian residual ho_eigenstate accepts before calling the
@@ -149,36 +152,38 @@ def ho_eigenstate(n: int, omega: float, grid: Grid) -> EigenPair:
 
 def solve_eigenstates(V: Potential, count: int, grid: Grid) -> list[EigenPair]:
     """Lowest `count` bound states by direct diagonalization of the
-    second-order finite-difference Hamiltonian.
+    Hamiltonian -1/2 symmetric_second_derivative(grid) + V, the operator the
+    Crank-Nicolson propagator steps with, so its states are stationary
+    under that propagator.
 
-    Box grids clamp the wave function to zero at the walls; periodic grids
-    wrap the kinetic stencil. Returned states are grid-normalized,
-    mutually orthogonal and sign-fixed for reproducibility.
+    Box grids clamp the wave function to zero at the walls and solve the
+    sparse pentadiagonal interior by shift-invert Lanczos below the
+    spectrum (the kinetic term is positive, so H > min V - 1); periodic
+    grids wrap the kinetic stencil and solve densely. Returned states are
+    grid-normalized, mutually orthogonal and sign-fixed for
+    reproducibility.
     """
     require_same_grid(V.grid, grid)
     if count < 1:
         raise ValueError("count must be >= 1")
     if count > grid.n_points // 8:
         raise ValueError(f"count must be <= n_points/8 = {grid.n_points // 8}")
-    dx = grid.dx
-    inv = 1.0 / dx**2
+    inner = slice(1, -1) if grid.boundary is Boundary.BOX else slice(None)
+    H = -0.5 * symmetric_second_derivative(grid) + sp.diags_array(V.samples[inner])
     try:
         if grid.boundary is Boundary.BOX:
+            # a fixed start vector makes the iteration repeat exactly
             m = grid.n_points - 2
-            diag = inv + V.samples[1:-1]
-            off = np.full(m - 1, -0.5 * inv)
-            energies, vecs = eigh_tridiagonal(
-                diag, off, select="i", select_range=(0, count - 1)
+            energies, vecs = eigsh(
+                H.tocsc(), k=count, sigma=float(V.samples.min()) - 1.0, v0=np.ones(m)
             )
+            order = np.argsort(energies)
+            energies = energies[order]
             full = np.zeros((grid.n_points, count))
-            full[1:-1, :] = vecs
+            full[1:-1, :] = vecs[:, order]
         else:
-            H = np.diag(inv + V.samples)
-            idx = np.arange(grid.n_points)
-            H[idx, (idx + 1) % grid.n_points] -= 0.5 * inv
-            H[idx, (idx - 1) % grid.n_points] -= 0.5 * inv
-            energies, full = eigh(H, subset_by_index=(0, count - 1))
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+            energies, full = eigh(H.toarray(), subset_by_index=(0, count - 1))
+    except (np.linalg.LinAlgError, ArpackError) as exc:  # pragma: no cover
         raise ConvergenceFailure(f"eigensolver failed: {exc}") from exc
     pairs = []
     for j in range(count):

@@ -6,12 +6,17 @@ import pytest
 from cqhjlab import (
     Boundary,
     Grid,
+    IntegratorSpec,
+    Method,
     box_potential,
+    collapsible_evolve,
+    double_well_potential,
     free_potential,
     gaussian_packet,
     harmonic_potential,
     ho_eigenstate,
     norm,
+    null_force,
     solve_eigenstates,
     superpose,
 )
@@ -103,8 +108,6 @@ def test_eigensolver_orthonormality():
 
 def test_eigensolver_energies_nondecreasing():
     g = Grid(-6.0, 6.0, 512, Boundary.BOX)
-    from cqhjlab import double_well_potential
-
     pairs = solve_eigenstates(double_well_potential(g, 1.0, 1.5), 6, g)
     energies = [p.energy for p in pairs]
     assert energies == sorted(energies)
@@ -120,16 +123,28 @@ def test_eigensolver_matches_analytic_states():
 
 
 def test_eigensolver_periodic_free_ring_spectrum():
-    # the wrapped 3-point operator -1/2 D2 on n points has the exact
-    # spectrum E_j = (1 - cos(2 pi j / n)) / dx^2, j = 0..n-1
+    # the wrapped 5-point operator -1/2 D2 on n points has the exact
+    # spectrum E_j = (15 - 16 cos t_j + cos 2 t_j) / (12 dx^2), t_j = 2 pi j / n
     g = Grid(-4.0, 4.0, 64, Boundary.PERIODIC)
     pairs = solve_eigenstates(free_potential(g), 8, g)
-    j = np.arange(g.n_points)
-    exact = np.sort((1.0 - np.cos(2.0 * np.pi * j / g.n_points)) / g.dx**2)[:8]
+    theta = 2.0 * np.pi * np.arange(g.n_points) / g.n_points
+    exact = np.sort((15.0 - 16.0 * np.cos(theta) + np.cos(2.0 * theta)) / (12.0 * g.dx**2))[:8]
     energies = np.array([pair.energy for pair in pairs])
     assert np.max(np.abs(energies - exact)) <= 1e-10 * exact.max()
     for pair in pairs:
         assert abs(norm(pair.state) - 1.0) <= 1e-12
+
+
+def test_solver_built_state_is_stationary_under_crank_nicolson():
+    # the eigensolver diagonalizes the operator the propagator steps with;
+    # a 3-point Hamiltonian's state drifted 4.1e-5 in density here
+    g = Grid(-5.0, 5.0, 256, Boundary.BOX)
+    V = double_well_potential(g, 1.0, 1.5)
+    psi0 = solve_eigenstates(V, 2, g)[1].state
+    spec = IntegratorSpec(Method.CRANK_NICOLSON, 1e-3, True)
+    traj = collapsible_evolve(psi0, V, null_force(), spec, 0.05, snapshot_stride=10**9)
+    drift = np.max(np.abs(np.abs(traj.final_state.values) ** 2 - np.abs(psi0.values) ** 2))
+    assert drift <= 1e-10
 
 
 def test_eigensolver_count_guard():
