@@ -6,11 +6,11 @@ A run writes three files into its output directory:
 - summary.json    collapse report and invariant margins (no timings)
 - manifest.json   resolved scenario echo, tool version, wall time
 
-Snapshots can optionally be dumped as CSV files, snapshots/t_<index>.csv
-with the snapshot's time in the header line. Sweeps fan out over a process
-pool with no shared state; the result table preserves the input order of
-the parameter values and records per-row failures without aborting the
-remaining rows.
+Snapshots can optionally be dumped, byte-reproducibly, as
+snapshots/t_<index>.csv: the time in the header line, then x,re_psi,im_psi rows.
+CSV values are shortest round-trip decimals, lines end in LF. Sweeps fan out
+over a process pool with no shared state; the result table keeps the input
+order of the values and records per-row failures without aborting the rest.
 """
 
 from __future__ import annotations
@@ -38,6 +38,18 @@ TIMESERIES_COLUMNS = ["t", *OBSERVABLES]
 def _fmt(x) -> str:
     """Shortest round-trip decimal representation; deterministic bytes."""
     return repr(float(x))
+
+
+def _fmt_column(values) -> list[str]:
+    """_fmt of every value of a real array."""
+    return list(map(repr, np.asarray(values, dtype=float).tolist()))
+
+
+def _write_csv(path: Path, head: str, header: list[str], columns: list[list[str]]) -> None:
+    """One write: the head line, the header, a row per index of the columns; LF, no quoting."""
+    rows = "\n".join(map(",".join, [header, *zip(*columns)]))
+    with open(path, "w", newline="") as fh:
+        fh.write(f"{head}\n{rows}\n")
 
 
 @dataclass
@@ -106,21 +118,13 @@ def resolve_output_dir(scenario: Scenario, override=None) -> Path:
     return base
 
 
-def _timeseries_rows(traj: Trajectory):
-    """One row of formatted values per snapshot; "nan" for a missing series."""
-    series = [traj.times, *(traj.observables.get(k) for k in OBSERVABLES)]
-    for i in range(len(traj.times)):
-        yield [_fmt(s[i]) if s is not None else "nan" for s in series]
-
-
 def write_timeseries(traj: Trajectory, out_dir: Path) -> None:
     """timeseries.csv of a finished run, or of the partial trajectory a
-    failed one carries."""
-    with open(out_dir / "timeseries.csv", "w", newline="") as fh:
-        fh.write(f"# cqhjlab timeseries schema_version={SCHEMA_VERSION}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TIMESERIES_COLUMNS)
-        writer.writerows(_timeseries_rows(traj))
+    failed one carries; "nan" marks a missing series."""
+    series = [traj.times, *(traj.observables.get(k) for k in OBSERVABLES)]
+    columns = [_fmt_column(s) if s is not None else ["nan"] * len(traj.times) for s in series]
+    head = f"# cqhjlab timeseries schema_version={SCHEMA_VERSION}"
+    _write_csv(out_dir / "timeseries.csv", head, TIMESERIES_COLUMNS, columns)
 
 
 def write_artifacts(result: RunResult, out_dir: Path, wall_time_s: float) -> None:
@@ -142,18 +146,14 @@ def write_artifacts(result: RunResult, out_dir: Path, wall_time_s: float) -> Non
     if result.scenario.resolved["run"]["write_snapshots"]:
         snap_dir = out_dir / "snapshots"
         snap_dir.mkdir(exist_ok=True)
-        grid = result.trajectory.snapshots[0].grid
+        x = _fmt_column(result.trajectory.snapshots[0].grid.x)
         times = result.trajectory.times
         # named by snapshot index, zero-padded so the names sort in time order
         width = len(str(len(times) - 1))
         for i, (t, snap) in enumerate(zip(times, result.trajectory.snapshots)):
-            path = snap_dir / f"t_{i:0{width}d}.csv"
-            with open(path, "w", newline="") as fh:
-                fh.write(f"# cqhjlab snapshot schema_version={SCHEMA_VERSION} t={_fmt(t)}\n")
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(["x", "re_psi", "im_psi"])
-                for x, v in zip(grid.x, snap.values):
-                    writer.writerow([_fmt(x), _fmt(v.real), _fmt(v.imag)])
+            head = f"# cqhjlab snapshot schema_version={SCHEMA_VERSION} t={_fmt(t)}"
+            columns = [x, _fmt_column(snap.values.real), _fmt_column(snap.values.imag)]
+            _write_csv(snap_dir / f"t_{i:0{width}d}.csv", head, ["x", "re_psi", "im_psi"], columns)
 
 
 def run_to_directory(scenario: Scenario, out_dir: Path) -> RunResult:
