@@ -27,8 +27,10 @@ of one step with the leading half step of the next: the two Cayley half
 steps A^-1 B A^-1 B are one solve (A^2)^-1 B^2, since A and B commute, and
 the two split-step potential factors that meet merge into one. A snapshot
 step ends with its own half step, so every recorded state is the full
-Strang state, and a null-force step is always one double half step. One
-sparse LU of A^2 serves the single and the double half step, and kernels
+Strang state, and a null-force step is always one double half step. The
+linear propagator likewise takes the steps between snapshots in pairs, each
+pair one double step. One sparse LU of A^2 serves the single and the double
+step, and kernels
 are cached per grid, potential, dt and method, so repeated runs on one
 setup (sweeps, the benchmark) factor once.
 
@@ -39,7 +41,7 @@ count, the snapshot cadence (t = 0, every snapshot_stride-th step and the
 last step, where settle is true), the per-step renormalization and its
 running log scale, the assembly of the Trajectory, and attaching the
 partial trajectory to any CqhjError a step or a snapshot raises. The
-renormalization of a pending (half-step-owing) state has the norm of the
+renormalization of a pending (step-owing) state has the norm of the
 settled state to roundoff, because both kernels are unitary in the grid
 inner product.
 """
@@ -255,7 +257,7 @@ def _drive(
     advance(vals, step, settle) returns the values after step `step`;
     settle is true on the steps that are recorded, and a propagator may
     return a pending state on the others (collapsible_evolve owes a half
-    step there). record(vals, obs, cum_log) appends a snapshot's observables
+    step there, schrodinger_evolve every other step). record(vals, obs, cum_log) appends a snapshot's observables
     to obs and returns the snapshot. cum_log starts at the given log scale
     and adds that of every renormalization.
     """
@@ -304,13 +306,21 @@ def schrodinger_evolve(
     Split-step requires dt * E_max <= 0.1 with E_max the kinetic cutoff
     (enforced, StabilityViolation otherwise). Crank-Nicolson is
     unconditionally stable; dt only controls accuracy, with phase errors
-    O(dt^2 E^3) per unit time for energy-E components.
+    O(dt^2 E^3) per unit time for energy-E components. Steps between
+    snapshots are taken in pairs, each pair one double step.
     """
     grid = psi0.grid
     kernel = _make_kernel(grid, V, spec.dt, spec.method)
+    owed = False  # vals still owes the last step
+
+    def advance(vals: np.ndarray, step: int, settle: bool) -> np.ndarray:
+        nonlocal owed
+        n = 2 if owed else 1
+        owed = not (settle or owed)
+        return vals if owed else kernel.step(vals, n)
+
     return _drive(
-        psi0.values, grid, spec, t_final, snapshot_stride,
-        advance=lambda vals, step, settle: kernel.step(vals, 1),
+        psi0.values, grid, spec, t_final, snapshot_stride, advance,
         record=_psi_recorder(grid, V, target),
         renormalize=spec.renormalize_each_step,
     )

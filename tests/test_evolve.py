@@ -117,6 +117,39 @@ def test_split_step_double_step_merges_potential_factors():
     assert np.linalg.norm(kernel.step(v, 2) - want) <= 1e-14 * np.linalg.norm(want)
 
 
+@pytest.mark.parametrize(
+    "boundary, method",
+    [(Boundary.BOX, Method.CRANK_NICOLSON), (Boundary.PERIODIC, Method.SPLIT_STEP)],
+)
+def test_schrodinger_fused_steps_match_single_steps(monkeypatch, boundary, method):
+    # between snapshots schrodinger_evolve applies pairs of steps as one
+    # double step: 11 steps make 11, 7 and 6 kernel calls at snapshot
+    # strides 1, 3 and 10**9, and the states at shared times agree to roundoff
+    g = Grid(-8.0, 8.0, 256, boundary)
+    V = harmonic_potential(g, 1.0)
+    psi0 = gaussian_packet(g, 0.5, 1.0, 1.0)
+    dt = 1e-3 if method is Method.CRANK_NICOLSON else split_step_dt(g)
+    spec = IntegratorSpec(method, dt, True)
+    kernel = _make_kernel(g, V, dt, method)
+    step, calls = kernel.step, []
+
+    def counted_step(values, n):
+        calls.append(n)
+        return step(values, n)
+
+    monkeypatch.setattr(kernel, "step", counted_step)
+    runs = []
+    for stride, want_calls in ((1, 11), (3, 7), (10**9, 6)):
+        calls.clear()
+        runs.append(schrodinger_evolve(psi0, V, spec, 11 * dt, snapshot_stride=stride))
+        assert len(calls) == want_calls and sum(calls) == 11, (stride, calls)
+    every = dict(zip(runs[0].times, runs[0].snapshots))
+    assert len(every) == 12
+    for traj in runs[1:]:
+        for t, snap in zip(traj.times, traj.snapshots):
+            assert np.max(np.abs(snap.values - every[t].values)) <= 1e-13, t
+
+
 def test_kernel_cached_per_grid_potential_dt_and_method():
     g = Grid(-8.0, 8.0, 128, Boundary.PERIODIC)
     cn = Method.CRANK_NICOLSON
