@@ -1,13 +1,17 @@
 """Scenario parsing, validation, artifact writing and determinism."""
 
+import csv
+import io
 import json
 
 import numpy as np
 import pytest
 
 from cqhjlab.errors import ConfigError
-from cqhjlab.runner import execute, run_to_directory, sweep
-from cqhjlab.scenario import Scenario, apply_override, parse_scenario
+from cqhjlab.evolve import OBSERVABLES, Trajectory
+from cqhjlab.grid import Boundary, Field, Grid
+from cqhjlab.runner import RunResult, execute, run_to_directory, sweep, write_artifacts
+from cqhjlab.scenario import SCHEMA_VERSION, Scenario, apply_override, parse_scenario
 
 MINI = """
 [grid]
@@ -135,12 +139,61 @@ def test_run_artifacts_and_determinism(tmp_path):
 def test_snapshot_dump(tmp_path):
     text = MINI.replace("snapshot_stride = 10", "snapshot_stride = 25\nwrite_snapshots = true")
     s = parse_scenario(text, name="mini")
-    run_to_directory(s, tmp_path / "snaps")
-    files = sorted((tmp_path / "snaps" / "snapshots").glob("t_*.csv"))
+    run_to_directory(s, tmp_path / "a")
+    run_to_directory(s, tmp_path / "b")
+    files = sorted((tmp_path / "a" / "snapshots").glob("t_*.csv"))
     assert len(files) == 3  # t=0, t=0.05, t=0.1
     first = files[0].read_text().splitlines()
     assert first[1] == "x,re_psi,im_psi"
     assert len(first) == 2 + 512
+    # byte-identical reruns, snapshot by snapshot
+    assert len(list((tmp_path / "b" / "snapshots").glob("t_*.csv"))) == 3
+    for f in files:
+        assert f.read_bytes() == (tmp_path / "b" / "snapshots" / f.name).read_bytes(), f.name
+
+
+def _reference_csv(head, header, rows):
+    """What csv.writer with LF line ends and repr(float(...)) per value writes."""
+    fh = io.StringIO()
+    fh.write(head + "\n")
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([repr(float(v)) for v in row] for row in rows)
+    return fh.getvalue().encode()
+
+
+def test_artifact_csvs_match_reference_formatter(tmp_path):
+    # signed zero, the smallest subnormal, exponent forms and the most
+    # negative double, in both columns of a snapshot
+    special = [-0.0, 5e-324, 1e-05, 1e16, -1.7976931348623157e308, 0.1, -2.5, 1.0 / 3.0] * 2
+    grid = Grid(-1.0, 1.0, len(special), Boundary.BOX)
+    values = []
+    for re, im in ((special, special[::-1]), (special[::-1], special)):
+        v = np.empty(grid.n_points, dtype=np.complex128)
+        v.real, v.imag = re, im
+        values.append(v)
+    times = np.array([0.0, 0.1])
+    traj = Trajectory(
+        times=times,
+        snapshots=[Field(grid, v) for v in values],
+        observables={"norm": np.array([1.0, 1.0 - 2.0**-52]), "energy": np.array([-0.0, 1e16])},
+    )
+    text = MINI.replace("snapshot_stride = 10", "snapshot_stride = 10\nwrite_snapshots = true")
+    result = RunResult(scenario=parse_scenario(text, name="mini"), trajectory=traj, summary={})
+    write_artifacts(result, tmp_path, wall_time_s=0.0)
+    for i, (t, v) in enumerate(zip(times, values)):
+        want = _reference_csv(
+            f"# cqhjlab snapshot schema_version={SCHEMA_VERSION} t={float(t)!r}",
+            ["x", "re_psi", "im_psi"],
+            zip(grid.x, v.real, v.imag),
+        )
+        assert (tmp_path / "snapshots" / f"t_{i}.csv").read_bytes() == want, i
+    # a missing series is written as nan
+    series = [times, *(traj.observables.get(k, [np.nan] * 2) for k in OBSERVABLES)]
+    want = _reference_csv(
+        f"# cqhjlab timeseries schema_version={SCHEMA_VERSION}", ["t", *OBSERVABLES], zip(*series)
+    )
+    assert (tmp_path / "timeseries.csv").read_bytes() == want
 
 
 def test_snapshot_files_one_per_snapshot(tmp_path):
