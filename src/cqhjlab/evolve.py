@@ -30,9 +30,8 @@ step ends with its own half step, so every recorded state is the full
 Strang state, and a null-force step is always one double half step. The
 linear propagator likewise takes the steps between snapshots in pairs, each
 pair one double step. One sparse LU of A^2 serves the single and the double
-step, and kernels
-are cached per grid, potential, dt and method, so repeated runs on one
-setup (sweeps, the benchmark) factor once.
+step, and kernels are cached per grid, potential, dt and method, so
+repeated runs on one setup (sweeps, the benchmark) factor once.
 
 All three propagators run on one stepping loop, `_drive`. Each supplies
 only a step function advance(vals, step, settle) and a snapshot function
@@ -257,9 +256,10 @@ def _drive(
     advance(vals, step, settle) returns the values after step `step`;
     settle is true on the steps that are recorded, and a propagator may
     return a pending state on the others (collapsible_evolve owes a half
-    step there, schrodinger_evolve every other step). record(vals, obs, cum_log) appends a snapshot's observables
-    to obs and returns the snapshot. cum_log starts at the given log scale
-    and adds that of every renormalization.
+    step there, schrodinger_evolve every other step). record(vals, obs,
+    cum_log) appends a snapshot's observables to obs and returns the
+    snapshot. cum_log starts at the given log scale and adds that of every
+    renormalization.
     """
     n_steps = max(1, int(round(t_final / spec.dt)))
     obs: dict = {}
