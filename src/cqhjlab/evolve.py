@@ -31,7 +31,10 @@ Strang state, and a null-force step is always one double half step. The
 linear propagator likewise takes the steps between snapshots in pairs, each
 pair one double step. One sparse LU of A^2 serves the single and the double
 step, and kernels are cached per grid, potential, dt and method, so
-repeated runs on one setup (sweeps, the benchmark) factor once.
+repeated runs on one setup (sweeps, the benchmark) factor once. A cached
+kernel holds no buffer: each split-step call takes its own output and FFT
+scratch and transforms into them, with the operand order of every product
+fixed, so a step is bitwise the allocating expression it replaces.
 
 All three propagators run on one stepping loop, `_drive`. Each supplies
 only a step function advance(vals, step, settle) and a snapshot function
@@ -136,30 +139,33 @@ class Trajectory:
 
 
 class _SplitStepKernel:
-    """One Strang step exp(-iV dt/2) exp(-iK dt) exp(-iV dt/2) via FFT."""
+    """One Strang step exp(-iV dt/2) exp(-iK dt) exp(-iV dt/2) via FFT.
+
+    The kernel holds only its read-only factors, so one cached instance
+    serves any number of callers; each step allocates its own output and
+    FFT scratch and never writes into its input. The factors multiply in a
+    fixed operand order (factor * spectrum, state * potential factor), as
+    numpy's complex product is not bitwise commutative."""
 
     def __init__(self, grid: Grid, samples: np.ndarray, dt: float):
-        if grid.boundary is not Boundary.PERIODIC:
-            raise SchemeMismatch("split-step requires a periodic grid")
-        k = grid.wavenumbers
-        e_max = 0.5 * np.max(k) ** 2
-        if dt * e_max > 0.1:
-            raise StabilityViolation(
-                f"split-step needs dt * E_max <= 0.1; got {dt * e_max:.3g} "
-                f"(dt={dt:.3g}, kinetic cutoff E_max={e_max:.3g})"
-            )
         self.half_v = np.exp(-0.5j * dt * samples)
         self.full_v = np.exp(-1j * dt * samples)
-        self.kinetic = np.exp(-0.5j * dt * k**2)
+        self.kinetic = np.exp(-0.5j * dt * grid.wavenumbers**2)
+        for factor in (self.half_v, self.full_v, self.kinetic):
+            factor.flags.writeable = False
 
     def step(self, values: np.ndarray, n: int) -> np.ndarray:
         """n = 1 or 2 Strang steps; the potential factors that meet between
         two steps are merged into one."""
         v = values * self.half_v
-        for _ in range(n - 1):
-            v = np.fft.ifft(self.kinetic * np.fft.fft(v)) * self.full_v
-        v = np.fft.ifft(self.kinetic * np.fft.fft(v))
-        return v * self.half_v
+        buf = np.empty_like(v)
+        for i in range(n):
+            if i:
+                np.multiply(v, self.full_v, out=v)
+            np.fft.fft(v, out=buf)
+            np.multiply(self.kinetic, buf, out=buf)
+            np.fft.ifft(buf, out=v)
+        return np.multiply(v, self.half_v, out=v)
 
 
 class _CrankNicolsonKernel:
@@ -187,11 +193,30 @@ class _CrankNicolsonKernel:
         return out
 
 
-def _make_kernel(grid: Grid, V: Potential, dt: float, method: Method):
+# split-step accuracy bound on the kinetic phase of one kernel step
+SPLIT_STEP_LIMIT = 0.1
+
+
+def _make_kernel(grid: Grid, V: Potential, dt: float, method: Method, substeps: int = 1):
+    """The cached linear kernel of step dt / substeps; collapsible_evolve
+    steps in halves (substeps = 2). A split-step kernel needs its step
+    times the kinetic cutoff E_max = max(k^2) / 2 at most SPLIT_STEP_LIMIT,
+    so dt * E_max <= substeps * SPLIT_STEP_LIMIT; the error names dt."""
     if method is Method.RK4:
         raise ValueError("RK4 integrates the momentum-field equation, not psi")
+    if method is Method.SPLIT_STEP:
+        if grid.boundary is not Boundary.PERIODIC:
+            raise SchemeMismatch("split-step requires a periodic grid")
+        e_max = 0.5 * np.max(grid.wavenumbers**2)
+        bound = substeps * SPLIT_STEP_LIMIT
+        if dt * e_max > bound:
+            raise StabilityViolation(
+                f"split-step needs dt <= {bound / e_max:.3g} on this grid "
+                f"(dt * E_max <= {bound:.3g}, kinetic cutoff E_max = {e_max:.4g}); "
+                f"got dt = {dt:.3g}"
+            )
     # Potential is not hashable; its samples' bytes key the cache
-    return _cached_kernel(grid, V.samples.tobytes(), dt, method)
+    return _cached_kernel(grid, V.samples.tobytes(), dt / substeps, method)
 
 
 @lru_cache(maxsize=32)
@@ -303,8 +328,9 @@ def schrodinger_evolve(
 ) -> Trajectory:
     """Linear Schroedinger evolution of a wave function to t_final.
 
-    Split-step requires dt * E_max <= 0.1 with E_max the kinetic cutoff
-    (enforced, StabilityViolation otherwise). Crank-Nicolson is
+    Split-step requires dt * E_max <= 0.1, with E_max = max(k^2) / 2 the
+    kinetic cutoff, (pi / dx)^2 / 2 on an even grid (enforced,
+    StabilityViolation otherwise). Crank-Nicolson is
     unconditionally stable; dt only controls accuracy, with phase errors
     O(dt^2 E^3) per unit time for energy-E components. Steps between
     snapshots are taken in pairs, each pair one double step.
@@ -328,6 +354,8 @@ def schrodinger_evolve(
 
 def _rk4_stability_limit(grid: Grid) -> float:
     if grid.boundary is Boundary.PERIODIC:
+        # max(k), not that of the Nyquist mode: the odd spectral derivatives
+        # in the momentum equation zero that mode, so max(k) is their cutoff
         k2max = np.max(grid.wavenumbers) ** 2
     else:
         k2max = (16.0 / 3.0) / grid.dx**2
@@ -440,10 +468,11 @@ def collapsible_evolve(
     the half-stepped state; a state with no unmasked point left raises
     NodeBlowup. Any nonzero input norm is accepted; the log scale of the
     entry normalization and of every per-step renormalization is summed into
-    the gauge_log_magnitude series.
+    the gauge_log_magnitude series. Split-step checks each half step against
+    schrodinger_evolve's bound, so it requires dt * E_max <= 0.2.
     """
     grid = psi0.grid
-    kernel = _make_kernel(grid, V, 0.5 * spec.dt, spec.method)
+    kernel = _make_kernel(grid, V, spec.dt, spec.method, substeps=2)
     dt = spec.dt
 
     scale = norm(Field(grid, psi0.values))

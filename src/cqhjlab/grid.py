@@ -3,7 +3,11 @@ operators that every field equation in this package is evaluated on.
 
 The grid's boundary picks the derivative operator: FFT (spectral) on
 periodic grids, 4th-order finite differences with one-sided edge rows on
-box grids.
+box grids. The spectral factors are built once and shared: a periodic grid
+holds its wavenumbers as a read-only array (equal grids share one), and
+the multiplier (i k)^order with its Nyquist zeroing is cached per (grid,
+order). Each spectral derivative or antiderivative transforms into one
+array of its own and reads its input only, so a read-only field is fine.
 
 Internal units use hbar = m = 1 throughout; physical units enter only in
 the diagnostics layer.
@@ -95,6 +99,7 @@ class Grid:
     boundary: Boundary
     _x: np.ndarray = dc_field(init=False, repr=False, compare=False)
     _weights: np.ndarray = dc_field(init=False, repr=False, compare=False)
+    _k: np.ndarray | None = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.x_max > self.x_min:
@@ -110,6 +115,8 @@ class Grid:
             w[0] = w[-1] = 0.5 * self.dx
         object.__setattr__(self, "_x", _readonly(x))
         object.__setattr__(self, "_weights", _readonly(w))
+        periodic = self.boundary is Boundary.PERIODIC
+        object.__setattr__(self, "_k", _wavenumbers(self.n_points, self.dx) if periodic else None)
 
     @property
     def dx(self) -> float:
@@ -132,10 +139,16 @@ class Grid:
 
     @property
     def wavenumbers(self) -> np.ndarray:
-        """FFT-ordered angular wavenumbers (periodic grids)."""
-        if self.boundary is not Boundary.PERIODIC:
+        """FFT-ordered angular wavenumbers (periodic grids), read-only and
+        shared by equal grids."""
+        if self._k is None:
             raise SchemeMismatch("wavenumbers are defined for periodic grids only")
-        return 2.0 * np.pi * np.fft.fftfreq(self.n_points, d=self.dx)
+        return self._k
+
+
+@lru_cache(maxsize=32)
+def _wavenumbers(n: int, dx: float) -> np.ndarray:
+    return _readonly(2.0 * np.pi * np.fft.fftfreq(n, d=dx))
 
 
 def require_same_grid(a: "Field | Grid", b: "Field | Grid") -> Grid:
@@ -171,14 +184,21 @@ def make_field(grid: Grid, values) -> Field:
     return Field(grid, values).check_finite()
 
 
-def _spectral_derivative(grid: Grid, v: np.ndarray, order: int) -> np.ndarray:
-    k = grid.wavenumbers
-    mult = (1j * k) ** order
+@lru_cache(maxsize=32)
+def _spectral_multiplier(grid: Grid, order: int) -> np.ndarray:
+    """(i k)^order of a periodic grid, read-only and cached per (grid, order)."""
+    mult = (1j * grid.wavenumbers) ** order
     if order % 2 == 1 and grid.n_points % 2 == 0:
         # the unpaired Nyquist mode has no well-defined odd derivative
-        mult = mult.copy()
         mult[grid.n_points // 2] = 0.0
-    return np.fft.ifft(mult * np.fft.fft(v))
+    return _readonly(mult)
+
+
+def _spectral_derivative(grid: Grid, v: np.ndarray, order: int) -> np.ndarray:
+    """ifft((i k)^order * fft(v)) in one fresh array; v is only read."""
+    vhat = np.fft.fft(v)
+    np.multiply(_spectral_multiplier(grid, order), vhat, out=vhat)
+    return np.fft.ifft(vhat, out=vhat)
 
 
 @lru_cache(maxsize=32)
@@ -264,15 +284,17 @@ def cumulative_integral(f: Field) -> Field:
                 f"cumulative integral on periodic grid is multi-valued: |integral| = "
                 f"{total:.3e} exceeds {PERIODIC_INTEGRAL_TOLERANCE:.1e} * max(L max|f|, 1)"
             )
-        fhat = np.fft.fft(v)
-        k = g.wavenumbers
-        mean = fhat[0] / g.n_points
+        F = np.fft.fft(v)
+        mean = F[0] / g.n_points
         with np.errstate(divide="ignore", invalid="ignore"):
-            Fhat = np.where(k != 0.0, fhat / (1j * k), 0.0)
+            np.divide(F, _spectral_multiplier(g, 1), out=F)
+        # k = 0 carries the mean, added back below as a linear term; the
+        # unpaired Nyquist mode of an even grid has no antiderivative
+        F[0] = 0.0
         if g.n_points % 2 == 0:
-            # the unpaired Nyquist mode has no well-defined antiderivative
-            Fhat[g.n_points // 2] = 0.0
-        F = np.fft.ifft(Fhat) + mean * (g.x - g.x_min)
+            F[g.n_points // 2] = 0.0
+        np.fft.ifft(F, out=F)
+        F += mean * (g.x - g.x_min)
         F -= F[0]
         return _adopt(Field, grid=g, values=F)
     fp = gradient(f).values

@@ -224,9 +224,8 @@ def position_expectation(psi: Field) -> float:
 def position_variance(psi: Field) -> float:
     dens = np.abs(psi.values) ** 2
     w = psi.grid.quadrature_weights
-    mass = np.dot(w, dens)
-    mean = np.dot(w, psi.grid.x * dens) / mass
-    return float(np.dot(w, (psi.grid.x - mean) ** 2 * dens) / mass)
+    mean = position_expectation(psi)
+    return float(np.dot(w, (psi.grid.x - mean) ** 2 * dens) / np.dot(w, dens))
 
 
 def overlap(a: Field, b: Field) -> complex:

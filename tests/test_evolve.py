@@ -184,6 +184,54 @@ def test_split_step_stability_guard():
         schrodinger_evolve(pair.state, V, IntegratorSpec(Method.SPLIT_STEP, 1e-2, False), 0.1)
 
 
+def test_split_step_guard_names_the_integrator_dt():
+    # E_max = (pi / dx)^2 / 2 = 561.5 is the Nyquist mode's, which the
+    # kinetic factor propagates; collapsible_evolve checks each half step,
+    # so it accepts twice the dt of schrodinger_evolve
+    g = Grid(-12.0, 12.0, 256, Boundary.PERIODIC)
+    V = harmonic_potential(g, 1.0)
+    psi = ho_eigenstate(0, 1.0, g).state
+    with pytest.raises(StabilityViolation) as linear:
+        schrodinger_evolve(psi, V, IntegratorSpec(Method.SPLIT_STEP, 1e-2, False), 0.1)
+    assert str(linear.value) == (
+        "split-step needs dt <= 0.000178 on this grid (dt * E_max <= 0.1, "
+        "kinetic cutoff E_max = 561.5); got dt = 0.01"
+    )
+    with pytest.raises(StabilityViolation) as collapsible:
+        collapsible_evolve(
+            psi, V, null_force(), IntegratorSpec(Method.SPLIT_STEP, 1e-3, False), 0.1
+        )
+    assert str(collapsible.value) == (
+        "split-step needs dt <= 0.000356 on this grid (dt * E_max <= 0.2, "
+        "kinetic cutoff E_max = 561.5); got dt = 0.001"
+    )
+    # at the bound both propagators run
+    e_max = 0.5 * (np.pi / g.dx) ** 2
+    schrodinger_evolve(psi, V, IntegratorSpec(Method.SPLIT_STEP, 0.1 / e_max, False), 1e-3)
+    collapsible_evolve(
+        psi, V, null_force(), IntegratorSpec(Method.SPLIT_STEP, 0.2 / e_max, False), 1e-3
+    )
+
+
+@pytest.mark.parametrize("n_points", [256, 257])
+def test_split_step_kernel_matches_allocating_steps_bitwise(n_points):
+    g = Grid(-12.0, 12.0, n_points, Boundary.PERIODIC)
+    kernel = _make_kernel(g, harmonic_potential(g, 1.0), 1e-4, Method.SPLIT_STEP)
+    r = np.random.default_rng(n_points)
+    v = Field(g, r.standard_normal(n_points) + 1j * r.standard_normal(n_points)).values
+    before = v.copy()
+    half, full, kin = kernel.half_v, kernel.full_v, kernel.kinetic
+    one = np.fft.ifft(kin * np.fft.fft(v * half)) * half
+    mid = np.fft.ifft(kin * np.fft.fft(v * half)) * full
+    two = np.fft.ifft(kin * np.fft.fft(mid)) * half
+    # v is a read-only Field buffer: a write into it would raise
+    assert np.array_equal(kernel.step(v, 1), one)
+    assert np.array_equal(kernel.step(v, 2), two)
+    assert np.array_equal(v, before)
+    # each call returns a fresh array
+    assert kernel.step(v, 1) is not kernel.step(v, 1)
+
+
 def test_crank_nicolson_norm_conservation(ho_box_setup):
     grid, V, _ = ho_box_setup
     psi0 = gaussian_packet(grid, 0.5, 1.0, 1.0)

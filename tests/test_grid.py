@@ -27,7 +27,13 @@ from cqhjlab.errors import (
     PeriodicityViolation,
     SchemeMismatch,
 )
-from cqhjlab.grid import _C4, _fd_matrix, _fd_weights, symmetric_second_derivative
+from cqhjlab.grid import (
+    _C4,
+    _fd_matrix,
+    _fd_weights,
+    _spectral_multiplier,
+    symmetric_second_derivative,
+)
 from cqhjlab.states import overlap
 
 
@@ -199,6 +205,61 @@ def test_cumulative_periodic_antiderivative_of_real_field_is_real():
     noise = np.random.default_rng(1).standard_normal(128)
     F = cumulative_integral(make_field(g, noise - noise.mean()))
     assert np.max(np.abs(F.values.imag)) <= 1e-13
+
+
+def _random_field(g, seed):
+    r = np.random.default_rng(seed)
+    return Field(g, r.standard_normal(g.n_points) + 1j * r.standard_normal(g.n_points))
+
+
+@pytest.mark.parametrize("n", [64, 65])
+@pytest.mark.parametrize("order", [1, 2])
+def test_spectral_derivative_matches_allocating_expression_bitwise(n, order):
+    g = Grid(-8.0, 8.0, n, Boundary.PERIODIC)
+    f = _random_field(g, 10 * n + order)
+    before = f.values.copy()
+    mult = (1j * (2.0 * np.pi * np.fft.fftfreq(n, d=g.dx))) ** order
+    if order == 1 and n % 2 == 0:
+        mult[n // 2] = 0.0
+    want = np.fft.ifft(mult * np.fft.fft(f.values))
+    got = (gradient if order == 1 else laplacian)(f).values
+    assert np.array_equal(got, want)
+    assert np.array_equal(f.values, before)
+
+
+@pytest.mark.parametrize("n", [64, 65])
+def test_cumulative_periodic_matches_allocating_expression_bitwise(n):
+    g = Grid(-8.0, 8.0, n, Boundary.PERIODIC)
+    v = _random_field(g, n).values
+    f = Field(g, v - np.mean(v))
+    before = f.values.copy()
+    k = 2.0 * np.pi * np.fft.fftfreq(n, d=g.dx)
+    fhat = np.fft.fft(f.values)
+    mean = fhat[0] / n
+    with np.errstate(divide="ignore", invalid="ignore"):
+        Fhat = np.where(k != 0.0, fhat / (1j * k), 0.0)
+    if n % 2 == 0:
+        Fhat[n // 2] = 0.0
+    want = np.fft.ifft(Fhat) + mean * (g.x - g.x_min)
+    want -= want[0]
+    assert np.array_equal(cumulative_integral(f).values, want)
+    assert np.array_equal(f.values, before)
+
+
+def test_spectral_factors_are_cached_read_only_and_shared():
+    a = Grid(-8.0, 8.0, 64, Boundary.PERIODIC)
+    b = Grid(-8.0, 8.0, 64, Boundary.PERIODIC)
+    assert a.wavenumbers is b.wavenumbers
+    assert np.array_equal(a.wavenumbers, 2.0 * np.pi * np.fft.fftfreq(64, d=a.dx))
+    for order in (1, 2):
+        assert _spectral_multiplier(a, order) is _spectral_multiplier(b, order)
+    for factor in (a.wavenumbers, _spectral_multiplier(a, 1), _spectral_multiplier(a, 2)):
+        assert not factor.flags.writeable
+        with pytest.raises(ValueError):
+            factor[1] = 0.0
+    # the odd multiplier drops the unpaired Nyquist mode, the even one keeps it
+    assert _spectral_multiplier(a, 1)[32] == 0.0
+    assert _spectral_multiplier(a, 2)[32] == -(a.wavenumbers[32] ** 2)
 
 
 def test_cumulative_periodic_rejects_nonzero_mean():

@@ -343,7 +343,7 @@ kind = null
 
 [integrator]
 method = split_step
-dt = 1e-3
+dt = 5e-4
 renormalize = false
 
 [run]
