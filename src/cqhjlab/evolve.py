@@ -139,13 +139,9 @@ class Trajectory:
 
 
 class _SplitStepKernel:
-    """One Strang step exp(-iV dt/2) exp(-iK dt) exp(-iV dt/2) via FFT.
-
-    The kernel holds only its read-only factors, so one cached instance
-    serves any number of callers; each step allocates its own output and
-    FFT scratch and never writes into its input. The factors multiply in a
-    fixed operand order (factor * spectrum, state * potential factor), as
-    numpy's complex product is not bitwise commutative."""
+    """One Strang step exp(-iV dt/2) exp(-iK dt) exp(-iV dt/2) via FFT. The
+    kernel holds read-only factors and no buffer (module docstring); numpy's
+    complex product is not bitwise commutative, so operand order is fixed."""
 
     def __init__(self, grid: Grid, samples: np.ndarray, dt: float):
         self.half_v = np.exp(-0.5j * dt * samples)
@@ -193,22 +189,17 @@ class _CrankNicolsonKernel:
         return out
 
 
-# split-step accuracy bound on the kinetic phase of one kernel step
-SPLIT_STEP_LIMIT = 0.1
-
-
 def _make_kernel(grid: Grid, V: Potential, dt: float, method: Method, substeps: int = 1):
-    """The cached linear kernel of step dt / substeps; collapsible_evolve
-    steps in halves (substeps = 2). A split-step kernel needs its step
-    times the kinetic cutoff E_max = max(k^2) / 2 at most SPLIT_STEP_LIMIT,
-    so dt * E_max <= substeps * SPLIT_STEP_LIMIT; the error names dt."""
+    """The cached linear kernel of step dt / substeps (collapsible_evolve
+    steps in halves). Split-step needs each kernel step h to keep
+    h * E_max <= 0.1, E_max = max(k^2) / 2, so dt * E_max <= 0.1 substeps."""
     if method is Method.RK4:
         raise ValueError("RK4 integrates the momentum-field equation, not psi")
     if method is Method.SPLIT_STEP:
         if grid.boundary is not Boundary.PERIODIC:
             raise SchemeMismatch("split-step requires a periodic grid")
         e_max = 0.5 * np.max(grid.wavenumbers**2)
-        bound = substeps * SPLIT_STEP_LIMIT
+        bound = 0.1 * substeps
         if dt * e_max > bound:
             raise StabilityViolation(
                 f"split-step needs dt <= {bound / e_max:.3g} on this grid "

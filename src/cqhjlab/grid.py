@@ -3,11 +3,9 @@ operators that every field equation in this package is evaluated on.
 
 The grid's boundary picks the derivative operator: FFT (spectral) on
 periodic grids, 4th-order finite differences with one-sided edge rows on
-box grids. The spectral factors are built once and shared: a periodic grid
-holds its wavenumbers as a read-only array (equal grids share one), and
-the multiplier (i k)^order with its Nyquist zeroing is cached per (grid,
-order). Each spectral derivative or antiderivative transforms into one
-array of its own and reads its input only, so a read-only field is fine.
+box grids. The wavenumbers and the multipliers (i k)^order are read-only
+arrays built once per grid; each spectral transform works in one array of
+its own and only reads its input.
 
 Internal units use hbar = m = 1 throughout; physical units enter only in
 the diagnostics layer.
@@ -99,7 +97,6 @@ class Grid:
     boundary: Boundary
     _x: np.ndarray = dc_field(init=False, repr=False, compare=False)
     _weights: np.ndarray = dc_field(init=False, repr=False, compare=False)
-    _k: np.ndarray | None = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.x_max > self.x_min:
@@ -115,8 +112,6 @@ class Grid:
             w[0] = w[-1] = 0.5 * self.dx
         object.__setattr__(self, "_x", _readonly(x))
         object.__setattr__(self, "_weights", _readonly(w))
-        periodic = self.boundary is Boundary.PERIODIC
-        object.__setattr__(self, "_k", _wavenumbers(self.n_points, self.dx) if periodic else None)
 
     @property
     def dx(self) -> float:
@@ -140,10 +135,10 @@ class Grid:
     @property
     def wavenumbers(self) -> np.ndarray:
         """FFT-ordered angular wavenumbers (periodic grids), read-only and
-        shared by equal grids."""
-        if self._k is None:
+        built once per grid."""
+        if self.boundary is not Boundary.PERIODIC:
             raise SchemeMismatch("wavenumbers are defined for periodic grids only")
-        return self._k
+        return _wavenumbers(self.n_points, self.dx)
 
 
 @lru_cache(maxsize=32)

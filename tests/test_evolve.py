@@ -177,17 +177,10 @@ def test_crank_nicolson_periodic_eigenstate():
 
 
 def test_split_step_stability_guard():
-    g = Grid(-12.0, 12.0, 256, Boundary.PERIODIC)
-    V = harmonic_potential(g, 1.0)
-    pair = ho_eigenstate(0, 1.0, g)
-    with pytest.raises(StabilityViolation):
-        schrodinger_evolve(pair.state, V, IntegratorSpec(Method.SPLIT_STEP, 1e-2, False), 0.1)
-
-
-def test_split_step_guard_names_the_integrator_dt():
-    # E_max = (pi / dx)^2 / 2 = 561.5 is the Nyquist mode's, which the
-    # kinetic factor propagates; collapsible_evolve checks each half step,
-    # so it accepts twice the dt of schrodinger_evolve
+    # the error names the integrator dt and the largest dt accepted. E_max =
+    # (pi / dx)^2 / 2 = 561.5 is the Nyquist mode's, which the kinetic factor
+    # propagates; collapsible_evolve checks each half step, so it accepts
+    # twice the dt of schrodinger_evolve
     g = Grid(-12.0, 12.0, 256, Boundary.PERIODIC)
     V = harmonic_potential(g, 1.0)
     psi = ho_eigenstate(0, 1.0, g).state
@@ -205,11 +198,11 @@ def test_split_step_guard_names_the_integrator_dt():
         "split-step needs dt <= 0.000356 on this grid (dt * E_max <= 0.2, "
         "kinetic cutoff E_max = 561.5); got dt = 0.001"
     )
-    # at the bound both propagators run
+    # just inside the bound both propagators run
     e_max = 0.5 * (np.pi / g.dx) ** 2
-    schrodinger_evolve(psi, V, IntegratorSpec(Method.SPLIT_STEP, 0.1 / e_max, False), 1e-3)
+    schrodinger_evolve(psi, V, IntegratorSpec(Method.SPLIT_STEP, 0.0999 / e_max, False), 1e-3)
     collapsible_evolve(
-        psi, V, null_force(), IntegratorSpec(Method.SPLIT_STEP, 0.2 / e_max, False), 1e-3
+        psi, V, null_force(), IntegratorSpec(Method.SPLIT_STEP, 0.1998 / e_max, False), 1e-3
     )
 
 
