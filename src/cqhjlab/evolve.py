@@ -82,6 +82,7 @@ from .grid import (
     Field,
     Grid,
     _adopt,
+    _readonly,
     cumulative_integral,
     gradient,
     make_field,
@@ -144,11 +145,9 @@ class _SplitStepKernel:
     complex product is not bitwise commutative, so operand order is fixed."""
 
     def __init__(self, grid: Grid, samples: np.ndarray, dt: float):
-        self.half_v = np.exp(-0.5j * dt * samples)
-        self.full_v = np.exp(-1j * dt * samples)
-        self.kinetic = np.exp(-0.5j * dt * grid.wavenumbers**2)
-        for factor in (self.half_v, self.full_v, self.kinetic):
-            factor.flags.writeable = False
+        self.half_v = _readonly(np.exp(-0.5j * dt * samples))
+        self.full_v = _readonly(np.exp(-1j * dt * samples))
+        self.kinetic = _readonly(np.exp(-0.5j * dt * grid.wavenumbers**2))
 
     def step(self, values: np.ndarray, n: int) -> np.ndarray:
         """n = 1 or 2 Strang steps; the potential factors that meet between
@@ -189,16 +188,22 @@ class _CrankNicolsonKernel:
         return out
 
 
+def _split_step_e_max(grid: Grid) -> float:
+    """Kinetic cutoff max(k^2) / 2 of the split-step kernel; it counts the
+    Nyquist mode, which exp(-i dt k^2 / 2) propagates on even grids."""
+    return 0.5 * np.max(grid.wavenumbers**2)
+
+
 def _make_kernel(grid: Grid, V: Potential, dt: float, method: Method, substeps: int = 1):
     """The cached linear kernel of step dt / substeps (collapsible_evolve
     steps in halves). Split-step needs each kernel step h to keep
-    h * E_max <= 0.1, E_max = max(k^2) / 2, so dt * E_max <= 0.1 substeps."""
+    h * E_max <= 0.1 (_split_step_e_max), so dt * E_max <= 0.1 substeps."""
     if method is Method.RK4:
         raise ValueError("RK4 integrates the momentum-field equation, not psi")
     if method is Method.SPLIT_STEP:
         if grid.boundary is not Boundary.PERIODIC:
             raise SchemeMismatch("split-step requires a periodic grid")
-        e_max = 0.5 * np.max(grid.wavenumbers**2)
+        e_max = _split_step_e_max(grid)
         bound = 0.1 * substeps
         if dt * e_max > bound:
             raise StabilityViolation(

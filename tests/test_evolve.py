@@ -35,8 +35,7 @@ from cqhjlab.states import position_expectation, position_variance
 
 
 def split_step_dt(grid, safety=0.95):
-    e_max = 0.5 * np.max(grid.wavenumbers) ** 2
-    return safety * 0.1 / e_max
+    return safety * 0.1 / evolve._split_step_e_max(grid)
 
 
 # -- linear propagation --------------------------------------------------------
