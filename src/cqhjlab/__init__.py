@@ -37,7 +37,6 @@ from .diagnostics import (  # noqa: F401
 )
 from .evolve import (  # noqa: F401
     IntegratorSpec,
-    Method,
     Trajectory,
     collapsible_evolve,
     cqhj_evolve,
@@ -65,12 +64,15 @@ from .grid import (  # noqa: F401
 )
 from .states import (  # noqa: F401
     EigenPair,
+    Hamiltonian,
+    Method,
     Potential,
     box_potential,
     custom_potential,
     double_well_potential,
     free_potential,
     gaussian_packet,
+    hamiltonian,
     harmonic_potential,
     ho_eigenstate,
     solve_eigenstates,

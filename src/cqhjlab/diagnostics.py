@@ -13,14 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ImaginaryEnergy, ZeroSpread, ZeroState
-from .grid import (
-    Boundary,
-    Field,
-    norm,
-    require_same_grid,
-    symmetric_second_derivative,
-)
-from .states import Potential, apply_hamiltonian, overlap
+from .grid import Field, norm, require_same_grid
+from .states import Hamiltonian, overlap
 
 HBAR_SI = 1.054571817e-34  # J s
 ELECTRON_MASS_KG = 9.1093837015e-31
@@ -40,31 +34,15 @@ def fidelity(a: Field, b: Field) -> float:
     return float(min(val, 1.0))
 
 
-def _apply_h_symmetric(psi: Field, V: Potential) -> np.ndarray:
-    """H psi with an exactly symmetric discrete Hamiltonian.
-
-    Box grids use the symmetric 4th-order kinetic matrix (one-sided edge
-    stencils would break Hermiticity and leak imaginary parts into
-    expectation values); periodic grids use the spectral operator, which is
-    symmetric already.
-    """
-    if psi.grid.boundary is Boundary.BOX:
-        L = symmetric_second_derivative(psi.grid)
-        out = V.samples * psi.values
-        out[1:-1] += -0.5 * (L @ psi.values[1:-1])
-        return out
-    return apply_hamiltonian(psi, V).values
-
-
-def energy(psi: Field, V: Potential) -> float:
-    """Expectation of the linear Hamiltonian -1/2 lap + V, normalized.
+def energy(psi: Field, H: Hamiltonian) -> float:
+    """Expectation of the linear Hamiltonian H (states.Hamiltonian), normalized.
 
     The imaginary residual must vanish (V real, symmetric operator); a
     residual above 1e-10 of the energy scale indicates a numerics bug and
     raises ImaginaryEnergy.
     """
-    require_same_grid(psi, V.grid)
-    hvals = _apply_h_symmetric(psi, V)
+    require_same_grid(psi, H.grid)
+    hvals = H.apply(psi.values)
     w = psi.grid.quadrature_weights
     num = complex(np.dot(w, np.conj(psi.values) * hvals))
     den = float(np.dot(w, np.abs(psi.values) ** 2).real)
@@ -79,10 +57,10 @@ def energy(psi: Field, V: Potential) -> float:
     return float(val.real)
 
 
-def energy_spread(psi: Field, V: Potential) -> float:
-    """Standard deviation of the linear Hamiltonian in the given state."""
-    require_same_grid(psi, V.grid)
-    hvals = _apply_h_symmetric(psi, V)
+def energy_spread(psi: Field, H: Hamiltonian) -> float:
+    """Standard deviation of the linear Hamiltonian H in the given state."""
+    require_same_grid(psi, H.grid)
+    hvals = H.apply(psi.values)
     w = psi.grid.quadrature_weights
     den = float(np.dot(w, np.abs(psi.values) ** 2).real)
     e1 = complex(np.dot(w, np.conj(psi.values) * hvals)) / den
@@ -118,11 +96,11 @@ def collapse_time(traj, epsilon: float):
     return float(t0 + (threshold - f0) * (t1 - t0) / (f1 - f0))
 
 
-def dimensionless_measure(tau: float, psi0: Field, V: Potential) -> float:
+def dimensionless_measure(tau: float, psi0: Field, H: Hamiltonian) -> float:
     """Collapse time in units of the initial state's energy-uncertainty
-    time: xi = tau * DeltaE (hbar = 1). Artifact-defined stand-in."""
-    dE = energy_spread(psi0, V)
-    e0 = abs(energy(psi0, V))
+    time under H: xi = tau * DeltaE (hbar = 1). Artifact-defined stand-in."""
+    dE = energy_spread(psi0, H)
+    e0 = abs(energy(psi0, H))
     if dE <= 1e-6 * max(1.0, e0):
         raise ZeroSpread(
             f"energy spread {dE:.3e} is numerically zero; the measure is undefined"
@@ -182,10 +160,11 @@ def make_collapse_report(
     tau_internal: float | None,
     epsilon: float,
     psi0: Field | None = None,
-    V: Potential | None = None,
+    H: Hamiltonian | None = None,
     units: UnitSystem | None = None,
 ) -> CollapseReport:
-    """Assemble the collapse report; absent pieces stay None/False."""
+    """Assemble the collapse report; absent pieces stay None/False. xi needs
+    the initial state psi0 and the Hamiltonian H it evolves under."""
     tau_si = None
     xi = None
     bracket = False
@@ -193,9 +172,9 @@ def make_collapse_report(
         if units is not None:
             tau_si = units.to_si(tau_internal)
             bracket = bool(BRACKET_MIN_S <= tau_si <= BRACKET_MAX_S)
-        if psi0 is not None and V is not None:
+        if psi0 is not None and H is not None:
             try:
-                xi = dimensionless_measure(tau_internal, psi0, V)
+                xi = dimensionless_measure(tau_internal, psi0, H)
             except ZeroSpread:
                 xi = None
     return CollapseReport(

@@ -4,10 +4,15 @@ Three integrators:
 
 - split-step Fourier (Strang splitting, periodic grids): unitary up to
   roundoff, used for high-accuracy spectral runs;
-- Crank-Nicolson with a symmetric 4th-order spatial operator: exactly
-  norm-preserving Cayley stepping, works with hard walls;
+- Crank-Nicolson with a symmetric stencil: exactly norm-preserving Cayley
+  stepping, works with hard walls;
 - classical RK4 on the momentum-field equation for direct evolution in
   the momentum representation.
+
+The linear Hamiltonian H0 is states.hamiltonian(V, method): the
+Crank-Nicolson kernel steps with its matrix and the recorded energy is its
+expectation, so its solve_eigenstates states are stationary and record
+their eigenvalue.
 
 The nonlinear (collapsible) evolution integrates the wave-function form
 i psi_t = H0 psi - Phi psi with grad Phi = F(p): a Strang step whose
@@ -30,7 +35,7 @@ step ends with its own half step, so every recorded state is the full
 Strang state, and a null-force step is always one double half step. The
 linear propagator likewise takes the steps between snapshots in pairs, each
 pair one double step. One sparse LU of A^2 serves the single and the double
-step, and kernels are cached per grid, potential, dt and method, so
+step, and kernels are cached per Hamiltonian and dt, so
 repeated runs on one setup (sweeps, the benchmark) factor once. A cached
 kernel holds no buffer: each split-step call takes its own output and FFT
 scratch and transforms into them, with the operand order of every product
@@ -51,7 +56,6 @@ inner product.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from enum import Enum
 from functools import lru_cache
 
 import numpy as np
@@ -87,9 +91,8 @@ from .grid import (
     gradient,
     make_field,
     norm,
-    symmetric_second_derivative,
 )
-from .states import Potential
+from .states import Hamiltonian, Method, Potential, hamiltonian
 
 OBSERVABLE_NODE_THRESHOLD = 1e-5
 # the observable series of a trajectory, one value per snapshot, in the
@@ -103,12 +106,6 @@ OBSERVABLES = (
     "gauge_log_magnitude",
     "gauge_phase",
 )
-
-
-class Method(Enum):
-    SPLIT_STEP = "split_step"
-    CRANK_NICOLSON = "crank_nicolson"
-    RK4 = "rk4"
 
 
 @dataclass(frozen=True)
@@ -144,10 +141,10 @@ class _SplitStepKernel:
     kernel holds read-only factors and no buffer (module docstring); numpy's
     complex product is not bitwise commutative, so operand order is fixed."""
 
-    def __init__(self, grid: Grid, samples: np.ndarray, dt: float):
-        self.half_v = _readonly(np.exp(-0.5j * dt * samples))
-        self.full_v = _readonly(np.exp(-1j * dt * samples))
-        self.kinetic = _readonly(np.exp(-0.5j * dt * grid.wavenumbers**2))
+    def __init__(self, H: Hamiltonian, dt: float):
+        self.half_v = _readonly(np.exp(-0.5j * dt * H.V.samples))
+        self.full_v = _readonly(np.exp(-1j * dt * H.V.samples))
+        self.kinetic = _readonly(np.exp(-0.5j * dt * H.grid.wavenumbers**2))
 
     def step(self, values: np.ndarray, n: int) -> np.ndarray:
         """n = 1 or 2 Strang steps; the potential factors that meet between
@@ -165,20 +162,16 @@ class _SplitStepKernel:
 
 class _CrankNicolsonKernel:
     """Cayley step A^-1 B, A = 1 + i dt H / 2 and B = 1 - i dt H / 2, with H
-    built from the symmetric 4th-order kinetic operator. A and B commute, so
-    n steps are (A^2)^-1 A^(2-n) B^n for n = 1, 2: one sparse LU of A^2,
-    factored once on either boundary, serves both. The unknowns are the
-    interior points on box grids, whose walls stay at zero, and every point
-    on periodic grids."""
+    the Hamiltonian's sparse matrix on its unknowns (the interior points on
+    box grids, whose walls stay at zero; every point on periodic grids). A
+    and B commute, so n steps are (A^2)^-1 A^(2-n) B^n for n = 1, 2: one
+    sparse LU of A^2, factored once on either boundary, serves both."""
 
-    def __init__(self, grid: Grid, samples: np.ndarray, dt: float):
-        self.inner = slice(1, -1) if grid.boundary is Boundary.BOX else slice(None)
-        L = symmetric_second_derivative(grid)
-        v = samples[self.inner]
-        H = (-0.5 * L + sp.diags_array(v.astype(np.complex128))).tocsc()
-        eye = sp.identity(H.shape[0], dtype=np.complex128, format="csc")
-        A = eye + 0.5j * dt * H
-        B = eye - 0.5j * dt * H
+    def __init__(self, H: Hamiltonian, dt: float):
+        self.inner = H.inner
+        eye = sp.identity(H.matrix.shape[0], dtype=np.complex128, format="csc")
+        A = eye + 0.5j * dt * H.matrix
+        B = eye - 0.5j * dt * H.matrix
         self._solve = splu((A @ A).tocsc()).solve
         self._rhs = {1: (A @ B).tocsr(), 2: (B @ B).tocsr()}
 
@@ -194,13 +187,14 @@ def _split_step_e_max(grid: Grid) -> float:
     return 0.5 * np.max(grid.wavenumbers**2)
 
 
-def _make_kernel(grid: Grid, V: Potential, dt: float, method: Method, substeps: int = 1):
-    """The cached linear kernel of step dt / substeps (collapsible_evolve
+def _make_kernel(H: Hamiltonian, dt: float, substeps: int = 1):
+    """The cached kernel of H's method, step dt / substeps (collapsible_evolve
     steps in halves). Split-step needs each kernel step h to keep
     h * E_max <= 0.1 (_split_step_e_max), so dt * E_max <= 0.1 substeps."""
-    if method is Method.RK4:
+    grid = H.grid
+    if H.method is Method.RK4:
         raise ValueError("RK4 integrates the momentum-field equation, not psi")
-    if method is Method.SPLIT_STEP:
+    if H.method is Method.SPLIT_STEP:
         if grid.boundary is not Boundary.PERIODIC:
             raise SchemeMismatch("split-step requires a periodic grid")
         e_max = _split_step_e_max(grid)
@@ -211,14 +205,13 @@ def _make_kernel(grid: Grid, V: Potential, dt: float, method: Method, substeps: 
                 f"(dt * E_max <= {bound:.3g}, kinetic cutoff E_max = {e_max:.4g}); "
                 f"got dt = {dt:.3g}"
             )
-    # Potential is not hashable; its samples' bytes key the cache
-    return _cached_kernel(grid, V.samples.tobytes(), dt / substeps, method)
+    return _cached_kernel(H, dt / substeps)
 
 
 @lru_cache(maxsize=32)
-def _cached_kernel(grid: Grid, samples: bytes, dt: float, method: Method):
-    kernel = _SplitStepKernel if method is Method.SPLIT_STEP else _CrankNicolsonKernel
-    return kernel(grid, np.frombuffer(samples), dt)
+def _cached_kernel(H: Hamiltonian, dt: float):
+    kernel = _SplitStepKernel if H.method is Method.SPLIT_STEP else _CrankNicolsonKernel
+    return kernel(H, dt)
 
 
 # --------------------------------------------------------------------------
@@ -228,17 +221,17 @@ def _cached_kernel(grid: Grid, samples: bytes, dt: float, method: Method):
 def _record_psi_observables(
     store: dict,
     psi: Field,
-    V: Potential,
+    H: Hamiltonian,
     target: Field | None,
     gauge_log_magnitude: float,
 ) -> Field:
     """Append the observables of psi to the store (no fidelity_target
     series without a target); returns psi."""
-    H, mask = hamiltonian_field_from_state(psi, V, node_threshold=OBSERVABLE_NODE_THRESHOLD)
-    mean, std = masked_stats(H, mask)
+    field, mask = hamiltonian_field_from_state(psi, H.V, node_threshold=OBSERVABLE_NODE_THRESHOLD)
+    mean, std = masked_stats(field, mask)
     row = (
         norm(psi),
-        energy(psi, V),
+        energy(psi, H),
         None if target is None else fidelity(psi, target),
         mean.real,
         std,
@@ -255,9 +248,9 @@ def _record_psi_observables(
 # propagators
 
 
-def _psi_recorder(grid: Grid, V: Potential, target: Field | None):
+def _psi_recorder(H: Hamiltonian, target: Field | None):
     """Snapshot function of the wave-function propagators."""
-    return lambda v, obs, log: _record_psi_observables(obs, make_field(grid, v), V, target, log)
+    return lambda v, obs, log: _record_psi_observables(obs, make_field(H.grid, v), H, target, log)
 
 
 def _drive(
@@ -332,7 +325,8 @@ def schrodinger_evolve(
     snapshots are taken in pairs, each pair one double step.
     """
     grid = psi0.grid
-    kernel = _make_kernel(grid, V, spec.dt, spec.method)
+    H = hamiltonian(V, spec.method)
+    kernel = _make_kernel(H, spec.dt)
     owed = False  # vals still owes the last step
 
     def advance(vals: np.ndarray, step: int, settle: bool) -> np.ndarray:
@@ -343,7 +337,7 @@ def schrodinger_evolve(
 
     return _drive(
         psi0.values, grid, spec, t_final, snapshot_stride, advance,
-        record=_psi_recorder(grid, V, target),
+        record=_psi_recorder(H, target),
         renormalize=spec.renormalize_each_step,
     )
 
@@ -392,6 +386,7 @@ def cqhj_evolve(
         raise StabilityViolation(
             f"RK4 needs dt <= {dt_max:.3e} for this grid, got {spec.dt:.3e}"
         )
+    H = hamiltonian(V, spec.method)
     empty = np.zeros(grid.n_points, dtype=bool)
     project = grid.boundary is Boundary.BOX
     dt = spec.dt
@@ -426,7 +421,7 @@ def cqhj_evolve(
         pf = MomentumField(Field(grid, vals), empty)
         try:
             psi, log_scale = p_to_psi(pf)
-            _record_psi_observables(obs, psi, V, target, log_scale)
+            _record_psi_observables(obs, psi, H, target, log_scale)
         except PeriodicityViolation:
             # winding fields have no single-valued reconstruction; keep the
             # observable series aligned with the snapshot series
@@ -468,7 +463,8 @@ def collapsible_evolve(
     schrodinger_evolve's bound, so it requires dt * E_max <= 0.2.
     """
     grid = psi0.grid
-    kernel = _make_kernel(grid, V, spec.dt, spec.method, substeps=2)
+    H = hamiltonian(V, spec.method)
+    kernel = _make_kernel(H, spec.dt, substeps=2)
     dt = spec.dt
 
     scale = norm(Field(grid, psi0.values))
@@ -504,7 +500,7 @@ def collapsible_evolve(
 
     return _drive(
         psi0.values / scale, grid, spec, t_final, snapshot_stride, advance,
-        record=_psi_recorder(grid, V, target),
+        record=_psi_recorder(H, target),
         renormalize=spec.renormalize_each_step,
         cum_log=cum_log,
     )

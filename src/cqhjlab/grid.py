@@ -113,6 +113,10 @@ class Grid:
         object.__setattr__(self, "_x", _readonly(x))
         object.__setattr__(self, "_weights", _readonly(w))
 
+    def __reduce__(self):
+        # rebuild through the constructor: pickled arrays come back writeable
+        return Grid, (self.x_min, self.x_max, self.n_points, self.boundary)
+
     @property
     def dx(self) -> float:
         span = self.x_max - self.x_min
@@ -297,25 +301,3 @@ def cumulative_integral(f: Field) -> Field:
     np.cumsum(g.dx * (v[1:] + v[:-1]) / 2.0, out=F[1:])
     F -= (g.dx**2 / 12.0) * (fp - fp[0])
     return _adopt(Field, grid=g, values=F)
-
-
-@lru_cache(maxsize=32)
-def symmetric_second_derivative(grid: Grid) -> sp.csr_array:
-    """Symmetric 4th-order second-derivative operator: the wrapped 5-point
-    stencil on periodic grids; on box grids D2 - dx^2/12 D2^2 with D2 the
-    three-point stencil clipped to the interior (Dirichlet walls).
-
-    Exact symmetry is what makes Cayley time stepping norm-preserving and
-    expectation values of the kinetic term exactly real; accuracy is 4th
-    order in the interior.
-    """
-    if grid.boundary is Boundary.PERIODIC:
-        return (1.0 / grid.dx**2) * _fd_matrix(grid.n_points, 2, True)
-    n = grid.n_points - 2
-    inv = 1.0 / grid.dx**2
-    D2 = sp.diags_array(
-        [np.full(n, -2.0 * inv), np.full(n - 1, inv), np.full(n - 1, inv)],
-        offsets=[0, 1, -1],
-        format="csr",
-    )
-    return (D2 - (grid.dx**2 / 12.0) * (D2 @ D2)).tocsr()

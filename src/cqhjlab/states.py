@@ -1,6 +1,6 @@
 """Reference wave functions and potentials: Gaussian packets, harmonic
-oscillator eigenstates from the stable Hermite-function recurrence, a
-brute-force grid eigensolver, and superpositions.
+oscillator eigenstates from the stable Hermite-function recurrence, the
+linear Hamiltonian of each grid and method, its eigensolver, superpositions.
 
 These are the oracles the dynamical solvers are validated against.
 """
@@ -8,10 +8,12 @@ These are the oracles the dynamical solvers are validated against.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from enum import Enum
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import eigh
+from scipy.linalg import circulant, eigh
 from scipy.sparse.linalg import ArpackError, eigsh
 
 from .errors import (
@@ -24,12 +26,14 @@ from .grid import (
     Boundary,
     Field,
     Grid,
+    _fd_matrix,
     _readonly,
+    _spectral_derivative,
+    _spectral_multiplier,
     laplacian,
     make_field,
     norm,
     require_same_grid,
-    symmetric_second_derivative,
 )
 
 # largest Hamiltonian residual ho_eigenstate accepts before calling the
@@ -81,6 +85,62 @@ def custom_potential(grid: Grid, samples) -> Potential:
     return Potential(grid, samples)
 
 
+class Method(Enum):
+    SPLIT_STEP = "split_step"
+    CRANK_NICOLSON = "crank_nicolson"
+    RK4 = "rk4"
+
+
+class Hamiltonian:
+    """H0 = -1/2 d^2/dx^2 + V as the method steps with it on V's grid; build
+    it with hamiltonian(V, method). The kinetic operator is exactly symmetric:
+    on box grids, for every method, D2 - dx^2/12 D2^2 with D2 the three-point
+    stencil clipped at the walls, where psi = 0; on periodic grids the wrapped
+    5-point stencil for Crank-Nicolson and the spectral -k^2 for split-step
+    and RK4. `matrix` is H0 on the unknowns `inner` (a box grid's interior,
+    every point of a periodic one), sparse for the stencils and dense for the
+    spectral operator; its eigenstates are stationary under the method."""
+
+    def __init__(self, V: Potential, method: Method):
+        grid = self.grid = V.grid
+        self.V, self.method = V, method
+        self.inner = slice(1, -1) if grid.boundary is Boundary.BOX else slice(None)
+        self._L = None  # the kinetic stencil; None for the spectral operator
+        if grid.boundary is Boundary.BOX:
+            n, inv = grid.n_points - 2, 1.0 / grid.dx**2
+            diagonals = [np.full(n, -2.0 * inv), np.full(n - 1, inv), np.full(n - 1, inv)]
+            D2 = sp.diags_array(diagonals, offsets=[0, 1, -1], format="csr")
+            self._L = (D2 - (grid.dx**2 / 12.0) * (D2 @ D2)).tocsr()
+        elif method is Method.CRANK_NICOLSON:
+            self._L = (1.0 / grid.dx**2) * _fd_matrix(grid.n_points, 2, True)
+
+    @cached_property
+    def matrix(self):
+        if self._L is None:
+            column = np.fft.ifft(_spectral_multiplier(self.grid, 2)).real
+            return _readonly(-0.5 * circulant(column) + np.diag(self.V.samples))
+        return (-0.5 * self._L + sp.diags_array(self.V.samples[self.inner])).tocsc()
+
+    def apply(self, values: np.ndarray) -> np.ndarray:
+        """H0 values on the full grid, in a fresh array; V values at box walls."""
+        if self._L is None:
+            return -0.5 * _spectral_derivative(self.grid, values, 2) + self.V.samples * values
+        out = self.V.samples * values
+        out[self.inner] += -0.5 * (self._L @ values[self.inner])
+        return out
+
+
+def hamiltonian(V: Potential, method: Method) -> Hamiltonian:
+    """The Hamiltonian of V and the method, built once per grid, V and method."""
+    # Potential is not hashable; its samples' bytes key the cache
+    return _cached_hamiltonian(V.grid, V.samples.tobytes(), method)
+
+
+@lru_cache(maxsize=32)
+def _cached_hamiltonian(grid: Grid, samples: bytes, method: Method) -> Hamiltonian:
+    return Hamiltonian(Potential(grid, np.frombuffer(samples)), method)
+
+
 @dataclass(frozen=True)
 class EigenPair:
     """Normalized bound state with its energy (internal units)."""
@@ -96,16 +156,13 @@ def _normalize(grid: Grid, values: np.ndarray) -> np.ndarray:
     return values / n
 
 
-def apply_hamiltonian(psi: Field, V: Potential) -> Field:
-    """H0 psi = -1/2 psi'' + V psi with the grid's derivative operator."""
-    require_same_grid(psi, V.grid)
-    return Field(psi.grid, -0.5 * laplacian(psi).values + V.samples * psi.values)
-
-
 def hamiltonian_residual(pair: EigenPair, V: Potential) -> float:
-    """Relative residual |H0 psi - E psi| / |psi| of a candidate eigenpair."""
-    hp = apply_hamiltonian(pair.state, V)
-    return norm(Field(hp.grid, hp.values - pair.energy * pair.state.values)) / norm(pair.state)
+    """Relative residual |H0 psi - E psi| / |psi| of a candidate eigenpair,
+    with the grid's derivative operator (one-sided rows at box edges)."""
+    psi = pair.state
+    require_same_grid(psi, V.grid)
+    hp = -0.5 * laplacian(psi).values + V.samples * psi.values
+    return norm(Field(psi.grid, hp - pair.energy * psi.values)) / norm(psi)
 
 
 def gaussian_packet(grid: Grid, x0: float, k0: float, sigma: float) -> Field:
@@ -150,39 +207,35 @@ def ho_eigenstate(n: int, omega: float, grid: Grid) -> EigenPair:
     return pair
 
 
-def solve_eigenstates(V: Potential, count: int, grid: Grid) -> list[EigenPair]:
-    """Lowest `count` bound states by direct diagonalization of the
-    Hamiltonian -1/2 symmetric_second_derivative(grid) + V, the operator the
-    Crank-Nicolson propagator steps with, so its states are stationary
-    under that propagator.
+def solve_eigenstates(H: Hamiltonian, count: int) -> list[EigenPair]:
+    """Lowest `count` bound states by direct diagonalization of H.matrix, so
+    they are stationary under the method H was built for.
 
     Box grids clamp the wave function to zero at the walls and solve the
     sparse pentadiagonal interior by shift-invert Lanczos below the
     spectrum (the kinetic term is positive, so H > min V - 1); periodic
-    grids wrap the kinetic stencil and solve densely. Returned states are
-    grid-normalized, mutually orthogonal and sign-fixed for
-    reproducibility.
+    grids solve densely. Returned states are grid-normalized, mutually
+    orthogonal and sign-fixed for reproducibility.
     """
-    require_same_grid(V.grid, grid)
+    grid = H.grid
     if count < 1:
         raise ValueError("count must be >= 1")
     if count > grid.n_points // 8:
         raise ValueError(f"count must be <= n_points/8 = {grid.n_points // 8}")
-    inner = slice(1, -1) if grid.boundary is Boundary.BOX else slice(None)
-    H = -0.5 * symmetric_second_derivative(grid) + sp.diags_array(V.samples[inner])
     try:
         if grid.boundary is Boundary.BOX:
             # a fixed start vector makes the iteration repeat exactly
             m = grid.n_points - 2
             energies, vecs = eigsh(
-                H.tocsc(), k=count, sigma=float(V.samples.min()) - 1.0, v0=np.ones(m)
+                H.matrix, k=count, sigma=float(H.V.samples.min()) - 1.0, v0=np.ones(m)
             )
             order = np.argsort(energies)
             energies = energies[order]
             full = np.zeros((grid.n_points, count))
             full[1:-1, :] = vecs[:, order]
         else:
-            energies, full = eigh(H.toarray(), subset_by_index=(0, count - 1))
+            M = H.matrix.toarray() if sp.issparse(H.matrix) else H.matrix
+            energies, full = eigh(M, subset_by_index=(0, count - 1))
     except (np.linalg.LinAlgError, ArpackError) as exc:  # pragma: no cover
         raise ConvergenceFailure(f"eigensolver failed: {exc}") from exc
     pairs = []

@@ -34,6 +34,7 @@ from .diagnostics import UnitSystem, collapse_time, fidelity
 from .evolve import (
     IntegratorSpec,
     Method,
+    _split_step_e_max,
     collapsible_evolve,
     cqhj_evolve,
     schrodinger_evolve,
@@ -51,6 +52,7 @@ from .states import (
     custom_potential,
     free_potential,
     gaussian_packet,
+    hamiltonian,
     harmonic_potential,
     ho_eigenstate,
     position_variance,
@@ -284,7 +286,7 @@ def _pinning_fixed_point():
 def _eigensolver_ladder():
     g = Grid(-8.0, 8.0, 3072, Boundary.BOX)
     V = harmonic_potential(g, 1.0)
-    pairs = solve_eigenstates(V, 4, g)
+    pairs = solve_eigenstates(hamiltonian(V, Method.CRANK_NICOLSON), 4)
     worst = max(abs(p.energy - (j + 0.5)) for j, p in enumerate(pairs))
     return worst, "harmonic ladder energies, n=3072"
 
@@ -335,8 +337,8 @@ def _cross_propagator():
     V = free_potential(g)
     psi0 = random_nodeless_state(g, np.random.default_rng(3), modes=5, amplitude=0.35)
     p0 = psi_to_p(psi0, node_threshold=1e-12)
-    e_max = 0.5 * np.max(g.wavenumbers) ** 2
-    dt_psi = 0.95 * 0.1 / e_max
+    # the largest dt with dt * E_max <= 0.095 that divides t_final = 1
+    dt_psi = 1.0 / np.ceil(_split_step_e_max(g) / 0.095)
     tr_psi = schrodinger_evolve(
         psi0, V, IntegratorSpec(Method.SPLIT_STEP, dt_psi, False), 1.0, snapshot_stride=10**9
     )
@@ -446,8 +448,8 @@ def _free_spreading():
     g = Grid(-16.0, 16.0, 512, Boundary.PERIODIC)
     V = free_potential(g)
     psi0 = gaussian_packet(g, 0.0, 0.0, 1.0)
-    e_max = 0.5 * np.max(g.wavenumbers) ** 2
-    dt = 0.95 * 0.1 / e_max
+    # the largest dt with dt * E_max <= 0.095 that divides t_final = 2
+    dt = 2.0 / np.ceil(2.0 * _split_step_e_max(g) / 0.095)
     traj = schrodinger_evolve(
         psi0, V, IntegratorSpec(Method.SPLIT_STEP, dt, False), 2.0, snapshot_stride=10**9
     )

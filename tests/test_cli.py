@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from cqhjlab import diagnostics, evolve, runner
+from cqhjlab import evolve, runner, states
 from cqhjlab.cli import main
 from cqhjlab.errors import NodeBlowup
 from cqhjlab.runner import OUTPUT_ROOT_ENV, bundled_scenario_names
@@ -180,14 +180,14 @@ def test_phase0_pinning_collapses_through_the_former_two_cycle(tmp_path, capsys)
 def test_run_imaginary_energy_exit_three(mini_config, tmp_path, monkeypatch, capsys):
     # a non-Hermitian kinetic operator from the third snapshot on (t = 0.08 of
     # the snapshots at t = 0, 0.04, 0.08, 0.1) leaves an imaginary energy
-    apply_h = diagnostics._apply_h_symmetric
+    apply_h = states.Hamiltonian.apply
     calls = []
 
-    def leaky(psi, V):
+    def leaky(self, values):
         calls.append(None)
-        return apply_h(psi, V) * (1.0 + 1e-3j if len(calls) >= 3 else 1.0)
+        return apply_h(self, values) * (1.0 + 1e-3j if len(calls) >= 3 else 1.0)
 
-    monkeypatch.setattr(diagnostics, "_apply_h_symmetric", leaky)
+    monkeypatch.setattr(states.Hamiltonian, "apply", leaky)
     out = tmp_path / "imaginary_out"
     assert main(["run", str(mini_config), "--output", str(out)]) == 3
     assert "ImaginaryEnergy" in capsys.readouterr().err

@@ -30,8 +30,8 @@ from cqhjlab import evolve
 from cqhjlab.errors import NodeApproach, StabilityViolation
 from cqhjlab.evolve import _make_kernel
 from cqhjlab.forces import evaluate, gauge_potential
-from cqhjlab.grid import gradient, symmetric_second_derivative
-from cqhjlab.states import position_expectation, position_variance
+from cqhjlab.grid import gradient
+from cqhjlab.states import hamiltonian, position_expectation, position_variance
 
 
 def split_step_dt(grid, safety=0.95):
@@ -92,14 +92,14 @@ def test_crank_nicolson_step_matches_dense_cayley_solve(boundary):
     g = Grid(-8.0, 8.0, 128, boundary)
     V = harmonic_potential(g, 1.0)
     dt = 1e-2
-    inner = slice(1, -1) if boundary is Boundary.BOX else slice(None)
-    H = -0.5 * symmetric_second_derivative(g).toarray() + np.diag(V.samples[inner])
+    op = hamiltonian(V, Method.CRANK_NICOLSON)
+    inner, H = op.inner, op.matrix.toarray()
     eye = np.eye(H.shape[0])
     r = np.random.default_rng(3)
     v = r.standard_normal(g.n_points) + 1j * r.standard_normal(g.n_points)
     if boundary is Boundary.BOX:
         v[[0, -1]] = 0.0
-    kernel = _make_kernel(g, V, dt, Method.CRANK_NICOLSON)
+    kernel = _make_kernel(op, dt)
     want = v.copy()
     for n in (1, 2):
         want[inner] = np.linalg.solve(eye + 0.5j * dt * H, (eye - 0.5j * dt * H) @ want[inner])
@@ -109,7 +109,7 @@ def test_crank_nicolson_step_matches_dense_cayley_solve(boundary):
 
 def test_split_step_double_step_merges_potential_factors():
     g = Grid(-12.0, 12.0, 256, Boundary.PERIODIC)
-    kernel = _make_kernel(g, harmonic_potential(g, 1.0), 1e-4, Method.SPLIT_STEP)
+    kernel = _make_kernel(hamiltonian(harmonic_potential(g, 1.0), Method.SPLIT_STEP), 1e-4)
     r = np.random.default_rng(4)
     v = r.standard_normal(g.n_points) + 1j * r.standard_normal(g.n_points)
     want = kernel.step(kernel.step(v, 1), 1)
@@ -129,7 +129,7 @@ def test_schrodinger_fused_steps_match_single_steps(monkeypatch, boundary, metho
     psi0 = gaussian_packet(g, 0.5, 1.0, 1.0)
     dt = 1e-3 if method is Method.CRANK_NICOLSON else split_step_dt(g)
     spec = IntegratorSpec(method, dt, True)
-    kernel = _make_kernel(g, V, dt, method)
+    kernel = _make_kernel(hamiltonian(V, method), dt)
     step, calls = kernel.step, []
 
     def counted_step(values, n):
@@ -152,13 +152,14 @@ def test_schrodinger_fused_steps_match_single_steps(monkeypatch, boundary, metho
 def test_kernel_cached_per_grid_potential_dt_and_method():
     g = Grid(-8.0, 8.0, 128, Boundary.PERIODIC)
     cn = Method.CRANK_NICOLSON
-    kernel = _make_kernel(g, harmonic_potential(g, 1.0), 1e-4, cn)
-    # equal inputs in new objects share the kernel
+    kernel = _make_kernel(hamiltonian(harmonic_potential(g, 1.0), cn), 1e-4)
+    # equal inputs in new objects share the Hamiltonian and the kernel
     same_grid = Grid(-8.0, 8.0, 128, Boundary.PERIODIC)
-    assert _make_kernel(same_grid, harmonic_potential(same_grid, 1.0), 1e-4, cn) is kernel
-    assert _make_kernel(g, harmonic_potential(g, 2.0), 1e-4, cn) is not kernel
-    assert _make_kernel(g, harmonic_potential(g, 1.0), 2e-4, cn) is not kernel
-    assert _make_kernel(g, harmonic_potential(g, 1.0), 1e-4, Method.SPLIT_STEP) is not kernel
+    assert _make_kernel(hamiltonian(harmonic_potential(same_grid, 1.0), cn), 1e-4) is kernel
+    assert _make_kernel(hamiltonian(harmonic_potential(g, 2.0), cn), 1e-4) is not kernel
+    assert _make_kernel(hamiltonian(harmonic_potential(g, 1.0), cn), 2e-4) is not kernel
+    split = hamiltonian(harmonic_potential(g, 1.0), Method.SPLIT_STEP)
+    assert _make_kernel(split, 1e-4) is not kernel
 
 
 def test_crank_nicolson_periodic_eigenstate():
@@ -208,7 +209,7 @@ def test_split_step_stability_guard():
 @pytest.mark.parametrize("n_points", [256, 257])
 def test_split_step_kernel_matches_allocating_steps_bitwise(n_points):
     g = Grid(-12.0, 12.0, n_points, Boundary.PERIODIC)
-    kernel = _make_kernel(g, harmonic_potential(g, 1.0), 1e-4, Method.SPLIT_STEP)
+    kernel = _make_kernel(hamiltonian(harmonic_potential(g, 1.0), Method.SPLIT_STEP), 1e-4)
     r = np.random.default_rng(n_points)
     v = Field(g, r.standard_normal(n_points) + 1j * r.standard_normal(n_points)).values
     before = v.copy()
@@ -577,7 +578,7 @@ def test_one_linear_solve_per_step(ho_box_setup, monkeypatch, force_kind):
     # segment (4 snapshots after t = 0), a null-force run one per step
     grid, V, pairs = ho_box_setup
     spec = IntegratorSpec(Method.CRANK_NICOLSON, 1e-3, True)
-    kernel = _make_kernel(grid, V, 0.5 * spec.dt, spec.method)
+    kernel = _make_kernel(hamiltonian(V, spec.method), 0.5 * spec.dt)
     counts = {"solves": 0, "forces": 0}
     solve, real_evaluate = kernel._solve, evolve.evaluate_force
 

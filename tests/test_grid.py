@@ -1,5 +1,6 @@
 """Grid, field and operator substrate."""
 
+import pickle
 import subprocess
 import sys
 
@@ -32,9 +33,19 @@ from cqhjlab.grid import (
     _fd_matrix,
     _fd_weights,
     _spectral_multiplier,
-    symmetric_second_derivative,
 )
-from cqhjlab.states import overlap
+from cqhjlab.states import hamiltonian, overlap
+
+
+@pytest.mark.parametrize("boundary", [Boundary.BOX, Boundary.PERIODIC])
+def test_unpickled_grid_keeps_read_only_arrays(boundary):
+    g = Grid(-4.0, 4.0, 64, boundary)
+    back = pickle.loads(pickle.dumps(g))
+    assert back == g
+    assert np.array_equal(back.x, g.x)
+    assert np.array_equal(back.quadrature_weights, g.quadrature_weights)
+    assert not back.x.flags.writeable
+    assert not back.quadrature_weights.flags.writeable
 
 
 def test_grid_invariants():
@@ -360,8 +371,9 @@ def test_gradient_rejects_nonfinite_values():
 
 
 def test_periodic_symmetric_second_derivative_is_the_symmetric_5_point_stencil():
+    # periodic Crank-Nicolson's free Hamiltonian is -1/2 the wrapped stencil
     g = Grid(-5.0, 5.0, 64, Boundary.PERIODIC)
-    D = symmetric_second_derivative(g)
+    D = -2.0 * hamiltonian(free_potential(g), Method.CRANK_NICOLSON).matrix
     assert (D != D.T).nnz == 0
     row = np.array([-1 / 12, 4 / 3, -5 / 2, 4 / 3, -1 / 12]) / g.dx**2
     for i in (0, 1, 31, 62, 63):

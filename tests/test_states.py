@@ -17,16 +17,20 @@ from cqhjlab import (
     ho_eigenstate,
     norm,
     null_force,
+    schrodinger_evolve,
     solve_eigenstates,
     superpose,
 )
 from cqhjlab.errors import DomainOverflow, GridMismatch, UnresolvedState, ZeroState
 from cqhjlab.states import (
+    hamiltonian,
     hamiltonian_residual,
     overlap,
     position_expectation,
     position_variance,
 )
+
+CN = Method.CRANK_NICOLSON
 
 
 def test_packet_unit_norm(periodic_grid):
@@ -85,7 +89,7 @@ def test_ho_unresolved_grid_raises():
 
 def test_eigensolver_harmonic_ladder():
     g = Grid(-8.0, 8.0, 3072, Boundary.BOX)
-    pairs = solve_eigenstates(harmonic_potential(g, 1.0), 4, g)
+    pairs = solve_eigenstates(hamiltonian(harmonic_potential(g, 1.0), CN), 4)
     for j, pair in enumerate(pairs):
         assert abs(pair.energy - (j + 0.5)) <= 1e-4
 
@@ -93,13 +97,13 @@ def test_eigensolver_harmonic_ladder():
 def test_eigensolver_box_well_ground():
     # particle in a box of width 1: ground energy pi^2/2 in these units
     g = Grid(0.0, 1.0, 201, Boundary.BOX)
-    pairs = solve_eigenstates(box_potential(g), 1, g)
+    pairs = solve_eigenstates(hamiltonian(box_potential(g), CN), 1)
     assert abs(pairs[0].energy - np.pi**2 / 2) <= 1e-3
 
 
 def test_eigensolver_orthonormality():
     g = Grid(-8.0, 8.0, 1024, Boundary.BOX)
-    pairs = solve_eigenstates(harmonic_potential(g, 1.0), 5, g)
+    pairs = solve_eigenstates(hamiltonian(harmonic_potential(g, 1.0), CN), 5)
     for i in range(5):
         for j in range(5):
             ov = abs(overlap(pairs[i].state, pairs[j].state))
@@ -108,27 +112,34 @@ def test_eigensolver_orthonormality():
 
 def test_eigensolver_energies_nondecreasing():
     g = Grid(-6.0, 6.0, 512, Boundary.BOX)
-    pairs = solve_eigenstates(double_well_potential(g, 1.0, 1.5), 6, g)
+    pairs = solve_eigenstates(hamiltonian(double_well_potential(g, 1.0, 1.5), CN), 6)
     energies = [p.energy for p in pairs]
     assert energies == sorted(energies)
 
 
 def test_eigensolver_matches_analytic_states():
     g = Grid(-8.0, 8.0, 2048, Boundary.BOX)
-    pairs = solve_eigenstates(harmonic_potential(g, 1.0), 6, g)
+    pairs = solve_eigenstates(hamiltonian(harmonic_potential(g, 1.0), CN), 6)
     for n in range(6):
         ana = ho_eigenstate(n, 1.0, g)
         fid = abs(overlap(pairs[n].state, ana.state)) ** 2
         assert fid >= 1.0 - 1e-6
 
 
-def test_eigensolver_periodic_free_ring_spectrum():
-    # the wrapped 5-point operator -1/2 D2 on n points has the exact
-    # spectrum E_j = (15 - 16 cos t_j + cos 2 t_j) / (12 dx^2), t_j = 2 pi j / n
+@pytest.mark.parametrize("method", [Method.CRANK_NICOLSON, Method.SPLIT_STEP])
+def test_eigensolver_periodic_free_ring_spectrum(method):
+    # Crank-Nicolson's wrapped 5-point operator -1/2 D2 on n points has the
+    # exact spectrum E_j = (15 - 16 cos t_j + cos 2 t_j) / (12 dx^2),
+    # t_j = 2 pi j / n; split-step's spectral operator has (2 pi j / L)^2 / 2
     g = Grid(-4.0, 4.0, 64, Boundary.PERIODIC)
-    pairs = solve_eigenstates(free_potential(g), 8, g)
-    theta = 2.0 * np.pi * np.arange(g.n_points) / g.n_points
-    exact = np.sort((15.0 - 16.0 * np.cos(theta) + np.cos(2.0 * theta)) / (12.0 * g.dx**2))[:8]
+    pairs = solve_eigenstates(hamiltonian(free_potential(g), method), 8)
+    if method is Method.CRANK_NICOLSON:
+        theta = 2.0 * np.pi * np.arange(g.n_points) / g.n_points
+        spectrum = (15.0 - 16.0 * np.cos(theta) + np.cos(2.0 * theta)) / (12.0 * g.dx**2)
+    else:
+        j = np.arange(-g.n_points // 2, g.n_points // 2)
+        spectrum = 0.5 * (2.0 * np.pi * j / g.length) ** 2
+    exact = np.sort(spectrum)[:8]
     energies = np.array([pair.energy for pair in pairs])
     assert np.max(np.abs(energies - exact)) <= 1e-10 * exact.max()
     for pair in pairs:
@@ -140,17 +151,47 @@ def test_solver_built_state_is_stationary_under_crank_nicolson():
     # a 3-point Hamiltonian's state drifted 4.1e-5 in density here
     g = Grid(-5.0, 5.0, 256, Boundary.BOX)
     V = double_well_potential(g, 1.0, 1.5)
-    psi0 = solve_eigenstates(V, 2, g)[1].state
-    spec = IntegratorSpec(Method.CRANK_NICOLSON, 1e-3, True)
+    psi0 = solve_eigenstates(hamiltonian(V, CN), 2)[1].state
+    spec = IntegratorSpec(CN, 1e-3, True)
     traj = collapsible_evolve(psi0, V, null_force(), spec, 0.05, snapshot_stride=10**9)
     drift = np.max(np.abs(np.abs(traj.final_state.values) ** 2 - np.abs(psi0.values) ** 2))
     assert drift <= 1e-10
 
 
+def _periodic_double_well_state(method):
+    g = Grid(-8.0, 8.0, 256, Boundary.PERIODIC)
+    V = double_well_potential(g, 1.0, 1.5)
+    return V, solve_eigenstates(hamiltonian(V, method), 2)[1]
+
+
+def test_solver_built_state_is_stationary_under_split_step():
+    # the eigensolver diagonalizes the spectral operator split-step
+    # propagates; the 5-point stencil's state drifted 5.4e-6 here
+    V, pair = _periodic_double_well_state(Method.SPLIT_STEP)
+    spec = IntegratorSpec(Method.SPLIT_STEP, 5e-5, False)
+    traj = schrodinger_evolve(pair.state, V, spec, 1.0, snapshot_stride=10**9)
+    assert traj.times[-1] == pytest.approx(1.0)
+    drift = np.max(np.abs(np.abs(traj.final_state.values) ** 2 - np.abs(pair.state.values) ** 2))
+    assert drift <= 1e-8
+
+
+@pytest.mark.parametrize("method", [Method.CRANK_NICOLSON, Method.SPLIT_STEP])
+def test_periodic_recorded_energy_is_the_eigenvalue(method):
+    # the recorded energy is the expectation of the operator the method
+    # steps with; periodic Crank-Nicolson recorded the spectral one's, 1.04e-5 off
+    V, pair = _periodic_double_well_state(method)
+    dt = 1e-3 if method is Method.CRANK_NICOLSON else 5e-5
+    traj = schrodinger_evolve(
+        pair.state, V, IntegratorSpec(method, dt, False), 40 * dt, snapshot_stride=10
+    )
+    assert len(traj.observables["energy"]) == 5
+    assert np.max(np.abs(traj.observables["energy"] - pair.energy)) <= 1e-12
+
+
 def test_eigensolver_count_guard():
     g = Grid(-8.0, 8.0, 64, Boundary.BOX)
     with pytest.raises(ValueError):
-        solve_eigenstates(harmonic_potential(g, 1.0), 9, g)
+        solve_eigenstates(hamiltonian(harmonic_potential(g, 1.0), CN), 9)
 
 
 def test_superpose_identity(ho_setup):
