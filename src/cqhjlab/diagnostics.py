@@ -37,12 +37,12 @@ def fidelity(a: Field, b: Field) -> float:
 def energy(psi: Field, H: Hamiltonian) -> float:
     """Expectation of the linear Hamiltonian H (states.Hamiltonian), normalized.
 
-    The imaginary residual must vanish (V real, symmetric operator); a
-    residual above 1e-10 of the energy scale indicates a numerics bug and
-    raises ImaginaryEnergy.
+    A NaN or Inf entry raises NonFiniteField. The imaginary residual must
+    vanish (V real, symmetric operator); a residual above 1e-10 of the
+    energy scale indicates a numerics bug and raises ImaginaryEnergy.
     """
     require_same_grid(psi, H.grid)
-    hvals = H.apply(psi.values)
+    hvals = H.apply(psi.check_finite().values)
     w = psi.grid.quadrature_weights
     num = complex(np.dot(w, np.conj(psi.values) * hvals))
     den = float(np.dot(w, np.abs(psi.values) ** 2).real)
@@ -58,9 +58,10 @@ def energy(psi: Field, H: Hamiltonian) -> float:
 
 
 def energy_spread(psi: Field, H: Hamiltonian) -> float:
-    """Standard deviation of the linear Hamiltonian H in the given state."""
+    """Standard deviation of the linear Hamiltonian H in the given state;
+    a NaN or Inf entry raises NonFiniteField."""
     require_same_grid(psi, H.grid)
-    hvals = H.apply(psi.values)
+    hvals = H.apply(psi.check_finite().values)
     w = psi.grid.quadrature_weights
     den = float(np.dot(w, np.abs(psi.values) ** 2).real)
     e1 = complex(np.dot(w, np.conj(psi.values) * hvals)) / den

@@ -91,6 +91,7 @@ from .grid import (
     gradient,
     make_field,
     norm,
+    require_same_grid,
 )
 from .states import Hamiltonian, Method, Potential, hamiltonian
 
@@ -322,9 +323,10 @@ def schrodinger_evolve(
     StabilityViolation otherwise). Crank-Nicolson is
     unconditionally stable; dt only controls accuracy, with phase errors
     O(dt^2 E^3) per unit time for energy-E components. Steps between
-    snapshots are taken in pairs, each pair one double step.
+    snapshots are taken in pairs, each pair one double step. psi0 and V
+    must share a grid (GridMismatch otherwise).
     """
-    grid = psi0.grid
+    grid = require_same_grid(psi0, V.grid)
     H = hamiltonian(V, spec.method)
     kernel = _make_kernel(H, spec.dt)
     owed = False  # vals still owes the last step
@@ -460,9 +462,10 @@ def collapsible_evolve(
     NodeBlowup. Any nonzero input norm is accepted; the log scale of the
     entry normalization and of every per-step renormalization is summed into
     the gauge_log_magnitude series. Split-step checks each half step against
-    schrodinger_evolve's bound, so it requires dt * E_max <= 0.2.
+    schrodinger_evolve's bound, so it requires dt * E_max <= 0.2. psi0 and
+    V must share a grid (GridMismatch otherwise).
     """
-    grid = psi0.grid
+    grid = require_same_grid(psi0, V.grid)
     H = hamiltonian(V, spec.method)
     kernel = _make_kernel(H, spec.dt, substeps=2)
     dt = spec.dt

@@ -34,7 +34,6 @@ from .states import hamiltonian
 OUTPUT_ROOT_ENV = "CQHJLAB_OUTPUT_ROOT"
 
 TIMESERIES_COLUMNS = ["t", *OBSERVABLES]
-SWEEP_COLUMNS = ["value", "status", "tau_internal", "tau_si", "xi", "final_fidelity", "error"]
 
 
 def _fmt(x) -> str:
@@ -85,7 +84,10 @@ def execute(scenario: Scenario) -> RunResult:
         tau = collapse_time(traj, run["collapse_epsilon"])
         # xi is the spread of the Hamiltonian the run steps with
         report = make_collapse_report(
-            tau, run["collapse_epsilon"], psi0=psi0, H=hamiltonian(V, spec.method),
+            tau,
+            run["collapse_epsilon"],
+            psi0=psi0,
+            H=hamiltonian(V, spec.method),
             units=scenario.build_units(),
         )
     obs = traj.observables
@@ -182,8 +184,15 @@ def _sweep_row(args):
             "error": "",
         }
     except Exception as exc:  # a failed row must not abort the sweep and lose finished rows
-        failed = {"value": value, "status": "failed", "error": f"{type(exc).__name__}: {exc}"}
-        return dict.fromkeys(SWEEP_COLUMNS) | failed
+        return {
+            "value": value,
+            "status": "failed",
+            "tau_internal": None,
+            "tau_si": None,
+            "xi": None,
+            "final_fidelity": None,
+            "error": f"{type(exc).__name__}: {exc}",
+        }
 
 
 def sweep(scenario: Scenario, param: str, values, workers: int | None = None) -> list[dict]:
@@ -201,6 +210,9 @@ def sweep(scenario: Scenario, param: str, values, workers: int | None = None) ->
         return list(pool.map(_sweep_row, tasks))
 
 
+SWEEP_COLUMNS = ["value", "status", "tau_internal", "tau_si", "xi", "final_fidelity", "error"]
+
+
 def write_sweep_table(rows: list[dict], param: str, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "sweep.csv", "w", newline="") as fh:
@@ -208,9 +220,17 @@ def write_sweep_table(rows: list[dict], param: str, out_dir: Path) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(SWEEP_COLUMNS)
         for row in rows:
-            # the optional numbers, tau_internal to final_fidelity, empty when absent
-            numbers = ["" if row[k] is None else _fmt(row[k]) for k in SWEEP_COLUMNS[2:-1]]
-            writer.writerow([_fmt(row["value"]), row["status"], *numbers, row["error"]])
+            writer.writerow(
+                [
+                    _fmt(row["value"]),
+                    row["status"],
+                    _fmt(row["tau_internal"]) if row["tau_internal"] is not None else "",
+                    _fmt(row["tau_si"]) if row["tau_si"] is not None else "",
+                    _fmt(row["xi"]) if row["xi"] is not None else "",
+                    _fmt(row["final_fidelity"]) if row["final_fidelity"] is not None else "",
+                    row["error"],
+                ]
+            )
     with open(out_dir / "sweep.json", "w") as fh:
         json.dump(
             {"schema_version": SCHEMA_VERSION, "param": param, "rows": rows},

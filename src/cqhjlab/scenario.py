@@ -16,11 +16,10 @@ from dataclasses import dataclass
 
 from .diagnostics import UnitSystem
 from .errors import ConfigError
-from .evolve import IntegratorSpec
+from .evolve import IntegratorSpec, Method
 from .forces import CollapseForce, kostin_friction, null_force, pinning_force
 from .grid import Boundary, Field, Grid
 from .states import (
-    Method,
     Potential,
     box_potential,
     double_well_potential,
@@ -35,9 +34,11 @@ from .states import (
 
 SCHEMA_VERSION = 1
 
-# the config spellings are the enum values; RK4 evolves p, not a scenario's psi
-_BOUNDARIES = {b.value for b in Boundary}
-_METHODS = {Method.SPLIT_STEP.value, Method.CRANK_NICOLSON.value}
+_BOUNDARIES = {"box": Boundary.BOX, "periodic": Boundary.PERIODIC}
+_METHODS = {
+    "split_step": Method.SPLIT_STEP,
+    "crank_nicolson": Method.CRANK_NICOLSON,
+}
 
 
 @dataclass(frozen=True)
@@ -51,7 +52,7 @@ class Scenario:
     # -- builders ---------------------------------------------------------
     def build_grid(self) -> Grid:
         g = self.resolved["grid"]
-        return Grid(g["x_min"], g["x_max"], g["n_points"], Boundary(g["boundary"]))
+        return Grid(g["x_min"], g["x_max"], g["n_points"], _BOUNDARIES[g["boundary"]])
 
     def build_potential(self, grid: Grid) -> Potential:
         p = self.resolved["potential"]
@@ -70,7 +71,7 @@ class Scenario:
         if self.resolved["potential"]["kind"] == "harmonic":
             return ho_eigenstate(index, self.resolved["potential"]["omega"], grid).state
         # the states of the Hamiltonian the integrator steps with are stationary
-        H = hamiltonian(V, Method(self.resolved["integrator"]["method"]))
+        H = hamiltonian(V, _METHODS[self.resolved["integrator"]["method"]])
         return solve_eigenstates(H, index + 1)[index].state
 
     def build_initial_state(self, grid: Grid, V: Potential) -> Field:
@@ -102,7 +103,7 @@ class Scenario:
     def build_integrator(self) -> IntegratorSpec:
         i = self.resolved["integrator"]
         return IntegratorSpec(
-            method=Method(i["method"]),
+            method=_METHODS[i["method"]],
             dt=i["dt"],
             renormalize_each_step=i["renormalize"],
         )
@@ -239,7 +240,7 @@ def _resolve(sections: dict, name: str) -> Scenario:
         "x_min": grid.number("x_min"),
         "x_max": grid.number("x_max"),
         "n_points": grid.integer("n_points", minimum=16),
-        "boundary": grid.string("boundary", choices=_BOUNDARIES),
+        "boundary": grid.string("boundary", choices=set(_BOUNDARIES)),
     }
     if not resolved_grid["x_max"] > resolved_grid["x_min"]:
         raise ConfigError("grid.x_max must exceed grid.x_min")
@@ -288,7 +289,7 @@ def _resolve(sections: dict, name: str) -> Scenario:
 
     integ = readers["integrator"]
     resolved_integ = {
-        "method": integ.string("method", choices=_METHODS),
+        "method": integ.string("method", choices=set(_METHODS)),
         "dt": integ.number("dt", positive=True),
         "renormalize": integ.boolean("renormalize", default=True),
     }

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -99,7 +99,9 @@ class Hamiltonian:
     5-point stencil for Crank-Nicolson and the spectral -k^2 for split-step
     and RK4. `matrix` is H0 on the unknowns `inner` (a box grid's interior,
     every point of a periodic one), sparse for the stencils and dense for the
-    spectral operator; its eigenstates are stationary under the method."""
+    spectral operator; its eigenstates are stationary under the method. The
+    sparse matrix is kept; the dense n x n one is built anew on each access,
+    so that a cached Hamiltonian holds no dense array."""
 
     def __init__(self, V: Potential, method: Method):
         grid = self.grid = V.grid
@@ -113,13 +115,17 @@ class Hamiltonian:
             self._L = (D2 - (grid.dx**2 / 12.0) * (D2 @ D2)).tocsr()
         elif method is Method.CRANK_NICOLSON:
             self._L = (1.0 / grid.dx**2) * _fd_matrix(grid.n_points, 2, True)
+        if self._L is not None:
+            self._sparse = (-0.5 * self._L + sp.diags_array(V.samples[self.inner])).tocsc()
 
-    @cached_property
+    @property
     def matrix(self):
-        if self._L is None:
-            column = np.fft.ifft(_spectral_multiplier(self.grid, 2)).real
-            return _readonly(-0.5 * circulant(column) + np.diag(self.V.samples))
-        return (-0.5 * self._L + sp.diags_array(self.V.samples[self.inner])).tocsc()
+        if self._L is not None:
+            return self._sparse
+        M = circulant(np.fft.ifft(_spectral_multiplier(self.grid, 2)).real)
+        M *= -0.5
+        M[np.diag_indices_from(M)] += self.V.samples
+        return M
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """H0 values on the full grid, in a fresh array; V values at box walls."""
@@ -234,7 +240,8 @@ def solve_eigenstates(H: Hamiltonian, count: int) -> list[EigenPair]:
             full = np.zeros((grid.n_points, count))
             full[1:-1, :] = vecs[:, order]
         else:
-            M = H.matrix.toarray() if sp.issparse(H.matrix) else H.matrix
+            M = H.matrix  # dense for the spectral operator, built on this access
+            M = M.toarray() if sp.issparse(M) else M
             energies, full = eigh(M, subset_by_index=(0, count - 1))
     except (np.linalg.LinAlgError, ArpackError) as exc:  # pragma: no cover
         raise ConvergenceFailure(f"eigensolver failed: {exc}") from exc

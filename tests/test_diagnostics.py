@@ -5,6 +5,7 @@ import pytest
 
 from cqhjlab import (
     Boundary,
+    Field,
     Grid,
     Method,
     Trajectory,
@@ -24,7 +25,7 @@ from cqhjlab import (
     superpose,
 )
 from cqhjlab.diagnostics import BRACKET_MAX_S, BRACKET_MIN_S, HBAR_SI
-from cqhjlab.errors import GridMismatch, ZeroSpread, ZeroState
+from cqhjlab.errors import GridMismatch, NonFiniteField, ZeroSpread, ZeroState
 
 
 def fake_trajectory(times, fidelities):
@@ -87,6 +88,18 @@ def test_energy_superposition_average(ho_setup):
     grid, V, pairs = ho_setup
     s = superpose([1.0, 1.0], [pairs[0].state, pairs[1].state])
     assert abs(energy(s, spectral(V)) - 1.0) <= 1e-6
+
+
+@pytest.mark.parametrize("boundary", [Boundary.BOX, Boundary.PERIODIC])
+def test_energy_of_non_finite_field_raises(boundary):
+    g = Grid(-8.0, 8.0, 128, boundary)
+    values = gaussian_packet(g, 0.0, 0.0, 1.0).values.copy()
+    values[64] = np.nan
+    H = hamiltonian(free_potential(g), Method.CRANK_NICOLSON)
+    with pytest.raises(NonFiniteField):
+        energy(Field(g, values), H)
+    with pytest.raises(NonFiniteField):
+        energy_spread(Field(g, values), H)
 
 
 def test_collapse_time_at_start():

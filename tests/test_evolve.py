@@ -27,7 +27,7 @@ from cqhjlab import (
     superpose,
 )
 from cqhjlab import evolve
-from cqhjlab.errors import NodeApproach, StabilityViolation
+from cqhjlab.errors import GridMismatch, NodeApproach, StabilityViolation
 from cqhjlab.evolve import _make_kernel
 from cqhjlab.forces import evaluate, gauge_potential
 from cqhjlab.grid import gradient
@@ -160,6 +160,21 @@ def test_kernel_cached_per_grid_potential_dt_and_method():
     assert _make_kernel(hamiltonian(harmonic_potential(g, 1.0), cn), 2e-4) is not kernel
     split = hamiltonian(harmonic_potential(g, 1.0), Method.SPLIT_STEP)
     assert _make_kernel(split, 1e-4) is not kernel
+
+
+@pytest.mark.parametrize(
+    "psi_grid", [Grid(-10.0, 10.0, 128, Boundary.PERIODIC), Grid(-8.0, 8.0, 128, Boundary.BOX)]
+)
+def test_propagators_reject_psi0_on_another_grid(psi_grid):
+    # same n_points, another extent or boundary: the values must not be
+    # relabelled onto V's grid
+    V = harmonic_potential(Grid(-8.0, 8.0, 128, Boundary.PERIODIC), 1.0)
+    psi0 = gaussian_packet(psi_grid, 0.0, 0.0, 1.0)
+    spec = IntegratorSpec(Method.CRANK_NICOLSON, 1e-3, False)
+    with pytest.raises(GridMismatch):
+        schrodinger_evolve(psi0, V, spec, 0.01)
+    with pytest.raises(GridMismatch):
+        collapsible_evolve(psi0, V, null_force(), spec, 0.01)
 
 
 def test_crank_nicolson_periodic_eigenstate():

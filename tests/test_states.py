@@ -188,6 +188,21 @@ def test_periodic_recorded_energy_is_the_eigenvalue(method):
     assert np.max(np.abs(traj.observables["energy"] - pair.energy)) <= 1e-12
 
 
+def test_hamiltonian_keeps_no_dense_matrix():
+    # the cached Hamiltonian keeps its sparse stencil matrix; the dense
+    # spectral one is built on each access and freed after use
+    g = Grid(-4.0, 4.0, 64, Boundary.PERIODIC)
+    V = harmonic_potential(g, 1.0)
+    stencil = hamiltonian(V, CN)
+    assert stencil.matrix is stencil.matrix
+    spectral = hamiltonian(V, Method.SPLIT_STEP)
+    dense = spectral.matrix
+    assert isinstance(dense, np.ndarray) and dense is not spectral.matrix
+    assert not any(isinstance(a, np.ndarray) and a.ndim == 2 for a in vars(spectral).values())
+    psi = gaussian_packet(g, 0.0, 1.0, 0.5).values
+    assert np.allclose(dense @ psi, spectral.apply(psi), rtol=0.0, atol=1e-10)
+
+
 def test_eigensolver_count_guard():
     g = Grid(-8.0, 8.0, 64, Boundary.BOX)
     with pytest.raises(ValueError):
