@@ -23,6 +23,7 @@ from .grid import (
     Field,
     Grid,
     _adopt,
+    _derivative_values,
     _fd_matrix,
     _readonly,
     cumulative_integral,
@@ -82,13 +83,13 @@ class MomentumField:
         return self
 
 
-def _node_mask(psi: Field, node_threshold: float) -> np.ndarray:
-    """Points where |psi| falls below node_threshold times its peak.
+def _node_mask(amp: np.ndarray, node_threshold: float) -> np.ndarray:
+    """Points where the magnitude amp = |psi| falls below node_threshold
+    times its peak.
 
     A non-finite entry is never masked, so the derivative taken next
     reports it as NonFiniteField.
     """
-    amp = np.abs(psi.values)
     peak = amp.max()
     if peak <= 0.0:
         raise AllMasked("wave function vanishes identically")
@@ -100,7 +101,7 @@ def _node_mask(psi: Field, node_threshold: float) -> np.ndarray:
 
 def psi_to_p(psi: Field, node_threshold: float = DEFAULT_NODE_THRESHOLD) -> MomentumField:
     """Momentum field p = -i (grad psi)/psi, masked near nodes of psi."""
-    mask = _node_mask(psi, node_threshold)
+    mask = _node_mask(np.abs(psi.values), node_threshold)
     dpsi = gradient(psi).values
     vals = np.zeros(psi.values.shape, psi.values.dtype)
     np.divide(-1j * dpsi, psi.values, out=vals, where=~mask)
@@ -248,12 +249,19 @@ def hamiltonian_field_from_state(
     field together with the node mask (entries under the threshold hold V).
     """
     require_same_grid(psi, V.grid)
-    mask = _node_mask(psi, node_threshold)
-    lp = laplacian(psi).values
+    mask = _node_mask(np.abs(psi.values), node_threshold)
+    vals = _hamiltonian_field(V, psi.check_finite().values, mask)
+    return _adopt(Field, grid=psi.grid, values=vals), mask
+
+
+def _hamiltonian_field(V: Potential, values: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """hamiltonian_field_from_state's values from finite psi values and the
+    node mask, in a fresh array."""
+    lp = _derivative_values(V.grid, values, 2)
     vals = np.array(V.samples, dtype=np.complex128)
     ok = ~mask
-    vals[ok] -= 0.5 * lp[ok] / psi.values[ok]
-    return Field(psi.grid, vals), mask
+    vals[ok] -= 0.5 * lp[ok] / values[ok]
+    return vals
 
 
 def cqhj_rhs_from_state(

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ImaginaryEnergy, ZeroSpread, ZeroState
-from .grid import Field, norm, require_same_grid
-from .states import Hamiltonian, overlap
+from .grid import Field, Grid, _sq_norm, norm, require_same_grid
+from .states import Hamiltonian, _inner
 
 HBAR_SI = 1.054571817e-34  # J s
 ELECTRON_MASS_KG = 9.1093837015e-31
@@ -24,14 +24,31 @@ BRACKET_MIN_S = 1e-13
 BRACKET_MAX_S = 1e-4
 
 
-def fidelity(a: Field, b: Field) -> float:
-    """Squared normalized overlap |<a|b>|^2 / (<a|a><b|b>), in [0, 1]."""
-    require_same_grid(a, b)
-    na, nb = norm(a), norm(b)
+def _fidelity(grid: Grid, a: np.ndarray, b: np.ndarray, na: float, nb: float) -> float:
+    """fidelity of the value arrays a and b, with norms na and nb."""
     if na < 1e-150 or nb < 1e-150:
         raise ZeroState("fidelity of a zero state is undefined")
-    val = abs(overlap(a, b)) ** 2 / (na**2 * nb**2)
+    val = abs(_inner(grid, a, b)) ** 2 / (na**2 * nb**2)
     return float(min(val, 1.0))
+
+
+def fidelity(a: Field, b: Field) -> float:
+    """Squared normalized overlap |<a|b>|^2 / (<a|a><b|b>), in [0, 1]."""
+    return _fidelity(require_same_grid(a, b), a.values, b.values, norm(a), norm(b))
+
+
+def _energy(grid: Grid, values: np.ndarray, hvalues: np.ndarray, sq_norm: float) -> float:
+    """energy of the finite values with H applied (hvalues) and squared norm
+    sq_norm."""
+    if sq_norm < 1e-300:
+        raise ZeroState("energy of a zero state is undefined")
+    val = _inner(grid, values, hvalues) / sq_norm
+    scale = max(1.0, abs(val))
+    if abs(val.imag) > 1e-10 * scale:
+        raise ImaginaryEnergy(
+            f"energy expectation has imaginary residual {val.imag:.3e}"
+        )
+    return float(val.real)
 
 
 def energy(psi: Field, H: Hamiltonian) -> float:
@@ -42,30 +59,19 @@ def energy(psi: Field, H: Hamiltonian) -> float:
     energy scale indicates a numerics bug and raises ImaginaryEnergy.
     """
     require_same_grid(psi, H.grid)
-    hvals = H.apply(psi.check_finite().values)
-    w = psi.grid.quadrature_weights
-    num = complex(np.dot(w, np.conj(psi.values) * hvals))
-    den = float(np.dot(w, np.abs(psi.values) ** 2).real)
-    if den < 1e-300:
-        raise ZeroState("energy of a zero state is undefined")
-    val = num / den
-    scale = max(1.0, abs(val))
-    if abs(val.imag) > 1e-10 * scale:
-        raise ImaginaryEnergy(
-            f"energy expectation has imaginary residual {val.imag:.3e}"
-        )
-    return float(val.real)
+    v = psi.check_finite().values
+    return _energy(psi.grid, v, H.apply(v), _sq_norm(psi.grid, np.abs(v)))
 
 
 def energy_spread(psi: Field, H: Hamiltonian) -> float:
     """Standard deviation of the linear Hamiltonian H in the given state;
     a NaN or Inf entry raises NonFiniteField."""
-    require_same_grid(psi, H.grid)
-    hvals = H.apply(psi.check_finite().values)
-    w = psi.grid.quadrature_weights
-    den = float(np.dot(w, np.abs(psi.values) ** 2).real)
-    e1 = complex(np.dot(w, np.conj(psi.values) * hvals)) / den
-    e2 = float(np.dot(w, np.abs(hvals) ** 2).real) / den
+    g = require_same_grid(psi, H.grid)
+    v = psi.check_finite().values
+    hvals = H.apply(v)
+    den = _sq_norm(g, np.abs(v))
+    e1 = _inner(g, v, hvals) / den
+    e2 = _sq_norm(g, np.abs(hvals)) / den
     var = e2 - abs(e1) ** 2
     return float(np.sqrt(max(var, 0.0)))
 

@@ -23,9 +23,13 @@ minus that of the pinning target (or the unwrapped phase under Kostin
 friction), with rate = kappa (gamma) and M = lift o derivative o mask a
 projector. Then exp(-rate dt M) = I - (1 - exp(-rate dt)) M, which is
 psi exp(i tau Phi[psi]) with tau = -expm1(-rate dt) / rate: one force
-evaluation per step and no iteration. The state is renormalized every step,
-and the running sum of the log scale factors is recorded at every snapshot
-(gauge_log_magnitude), which keeps the homogeneous dynamics auditable.
+evaluation per step and no iteration. With renormalization on, a nonlinear
+run renormalizes the state every step; a linear one (schrodinger_evolve,
+or the null force) once per snapshot interval, because its Cayley and FFT
+steps are unitary in the grid inner product: the norm stays at 1 to
+roundoff over an interval of any length. The running sum of the log scale
+factors is recorded at every snapshot (gauge_log_magnitude), which keeps
+the homogeneous dynamics auditable.
 
 Between snapshots the collapsible step fuses the trailing linear half step
 of one step with the leading half step of the next: the two Cayley half
@@ -42,21 +46,23 @@ scratch and transforms into them, with the operand order of every product
 fixed, so a step is bitwise the allocating expression it replaces.
 
 All three propagators run on one stepping loop, `_drive`. Each supplies
-only a step function advance(vals, step, settle) and a snapshot function
-record(vals, obs, cum_log), both on raw ndarrays; the loop owns the step
-count, the snapshot cadence (t = 0, every snapshot_stride-th step and the
-last step, where settle is true), the per-step renormalization and its
-running log scale, the assembly of the Trajectory, and attaching the
-partial trajectory to any CqhjError a step or a snapshot raises. The
-renormalization of a pending (step-owing) state has the norm of the
-settled state to roundoff, because both kernels are unitary in the grid
-inner product.
+only an interval function advance(vals, m), which takes a recorded state
+through the m steps to the next snapshot, and a snapshot function
+record(vals, obs, log), both on raw ndarrays; the loop owns the snapshot
+cadence (t = 0, every snapshot_stride-th step and the last step), the
+renormalization of each interval's end state and its running log scale,
+the assembly of the Trajectory, and attaching the partial trajectory to
+any CqhjError a step or a snapshot raises. The recorder takes every
+observable from one finite check and one weighted |psi|^2 sum, through
+masked_stats and the private helpers behind energy, fidelity and
+hamiltonian_field_from_state, so each formula has one copy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 import scipy.sparse as sp
@@ -64,13 +70,14 @@ from scipy.sparse.linalg import splu
 
 from .cqhj import (
     MomentumField,
+    _hamiltonian_field,
+    _node_mask,
     cqhj_rhs,
-    hamiltonian_field_from_state,
     masked_stats,
     psi_to_p,
     p_to_psi,
 )
-from .diagnostics import energy, fidelity
+from .diagnostics import _energy, _fidelity
 from .errors import (
     AllMasked,
     CqhjError,
@@ -87,9 +94,9 @@ from .grid import (
     Grid,
     _adopt,
     _readonly,
+    _sq_norm,
     cumulative_integral,
     gradient,
-    make_field,
     norm,
     require_same_grid,
 )
@@ -111,6 +118,15 @@ OBSERVABLES = (
 
 @dataclass(frozen=True)
 class IntegratorSpec:
+    """The integrator of a run and its time step dt.
+
+    renormalize_each_step divides the state by its grid norm and sums the
+    log scale factors into gauge_log_magnitude: every step of a nonlinear
+    collapsible run, and once per snapshot interval of a linear one
+    (schrodinger_evolve, or collapsible_evolve under the null force),
+    whose unitary steps keep the norm at 1 to roundoff.
+    """
+
     method: Method
     dt: float
     renormalize_each_step: bool = True
@@ -221,19 +237,28 @@ def _cached_kernel(H: Hamiltonian, dt: float):
 
 def _record_psi_observables(
     store: dict,
-    psi: Field,
+    vals: np.ndarray,
     H: Hamiltonian,
-    target: Field | None,
+    target: tuple[np.ndarray, float] | None,
     gauge_log_magnitude: float,
 ) -> Field:
-    """Append the observables of psi to the store (no fidelity_target
-    series without a target); returns psi."""
-    field, mask = hamiltonian_field_from_state(psi, H.V, node_threshold=OBSERVABLE_NODE_THRESHOLD)
-    mean, std = masked_stats(field, mask)
+    """Append the observables of the state vals to the store in one pass:
+    one finite check and one weighted |psi|^2 sum for the norm, the energy
+    and the fidelity. target is the fidelity target's (values, norm), or
+    None for no fidelity_target series. Returns the snapshot, which takes
+    vals without a copy."""
+    grid = H.grid
+    psi = _adopt(Field, grid=grid, values=vals).check_finite()
+    amp = np.abs(vals)
+    sq_norm = _sq_norm(grid, amp)
+    mask = _node_mask(amp, OBSERVABLE_NODE_THRESHOLD)
+    h_field = _adopt(Field, grid=grid, values=_hamiltonian_field(H.V, vals, mask))
+    mean, std = masked_stats(h_field, mask)
+    psi_norm = float(np.sqrt(sq_norm))
     row = (
-        norm(psi),
-        energy(psi, H),
-        None if target is None else fidelity(psi, target),
+        psi_norm,
+        _energy(grid, vals, H.apply(vals), sq_norm),
+        None if target is None else _fidelity(grid, vals, target[0], psi_norm, target[1]),
         mean.real,
         std,
         gauge_log_magnitude,
@@ -250,31 +275,44 @@ def _record_psi_observables(
 
 
 def _psi_recorder(H: Hamiltonian, target: Field | None):
-    """Snapshot function of the wave-function propagators."""
-    return lambda v, obs, log: _record_psi_observables(obs, make_field(H.grid, v), H, target, log)
+    """Snapshot function of the wave-function propagators; the target's
+    norm is taken once per run."""
+    if target is not None:
+        require_same_grid(target, H.grid)
+        target = (target.values, norm(target))
+    return lambda v, obs, log: _record_psi_observables(obs, v, H, target, log)
+
+
+class _Renormalizer:
+    """Divides a state by its grid norm, when enabled, and sums the log
+    scale factors into log."""
+
+    def __init__(self, grid: Grid, enabled: bool, log: float = 0.0):
+        self.grid, self.enabled, self.log = grid, enabled, log
+
+    def __call__(self, vals: np.ndarray) -> np.ndarray:
+        if not self.enabled:
+            return vals
+        scale = norm(_adopt(Field, grid=self.grid, values=vals))
+        self.log -= float(np.log(scale))
+        return vals / scale
 
 
 def _drive(
     vals: np.ndarray,
-    grid: Grid,
     spec: IntegratorSpec,
     t_final: float,
     snapshot_stride: int,
     advance,
     record,
-    *,
-    renormalize: bool,
-    cum_log: float = 0.0,
+    renormalize: _Renormalizer,
 ) -> Trajectory:
     """The stepping loop of every propagator (see the module docstring).
 
-    advance(vals, step, settle) returns the values after step `step`;
-    settle is true on the steps that are recorded, and a propagator may
-    return a pending state on the others (collapsible_evolve owes a half
-    step there, schrodinger_evolve every other step). record(vals, obs,
-    cum_log) appends a snapshot's observables to obs and returns the
-    snapshot. cum_log starts at the given log scale and adds that of every
-    renormalization.
+    advance(vals, m) returns the values m steps on, from and to a recorded
+    (full) state. Each interval's end state goes through renormalize, and
+    record(vals, obs, log) appends its observables to obs and returns the
+    snapshot, with log the running log scale renormalize.log.
     """
     n_steps = max(1, int(round(t_final / spec.dt)))
     obs: dict = {}
@@ -289,18 +327,14 @@ def _drive(
         )
 
     try:
-        snaps.append(record(vals, obs, cum_log))
+        snaps.append(record(vals, obs, renormalize.log))
         times.append(0.0)
-        for step in range(1, n_steps + 1):
-            settle = step % snapshot_stride == 0 or step == n_steps
-            vals = advance(vals, step, settle)
-            if renormalize:
-                scale = norm(_adopt(Field, grid=grid, values=vals))
-                vals = vals / scale
-                cum_log -= float(np.log(scale))
-            if settle:
-                snaps.append(record(vals, obs, cum_log))
-                times.append(step * spec.dt)
+        step = 0
+        for end in chain(range(snapshot_stride, n_steps, snapshot_stride), (n_steps,)):
+            vals = renormalize(advance(vals, end - step))
+            step = end
+            snaps.append(record(vals, obs, renormalize.log))
+            times.append(step * spec.dt)
     except CqhjError as exc:
         exc.trajectory = trajectory()
         raise
@@ -323,24 +357,22 @@ def schrodinger_evolve(
     StabilityViolation otherwise). Crank-Nicolson is
     unconditionally stable; dt only controls accuracy, with phase errors
     O(dt^2 E^3) per unit time for energy-E components. Steps between
-    snapshots are taken in pairs, each pair one double step. psi0 and V
+    snapshots are taken in pairs, each pair one double step, and a
+    renormalized run divides by the norm once per snapshot. psi0 and V
     must share a grid (GridMismatch otherwise).
     """
     grid = require_same_grid(psi0, V.grid)
     H = hamiltonian(V, spec.method)
     kernel = _make_kernel(H, spec.dt)
-    owed = False  # vals still owes the last step
 
-    def advance(vals: np.ndarray, step: int, settle: bool) -> np.ndarray:
-        nonlocal owed
-        n = 2 if owed else 1
-        owed = not (settle or owed)
-        return vals if owed else kernel.step(vals, n)
+    def advance(vals: np.ndarray, m: int) -> np.ndarray:
+        for _ in range(m // 2):
+            vals = kernel.step(vals, 2)
+        return kernel.step(vals, 1) if m % 2 else vals
 
     return _drive(
-        psi0.values, grid, spec, t_final, snapshot_stride, advance,
-        record=_psi_recorder(H, target),
-        renormalize=spec.renormalize_each_step,
+        psi0.values, spec, t_final, snapshot_stride, advance, _psi_recorder(H, target),
+        _Renormalizer(grid, spec.renormalize_each_step),
     )
 
 
@@ -407,23 +439,31 @@ def cqhj_evolve(
         pf = MomentumField(Field(grid, vals), empty)
         return cqhj_rhs(pf, V).values
 
-    def advance(vals: np.ndarray, step: int, settle: bool) -> np.ndarray:
-        if step == 1:
-            monitor(vals, 0.0)
-        k1 = rhs(vals)
-        k2 = rhs(vals + 0.5 * dt * k1)
-        k3 = rhs(vals + 0.5 * dt * k2)
-        k4 = rhs(vals + dt * k3)
-        vals = vals + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if project:
-            vals = gradient(cumulative_integral(Field(grid, vals))).values
-        return monitor(vals, step * dt)
+    done = 0  # steps taken
 
-    def record(vals: np.ndarray, obs: dict, cum_log: float) -> MomentumField:
+    def advance(vals: np.ndarray, m: int) -> np.ndarray:
+        nonlocal done
+        if not done:
+            monitor(vals, 0.0)
+        for _ in range(m):
+            k1 = rhs(vals)
+            k2 = rhs(vals + 0.5 * dt * k1)
+            k3 = rhs(vals + 0.5 * dt * k2)
+            k4 = rhs(vals + dt * k3)
+            vals = vals + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if project:
+                vals = gradient(cumulative_integral(Field(grid, vals))).values
+            done += 1
+            monitor(vals, done * dt)
+        return vals
+
+    record_psi = _psi_recorder(H, target)
+
+    def record(vals: np.ndarray, obs: dict, log: float) -> MomentumField:
         pf = MomentumField(Field(grid, vals), empty)
         try:
             psi, log_scale = p_to_psi(pf)
-            _record_psi_observables(obs, psi, H, target, log_scale)
+            record_psi(psi.values, obs, log_scale)
         except PeriodicityViolation:
             # winding fields have no single-valued reconstruction; keep the
             # observable series aligned with the snapshot series
@@ -433,8 +473,7 @@ def cqhj_evolve(
         return pf
 
     return _drive(
-        p0.values, grid, spec, t_final, snapshot_stride, advance, record,
-        renormalize=False,
+        p0.values, spec, t_final, snapshot_stride, advance, record, _Renormalizer(grid, False)
     )
 
 
@@ -460,10 +499,10 @@ def collapsible_evolve(
     recorded states are the full Strang states. The node mask is that of
     the half-stepped state; a state with no unmasked point left raises
     NodeBlowup. Any nonzero input norm is accepted; the log scale of the
-    entry normalization and of every per-step renormalization is summed into
-    the gauge_log_magnitude series. Split-step checks each half step against
-    schrodinger_evolve's bound, so it requires dt * E_max <= 0.2. psi0 and
-    V must share a grid (GridMismatch otherwise).
+    entry normalization and of every renormalization (IntegratorSpec) is
+    summed into the gauge_log_magnitude series. Split-step checks each half
+    step against schrodinger_evolve's bound, so it requires
+    dt * E_max <= 0.2. psi0 and V must share a grid (GridMismatch otherwise).
     """
     grid = require_same_grid(psi0, V.grid)
     H = hamiltonian(V, spec.method)
@@ -473,7 +512,6 @@ def collapsible_evolve(
     scale = norm(Field(grid, psi0.values))
     if scale == 0.0:
         raise AllMasked("initial state has zero norm")
-    cum_log = -float(np.log(scale))
 
     def phi_of(vals: np.ndarray) -> np.ndarray:
         """Gauge potential of the force at the state vals."""
@@ -490,20 +528,23 @@ def collapsible_evolve(
     rate = force.kappa if force.kind is ForceKind.PINNING else force.gamma
     tau = -np.expm1(-rate * dt) / rate if rate else dt
 
-    owed = False  # vals still owes the trailing half step of the last step
+    renormalize = _Renormalizer(grid, spec.renormalize_each_step, -float(np.log(scale)))
 
-    def advance(vals: np.ndarray, step: int, settle: bool) -> np.ndarray:
-        nonlocal owed
+    def gauge(a: np.ndarray) -> np.ndarray:
+        return a * np.exp(1j * tau * phi_of(a))
+
+    def advance(vals: np.ndarray, m: int) -> np.ndarray:
         if force.kind is ForceKind.NULL:
-            return kernel.step(vals, 2)
-        a = kernel.step(vals, 2 if owed else 1)
-        b = a * np.exp(1j * tau * phi_of(a))
-        owed = not settle
-        return b if owed else kernel.step(b, 1)
+            for _ in range(m):
+                vals = kernel.step(vals, 2)
+            return vals
+        b = gauge(kernel.step(vals, 1))
+        for _ in range(m - 1):
+            # b still owes its trailing half step, fused into the next one
+            b = gauge(kernel.step(renormalize(b), 2))
+        return kernel.step(b, 1)
 
     return _drive(
-        psi0.values / scale, grid, spec, t_final, snapshot_stride, advance,
-        record=_psi_recorder(H, target),
-        renormalize=spec.renormalize_each_step,
-        cum_log=cum_log,
+        psi0.values / scale, spec, t_final, snapshot_stride, advance, _psi_recorder(H, target),
+        renormalize,
     )

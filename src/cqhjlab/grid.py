@@ -229,14 +229,17 @@ def _fd_matrix(n: int, order: int, periodic: bool) -> sp.csr_array:
     return sp.csr_array((data, cols, indptr), shape=(n, n))
 
 
-def _derivative(f: Field, order: int) -> Field:
-    """Spectral derivative on periodic grids, the box _fd_matrix otherwise."""
-    f.check_finite()
-    g = f.grid
+def _derivative_values(g: Grid, v: np.ndarray, order: int) -> np.ndarray:
+    """Spectral derivative of finite values on periodic grids, the box
+    _fd_matrix otherwise, in a fresh array."""
     if g.boundary is Boundary.PERIODIC:
-        return _adopt(Field, grid=g, values=_spectral_derivative(g, f.values, order))
-    D = _fd_matrix(g.n_points, order, False)
-    return _adopt(Field, grid=g, values=(D @ f.values) / g.dx**order)
+        return _spectral_derivative(g, v, order)
+    return (_fd_matrix(g.n_points, order, False) @ v) / g.dx**order
+
+
+def _derivative(f: Field, order: int) -> Field:
+    f.check_finite()
+    return _adopt(Field, grid=f.grid, values=_derivative_values(f.grid, f.values, order))
 
 
 def gradient(f: Field) -> Field:
@@ -256,8 +259,13 @@ def integrate(f: Field) -> complex:
     return complex(np.dot(f.grid.quadrature_weights, f.values))
 
 
+def _sq_norm(g: Grid, amp: np.ndarray) -> float:
+    """Squared grid norm of a field with the magnitudes amp."""
+    return float(np.dot(g.quadrature_weights, amp**2).real)
+
+
 def norm(f: Field) -> float:
-    return float(np.sqrt(np.dot(f.grid.quadrature_weights, np.abs(f.values) ** 2).real))
+    return float(np.sqrt(_sq_norm(f.grid, np.abs(f.values))))
 
 
 def cumulative_integral(f: Field) -> Field:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import cmath
 import configparser
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .diagnostics import UnitSystem
 from .errors import ConfigError
@@ -48,6 +48,8 @@ class Scenario:
 
     resolved: dict
     sections: dict
+    # the eigenpairs solved for this scenario, per Hamiltonian
+    _eigenpairs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     # -- builders ---------------------------------------------------------
     def build_grid(self) -> Grid:
@@ -70,9 +72,25 @@ class Scenario:
     def _eigenstate(self, index: int, grid: Grid, V: Potential) -> Field:
         if self.resolved["potential"]["kind"] == "harmonic":
             return ho_eigenstate(index, self.resolved["potential"]["omega"], grid).state
-        # the states of the Hamiltonian the integrator steps with are stationary
+        # the states of the Hamiltonian the integrator steps with are stationary;
+        # one solve gives every state the scenario names
         H = hamiltonian(V, _METHODS[self.resolved["integrator"]["method"]])
-        return solve_eigenstates(H, index + 1)[index].state
+        if H not in self._eigenpairs:
+            self._eigenpairs[H] = solve_eigenstates(H, self._eigenstate_count())
+        return self._eigenpairs[H][index].state
+
+    def _eigenstate_count(self) -> int:
+        """How many of the lowest eigenstates the initial state and the
+        targets reach into."""
+        r = self.resolved
+        init = r["initial_state"]
+        named = [
+            init.get("index", 0),
+            *init.get("indices", ()),
+            r["force"].get("target_index", 0),
+            r["run"]["fidelity_target_index"] or 0,
+        ]
+        return max(named) + 1
 
     def build_initial_state(self, grid: Grid, V: Potential) -> Field:
         s = self.resolved["initial_state"]

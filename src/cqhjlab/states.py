@@ -29,6 +29,7 @@ from .grid import (
     _fd_matrix,
     _readonly,
     _spectral_derivative,
+    _sq_norm,
     _spectral_multiplier,
     laplacian,
     make_field,
@@ -156,7 +157,7 @@ class EigenPair:
 
 
 def _normalize(grid: Grid, values: np.ndarray) -> np.ndarray:
-    n = np.sqrt(np.dot(grid.quadrature_weights, np.abs(values) ** 2).real)
+    n = np.sqrt(_sq_norm(grid, np.abs(values)))
     if n < 1e-300:
         raise ZeroState("cannot normalize a zero field")
     return values / n
@@ -288,6 +289,10 @@ def position_variance(psi: Field) -> float:
     return float(np.dot(w, (psi.grid.x - mean) ** 2 * dens) / np.dot(w, dens))
 
 
+def _inner(grid: Grid, a: np.ndarray, b: np.ndarray) -> complex:
+    """Grid inner product <a|b> of two value arrays."""
+    return complex(np.dot(grid.quadrature_weights, np.conj(a) * b))
+
+
 def overlap(a: Field, b: Field) -> complex:
-    require_same_grid(a, b)
-    return complex(np.dot(a.grid.quadrature_weights, np.conj(a.values) * b.values))
+    return _inner(require_same_grid(a, b), a.values, b.values)

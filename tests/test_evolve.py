@@ -27,7 +27,15 @@ from cqhjlab import (
     superpose,
 )
 from cqhjlab import evolve
-from cqhjlab.errors import GridMismatch, NodeApproach, StabilityViolation
+from cqhjlab.cqhj import hamiltonian_field_from_state, masked_stats
+from cqhjlab.diagnostics import energy
+from cqhjlab.errors import (
+    AllMasked,
+    GridMismatch,
+    NodeApproach,
+    NonFiniteField,
+    StabilityViolation,
+)
 from cqhjlab.evolve import _make_kernel
 from cqhjlab.forces import evaluate, gauge_potential
 from cqhjlab.grid import gradient
@@ -261,6 +269,65 @@ def test_renormalization_logged(ho_box_setup):
     log_scale = traj.observables["gauge_log_magnitude"]
     assert len(log_scale) == len(traj.snapshots) == 5
     assert np.max(np.abs(log_scale)) <= 1e-12
+
+
+@pytest.mark.parametrize("with_target", [True, False], ids=["target", "no_target"])
+@pytest.mark.parametrize(
+    "boundary, method",
+    [(Boundary.BOX, Method.CRANK_NICOLSON), (Boundary.PERIODIC, Method.SPLIT_STEP)],
+)
+def test_recorder_matches_the_public_observables(boundary, method, with_target):
+    # the one-pass recorder shares one finite check and one |psi|^2 sum;
+    # each value must be bitwise the public function's. The superposition
+    # has a node and tails below the observable node threshold, so the mask
+    # and its dilation take part.
+    g = Grid(-8.0, 8.0, 512, boundary)
+    V = harmonic_potential(g, 1.0)
+    ground, excited = (ho_eigenstate(n, 1.0, g).state for n in (0, 1))
+    psi = superpose([1.0, 1.0], [ground, excited])
+    target = Field(g, 3.0 * ground.values) if with_target else None
+    H = hamiltonian(V, method)
+    obs = {}
+    snap = evolve._psi_recorder(H, target)(psi.values, obs, 0.25)
+    assert np.array_equal(snap.values, psi.values)
+    h_field, mask = hamiltonian_field_from_state(psi, V, evolve.OBSERVABLE_NODE_THRESHOLD)
+    assert 0 < mask.sum() < g.n_points
+    mean, std = masked_stats(h_field, mask)
+    want = {
+        "norm": [norm(psi)],
+        "energy": [energy(psi, H)],
+        "H_mean_re": [mean.real],
+        "H_std": [std],
+        "gauge_log_magnitude": [0.25],
+        "gauge_phase": [0.0],
+    }
+    if with_target:
+        want["fidelity_target"] = [fidelity(psi, target)]
+    assert obs == want
+
+
+@pytest.mark.parametrize(
+    "bad, error", [(np.nan, NonFiniteField), (0.0, AllMasked)], ids=["nan", "all_masked"]
+)
+def test_recorder_errors_keep_the_partial_trajectory(ho_box_setup, monkeypatch, bad, error):
+    # the third kernel step returns a NaN or an all-zero state: recording it
+    # raises the typed error, which carries the two snapshots before it
+    grid, V, pairs = ho_box_setup
+    spec = IntegratorSpec(Method.CRANK_NICOLSON, 1e-3, False)
+    kernel = _make_kernel(hamiltonian(V, spec.method), spec.dt)
+    step, calls = kernel.step, []
+
+    def failing_step(values, n):
+        calls.append(n)
+        return step(values, n) if len(calls) < 3 else np.full_like(values, bad)
+
+    monkeypatch.setattr(kernel, "step", failing_step)
+    with pytest.raises(error) as err:
+        schrodinger_evolve(pairs[0].state, V, spec, 5 * spec.dt, target=pairs[0].state)
+    partial = err.value.trajectory
+    assert np.array_equal(partial.times, [0.0, spec.dt, 2 * spec.dt])
+    assert len(partial.snapshots) == 3
+    assert all(len(series) == 3 for series in partial.observables.values())
 
 
 def test_snapshot_cadence_shared_by_all_propagators(ho_box_setup):

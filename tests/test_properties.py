@@ -1,7 +1,7 @@
-"""Property-based checks of the momentum map and the collapsible step on
-drawn states, scale factors, rates and snapshot strides. Grids stay at
-128-512 points and runs at 40 steps, so the module adds about a second and a
-half to the suite."""
+"""Property-based checks of the momentum map, the collapsible step and the
+linear propagators on drawn states, scale factors, rates, snapshot strides
+and renormalization. Grids stay at 128-512 points and runs at 40 steps, so
+the module adds about four seconds to the suite."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -17,10 +17,12 @@ from cqhjlab import (
     ho_eigenstate,
     kostin_friction,
     make_field,
+    null_force,
     p_to_psi,
     pinning_force,
     psi_to_p,
     random_nodeless_state,
+    schrodinger_evolve,
     superpose,
 )
 
@@ -84,6 +86,18 @@ BOX = Grid(-8.0, 8.0, 512, Boundary.BOX)
 PERIODIC = Grid(-8.0, 8.0, 128, Boundary.PERIODIC)
 
 
+def _box_superposition(rng: np.random.Generator):
+    """The ground state and a drawn superposition of the two lowest
+    oscillator states on the box grid."""
+    ground, excited = (ho_eigenstate(n, 1.0, BOX) for n in (0, 1))
+    mix = rng.uniform(0.0, 2 * np.pi, 2)
+    psi0 = superpose(
+        [np.cos(mix[0] / 2), np.sin(mix[0] / 2) * np.exp(1j * mix[1])],
+        [ground.state, excited.state],
+    )
+    return ground, psi0
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     boundary=st.sampled_from(list(Boundary)),
@@ -103,12 +117,8 @@ def test_collapsible_step_ignores_the_scale_of_psi0(
     # the normalized densities of psi0 and c psi0 agree to 5.9e-15, their
     # norm series to 2.0e-15, and a renormalized norm is 1 to 2.2e-16.
     if boundary is Boundary.BOX:
-        grid, (ground, excited) = BOX, (ho_eigenstate(n, 1.0, BOX) for n in (0, 1))
-        mix = np.random.default_rng(seed).uniform(0.0, 2 * np.pi, 2)
-        psi0 = superpose(
-            [np.cos(mix[0] / 2), np.sin(mix[0] / 2) * np.exp(1j * mix[1])],
-            [ground.state, excited.state],
-        )
+        grid = BOX
+        ground, psi0 = _box_superposition(np.random.default_rng(seed))
         force = pinning_force(ground, rate)
     else:
         grid = PERIODIC
@@ -127,9 +137,11 @@ def test_collapsible_step_ignores_the_scale_of_psi0(
         assert np.max(np.abs(np.abs(sa.values) ** 2 - np.abs(sb.values) ** 2)) <= 1e-12
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=30, deadline=None)
 @given(
-    case=st.sampled_from(["box pinning", "box kostin", "periodic pinning"]),
+    case=st.sampled_from(
+        ["box pinning", "box kostin", "box null", "periodic pinning", "periodic null"]
+    ),
     seed=SEEDS,
     rate=st.floats(0.1, 5.0),
     stride=st.integers(2, 41),
@@ -141,21 +153,25 @@ def test_snapshot_cadence_does_not_change_the_trajectory(case, seed, rate, strid
     # and split-step on the periodic one, compared at the common snapshot
     # times. Measured over 100 draws per case: largest |psi_k - psi_1| /
     # max|psi_1| 8.6e-15, and the running log scale, summed from the
-    # renormalization of pending states, agrees to 2.2e-14.
+    # renormalization of pending states, agrees to 2.2e-14. Under the null
+    # force every step is one double half step and only the
+    # renormalization differs (every step at stride 1, once per snapshot
+    # interval at stride k): 3.4e-15 (box) and 5.0e-15 (periodic), log
+    # scale 1.6e-15 and 2.0e-15.
     rng = np.random.default_rng(seed)
     if case.startswith("box"):
-        grid, (ground, excited) = BOX, (ho_eigenstate(n, 1.0, BOX) for n in (0, 1))
-        mix = rng.uniform(0.0, 2 * np.pi, 2)
-        psi0 = superpose(
-            [np.cos(mix[0] / 2), np.sin(mix[0] / 2) * np.exp(1j * mix[1])],
-            [ground.state, excited.state],
-        )
-        force = pinning_force(ground, rate) if case == "box pinning" else kostin_friction(rate)
+        grid = BOX
+        ground, psi0 = _box_superposition(rng)
+        force = {
+            "box pinning": lambda: pinning_force(ground, rate),
+            "box kostin": lambda: kostin_friction(rate),
+            "box null": null_force,
+        }[case]()
         spec = IntegratorSpec(Method.CRANK_NICOLSON, 1e-3, True)
     else:
         grid = PERIODIC
         psi0, target = (random_nodeless_state(grid, rng, modes=4, amplitude=0.5) for _ in range(2))
-        force = pinning_force(target, rate)
+        force = null_force() if case == "periodic null" else pinning_force(target, rate)
         spec = IntegratorSpec(Method.SPLIT_STEP, 2e-4, True)
     V = harmonic_potential(grid, 1.0)
     t_final = 40 * spec.dt
@@ -167,3 +183,43 @@ def test_snapshot_cadence_does_not_change_the_trajectory(case, seed, rate, strid
         assert np.max(np.abs(snap.values - ref)) <= 1e-13 * np.max(np.abs(ref))
     log_scale = every.observables["gauge_log_magnitude"][steps]
     assert np.max(np.abs(fused.observables["gauge_log_magnitude"] - log_scale)) <= 1e-12
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    boundary=st.sampled_from(list(Boundary)),
+    propagator=st.sampled_from(["schrodinger", "collapsible"]),
+    seed=SEEDS,
+    stride=st.integers(1, 41),
+)
+def test_renormalization_does_not_change_a_linear_trajectory(boundary, propagator, seed, stride):
+    # linear steps are unitary in the grid inner product, so renormalizing
+    # once per snapshot interval moves a linear run only at roundoff. 40
+    # steps of schrodinger_evolve or of collapsible_evolve under the null
+    # force, Crank-Nicolson on the box grid and split-step on the periodic
+    # one, with and without renormalization. Measured over 100 draws per
+    # boundary and propagator: largest |psi_on - psi_off| / max|psi_off|
+    # 5.6e-15, norm series 3.2e-15 apart, log scales 1.8e-15 apart, and a
+    # renormalized norm is 1 to 2.2e-16.
+    rng = np.random.default_rng(seed)
+    if boundary is Boundary.BOX:
+        grid, (_, psi0) = BOX, _box_superposition(rng)
+        method, dt = Method.CRANK_NICOLSON, 1e-3
+    else:
+        grid = PERIODIC
+        psi0 = random_nodeless_state(grid, rng, modes=4, amplitude=0.5)
+        method, dt = Method.SPLIT_STEP, 2e-4
+    V = harmonic_potential(grid, 1.0)
+    on, off = (
+        schrodinger_evolve(psi0, V, IntegratorSpec(method, dt, r), 40 * dt, snapshot_stride=stride)
+        if propagator == "schrodinger"
+        else collapsible_evolve(
+            psi0, V, null_force(), IntegratorSpec(method, dt, r), 40 * dt, snapshot_stride=stride
+        )
+        for r in (True, False)
+    )
+    for a, b in zip(on.snapshots, off.snapshots, strict=True):
+        assert np.max(np.abs(a.values - b.values)) <= 1e-13 * np.max(np.abs(b.values))
+    for key in ("norm", "gauge_log_magnitude"):
+        assert np.max(np.abs(on.observables[key] - off.observables[key])) <= 1e-13, key
+    assert np.max(np.abs(on.observables["norm"] - 1.0)) <= 1e-14

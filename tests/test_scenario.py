@@ -7,11 +7,14 @@ import json
 import numpy as np
 import pytest
 
+from cqhjlab import scenario as scenario_module
 from cqhjlab.errors import ConfigError
 from cqhjlab.evolve import OBSERVABLES, Trajectory
+from cqhjlab.forces import pinning_force
 from cqhjlab.grid import Boundary, Field, Grid
 from cqhjlab.runner import RunResult, execute, run_to_directory, sweep, write_artifacts
 from cqhjlab.scenario import SCHEMA_VERSION, Scenario, apply_override, parse_scenario
+from cqhjlab.states import Method, hamiltonian, superpose
 
 MINI = """
 [grid]
@@ -362,6 +365,31 @@ def test_scenarios_over_solver_built_potentials(text):
     assert abs(summary["final_norm"] - 1.0) <= 1e-12
     if summary["final_fidelity_target"] is not None:
         assert summary["final_fidelity_target"] > 0.5
+
+
+def test_one_eigensolve_per_scenario_build(monkeypatch):
+    # BOX_PINNING names states 0 and 1 in its superposition and state 0 as
+    # the pinning and the fidelity target: one solve of the two lowest
+    # states serves all three builders
+    calls = []
+    real = scenario_module.solve_eigenstates
+
+    def counted(H, count):
+        calls.append(count)
+        return real(H, count)
+
+    monkeypatch.setattr(scenario_module, "solve_eigenstates", counted)
+    s = parse_scenario(BOX_PINNING, name="box")
+    grid = s.build_grid()
+    V = s.build_potential(grid)
+    psi0 = s.build_initial_state(grid, V)
+    force = s.build_force(grid, V)
+    target = s.build_fidelity_target(grid, V)
+    assert calls == [2]
+    ground, excited = real(hamiltonian(V, Method.CRANK_NICOLSON), 2)
+    assert np.array_equal(psi0.values, superpose([1, 1], [ground.state, excited.state]).values)
+    assert np.array_equal(target.values, ground.state.values)
+    assert np.array_equal(force.target.values, pinning_force(ground, 4.0).target.values)
 
 
 def test_degenerate_sweep_equals_run():
