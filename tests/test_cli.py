@@ -148,11 +148,11 @@ def _node_blowup_from_step(monkeypatch, step):
     lift = evolve.gauge_potential
     calls = []
 
-    def failing(force_field):
+    def failing(*args):
         calls.append(None)
         if len(calls) >= step:
             raise NodeBlowup("force evaluation has no unmasked momentum values left")
-        return lift(force_field)
+        return lift(*args)
 
     monkeypatch.setattr(evolve, "gauge_potential", failing)
 

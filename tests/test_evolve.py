@@ -33,7 +33,9 @@ from cqhjlab.errors import (
     AllMasked,
     GridMismatch,
     NodeApproach,
+    NodeBlowup,
     NonFiniteField,
+    PeriodicityViolation,
     StabilityViolation,
 )
 from cqhjlab.evolve import _make_kernel
@@ -636,8 +638,28 @@ def test_exact_gauge_substep_matches_fine_rk4(boundary):
     assert err(a.values * np.exp(1j * dt * phi)) >= 50 * exact
 
 
-def test_one_force_evaluation_per_nonlinear_step(ho_box_setup, monkeypatch):
-    grid, V, pairs = ho_box_setup
+def _force_setup(boundary):
+    """(V, pinning target, psi0): on the box grid the oscillator's ground
+    state and an equal superposition of its two lowest states; on the
+    periodic grid the free potential and two nodeless states exp(g), whose
+    momentum fields have no mean, so neither force winds."""
+    if boundary is Boundary.BOX:
+        grid = Grid(-8.0, 8.0, 512, boundary)
+        pairs = [ho_eigenstate(n, 1.0, grid) for n in (0, 1)]
+        psi0 = superpose([1.0, 1.0], [pairs[0].state, pairs[1].state])
+        return harmonic_potential(grid, 1.0), pairs[0].state, psi0
+    grid = Grid(-8.0, 8.0, 128, boundary)
+    target, psi0 = (
+        random_nodeless_state(grid, np.random.default_rng(seed), modes=4, amplitude=0.5)
+        for seed in (0, 1)
+    )
+    return free_potential(grid), target, psi0
+
+
+@pytest.mark.parametrize("boundary", [Boundary.BOX, Boundary.PERIODIC], ids=["box", "periodic"])
+@pytest.mark.parametrize("kind", ["pinning", "kostin"])
+def test_one_force_evaluation_per_nonlinear_step(monkeypatch, boundary, kind):
+    V, target, psi0 = _force_setup(boundary)
     calls = {"psi_to_p": 0, "evaluate_force": 0, "gauge_potential": 0}
     for name in calls:
         real = getattr(evolve, name)
@@ -647,10 +669,71 @@ def test_one_force_evaluation_per_nonlinear_step(ho_box_setup, monkeypatch):
             return _real(*args)
 
         monkeypatch.setattr(evolve, name, counted)
+    force = pinning_force(target, 3.5) if kind == "pinning" else kostin_friction(0.5)
+    spec = IntegratorSpec(Method.CRANK_NICOLSON, 1e-3, True)
+    collapsible_evolve(psi0, V, force, spec, 0.2, snapshot_stride=50)
+    assert calls == {"psi_to_p": 200, "evaluate_force": 200, "gauge_potential": 200}
+
+
+def test_pinning_target_on_another_grid_fails_before_the_run(ho_box_setup):
+    # checked once, when the run builds its kernel: no step is taken and no
+    # snapshot recorded, so the error carries no partial trajectory
+    grid, V, pairs = ho_box_setup
+    other = Grid(-10.0, 10.0, 512, Boundary.BOX)
+    force = pinning_force(ho_eigenstate(0, 1.0, other), 2.0)
     psi0 = superpose([1.0, 1.0], [pairs[0].state, pairs[1].state])
     spec = IntegratorSpec(Method.CRANK_NICOLSON, 1e-3, True)
-    collapsible_evolve(psi0, V, pinning_force(pairs[0], 3.5), spec, 0.2, snapshot_stride=50)
-    assert calls == {"psi_to_p": 200, "evaluate_force": 200, "gauge_potential": 200}
+    with pytest.raises(GridMismatch) as err:
+        collapsible_evolve(psi0, V, force, spec, 0.01)
+    assert err.value.trajectory is None
+
+
+@pytest.mark.parametrize(
+    "point, bad, error",
+    [(200, np.nan, NonFiniteField), (slice(None), 0.0, NodeBlowup)],
+    ids=["nan", "all-zero"],
+)
+def test_kernel_errors_keep_the_partial_trajectory(ho_box_setup, monkeypatch, point, bad, error):
+    # from the 120th step on the force kernel reads a state with a NaN at
+    # one point, or an all-zero one: the typed error carries the snapshots
+    # at steps 0, 50 and 100
+    grid, V, pairs = ho_box_setup
+    real, calls = evolve.psi_to_p, []
+
+    def corrupted(vals, *args):
+        calls.append(None)
+        if len(calls) >= 120:
+            vals = vals.copy()
+            vals[point] = bad
+        return real(vals, *args)
+
+    monkeypatch.setattr(evolve, "psi_to_p", corrupted)
+    psi0 = superpose([1.0, 1.0], [pairs[0].state, pairs[1].state])
+    spec = IntegratorSpec(Method.CRANK_NICOLSON, 1e-3, True)
+    with pytest.raises(error) as err:
+        collapsible_evolve(psi0, V, pinning_force(pairs[0], 3.5), spec, 0.2, snapshot_stride=50)
+    if error is NodeBlowup:
+        assert isinstance(err.value.__cause__, AllMasked)
+    partial = err.value.trajectory
+    assert np.array_equal(partial.times, [0.0, 50 * spec.dt, 100 * spec.dt])
+    assert len(partial.snapshots) == 3
+    assert all(len(series) == 3 for series in partial.observables.values())
+
+
+def test_winding_periodic_force_keeps_the_partial_trajectory():
+    # one unit of net momentum on the ring: Kostin friction -gamma Re(p) has
+    # mean -gamma 2 pi / L, which no single-valued Phi lifts; the first step
+    # raises, after the t = 0 snapshot
+    grid = Grid(-8.0, 8.0, 128, Boundary.PERIODIC)
+    k0 = 2.0 * np.pi / grid.length
+    psi0 = Field(grid, np.exp(1j * k0 * grid.x + 0.3 * np.cos(k0 * grid.x)))
+    spec = IntegratorSpec(Method.CRANK_NICOLSON, 1e-3, True)
+    with pytest.raises(PeriodicityViolation) as err:
+        collapsible_evolve(psi0, free_potential(grid), kostin_friction(0.5), spec, 0.01)
+    partial = err.value.trajectory
+    assert np.array_equal(partial.times, [0.0])
+    assert len(partial.snapshots) == 1
+    assert all(len(series) == 1 for series in partial.observables.values())
 
 
 @pytest.mark.parametrize("force_kind", ["pinning", "null"])

@@ -22,7 +22,9 @@ from cqhjlab import (
     superpose,
     unwrapped_phase,
 )
+from cqhjlab.cqhj import DEFAULT_NODE_THRESHOLD
 from cqhjlab.errors import GridMismatch, PeriodicityViolation
+from cqhjlab.evolve import _gauge_kernel
 from cqhjlab.forces import GAUGE_MEAN_TOLERANCE
 from cqhjlab.grid import _fd_matrix
 
@@ -241,6 +243,9 @@ def test_force_chain_matches_explicit_formula_bitwise(boundary, kind):
     assert mask.sum() >= 1 and not mask.all()
     assert np.array_equal(p.node_mask, mask)
     assert np.array_equal(phi.values, expected)
+    # the collapse step's per-run kernel runs the same cores
+    kernel = _gauge_kernel(force, g, DEFAULT_NODE_THRESHOLD)
+    assert np.array_equal(kernel(psi.values), expected)
 
 
 @pytest.mark.parametrize("boundary", [Boundary.BOX, Boundary.PERIODIC])

@@ -42,6 +42,10 @@ def test_unpickled_grid_keeps_read_only_arrays(boundary):
     g = Grid(-4.0, 4.0, 64, boundary)
     back = pickle.loads(pickle.dumps(g))
     assert back == g
+    # dx is computed at construction, span / n or span / (n - 1), and is
+    # rebuilt on unpickling; it takes no part in repr
+    assert back.dx == g.dx == 8.0 / (64 if boundary is Boundary.PERIODIC else 63)
+    assert "dx" not in repr(back)
     assert np.array_equal(back.x, g.x)
     assert np.array_equal(back.quadrature_weights, g.quadrature_weights)
     assert not back.x.flags.writeable

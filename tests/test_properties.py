@@ -25,6 +25,10 @@ from cqhjlab import (
     schrodinger_evolve,
     superpose,
 )
+from cqhjlab import evolve
+from cqhjlab.cqhj import DEFAULT_NODE_THRESHOLD
+from cqhjlab.errors import PeriodicityViolation
+from cqhjlab.forces import evaluate, gauge_potential
 
 SEEDS = st.integers(0, 2**32 - 1)
 # c = 10**log_mag * exp(i angle): magnitudes from 1e-3 to 1e3, any phase
@@ -223,3 +227,43 @@ def test_renormalization_does_not_change_a_linear_trajectory(boundary, propagato
     for key in ("norm", "gauge_log_magnitude"):
         assert np.max(np.abs(on.observables[key] - off.observables[key])) <= 1e-13, key
     assert np.max(np.abs(on.observables["norm"] - 1.0)) <= 1e-14
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    boundary=st.sampled_from(list(Boundary)),
+    kind=st.sampled_from(["pinning", "kostin"]),
+    seed=SEEDS,
+    rate=st.floats(0.1, 5.0),
+    node=st.one_of(st.none(), st.integers(1, 254)),
+)
+def test_force_kernel_matches_the_public_chain_bitwise(boundary, kind, seed, rate, node):
+    # the collapse step's per-run kernel and the public Field functions run
+    # the same raw cores, so their Phi is bitwise equal. The box states have
+    # masked tails; node puts a double zero 1 - cos(2 pi (x - x_node) / L)
+    # at a grid point, which is masked. On a periodic grid that node mostly
+    # makes the force wind (the masked point's force is missing from its
+    # mean), and then both raise PeriodicityViolation.
+    psi = _drawn_state(boundary, seed, 6, 0.35)
+    g = psi.grid
+    if node is not None:
+        psi = Field(g, psi.values * (1.0 - np.cos(2 * np.pi * (g.x - g.x[node]) / g.length)))
+    if kind == "pinning":
+        force = pinning_force(_drawn_state(boundary, seed + 1, 4, 0.3), rate)
+    else:
+        force = kostin_friction(rate)
+    outcomes = []
+    for phi in (
+        lambda: evolve._gauge_kernel(force, g, DEFAULT_NODE_THRESHOLD)(psi.values),
+        lambda: gauge_potential(evaluate(force, psi_to_p(psi))).values,
+    ):
+        try:
+            outcomes.append(phi())
+        except PeriodicityViolation as exc:
+            assert boundary is Boundary.PERIODIC and node is not None, exc
+            outcomes.append(PeriodicityViolation)
+    kernel, public = outcomes
+    if kernel is PeriodicityViolation or public is PeriodicityViolation:
+        assert kernel is public
+    else:
+        assert np.array_equal(kernel, public)
