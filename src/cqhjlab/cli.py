@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import __version__
@@ -79,6 +80,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _number(name: str, value: float, positive: bool = True) -> float:
+    """value, if finite (and positive when asked); ConfigError otherwise."""
+    if not math.isfinite(value) or (positive and value <= 0):
+        raise ConfigError(f"{name} must be {'positive and ' * positive}finite, got {value}")
+    return value
+
+
 def _cmd_run(args) -> int:
     scenario = load_scenario_or_bundled(args.config)
     out_dir = resolve_output_dir(scenario, args.output)
@@ -103,7 +111,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    results = run_checks(level=args.level, tolerance_scale=args.tolerance_scale)
+    scale = _number("--tolerance-scale", args.tolerance_scale)
+    results = run_checks(level=args.level, tolerance_scale=scale)
     for r in results:
         print(r.line())
     failed = [r for r in results if not r.passed]
@@ -135,8 +144,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_convert_units(args) -> int:
-    units = UnitSystem(mass_kg=args.mass_kg, length_m=args.length_m)
-    report = make_collapse_report(args.tau, epsilon=1e-3, units=units)
+    tau = _number("--tau", args.tau, positive=False)
+    units = UnitSystem(_number("--mass-kg", args.mass_kg), _number("--length-m", args.length_m))
+    report = make_collapse_report(tau, epsilon=1e-3, units=units)
     out = report.as_dict()
     out["time_scale_s"] = units.time_scale_s
     out["energy_scale_j"] = units.energy_scale_j

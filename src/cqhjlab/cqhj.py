@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
@@ -152,52 +153,24 @@ def dilated_mask(mask: np.ndarray, grid: Grid, width: int = 3) -> np.ndarray:
     return out
 
 
-def _nearest_fill(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Replace masked entries by the nearest unmasked value (no jumps at the
-    mask boundary, so global derivatives of the filled field stay tame)."""
-    if not mask.any():
-        return values
-    idx = np.arange(len(values))
-    ok = np.flatnonzero(~mask)
-    nearest = ok[np.clip(np.searchsorted(ok, idx), 0, len(ok) - 1)]
-    left = ok[np.clip(np.searchsorted(ok, idx) - 1, 0, len(ok) - 1)]
-    pick = np.where(np.abs(nearest - idx) <= np.abs(idx - left), nearest, left)
-    out = values.copy()
-    out[mask] = values[pick[mask]]
-    return out
-
-
-def _segments(mask: np.ndarray):
-    """Contiguous unmasked index runs as (start, stop) pairs, stop exclusive."""
-    ok = np.flatnonzero(~mask)
-    if ok.size == 0:
-        raise AllMasked("every grid point is masked")
-    breaks = np.flatnonzero(np.diff(ok) > 1)
-    starts = np.r_[ok[0], ok[breaks + 1]]
-    stops = np.r_[ok[breaks] + 1, ok[-1] + 1]
-    return list(zip(starts, stops))
-
-
-def _masked_gradient(
-    values: np.ndarray, mask: np.ndarray, grid: Grid
-) -> tuple[np.ndarray, np.ndarray]:
+def _masked_gradient(values: np.ndarray, mask: np.ndarray, grid: Grid) -> np.ndarray:
     """Gradient of a field that is only defined off-mask.
 
-    With an empty mask this is the plain grid gradient. Otherwise each
-    contiguous unmasked run is differentiated independently with 4th-order
-    stencils (one-sided at run ends); runs too short for the stencil are
-    masked in the output. Never differentiates across a masked zone.
+    With an empty mask this is the plain grid gradient, finite check
+    included. Otherwise each contiguous unmasked run is differentiated
+    independently with 4th-order stencils (one-sided at run ends); runs too
+    short for the stencil hold 0. Never differentiates across a masked zone.
     """
     if not mask.any():
-        return gradient(Field(grid, values)).values, mask
+        _check_finite(values)
+        return _derivative_op(grid, 1)(values)
     out = np.zeros_like(values)
-    out_mask = mask.copy()
-    for start, stop in _segments(mask):
-        if stop - start < 6:
-            out_mask[start:stop] = True
-            continue
-        out[start:stop] = (_fd_matrix(stop - start, 1, False) @ values[start:stop]) / grid.dx
-    return out, out_mask
+    # the unmasked runs [start, stop) begin and end where the padded mask flips
+    edges = np.flatnonzero(np.diff(np.r_[True, mask, True]))
+    for start, stop in zip(edges[::2], edges[1::2]):
+        if stop - start >= 6:
+            out[start:stop] = (_fd_matrix(stop - start, 1, False) @ values[start:stop]) / grid.dx
+    return out
 
 
 def quantum_hamiltonian_field(p: MomentumField, V: Potential) -> Field:
@@ -210,7 +183,7 @@ def quantum_hamiltonian_field(p: MomentumField, V: Potential) -> Field:
     require_same_grid(p.field, V.grid)
     if p.node_mask.all():
         raise NodePresent("momentum field is masked everywhere")
-    dp, _ = _masked_gradient(p.values, p.node_mask, p.grid)
+    dp = _masked_gradient(p.values, p.node_mask, p.grid)
     vals = V.samples + 0.5 * p.values**2 - 0.5j * dp
     return Field(p.grid, vals)
 
@@ -218,6 +191,12 @@ def quantum_hamiltonian_field(p: MomentumField, V: Potential) -> Field:
 class RhsForm(Enum):
     EXPANDED = "expanded"  # -grad V - 1/2 grad(p^2) + (i/2) grad(grad p)
     CANONICAL = "canonical"  # -grad H
+
+
+def _expanded_rhs(p: np.ndarray, gV: np.ndarray, d) -> np.ndarray:
+    """-gV - 1/2 d(p^2) + (i/2) d(d p) on raw arrays: the expanded
+    right-hand side, with d the derivative and gV = d(V). A fresh array."""
+    return -gV - 0.5 * d(p**2) + 0.5j * d(d(p))
 
 
 def cqhj_rhs(
@@ -230,22 +209,16 @@ def cqhj_rhs(
 
     Both forms build the second-derivative term as grad(grad p), so the
     expanded form and the canonical -grad H form agree to roundoff. Fields
-    with masked nodes are differentiated segment-wise; the returned values
-    are meaningful off-mask only.
+    with masked nodes are differentiated segment-wise (_masked_gradient);
+    the returned values are meaningful off-mask only.
     """
     require_same_grid(p.field, V.grid)
-    mask = p.node_mask
-    if mask.all():
+    if p.node_mask.all():
         raise NodePresent("momentum field is masked everywhere")
+    d = partial(_masked_gradient, mask=p.node_mask, grid=p.grid)
     if form is RhsForm.CANONICAL:
-        H = quantum_hamiltonian_field(p, V)
-        dH, _ = _masked_gradient(H.values, mask, p.grid)
-        return Field(p.grid, -dH)
-    gV, _ = _masked_gradient(V.samples.astype(np.complex128), mask, p.grid)
-    gp2, _ = _masked_gradient(p.values**2, mask, p.grid)
-    dp, dmask = _masked_gradient(p.values, mask, p.grid)
-    ggp, _ = _masked_gradient(dp, dmask, p.grid)
-    return Field(p.grid, -gV - 0.5 * gp2 + 0.5j * ggp)
+        return Field(p.grid, -d(quantum_hamiltonian_field(p, V).values))
+    return Field(p.grid, _expanded_rhs(p.values, d(V.samples.astype(np.complex128)), d))
 
 
 def hamiltonian_field_from_state(
@@ -284,13 +257,12 @@ def cqhj_rhs_from_state(
     """Canonical-form right-hand side -grad H with H evaluated from psi.
     Returns the field and the node mask of the evaluation.
 
-    Masked entries of H take the nearest off-mask value before the global
-    derivative: the fill keeps the field jump-free so the derivative stays
-    clean off the mask.
+    H is differentiated segment-wise, as cqhj_rhs does: each unmasked run
+    on its own, so no masked value enters the derivative; runs shorter
+    than the stencil hold 0, as do masked points.
     """
     H, mask = hamiltonian_field_from_state(psi, V, node_threshold)
-    filled = Field(psi.grid, _nearest_fill(H.values, mask))
-    return Field(psi.grid, -gradient(filled).values), mask
+    return Field(psi.grid, -_masked_gradient(H.values, mask, psi.grid)), mask
 
 
 def masked_stats(field: Field, mask: np.ndarray) -> tuple[complex, float]:

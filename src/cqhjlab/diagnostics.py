@@ -65,11 +65,13 @@ def energy(psi: Field, H: Hamiltonian) -> float:
 
 def energy_spread(psi: Field, H: Hamiltonian) -> float:
     """Standard deviation of the linear Hamiltonian H in the given state;
-    a NaN or Inf entry raises NonFiniteField."""
+    a NaN or Inf entry raises NonFiniteField, a zero state ZeroState."""
     g = require_same_grid(psi, H.grid)
     v = psi.check_finite().values
-    hvals = H.apply(v)
     den = _sq_norm(g, np.abs(v))
+    if den < 1e-300:
+        raise ZeroState("energy spread of a zero state is undefined")
+    hvals = H.apply(v)
     e1 = _inner(g, v, hvals) / den
     e2 = _sq_norm(g, np.abs(hvals)) / den
     var = e2 - abs(e1) ** 2

@@ -64,7 +64,9 @@ evaluate_force and gauge_potential once each (the benchmark's tracer and
 the tests wrap these names). They bind the raw cores behind the public
 psi_to_p, evaluate and gauge_potential, which are thin Field wrappers, so
 Phi is bitwise the public chain's and every check of the chain is kept.
-Field and MomentumField are the API boundary.
+The momentum-space RK4 run likewise steps raw ndarrays (_momentum_kernel),
+each stage bitwise cqhj_rhs of the unmasked field. Field and MomentumField
+are the API boundary, built only for a snapshot.
 """
 
 from __future__ import annotations
@@ -79,10 +81,10 @@ from scipy.sparse.linalg import splu
 
 from .cqhj import (
     MomentumField,
+    _expanded_rhs,
     _hamiltonian_field,
     _node_mask,
     _psi_to_p as psi_to_p,
-    cqhj_rhs,
     masked_stats,
     p_to_psi,
 )
@@ -104,11 +106,10 @@ from .grid import (
     Grid,
     _adopt,
     _antiderivative_op,
+    _check_finite,
     _derivative_op,
     _readonly,
     _sq_norm,
-    cumulative_integral,
-    gradient,
     norm,
     require_same_grid,
 )
@@ -422,11 +423,14 @@ def cqhj_evolve(
     modes localized where |psi| is tiny grow exponentially; the projection
     annihilates them (it is the identity on resolvable physical fields).
     On periodic grids the projection is the identity and is skipped.
+
+    p0 and V must share a grid (GridMismatch otherwise, before the t = 0
+    snapshot). Steps run on raw ndarrays (module docstring).
     """
     if spec.method is not Method.RK4:
         raise ValueError("momentum-space evolution uses the RK4 method")
+    grid = require_same_grid(p0.field, V.grid)
     p0.require_nodeless()
-    grid = p0.grid
     dt_max = _rk4_stability_limit(grid)
     if spec.dt > dt_max:
         raise StabilityViolation(
@@ -434,10 +438,11 @@ def cqhj_evolve(
         )
     H = hamiltonian(V, spec.method)
     empty = np.zeros(grid.n_points, dtype=bool)
-    project = grid.boundary is Boundary.BOX
+    rhs, d = _momentum_kernel(V)
+    antiderivative = _antiderivative_op(grid) if grid.boundary is Boundary.BOX else None
     dt = spec.dt
 
-    def monitor(vals: np.ndarray, t: float) -> np.ndarray:
+    def monitor(vals: np.ndarray, t: float) -> None:
         # magnitude ~ exp(-cumulative Im p)
         c = np.cumsum(vals.imag) * grid.dx
         rel = np.exp(-(c - c.min()))
@@ -445,11 +450,6 @@ def cqhj_evolve(
             raise NodeApproach(
                 f"reconstructed magnitude fell below the node threshold at t = {t:.6g}"
             )
-        return vals
-
-    def rhs(vals: np.ndarray) -> np.ndarray:
-        pf = MomentumField(Field(grid, vals), empty)
-        return cqhj_rhs(pf, V).values
 
     done = 0  # steps taken
 
@@ -463,8 +463,8 @@ def cqhj_evolve(
             k3 = rhs(vals + 0.5 * dt * k2)
             k4 = rhs(vals + dt * k3)
             vals = vals + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if project:
-                vals = gradient(cumulative_integral(Field(grid, vals))).values
+            if antiderivative is not None:
+                vals = d(antiderivative(vals))
             done += 1
             monitor(vals, done * dt)
         return vals
@@ -487,6 +487,21 @@ def cqhj_evolve(
     return _drive(
         p0.values, spec, t_final, snapshot_stride, advance, record, _Renormalizer(grid, False)
     )
+
+
+def _momentum_kernel(V: Potential):
+    """(rhs, d) of one cqhj_evolve run on V's grid, on raw ndarrays: d is
+    the grid's first derivative behind gradient's finite check, and rhs(p)
+    the expanded right-hand side with d(V) taken once, bitwise cqhj_rhs of
+    the unmasked field p."""
+    derivative = _derivative_op(V.grid, 1)
+
+    def d(v: np.ndarray) -> np.ndarray:
+        _check_finite(v)
+        return derivative(v)
+
+    gV = d(V.samples.astype(np.complex128))
+    return (lambda p: _expanded_rhs(p, gV, d)), d
 
 
 def _gauge_kernel(force: CollapseForce, grid: Grid, node_threshold: float):

@@ -340,6 +340,34 @@ def test_verify_tightened_tolerances_exit_one(capsys):
     assert "FAIL" in out and "failed:" in out
 
 
+@pytest.mark.parametrize("scale", ["0", "-1", "nan", "inf"])
+def test_verify_bad_tolerance_scale_exit_two(scale, capsys):
+    assert main(["verify", "--level", "fast", "--tolerance-scale", scale]) == 2
+    assert capsys.readouterr().err.startswith("config error: --tolerance-scale must be")
+
+
+UNITS = {"--tau": "1.0", "--mass-kg": "9.1093837015e-31", "--length-m": "1e-9"}
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--mass-kg", "-1"),
+        ("--mass-kg", "0"),
+        ("--mass-kg", "nan"),
+        ("--length-m", "0"),
+        ("--length-m", "inf"),
+        ("--tau", "nan"),
+        ("--tau", "-inf"),
+    ],
+)
+def test_convert_units_bad_number_exit_two(flag, value, capsys):
+    args = [f"{key}={value if key == flag else default}" for key, default in UNITS.items()]
+    assert main(["convert-units", *args]) == 2
+    out = capsys.readouterr()
+    assert out.err.startswith(f"config error: {flag} must be") and out.out == ""
+
+
 def test_bundled_stationary_scenario_summary(tmp_path, capsys):
     code = main(["run", "ho_ground_stationary", "--output", str(tmp_path / "st")])
     assert code == 0

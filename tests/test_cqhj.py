@@ -27,8 +27,9 @@ from cqhjlab import (
     random_nodeless_state,
     unwrapped_phase,
 )
-from cqhjlab.cqhj import dilated_mask, masked_stats
+from cqhjlab.cqhj import _masked_gradient, dilated_mask, masked_stats
 from cqhjlab.errors import AllMasked, NodePresent, NonFiniteField, PeriodicityViolation
+from cqhjlab.grid import _fd_matrix
 from cqhjlab.states import custom_potential, overlap
 
 
@@ -273,6 +274,62 @@ def test_rhs_matches_schrodinger_side_gaussian_packet():
     amp = np.abs(psi.values) / np.abs(psi.values).max()
     sel = amp >= 1e-3
     assert np.max(np.abs(r.values[sel] - p_t[sel])) / np.max(np.abs(p_t)) <= 1e-6
+
+
+def _per_run_gradient(values, mask, dx):
+    """The segment-wise derivative written out: each unmasked run of at
+    least 6 points through its own one-sided 4th-order stencil matrix, every
+    other entry 0."""
+    out = np.zeros_like(values)
+    start = None
+    for stop, masked in enumerate([*mask, True]):
+        if not masked and start is None:
+            start = stop
+        elif masked and start is not None:
+            if stop - start >= 6:
+                out[start:stop] = (_fd_matrix(stop - start, 1, False) @ values[start:stop]) / dx
+            start = None
+    return out
+
+
+@pytest.mark.parametrize("boundary", list(Boundary))
+@pytest.mark.parametrize(
+    "masked",
+    [
+        [10, 11, 15, 16, 40],  # a 3-point run (12-14) between runs of 10 and more
+        [5, 11, 16, 22, 27, 33, 38, 44, 49, 55, 60],  # no run reaches the stencil's 6
+    ],
+    ids=["short-run", "only-short-runs"],
+)
+def test_rhs_on_short_runs_matches_the_per_run_formula(boundary, masked):
+    # runs shorter than the stencil hold 0 in every derivative, so both forms
+    # are the written-out formula bitwise, and neither raises when no run is
+    # long enough
+    g = Grid(-3.0, 3.0, 64, boundary)
+    rng = np.random.default_rng(11)
+    mask = np.zeros(64, bool)
+    mask[masked] = True
+    vals = np.where(mask, 0.0, rng.normal(size=64) + 1j * rng.normal(size=64))
+    V = custom_potential(g, rng.normal(size=64))
+    p = MomentumField(Field(g, vals), mask)
+
+    def d(v):
+        return _per_run_gradient(v, mask, g.dx)
+
+    expanded = -d(V.samples.astype(np.complex128)) - 0.5 * d(vals**2) + 0.5j * d(d(vals))
+    canonical = -d(V.samples + 0.5 * vals**2 - 0.5j * d(vals))
+    assert cqhj_rhs(p, V, RhsForm.EXPANDED).values.tobytes() == expanded.tobytes()
+    assert cqhj_rhs(p, V, RhsForm.CANONICAL).values.tobytes() == canonical.tobytes()
+
+
+def test_rhs_from_state_differentiates_h_segment_wise(ho_setup):
+    # the same masked-derivative rule as cqhj_rhs: no fill of the masked zone
+    grid, V, pairs = ho_setup
+    for pair in pairs:
+        rhs, mask = cqhj_rhs_from_state(pair.state, V, node_threshold=1e-5)
+        H, h_mask = hamiltonian_field_from_state(pair.state, V, node_threshold=1e-5)
+        assert np.array_equal(mask, h_mask) and mask.any()
+        assert rhs.values.tobytes() == (-_masked_gradient(H.values, mask, grid)).tobytes()
 
 
 def test_rhs_form_agreement(periodic_grid):

@@ -66,6 +66,16 @@ def test_fidelity_guards(ho_setup, box_grid):
         fidelity(pairs[0].state, make_field(grid, np.zeros(grid.n_points)))
 
 
+def test_energy_spread_of_zero_state_raises(ho_setup):
+    grid, V, _ = ho_setup
+    H = hamiltonian(V, Method.CRANK_NICOLSON)
+    zero = make_field(grid, np.zeros(grid.n_points))
+    with pytest.raises(ZeroState):
+        energy_spread(zero, H)
+    with pytest.raises(ZeroState):
+        dimensionless_measure(1.0, zero, H)
+
+
 def spectral(V):
     """The spectral Hamiltonian of a periodic grid's potential."""
     return hamiltonian(V, Method.SPLIT_STEP)

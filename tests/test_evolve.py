@@ -404,6 +404,19 @@ def test_cross_propagator_equivalence():
     assert np.max(np.abs(p_from_psi.values - tr_p.final_state.values)) <= 1e-4
 
 
+@pytest.mark.parametrize(
+    "other", [Grid(-8.0, 8.0, 320, Boundary.BOX), Grid(-6.0, 6.0, 256, Boundary.BOX)],
+    ids=["n_points", "extent"],
+)
+def test_cqhj_evolve_rejects_potential_on_another_grid(other):
+    # raised before the t = 0 snapshot, so no partial trajectory is attached
+    g = Grid(-8.0, 8.0, 256, Boundary.BOX)
+    p0 = MomentumField(Field(g, 0.2j * g.x), np.zeros(g.n_points, bool))
+    with pytest.raises(GridMismatch) as err:
+        cqhj_evolve(p0, harmonic_potential(other, 1.0), IntegratorSpec(Method.RK4, 1e-4), 1e-3)
+    assert err.value.trajectory is None
+
+
 def test_rk4_stability_guard():
     g = Grid(-8.0, 8.0, 256, Boundary.PERIODIC)
     p0 = MomentumField(Field(g, np.zeros(256, complex)), np.zeros(256, bool))

@@ -12,7 +12,11 @@ from cqhjlab import (
     Grid,
     IntegratorSpec,
     Method,
+    MomentumField,
     collapsible_evolve,
+    cqhj_rhs,
+    custom_potential,
+    gradient,
     harmonic_potential,
     ho_eigenstate,
     kostin_friction,
@@ -29,6 +33,7 @@ from cqhjlab import evolve
 from cqhjlab.cqhj import DEFAULT_NODE_THRESHOLD
 from cqhjlab.errors import PeriodicityViolation
 from cqhjlab.forces import evaluate, gauge_potential
+from cqhjlab.grid import _antiderivative_op, cumulative_integral
 
 SEEDS = st.integers(0, 2**32 - 1)
 # c = 10**log_mag * exp(i angle): magnitudes from 1e-3 to 1e3, any phase
@@ -267,3 +272,21 @@ def test_force_kernel_matches_the_public_chain_bitwise(boundary, kind, seed, rat
         assert kernel is public
     else:
         assert np.array_equal(kernel, public)
+
+
+@settings(max_examples=40, deadline=None)
+@given(boundary=st.sampled_from(list(Boundary)), seed=SEEDS, n=st.integers(16, 300))
+def test_momentum_kernel_matches_cqhj_rhs_bitwise(boundary, seed, n):
+    # cqhj_evolve's stage right-hand side on raw arrays is the public
+    # cqhj_rhs of the unmasked field, and its box projection the public
+    # gradient of the cumulative integral
+    rng = np.random.default_rng(seed)
+    g = Grid(-6.0, 6.0, n, boundary)
+    V = custom_potential(g, rng.normal(size=n))
+    p = rng.normal(size=n) + 1j * rng.normal(size=n)
+    rhs, d = evolve._momentum_kernel(V)
+    public = cqhj_rhs(MomentumField(Field(g, p), np.zeros(n, bool)), V).values
+    assert rhs(p).tobytes() == public.tobytes()
+    if boundary is Boundary.BOX:
+        projected = gradient(cumulative_integral(Field(g, p))).values
+        assert d(_antiderivative_op(g)(p)).tobytes() == projected.tobytes()
