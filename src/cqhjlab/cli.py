@@ -81,9 +81,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _number(name: str, value: float, positive: bool = True) -> float:
-    """value, if finite (and positive when asked); ConfigError otherwise."""
-    if not math.isfinite(value) or (positive and value <= 0):
-        raise ConfigError(f"{name} must be {'positive and ' * positive}finite, got {value}")
+    """value, if finite and positive (non-negative when positive is False);
+    ConfigError otherwise."""
+    if not math.isfinite(value) or value < 0 or (positive and value == 0):
+        sign = "positive" if positive else "non-negative"
+        raise ConfigError(f"{name} must be {sign} and finite, got {value}")
     return value
 
 

@@ -8,6 +8,7 @@ stand-in chosen by this package, not a published definition.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,8 +126,8 @@ class UnitSystem:
     length_m: float
 
     def __post_init__(self):
-        if self.mass_kg <= 0 or self.length_m <= 0:
-            raise ValueError("unit scales must be positive")
+        if not (0 < self.mass_kg < math.inf and 0 < self.length_m < math.inf):
+            raise ValueError("unit scales must be positive and finite")
 
     @property
     def time_scale_s(self) -> float:

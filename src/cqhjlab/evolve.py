@@ -36,14 +36,25 @@ of one step with the leading half step of the next: the two Cayley half
 steps A^-1 B A^-1 B are one solve (A^2)^-1 B^2, since A and B commute, and
 the two split-step potential factors that meet merge into one. A snapshot
 step ends with its own half step, so every recorded state is the full
-Strang state, and a null-force step is always one double half step. The
-linear propagator likewise takes the steps between snapshots in pairs, each
-pair one double step. One sparse LU of A^2 serves the single and the double
-step, and kernels are cached per Hamiltonian and dt, so
-repeated runs on one setup (sweeps, the benchmark) factor once. A cached
-kernel holds no buffer: each split-step call takes its own output and FFT
-scratch and transforms into them, with the operand order of every product
-fixed, so a step is bitwise the allocating expression it replaces.
+Strang state. One sparse LU of A^2 serves the single and the double half
+step, so a nonlinear step makes one solve.
+
+A linear interval (schrodinger_evolve's m steps, or the 2m half steps of m
+null-force steps) goes through one helper, _linear_steps, in kernel calls
+of up to kernel.chunk steps. A split-step call takes any number, merging
+the potential factors that meet. A Crank-Nicolson call of n <= q steps is
+one solve and one matvec, (A^q)^-1 A^(q-n) B^n with one sparse LU of A^q;
+for n <= 2 it is the collapse step's (A^2)^-1 A^(2-n) B^n, so nonlinear
+runs do not depend on q. q is a rule, not a setting (_cayley_chunk): the
+largest even number <= 8 with (1 + theta^2)^(q/2) <= 10, theta =
+h/2 ||H||_inf for the kernel step h, which bounds the condition number of
+A^q and so the roundoff of the solve. A stiff kernel (theta > 1.47, e.g.
+N = 1024 on [-8, 8] at h = 5e-4) falls back to q = 2, the double step.
+Kernels are cached per Hamiltonian and dt, so repeated runs on one setup
+(sweeps, the benchmark) factor once. A cached kernel holds no buffer: each
+split-step call takes its own output and FFT scratch and transforms into
+them, with the operand order of every product fixed, so a step is bitwise
+the allocating expression it replaces.
 
 All three propagators run on one stepping loop, `_drive`. Each supplies
 only an interval function advance(vals, m), which takes a recorded state
@@ -71,9 +82,11 @@ are the API boundary, built only for a snapshot.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import chain
+from operator import matmul
 
 import numpy as np
 import scipy.sparse as sp
@@ -138,6 +151,11 @@ class IntegratorSpec:
     collapsible run, and once per snapshot interval of a linear one
     (schrodinger_evolve, or collapsible_evolve under the null force),
     whose unitary steps keep the norm at 1 to roundoff.
+
+    A linear interval takes up to q steps per kernel call (module
+    docstring): all of them on split-step, and on Crank-Nicolson the largest
+    even q <= 8 with (1 + theta^2)^(q/2) <= 10, theta = h/2 ||H||_inf for
+    the kernel step h; a stiff kernel takes its steps in pairs (q = 2).
     """
 
     method: Method
@@ -167,9 +185,12 @@ class Trajectory:
 
 
 class _SplitStepKernel:
-    """One Strang step exp(-iV dt/2) exp(-iK dt) exp(-iV dt/2) via FFT. The
-    kernel holds read-only factors and no buffer (module docstring); numpy's
-    complex product is not bitwise commutative, so operand order is fixed."""
+    """n Strang steps exp(-iV dt/2) exp(-iK dt) exp(-iV dt/2) via FFT in one
+    call, for any n. The kernel holds read-only factors and no buffer (module
+    docstring); numpy's complex product is not bitwise commutative, so
+    operand order is fixed."""
+
+    chunk = sys.maxsize  # one call takes any number of steps
 
     def __init__(self, H: Hamiltonian, dt: float):
         self.half_v = _readonly(np.exp(-0.5j * dt * H.V.samples))
@@ -177,8 +198,8 @@ class _SplitStepKernel:
         self.kinetic = _readonly(np.exp(-0.5j * dt * H.grid.wavenumbers**2))
 
     def step(self, values: np.ndarray, n: int) -> np.ndarray:
-        """n = 1 or 2 Strang steps; the potential factors that meet between
-        two steps are merged into one."""
+        """n Strang steps; the potential factors that meet between two steps
+        are merged into one."""
         v = values * self.half_v
         buf = np.empty_like(v)
         for i in range(n):
@@ -190,25 +211,70 @@ class _SplitStepKernel:
         return np.multiply(v, self.half_v, out=v)
 
 
+# the most Cayley steps one Crank-Nicolson call takes, and the bound on the
+# condition number of the matrix power it solves with
+CAYLEY_CHUNK_MAX = 8
+CAYLEY_CONDITION_BOUND = 10.0
+
+
+def _cayley_chunk(matrix, dt: float) -> int:
+    """The chunk q of a Crank-Nicolson kernel of step dt (module docstring).
+    Over the eigenvalues E of the Hermitian H, |E| <= ||H||_inf, A^q has the
+    singular values (1 + (dt E / 2)^2)^(q/2) >= 1, so (1 + theta^2)^(q/2)
+    bounds its condition number."""
+    theta = 0.5 * dt * abs(matrix).sum(axis=1).max()
+    q = CAYLEY_CHUNK_MAX
+    while q > 2 and (1.0 + theta**2) ** (q // 2) > CAYLEY_CONDITION_BOUND:
+        q -= 2
+    return q
+
+
 class _CrankNicolsonKernel:
     """Cayley step A^-1 B, A = 1 + i dt H / 2 and B = 1 - i dt H / 2, with H
     the Hamiltonian's sparse matrix on its unknowns (the interior points on
     box grids, whose walls stay at zero; every point on periodic grids). A
-    and B commute, so n steps are (A^2)^-1 A^(2-n) B^n for n = 1, 2: one
-    sparse LU of A^2, factored once on either boundary, serves both."""
+    and B commute, so n <= chunk steps are one solve and one matvec (module
+    docstring): one sparse LU of A^2 serves n = 1, 2, and one of A^chunk,
+    built with its operators on first use, every larger n."""
 
     def __init__(self, H: Hamiltonian, dt: float):
         self.inner = H.inner
         eye = sp.identity(H.matrix.shape[0], dtype=np.complex128, format="csc")
-        A = eye + 0.5j * dt * H.matrix
-        B = eye - 0.5j * dt * H.matrix
-        self._solve = splu((A @ A).tocsc()).solve
-        self._rhs = {1: (A @ B).tocsr(), 2: (B @ B).tocsr()}
+        A = self._A = eye + 0.5j * dt * H.matrix
+        B = self._B = eye - 0.5j * dt * H.matrix
+        self.chunk = _cayley_chunk(H.matrix, dt)
+        pair = splu((A @ A).tocsc()).solve
+        self._ops = {1: (pair, (A @ B).tocsr()), 2: (pair, (B @ B).tocsr())}
+
+    @cached_property
+    def _chunk_solve(self):
+        # products one factor at a time: built by squaring, A^8 put a
+        # 6,284-half-step N = 512 run 6.2e-13 from a long-double reference,
+        # against 2.0e-13 (and 1.7e-13 for double half steps)
+        return splu(reduce(matmul, [self._A] * self.chunk).tocsc()).solve
+
+    def _solve(self, values: np.ndarray, n: int) -> np.ndarray:
+        """n Cayley steps of the unknowns: one matvec and one solve."""
+        op = self._ops.get(n)
+        if op is None:
+            rhs = reduce(matmul, [self._A] * (self.chunk - n) + [self._B] * n)
+            op = self._ops[n] = (self._chunk_solve, rhs.tocsr())
+        return op[0](op[1] @ values)
 
     def step(self, values: np.ndarray, n: int) -> np.ndarray:
+        """n <= chunk Cayley steps in one solve."""
         out = np.zeros(values.shape, values.dtype)
-        out[self.inner] = self._solve(self._rhs[n] @ values[self.inner])
+        out[self.inner] = self._solve(values[self.inner], n)
         return out
+
+
+def _linear_steps(kernel, values: np.ndarray, n: int) -> np.ndarray:
+    """n linear kernel steps, n >= 1, in calls of at most kernel.chunk steps:
+    the linear advance of every propagator interval (module docstring)."""
+    while n > kernel.chunk:
+        values = kernel.step(values, kernel.chunk)
+        n -= kernel.chunk
+    return kernel.step(values, n)
 
 
 def _split_step_e_max(grid: Grid) -> float:
@@ -369,19 +435,17 @@ def schrodinger_evolve(
     kinetic cutoff, (pi / dx)^2 / 2 on an even grid (enforced,
     StabilityViolation otherwise). Crank-Nicolson is
     unconditionally stable; dt only controls accuracy, with phase errors
-    O(dt^2 E^3) per unit time for energy-E components. Steps between
-    snapshots are taken in pairs, each pair one double step, and a
-    renormalized run divides by the norm once per snapshot. psi0 and V
-    must share a grid (GridMismatch otherwise).
+    O(dt^2 E^3) per unit time for energy-E components. The steps between
+    snapshots are one linear interval (IntegratorSpec), and a renormalized
+    run divides by the norm once per snapshot. psi0 and V must share a grid
+    (GridMismatch otherwise).
     """
     grid = require_same_grid(psi0, V.grid)
     H = hamiltonian(V, spec.method)
     kernel = _make_kernel(H, spec.dt)
 
     def advance(vals: np.ndarray, m: int) -> np.ndarray:
-        for _ in range(m // 2):
-            vals = kernel.step(vals, 2)
-        return kernel.step(vals, 1) if m % 2 else vals
+        return _linear_steps(kernel, vals, m)
 
     return _drive(
         psi0.values, spec, t_final, snapshot_stride, advance, _psi_recorder(H, target),
@@ -543,13 +607,15 @@ def collapsible_evolve(
     (module docstring), linear half step. Between snapshots the trailing
     half step of one step and the leading one of the next are applied as
     one double half step, so every step makes one linear solve; the
-    recorded states are the full Strang states. The node mask is that of
-    the half-stepped state; a state with no unmasked point left raises
-    NodeBlowup. Any nonzero input norm is accepted; the log scale of the
-    entry normalization and of every renormalization (IntegratorSpec) is
-    summed into the gauge_log_magnitude series. Split-step checks each half
-    step against schrodinger_evolve's bound, so it requires
-    dt * E_max <= 0.2. psi0 and V must share a grid (GridMismatch otherwise).
+    recorded states are the full Strang states. Under the null force the
+    steps between snapshots are one linear interval (IntegratorSpec). The
+    node mask is that of the half-stepped state; a state with no unmasked
+    point left raises NodeBlowup. Any nonzero input norm is accepted; the
+    log scale of the entry normalization and of every renormalization
+    (IntegratorSpec) is summed into the gauge_log_magnitude series.
+    Split-step checks each half step against schrodinger_evolve's bound, so
+    it requires dt * E_max <= 0.2. psi0 and V must share a grid
+    (GridMismatch otherwise).
     """
     grid = require_same_grid(psi0, V.grid)
     H = hamiltonian(V, spec.method)
@@ -578,10 +644,8 @@ def collapsible_evolve(
         return np.multiply(a, phase, out=phase)
 
     def advance(vals: np.ndarray, m: int) -> np.ndarray:
-        if phi is None:  # the null force
-            for _ in range(m):
-                vals = kernel.step(vals, 2)
-            return vals
+        if phi is None:  # the null force: m steps are 2m linear half steps
+            return _linear_steps(kernel, vals, 2 * m)
         b = gauge(kernel.step(vals, 1))
         for _ in range(m - 1):
             # b still owes its trailing half step, fused into the next one

@@ -359,6 +359,7 @@ UNITS = {"--tau": "1.0", "--mass-kg": "9.1093837015e-31", "--length-m": "1e-9"}
         ("--length-m", "inf"),
         ("--tau", "nan"),
         ("--tau", "-inf"),
+        ("--tau", "-1"),
     ],
 )
 def test_convert_units_bad_number_exit_two(flag, value, capsys):

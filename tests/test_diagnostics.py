@@ -171,6 +171,16 @@ def test_unit_system_electron_nanometer():
     assert u.to_si(1.0) < BRACKET_MIN_S  # below the experimental window
 
 
+@pytest.mark.parametrize(
+    "mass_kg, length_m",
+    [(float("nan"), 1e-9), (9.1e-31, float("nan")), (float("inf"), 1e-9), (9.1e-31, float("inf")),
+     (0.0, 1e-9), (9.1e-31, -1e-9)],
+)
+def test_unit_system_rejects_non_finite_or_non_positive_scales(mass_kg, length_m):
+    with pytest.raises(ValueError, match="positive and finite"):
+        UnitSystem(mass_kg, length_m)
+
+
 def test_unit_round_trip():
     u = UnitSystem(mass_kg=1.67e-27, length_m=5e-8)
     for tau in (1e-4, 1.0, 42.0):

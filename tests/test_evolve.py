@@ -97,8 +97,8 @@ def test_coherent_state_centroid():
 
 @pytest.mark.parametrize("boundary", [Boundary.BOX, Boundary.PERIODIC])
 def test_crank_nicolson_step_matches_dense_cayley_solve(boundary):
-    # one and two dense Cayley steps against the kernel's single and double
-    # step, both served by its one factorization of A^2
+    # n = 1 .. chunk dense Cayley steps against the kernel's n-step call: one
+    # factorization of A^2 serves n = 1, 2 and one of A^6 the rest
     g = Grid(-8.0, 8.0, 128, boundary)
     V = harmonic_potential(g, 1.0)
     dt = 1e-2
@@ -110,8 +110,9 @@ def test_crank_nicolson_step_matches_dense_cayley_solve(boundary):
     if boundary is Boundary.BOX:
         v[[0, -1]] = 0.0
     kernel = _make_kernel(op, dt)
+    assert kernel.chunk == 6
     want = v.copy()
-    for n in (1, 2):
+    for n in range(1, kernel.chunk + 1):
         want[inner] = np.linalg.solve(eye + 0.5j * dt * H, (eye - 0.5j * dt * H) @ want[inner])
         got = kernel.step(v, n)
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want), n
@@ -131,9 +132,10 @@ def test_split_step_double_step_merges_potential_factors():
     [(Boundary.BOX, Method.CRANK_NICOLSON), (Boundary.PERIODIC, Method.SPLIT_STEP)],
 )
 def test_schrodinger_fused_steps_match_single_steps(monkeypatch, boundary, method):
-    # between snapshots schrodinger_evolve applies pairs of steps as one
-    # double step: 11 steps make 11, 7 and 6 kernel calls at snapshot
-    # strides 1, 3 and 10**9, and the states at shared times agree to roundoff
+    # between snapshots schrodinger_evolve takes the steps in kernel calls of
+    # at most kernel.chunk steps (8 for Crank-Nicolson on this grid, any
+    # number for split-step): 11 steps at snapshot strides 1, 3 and 10**9,
+    # and the states at shared times agree to roundoff
     g = Grid(-8.0, 8.0, 256, boundary)
     V = harmonic_potential(g, 1.0)
     psi0 = gaussian_packet(g, 0.5, 1.0, 1.0)
@@ -147,11 +149,12 @@ def test_schrodinger_fused_steps_match_single_steps(monkeypatch, boundary, metho
         return step(values, n)
 
     monkeypatch.setattr(kernel, "step", counted_step)
+    whole = [8, 3] if method is Method.CRANK_NICOLSON else [11]
     runs = []
-    for stride, want_calls in ((1, 11), (3, 7), (10**9, 6)):
+    for stride, want_calls in ((1, [1] * 11), (3, [3, 3, 3, 2]), (10**9, whole)):
         calls.clear()
         runs.append(schrodinger_evolve(psi0, V, spec, 11 * dt, snapshot_stride=stride))
-        assert len(calls) == want_calls and sum(calls) == 11, (stride, calls)
+        assert calls == want_calls, (stride, calls)
     every = dict(zip(runs[0].times, runs[0].snapshots))
     assert len(every) == 12
     for traj in runs[1:]:
@@ -753,16 +756,18 @@ def test_winding_periodic_force_keeps_the_partial_trajectory():
 def test_one_linear_solve_per_step(ho_box_setup, monkeypatch, force_kind):
     # adjacent half steps between snapshots are one double half step: a
     # nonlinear run makes one solve per step plus one per settled snapshot
-    # segment (4 snapshots after t = 0), a null-force run one per step
+    # segment (4 snapshots after t = 0); a null-force run takes the 100 half
+    # steps of each snapshot interval in solves of at most kernel.chunk = 8
+    # half steps, 12 x 8 + 4: 13 solves per interval
     grid, V, pairs = ho_box_setup
     spec = IntegratorSpec(Method.CRANK_NICOLSON, 1e-3, True)
     kernel = _make_kernel(hamiltonian(V, spec.method), 0.5 * spec.dt)
     counts = {"solves": 0, "forces": 0}
     solve, real_evaluate = kernel._solve, evolve.evaluate_force
 
-    def counted_solve(rhs):
+    def counted_solve(values, n):
         counts["solves"] += 1
-        return solve(rhs)
+        return solve(values, n)
 
     def counted_evaluate(*args):
         counts["forces"] += 1
@@ -776,4 +781,5 @@ def test_one_linear_solve_per_step(ho_box_setup, monkeypatch, force_kind):
     if force_kind == "pinning":
         assert counts == {"solves": 204, "forces": 200}
     else:
-        assert counts == {"solves": 200, "forces": 0}
+        assert kernel.chunk == 8
+        assert counts == {"solves": 4 * 13, "forces": 0}

@@ -1,10 +1,11 @@
 """Property-based checks of the momentum map, the collapsible step and the
 linear propagators on drawn states, scale factors, rates, snapshot strides
-and renormalization. Grids stay at 128-512 points and runs at 40 steps, so
-the module adds about four seconds to the suite."""
+and renormalization. Grids stay at 128-512 points and runs at 40 steps,
+except the chunked linear steps' stiff grids (up to 2048 points, 60 steps),
+so the module adds about four seconds to the suite."""
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cqhjlab import (
     Boundary,
@@ -16,7 +17,9 @@ from cqhjlab import (
     collapsible_evolve,
     cqhj_rhs,
     custom_potential,
+    gaussian_packet,
     gradient,
+    hamiltonian,
     harmonic_potential,
     ho_eigenstate,
     kostin_friction,
@@ -30,7 +33,7 @@ from cqhjlab import (
     superpose,
 )
 from cqhjlab import evolve
-from cqhjlab.cqhj import DEFAULT_NODE_THRESHOLD
+from cqhjlab.cqhj import DEFAULT_NODE_THRESHOLD, dilated_mask
 from cqhjlab.errors import PeriodicityViolation
 from cqhjlab.forces import evaluate, gauge_potential
 from cqhjlab.grid import _antiderivative_op, cumulative_integral
@@ -163,10 +166,10 @@ def test_snapshot_cadence_does_not_change_the_trajectory(case, seed, rate, strid
     # times. Measured over 100 draws per case: largest |psi_k - psi_1| /
     # max|psi_1| 8.6e-15, and the running log scale, summed from the
     # renormalization of pending states, agrees to 2.2e-14. Under the null
-    # force every step is one double half step and only the
-    # renormalization differs (every step at stride 1, once per snapshot
-    # interval at stride k): 3.4e-15 (box) and 5.0e-15 (periodic), log
-    # scale 1.6e-15 and 2.0e-15.
+    # force a stride-1 step is one double half step, and a stride-k interval
+    # is 2k half steps in calls of up to kernel.chunk (8 on the box grid,
+    # all of them in one split-step call), renormalized once: 1.2e-14 (box)
+    # and 8.5e-15 (periodic), log scale 5.6e-15 and 2.3e-15.
     rng = np.random.default_rng(seed)
     if case.startswith("box"):
         grid = BOX
@@ -290,3 +293,88 @@ def test_momentum_kernel_matches_cqhj_rhs_bitwise(boundary, seed, n):
     if boundary is Boundary.BOX:
         projected = gradient(cumulative_integral(Field(g, p))).values
         assert d(_antiderivative_op(g)(p)).tobytes() == projected.tobytes()
+
+
+
+def _chunked_and_single_steps(boundary, n_points, propagator, seed, stride, steps):
+    """Largest |psi_k - psi_1| / max|psi_1| over the snapshots of Crank-Nicolson
+    runs of the propagator (dt = 1e-3, no renormalization) at snapshot
+    strides k = `stride` and 1, and the chunk of the propagator's kernel."""
+    grid = Grid(-8.0, 8.0, n_points, boundary)
+    rng = np.random.default_rng(seed)
+    noise = np.array([1.0, 1j]) @ rng.standard_normal((2, n_points))
+    packet = gaussian_packet(grid, rng.uniform(-1.0, 1.0), rng.uniform(-10.0, 10.0), 1.0)
+    psi0 = make_field(grid, packet.values + 1e-3 * noise)
+    V = harmonic_potential(grid, 1.0)
+    spec = IntegratorSpec(Method.CRANK_NICOLSON, 1e-3, False)
+    if propagator == "schrodinger":
+        run = lambda k: schrodinger_evolve(psi0, V, spec, steps * spec.dt, snapshot_stride=k)
+        h = spec.dt
+    else:
+        run = lambda k: collapsible_evolve(
+            psi0, V, null_force(), spec, steps * spec.dt, snapshot_stride=k
+        )
+        h = 0.5 * spec.dt
+    chunked, single = run(stride), run(1)
+    err = 0.0
+    for t, snap in zip(chunked.times, chunked.snapshots, strict=True):
+        ref = single.snapshots[int(round(t / spec.dt))].values
+        err = max(err, np.max(np.abs(snap.values - ref)) / np.max(np.abs(ref)))
+    return err, evolve._make_kernel(hamiltonian(V, spec.method), h).chunk
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    boundary=st.sampled_from(list(Boundary)),
+    case=st.sampled_from(
+        [("schrodinger", n) for n in (128, 256, 448, 512)]
+        + [("collapsible", n) for n in (128, 256, 512, 1024, 2048)]
+    ),
+    seed=SEEDS,
+    stride=st.integers(1, 41),
+    steps=st.integers(1, 60),
+)
+@example(Boundary.BOX, ("collapsible", 2048), 0, 41, 60)
+@example(Boundary.PERIODIC, ("collapsible", 2048), 1, 41, 60)
+def test_chunked_linear_steps_match_single_steps(boundary, case, seed, stride, steps):
+    # a linear interval takes up to kernel.chunk Cayley steps per solve with
+    # A^chunk, whose condition number the chunk rule keeps <= 10. A packet
+    # with noise on every mode, against the stride-1 run (one step per call);
+    # the draws reach chunks 8, 6 (schrodinger, N = 448), 4 (schrodinger,
+    # N = 512) and, on the stiff N = 1024 and 2048 grids of the collapsible
+    # half step, the fallback 2, the double half step of a stride-1 step.
+    # Measured over 30 draws per case and boundary: largest error 2.1e-14
+    # for chunks above 2, 0 for chunk 2. schrodinger_evolve's stiff grids
+    # are not drawn: with chunk 2 its run is the pair fusion of earlier
+    # versions, which on N = 1024 and 2048 at dt = 1e-3 is already 9.3e-14
+    # and 1.3e-12 from its stride-1 run (single steps through A^2).
+    propagator, n_points = case
+    err, chunk = _chunked_and_single_steps(boundary, n_points, propagator, seed, stride, steps)
+    if n_points >= 1024:
+        assert chunk == 2
+    assert err <= 1e-13
+
+
+def _looped_dilation(mask: np.ndarray, periodic: bool, width: int) -> np.ndarray:
+    """The reference OR-dilation, one shift per distance 1..width."""
+    out = mask.copy()
+    for s in range(1, width + 1):
+        out[s:] |= mask[:-s]
+        out[:-s] |= mask[s:]
+        if periodic:
+            out[:s] |= mask[-s:]
+            out[-s:] |= mask[:s]
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    boundary=st.sampled_from(list(Boundary)),
+    mask=st.lists(st.booleans(), min_size=16, max_size=80).map(lambda m: np.array(m, bool)),
+    width=st.integers(1, 5),
+)
+def test_dilated_mask_matches_the_looped_dilation(boundary, mask, width):
+    grid = Grid(-1.0, 1.0, mask.size, boundary)
+    want = _looped_dilation(mask, boundary is Boundary.PERIODIC, width)
+    got = dilated_mask(mask, grid, width)
+    assert got.dtype == bool and np.array_equal(got, want)
