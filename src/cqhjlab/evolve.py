@@ -23,13 +23,13 @@ minus that of the pinning target (or the unwrapped phase under Kostin
 friction), with rate = kappa (gamma) and M = lift o derivative o mask a
 projector. Then exp(-rate dt M) = I - (1 - exp(-rate dt)) M, which is
 psi exp(i tau Phi[psi]) with tau = -expm1(-rate dt) / rate: one force
-evaluation per step and no iteration. With renormalization on, a nonlinear
-run renormalizes the state every step; a linear one (schrodinger_evolve,
-or the null force) once per snapshot interval, because its Cayley and FFT
-steps are unitary in the grid inner product: the norm stays at 1 to
-roundoff over an interval of any length. The running sum of the log scale
-factors is recorded at every snapshot (gauge_log_magnitude), which keeps
-the homogeneous dynamics auditable.
+evaluation per step and no iteration. Every force is of degree zero in psi
+and the node mask is relative to the peak, so a scale factor never changes
+the state's shape. With renormalization on, _drive alone divides the end
+state of each advance by its norm and sums the log scale factors, recorded
+at every snapshot (gauge_log_magnitude). A run of force rate r > 0
+advances at most max(1, floor(1 / (r dt))) steps at a time, one e-folding
+time of the force; a linear run advances whole snapshot intervals.
 
 Between snapshots the collapsible step fuses the trailing linear half step
 of one step with the leading half step of the next: the two Cayley half
@@ -57,11 +57,11 @@ them, with the operand order of every product fixed, so a step is bitwise
 the allocating expression it replaces.
 
 All three propagators run on one stepping loop, `_drive`. Each supplies
-only an interval function advance(vals, m), which takes a recorded state
-through the m steps to the next snapshot, and a snapshot function
-record(vals, obs, log), both on raw ndarrays; the loop owns the snapshot
-cadence (t = 0, every snapshot_stride-th step and the last step), the
-renormalization of each interval's end state and its running log scale,
+only an interval function advance(vals, m), which takes a full Strang
+state m steps on, and a snapshot function record(vals, obs, log), both on
+raw ndarrays; the loop owns the snapshot cadence (t = 0, every
+snapshot_stride-th step and the last step), the step cap, the
+renormalization of each advance's end state and its running log scale,
 the assembly of the Trajectory, and attaching the partial trajectory to
 any CqhjError a step or a snapshot raises. The recorder takes every
 observable from one finite check and one weighted |psi|^2 sum, through
@@ -146,11 +146,11 @@ OBSERVABLES = (
 class IntegratorSpec:
     """The integrator of a run and its time step dt.
 
-    renormalize_each_step divides the state by its grid norm and sums the
-    log scale factors into gauge_log_magnitude: every step of a nonlinear
-    collapsible run, and once per snapshot interval of a linear one
-    (schrodinger_evolve, or collapsible_evolve under the null force),
-    whose unitary steps keep the norm at 1 to roundoff.
+    renormalize_each_step divides the end state of each advance by its grid
+    norm and sums the log scale factors into gauge_log_magnitude: once per
+    snapshot interval, and at least once per e-folding time 1 / (rate dt)
+    steps of a collapse force (module docstring). dt must be positive and
+    finite.
 
     A linear interval takes up to q steps per kernel call (module
     docstring): all of them on split-step, and on Crank-Nicolson the largest
@@ -163,8 +163,8 @@ class IntegratorSpec:
     renormalize_each_step: bool = True
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if not 0.0 < self.dt < np.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
 
 
 @dataclass
@@ -362,21 +362,6 @@ def _psi_recorder(H: Hamiltonian, target: Field | None):
     return lambda v, obs, log: _record_psi_observables(obs, v, H, target, log)
 
 
-class _Renormalizer:
-    """Divides a state by its grid norm, when enabled, and sums the log
-    scale factors into log."""
-
-    def __init__(self, grid: Grid, enabled: bool, log: float = 0.0):
-        self.grid, self.enabled, self.log = grid, enabled, log
-
-    def __call__(self, vals: np.ndarray) -> np.ndarray:
-        if not self.enabled:
-            return vals
-        scale = norm(_adopt(Field, grid=self.grid, values=vals))
-        self.log -= float(np.log(scale))
-        return vals / scale
-
-
 def _drive(
     vals: np.ndarray,
     spec: IntegratorSpec,
@@ -384,15 +369,23 @@ def _drive(
     snapshot_stride: int,
     advance,
     record,
-    renormalize: _Renormalizer,
+    grid: Grid | None,
+    log: float = 0.0,
+    cap: int = sys.maxsize,
 ) -> Trajectory:
     """The stepping loop of every propagator (see the module docstring).
 
-    advance(vals, m) returns the values m steps on, from and to a recorded
-    (full) state. Each interval's end state goes through renormalize, and
-    record(vals, obs, log) appends its observables to obs and returns the
-    snapshot, with log the running log scale renormalize.log.
+    advance(vals, m) takes a full state m <= cap steps on. With a grid,
+    each advance's end state is divided by its grid norm and log, from the
+    entry log scale, sums the log scale factors; None: no renormalization.
+    record(vals, obs, log) appends the observables to obs and returns the
+    snapshot. ValueError, before the first record, unless t_final is
+    positive and finite and snapshot_stride >= 1.
     """
+    if not 0.0 < t_final < np.inf:
+        raise ValueError(f"t_final must be positive and finite, got {t_final}")
+    if snapshot_stride < 1:
+        raise ValueError(f"snapshot_stride must be >= 1, got {snapshot_stride}")
     n_steps = max(1, int(round(t_final / spec.dt)))
     obs: dict = {}
     snaps: list = []
@@ -406,13 +399,19 @@ def _drive(
         )
 
     try:
-        snaps.append(record(vals, obs, renormalize.log))
+        snaps.append(record(vals, obs, log))
         times.append(0.0)
         step = 0
         for end in chain(range(snapshot_stride, n_steps, snapshot_stride), (n_steps,)):
-            vals = renormalize(advance(vals, end - step))
-            step = end
-            snaps.append(record(vals, obs, renormalize.log))
+            while step < end:
+                m = min(cap, end - step)
+                vals = advance(vals, m)
+                step += m
+                if grid is not None:
+                    scale = norm(_adopt(Field, grid=grid, values=vals))
+                    log -= float(np.log(scale))
+                    vals = vals / scale
+            snaps.append(record(vals, obs, log))
             times.append(step * spec.dt)
     except CqhjError as exc:
         exc.trajectory = trajectory()
@@ -436,9 +435,9 @@ def schrodinger_evolve(
     StabilityViolation otherwise). Crank-Nicolson is
     unconditionally stable; dt only controls accuracy, with phase errors
     O(dt^2 E^3) per unit time for energy-E components. The steps between
-    snapshots are one linear interval (IntegratorSpec), and a renormalized
-    run divides by the norm once per snapshot. psi0 and V must share a grid
-    (GridMismatch otherwise).
+    snapshots are one linear interval, and a renormalized run divides by
+    the norm once per snapshot (IntegratorSpec). psi0 and V must share a
+    grid (GridMismatch otherwise).
     """
     grid = require_same_grid(psi0, V.grid)
     H = hamiltonian(V, spec.method)
@@ -449,7 +448,7 @@ def schrodinger_evolve(
 
     return _drive(
         psi0.values, spec, t_final, snapshot_stride, advance, _psi_recorder(H, target),
-        _Renormalizer(grid, spec.renormalize_each_step),
+        grid if spec.renormalize_each_step else None,
     )
 
 
@@ -489,7 +488,9 @@ def cqhj_evolve(
     On periodic grids the projection is the identity and is skipped.
 
     p0 and V must share a grid (GridMismatch otherwise, before the t = 0
-    snapshot). Steps run on raw ndarrays (module docstring).
+    snapshot). Steps run on raw ndarrays (module docstring). The run never
+    renormalizes, whatever renormalize_each_step says: p = -i grad log psi
+    is of degree zero in psi, so it carries no scale to renormalize.
     """
     if spec.method is not Method.RK4:
         raise ValueError("momentum-space evolution uses the RK4 method")
@@ -548,9 +549,7 @@ def cqhj_evolve(
                     obs.setdefault(key, []).append(np.nan)
         return pf
 
-    return _drive(
-        p0.values, spec, t_final, snapshot_stride, advance, record, _Renormalizer(grid, False)
-    )
+    return _drive(p0.values, spec, t_final, snapshot_stride, advance, record, None)
 
 
 def _momentum_kernel(V: Potential):
@@ -608,11 +607,11 @@ def collapsible_evolve(
     half step of one step and the leading one of the next are applied as
     one double half step, so every step makes one linear solve; the
     recorded states are the full Strang states. Under the null force the
-    steps between snapshots are one linear interval (IntegratorSpec). The
-    node mask is that of the half-stepped state; a state with no unmasked
-    point left raises NodeBlowup. Any nonzero input norm is accepted; the
-    log scale of the entry normalization and of every renormalization
-    (IntegratorSpec) is summed into the gauge_log_magnitude series.
+    steps between snapshots are one linear interval. The node mask is that
+    of the half-stepped state; a state with no unmasked point left raises
+    NodeBlowup. Any nonzero input norm is accepted; the log scale of the
+    entry normalization and of every renormalization (IntegratorSpec, at
+    most 1 / (rate dt) steps apart) is summed into gauge_log_magnitude.
     Split-step checks each half step against schrodinger_evolve's bound, so
     it requires dt * E_max <= 0.2. psi0 and V must share a grid
     (GridMismatch otherwise).
@@ -630,8 +629,8 @@ def collapsible_evolve(
     # rate -> 0, which also covers the null force
     rate = force.kappa if force.kind is ForceKind.PINNING else force.gamma
     tau = -np.expm1(-rate * dt) / rate if rate else dt
-
-    renormalize = _Renormalizer(grid, spec.renormalize_each_step, -float(np.log(scale)))
+    # steps per advance: one e-folding time of the force (module docstring)
+    cap = max(1, int(min(1 / (rate * dt), sys.maxsize))) if rate * dt else sys.maxsize
 
     phi = None if force.kind is ForceKind.NULL else _gauge_kernel(force, grid, node_threshold)
     itau = 1j * tau
@@ -649,10 +648,10 @@ def collapsible_evolve(
         b = gauge(kernel.step(vals, 1))
         for _ in range(m - 1):
             # b still owes its trailing half step, fused into the next one
-            b = gauge(kernel.step(renormalize(b), 2))
+            b = gauge(kernel.step(b, 2))
         return kernel.step(b, 1)
 
     return _drive(
         psi0.values / scale, spec, t_final, snapshot_stride, advance, _psi_recorder(H, target),
-        renormalize,
+        grid if spec.renormalize_each_step else None, -float(np.log(scale)), cap,
     )

@@ -59,8 +59,8 @@ def pinning_force(
     """Force -kappa (p - p_target) pulling the momentum field onto that of
     the chosen pointer state. EigenPair / wave-function targets are
     converted with psi_to_p."""
-    if kappa <= 0:
-        raise ValueError("pinning rate kappa must be positive")
+    if not 0.0 < kappa < np.inf:
+        raise ValueError(f"pinning rate kappa must be positive and finite, got {kappa}")
     if isinstance(target, EigenPair):
         target = target.state
     if isinstance(target, Field):
@@ -71,8 +71,8 @@ def pinning_force(
 def kostin_friction(gamma: float) -> CollapseForce:
     """Force -gamma Re(p): damps the classical momentum (phase gradient),
     relaxing the state toward the potential's ground state."""
-    if gamma <= 0:
-        raise ValueError("friction rate gamma must be positive")
+    if not 0.0 < gamma < np.inf:
+        raise ValueError(f"friction rate gamma must be positive and finite, got {gamma}")
     return CollapseForce(kind=ForceKind.KOSTIN_FRICTION, gamma=gamma)
 
 

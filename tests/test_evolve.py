@@ -783,3 +783,88 @@ def test_one_linear_solve_per_step(ho_box_setup, monkeypatch, force_kind):
     else:
         assert kernel.chunk == 8
         assert counts == {"solves": 4 * 13, "forces": 0}
+
+
+# -- renormalization and run inputs -------------------------------------------
+
+
+def test_strong_pinning_with_one_snapshot_stays_finite(ho_box_setup):
+    # kappa = 6 over 10^4 steps with no snapshot in between: left
+    # unrenormalized, the norm would grow by e^421 over the run, past the
+    # e^354 at which |psi|^2 overflows. The run renormalizes at least every
+    # 1 / (kappa dt) = 166 steps and collapses onto the target.
+    grid, V, pairs = ho_box_setup
+    psi0 = superpose([1.0, 1.0], [pairs[0].state, pairs[1].state])
+    spec = IntegratorSpec(Method.CRANK_NICOLSON, 1e-3, True)
+    traj = collapsible_evolve(
+        psi0, V, pinning_force(pairs[0], 6.0), spec, 10.0, snapshot_stride=10**9,
+        target=pairs[0].state,
+    )
+    assert np.array_equal(traj.times, [0.0, 10.0])
+    assert np.all(np.isfinite(traj.final_state.values))
+    assert all(np.all(np.isfinite(series)) for series in traj.observables.values())
+    assert traj.observables["fidelity_target"][-1] >= 1.0 - 1e-6
+
+
+@pytest.mark.parametrize(
+    "kappa, advances_per_interval", [(3.5, 1), (125.0, 3)], ids=["whole-interval", "capped"]
+)
+def test_one_norm_per_advance(ho_box_setup, monkeypatch, kappa, advances_per_interval):
+    # 100 steps at stride 20 with a target: the entry norm, the target's
+    # norm, and one norm per advance. kappa = 3.5 advances a whole interval
+    # at a time; kappa = 125 caps an advance at 1 / (kappa dt) = 8 steps,
+    # so each interval is three advances (8 + 8 + 4)
+    grid, V, pairs = ho_box_setup
+    calls = []
+    real = evolve.norm
+
+    def counted(field):
+        calls.append(None)
+        return real(field)
+
+    monkeypatch.setattr(evolve, "norm", counted)
+    psi0 = superpose([1.0, 1.0], [pairs[0].state, pairs[1].state])
+    spec = IntegratorSpec(Method.CRANK_NICOLSON, 1e-3, True)
+    traj = collapsible_evolve(
+        psi0, V, pinning_force(pairs[0], kappa), spec, 0.1, snapshot_stride=20,
+        target=pairs[0].state,
+    )
+    assert len(traj.snapshots) == 6
+    assert len(calls) == 2 + 5 * advances_per_interval
+    assert np.max(np.abs(traj.observables["norm"] - 1.0)) <= 1e-13
+
+
+@pytest.mark.parametrize("propagator", ["schrodinger", "collapsible"])
+@pytest.mark.parametrize(
+    "t_final, stride, match",
+    [
+        (-1.0, 1, "t_final"),
+        (0.0, 1, "t_final"),
+        (np.nan, 1, "t_final"),
+        (np.inf, 1, "t_final"),
+        (0.1, 0, "snapshot_stride"),
+        (0.1, -5, "snapshot_stride"),
+    ],
+)
+def test_run_inputs_rejected_before_the_first_snapshot(
+    ho_box_setup, monkeypatch, propagator, t_final, stride, match
+):
+    grid, V, pairs = ho_box_setup
+    recorded = []
+    monkeypatch.setattr(evolve, "_record_psi_observables", lambda *args: recorded.append(args))
+    spec = IntegratorSpec(Method.CRANK_NICOLSON, 1e-3, True)
+    with pytest.raises(ValueError, match=match):
+        if propagator == "schrodinger":
+            schrodinger_evolve(pairs[0].state, V, spec, t_final, snapshot_stride=stride)
+        else:
+            collapsible_evolve(
+                pairs[1].state, V, pinning_force(pairs[0], 2.0), spec, t_final,
+                snapshot_stride=stride,
+            )
+    assert recorded == []
+
+
+@pytest.mark.parametrize("dt", [np.nan, np.inf, -np.inf, 0.0, -1e-3])
+def test_integrator_spec_rejects_non_finite_or_non_positive_dt(dt):
+    with pytest.raises(ValueError, match="dt must be positive"):
+        IntegratorSpec(Method.CRANK_NICOLSON, dt)

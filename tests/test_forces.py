@@ -165,6 +165,18 @@ def test_constructor_guards(ho_setup):
         kostin_friction(-1.0)
 
 
+@pytest.mark.parametrize("rate", [np.nan, np.inf])
+def test_constructors_reject_non_finite_rates(ho_setup, rate):
+    # the collapse step takes its time factor and its steps per
+    # renormalization from the rate, so a NaN or infinite one is refused
+    # where it is given
+    _, _, pairs = ho_setup
+    with pytest.raises(ValueError, match="kappa must be positive and finite"):
+        pinning_force(pairs[0], rate)
+    with pytest.raises(ValueError, match="gamma must be positive and finite"):
+        kostin_friction(rate)
+
+
 def test_pinning_accepts_eigenpair_and_momentum_field(ho_setup):
     grid, _, pairs = ho_setup
     via_pair = pinning_force(pairs[0], 1.0)
