@@ -41,20 +41,33 @@ step, so a nonlinear step makes one solve.
 
 A linear interval (schrodinger_evolve's m steps, or the 2m half steps of m
 null-force steps) goes through one helper, _linear_steps, in kernel calls
-of up to kernel.chunk steps. A split-step call takes any number, merging
-the potential factors that meet. A Crank-Nicolson call of n <= q steps is
-one solve and one matvec, (A^q)^-1 A^(q-n) B^n with one sparse LU of A^q;
-for n <= 2 it is the collapse step's (A^2)^-1 A^(2-n) B^n, so nonlinear
-runs do not depend on q. q is a rule, not a setting (_cayley_chunk): the
-largest even number <= 8 with (1 + theta^2)^(q/2) <= 10, theta =
-h/2 ||H||_inf for the kernel step h, which bounds the condition number of
-A^q and so the roundoff of the solve. A stiff kernel (theta > 1.47, e.g.
-N = 1024 on [-8, 8] at h = 5e-4) falls back to q = 2, the double step.
-Kernels are cached per Hamiltonian and dt, so repeated runs on one setup
-(sweeps, the benchmark) factor once. A cached kernel holds no buffer: each
-split-step call takes its own output and FFT scratch and transforms into
-them, with the operand order of every product fixed, so a step is bitwise
-the allocating expression it replaces.
+of up to kernel.chunk steps. A split-step call takes any number n. Below a
+crossover it steps, one FFT pair per step, merging the potential factors
+that meet; from it on it applies S^n, S the dense N x N step matrix, built
+by one batched step of the N unit states and raised by binary powering:
+bit_length(n) - 1 complex N x N products and popcount(n) vector products
+in place of n FFT pairs, with at most two N x N arrays alive (16 MB each
+at N = 1024) and nothing kept. The crossover is a rule of (N, n), not a
+setting (_split_power_pays): n must exceed bit_length(n) + 2 products at
+a committed, conservative cost per product, and grids above 1024 points
+always step. The bundled 256-point stationary run takes its 10,000 half
+steps per interval in 13 squarings. Crank-Nicolson and the nonlinear steps
+(n <= 2) never take this path.
+A Crank-Nicolson call of n <= q steps is one solve and one matvec,
+(A^q)^-1 A^(q-n) B^n with one sparse LU of A^q; for n <= 2 it is the
+collapse step's (A^2)^-1 A^(2-n) B^n, so nonlinear runs do not depend on
+q. A single step of a linear interval is instead one Cayley solve
+A^-1 (B v), with an LU of A built on first use: its condition number is
+that of A, sqrt(1 + theta^2), not the 1 + theta^2 of A^2. q is a rule, not
+a setting (_cayley_chunk): the largest even number <= 8 with
+(1 + theta^2)^(q/2) <= 10, theta = h/2 ||H||_inf for the kernel step h,
+which bounds the condition number of A^q and so the roundoff of the solve.
+A stiff kernel (theta > 1.47, e.g. N = 1024 on [-8, 8] at h = 5e-4) falls
+back to q = 2, the double step. Kernels are cached per Hamiltonian and dt,
+so repeated runs on one setup (sweeps, the benchmark) factor once. A
+cached kernel holds no buffer: each split-step call takes its own output
+and FFT scratch and transforms into them, with the operand order of every
+product fixed, so a step is bitwise the allocating expression it replaces.
 
 All three propagators run on one stepping loop, `_drive`. Each supplies
 only an interval function advance(vals, m), which takes a full Strang
@@ -153,9 +166,10 @@ class IntegratorSpec:
     finite.
 
     A linear interval takes up to q steps per kernel call (module
-    docstring): all of them on split-step, and on Crank-Nicolson the largest
-    even q <= 8 with (1 + theta^2)^(q/2) <= 10, theta = h/2 ||H||_inf for
-    the kernel step h; a stiff kernel takes its steps in pairs (q = 2).
+    docstring): all of them on split-step, as a dense matrix power once the
+    interval is long enough, and on Crank-Nicolson the largest even q <= 8
+    with (1 + theta^2)^(q/2) <= 10, theta = h/2 ||H||_inf for the kernel
+    step h; a stiff kernel takes its steps in pairs (q = 2).
     """
 
     method: Method
@@ -185,10 +199,11 @@ class Trajectory:
 
 
 class _SplitStepKernel:
-    """n Strang steps exp(-iV dt/2) exp(-iK dt) exp(-iV dt/2) via FFT in one
-    call, for any n. The kernel holds read-only factors and no buffer (module
-    docstring); numpy's complex product is not bitwise commutative, so
-    operand order is fixed."""
+    """n Strang steps exp(-iV dt/2) exp(-iK dt) exp(-iV dt/2) in one call, for
+    any n: via FFT step by step, or as the n-th power of the dense step
+    matrix where _split_power_pays(N, n) (module docstring). The kernel holds
+    read-only factors and no buffer; numpy's complex product is not bitwise
+    commutative, so operand order is fixed."""
 
     chunk = sys.maxsize  # one call takes any number of steps
 
@@ -198,9 +213,16 @@ class _SplitStepKernel:
         self.kinetic = _readonly(np.exp(-0.5j * dt * H.grid.wavenumbers**2))
 
     def step(self, values: np.ndarray, n: int) -> np.ndarray:
-        """n Strang steps; the potential factors that meet between two steps
+        """n Strang steps of values, a fresh array."""
+        if _split_power_pays(values.size, n):
+            return self._power(values, n)
+        return self._stepped(values * self.half_v, n)
+
+    def _stepped(self, v: np.ndarray, n: int) -> np.ndarray:
+        """n Strang steps, one FFT pair per step, of each state along the
+        last axis of v, which carries the leading half potential factor
+        already, in place; the potential factors that meet between two steps
         are merged into one."""
-        v = values * self.half_v
         buf = np.empty_like(v)
         for i in range(n):
             if i:
@@ -209,6 +231,43 @@ class _SplitStepKernel:
             np.multiply(self.kinetic, buf, out=buf)
             np.fft.ifft(buf, out=v)
         return np.multiply(v, self.half_v, out=v)
+
+    def _power(self, values: np.ndarray, n: int) -> np.ndarray:
+        """S^n values by binary powering of the dense step matrix S: one
+        batched step of the N unit states, which with their leading half
+        potential factor are the rows of diag(half_v), gives the rows of
+        S^T; then bit_length(n) - 1 squarings and one vector product per set
+        bit of n. Nothing is kept, and at most two N x N arrays are alive."""
+        power = self._stepped(np.diag(self.half_v), 1)
+        while True:
+            if n & 1:
+                values = values @ power
+            n >>= 1
+            if not n:
+                return values
+            power = power @ power
+
+
+# the largest grid whose split-step intervals may be taken as a matrix
+# power, and the cost of one N x N complex product in FFT steps of the same
+# grid at N = 256, scaled by (N / 256)^2.5 and at least one step
+# (_split_power_pays)
+SPLIT_POWER_MAX_POINTS = 1024
+SPLIT_MATMUL_STEPS_256 = 200.0
+
+
+def _split_power_pays(n_points: int, n: int) -> bool:
+    """Whether n split-step steps on n_points are taken as the matrix power
+    S^n: when n exceeds the cost of bit_length(n) + 2 N x N products, which
+    covers the build, the squarings and the vector products. On a 2-core
+    host one product cost 62-131 FFT steps at N = 256, 579-633 at 512 and
+    1,931-5,137 at 1024, on one core or two (BENCH_18), under the rule's
+    200, 1,131 and 6,400, so the rule errs towards stepping: the power path
+    was 1.2-3.8x faster than stepping at the rule's crossover. Grids above
+    SPLIT_POWER_MAX_POINTS always step; their two N x N arrays would pass
+    32 MB, and at N = 2048 a product costs 9,300-16,200 steps."""
+    matmul = max(1.0, SPLIT_MATMUL_STEPS_256 * (n_points / 256) ** 2.5)
+    return n_points <= SPLIT_POWER_MAX_POINTS and n > matmul * (n.bit_length() + 2)
 
 
 # the most Cayley steps one Crank-Nicolson call takes, and the bound on the
@@ -267,13 +326,28 @@ class _CrankNicolsonKernel:
         out[self.inner] = self._solve(values[self.inner], n)
         return out
 
+    @cached_property
+    def _cayley_solve(self):
+        return splu(self._A.tocsc()).solve
+
+    def cayley(self, values: np.ndarray) -> np.ndarray:
+        """One Cayley step A^-1 (B v), whose solve has the condition number of
+        A, not that of A^2 as in step(values, 1); the LU of A is built on
+        first use."""
+        out = np.zeros(values.shape, values.dtype)
+        out[self.inner] = self._cayley_solve(self._B @ values[self.inner])
+        return out
+
 
 def _linear_steps(kernel, values: np.ndarray, n: int) -> np.ndarray:
-    """n linear kernel steps, n >= 1, in calls of at most kernel.chunk steps:
-    the linear advance of every propagator interval (module docstring)."""
+    """n linear kernel steps, n >= 1, in calls of at most kernel.chunk steps,
+    a single Crank-Nicolson step as one Cayley step: the linear advance of
+    every propagator interval (module docstring)."""
     while n > kernel.chunk:
         values = kernel.step(values, kernel.chunk)
         n -= kernel.chunk
+    if n == 1 and isinstance(kernel, _CrankNicolsonKernel):
+        return kernel.cayley(values)
     return kernel.step(values, n)
 
 

@@ -149,6 +149,10 @@ def test_schrodinger_fused_steps_match_single_steps(monkeypatch, boundary, metho
         return step(values, n)
 
     monkeypatch.setattr(kernel, "step", counted_step)
+    if method is Method.CRANK_NICOLSON:
+        # a single Crank-Nicolson step of an interval is one Cayley solve
+        cayley = kernel.cayley
+        monkeypatch.setattr(kernel, "cayley", lambda values: calls.append(1) or cayley(values))
     whole = [8, 3] if method is Method.CRANK_NICOLSON else [11]
     runs = []
     for stride, want_calls in ((1, [1] * 11), (3, [3, 3, 3, 2]), (10**9, whole)):
@@ -253,6 +257,51 @@ def test_split_step_kernel_matches_allocating_steps_bitwise(n_points):
     assert kernel.step(v, 1) is not kernel.step(v, 1)
 
 
+def _allocating_steps(kernel, v, n):
+    """n Strang steps in the allocating form of the stepping loop."""
+    v = v * kernel.half_v
+    for i in range(n):
+        if i:
+            v = v * kernel.full_v
+        v = np.fft.ifft(kernel.kinetic * np.fft.fft(v))
+    return v * kernel.half_v
+
+
+@pytest.mark.parametrize("n_points", [32, 128, 256])
+def test_split_step_steps_below_the_power_crossover(n_points):
+    # an interval shorter than the rule's crossover is the stepping loop,
+    # bitwise, and every longer one is a matrix power; grids above
+    # SPLIT_POWER_MAX_POINTS step at any length
+    g = Grid(-12.0, 12.0, n_points, Boundary.PERIODIC)
+    kernel = _make_kernel(hamiltonian(harmonic_potential(g, 1.0), Method.SPLIT_STEP), 1e-5)
+    r = np.random.default_rng(n_points)
+    v = r.standard_normal(n_points) + 1j * r.standard_normal(n_points)
+    crossover = next(n for n in range(1, 10**4) if evolve._split_power_pays(n_points, n))
+    assert all(evolve._split_power_pays(n_points, n) for n in range(crossover, 2 * crossover))
+    n = crossover - 1
+    assert np.array_equal(kernel.step(v, n), _allocating_steps(kernel, v, n))
+    big = evolve.SPLIT_POWER_MAX_POINTS + 1
+    assert not any(evolve._split_power_pays(big, 2**k) for k in range(40))
+
+
+def test_split_step_power_is_deterministic():
+    # the power path of the bundled stationary run's grid: two calls give the
+    # same bits, and a whole null-force run through it twice the same states
+    g = Grid(-12.0, 12.0, 256, Boundary.PERIODIC)
+    V = harmonic_potential(g, 1.0)
+    kernel = _make_kernel(hamiltonian(V, Method.SPLIT_STEP), 5e-5)
+    assert evolve._split_power_pays(g.n_points, 5000)
+    psi0 = ho_eigenstate(0, 1.0, g).state
+    assert kernel.step(psi0.values, 5000).tobytes() == kernel.step(psi0.values, 5000).tobytes()
+    spec = IntegratorSpec(Method.SPLIT_STEP, 1e-4, False)
+    a, b = (
+        collapsible_evolve(psi0, V, null_force(), spec, 0.5, snapshot_stride=2500) for _ in range(2)
+    )
+    assert len(a.snapshots) == 3
+    for sa, sb in zip(a.snapshots, b.snapshots, strict=True):
+        assert sa.values.tobytes() == sb.values.tobytes()
+
+
 def test_crank_nicolson_norm_conservation(ho_box_setup):
     grid, V, _ = ho_box_setup
     psi0 = gaussian_packet(grid, 0.5, 1.0, 1.0)
@@ -316,17 +365,18 @@ def test_recorder_matches_the_public_observables(boundary, method, with_target):
 )
 def test_recorder_errors_keep_the_partial_trajectory(ho_box_setup, monkeypatch, bad, error):
     # the third kernel step returns a NaN or an all-zero state: recording it
-    # raises the typed error, which carries the two snapshots before it
+    # raises the typed error, which carries the two snapshots before it; a
+    # single step of a linear interval is the kernel's Cayley step
     grid, V, pairs = ho_box_setup
     spec = IntegratorSpec(Method.CRANK_NICOLSON, 1e-3, False)
     kernel = _make_kernel(hamiltonian(V, spec.method), spec.dt)
-    step, calls = kernel.step, []
+    cayley, calls = kernel.cayley, []
 
-    def failing_step(values, n):
-        calls.append(n)
-        return step(values, n) if len(calls) < 3 else np.full_like(values, bad)
+    def failing_step(values):
+        calls.append(1)
+        return cayley(values) if len(calls) < 3 else np.full_like(values, bad)
 
-    monkeypatch.setattr(kernel, "step", failing_step)
+    monkeypatch.setattr(kernel, "cayley", failing_step)
     with pytest.raises(error) as err:
         schrodinger_evolve(pairs[0].state, V, spec, 5 * spec.dt, target=pairs[0].state)
     partial = err.value.trajectory

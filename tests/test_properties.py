@@ -1,8 +1,9 @@
 """Property-based checks of the momentum map, the collapsible step and the
 linear propagators on drawn states, scale factors, rates, snapshot strides
 and renormalization. Grids stay at 128-512 points and runs at 40 steps,
-except the chunked linear steps' stiff grids (up to 2048 points, 60 steps),
-so the module adds about four seconds to the suite."""
+except the chunked linear steps' stiff grids (up to 2048 points, 60 steps)
+and the split-step matrix power (32-128 points, up to 3,100 steps), so the
+module adds about six seconds to the suite."""
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
@@ -24,6 +25,7 @@ from cqhjlab import (
     ho_eigenstate,
     kostin_friction,
     make_field,
+    norm,
     null_force,
     p_to_psi,
     pinning_force,
@@ -164,8 +166,8 @@ def test_snapshot_cadence_does_not_change_the_trajectory(case, seed, rate, strid
     # one double half step. 40 steps each, Crank-Nicolson on the box grid
     # and split-step on the periodic one, compared at the common snapshot
     # times. Measured over 100 draws per case: largest |psi_k - psi_1| /
-    # max|psi_1| 8.6e-15, and the running log scale, summed from the
-    # renormalization of pending states, agrees to 2.2e-14. Under the null
+    # max|psi_1| 8.6e-15, and the running log scale, summed from one norm
+    # of the end state of each advance, agrees to 2.2e-14. Under the null
     # force a stride-1 step is one double half step, and a stride-k interval
     # is 2k half steps in calls of up to kernel.chunk (8 on the box grid,
     # all of them in one split-step call), renormalized once: 1.2e-14 (box)
@@ -345,14 +347,57 @@ def test_chunked_linear_steps_match_single_steps(boundary, case, seed, stride, s
     # half step, the fallback 2, the double half step of a stride-1 step.
     # Measured over 30 draws per case and boundary: largest error 2.1e-14
     # for chunks above 2, 0 for chunk 2. schrodinger_evolve's stiff grids
-    # are not drawn: with chunk 2 its run is the pair fusion of earlier
-    # versions, which on N = 1024 and 2048 at dt = 1e-3 is already 9.3e-14
-    # and 1.3e-12 from its stride-1 run (single steps through A^2).
+    # are the next test's, at their own bounds: there the stride-1 run's
+    # Cayley steps and the chunked run's pairs through A^2 differ in
+    # roundoff by up to 2.6e-13.
     propagator, n_points = case
     err, chunk = _chunked_and_single_steps(boundary, n_points, propagator, seed, stride, steps)
     if n_points >= 1024:
         assert chunk == 2
     assert err <= 1e-13
+
+
+@settings(max_examples=8, deadline=None)
+@given(boundary=st.sampled_from(list(Boundary)), n_points=st.sampled_from([1024, 2048]), seed=SEEDS)
+@example(Boundary.BOX, 2048, 0)
+@example(Boundary.PERIODIC, 1024, 0)
+def test_single_linear_steps_are_cayley_steps_on_stiff_grids(boundary, n_points, seed):
+    # a stride-1 schrodinger_evolve run takes each step as one Cayley solve
+    # A^-1 (B v), with the condition number of A; the chunked run takes its
+    # steps in pairs through A^2 (chunk 2 on these grids) and a remaining
+    # single one as a Cayley step. 60 steps at stride 41. Measured over 18
+    # draws per grid and boundary: largest |psi_k - psi_1| / max|psi_1|
+    # 2.2e-14 at N = 1024 and 2.6e-13 at 2048; with single steps through A^2,
+    # as (A^2)^-1 AB, 1.1e-13 and 1.4e-12.
+    err, chunk = _chunked_and_single_steps(boundary, n_points, "schrodinger", seed, 41, 60)
+    assert chunk == 2
+    assert err <= {1024: 5e-14, 2048: 5e-13}[n_points]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n_points=st.integers(32, 128),
+    seed=SEEDS,
+    omega=st.floats(0.5, 2.0),
+    log2_n=st.floats(0.0, 3.0),
+)
+def test_split_step_power_matches_the_stepping_loop(n_points, seed, omega, log2_n):
+    # on small periodic grids the rule takes an interval of n steps as the
+    # matrix power S^n from n = 6 (N = 32) to 389 (N = 128) steps; n is drawn
+    # from that crossover to 8 times it, up to 3,100 steps. Measured over 60
+    # draws: the power and the forced stepping loop agree to 2.9e-13 of
+    # max|psi|, and both keep the grid norm to 4.3e-13 relative.
+    grid = Grid(-8.0, 8.0, n_points, Boundary.PERIODIC)
+    rng = np.random.default_rng(seed)
+    psi0 = random_nodeless_state(grid, rng, modes=4, amplitude=0.5)
+    dt = 0.09 / evolve._split_step_e_max(grid)
+    H = hamiltonian(harmonic_potential(grid, omega), Method.SPLIT_STEP)
+    kernel = evolve._SplitStepKernel(H, dt)
+    crossover = next(n for n in range(1, 10**4) if evolve._split_power_pays(n_points, n))
+    n = int(crossover * 2.0**log2_n)
+    power, stepped = kernel.step(psi0.values, n), kernel._stepped(psi0.values * kernel.half_v, n)
+    assert np.max(np.abs(power - stepped)) <= 1e-12 * np.max(np.abs(stepped))
+    assert abs(norm(make_field(grid, power)) / norm(psi0) - 1.0) <= 1e-12
 
 
 def _looped_dilation(mask: np.ndarray, periodic: bool, width: int) -> np.ndarray:
