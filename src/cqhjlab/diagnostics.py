@@ -83,7 +83,9 @@ def collapse_time(traj, epsilon: float):
     """First time the fidelity to the target reaches 1 - epsilon.
 
     Uses the trajectory's recorded fidelity series, with linear
-    interpolation between snapshots. Returns None when never attained.
+    interpolation between snapshots. Returns None when never attained, and
+    the crossing snapshot's time when the fidelity of the snapshot before it
+    is not finite (cqhj_evolve records NaN for winding fields).
     """
     if not 0.0 < epsilon < 0.5:
         raise ValueError("epsilon must lie in (0, 0.5)")
@@ -101,7 +103,7 @@ def collapse_time(traj, epsilon: float):
         return 0.0
     f0, f1 = fids[i - 1], fids[i]
     t0, t1 = times[i - 1], times[i]
-    if f1 == f0:
+    if f1 == f0 or not np.isfinite(f0):
         return float(t1)
     return float(t0 + (threshold - f0) * (t1 - t0) / (f1 - f0))
 

@@ -47,12 +47,21 @@ that meet; from it on it applies S^n, S the dense N x N step matrix, built
 by one batched step of the N unit states and raised by binary powering:
 bit_length(n) - 1 complex N x N products and popcount(n) vector products
 in place of n FFT pairs, with at most two N x N arrays alive (16 MB each
-at N = 1024) and nothing kept. The crossover is a rule of (N, n), not a
-setting (_split_power_pays): n must exceed bit_length(n) + 2 products at
-a committed, conservative cost per product, and grids above 1024 points
-always step. The bundled 256-point stationary run takes its 10,000 half
-steps per interval in 13 squarings. Crank-Nicolson and the nonlinear steps
-(n <= 2) never take this path.
+at N = 1024). The crossover is a rule of (N, n), not a setting
+(_split_power_pays): n must exceed bit_length(n) + 2 products at a
+committed, conservative cost per product, and grids above 1024 points
+always step. A run that takes at least two snapshot intervals of one such
+length (n_steps // snapshot_stride >= 2) builds that S^n once, by the same
+powering with the set bits accumulated into a matrix, keeps it until it
+returns (_kept_power) and takes each of those intervals as one
+vector-matrix product; the build has at most three N x N arrays alive and
+the run keeps one. Its remainder interval and a run of one interval take
+the vector path above, so no run makes more N x N products than stepping
+each interval by powering. The bundled 256-point stationary run (12
+intervals of 10,000 half steps and one of 5,664) makes 29 N x N products
+in place of 168; the stationary_split benchmark ran 5.5x faster
+(BENCH_19). Crank-Nicolson and the nonlinear steps (n <= 2) never take
+this path.
 A Crank-Nicolson call of n <= q steps is one solve and one matvec,
 (A^q)^-1 A^(q-n) B^n with one sparse LU of A^q; for n <= 2 it is the
 collapse step's (A^2)^-1 A^(2-n) B^n, so nonlinear runs do not depend on
@@ -167,9 +176,11 @@ class IntegratorSpec:
 
     A linear interval takes up to q steps per kernel call (module
     docstring): all of them on split-step, as a dense matrix power once the
-    interval is long enough, and on Crank-Nicolson the largest even q <= 8
-    with (1 + theta^2)^(q/2) <= 10, theta = h/2 ||H||_inf for the kernel
-    step h; a stiff kernel takes its steps in pairs (q = 2).
+    interval is long enough, built once per run and reused when the run
+    takes two or more intervals of the snapshot stride; and on
+    Crank-Nicolson the largest even q <= 8 with (1 + theta^2)^(q/2) <= 10,
+    theta = h/2 ||H||_inf for the kernel step h; a stiff kernel takes its
+    steps in pairs (q = 2).
     """
 
     method: Method
@@ -201,9 +212,11 @@ class Trajectory:
 class _SplitStepKernel:
     """n Strang steps exp(-iV dt/2) exp(-iK dt) exp(-iV dt/2) in one call, for
     any n: via FFT step by step, or as the n-th power of the dense step
-    matrix where _split_power_pays(N, n) (module docstring). The kernel holds
-    read-only factors and no buffer; numpy's complex product is not bitwise
-    commutative, so operand order is fixed."""
+    matrix where _split_power_pays(N, n) (module docstring). matrix(n) builds
+    that power for a run that reuses it over its equal intervals; the run,
+    not the kernel, keeps it. The kernel holds read-only factors and no
+    buffer; numpy's complex product is not bitwise commutative, so operand
+    order is fixed."""
 
     chunk = sys.maxsize  # one call takes any number of steps
 
@@ -217,6 +230,11 @@ class _SplitStepKernel:
         if _split_power_pays(values.size, n):
             return self._power(values, n)
         return self._stepped(values * self.half_v, n)
+
+    def matrix(self, n: int) -> np.ndarray:
+        """The dense (S^n)^T, so that values @ matrix(n) is S^n values: the
+        power a run keeps for its equal intervals (_kept_power)."""
+        return self._power(None, n)
 
     def _stepped(self, v: np.ndarray, n: int) -> np.ndarray:
         """n Strang steps, one FFT pair per step, of each state along the
@@ -232,19 +250,21 @@ class _SplitStepKernel:
             np.fft.ifft(buf, out=v)
         return np.multiply(v, self.half_v, out=v)
 
-    def _power(self, values: np.ndarray, n: int) -> np.ndarray:
-        """S^n values by binary powering of the dense step matrix S: one
+    def _power(self, acc: np.ndarray | None, n: int) -> np.ndarray:
+        """acc @ (S^n)^T by binary powering of the dense step matrix S: one
         batched step of the N unit states, which with their leading half
         potential factor are the rows of diag(half_v), gives the rows of
-        S^T; then bit_length(n) - 1 squarings and one vector product per set
-        bit of n. Nothing is kept, and at most two N x N arrays are alive."""
+        S^T; then bit_length(n) - 1 squarings and one product into acc per
+        set bit of n. A vector acc gives S^n values, with at most two N x N
+        arrays alive; acc None gives (S^n)^T itself, taking the first set
+        bit's power without a product, with at most three alive."""
         power = self._stepped(np.diag(self.half_v), 1)
         while True:
             if n & 1:
-                values = values @ power
+                acc = power if acc is None else acc @ power
             n >>= 1
             if not n:
-                return values
+                return acc
             power = power @ power
 
 
@@ -339,10 +359,26 @@ class _CrankNicolsonKernel:
         return out
 
 
-def _linear_steps(kernel, values: np.ndarray, n: int) -> np.ndarray:
+def _kept_power(kernel, n: int, count: int) -> tuple[int, np.ndarray] | None:
+    """(n, (S^n)^T) for a run of count intervals of n kernel steps, or None:
+    a split-step run keeps the dense power when it takes at least two such
+    intervals and each would be a power (_split_power_pays). The build makes
+    bit_length(n) + popcount(n) - 2 N x N products, at most those of two
+    intervals on the vector path, so no run makes more."""
+    if isinstance(kernel, _SplitStepKernel) and count >= 2 and _split_power_pays(
+        kernel.half_v.size, n
+    ):
+        return n, kernel.matrix(n)
+    return None
+
+
+def _linear_steps(kernel, values: np.ndarray, n: int, kept=None) -> np.ndarray:
     """n linear kernel steps, n >= 1, in calls of at most kernel.chunk steps,
     a single Crank-Nicolson step as one Cayley step: the linear advance of
-    every propagator interval (module docstring)."""
+    every propagator interval (module docstring). An interval of the run's
+    kept power (_kept_power) is one vector-matrix product."""
+    if kept is not None and kept[0] == n:
+        return values @ kept[1]
     while n > kernel.chunk:
         values = kernel.step(values, kernel.chunk)
         n -= kernel.chunk
@@ -436,6 +472,16 @@ def _psi_recorder(H: Hamiltonian, target: Field | None):
     return lambda v, obs, log: _record_psi_observables(obs, v, H, target, log)
 
 
+def _step_count(t_final: float, dt: float, snapshot_stride: int) -> int:
+    """The steps of a run to t_final, at least one; ValueError unless
+    t_final is positive and finite and snapshot_stride >= 1."""
+    if not 0.0 < t_final < np.inf:
+        raise ValueError(f"t_final must be positive and finite, got {t_final}")
+    if snapshot_stride < 1:
+        raise ValueError(f"snapshot_stride must be >= 1, got {snapshot_stride}")
+    return max(1, int(round(t_final / dt)))
+
+
 def _drive(
     vals: np.ndarray,
     spec: IntegratorSpec,
@@ -456,11 +502,7 @@ def _drive(
     snapshot. ValueError, before the first record, unless t_final is
     positive and finite and snapshot_stride >= 1.
     """
-    if not 0.0 < t_final < np.inf:
-        raise ValueError(f"t_final must be positive and finite, got {t_final}")
-    if snapshot_stride < 1:
-        raise ValueError(f"snapshot_stride must be >= 1, got {snapshot_stride}")
-    n_steps = max(1, int(round(t_final / spec.dt)))
+    n_steps = _step_count(t_final, spec.dt, snapshot_stride)
     obs: dict = {}
     snaps: list = []
     times: list[float] = []
@@ -516,9 +558,11 @@ def schrodinger_evolve(
     grid = require_same_grid(psi0, V.grid)
     H = hamiltonian(V, spec.method)
     kernel = _make_kernel(H, spec.dt)
+    count = _step_count(t_final, spec.dt, snapshot_stride) // snapshot_stride
+    kept = _kept_power(kernel, snapshot_stride, count)
 
     def advance(vals: np.ndarray, m: int) -> np.ndarray:
-        return _linear_steps(kernel, vals, m)
+        return _linear_steps(kernel, vals, m, kept)
 
     return _drive(
         psi0.values, spec, t_final, snapshot_stride, advance, _psi_recorder(H, target),
@@ -707,6 +751,9 @@ def collapsible_evolve(
     cap = max(1, int(min(1 / (rate * dt), sys.maxsize))) if rate * dt else sys.maxsize
 
     phi = None if force.kind is ForceKind.NULL else _gauge_kernel(force, grid, node_threshold)
+    # the null force's intervals are linear: 2 snapshot_stride half steps
+    count = _step_count(t_final, dt, snapshot_stride) // snapshot_stride
+    kept = _kept_power(kernel, 2 * snapshot_stride, count) if phi is None else None
     itau = 1j * tau
 
     def gauge(a: np.ndarray) -> np.ndarray:
@@ -718,7 +765,7 @@ def collapsible_evolve(
 
     def advance(vals: np.ndarray, m: int) -> np.ndarray:
         if phi is None:  # the null force: m steps are 2m linear half steps
-            return _linear_steps(kernel, vals, 2 * m)
+            return _linear_steps(kernel, vals, 2 * m, kept)
         b = gauge(kernel.step(vals, 1))
         for _ in range(m - 1):
             # b still owes its trailing half step, fused into the next one

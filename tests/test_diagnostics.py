@@ -128,6 +128,15 @@ def test_collapse_time_interpolates():
     assert collapse_time(traj, 0.1) == pytest.approx(1.8)
 
 
+def test_collapse_time_after_a_non_finite_fidelity_is_the_crossing_snapshot():
+    # cqhj_evolve records NaN observables for winding fields; with no finite
+    # fidelity before the crossing there is nothing to interpolate from
+    traj = fake_trajectory([0.0, 1.0, 2.0, 3.0], [0.5, np.nan, 0.9995, 1.0])
+    assert collapse_time(traj, 1e-3) == 2.0
+    traj = fake_trajectory([0.0, 1.0, 2.0], [-np.inf, 0.9995, 1.0])
+    assert collapse_time(traj, 1e-3) == 1.0
+
+
 def test_collapse_time_monotone_in_epsilon():
     fids = np.linspace(0.0, 1.0, 21)
     traj = fake_trajectory(np.linspace(0.0, 2.0, 21), fids)

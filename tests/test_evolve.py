@@ -1,5 +1,7 @@
 """Propagators: linear Schroedinger, momentum-space RK4, collapsible Strang."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -300,6 +302,75 @@ def test_split_step_power_is_deterministic():
     assert len(a.snapshots) == 3
     for sa, sb in zip(a.snapshots, b.snapshots, strict=True):
         assert sa.values.tobytes() == sb.values.tobytes()
+
+
+def _spy_split_step(monkeypatch):
+    """The n of every dense-power build and of every kernel.step call of the
+    split-step kernels, recorded while the calls run as before."""
+    calls = {"matrix": [], "step": []}
+    for name, seen in calls.items():
+        method = getattr(evolve._SplitStepKernel, name)
+
+        def spy(self, values_or_n, *rest, _method=method, _seen=seen):
+            _seen.append(rest[0] if rest else values_or_n)
+            return _method(self, values_or_n, *rest)
+
+        monkeypatch.setattr(evolve._SplitStepKernel, name, spy)
+    return calls
+
+
+def test_split_step_run_builds_its_interval_power_once(monkeypatch):
+    # the bundled stationary run: 62,832 steps at stride 5,000 are 12 equal
+    # intervals of 10,000 half steps and a remainder of 5,664; the run builds
+    # S^10000 once and takes the remainder through kernel.step's vector path
+    g = Grid(-12.0, 12.0, 256, Boundary.PERIODIC)
+    V = harmonic_potential(g, 1.0)
+    psi0 = ho_eigenstate(0, 1.0, g).state
+    spec = IntegratorSpec(Method.SPLIT_STEP, 1e-4, False)
+    calls = _spy_split_step(monkeypatch)
+    traj = collapsible_evolve(psi0, V, null_force(), spec, 2 * np.pi, snapshot_stride=5000)
+    assert len(traj.snapshots) == 14
+    assert calls == {"matrix": [10000], "step": [5664]}
+    assert abs(norm(traj.final_state) - 1.0) <= 1e-10
+
+
+@pytest.mark.parametrize("run", ["schrodinger", "null"])
+def test_single_interval_split_step_run_builds_no_kept_power(monkeypatch, run):
+    # one interval (stride >= steps) is kernel.step's power path as before,
+    # bitwise, with no dense power kept
+    g = Grid(-12.0, 12.0, 256, Boundary.PERIODIC)
+    V = harmonic_potential(g, 1.0)
+    psi0 = random_nodeless_state(g, np.random.default_rng(19), modes=4, amplitude=0.5)
+    spec = IntegratorSpec(Method.SPLIT_STEP, 1e-4, False)
+    calls = _spy_split_step(monkeypatch)
+    if run == "schrodinger":
+        traj = schrodinger_evolve(psi0, V, spec, 0.6, snapshot_stride=10**6)
+        kernel, n = _make_kernel(hamiltonian(V, Method.SPLIT_STEP), 1e-4), 6000
+    else:
+        traj = collapsible_evolve(psi0, V, null_force(), spec, 0.3, snapshot_stride=3000)
+        kernel, n = _make_kernel(hamiltonian(V, Method.SPLIT_STEP), 1e-4, substeps=2), 6000
+    assert evolve._split_power_pays(g.n_points, n)
+    assert calls == {"matrix": [], "step": [n]}
+    assert traj.final_state.values.tobytes() == kernel.step(psi0.values, n).tobytes()
+
+
+def test_kept_split_step_power_peaks_below_four_square_arrays():
+    # a 256-point run of three 3,000-step intervals keeps S^3000: at most
+    # three N x N arrays are alive while it is built, and one after
+    g = Grid(-12.0, 12.0, 256, Boundary.PERIODIC)
+    V = harmonic_potential(g, 1.0)
+    psi0 = ho_eigenstate(1, 1.0, g).state
+    spec = IntegratorSpec(Method.SPLIT_STEP, 1e-4, False)
+    _make_kernel(hamiltonian(V, Method.SPLIT_STEP), 1e-4)
+    assert evolve._split_power_pays(g.n_points, 3000)
+    tracemalloc.start()
+    try:
+        traj = schrodinger_evolve(psi0, V, spec, 0.9, snapshot_stride=3000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(traj.snapshots) == 4
+    assert peak < 4 * g.n_points**2 * np.dtype(np.complex128).itemsize
 
 
 def test_crank_nicolson_norm_conservation(ho_box_setup):
