@@ -2,7 +2,7 @@
 
 Subcommands:
   run <config>            execute a scenario file (or bundled name)
-  verify [--level ...]    run the invariant suite
+  verify [--level ...]    run the invariant suite (--json: end with a JSON line)
   sweep <config> ...      one run per parameter value, gathered in order
   convert-units ...       internal-to-SI collapse-time conversion
 
@@ -65,6 +65,12 @@ def _build_parser() -> argparse.ArgumentParser:
         default=1.0,
         help="multiply upper bounds / divide lower bounds by this factor",
     )
+    p_verify.add_argument(
+        "--json",
+        action="store_true",
+        help="end with one JSON line: each check's name, repr of the measured value, "
+        "tolerance, kind, passed and seconds",
+    )
 
     p_sweep = sub.add_parser("sweep", help="run a scenario across parameter values")
     p_sweep.add_argument("config")
@@ -122,8 +128,14 @@ def _cmd_verify(args) -> int:
     print(f"{len(results) - len(failed)}/{len(results)} checks passed in {total:.1f}s")
     if failed:
         print("failed: " + ", ".join(r.name for r in failed))
-        return EXIT_VERIFY_FAILED
-    return EXIT_OK
+    if args.json:
+        checks = [
+            {"name": r.name, "measured": repr(r.measured), "tolerance": r.tolerance,
+             "kind": r.kind, "passed": r.passed, "seconds": r.seconds}
+            for r in results
+        ]
+        print(json.dumps({"level": args.level, "checks": checks}))
+    return EXIT_VERIFY_FAILED if failed else EXIT_OK
 
 
 def _cmd_sweep(args) -> int:

@@ -102,23 +102,41 @@ def _node_mask(amp: np.ndarray, node_threshold: float) -> np.ndarray:
 
 
 def psi_to_p(psi: Field, node_threshold: float = DEFAULT_NODE_THRESHOLD) -> MomentumField:
-    """Momentum field p = -i (grad psi)/psi, masked near nodes of psi; the
-    Field wrapper of _psi_to_p."""
-    vals, mask = _psi_to_p(psi.values, _derivative_op(psi.grid, 1), node_threshold)
-    return _adopt(MomentumField, field=_adopt(Field, grid=psi.grid, values=vals), node_mask=mask)
-
-
-def _psi_to_p(values: np.ndarray, derivative, node_threshold: float):
-    """(p, node mask) of raw psi values, with derivative the grid's
-    _derivative_op(grid, 1); AllMasked, then NonFiniteField. values is only
-    read; p is a fresh array."""
+    """Momentum field p = -i (grad psi)/psi, masked near nodes of psi;
+    AllMasked, then NonFiniteField."""
+    values = psi.values
     mask = _node_mask(np.abs(values), node_threshold)
     _check_finite(values)
-    dpsi = derivative(values)
+    dpsi = _derivative_op(psi.grid, 1)(values)
     np.multiply(-1j, dpsi, out=dpsi)
     p = np.zeros(values.shape, values.dtype)
     np.divide(dpsi, values, out=p, where=~mask)
-    return p, mask
+    return _adopt(MomentumField, field=_adopt(Field, grid=psi.grid, values=p), node_mask=mask)
+
+
+def _action_increments(values: np.ndarray, node_threshold: float, periodic: bool):
+    """(inc, pair mask) of raw psi values: inc[j] is the increment of the
+    complex action S = -i log psi over the pair of points (j, j + 1), the
+    integral of p over it, plus the wrap pair (N - 1, 0) on periodic grids:
+    1/2 angle((psi[j+1] conj psi[j])^2) - i (log|psi[j+1]| - log|psi[j]|).
+    The angle is folded into (-pi/2, pi/2], so a real sign change carries
+    no momentum, as in Re p. A pair is masked where either point is
+    node-masked, and its increment is finite but meaningless. AllMasked,
+    then NonFiniteField, as psi_to_p; values is only read."""
+    amp = np.abs(values)
+    mask = _node_mask(amp, node_threshold)
+    _check_finite(values)
+    log_amp = np.zeros(amp.shape)
+    np.log(amp, out=log_amp, where=~mask)
+    if periodic:
+        values, log_amp, mask = (np.append(a, a[:1]) for a in (values, log_amp, mask))
+    r = values[1:] * values[:-1].conj()
+    np.multiply(r, r, out=r)
+    inc = np.empty(r.shape, np.complex128)
+    np.arctan2(r.imag, r.real, out=inc.real)
+    np.multiply(0.5, inc.real, out=inc.real)
+    np.subtract(log_amp[:-1], log_amp[1:], out=inc.imag)
+    return inc, mask[1:] | mask[:-1]
 
 
 def p_to_psi(p: MomentumField) -> tuple[Field, float]:

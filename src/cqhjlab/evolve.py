@@ -17,13 +17,25 @@ their eigenvalue.
 The nonlinear (collapsible) evolution integrates the wave-function form
 i psi_t = H0 psi - Phi psi with grad Phi = F(p): a Strang step whose
 nonlinear gauge sub-step psi_t = i Phi[psi] psi is solved exactly. Every
-force is linear in p = -i d/dx log psi, so with the node mask held at the
-sub-step's start state the sub-flow is u_t = -rate M u, for u = log psi
-minus that of the pinning target (or the unwrapped phase under Kostin
-friction), with rate = kappa (gamma) and M = lift o derivative o mask a
-projector. Then exp(-rate dt M) = I - (1 - exp(-rate dt)) M, which is
-psi exp(i tau Phi[psi]) with tau = -expm1(-rate dt) / rate: one force
-evaluation per step and no iteration. Every force is of degree zero in psi
+force is linear in p = -i d/dx log psi, so Phi is read off the increments
+of the action S = -i log psi between neighbouring points (the pair rule):
+inc[j] = 1/2 angle((psi[j+1] conj psi[j])^2) - i (log|psi[j+1]| -
+log|psi[j]|), the angle folded into (-pi/2, pi/2] so that a real sign
+change carries no momentum, as in Re p. The pair force is
+-kappa (inc - the target's inc) under pinning and -gamma Re inc under
+Kostin friction, zero on every pair that touches a node-masked point, and
+Phi is its cumulative sum from Phi = 0 at the left edge, so Phi is flat
+across a masked zone. On periodic grids the wrap pair closes the ring and
+the ring sum is dropped or rejected as gauge_potential drops or rejects a
+mean force. With the node mask held at the sub-step's start state the
+sub-flow is u_t = -rate M u, for u = log psi minus that of the pinning
+target (or the unwrapped phase under Kostin friction), with rate = kappa
+(gamma) and M = cumulative sum o kept pairs o increments an exact
+projector: M M = M to roundoff, since the increments of a cumulative sum
+are the summands. Then exp(-rate dt M) = I - (1 - exp(-rate dt)) M, which
+is psi exp(i tau Phi[psi]) with tau = -expm1(-rate dt) / rate: one force
+evaluation per step and no iteration, and two sub-steps of dt1 and dt2 are
+one of dt1 + dt2. Every force is of degree zero in psi
 and the node mask is relative to the peak, so a scale factor never changes
 the state's shape. With renormalization on, _drive alone divides the end
 state of each advance by its norm and sums the log scale factors, recorded
@@ -91,12 +103,18 @@ masked_stats and the private helpers behind energy, fidelity and
 hamiltonian_field_from_state, so each formula has one copy.
 
 The force layer of a nonlinear run is one kernel per run on raw ndarrays
-(_gauge_kernel). It looks up the grid's derivative and antiderivative and
-the force's law once, and each step calls this module's names psi_to_p,
-evaluate_force and gauge_potential once each (the benchmark's tracer and
-the tests wrap these names). They bind the raw cores behind the public
-psi_to_p, evaluate and gauge_potential, which are thin Field wrappers, so
-Phi is bitwise the public chain's and every check of the chain is kept.
+(_gauge_kernel). It looks up the force's law once (forces._force_law, with
+the pinning target's increments taken when the force was built), and each
+step calls this module's names psi_to_p, evaluate_force and
+gauge_potential once each (the benchmark's tracer and the tests wrap these
+names). They bind the pair cores: psi_to_p the action increments
+(cqhj._action_increments, with psi_to_p's node mask and finite check),
+evaluate_force the pair force (forces._evaluate) and gauge_potential its
+cumulative sum (forces._pair_lift). No derivative, division or
+antiderivative is taken per step. The public psi_to_p, evaluate and
+gauge_potential stay the derivative route (p, then F(p), then its
+antiderivative), the reference: on nodeless states the two lifts agree to
+the box stencils' discretization error (verify's gauge-lift-agreement).
 The momentum-space RK4 run likewise steps raw ndarrays (_momentum_kernel),
 each stage bitwise cqhj_rhs of the unmasked field. Field and MomentumField
 are the API boundary, built only for a snapshot.
@@ -116,10 +134,10 @@ from scipy.sparse.linalg import splu
 
 from .cqhj import (
     MomentumField,
+    _action_increments as psi_to_p,
     _expanded_rhs,
     _hamiltonian_field,
     _node_mask,
-    _psi_to_p as psi_to_p,
     masked_stats,
     p_to_psi,
 )
@@ -134,7 +152,7 @@ from .errors import (
     StabilityViolation,
 )
 from .forces import CollapseForce, ForceKind, _force_law
-from .forces import _evaluate as evaluate_force, _gauge_potential as gauge_potential
+from .forces import _evaluate as evaluate_force, _pair_lift as gauge_potential
 from .grid import (
     Boundary,
     Field,
@@ -687,20 +705,20 @@ def _momentum_kernel(V: Potential):
 
 def _gauge_kernel(force: CollapseForce, grid: Grid, node_threshold: float):
     """phi(vals), the gauge potential of a non-null force at the raw state
-    vals, as one run's kernel (module docstring). A pinning target on
-    another grid raises GridMismatch here, before the first step; a state
-    with no unmasked point left raises NodeBlowup."""
+    vals, as one run's kernel on the pair route (module docstring). A
+    pinning target on another grid raises GridMismatch here, before the
+    first step; a state with no unmasked point left raises NodeBlowup."""
     law = _force_law(force, grid)
-    derivative, antiderivative = _derivative_op(grid, 1), _antiderivative_op(grid)
+    periodic = grid.boundary is Boundary.PERIODIC
 
     def phi(vals: np.ndarray) -> np.ndarray:
         try:
-            p, mask = psi_to_p(vals, derivative, node_threshold)
+            inc, mask = psi_to_p(vals, node_threshold, periodic)
         except AllMasked as exc:
             raise NodeBlowup(
                 "force evaluation has no unmasked momentum values left"
             ) from exc
-        return gauge_potential(evaluate_force(p, mask, law), grid, antiderivative)
+        return gauge_potential(evaluate_force(inc, mask, law), grid)
 
     return phi
 
@@ -719,9 +737,11 @@ def collapsible_evolve(
     """Nonlinear collapse evolution in the wave-function (gauge) form.
 
     Strang composition per step: linear half step, the exact nonlinear
-    gauge sub-step psi exp(i tau Phi[psi]) with Phi the line-integral lift
-    of the force at the half-stepped state and tau = -expm1(-rate dt) / rate
-    (module docstring), linear half step. Between snapshots the trailing
+    gauge sub-step psi exp(i tau Phi[psi]) with Phi the cumulative sum of
+    the pair forces of the half-stepped state's action increments and
+    tau = -expm1(-rate dt) / rate (module docstring), linear half step.
+    Phi is flat across masked zones, and a real sign change between grid
+    points carries no momentum. Between snapshots the trailing
     half step of one step and the leading one of the next are applied as
     one double half step, so every step makes one linear solve; the
     recorded states are the full Strang states. Under the null force the

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cqhj import (
+    DEFAULT_NODE_THRESHOLD,
     MomentumField,
     RhsForm,
     cqhj_rhs,
@@ -34,12 +35,19 @@ from .diagnostics import UnitSystem, collapse_time, fidelity
 from .evolve import (
     IntegratorSpec,
     Method,
+    _gauge_kernel,
     _split_step_e_max,
     collapsible_evolve,
     cqhj_evolve,
     schrodinger_evolve,
 )
-from .forces import evaluate as evaluate_force, kostin_friction, null_force, pinning_force
+from .forces import (
+    evaluate as evaluate_force,
+    gauge_potential,
+    kostin_friction,
+    null_force,
+    pinning_force,
+)
 from .grid import (
     Boundary,
     Field,
@@ -232,6 +240,23 @@ def _force_homogeneity():
         f2 = evaluate_force(force, psi_to_p(Field(g, c * psi.values))).values
         worst = max(worst, np.max(np.abs(f1 - f2)))
     return worst, "force(p(c psi)) vs force(p(psi))"
+
+
+def _gauge_lift_agreement():
+    # the collapse step's pair route against the public p-route, on nodeless
+    # states, where both lift the same force: they differ by the box
+    # stencils' discretization error and by roundoff on the ring
+    worst = 0.0
+    for g in (Grid(-8.0, 8.0, 512, Boundary.BOX), Grid(-8.0, 8.0, 256, Boundary.PERIODIC)):
+        rng = np.random.default_rng(17)
+        for _ in range(10):
+            psi, target = random_nodeless_state(g, rng), random_nodeless_state(g, rng)
+            for force in (pinning_force(target, 2.0), kostin_friction(0.5)):
+                pairs = _gauge_kernel(force, g, DEFAULT_NODE_THRESHOLD)(psi.values)
+                ref = gauge_potential(evaluate_force(force, psi_to_p(psi))).values
+                spread = np.hypot(np.ptp(ref.real), np.ptp(ref.imag))
+                worst = max(worst, np.max(np.abs(pairs - ref)) / spread)
+    return worst, "pair lift vs p-route Phi / range of Phi, box n=512, ring n=256"
 
 
 # -- propagator checks -------------------------------------------------------
@@ -471,6 +496,7 @@ FAST_CHECKS = [
     ("eigenstate-momentum-rate", _eigenstate_rhs, 1e-6, "max"),
     ("momentum-map-homogeneity", _map_homogeneity, 1e-8, "max"),
     ("force-homogeneity", _force_homogeneity, 1e-12, "max"),
+    ("gauge-lift-agreement", _gauge_lift_agreement, 1e-5, "max"),
     ("null-force-reduction", _null_force_reduction, 1e-7, "max"),
     ("density-scaling-invariance", _density_scaling_invariance, 1e-10, "max"),
     ("pinning-fixed-point", _pinning_fixed_point, 1e-8, "max"),

@@ -183,6 +183,17 @@ def test_pinning_accepts_eigenpair_and_momentum_field(ho_setup):
     via_p = pinning_force(psi_to_p(pairs[0].state), 1.0)
     assert via_pair.kind is ForceKind.PINNING
     assert np.max(np.abs(via_pair.target.values - via_p.target.values)) <= 1e-14
+    # the collapse step takes the EigenPair target's action increments from
+    # its wave function and the MomentumField target's from the spectral
+    # antiderivative of its p, which rings at the edges of the masked
+    # tails: the kernel's Phi of an even superposition differs by 5.7e-3 of
+    # the range of Phi, at the left mask edge
+    psi = superpose([0.8, 0.6j], [pairs[0].state, pairs[2].state])
+    phi_pair, phi_p = (
+        _gauge_kernel(force, grid, DEFAULT_NODE_THRESHOLD)(psi.values) for force in (via_pair, via_p)
+    )
+    spread = np.hypot(np.ptp(phi_pair.real), np.ptp(phi_pair.imag))
+    assert np.max(np.abs(phi_pair - phi_p)) <= 1e-2 * spread
 
 
 def _chain_inputs(boundary):
@@ -243,6 +254,42 @@ def _chain_by_hand(g, psi, kind, rate, target):
     return Phi - (dx**2 / 12.0) * (fp - fp[0]), mask
 
 
+def _pair_lift_by_hand(g, psi, kind, rate, target):
+    """Phi of the collapse step's pair route, written out: the action
+    increment 1/2 angle((psi[j+1] conj psi[j])^2) - i (log|psi[j+1]| -
+    log|psi[j]|) of each pair of neighbouring points, with the wrap pair on
+    periodic grids; the pair force, zero on pairs touching a masked point;
+    the ring sum dropped on periodic grids, or PeriodicityViolation
+    (returned) past the gauge tolerance; the cumulative sum from 0."""
+    periodic = g.boundary is Boundary.PERIODIC
+
+    def increments(v):
+        amp = np.abs(v)
+        mask = amp < 1e-6 * amp.max()
+        log_amp = np.zeros(v.size)
+        np.log(amp, out=log_amp, where=~mask)
+        if periodic:
+            v, log_amp, mask = (np.append(a, a[0]) for a in (v, log_amp, mask))
+        r = v[1:] * np.conj(v[:-1])
+        inc = 0.5 * np.angle(r * r) - 1j * (log_amp[1:] - log_amp[:-1])
+        return inc, mask[1:] | mask[:-1]
+
+    inc, masked = increments(psi)
+    if kind is ForceKind.PINNING:
+        target_inc, target_masked = increments(target)
+        f = -rate * (inc - target_inc)
+        masked = masked | target_masked
+    else:
+        f = -rate * inc.real.astype(complex)
+    f[masked] = 0.0
+    if periodic:
+        ring = f.sum()
+        if abs(ring) > GAUGE_MEAN_TOLERANCE * max(np.max(np.abs(f)) / g.dx, 1.0):
+            return PeriodicityViolation
+        f = f[:-1] - ring / f.size
+    return np.concatenate([[0.0], np.cumsum(f)])
+
+
 @pytest.mark.parametrize("boundary", [Boundary.BOX, Boundary.PERIODIC])
 @pytest.mark.parametrize("kind", [ForceKind.PINNING, ForceKind.KOSTIN_FRICTION])
 def test_force_chain_matches_explicit_formula_bitwise(boundary, kind):
@@ -255,9 +302,17 @@ def test_force_chain_matches_explicit_formula_bitwise(boundary, kind):
     assert mask.sum() >= 1 and not mask.all()
     assert np.array_equal(p.node_mask, mask)
     assert np.array_equal(phi.values, expected)
-    # the collapse step's per-run kernel runs the same cores
+    # the collapse step's per-run kernel lifts the pair forces instead. On
+    # the periodic grid the pinning pairs at the double zero leave a ring
+    # sum of 3.9e-2, past the tolerance (1.4e-2 here), so both raise
     kernel = _gauge_kernel(force, g, DEFAULT_NODE_THRESHOLD)
-    assert np.array_equal(kernel(psi.values), expected)
+    pairs = _pair_lift_by_hand(g, psi.values, kind, rate, target.values)
+    if pairs is PeriodicityViolation:
+        assert (boundary, kind) == (Boundary.PERIODIC, ForceKind.PINNING)
+        with pytest.raises(PeriodicityViolation):
+            kernel(psi.values)
+    else:
+        assert np.array_equal(kernel(psi.values), pairs)
 
 
 @pytest.mark.parametrize("boundary", [Boundary.BOX, Boundary.PERIODIC])
@@ -277,3 +332,18 @@ def test_force_chain_outputs_are_read_only_and_unshared(boundary):
         assert not np.shares_memory(out, source)
         with pytest.raises(ValueError):
             out[0] = out[1]
+
+
+def test_winding_momentum_field_target_keeps_its_increments():
+    # one unit of ring momentum: the MomentumField route lifts p minus its
+    # mean and adds the mean back to each pair, so its increments match the
+    # wave function's, k0 dx on every pair including the wrap pair
+    g = Grid(-8.0, 8.0, 128, Boundary.PERIODIC)
+    k0 = 2.0 * np.pi / g.length
+    wave = Field(g, np.exp(1j * k0 * g.x))
+    (inc, masked), (inc_p, masked_p) = (
+        pinning_force(target, 1.0)._target_pairs for target in (wave, psi_to_p(wave))
+    )
+    assert not masked.any() and not masked_p.any()
+    assert np.max(np.abs(inc - k0 * g.dx)) <= 1e-14
+    assert np.max(np.abs(inc_p - inc)) <= 1e-13
