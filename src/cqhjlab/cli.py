@@ -8,7 +8,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 verification failure, 2 config error,
 3 runtime solver error (a failed run keeps the timeseries.csv of its
-partial trajectory next to an incomplete summary.json).
+partial trajectory, and its snapshot files when write_snapshots is on, next
+to an incomplete summary.json).
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .runner import (
     resolve_output_dir,
     run_to_directory,
     sweep as run_sweep,
+    write_snapshots,
     write_sweep_table,
     write_timeseries,
 )
@@ -109,6 +111,8 @@ def _cmd_run(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         if exc.trajectory is not None:
             write_timeseries(exc.trajectory, out_dir)
+            if scenario.resolved["run"]["write_snapshots"]:
+                write_snapshots(exc.trajectory, out_dir)
         with open(out_dir / "summary.json", "w") as fh:
             json.dump(incomplete, fh, indent=2, sort_keys=True)
             fh.write("\n")

@@ -6,9 +6,10 @@ A run writes three files into its output directory:
 - summary.json    collapse report and invariant margins (no timings)
 - manifest.json   resolved scenario echo, tool version, wall time
 
-Snapshots can optionally be dumped, byte-reproducibly, as
-snapshots/t_<index>.csv: the time in the header line, then x,re_psi,im_psi rows.
-CSV values are shortest round-trip decimals, lines end in LF. Sweeps fan out
+CSV values are shortest round-trip decimals, lines end in LF. Snapshots can
+be dumped, byte-reproducibly, as snapshots/t_<index>.npy: psi alone, a
+complex128 array of the grid's length. The time of snapshot i is row i of
+timeseries.csv, and x is the grid that manifest.json echoes. Sweeps fan out
 over a process pool with no shared state; the result table keeps the input
 order of the values and records per-row failures without aborting the rest.
 """
@@ -44,13 +45,6 @@ def _fmt(x) -> str:
 def _fmt_column(values) -> list[str]:
     """_fmt of every value of a real array."""
     return list(map(repr, np.asarray(values, dtype=float).tolist()))
-
-
-def _write_csv(path: Path, head: str, header: list[str], columns: list[list[str]]) -> None:
-    """One write: the head line, the header, a row per index of the columns; LF, no quoting."""
-    rows = "\n".join(map(",".join, [header, *zip(*columns)]))
-    with open(path, "w", newline="") as fh:
-        fh.write(f"{head}\n{rows}\n")
 
 
 @dataclass
@@ -125,8 +119,21 @@ def write_timeseries(traj: Trajectory, out_dir: Path) -> None:
     failed one carries; "nan" marks a missing series."""
     series = [traj.times, *(traj.observables.get(k) for k in OBSERVABLES)]
     columns = [_fmt_column(s) if s is not None else ["nan"] * len(traj.times) for s in series]
-    head = f"# cqhjlab timeseries schema_version={SCHEMA_VERSION}"
-    _write_csv(out_dir / "timeseries.csv", head, TIMESERIES_COLUMNS, columns)
+    # one write: the head line, the header, a row per snapshot; LF, no quoting
+    rows = "\n".join(map(",".join, [TIMESERIES_COLUMNS, *zip(*columns)]))
+    with open(out_dir / "timeseries.csv", "w", newline="") as fh:
+        fh.write(f"# cqhjlab timeseries schema_version={SCHEMA_VERSION}\n{rows}\n")
+
+
+def write_snapshots(traj: Trajectory, out_dir: Path) -> None:
+    """snapshots/t_<index>.npy, psi of each snapshot of a finished run or of
+    the partial trajectory a failed one carries; the index is zero-padded so
+    the names sort in time order."""
+    snap_dir = out_dir / "snapshots"
+    snap_dir.mkdir(parents=True, exist_ok=True)
+    width = len(str(len(traj.snapshots) - 1))
+    for i, snap in enumerate(traj.snapshots):
+        np.save(snap_dir / f"t_{i:0{width}d}.npy", snap.values, allow_pickle=False)
 
 
 def write_artifacts(result: RunResult, out_dir: Path, wall_time_s: float) -> None:
@@ -146,16 +153,7 @@ def write_artifacts(result: RunResult, out_dir: Path, wall_time_s: float) -> Non
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     if result.scenario.resolved["run"]["write_snapshots"]:
-        snap_dir = out_dir / "snapshots"
-        snap_dir.mkdir(exist_ok=True)
-        x = _fmt_column(result.trajectory.snapshots[0].grid.x)
-        times = result.trajectory.times
-        # named by snapshot index, zero-padded so the names sort in time order
-        width = len(str(len(times) - 1))
-        for i, (t, snap) in enumerate(zip(times, result.trajectory.snapshots)):
-            head = f"# cqhjlab snapshot schema_version={SCHEMA_VERSION} t={_fmt(t)}"
-            columns = [x, _fmt_column(snap.values.real), _fmt_column(snap.values.imag)]
-            _write_csv(snap_dir / f"t_{i:0{width}d}.csv", head, ["x", "re_psi", "im_psi"], columns)
+        write_snapshots(result.trajectory, out_dir)
 
 
 def run_to_directory(scenario: Scenario, out_dir: Path) -> RunResult:

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from cqhjlab import evolve, runner, states
@@ -214,6 +215,28 @@ def test_run_solver_error_writes_partial_timeseries(tmp_path, monkeypatch, capsy
     assert len(rows) == 51
     assert round(float(rows[-1][0]) / 1e-3) == 1000
     assert "nan" not in {v for row in rows for v in row}
+
+
+def test_run_solver_error_writes_partial_snapshots(tmp_path, monkeypatch, capsys):
+    # with the dump on, a failed run keeps one snapshot file per row of its
+    # partial timeseries, each holding the state of that row's snapshot
+    _node_blowup_from_step(monkeypatch, 1001)
+    with pytest.raises(NodeBlowup) as err:
+        runner.execute(parse_scenario(PHASE0_PINNING, name="phase0"))
+    partial = err.value.trajectory
+    monkeypatch.undo()
+    _node_blowup_from_step(monkeypatch, 1001)
+    cfg = tmp_path / "phase0.ini"
+    cfg.write_text(PHASE0_PINNING.replace("[run]", "[run]\nwrite_snapshots = true"))
+    out = tmp_path / "phase0_out"
+    assert main(["run", str(cfg), "--output", str(out)]) == 3
+    assert "NodeBlowup" in capsys.readouterr().err
+    rows = (out / "timeseries.csv").read_text().splitlines()[2:]
+    files = sorted((out / "snapshots").glob("t_*.npy"))
+    assert len(files) == len(rows) == len(partial.snapshots) == 51
+    assert [f.name for f in files] == [f"t_{i:02d}.npy" for i in range(51)]
+    for f, snap in zip(files, partial.snapshots):
+        assert np.load(f, allow_pickle=False).tobytes() == snap.values.tobytes(), f.name
 
 
 def test_unknown_bundled_name_exit_two(capsys):

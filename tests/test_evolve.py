@@ -873,6 +873,33 @@ def test_winding_periodic_force_keeps_the_partial_trajectory():
     assert all(len(series) == 1 for series in partial.observables.values())
 
 
+def _pinned_mixture_fidelity(grid):
+    """Final fidelity to phi_0 of 0.8 phi_0 + 0.6i phi_2 pinned to phi_0 at
+    kappa = 3.5 in the oscillator, Crank-Nicolson with dt = 1e-3, to t = 0.5."""
+    V = harmonic_potential(grid, 1.0)
+    phi0, phi2 = (ho_eigenstate(n, 1.0, grid) for n in (0, 2))
+    psi0 = superpose([0.8, 0.6j], [phi0.state, phi2.state])
+    spec = IntegratorSpec(Method.CRANK_NICOLSON, 1e-3, True)
+    traj = collapsible_evolve(
+        psi0, V, pinning_force(phi0, 3.5), spec, 0.5, snapshot_stride=100, target=phi0.state
+    )
+    assert traj.times[-1] == pytest.approx(0.5)
+    return traj.observables["fidelity_target"][-1]
+
+
+@pytest.mark.parametrize("n_points", [256, 512])
+def test_periodic_pinning_with_masked_tails_runs_like_its_box_twin(n_points):
+    # regression: the states' tails fall under the node mask on the ring
+    # [-12, 12], and the derivative route's ring sum grew past its tolerance
+    # mid-run (PeriodicityViolation at t = 0.18-0.19); the pair route runs
+    # to the end and agrees with the 512-point box grid [-8, 8], where the
+    # tails never reach the walls (0.991269; 1.2e-7 and 6e-9 apart here)
+    box = _pinned_mixture_fidelity(Grid(-8.0, 8.0, 512, Boundary.BOX))
+    assert box == pytest.approx(0.991269, abs=1e-6)
+    ring = _pinned_mixture_fidelity(Grid(-12.0, 12.0, n_points, Boundary.PERIODIC))
+    assert ring == pytest.approx(box, abs=1e-6)
+
+
 @pytest.mark.parametrize("force_kind", ["pinning", "null"])
 def test_one_linear_solve_per_step(ho_box_setup, monkeypatch, force_kind):
     # adjacent half steps between snapshots are one double half step: a

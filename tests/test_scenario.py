@@ -144,13 +144,12 @@ def test_snapshot_dump(tmp_path):
     s = parse_scenario(text, name="mini")
     run_to_directory(s, tmp_path / "a")
     run_to_directory(s, tmp_path / "b")
-    files = sorted((tmp_path / "a" / "snapshots").glob("t_*.csv"))
-    assert len(files) == 3  # t=0, t=0.05, t=0.1
-    first = files[0].read_text().splitlines()
-    assert first[1] == "x,re_psi,im_psi"
-    assert len(first) == 2 + 512
+    files = sorted((tmp_path / "a" / "snapshots").glob("t_*.npy"))
+    assert [f.name for f in files] == ["t_0.npy", "t_1.npy", "t_2.npy"]  # t=0, t=0.05, t=0.1
+    first = np.load(files[0], allow_pickle=False)
+    assert first.dtype == np.complex128 and first.shape == (512,)
     # byte-identical reruns, snapshot by snapshot
-    assert len(list((tmp_path / "b" / "snapshots").glob("t_*.csv"))) == 3
+    assert len(list((tmp_path / "b" / "snapshots").glob("t_*.npy"))) == 3
     for f in files:
         assert f.read_bytes() == (tmp_path / "b" / "snapshots" / f.name).read_bytes(), f.name
 
@@ -166,9 +165,10 @@ def _reference_csv(head, header, rows):
 
 
 def test_artifact_csvs_match_reference_formatter(tmp_path):
-    # signed zero, the smallest subnormal, exponent forms and the most
-    # negative double, in both columns of a snapshot
-    special = [-0.0, 5e-324, 1e-05, 1e16, -1.7976931348623157e308, 0.1, -2.5, 1.0 / 3.0] * 2
+    # signed zero, the smallest subnormal, exponent forms and the largest
+    # doubles of either sign, in both parts of a snapshot
+    special = [-0.0, 5e-324, 1e-05, 1e16, -1.7976931348623157e308, 1.7976931348623157e308, 0.1,
+               -2.5, 1.0 / 3.0] * 2
     grid = Grid(-1.0, 1.0, len(special), Boundary.BOX)
     values = []
     for re, im in ((special, special[::-1]), (special[::-1], special)):
@@ -184,13 +184,11 @@ def test_artifact_csvs_match_reference_formatter(tmp_path):
     text = MINI.replace("snapshot_stride = 10", "snapshot_stride = 10\nwrite_snapshots = true")
     result = RunResult(scenario=parse_scenario(text, name="mini"), trajectory=traj, summary={})
     write_artifacts(result, tmp_path, wall_time_s=0.0)
-    for i, (t, v) in enumerate(zip(times, values)):
-        want = _reference_csv(
-            f"# cqhjlab snapshot schema_version={SCHEMA_VERSION} t={float(t)!r}",
-            ["x", "re_psi", "im_psi"],
-            zip(grid.x, v.real, v.imag),
-        )
-        assert (tmp_path / "snapshots" / f"t_{i}.csv").read_bytes() == want, i
+    # each snapshot file loads back as the snapshot's values, bit for bit
+    for i, v in enumerate(values):
+        loaded = np.load(tmp_path / "snapshots" / f"t_{i}.npy", allow_pickle=False)
+        assert loaded.dtype == np.complex128 and loaded.shape == v.shape, i
+        assert loaded.tobytes() == v.tobytes(), i
     # a missing series is written as nan
     series = [times, *(traj.observables.get(k, [np.nan] * 2) for k in OBSERVABLES)]
     want = _reference_csv(
@@ -206,11 +204,16 @@ def test_snapshot_files_one_per_snapshot(tmp_path):
         .replace("t_final = 0.1", "t_final = 1e-6")
         .replace("snapshot_stride = 10", "snapshot_stride = 1\nwrite_snapshots = true")
     )
-    result = run_to_directory(parse_scenario(text, name="mini"), tmp_path / "snaps")
-    files = sorted((tmp_path / "snaps" / "snapshots").glob("t_*.csv"))
+    out = tmp_path / "snaps"
+    result = run_to_directory(parse_scenario(text, name="mini"), out)
+    files = sorted((out / "snapshots").glob("t_*.npy"))
     assert len(files) == result.summary["snapshots"] == 11
-    header_times = [float(f.read_text().split("\n", 1)[0].rsplit("t=", 1)[1]) for f in files]
-    assert header_times == list(result.trajectory.times)
+    assert [f.name for f in files] == [f"t_{i:02d}.npy" for i in range(11)]
+    # file i is snapshot i, whose time is row i of timeseries.csv
+    rows = list(csv.reader(io.StringIO((out / "timeseries.csv").read_text())))[2:]
+    assert [float(row[0]) for row in rows] == list(result.trajectory.times)
+    for f, snap in zip(files, result.trajectory.snapshots):
+        assert np.load(f, allow_pickle=False).tobytes() == snap.values.tobytes(), f.name
 
 
 def test_sweep_rows_match_single_runs():
