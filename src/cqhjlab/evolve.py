@@ -48,8 +48,7 @@ of one step with the leading half step of the next: the two Cayley half
 steps A^-1 B A^-1 B are one solve (A^2)^-1 B^2, since A and B commute, and
 the two split-step potential factors that meet merge into one. A snapshot
 step ends with its own half step, so every recorded state is the full
-Strang state. One sparse LU of A^2 serves the single and the double half
-step, so a nonlinear step makes one solve.
+Strang state, and a nonlinear step makes one solve.
 
 A linear interval (schrodinger_evolve's m steps, or the 2m half steps of m
 null-force steps) goes through one helper, _linear_steps, in kernel calls
@@ -61,8 +60,9 @@ bit_length(n) - 1 complex N x N products and popcount(n) vector products
 in place of n FFT pairs, with at most two N x N arrays alive (16 MB each
 at N = 1024). The crossover is a rule of (N, n), not a setting
 (_split_power_pays): n must exceed bit_length(n) + 2 products at a
-committed, conservative cost per product, and grids above 1024 points
-always step. A run that takes at least two snapshot intervals of one such
+committed, conservative cost per product, or a shorter n must, so every n
+from the first that pays takes the power; grids above 1024 points always
+step. A run that takes at least two snapshot intervals of one such
 length (n_steps // snapshot_stride >= 2) builds that S^n once, by the same
 powering with the set bits accumulated into a matrix, keeps it until it
 returns (_kept_power) and takes each of those intervals as one
@@ -74,15 +74,16 @@ intervals of 10,000 half steps and one of 5,664) makes 29 N x N products
 in place of 168; the stationary_split benchmark ran 5.5x faster
 (BENCH_19). Crank-Nicolson and the nonlinear steps (n <= 2) never take
 this path.
-A Crank-Nicolson call of n <= q steps is one solve and one matvec,
-(A^q)^-1 A^(q-n) B^n with one sparse LU of A^q; for n <= 2 it is the
-collapse step's (A^2)^-1 A^(2-n) B^n, so nonlinear runs do not depend on
-q. A single step of a linear interval is instead one Cayley solve
-A^-1 (B v), with an LU of A built on first use: its condition number is
-that of A, sqrt(1 + theta^2), not the 1 + theta^2 of A^2. q is a rule, not
-a setting (_cayley_chunk): the largest even number <= 8 with
-(1 + theta^2)^(q/2) <= 10, theta = h/2 ||H||_inf for the kernel step h,
-which bounds the condition number of A^q and so the roundoff of the solve.
+
+Every Crank-Nicolson call follows one rule: n <= q Cayley steps are one
+solve and one matvec, (A^n)^-1 B^n, with one sparse LU of A^n and one CSR
+B^n per n, built on first use and kept in the kernel. A single step is
+thus one Cayley solve A^-1 (B v), whose condition number is that of A,
+sqrt(1 + theta^2), and the collapse step's double half step is
+(A^2)^-1 B^2. q is a rule, not a setting (_cayley_chunk): the largest
+even number <= 8 with (1 + theta^2)^(q/2) <= 10, theta = h/2 ||H||_inf
+for the kernel step h, which bounds the condition number of A^q and so
+the roundoff of the solve.
 A stiff kernel (theta > 1.47, e.g. N = 1024 on [-8, 8] at h = 5e-4) falls
 back to q = 2, the double step. Kernels are cached per Hamiltonian and dt,
 so repeated runs on one setup (sweeps, the benchmark) factor once. A
@@ -124,7 +125,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property, lru_cache, reduce
+from functools import lru_cache, reduce
 from itertools import chain
 from operator import matmul
 
@@ -197,8 +198,9 @@ class IntegratorSpec:
     interval is long enough, built once per run and reused when the run
     takes two or more intervals of the snapshot stride; and on
     Crank-Nicolson the largest even q <= 8 with (1 + theta^2)^(q/2) <= 10,
-    theta = h/2 ||H||_inf for the kernel step h; a stiff kernel takes its
-    steps in pairs (q = 2).
+    theta = h/2 ||H||_inf for the kernel step h, each call of n <= q steps
+    one solve (A^n)^-1 B^n; a stiff kernel takes its steps in pairs
+    (q = 2).
     """
 
     method: Method
@@ -303,9 +305,17 @@ def _split_power_pays(n_points: int, n: int) -> bool:
     200, 1,131 and 6,400, so the rule errs towards stepping: the power path
     was 1.2-3.8x faster than stepping at the rule's crossover. Grids above
     SPLIT_POWER_MAX_POINTS always step; their two N x N arrays would pass
-    32 MB, and at N = 2048 a product costs 9,300-16,200 steps."""
+    32 MB, and at N = 2048 a product costs 9,300-16,200 steps.
+
+    Past a power of two n counts one product more than the n below it, so
+    n also pays when 2^(k-1) - 1, k = bit_length(n), the largest n of one
+    bit fewer, does: every n from the first that pays takes the power (on
+    N = 68 that is 59, and n = 64 counts 9 products, n = 63 only 8)."""
     matmul = max(1.0, SPLIT_MATMUL_STEPS_256 * (n_points / 256) ** 2.5)
-    return n_points <= SPLIT_POWER_MAX_POINTS and n > matmul * (n.bit_length() + 2)
+    k = n.bit_length()
+    return n_points <= SPLIT_POWER_MAX_POINTS and (
+        n > matmul * (k + 2) or (1 << k) // 2 - 1 > matmul * (k + 1)
+    )
 
 
 # the most Cayley steps one Crank-Nicolson call takes, and the bound on the
@@ -330,50 +340,29 @@ class _CrankNicolsonKernel:
     """Cayley step A^-1 B, A = 1 + i dt H / 2 and B = 1 - i dt H / 2, with H
     the Hamiltonian's sparse matrix on its unknowns (the interior points on
     box grids, whose walls stay at zero; every point on periodic grids). A
-    and B commute, so n <= chunk steps are one solve and one matvec (module
-    docstring): one sparse LU of A^2 serves n = 1, 2, and one of A^chunk,
-    built with its operators on first use, every larger n."""
+    and B commute, so n <= chunk steps are one solve and one matvec,
+    (A^n)^-1 B^n, with one sparse LU of A^n and one CSR B^n per n, built on
+    first use (module docstring)."""
 
     def __init__(self, H: Hamiltonian, dt: float):
         self.inner = H.inner
         eye = sp.identity(H.matrix.shape[0], dtype=np.complex128, format="csc")
-        A = self._A = eye + 0.5j * dt * H.matrix
-        B = self._B = eye - 0.5j * dt * H.matrix
+        self._A = eye + 0.5j * dt * H.matrix
+        self._B = eye - 0.5j * dt * H.matrix
         self.chunk = _cayley_chunk(H.matrix, dt)
-        pair = splu((A @ A).tocsc()).solve
-        self._ops = {1: (pair, (A @ B).tocsr()), 2: (pair, (B @ B).tocsr())}
-
-    @cached_property
-    def _chunk_solve(self):
-        # products one factor at a time: built by squaring, A^8 put a
-        # 6,284-half-step N = 512 run 6.2e-13 from a long-double reference,
-        # against 2.0e-13 (and 1.7e-13 for double half steps)
-        return splu(reduce(matmul, [self._A] * self.chunk).tocsc()).solve
-
-    def _solve(self, values: np.ndarray, n: int) -> np.ndarray:
-        """n Cayley steps of the unknowns: one matvec and one solve."""
-        op = self._ops.get(n)
-        if op is None:
-            rhs = reduce(matmul, [self._A] * (self.chunk - n) + [self._B] * n)
-            op = self._ops[n] = (self._chunk_solve, rhs.tocsr())
-        return op[0](op[1] @ values)
+        self._ops: dict = {}
 
     def step(self, values: np.ndarray, n: int) -> np.ndarray:
         """n <= chunk Cayley steps in one solve."""
+        op = self._ops.get(n)
+        if op is None:
+            # products one factor at a time: built by squaring, A^8 put a
+            # 6,284-half-step N = 512 run 6.2e-13 from a long-double reference,
+            # against 2.0e-13 (and 1.7e-13 for double half steps)
+            A, B = (reduce(matmul, [M] * n) for M in (self._A, self._B))
+            op = self._ops[n] = (splu(A.tocsc()).solve, B.tocsr())
         out = np.zeros(values.shape, values.dtype)
-        out[self.inner] = self._solve(values[self.inner], n)
-        return out
-
-    @cached_property
-    def _cayley_solve(self):
-        return splu(self._A.tocsc()).solve
-
-    def cayley(self, values: np.ndarray) -> np.ndarray:
-        """One Cayley step A^-1 (B v), whose solve has the condition number of
-        A, not that of A^2 as in step(values, 1); the LU of A is built on
-        first use."""
-        out = np.zeros(values.shape, values.dtype)
-        out[self.inner] = self._cayley_solve(self._B @ values[self.inner])
+        out[self.inner] = op[0](op[1] @ values[self.inner])
         return out
 
 
@@ -391,17 +380,15 @@ def _kept_power(kernel, n: int, count: int) -> tuple[int, np.ndarray] | None:
 
 
 def _linear_steps(kernel, values: np.ndarray, n: int, kept=None) -> np.ndarray:
-    """n linear kernel steps, n >= 1, in calls of at most kernel.chunk steps,
-    a single Crank-Nicolson step as one Cayley step: the linear advance of
-    every propagator interval (module docstring). An interval of the run's
-    kept power (_kept_power) is one vector-matrix product."""
+    """n linear kernel steps, n >= 1, in calls of at most kernel.chunk steps:
+    the linear advance of every propagator interval (module docstring). An
+    interval of the run's kept power (_kept_power) is one vector-matrix
+    product."""
     if kept is not None and kept[0] == n:
         return values @ kept[1]
     while n > kernel.chunk:
         values = kernel.step(values, kernel.chunk)
         n -= kernel.chunk
-    if n == 1 and isinstance(kernel, _CrankNicolsonKernel):
-        return kernel.cayley(values)
     return kernel.step(values, n)
 
 

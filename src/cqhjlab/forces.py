@@ -60,7 +60,8 @@ class CollapseForce:
     A pinning force also holds the target's action increments and pair mask
     (cqhj._action_increments), taken once when it is built: pinning_force
     passes them exactly from a wave-function target; otherwise they are the
-    differences of the antiderivative of target (_momentum_pairs).
+    differences of the antiderivative of target, which must be nodeless
+    (_momentum_pairs).
     """
 
     kind: ForceKind
@@ -88,7 +89,8 @@ def pinning_force(
     converted with psi_to_p, and their action increments are taken exactly
     from the wave function (cqhj._action_increments, same node_threshold),
     so the collapse step's Phi is zero at psi = target; a MomentumField
-    target's increments are the differences of its antiderivative."""
+    target's increments are the differences of its antiderivative, and one
+    with masked points raises NodePresent."""
     if not 0.0 < kappa < np.inf:
         raise ValueError(f"pinning rate kappa must be positive and finite, got {kappa}")
     if isinstance(target, EigenPair):
@@ -106,17 +108,17 @@ def _momentum_pairs(target: MomentumField) -> tuple[np.ndarray, np.ndarray]:
     field, as cqhj._action_increments: the differences of its antiderivative
     between neighbouring points. On a periodic grid the antiderivative is
     taken of p minus its mean, which each pair gets back as mean * dx, so a
-    winding target is accepted; its wrap pair closes the ring."""
-    g, mask = target.grid, target.node_mask
-    p = target.values
+    winding target is accepted; its wrap pair closes the ring. A target
+    with masked points raises NodePresent: its masked zeros would make a
+    jump in the antiderivative at each mask edge."""
+    g, p = target.require_nodeless().grid, target.values
     if g.boundary is Boundary.PERIODIC:
         mean = np.dot(g.quadrature_weights, p) / g.length
         S = _antiderivative_op(g)(p - mean)
         inc = np.diff(S, append=S[:1]) + mean * g.dx
-        mask = np.append(mask, mask[:1])
     else:
         inc = np.diff(_antiderivative_op(g)(p))
-    return _readonly(inc), _readonly(mask[1:] | mask[:-1])
+    return _readonly(inc), _readonly(np.zeros(inc.size, dtype=bool))
 
 
 def kostin_friction(gamma: float) -> CollapseForce:

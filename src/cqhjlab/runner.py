@@ -128,9 +128,12 @@ def write_timeseries(traj: Trajectory, out_dir: Path) -> None:
 def write_snapshots(traj: Trajectory, out_dir: Path) -> None:
     """snapshots/t_<index>.npy, psi of each snapshot of a finished run or of
     the partial trajectory a failed one carries; the index is zero-padded so
-    the names sort in time order."""
+    the names sort in time order. The t_*.npy files of an earlier dump into
+    out_dir are deleted first, so the directory holds this run's alone."""
     snap_dir = out_dir / "snapshots"
     snap_dir.mkdir(parents=True, exist_ok=True)
+    for old in snap_dir.glob("t_*.npy"):
+        old.unlink()
     width = len(str(len(traj.snapshots) - 1))
     for i, snap in enumerate(traj.snapshots):
         np.save(snap_dir / f"t_{i:0{width}d}.npy", snap.values, allow_pickle=False)

@@ -99,8 +99,8 @@ def test_coherent_state_centroid():
 
 @pytest.mark.parametrize("boundary", [Boundary.BOX, Boundary.PERIODIC])
 def test_crank_nicolson_step_matches_dense_cayley_solve(boundary):
-    # n = 1 .. chunk dense Cayley steps against the kernel's n-step call: one
-    # factorization of A^2 serves n = 1, 2 and one of A^6 the rest
+    # n = 1 .. chunk dense Cayley steps against the kernel's n-step call,
+    # one solve with the LU of A^n each
     g = Grid(-8.0, 8.0, 128, boundary)
     V = harmonic_potential(g, 1.0)
     dt = 1e-2
@@ -118,6 +118,25 @@ def test_crank_nicolson_step_matches_dense_cayley_solve(boundary):
         want[inner] = np.linalg.solve(eye + 0.5j * dt * H, (eye - 0.5j * dt * H) @ want[inner])
         got = kernel.step(v, n)
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want), n
+
+
+def test_single_half_step_on_a_stiff_grid_is_one_cayley_solve():
+    # the collapse kernel of dt = 1e-2 on the 2048-point box steps h = 5e-3
+    # with chunk 2; its single half step solves with A, not A^2, and matches
+    # a dense Cayley solve to 2.9e-15 (through A^2, as (A^2)^-1 AB: 2.4e-13)
+    g = Grid(-8.0, 8.0, 2048, Boundary.BOX)
+    op = hamiltonian(harmonic_potential(g, 1.0), Method.CRANK_NICOLSON)
+    kernel = _make_kernel(op, 1e-2, substeps=2)
+    assert kernel.chunk == 2
+    inner, H, h = op.inner, op.matrix.toarray(), 5e-3
+    eye = np.eye(H.shape[0])
+    r = np.random.default_rng(5)
+    v = r.standard_normal(g.n_points) + 1j * r.standard_normal(g.n_points)
+    v[[0, -1]] = 0.0
+    want = np.zeros_like(v)
+    want[inner] = np.linalg.solve(eye + 0.5j * h * H, (eye - 0.5j * h * H) @ v[inner])
+    got = kernel.step(v, 1)
+    assert np.linalg.norm(got - want) <= 2e-14 * np.linalg.norm(want)
 
 
 def test_split_step_double_step_merges_potential_factors():
@@ -151,10 +170,6 @@ def test_schrodinger_fused_steps_match_single_steps(monkeypatch, boundary, metho
         return step(values, n)
 
     monkeypatch.setattr(kernel, "step", counted_step)
-    if method is Method.CRANK_NICOLSON:
-        # a single Crank-Nicolson step of an interval is one Cayley solve
-        cayley = kernel.cayley
-        monkeypatch.setattr(kernel, "cayley", lambda values: calls.append(1) or cayley(values))
     whole = [8, 3] if method is Method.CRANK_NICOLSON else [11]
     runs = []
     for stride, want_calls in ((1, [1] * 11), (3, [3, 3, 3, 2]), (10**9, whole)):
@@ -269,11 +284,12 @@ def _allocating_steps(kernel, v, n):
     return v * kernel.half_v
 
 
-@pytest.mark.parametrize("n_points", [32, 128, 256])
+@pytest.mark.parametrize("n_points", [32, 68, 128, 256])
 def test_split_step_steps_below_the_power_crossover(n_points):
     # an interval shorter than the rule's crossover is the stepping loop,
-    # bitwise, and every longer one is a matrix power; grids above
-    # SPLIT_POWER_MAX_POINTS step at any length
+    # bitwise, and every longer one is a matrix power, also past a power of
+    # two (on N = 68 the crossover is 59 and n = 64 counts one product
+    # more); grids above SPLIT_POWER_MAX_POINTS step at any length
     g = Grid(-12.0, 12.0, n_points, Boundary.PERIODIC)
     kernel = _make_kernel(hamiltonian(harmonic_potential(g, 1.0), Method.SPLIT_STEP), 1e-5)
     r = np.random.default_rng(n_points)
@@ -436,18 +452,17 @@ def test_recorder_matches_the_public_observables(boundary, method, with_target):
 )
 def test_recorder_errors_keep_the_partial_trajectory(ho_box_setup, monkeypatch, bad, error):
     # the third kernel step returns a NaN or an all-zero state: recording it
-    # raises the typed error, which carries the two snapshots before it; a
-    # single step of a linear interval is the kernel's Cayley step
+    # raises the typed error, which carries the two snapshots before it
     grid, V, pairs = ho_box_setup
     spec = IntegratorSpec(Method.CRANK_NICOLSON, 1e-3, False)
     kernel = _make_kernel(hamiltonian(V, spec.method), spec.dt)
-    cayley, calls = kernel.cayley, []
+    step, calls = kernel.step, []
 
-    def failing_step(values):
-        calls.append(1)
-        return cayley(values) if len(calls) < 3 else np.full_like(values, bad)
+    def failing_step(values, n):
+        calls.append(n)
+        return step(values, n) if len(calls) < 3 else np.full_like(values, bad)
 
-    monkeypatch.setattr(kernel, "cayley", failing_step)
+    monkeypatch.setattr(kernel, "step", failing_step)
     with pytest.raises(error) as err:
         schrodinger_evolve(pairs[0].state, V, spec, 5 * spec.dt, target=pairs[0].state)
     partial = err.value.trajectory
@@ -906,22 +921,23 @@ def test_one_linear_solve_per_step(ho_box_setup, monkeypatch, force_kind):
     # nonlinear run makes one solve per step plus one per settled snapshot
     # segment (4 snapshots after t = 0); a null-force run takes the 100 half
     # steps of each snapshot interval in solves of at most kernel.chunk = 8
-    # half steps, 12 x 8 + 4: 13 solves per interval
+    # half steps, 12 x 8 + 4: 13 solves per interval; each kernel call is
+    # one solve
     grid, V, pairs = ho_box_setup
     spec = IntegratorSpec(Method.CRANK_NICOLSON, 1e-3, True)
     kernel = _make_kernel(hamiltonian(V, spec.method), 0.5 * spec.dt)
     counts = {"solves": 0, "forces": 0}
-    solve, real_evaluate = kernel._solve, evolve.evaluate_force
+    step, real_evaluate = kernel.step, evolve.evaluate_force
 
-    def counted_solve(values, n):
+    def counted_step(values, n):
         counts["solves"] += 1
-        return solve(values, n)
+        return step(values, n)
 
     def counted_evaluate(*args):
         counts["forces"] += 1
         return real_evaluate(*args)
 
-    monkeypatch.setattr(kernel, "_solve", counted_solve)
+    monkeypatch.setattr(kernel, "step", counted_step)
     monkeypatch.setattr(evolve, "evaluate_force", counted_evaluate)
     force = pinning_force(pairs[0], 3.5) if force_kind == "pinning" else null_force()
     psi0 = superpose([1.0, 1.0], [pairs[0].state, pairs[1].state])

@@ -23,7 +23,7 @@ from cqhjlab import (
     unwrapped_phase,
 )
 from cqhjlab.cqhj import DEFAULT_NODE_THRESHOLD
-from cqhjlab.errors import GridMismatch, PeriodicityViolation
+from cqhjlab.errors import GridMismatch, NodePresent, PeriodicityViolation
 from cqhjlab.evolve import _gauge_kernel
 from cqhjlab.forces import GAUGE_MEAN_TOLERANCE
 from cqhjlab.grid import _fd_matrix
@@ -179,21 +179,20 @@ def test_constructors_reject_non_finite_rates(ho_setup, rate):
 
 def test_pinning_accepts_eigenpair_and_momentum_field(ho_setup):
     grid, _, pairs = ho_setup
+    p = psi_to_p(pairs[0].state)
     via_pair = pinning_force(pairs[0], 1.0)
-    via_p = pinning_force(psi_to_p(pairs[0].state), 1.0)
     assert via_pair.kind is ForceKind.PINNING
-    assert np.max(np.abs(via_pair.target.values - via_p.target.values)) <= 1e-14
-    # the collapse step takes the EigenPair target's action increments from
-    # its wave function and the MomentumField target's from the spectral
-    # antiderivative of its p, which rings at the edges of the masked
-    # tails: the kernel's Phi of an even superposition differs by 5.7e-3 of
-    # the range of Phi, at the left mask edge
-    psi = superpose([0.8, 0.6j], [pairs[0].state, pairs[2].state])
-    phi_pair, phi_p = (
-        _gauge_kernel(force, grid, DEFAULT_NODE_THRESHOLD)(psi.values) for force in (via_pair, via_p)
-    )
-    spread = np.hypot(np.ptp(phi_pair.real), np.ptp(phi_pair.imag))
-    assert np.max(np.abs(phi_pair - phi_p)) <= 1e-2 * spread
+    assert np.max(np.abs(via_pair.target.values - p.values)) <= 1e-14
+    # a MomentumField target's increments are taken from the antiderivative
+    # of its p, whose masked zeros jump at each mask edge: the kernel's Phi
+    # would differ from the EigenPair route's by 5.7e-3 (ring) or 2.3e-3
+    # (box) of the range of Phi, so a target with masked tails is refused
+    assert p.node_mask.any()
+    with pytest.raises(NodePresent):
+        pinning_force(p, 1.0)
+    box = Grid(-8.0, 8.0, 512, Boundary.BOX)
+    with pytest.raises(NodePresent):
+        pinning_force(psi_to_p(ho_eigenstate(0, 1.0, box).state), 1.0)
 
 
 def _chain_inputs(boundary):

@@ -216,6 +216,24 @@ def test_snapshot_files_one_per_snapshot(tmp_path):
         assert np.load(f, allow_pickle=False).tobytes() == snap.values.tobytes(), f.name
 
 
+def test_second_dump_into_one_directory_replaces_the_snapshots(tmp_path):
+    # stride 1 writes t_00 .. t_50; stride 25 into the same directory leaves
+    # its own t_0 .. t_2 alone (not 54 files), and a file of another name
+    # in snapshots/ is kept
+    out = tmp_path / "dump"
+    for stride in (1, 25):
+        run = f"snapshot_stride = {stride}\nwrite_snapshots = true"
+        text = MINI.replace("snapshot_stride = 10", run)
+        result = run_to_directory(parse_scenario(text, name="mini"), out)
+        (out / "snapshots" / "notes.txt").write_text("kept")
+    files = sorted((out / "snapshots").glob("t_*.npy"))
+    assert [f.name for f in files] == ["t_0.npy", "t_1.npy", "t_2.npy"]
+    assert len(files) == result.summary["snapshots"]
+    for f, snap in zip(files, result.trajectory.snapshots, strict=True):
+        assert np.load(f, allow_pickle=False).tobytes() == snap.values.tobytes(), f.name
+    assert (out / "snapshots" / "notes.txt").read_text() == "kept"
+
+
 def test_sweep_rows_match_single_runs():
     s = parse_scenario(MINI, name="mini")
     rows = sweep(s, "integrator.dt", [2e-3, 1e-3], workers=1)
