@@ -85,6 +85,12 @@ class MomentumField:
         return self
 
 
+def _check_node_threshold(node_threshold: float) -> None:
+    """ValueError unless 0 < node_threshold < 1, a fraction of the peak."""
+    if not 0.0 < node_threshold < 1.0:
+        raise ValueError(f"node_threshold must lie in (0, 1), got {node_threshold}")
+
+
 def _node_mask(amp: np.ndarray, node_threshold: float) -> np.ndarray:
     """Points where the magnitude amp = |psi| falls below node_threshold
     times its peak.

@@ -105,7 +105,7 @@ hamiltonian_field_from_state, so each formula has one copy.
 
 The force layer of a nonlinear run is one kernel per run on raw ndarrays
 (_gauge_kernel). It looks up the force's law once (forces._force_law, with
-the pinning target's increments taken when the force was built), and each
+the pinning target's increments taken from its wave function), and each
 step calls this module's names psi_to_p, evaluate_force and
 gauge_potential once each (the benchmark's tracer and the tests wrap these
 names). They bind the pair cores: psi_to_p the action increments
@@ -134,8 +134,10 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .cqhj import (
+    DEFAULT_NODE_THRESHOLD,
     MomentumField,
     _action_increments as psi_to_p,
+    _check_node_threshold,
     _expanded_rhs,
     _hamiltonian_field,
     _node_mask,
@@ -592,7 +594,7 @@ def cqhj_evolve(
     t_final: float,
     *,
     snapshot_stride: int = 1,
-    node_threshold: float = 1e-6,
+    node_threshold: float = DEFAULT_NODE_THRESHOLD,
     target: Field | None = None,
 ) -> Trajectory:
     """Direct momentum-space evolution p_t = rhs(p) by classical RK4.
@@ -610,13 +612,15 @@ def cqhj_evolve(
     annihilates them (it is the identity on resolvable physical fields).
     On periodic grids the projection is the identity and is skipped.
 
-    p0 and V must share a grid (GridMismatch otherwise, before the t = 0
-    snapshot). Steps run on raw ndarrays (module docstring). The run never
-    renormalizes, whatever renormalize_each_step says: p = -i grad log psi
-    is of degree zero in psi, so it carries no scale to renormalize.
+    p0 and V must share a grid (GridMismatch) and node_threshold lie in
+    (0, 1) (ValueError), both before the t = 0 snapshot. Steps run on raw
+    ndarrays (module docstring). The run never renormalizes, whatever
+    renormalize_each_step says: p = -i grad log psi is of degree zero in
+    psi, so it carries no scale to renormalize.
     """
     if spec.method is not Method.RK4:
         raise ValueError("momentum-space evolution uses the RK4 method")
+    _check_node_threshold(node_threshold)
     grid = require_same_grid(p0.field, V.grid)
     p0.require_nodeless()
     dt_max = _rk4_stability_limit(grid)
@@ -718,7 +722,7 @@ def collapsible_evolve(
     t_final: float,
     *,
     snapshot_stride: int = 1,
-    node_threshold: float = 1e-6,
+    node_threshold: float = DEFAULT_NODE_THRESHOLD,
     target: Field | None = None,
 ) -> Trajectory:
     """Nonlinear collapse evolution in the wave-function (gauge) form.
@@ -739,8 +743,9 @@ def collapsible_evolve(
     most 1 / (rate dt) steps apart) is summed into gauge_log_magnitude.
     Split-step checks each half step against schrodinger_evolve's bound, so
     it requires dt * E_max <= 0.2. psi0 and V must share a grid
-    (GridMismatch otherwise).
+    (GridMismatch) and node_threshold lie in (0, 1) (ValueError).
     """
+    _check_node_threshold(node_threshold)
     grid = require_same_grid(psi0, V.grid)
     H = hamiltonian(V, spec.method)
     kernel = _make_kernel(H, spec.dt, substeps=2)
@@ -752,7 +757,7 @@ def collapsible_evolve(
 
     # the exact sub-step's time factor (module docstring); dt in the limit
     # rate -> 0, which also covers the null force
-    rate = force.kappa if force.kind is ForceKind.PINNING else force.gamma
+    rate = force.rate
     tau = -np.expm1(-rate * dt) / rate if rate else dt
     # steps per advance: one e-folding time of the force (module docstring)
     cap = max(1, int(min(1 / (rate * dt), sys.maxsize))) if rate * dt else sys.maxsize

@@ -12,17 +12,25 @@ antiderivative. The collapse step takes the pair route: every force is
 linear in p, so the integral of F over a pair of neighbouring points is the
 force of the pair's action increment (cqhj._action_increments), and Phi is
 the cumulative sum of those pair forces (_pair_lift), with no derivative and
-no antiderivative. The p-route stays as the reference.
+no antiderivative. The p-route stays as the reference. A pinning force holds
+its pointer state's wave function, which the p-route reads as its momentum
+field and the pair route as its action increments.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .cqhj import MomentumField, _action_increments, psi_to_p
+from .cqhj import (
+    DEFAULT_NODE_THRESHOLD,
+    MomentumField,
+    _action_increments,
+    _check_node_threshold,
+    psi_to_p,
+)
 from .errors import GridMismatch, PeriodicityViolation
 # the benchmark's tracer (perfbench/tracing.py) wraps cumulative_integral here
 from .grid import (  # noqa: F401
@@ -31,7 +39,6 @@ from .grid import (  # noqa: F401
     Grid,
     _adopt,
     _antiderivative_op,
-    _readonly,
     cumulative_integral,
 )
 from .states import EigenPair
@@ -52,27 +59,19 @@ class ForceKind(Enum):
 class CollapseForce:
     """Descriptor of a collapse force F(p) of the momentum field p.
 
-    kind    which member of the family
-    kappa   pinning rate (PINNING only)
-    gamma   friction rate (KOSTIN_FRICTION only)
-    target  momentum field of the pointer state (PINNING only)
+    kind            which member of the family
+    rate            kappa for pinning, gamma for Kostin friction, 0 for null
+    target          wave function of the pointer state (PINNING only)
+    node_threshold  node mask threshold of the target (PINNING only)
 
-    A pinning force also holds the target's action increments and pair mask
-    (cqhj._action_increments), taken once when it is built: pinning_force
-    passes them exactly from a wave-function target; otherwise they are the
-    differences of the antiderivative of target, which must be nodeless
-    (_momentum_pairs).
+    evaluate reads the target as psi_to_p(target, node_threshold), the
+    collapse step as its action increments, once per run (_force_law).
     """
 
     kind: ForceKind
-    kappa: float = 0.0
-    gamma: float = 0.0
-    target: MomentumField | None = None
-    _target_pairs: tuple | None = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.target is not None and self._target_pairs is None:
-            object.__setattr__(self, "_target_pairs", _momentum_pairs(self.target))
+    rate: float = 0.0
+    target: Field | None = None
+    node_threshold: float = DEFAULT_NODE_THRESHOLD
 
 
 def null_force() -> CollapseForce:
@@ -80,45 +79,28 @@ def null_force() -> CollapseForce:
 
 
 def pinning_force(
-    target: MomentumField | EigenPair | Field,
+    target: EigenPair | Field,
     kappa: float,
-    node_threshold: float = 1e-6,
+    node_threshold: float = DEFAULT_NODE_THRESHOLD,
 ) -> CollapseForce:
     """Force -kappa (p - p_target) pulling the momentum field onto that of
-    the chosen pointer state. EigenPair / wave-function targets are
-    converted with psi_to_p, and their action increments are taken exactly
-    from the wave function (cqhj._action_increments, same node_threshold),
-    so the collapse step's Phi is zero at psi = target; a MomentumField
-    target's increments are the differences of its antiderivative, and one
-    with masked points raises NodePresent."""
+    the pointer state target, an EigenPair or its wave function, so the
+    collapse step's Phi is zero at psi = target. A MomentumField raises
+    TypeError: the pointer state of a momentum field p is p_to_psi(p)[0].
+    A target with no unmasked point or a non-finite entry raises here, as
+    psi_to_p (AllMasked, then NonFiniteField)."""
     if not 0.0 < kappa < np.inf:
         raise ValueError(f"pinning rate kappa must be positive and finite, got {kappa}")
+    _check_node_threshold(node_threshold)
     if isinstance(target, EigenPair):
         target = target.state
-    pairs = None
-    if isinstance(target, Field):
-        periodic = target.grid.boundary is Boundary.PERIODIC
-        pairs = tuple(map(_readonly, _action_increments(target.values, node_threshold, periodic)))
-        target = psi_to_p(target, node_threshold)
-    return CollapseForce(kind=ForceKind.PINNING, kappa=kappa, target=target, _target_pairs=pairs)
-
-
-def _momentum_pairs(target: MomentumField) -> tuple[np.ndarray, np.ndarray]:
-    """(action increments, pair mask) of a target given only by its momentum
-    field, as cqhj._action_increments: the differences of its antiderivative
-    between neighbouring points. On a periodic grid the antiderivative is
-    taken of p minus its mean, which each pair gets back as mean * dx, so a
-    winding target is accepted; its wrap pair closes the ring. A target
-    with masked points raises NodePresent: its masked zeros would make a
-    jump in the antiderivative at each mask edge."""
-    g, p = target.require_nodeless().grid, target.values
-    if g.boundary is Boundary.PERIODIC:
-        mean = np.dot(g.quadrature_weights, p) / g.length
-        S = _antiderivative_op(g)(p - mean)
-        inc = np.diff(S, append=S[:1]) + mean * g.dx
-    else:
-        inc = np.diff(_antiderivative_op(g)(p))
-    return _readonly(inc), _readonly(np.zeros(inc.size, dtype=bool))
+    if not isinstance(target, Field):
+        raise TypeError(
+            f"pinning target must be an EigenPair or a wave-function Field, not "
+            f"{type(target).__name__}; for a momentum field p pass p_to_psi(p)[0]"
+        )
+    psi_to_p(target, node_threshold)  # raises on an all-masked or non-finite target
+    return CollapseForce(ForceKind.PINNING, kappa, target, node_threshold)
 
 
 def kostin_friction(gamma: float) -> CollapseForce:
@@ -126,7 +108,7 @@ def kostin_friction(gamma: float) -> CollapseForce:
     relaxing the state toward the potential's ground state."""
     if not 0.0 < gamma < np.inf:
         raise ValueError(f"friction rate gamma must be positive and finite, got {gamma}")
-    return CollapseForce(kind=ForceKind.KOSTIN_FRICTION, gamma=gamma)
+    return CollapseForce(kind=ForceKind.KOSTIN_FRICTION, rate=gamma)
 
 
 def evaluate(force: CollapseForce, p: MomentumField) -> Field:
@@ -136,29 +118,30 @@ def evaluate(force: CollapseForce, p: MomentumField) -> Field:
     Masked points contribute zero force (documented regularization near
     nodes, where p itself is undefined).
     """
-    law = _force_law(force, p.grid)
-    if law is None:
-        vals = np.zeros(p.grid.n_points, dtype=np.complex128)
-    else:
-        if force.target is not None:
-            law = (law[0], force.target.values, force.target.node_mask)
-        vals = _evaluate(p.values, p.node_mask, law)
-    return _adopt(Field, grid=p.grid, values=vals)
+    if (law := _force_law(force, p.grid, pairs=False)) is None:
+        return _adopt(Field, grid=p.grid, values=np.zeros(p.grid.n_points, np.complex128))
+    return _adopt(Field, grid=p.grid, values=_evaluate(p.values, p.node_mask, law))
 
 
-def _force_law(force: CollapseForce, grid: Grid) -> tuple | None:
-    """(coef, target increments, target pair mask) of a force on grid, the
-    law of the collapse step's pair force: -kappa and the pinning target's
-    action increments and pair mask (CollapseForce), or (-gamma, None, None)
-    for Kostin friction; None for the null force. A pinning target on
-    another grid raises GridMismatch."""
+def _force_law(force: CollapseForce, grid: Grid, pairs: bool = True) -> tuple | None:
+    """(coef, target, target mask) of a force on grid: -rate, and for
+    pinning the target's action increments and pair mask
+    (cqhj._action_increments), the law of the collapse step's pair force,
+    or with pairs=False its momentum field and node mask, that of
+    evaluate; (-rate, None, None) for Kostin friction and None for the
+    null force. A pinning target on another grid raises GridMismatch."""
     if force.kind is ForceKind.NULL:
         return None
     if force.kind is ForceKind.KOSTIN_FRICTION:
-        return -force.gamma, None, None
-    if force.target.grid != grid:
+        return -force.rate, None, None
+    target, threshold = force.target, force.node_threshold
+    if target.grid != grid:
         raise GridMismatch("pinning target lives on a different grid")
-    return -force.kappa, *force._target_pairs
+    if pairs:
+        periodic = grid.boundary is Boundary.PERIODIC
+        return -force.rate, *_action_increments(target.values, threshold, periodic)
+    p = psi_to_p(target, threshold)
+    return -force.rate, p.values, p.node_mask
 
 
 def _evaluate(p: np.ndarray, mask: np.ndarray, law: tuple) -> np.ndarray:

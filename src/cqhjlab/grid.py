@@ -101,6 +101,8 @@ class Grid:
     _weights: np.ndarray = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not (math.isfinite(self.x_min) and math.isfinite(self.x_max)):
+            raise ValueError(f"x_min and x_max must be finite, got {self.x_min}, {self.x_max}")
         if not self.x_max > self.x_min:
             raise ValueError(f"x_max ({self.x_max}) must exceed x_min ({self.x_min})")
         if self.n_points < 16:

@@ -322,9 +322,11 @@ def _resolve(sections: dict, name: str) -> Scenario:
         "node_threshold": run.number("node_threshold", default=1e-6, positive=True),
         "write_snapshots": run.boolean("write_snapshots", default=False),
     }
-    eps = resolved_run["collapse_epsilon"]
+    eps, threshold = resolved_run["collapse_epsilon"], resolved_run["node_threshold"]
     if not 0.0 < eps < 0.5:
         raise ConfigError(f"run.collapse_epsilon must lie in (0, 0.5), got {eps}")
+    if not threshold < 1.0:
+        raise ConfigError(f"run.node_threshold must lie in (0, 1), got {threshold}")
     if "fidelity_target" in run.section:
         resolved_run["fidelity_target_index"] = _parse_target(run, "fidelity_target")
     elif fkind == "pinning":

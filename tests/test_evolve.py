@@ -872,6 +872,26 @@ def test_kernel_errors_keep_the_partial_trajectory(ho_box_setup, monkeypatch, po
     assert all(len(series) == 3 for series in partial.observables.values())
 
 
+@pytest.mark.parametrize("threshold", [np.nan, 0.0, -1.0, 1.0])
+def test_node_threshold_outside_unit_interval_is_refused_on_entry(ho_box_setup, threshold):
+    # a NaN, zero or negative threshold used to run on with RuntimeWarnings
+    # until a NonFiniteField that did not name the input
+    grid, V, pairs = ho_box_setup
+    psi0 = superpose([1.0, 1.0], [pairs[0].state, pairs[1].state])
+    force = pinning_force(pairs[0], 3.5)
+    with pytest.raises(ValueError, match="node_threshold must lie in"):
+        pinning_force(pairs[0], 3.5, node_threshold=threshold)
+    with pytest.raises(ValueError, match="node_threshold must lie in"):
+        collapsible_evolve(
+            psi0, V, force, IntegratorSpec(Method.CRANK_NICOLSON, 1e-3), 0.01,
+            node_threshold=threshold,
+        )
+    with pytest.raises(ValueError, match="node_threshold must lie in"):
+        cqhj_evolve(
+            psi_to_p(psi0), V, IntegratorSpec(Method.RK4, 1e-5), 1e-4, node_threshold=threshold
+        )
+
+
 def test_winding_periodic_force_keeps_the_partial_trajectory():
     # one unit of net momentum on the ring: Kostin friction -gamma Re(p) has
     # mean -gamma 2 pi / L, which no single-valued Phi lifts; the first step

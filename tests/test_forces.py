@@ -23,9 +23,9 @@ from cqhjlab import (
     unwrapped_phase,
 )
 from cqhjlab.cqhj import DEFAULT_NODE_THRESHOLD
-from cqhjlab.errors import GridMismatch, NodePresent, PeriodicityViolation
+from cqhjlab.errors import AllMasked, GridMismatch, NonFiniteField, PeriodicityViolation
 from cqhjlab.evolve import _gauge_kernel
-from cqhjlab.forces import GAUGE_MEAN_TOLERANCE
+from cqhjlab.forces import GAUGE_MEAN_TOLERANCE, _force_law
 from cqhjlab.grid import _fd_matrix
 
 
@@ -181,18 +181,24 @@ def test_pinning_accepts_eigenpair_and_momentum_field(ho_setup):
     grid, _, pairs = ho_setup
     p = psi_to_p(pairs[0].state)
     via_pair = pinning_force(pairs[0], 1.0)
-    assert via_pair.kind is ForceKind.PINNING
-    assert np.max(np.abs(via_pair.target.values - p.values)) <= 1e-14
-    # a MomentumField target's increments are taken from the antiderivative
-    # of its p, whose masked zeros jump at each mask edge: the kernel's Phi
-    # would differ from the EigenPair route's by 5.7e-3 (ring) or 2.3e-3
-    # (box) of the range of Phi, so a target with masked tails is refused
-    assert p.node_mask.any()
-    with pytest.raises(NodePresent):
+    assert via_pair.kind is ForceKind.PINNING and via_pair.rate == 1.0
+    assert via_pair.target is pairs[0].state
+    via_field = pinning_force(pairs[0].state, 1.0)
+    assert np.array_equal(evaluate(via_field, p).values, evaluate(via_pair, p).values)
+    # a momentum field is not a pointer state: the force needs the target's
+    # wave function, which p_to_psi gives back up to a scale
+    with pytest.raises(TypeError, match=r"p_to_psi\(p\)\[0\]"):
         pinning_force(p, 1.0)
-    box = Grid(-8.0, 8.0, 512, Boundary.BOX)
-    with pytest.raises(NodePresent):
-        pinning_force(psi_to_p(ho_eigenstate(0, 1.0, box).state), 1.0)
+
+
+def test_pinning_rejects_an_all_masked_or_non_finite_target(ho_setup):
+    grid, _, pairs = ho_setup
+    with pytest.raises(AllMasked):
+        pinning_force(Field(grid, np.zeros(grid.n_points)), 1.0)
+    vals = pairs[0].state.values.copy()
+    vals[3] = np.nan
+    with pytest.raises(NonFiniteField):
+        pinning_force(Field(grid, vals), 1.0)
 
 
 def _chain_inputs(boundary):
@@ -334,15 +340,11 @@ def test_force_chain_outputs_are_read_only_and_unshared(boundary):
 
 
 def test_winding_momentum_field_target_keeps_its_increments():
-    # one unit of ring momentum: the MomentumField route lifts p minus its
-    # mean and adds the mean back to each pair, so its increments match the
-    # wave function's, k0 dx on every pair including the wrap pair
+    # one unit of ring momentum: the target's increments, taken from its
+    # wave function, are k0 dx on every pair including the wrap pair
     g = Grid(-8.0, 8.0, 128, Boundary.PERIODIC)
     k0 = 2.0 * np.pi / g.length
     wave = Field(g, np.exp(1j * k0 * g.x))
-    (inc, masked), (inc_p, masked_p) = (
-        pinning_force(target, 1.0)._target_pairs for target in (wave, psi_to_p(wave))
-    )
-    assert not masked.any() and not masked_p.any()
+    _, inc, masked = _force_law(pinning_force(wave, 1.0), g)
+    assert not masked.any()
     assert np.max(np.abs(inc - k0 * g.dx)) <= 1e-14
-    assert np.max(np.abs(inc_p - inc)) <= 1e-13

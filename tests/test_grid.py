@@ -72,6 +72,14 @@ def test_grid_rejects_bad_construction(args):
         Grid(*args)
 
 
+@pytest.mark.parametrize("boundary", [Boundary.BOX, Boundary.PERIODIC])
+@pytest.mark.parametrize("bounds", [(0.0, np.inf), (-np.inf, 0.0), (-np.inf, np.inf)])
+def test_grid_rejects_non_finite_bounds(bounds, boundary):
+    # an infinite bound would give dx = inf and x = [nan, inf, ...]
+    with pytest.raises(ValueError, match="must be finite"):
+        Grid(*bounds, 64, boundary)
+
+
 def test_cross_grid_operations_rejected():
     a = make_field(Grid(0.0, 1.0, 64, Boundary.BOX), np.ones(64))
     b = make_field(Grid(0.0, 2.0, 64, Boundary.BOX), np.ones(64))

@@ -10,7 +10,6 @@ import pytest
 from cqhjlab import scenario as scenario_module
 from cqhjlab.errors import ConfigError
 from cqhjlab.evolve import OBSERVABLES, Trajectory
-from cqhjlab.forces import pinning_force
 from cqhjlab.grid import Boundary, Field, Grid
 from cqhjlab.runner import RunResult, execute, run_to_directory, sweep, write_artifacts
 from cqhjlab.scenario import SCHEMA_VERSION, Scenario, apply_override, parse_scenario
@@ -73,6 +72,7 @@ def test_parse_echoes_defaults():
         (("kappa = 4.0", "kappa = inf"), "force.kappa"),
         (("x_min = -8.0", "x_min = -inf"), "grid.x_min"),
         (("0.7071067811865476+0j, 0.7071067811865476+0j", "nan, 1"), "initial_state.coefficients"),
+        (("t_final = 0.1", "t_final = 0.1\nnode_threshold = 1.0"), "run.node_threshold"),
     ],
 )
 def test_validation_names_offending_key(mutation, anchor):
@@ -104,7 +104,7 @@ def test_builders_produce_consistent_objects():
     assert grid.n_points == 512
     assert V.samples[0] == pytest.approx(0.5 * 64.0)
     assert abs(np.vdot(psi0.values, psi0.values).real * grid.dx - 1.0) <= 1e-6
-    assert force.kappa == 4.0
+    assert force.rate == 4.0
 
 
 def test_apply_override_round_trips():
@@ -410,7 +410,7 @@ def test_one_eigensolve_per_scenario_build(monkeypatch):
     ground, excited = real(hamiltonian(V, Method.CRANK_NICOLSON), 2)
     assert np.array_equal(psi0.values, superpose([1, 1], [ground.state, excited.state]).values)
     assert np.array_equal(target.values, ground.state.values)
-    assert np.array_equal(force.target.values, pinning_force(ground, 4.0).target.values)
+    assert force.rate == 4.0 and np.array_equal(force.target.values, ground.state.values)
 
 
 def test_degenerate_sweep_equals_run():
