@@ -48,6 +48,8 @@ class MomentumField:
 
     Masked entries hold 0 and mean "p is not defined here"; every unmasked
     entry is finite. The field is degree zero in the source wave function.
+    Two momentum fields are equal when their fields are (Field) and their
+    node masks are the same.
     """
 
     field: Field
@@ -58,6 +60,14 @@ class MomentumField:
         if m.shape != (self.field.grid.n_points,):
             raise ValueError("node mask does not match the grid")
         object.__setattr__(self, "node_mask", _readonly(m))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.field == other.field and self.node_mask.tobytes() == other.node_mask.tobytes()
+
+    def __hash__(self):
+        return hash((self.field, self.node_mask.tobytes()))
 
     @property
     def grid(self) -> Grid:

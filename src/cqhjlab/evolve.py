@@ -62,18 +62,21 @@ at N = 1024). The crossover is a rule of (N, n), not a setting
 (_split_power_pays): n must exceed bit_length(n) + 2 products at a
 committed, conservative cost per product, or a shorter n must, so every n
 from the first that pays takes the power; grids above 1024 points always
-step. A run that takes at least two snapshot intervals of one such
-length (n_steps // snapshot_stride >= 2) builds that S^n once, by the same
-powering with the set bits accumulated into a matrix, keeps it until it
-returns (_kept_power) and takes each of those intervals as one
-vector-matrix product; the build has at most three N x N arrays alive and
-the run keeps one. Its remainder interval and a run of one interval take
-the vector path above, so no run makes more N x N products than stepping
-each interval by powering. The bundled 256-point stationary run (12
-intervals of 10,000 half steps and one of 5,664) makes 29 N x N products
-in place of 168; the stationary_split benchmark ran 5.5x faster
-(BENCH_19). Crank-Nicolson and the nonlinear steps (n <= 2) never take
-this path.
+step. A run that takes at least two snapshot intervals of one such length
+n (n_steps // snapshot_stride >= 2) keeps that S^n until it returns
+(_kept_power), and also S^r for its remainder interval of r < n steps when
+r pays too, both from one squaring chain (_SplitStepKernel.powers): the
+squarings S^(2^k) serve both, and the set bits of each are accumulated
+into its own matrix. Each interval of a kept length is one vector-matrix
+product. The chain makes bit_length(n) - 1 squarings and popcount(n) - 1 +
+popcount(r) - 1 products; it has at most four N x N arrays alive (64 MB at
+N = 1024) and the run keeps two (three alive and one kept without a
+remainder power). A remainder that does not pay steps by FFT, and a run of
+one interval takes the vector path above, so no run makes more N x N
+products than stepping each interval by powering. The bundled 256-point
+stationary run (12 intervals of 10,000 half steps and one of 5,664) makes
+20 N x N products in place of 168 and builds S once (BENCH_24).
+Crank-Nicolson and the nonlinear steps (n <= 2) never take this path.
 
 Every Crank-Nicolson call follows one rule: n <= q Cayley steps are one
 solve and one matvec, (A^n)^-1 B^n, with one sparse LU of A^n and one CSR
@@ -197,8 +200,9 @@ class IntegratorSpec:
 
     A linear interval takes up to q steps per kernel call (module
     docstring): all of them on split-step, as a dense matrix power once the
-    interval is long enough, built once per run and reused when the run
-    takes two or more intervals of the snapshot stride; and on
+    interval is long enough, kept by a run of two or more intervals of the
+    snapshot stride, with that of its remainder interval when it too is
+    long enough, both from one squaring chain; and on
     Crank-Nicolson the largest even q <= 8 with (1 + theta^2)^(q/2) <= 10,
     theta = h/2 ||H||_inf for the kernel step h, each call of n <= q steps
     one solve (A^n)^-1 B^n; a stiff kernel takes its steps in pairs
@@ -234,11 +238,11 @@ class Trajectory:
 class _SplitStepKernel:
     """n Strang steps exp(-iV dt/2) exp(-iK dt) exp(-iV dt/2) in one call, for
     any n: via FFT step by step, or as the n-th power of the dense step
-    matrix where _split_power_pays(N, n) (module docstring). matrix(n) builds
-    that power for a run that reuses it over its equal intervals; the run,
-    not the kernel, keeps it. The kernel holds read-only factors and no
-    buffer; numpy's complex product is not bitwise commutative, so operand
-    order is fixed."""
+    matrix where _split_power_pays(N, n) (module docstring). powers also
+    builds the dense powers a run reuses over its intervals, all from one
+    squaring chain; the run, not the kernel, keeps them. The kernel holds
+    read-only factors and no buffer; numpy's complex product is not bitwise
+    commutative, so operand order is fixed."""
 
     chunk = sys.maxsize  # one call takes any number of steps
 
@@ -250,13 +254,8 @@ class _SplitStepKernel:
     def step(self, values: np.ndarray, n: int) -> np.ndarray:
         """n Strang steps of values, a fresh array."""
         if _split_power_pays(values.size, n):
-            return self._power(values, n)
+            return self.powers({n: values})[n]
         return self._stepped(values * self.half_v, n)
-
-    def matrix(self, n: int) -> np.ndarray:
-        """The dense (S^n)^T, so that values @ matrix(n) is S^n values: the
-        power a run keeps for its equal intervals (_kept_power)."""
-        return self._power(None, n)
 
     def _stepped(self, v: np.ndarray, n: int) -> np.ndarray:
         """n Strang steps, one FFT pair per step, of each state along the
@@ -272,22 +271,25 @@ class _SplitStepKernel:
             np.fft.ifft(buf, out=v)
         return np.multiply(v, self.half_v, out=v)
 
-    def _power(self, acc: np.ndarray | None, n: int) -> np.ndarray:
-        """acc @ (S^n)^T by binary powering of the dense step matrix S: one
-        batched step of the N unit states, which with their leading half
-        potential factor are the rows of diag(half_v), gives the rows of
-        S^T; then bit_length(n) - 1 squarings and one product into acc per
-        set bit of n. A vector acc gives S^n values, with at most two N x N
-        arrays alive; acc None gives (S^n)^T itself, taking the first set
-        bit's power without a product, with at most three alive."""
+    def powers(self, accs: dict) -> dict:
+        """{n: acc @ (S^n)^T} for each n: acc of accs, by one binary powering
+        of the dense step matrix S shared by every n: one batched step of
+        the N unit states, which with their leading half potential factor
+        are the rows of diag(half_v), gives the rows of S^T; then
+        bit_length(max n) - 1 squarings and one product into each acc per
+        set bit of its n. An acc None gives (S^n)^T itself, taking its first
+        set bit's power without a product, so values @ powers({n: None})[n]
+        is S^n values. One vector acc has at most two N x N arrays alive;
+        each acc None adds one, so a run's two kept powers have four."""
+        accs = dict(accs)
         power = self._stepped(np.diag(self.half_v), 1)
-        while True:
-            if n & 1:
-                acc = power if acc is None else acc @ power
-            n >>= 1
-            if not n:
-                return acc
-            power = power @ power
+        for k in range(max(accs).bit_length()):
+            if k:
+                power = power @ power
+            for n in accs:  # by key: a loop name would keep a replaced acc alive
+                if n >> k & 1:
+                    accs[n] = power if accs[n] is None else accs[n] @ power
+        return accs
 
 
 # the largest grid whose split-step intervals may be taken as a matrix
@@ -368,26 +370,30 @@ class _CrankNicolsonKernel:
         return out
 
 
-def _kept_power(kernel, n: int, count: int) -> tuple[int, np.ndarray] | None:
-    """(n, (S^n)^T) for a run of count intervals of n kernel steps, or None:
-    a split-step run keeps the dense power when it takes at least two such
-    intervals and each would be a power (_split_power_pays). The build makes
-    bit_length(n) + popcount(n) - 2 N x N products, at most those of two
-    intervals on the vector path, so no run makes more."""
-    if isinstance(kernel, _SplitStepKernel) and count >= 2 and _split_power_pays(
-        kernel.half_v.size, n
+def _kept_power(kernel, n: int, count: int, rest: int) -> dict[int, np.ndarray] | None:
+    """{length: (S^length)^T} for a run of count intervals of n kernel steps
+    and a remainder of rest < n steps (0 for none), or None (module
+    docstring): a split-step run keeps S^n when count >= 2 and n pays
+    (_split_power_pays), and then also S^rest when rest pays, both from one
+    squaring chain, which makes no more products than two intervals and the
+    remainder on the vector path."""
+    if not (
+        isinstance(kernel, _SplitStepKernel)
+        and count >= 2
+        and _split_power_pays(kernel.half_v.size, n)
     ):
-        return n, kernel.matrix(n)
-    return None
+        return None
+    pays = rest and _split_power_pays(kernel.half_v.size, rest)
+    return kernel.powers(dict.fromkeys((n, rest) if pays else (n,)))
 
 
 def _linear_steps(kernel, values: np.ndarray, n: int, kept=None) -> np.ndarray:
     """n linear kernel steps, n >= 1, in calls of at most kernel.chunk steps:
     the linear advance of every propagator interval (module docstring). An
-    interval of the run's kept power (_kept_power) is one vector-matrix
-    product."""
-    if kept is not None and kept[0] == n:
-        return values @ kept[1]
+    interval of one of the run's kept powers (_kept_power) is one
+    vector-matrix product."""
+    if kept is not None and n in kept:
+        return values @ kept[n]
     while n > kernel.chunk:
         values = kernel.step(values, kernel.chunk)
         n -= kernel.chunk
@@ -565,8 +571,8 @@ def schrodinger_evolve(
     grid = require_same_grid(psi0, V.grid)
     H = hamiltonian(V, spec.method)
     kernel = _make_kernel(H, spec.dt)
-    count = _step_count(t_final, spec.dt, snapshot_stride) // snapshot_stride
-    kept = _kept_power(kernel, snapshot_stride, count)
+    count, rest = divmod(_step_count(t_final, spec.dt, snapshot_stride), snapshot_stride)
+    kept = _kept_power(kernel, snapshot_stride, count, rest)
 
     def advance(vals: np.ndarray, m: int) -> np.ndarray:
         return _linear_steps(kernel, vals, m, kept)
@@ -764,8 +770,8 @@ def collapsible_evolve(
 
     phi = None if force.kind is ForceKind.NULL else _gauge_kernel(force, grid, node_threshold)
     # the null force's intervals are linear: 2 snapshot_stride half steps
-    count = _step_count(t_final, dt, snapshot_stride) // snapshot_stride
-    kept = _kept_power(kernel, 2 * snapshot_stride, count) if phi is None else None
+    count, rest = divmod(_step_count(t_final, dt, snapshot_stride), snapshot_stride)
+    kept = _kept_power(kernel, 2 * snapshot_stride, count, 2 * rest) if phi is None else None
     itau = 1j * tau
 
     def gauge(a: np.ndarray) -> np.ndarray:

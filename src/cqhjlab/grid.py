@@ -160,7 +160,9 @@ def require_same_grid(a: "Field | Grid", b: "Field | Grid") -> Grid:
 
 @dataclass(frozen=True)
 class Field:
-    """Complex scalar field sampled on a grid. Immutable value object."""
+    """Complex scalar field sampled on a grid. Immutable value object: two
+    fields are equal when they share the grid and their values are bitwise
+    equal, and equal fields hash alike."""
 
     grid: Grid
     values: np.ndarray
@@ -172,6 +174,15 @@ class Field:
                 f"field length {v.shape} does not match grid ({self.grid.n_points},)"
             )
         object.__setattr__(self, "values", _readonly(v))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.grid == other.grid and self.values.tobytes() == other.values.tobytes()
+
+    def __hash__(self):
+        # the values are read-only, so their bytes are a sound hash
+        return hash((self.grid, self.values.tobytes()))
 
     def check_finite(self) -> "Field":
         _check_finite(self.values)

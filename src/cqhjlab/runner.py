@@ -204,7 +204,9 @@ def sweep(scenario: Scenario, param: str, values, workers: int | None = None) ->
         apply_override(scenario, param, v)
     tasks = [(scenario, param, v) for v in values]
     if workers is None:
-        workers = min(len(values), os.cpu_count() or 1)
+        # the CPUs this process may run on, which os.cpu_count() ignores
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        workers = min(len(values), cpus or 1)
     if workers <= 1 or len(values) == 1:
         return [_sweep_row(t) for t in tasks]
     with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -86,6 +86,17 @@ def test_momentum_map_homogeneity(periodic_grid):
         assert np.max(np.abs(p1.values - p2.values)) <= 1e-12
 
 
+def test_momentum_fields_are_equal_with_equal_fields_and_masks(periodic_grid):
+    values = np.exp(1j * periodic_grid.x)
+    mask = np.zeros(periodic_grid.n_points, dtype=bool)
+    p = MomentumField(Field(periodic_grid, values), mask)
+    q = MomentumField(Field(periodic_grid, values.copy()), mask.copy())
+    assert p == q and hash(p) == hash(q)
+    mask[0] = True
+    assert p != MomentumField(p.field, mask)
+    assert p != MomentumField(Field(periodic_grid, 2 * values), p.node_mask)
+
+
 def test_classical_osmotic_decomposition(periodic_grid):
     psi = random_nodeless_state(periodic_grid, np.random.default_rng(4))
     p = psi_to_p(psi)

@@ -321,24 +321,30 @@ def test_split_step_power_is_deterministic():
 
 
 def _spy_split_step(monkeypatch):
-    """The n of every dense-power build and of every kernel.step call of the
-    split-step kernels, recorded while the calls run as before."""
-    calls = {"matrix": [], "step": []}
-    for name, seen in calls.items():
-        method = getattr(evolve._SplitStepKernel, name)
+    """The interval lengths of every squaring chain (the keys of each
+    powers call, kernel.step's own included) and the n of every kernel.step
+    call of the split-step kernels, recorded while the calls run as before."""
+    calls = {"powers": [], "step": []}
+    powers, step = evolve._SplitStepKernel.powers, evolve._SplitStepKernel.step
 
-        def spy(self, values_or_n, *rest, _method=method, _seen=seen):
-            _seen.append(rest[0] if rest else values_or_n)
-            return _method(self, values_or_n, *rest)
+    def spy_powers(self, accs):
+        calls["powers"].append(list(accs))
+        return powers(self, accs)
 
-        monkeypatch.setattr(evolve._SplitStepKernel, name, spy)
+    def spy_step(self, values, n):
+        calls["step"].append(n)
+        return step(self, values, n)
+
+    monkeypatch.setattr(evolve._SplitStepKernel, "powers", spy_powers)
+    monkeypatch.setattr(evolve._SplitStepKernel, "step", spy_step)
     return calls
 
 
 def test_split_step_run_builds_its_interval_power_once(monkeypatch):
     # the bundled stationary run: 62,832 steps at stride 5,000 are 12 equal
     # intervals of 10,000 half steps and a remainder of 5,664; the run builds
-    # S^10000 once and takes the remainder through kernel.step's vector path
+    # S^10000 and S^5664 from one squaring chain and takes every interval,
+    # the remainder too, as one vector-matrix product
     g = Grid(-12.0, 12.0, 256, Boundary.PERIODIC)
     V = harmonic_potential(g, 1.0)
     psi0 = ho_eigenstate(0, 1.0, g).state
@@ -346,7 +352,7 @@ def test_split_step_run_builds_its_interval_power_once(monkeypatch):
     calls = _spy_split_step(monkeypatch)
     traj = collapsible_evolve(psi0, V, null_force(), spec, 2 * np.pi, snapshot_stride=5000)
     assert len(traj.snapshots) == 14
-    assert calls == {"matrix": [10000], "step": [5664]}
+    assert calls == {"powers": [[10000, 5664]], "step": []}
     assert abs(norm(traj.final_state) - 1.0) <= 1e-10
 
 
@@ -366,8 +372,34 @@ def test_single_interval_split_step_run_builds_no_kept_power(monkeypatch, run):
         traj = collapsible_evolve(psi0, V, null_force(), spec, 0.3, snapshot_stride=3000)
         kernel, n = _make_kernel(hamiltonian(V, Method.SPLIT_STEP), 1e-4, substeps=2), 6000
     assert evolve._split_power_pays(g.n_points, n)
-    assert calls == {"matrix": [], "step": [n]}
+    assert calls == {"powers": [[n]], "step": [n]}
     assert traj.final_state.values.tobytes() == kernel.step(psi0.values, n).tobytes()
+
+
+@pytest.mark.parametrize(
+    "t_final, rest, calls",
+    [
+        # one interval and a remainder: no power is kept, each is a power
+        (0.59, 2900, {"powers": [[3000], [2900]], "step": [3000, 2900]}),
+        # a remainder below the crossover steps by FFT
+        (0.61, 100, {"powers": [[3000]], "step": [100]}),
+    ],
+)
+def test_split_step_remainder_left_to_the_kernel(monkeypatch, t_final, rest, calls):
+    # the remainder of a run at stride 3,000 stays kernel.step of the last
+    # snapshot before it, bitwise, when the run keeps no power or the
+    # remainder would not be one
+    g = Grid(-12.0, 12.0, 256, Boundary.PERIODIC)
+    V = harmonic_potential(g, 1.0)
+    psi0 = random_nodeless_state(g, np.random.default_rng(23), modes=4, amplitude=0.5)
+    spec = IntegratorSpec(Method.SPLIT_STEP, 1e-4, False)
+    kernel = _make_kernel(hamiltonian(V, Method.SPLIT_STEP), 1e-4)
+    assert evolve._split_power_pays(g.n_points, rest) == (rest == 2900)
+    seen = _spy_split_step(monkeypatch)
+    traj = schrodinger_evolve(psi0, V, spec, t_final, snapshot_stride=3000)
+    assert seen == calls
+    last = kernel.step(traj.snapshots[-2].values, rest)
+    assert traj.final_state.values.tobytes() == last.tobytes()
 
 
 def test_kept_split_step_power_peaks_below_four_square_arrays():
@@ -387,6 +419,27 @@ def test_kept_split_step_power_peaks_below_four_square_arrays():
         tracemalloc.stop()
     assert len(traj.snapshots) == 4
     assert peak < 4 * g.n_points**2 * np.dtype(np.complex128).itemsize
+
+
+def test_kept_split_step_powers_with_remainder_peak_below_five_square_arrays(monkeypatch):
+    # three 3,000-step intervals and a 2,900-step remainder: the run keeps
+    # S^3000 and S^2900 from one chain, with at most four N x N arrays alive
+    # while they are built, and two after
+    g = Grid(-12.0, 12.0, 256, Boundary.PERIODIC)
+    V = harmonic_potential(g, 1.0)
+    psi0 = ho_eigenstate(1, 1.0, g).state
+    spec = IntegratorSpec(Method.SPLIT_STEP, 1e-4, False)
+    _make_kernel(hamiltonian(V, Method.SPLIT_STEP), 1e-4)
+    calls = _spy_split_step(monkeypatch)
+    tracemalloc.start()
+    try:
+        traj = schrodinger_evolve(psi0, V, spec, 1.19, snapshot_stride=3000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(traj.snapshots) == 5
+    assert calls == {"powers": [[3000, 2900]], "step": []}
+    assert peak < 5 * g.n_points**2 * np.dtype(np.complex128).itemsize
 
 
 def test_crank_nicolson_norm_conservation(ho_box_setup):

@@ -37,6 +37,24 @@ def test_pinning_fixed_point_zero_field(ho_setup):
     assert np.max(np.abs(f.values)) == 0.0  # identical arrays cancel exactly
 
 
+def test_pinning_forces_on_equal_targets_are_equal_and_hash_alike(ho_setup):
+    # two distinct but bitwise-equal target fields make equal forces of one
+    # hash; another rate, threshold, target value or grid makes them differ
+    grid, _, pairs = ho_setup
+    target = pairs[0].state
+    twin = Field(grid, target.values.copy())
+    assert twin is not target and twin == target and hash(twin) == hash(target)
+    a, b = pinning_force(target, 3.0), pinning_force(twin, 3.0)
+    assert a == b and hash(a) == hash(b) and len({a, b, null_force()}) == 2
+    other_grid = Grid(-12.0, 12.0, grid.n_points, Boundary.BOX)
+    assert twin != Field(other_grid, target.values)
+    assert twin != Field(grid, target.values * (1 + 1e-16j))
+    assert a != pinning_force(target, 3.5)
+    assert a != pinning_force(target, 3.0, node_threshold=1e-5)
+    assert a != pinning_force(pairs[1], 3.0)
+    assert a != kostin_friction(3.0)
+
+
 def test_kostin_on_plane_wave():
     g = Grid(0.0, 2 * np.pi, 64, Boundary.PERIODIC)
     psi = make_field(g, np.exp(2j * g.x))

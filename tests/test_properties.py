@@ -499,16 +499,21 @@ def test_split_step_power_matches_the_stepping_loop(n_points, seed, omega, log2_
     remainder=st.floats(0.05, 0.95),
     run=st.sampled_from(["schrodinger", "null"]),
 )
+# a remainder that would be a power: the run keeps it from the same chain
+@example(n_points=64, seed=0, log2_n=2.0, intervals=2, remainder=0.9, run="schrodinger")
+@example(n_points=64, seed=1, log2_n=2.0, intervals=3, remainder=0.9, run="null")
 def test_kept_split_step_power_matches_the_vector_path(
     n_points, seed, log2_n, intervals, remainder, run
 ):
     # a run of 2-5 equal split-step intervals and a remainder takes each
-    # equal interval as one product with the kept dense power; forced
-    # through the per-interval vector path (no kept power) it gives the same
-    # states to roundoff. The interval is drawn from the rule's crossover to
-    # 4 times it, in kernel steps (half steps under the null force). Measured
-    # over 240 draws (up to 6,000 kernel steps): the two runs agree to
-    # 1.4e-14 of max|psi| and their final norms to 2.4e-15. Both drift from
+    # equal interval as one product with the kept dense power, and the
+    # remainder too where it would be a power, with its own power from the
+    # same chain; forced through the per-interval vector path (no kept
+    # power) it gives the same states to roundoff. The interval is drawn
+    # from the rule's crossover to 4 times it, in kernel steps (half steps
+    # under the null force). Measured over 240 draws (up to 7,600 kernel
+    # steps, 109 with a remainder that is a power): the two runs agree to
+    # 1.5e-14 of max|psi| and their final norms to 1.6e-15. Both drift from
     # the input norm by about 1.7e-16 per step (1.0e-12 after 5,883 steps at
     # N = 124), the same on either path, so the norm is held to the vector
     # path's.

@@ -252,6 +252,19 @@ def test_sweep_rejects_invalid_value_before_any_run(monkeypatch):
         sweep(s, "integrator.dt", [1e-3, -1.0], workers=1)
 
 
+def test_default_sweep_workers_follow_cpu_affinity(monkeypatch):
+    # one CPU in the affinity set: a 3-value sweep runs serially, whatever
+    # os.cpu_count() says, and starts no pool
+    from cqhjlab import runner
+
+    monkeypatch.setattr(runner.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(runner.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", lambda **kw: pytest.fail("a pool"))
+    s = parse_scenario(MINI, name="mini")
+    rows = sweep(s, "integrator.dt", [2e-3, 1.5e-3, 1e-3])
+    assert [r["status"] for r in rows] == ["ok", "ok", "ok"]
+
+
 def test_pooled_sweep_rows_equal_single_runs():
     # two worker processes; each row must equal the run of its own scenario
     s = parse_scenario(MINI.replace("t_final = 0.1", "t_final = 1.2"), name="mini")
