@@ -24,6 +24,7 @@ from .diagnostics import UnitSystem, make_collapse_report
 from .errors import ConfigError, CqhjError
 from .runner import (
     OUTPUT_ROOT_ENV,
+    _write_json,
     load_scenario_or_bundled,
     resolve_output_dir,
     run_to_directory,
@@ -113,9 +114,7 @@ def _cmd_run(args) -> int:
             write_timeseries(exc.trajectory, out_dir)
             if scenario.resolved["run"]["write_snapshots"]:
                 write_snapshots(exc.trajectory, out_dir)
-        with open(out_dir / "summary.json", "w") as fh:
-            json.dump(incomplete, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(out_dir / "summary.json", incomplete)
         return EXIT_SOLVER_ERROR
     print(json.dumps(result.summary, indent=2, sort_keys=True))
     print(f"artifacts written to {out_dir}", file=sys.stderr)

@@ -50,49 +50,45 @@ the two split-step potential factors that meet merge into one. A snapshot
 step ends with its own half step, so every recorded state is the full
 Strang state, and a nonlinear step makes one solve.
 
-A linear interval (schrodinger_evolve's m steps, or the 2m half steps of m
-null-force steps) goes through one helper, _linear_steps, in kernel calls
-of up to kernel.chunk steps. A split-step call takes any number n. Below a
-crossover it steps, one FFT pair per step, merging the potential factors
-that meet; from it on it applies S^n, S the dense N x N step matrix, built
-by one batched step of the N unit states and raised by binary powering:
-bit_length(n) - 1 complex N x N products and popcount(n) vector products
-in place of n FFT pairs, with at most two N x N arrays alive (16 MB each
-at N = 1024). The crossover is a rule of (N, n), not a setting
-(_split_power_pays): n must exceed bit_length(n) + 2 products at a
-committed, conservative cost per product, or a shorter n must, so every n
-from the first that pays takes the power; grids above 1024 points always
-step. A run that takes at least two snapshot intervals of one such length
-n (n_steps // snapshot_stride >= 2) keeps that S^n until it returns
-(_kept_power), and also S^r for its remainder interval of r < n steps when
-r pays too, both from one squaring chain (_SplitStepKernel.powers): the
-squarings S^(2^k) serve both, and the set bits of each are accumulated
-into its own matrix. Each interval of a kept length is one vector-matrix
-product. The chain makes bit_length(n) - 1 squarings and popcount(n) - 1 +
-popcount(r) - 1 products; it has at most four N x N arrays alive (64 MB at
-N = 1024) and the run keeps two (three alive and one kept without a
-remainder power). A remainder that does not pay steps by FFT, and a run of
-one interval takes the vector path above, so no run makes more N x N
-products than stepping each interval by powering. The bundled 256-point
-stationary run (12 intervals of 10,000 half steps and one of 5,664) makes
-20 N x N products in place of 168 and builds S once (BENCH_24).
-Crank-Nicolson and the nonlinear steps (n <= 2) never take this path.
+A linear run (schrodinger_evolve, or collapsible_evolve under the null
+force, whose m steps are 2m half steps) advances through one helper,
+_linear_advance: each snapshot interval is one kernel.step call, or one
+vector-matrix product with a dense power the run keeps. Before its first
+step the run asks once for the dense powers (S^n)^T, S the N x N Strang
+step matrix, of those of its interval lengths (the snapshot stride and the
+remainder, in kernel steps) that pay. The powers come from one squaring
+chain (_SplitStepKernel.powers): S is built by one batched step of the N
+unit states, its squarings S^(2^k) serve every length, and the set bits of
+each length are multiplied into its own matrix, so the chain makes
+bit_length(n) - 1 squarings and popcount - 1 products per length, with at
+most four N x N arrays alive (64 MB at N = 1024) and two kept. Whether a
+length pays is a rule of (N, n), not a setting (_split_power_pays): n must
+exceed bit_length(n) + 2 products at a committed, conservative cost per
+product, or a shorter n must, so every n from the first that pays takes
+the power; grids above 1024 points always step. Every other split-step
+interval steps by FFT, one FFT pair per step, merging the potential
+factors that meet. The bundled 256-point stationary run (12 intervals of
+10,000 half steps and one of 5,664) makes 20 N x N products and builds S
+once, in place of 168 products for powering each interval on its own
+(BENCH_24). Crank-Nicolson and the nonlinear steps (n <= 2) never take a
+power.
 
-Every Crank-Nicolson call follows one rule: n <= q Cayley steps are one
-solve and one matvec, (A^n)^-1 B^n, with one sparse LU of A^n and one CSR
-B^n per n, built on first use and kept in the kernel. A single step is
-thus one Cayley solve A^-1 (B v), whose condition number is that of A,
-sqrt(1 + theta^2), and the collapse step's double half step is
-(A^2)^-1 B^2. q is a rule, not a setting (_cayley_chunk): the largest
-even number <= 8 with (1 + theta^2)^(q/2) <= 10, theta = h/2 ||H||_inf
-for the kernel step h, which bounds the condition number of A^q and so
-the roundoff of the solve.
-A stiff kernel (theta > 1.47, e.g. N = 1024 on [-8, 8] at h = 5e-4) falls
-back to q = 2, the double step. Kernels are cached per Hamiltonian and dt,
-so repeated runs on one setup (sweeps, the benchmark) factor once. A
-cached kernel holds no buffer: each split-step call takes its own output
-and FFT scratch and transforms into them, with the operand order of every
-product fixed, so a step is bitwise the allocating expression it replaces.
+A Crank-Nicolson call of n steps takes them in solves of q steps, full
+ones first and then the rest, and every solve follows one rule: m <= q
+Cayley steps are one solve and one matvec, (A^m)^-1 B^m, with one sparse
+LU of A^m and one CSR B^m per m, built on first use and kept in the
+kernel. A single step is thus one Cayley solve A^-1 (B v), whose
+condition number is that of A, sqrt(1 + theta^2), and the collapse
+step's double half step is (A^2)^-1 B^2. q is a rule, not a setting
+(_cayley_chunk): the largest even number <= 8 with (1 + theta^2)^(q/2)
+<= 10, theta = h/2 ||H||_inf for the kernel step h, which bounds the
+condition number of A^q and so the roundoff of the solve. A stiff kernel
+(theta > 1.47, e.g. N = 1024 on [-8, 8] at h = 5e-4) falls back to q = 2,
+the double step. Kernels are cached per Hamiltonian and dt, so repeated
+runs on one setup (sweeps, the benchmark) factor once. A cached kernel
+holds no buffer: each split-step call takes its own output and FFT scratch
+and transforms into them, with the operand order of every product fixed,
+so a step is bitwise the allocating expression it replaces.
 
 All three propagators run on one stepping loop, `_drive`. Each supplies
 only an interval function advance(vals, m), which takes a full Strang
@@ -198,15 +194,11 @@ class IntegratorSpec:
     steps of a collapse force (module docstring). dt must be positive and
     finite.
 
-    A linear interval takes up to q steps per kernel call (module
-    docstring): all of them on split-step, as a dense matrix power once the
-    interval is long enough, kept by a run of two or more intervals of the
-    snapshot stride, with that of its remainder interval when it too is
-    long enough, both from one squaring chain; and on
-    Crank-Nicolson the largest even q <= 8 with (1 + theta^2)^(q/2) <= 10,
-    theta = h/2 ||H||_inf for the kernel step h, each call of n <= q steps
-    one solve (A^n)^-1 B^n; a stiff kernel takes its steps in pairs
-    (q = 2).
+    A linear run takes each snapshot interval as one kernel call (FFT
+    steps, or Crank-Nicolson solves of at most q <= 8 Cayley steps, q a
+    conditioning rule) or, on split-step, as one product with the dense
+    power the run keeps for each interval length that pays (module
+    docstring).
     """
 
     method: Method
@@ -236,15 +228,12 @@ class Trajectory:
 
 
 class _SplitStepKernel:
-    """n Strang steps exp(-iV dt/2) exp(-iK dt) exp(-iV dt/2) in one call, for
-    any n: via FFT step by step, or as the n-th power of the dense step
-    matrix where _split_power_pays(N, n) (module docstring). powers also
-    builds the dense powers a run reuses over its intervals, all from one
+    """n Strang steps exp(-iV dt/2) exp(-iK dt) exp(-iV dt/2) in one call, via
+    FFT step by step. powers builds the dense powers of the step matrix a
+    run keeps for its intervals that pay (_linear_advance), all from one
     squaring chain; the run, not the kernel, keeps them. The kernel holds
     read-only factors and no buffer; numpy's complex product is not bitwise
     commutative, so operand order is fixed."""
-
-    chunk = sys.maxsize  # one call takes any number of steps
 
     def __init__(self, H: Hamiltonian, dt: float):
         self.half_v = _readonly(np.exp(-0.5j * dt * H.V.samples))
@@ -253,8 +242,6 @@ class _SplitStepKernel:
 
     def step(self, values: np.ndarray, n: int) -> np.ndarray:
         """n Strang steps of values, a fresh array."""
-        if _split_power_pays(values.size, n):
-            return self.powers({n: values})[n]
         return self._stepped(values * self.half_v, n)
 
     def _stepped(self, v: np.ndarray, n: int) -> np.ndarray:
@@ -271,25 +258,24 @@ class _SplitStepKernel:
             np.fft.ifft(buf, out=v)
         return np.multiply(v, self.half_v, out=v)
 
-    def powers(self, accs: dict) -> dict:
-        """{n: acc @ (S^n)^T} for each n: acc of accs, by one binary powering
-        of the dense step matrix S shared by every n: one batched step of
-        the N unit states, which with their leading half potential factor
-        are the rows of diag(half_v), gives the rows of S^T; then
-        bit_length(max n) - 1 squarings and one product into each acc per
-        set bit of its n. An acc None gives (S^n)^T itself, taking its first
-        set bit's power without a product, so values @ powers({n: None})[n]
-        is S^n values. One vector acc has at most two N x N arrays alive;
-        each acc None adds one, so a run's two kept powers have four."""
-        accs = dict(accs)
+    def powers(self, lengths) -> dict:
+        """{n: (S^n)^T} for each n of lengths, by one binary powering of the
+        dense step matrix S shared by every n: one batched step of the N unit
+        states, which with their leading half potential factor are the rows
+        of diag(half_v), gives the rows of S^T; then bit_length(max n) - 1
+        squarings, and for each n its first set bit's power and one product
+        per further set bit, so values @ powers([n])[n] is S^n values. The
+        chain has two N x N arrays alive and each n adds one, so a run's two
+        lengths have four."""
+        out = dict.fromkeys(lengths)
         power = self._stepped(np.diag(self.half_v), 1)
-        for k in range(max(accs).bit_length()):
+        for k in range(max(out).bit_length()):
             if k:
                 power = power @ power
-            for n in accs:  # by key: a loop name would keep a replaced acc alive
+            for n in out:  # by key: a loop name would keep a replaced power alive
                 if n >> k & 1:
-                    accs[n] = power if accs[n] is None else accs[n] @ power
-        return accs
+                    out[n] = power if out[n] is None else out[n] @ power
+        return out
 
 
 # the largest grid whose split-step intervals may be taken as a matrix
@@ -303,11 +289,13 @@ SPLIT_MATMUL_STEPS_256 = 200.0
 def _split_power_pays(n_points: int, n: int) -> bool:
     """Whether n split-step steps on n_points are taken as the matrix power
     S^n: when n exceeds the cost of bit_length(n) + 2 N x N products, which
-    covers the build, the squarings and the vector products. On a 2-core
-    host one product cost 62-131 FFT steps at N = 256, 579-633 at 512 and
-    1,931-5,137 at 1024, on one core or two (BENCH_18), under the rule's
-    200, 1,131 and 6,400, so the rule errs towards stepping: the power path
-    was 1.2-3.8x faster than stepping at the rule's crossover. Grids above
+    covers the build, the squarings and the vector product; the up to
+    bit_length(n) - 1 products that accumulate a kept power are left to the
+    rule's conservative cost per product. On a 2-core host one product cost
+    62-131 FFT steps at N = 256, 579-633 at 512 and 1,931-5,137 at 1024, on
+    one core or two (BENCH_18), under the rule's 200, 1,131 and 6,400, so
+    the rule errs towards stepping: the power path was 1.2-3.8x faster than
+    stepping at the rule's crossover. Grids above
     SPLIT_POWER_MAX_POINTS always step; their two N x N arrays would pass
     32 MB, and at N = 2048 a product costs 9,300-16,200 steps.
 
@@ -344,8 +332,8 @@ class _CrankNicolsonKernel:
     """Cayley step A^-1 B, A = 1 + i dt H / 2 and B = 1 - i dt H / 2, with H
     the Hamiltonian's sparse matrix on its unknowns (the interior points on
     box grids, whose walls stay at zero; every point on periodic grids). A
-    and B commute, so n <= chunk steps are one solve and one matvec,
-    (A^n)^-1 B^n, with one sparse LU of A^n and one CSR B^n per n, built on
+    and B commute, so m <= chunk steps are one solve and one matvec,
+    (A^m)^-1 B^m, with one sparse LU of A^m and one CSR B^m per m, built on
     first use (module docstring)."""
 
     def __init__(self, H: Hamiltonian, dt: float):
@@ -357,47 +345,44 @@ class _CrankNicolsonKernel:
         self._ops: dict = {}
 
     def step(self, values: np.ndarray, n: int) -> np.ndarray:
-        """n <= chunk Cayley steps in one solve."""
-        op = self._ops.get(n)
+        """n >= 1 Cayley steps in solves of chunk steps, the rest last."""
+        while n > self.chunk:
+            values = self._solve(values, self.chunk)
+            n -= self.chunk
+        return self._solve(values, n)
+
+    def _solve(self, values: np.ndarray, m: int) -> np.ndarray:
+        """m <= chunk Cayley steps in one solve, a fresh array."""
+        op = self._ops.get(m)
         if op is None:
             # products one factor at a time: built by squaring, A^8 put a
             # 6,284-half-step N = 512 run 6.2e-13 from a long-double reference,
             # against 2.0e-13 (and 1.7e-13 for double half steps)
-            A, B = (reduce(matmul, [M] * n) for M in (self._A, self._B))
-            op = self._ops[n] = (splu(A.tocsc()).solve, B.tocsr())
+            A, B = (reduce(matmul, [M] * m) for M in (self._A, self._B))
+            op = self._ops[m] = (splu(A.tocsc()).solve, B.tocsr())
         out = np.zeros(values.shape, values.dtype)
         out[self.inner] = op[0](op[1] @ values[self.inner])
         return out
 
 
-def _kept_power(kernel, n: int, count: int, rest: int) -> dict[int, np.ndarray] | None:
-    """{length: (S^length)^T} for a run of count intervals of n kernel steps
-    and a remainder of rest < n steps (0 for none), or None (module
-    docstring): a split-step run keeps S^n when count >= 2 and n pays
-    (_split_power_pays), and then also S^rest when rest pays, both from one
-    squaring chain, which makes no more products than two intervals and the
-    remainder on the vector path."""
-    if not (
-        isinstance(kernel, _SplitStepKernel)
-        and count >= 2
-        and _split_power_pays(kernel.half_v.size, n)
-    ):
-        return None
-    pays = rest and _split_power_pays(kernel.half_v.size, rest)
-    return kernel.powers(dict.fromkeys((n, rest) if pays else (n,)))
+def _linear_advance(kernel, substeps: int, t_final: float, dt: float, snapshot_stride: int):
+    """advance(vals, m) of a linear run to t_final, m steps being substeps *
+    m kernel steps (module docstring). The run's interval lengths are the
+    stride and the remainder; on split-step each that pays
+    (_split_power_pays) is kept as (S^n)^T, all from one squaring chain, and
+    taken as one vector-matrix product. Any other interval is one
+    kernel.step call."""
+    count, rest = divmod(_step_count(t_final, dt, snapshot_stride), snapshot_stride)
+    lengths = [substeps * m for m in (snapshot_stride if count else 0, rest) if m]
+    split = isinstance(kernel, _SplitStepKernel)
+    paying = [n for n in lengths if split and _split_power_pays(kernel.half_v.size, n)]
+    kept = kernel.powers(paying) if paying else {}
 
+    def advance(vals: np.ndarray, m: int) -> np.ndarray:
+        n = substeps * m
+        return vals @ kept[n] if n in kept else kernel.step(vals, n)
 
-def _linear_steps(kernel, values: np.ndarray, n: int, kept=None) -> np.ndarray:
-    """n linear kernel steps, n >= 1, in calls of at most kernel.chunk steps:
-    the linear advance of every propagator interval (module docstring). An
-    interval of one of the run's kept powers (_kept_power) is one
-    vector-matrix product."""
-    if kept is not None and n in kept:
-        return values @ kept[n]
-    while n > kernel.chunk:
-        values = kernel.step(values, kernel.chunk)
-        n -= kernel.chunk
-    return kernel.step(values, n)
+    return advance
 
 
 def _split_step_e_max(grid: Grid) -> float:
@@ -570,13 +555,7 @@ def schrodinger_evolve(
     """
     grid = require_same_grid(psi0, V.grid)
     H = hamiltonian(V, spec.method)
-    kernel = _make_kernel(H, spec.dt)
-    count, rest = divmod(_step_count(t_final, spec.dt, snapshot_stride), snapshot_stride)
-    kept = _kept_power(kernel, snapshot_stride, count, rest)
-
-    def advance(vals: np.ndarray, m: int) -> np.ndarray:
-        return _linear_steps(kernel, vals, m, kept)
-
+    advance = _linear_advance(_make_kernel(H, spec.dt), 1, t_final, spec.dt, snapshot_stride)
     return _drive(
         psi0.values, spec, t_final, snapshot_stride, advance, _psi_recorder(H, target),
         grid if spec.renormalize_each_step else None,
@@ -768,27 +747,25 @@ def collapsible_evolve(
     # steps per advance: one e-folding time of the force (module docstring)
     cap = max(1, int(min(1 / (rate * dt), sys.maxsize))) if rate * dt else sys.maxsize
 
-    phi = None if force.kind is ForceKind.NULL else _gauge_kernel(force, grid, node_threshold)
-    # the null force's intervals are linear: 2 snapshot_stride half steps
-    count, rest = divmod(_step_count(t_final, dt, snapshot_stride), snapshot_stride)
-    kept = _kept_power(kernel, 2 * snapshot_stride, count, 2 * rest) if phi is None else None
-    itau = 1j * tau
+    if force.kind is ForceKind.NULL:  # m steps are 2m linear half steps
+        advance = _linear_advance(kernel, 2, t_final, dt, snapshot_stride)
+    else:
+        phi = _gauge_kernel(force, grid, node_threshold)
+        itau = 1j * tau
 
-    def gauge(a: np.ndarray) -> np.ndarray:
-        """a exp(i tau Phi[a]), in place on the fresh Phi."""
-        phase = phi(a)
-        np.multiply(itau, phase, out=phase)
-        np.exp(phase, out=phase)
-        return np.multiply(a, phase, out=phase)
+        def gauge(a: np.ndarray) -> np.ndarray:
+            """a exp(i tau Phi[a]), in place on the fresh Phi."""
+            phase = phi(a)
+            np.multiply(itau, phase, out=phase)
+            np.exp(phase, out=phase)
+            return np.multiply(a, phase, out=phase)
 
-    def advance(vals: np.ndarray, m: int) -> np.ndarray:
-        if phi is None:  # the null force: m steps are 2m linear half steps
-            return _linear_steps(kernel, vals, 2 * m, kept)
-        b = gauge(kernel.step(vals, 1))
-        for _ in range(m - 1):
-            # b still owes its trailing half step, fused into the next one
-            b = gauge(kernel.step(b, 2))
-        return kernel.step(b, 1)
+        def advance(vals: np.ndarray, m: int) -> np.ndarray:
+            b = gauge(kernel.step(vals, 1))
+            for _ in range(m - 1):
+                # b still owes its trailing half step, fused into the next one
+                b = gauge(kernel.step(b, 2))
+            return kernel.step(b, 1)
 
     return _drive(
         psi0.values / scale, spec, t_final, snapshot_stride, advance, _psi_recorder(H, target),

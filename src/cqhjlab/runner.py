@@ -47,6 +47,13 @@ def _fmt_column(values) -> list[str]:
     return list(map(repr, np.asarray(values, dtype=float).tolist()))
 
 
+def _write_json(path: Path, obj) -> None:
+    """obj as JSON at path: indent 2, sorted keys, a trailing LF."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 @dataclass
 class RunResult:
     scenario: Scenario
@@ -142,9 +149,7 @@ def write_snapshots(traj: Trajectory, out_dir: Path) -> None:
 def write_artifacts(result: RunResult, out_dir: Path, wall_time_s: float) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     write_timeseries(result.trajectory, out_dir)
-    with open(out_dir / "summary.json", "w") as fh:
-        json.dump(result.summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out_dir / "summary.json", result.summary)
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "tool_version": __version__,
@@ -152,9 +157,7 @@ def write_artifacts(result: RunResult, out_dir: Path, wall_time_s: float) -> Non
         "deterministic": True,
         "wall_time_s": wall_time_s,
     }
-    with open(out_dir / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out_dir / "manifest.json", manifest)
     if result.scenario.resolved["run"]["write_snapshots"]:
         write_snapshots(result.trajectory, out_dir)
 
@@ -224,24 +227,11 @@ def write_sweep_table(rows: list[dict], param: str, out_dir: Path) -> None:
         writer.writerow(SWEEP_COLUMNS)
         for row in rows:
             writer.writerow(
-                [
-                    _fmt(row["value"]),
-                    row["status"],
-                    _fmt(row["tau_internal"]) if row["tau_internal"] is not None else "",
-                    _fmt(row["tau_si"]) if row["tau_si"] is not None else "",
-                    _fmt(row["xi"]) if row["xi"] is not None else "",
-                    _fmt(row["final_fidelity"]) if row["final_fidelity"] is not None else "",
-                    row["error"],
-                ]
+                row[c] if c in ("status", "error") else "" if row[c] is None else _fmt(row[c])
+                for c in SWEEP_COLUMNS
             )
-    with open(out_dir / "sweep.json", "w") as fh:
-        json.dump(
-            {"schema_version": SCHEMA_VERSION, "param": param, "rows": rows},
-            fh,
-            indent=2,
-            sort_keys=True,
-        )
-        fh.write("\n")
+    table = {"schema_version": SCHEMA_VERSION, "param": param, "rows": rows}
+    _write_json(out_dir / "sweep.json", table)
 
 
 def bundled_scenario_names() -> list[str]:

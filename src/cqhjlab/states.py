@@ -44,7 +44,9 @@ EIGENSTATE_RESIDUAL_TOL = 1e-6
 
 @dataclass(frozen=True)
 class Potential:
-    """Real potential sampled on a grid."""
+    """Real potential sampled on a grid. Immutable value object: two
+    potentials are equal when they share the grid and their samples are
+    bitwise equal, and equal potentials hash alike."""
 
     grid: Grid
     samples: np.ndarray
@@ -56,6 +58,15 @@ class Potential:
         if not np.all(np.isfinite(s)):
             raise ValueError("potential samples must be finite")
         object.__setattr__(self, "samples", _readonly(s))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.grid == other.grid and self.samples.tobytes() == other.samples.tobytes()
+
+    def __hash__(self):
+        # the samples are read-only, so their bytes are a sound hash
+        return hash((self.grid, self.samples.tobytes()))
 
 
 def free_potential(grid: Grid) -> Potential:
@@ -137,15 +148,10 @@ class Hamiltonian:
         return out
 
 
-def hamiltonian(V: Potential, method: Method) -> Hamiltonian:
-    """The Hamiltonian of V and the method, built once per grid, V and method."""
-    # Potential is not hashable; its samples' bytes key the cache
-    return _cached_hamiltonian(V.grid, V.samples.tobytes(), method)
-
-
 @lru_cache(maxsize=32)
-def _cached_hamiltonian(grid: Grid, samples: bytes, method: Method) -> Hamiltonian:
-    return Hamiltonian(Potential(grid, np.frombuffer(samples)), method)
+def hamiltonian(V: Potential, method: Method) -> Hamiltonian:
+    """The Hamiltonian of V and the method, built once per equal V and method."""
+    return Hamiltonian(V, method)
 
 
 @dataclass(frozen=True)

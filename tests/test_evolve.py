@@ -99,8 +99,9 @@ def test_coherent_state_centroid():
 
 @pytest.mark.parametrize("boundary", [Boundary.BOX, Boundary.PERIODIC])
 def test_crank_nicolson_step_matches_dense_cayley_solve(boundary):
-    # n = 1 .. chunk dense Cayley steps against the kernel's n-step call,
-    # one solve with the LU of A^n each
+    # n = 1 .. 2 chunk + 1 dense Cayley steps against the kernel's n-step
+    # call: up to chunk steps are one solve with the LU of A^n, and a longer
+    # call is full chunks first and then the rest, bitwise
     g = Grid(-8.0, 8.0, 128, boundary)
     V = harmonic_potential(g, 1.0)
     dt = 1e-2
@@ -114,10 +115,12 @@ def test_crank_nicolson_step_matches_dense_cayley_solve(boundary):
     kernel = _make_kernel(op, dt)
     assert kernel.chunk == 6
     want = v.copy()
-    for n in range(1, kernel.chunk + 1):
+    for n in range(1, 2 * kernel.chunk + 2):
         want[inner] = np.linalg.solve(eye + 0.5j * dt * H, (eye - 0.5j * dt * H) @ want[inner])
         got = kernel.step(v, n)
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want), n
+    chunks = kernel._solve(kernel._solve(kernel._solve(v, 6), 6), 1)
+    assert np.array_equal(kernel.step(v, 13), chunks)
 
 
 def test_single_half_step_on_a_stiff_grid_is_one_cayley_solve():
@@ -153,10 +156,10 @@ def test_split_step_double_step_merges_potential_factors():
     [(Boundary.BOX, Method.CRANK_NICOLSON), (Boundary.PERIODIC, Method.SPLIT_STEP)],
 )
 def test_schrodinger_fused_steps_match_single_steps(monkeypatch, boundary, method):
-    # between snapshots schrodinger_evolve takes the steps in kernel calls of
-    # at most kernel.chunk steps (8 for Crank-Nicolson on this grid, any
-    # number for split-step): 11 steps at snapshot strides 1, 3 and 10**9,
-    # and the states at shared times agree to roundoff
+    # between snapshots schrodinger_evolve takes the steps in one kernel
+    # call (on Crank-Nicolson solves of at most kernel.chunk = 8 steps):
+    # 11 steps at snapshot strides 1, 3 and 10**9, and the states at shared
+    # times agree to roundoff
     g = Grid(-8.0, 8.0, 256, boundary)
     V = harmonic_potential(g, 1.0)
     psi0 = gaussian_packet(g, 0.5, 1.0, 1.0)
@@ -170,9 +173,8 @@ def test_schrodinger_fused_steps_match_single_steps(monkeypatch, boundary, metho
         return step(values, n)
 
     monkeypatch.setattr(kernel, "step", counted_step)
-    whole = [8, 3] if method is Method.CRANK_NICOLSON else [11]
     runs = []
-    for stride, want_calls in ((1, [1] * 11), (3, [3, 3, 3, 2]), (10**9, whole)):
+    for stride, want_calls in ((1, [1] * 11), (3, [3, 3, 3, 2]), (10**9, [11])):
         calls.clear()
         runs.append(schrodinger_evolve(psi0, V, spec, 11 * dt, snapshot_stride=stride))
         assert calls == want_calls, (stride, calls)
@@ -286,31 +288,34 @@ def _allocating_steps(kernel, v, n):
 
 @pytest.mark.parametrize("n_points", [32, 68, 128, 256])
 def test_split_step_steps_below_the_power_crossover(n_points):
-    # an interval shorter than the rule's crossover is the stepping loop,
-    # bitwise, and every longer one is a matrix power, also past a power of
-    # two (on N = 68 the crossover is 59 and n = 64 counts one product
-    # more); grids above SPLIT_POWER_MAX_POINTS step at any length
+    # the rule makes every interval from its crossover on a matrix power,
+    # also past a power of two (on N = 68 the crossover is 59 and n = 64
+    # counts one product more), and never on grids above
+    # SPLIT_POWER_MAX_POINTS; kernel.step is the stepping loop, bitwise, on
+    # either side of the crossover
     g = Grid(-12.0, 12.0, n_points, Boundary.PERIODIC)
     kernel = _make_kernel(hamiltonian(harmonic_potential(g, 1.0), Method.SPLIT_STEP), 1e-5)
     r = np.random.default_rng(n_points)
     v = r.standard_normal(n_points) + 1j * r.standard_normal(n_points)
     crossover = next(n for n in range(1, 10**4) if evolve._split_power_pays(n_points, n))
     assert all(evolve._split_power_pays(n_points, n) for n in range(crossover, 2 * crossover))
-    n = crossover - 1
-    assert np.array_equal(kernel.step(v, n), _allocating_steps(kernel, v, n))
+    for n in (crossover - 1, crossover):
+        assert np.array_equal(kernel.step(v, n), _allocating_steps(kernel, v, n))
     big = evolve.SPLIT_POWER_MAX_POINTS + 1
     assert not any(evolve._split_power_pays(big, 2**k) for k in range(40))
 
 
 def test_split_step_power_is_deterministic():
-    # the power path of the bundled stationary run's grid: two calls give the
-    # same bits, and a whole null-force run through it twice the same states
+    # the dense power of the bundled stationary run's grid: two chains give
+    # the same bits, and a whole null-force run through it twice the same
+    # states
     g = Grid(-12.0, 12.0, 256, Boundary.PERIODIC)
     V = harmonic_potential(g, 1.0)
     kernel = _make_kernel(hamiltonian(V, Method.SPLIT_STEP), 5e-5)
     assert evolve._split_power_pays(g.n_points, 5000)
     psi0 = ho_eigenstate(0, 1.0, g).state
-    assert kernel.step(psi0.values, 5000).tobytes() == kernel.step(psi0.values, 5000).tobytes()
+    a, b = (psi0.values @ kernel.powers([5000])[5000] for _ in range(2))
+    assert a.tobytes() == b.tobytes()
     spec = IntegratorSpec(Method.SPLIT_STEP, 1e-4, False)
     a, b = (
         collapsible_evolve(psi0, V, null_force(), spec, 0.5, snapshot_stride=2500) for _ in range(2)
@@ -321,15 +326,15 @@ def test_split_step_power_is_deterministic():
 
 
 def _spy_split_step(monkeypatch):
-    """The interval lengths of every squaring chain (the keys of each
-    powers call, kernel.step's own included) and the n of every kernel.step
-    call of the split-step kernels, recorded while the calls run as before."""
+    """The interval lengths of every squaring chain (the lengths of each
+    powers call) and the n of every kernel.step call of the split-step
+    kernels, recorded while the calls run as before."""
     calls = {"powers": [], "step": []}
     powers, step = evolve._SplitStepKernel.powers, evolve._SplitStepKernel.step
 
-    def spy_powers(self, accs):
-        calls["powers"].append(list(accs))
-        return powers(self, accs)
+    def spy_powers(self, lengths):
+        calls["powers"].append(list(lengths))
+        return powers(self, lengths)
 
     def spy_step(self, values, n):
         calls["step"].append(n)
@@ -358,47 +363,53 @@ def test_split_step_run_builds_its_interval_power_once(monkeypatch):
 
 @pytest.mark.parametrize("run", ["schrodinger", "null"])
 def test_single_interval_split_step_run_builds_no_kept_power(monkeypatch, run):
-    # one interval (stride >= steps) is kernel.step's power path as before,
-    # bitwise, with no dense power kept
+    # one interval (stride >= steps) that pays is one chain for its length
+    # and one vector-matrix product with that power, bitwise, and no
+    # kernel.step call
     g = Grid(-12.0, 12.0, 256, Boundary.PERIODIC)
     V = harmonic_potential(g, 1.0)
     psi0 = random_nodeless_state(g, np.random.default_rng(19), modes=4, amplitude=0.5)
     spec = IntegratorSpec(Method.SPLIT_STEP, 1e-4, False)
+    n = 6000
+    assert evolve._split_power_pays(g.n_points, n)
+    substeps = 2 if run == "null" else 1
+    kernel = _make_kernel(hamiltonian(V, Method.SPLIT_STEP), 1e-4, substeps)
+    powers = kernel.powers
     calls = _spy_split_step(monkeypatch)
     if run == "schrodinger":
         traj = schrodinger_evolve(psi0, V, spec, 0.6, snapshot_stride=10**6)
-        kernel, n = _make_kernel(hamiltonian(V, Method.SPLIT_STEP), 1e-4), 6000
     else:
         traj = collapsible_evolve(psi0, V, null_force(), spec, 0.3, snapshot_stride=3000)
-        kernel, n = _make_kernel(hamiltonian(V, Method.SPLIT_STEP), 1e-4, substeps=2), 6000
-    assert evolve._split_power_pays(g.n_points, n)
-    assert calls == {"powers": [[n]], "step": [n]}
-    assert traj.final_state.values.tobytes() == kernel.step(psi0.values, n).tobytes()
+    assert calls == {"powers": [[n]], "step": []}
+    want = psi0.values @ powers([n])[n]
+    assert traj.final_state.values.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize(
     "t_final, rest, calls",
     [
-        # one interval and a remainder: no power is kept, each is a power
-        (0.59, 2900, {"powers": [[3000], [2900]], "step": [3000, 2900]}),
+        # one interval and a remainder that pays: one chain for both
+        (0.59, 2900, {"powers": [[3000, 2900]], "step": []}),
         # a remainder below the crossover steps by FFT
         (0.61, 100, {"powers": [[3000]], "step": [100]}),
     ],
 )
 def test_split_step_remainder_left_to_the_kernel(monkeypatch, t_final, rest, calls):
-    # the remainder of a run at stride 3,000 stays kernel.step of the last
-    # snapshot before it, bitwise, when the run keeps no power or the
-    # remainder would not be one
+    # the remainder of a run at stride 3,000 is one product with its power
+    # from the run's one chain when it pays, and kernel.step of the last
+    # snapshot before it, bitwise, when it does not
     g = Grid(-12.0, 12.0, 256, Boundary.PERIODIC)
     V = harmonic_potential(g, 1.0)
     psi0 = random_nodeless_state(g, np.random.default_rng(23), modes=4, amplitude=0.5)
     spec = IntegratorSpec(Method.SPLIT_STEP, 1e-4, False)
     kernel = _make_kernel(hamiltonian(V, Method.SPLIT_STEP), 1e-4)
     assert evolve._split_power_pays(g.n_points, rest) == (rest == 2900)
+    powers = kernel.powers
     seen = _spy_split_step(monkeypatch)
     traj = schrodinger_evolve(psi0, V, spec, t_final, snapshot_stride=3000)
     assert seen == calls
-    last = kernel.step(traj.snapshots[-2].values, rest)
+    prev = traj.snapshots[-2].values
+    last = prev @ powers([rest])[rest] if rest == 2900 else kernel.step(prev, rest)
     assert traj.final_state.values.tobytes() == last.tobytes()
 
 
@@ -993,24 +1004,23 @@ def test_one_linear_solve_per_step(ho_box_setup, monkeypatch, force_kind):
     # adjacent half steps between snapshots are one double half step: a
     # nonlinear run makes one solve per step plus one per settled snapshot
     # segment (4 snapshots after t = 0); a null-force run takes the 100 half
-    # steps of each snapshot interval in solves of at most kernel.chunk = 8
-    # half steps, 12 x 8 + 4: 13 solves per interval; each kernel call is
-    # one solve
+    # steps of each snapshot interval in one kernel call, solves of at most
+    # kernel.chunk = 8 half steps, 12 x 8 + 4: 13 solves per interval
     grid, V, pairs = ho_box_setup
     spec = IntegratorSpec(Method.CRANK_NICOLSON, 1e-3, True)
     kernel = _make_kernel(hamiltonian(V, spec.method), 0.5 * spec.dt)
     counts = {"solves": 0, "forces": 0}
-    step, real_evaluate = kernel.step, evolve.evaluate_force
+    solve, real_evaluate = kernel._solve, evolve.evaluate_force
 
-    def counted_step(values, n):
+    def counted_solve(values, m):
         counts["solves"] += 1
-        return step(values, n)
+        return solve(values, m)
 
     def counted_evaluate(*args):
         counts["forces"] += 1
         return real_evaluate(*args)
 
-    monkeypatch.setattr(kernel, "step", counted_step)
+    monkeypatch.setattr(kernel, "_solve", counted_solve)
     monkeypatch.setattr(evolve, "evaluate_force", counted_evaluate)
     force = pinning_force(pairs[0], 3.5) if force_kind == "pinning" else null_force()
     psi0 = superpose([1.0, 1.0], [pairs[0].state, pairs[1].state])

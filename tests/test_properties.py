@@ -6,7 +6,6 @@ and the split-step matrix power (32-128 points, up to 3,100 steps in one
 interval, and up to about 9,300 in a run of kept-power intervals), so the
 module adds about six seconds to the suite."""
 
-from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
@@ -172,8 +171,8 @@ def test_snapshot_cadence_does_not_change_the_trajectory(case, seed, rate, strid
     # max|psi_1| 8.6e-15, and the running log scale, summed from one norm
     # of the end state of each advance, agrees to 2.2e-14. Under the null
     # force a stride-1 step is one double half step, and a stride-k interval
-    # is 2k half steps in calls of up to kernel.chunk (8 on the box grid,
-    # all of them in one split-step call), renormalized once: 1.2e-14 (box)
+    # is 2k half steps in one kernel call (solves of up to kernel.chunk = 8
+    # on the box grid), renormalized once: 1.2e-14 (box)
     # and 8.5e-15 (periodic), log scale 5.6e-15 and 2.3e-15.
     rng = np.random.default_rng(seed)
     if case.startswith("box"):
@@ -475,8 +474,8 @@ def test_split_step_power_matches_the_stepping_loop(n_points, seed, omega, log2_
     # on small periodic grids the rule takes an interval of n steps as the
     # matrix power S^n from n = 6 (N = 32) to 389 (N = 128) steps; n is drawn
     # from that crossover to 8 times it, up to 3,100 steps. Measured over 60
-    # draws: the power and the forced stepping loop agree to 2.9e-13 of
-    # max|psi|, and both keep the grid norm to 4.3e-13 relative.
+    # draws: the power and the stepping loop agree to 3.8e-13 of max|psi|,
+    # and both keep the grid norm to 5.7e-13 relative.
     grid = Grid(-8.0, 8.0, n_points, Boundary.PERIODIC)
     rng = np.random.default_rng(seed)
     psi0 = random_nodeless_state(grid, rng, modes=4, amplitude=0.5)
@@ -485,7 +484,7 @@ def test_split_step_power_matches_the_stepping_loop(n_points, seed, omega, log2_
     kernel = evolve._SplitStepKernel(H, dt)
     crossover = next(n for n in range(1, 10**4) if evolve._split_power_pays(n_points, n))
     n = int(crossover * 2.0**log2_n)
-    power, stepped = kernel.step(psi0.values, n), kernel._stepped(psi0.values * kernel.half_v, n)
+    power, stepped = psi0.values @ kernel.powers([n])[n], kernel.step(psi0.values, n)
     assert np.max(np.abs(power - stepped)) <= 1e-12 * np.max(np.abs(stepped))
     assert abs(norm(make_field(grid, power)) / norm(psi0) - 1.0) <= 1e-12
 
@@ -495,28 +494,28 @@ def test_split_step_power_matches_the_stepping_loop(n_points, seed, omega, log2_
     n_points=st.integers(32, 128),
     seed=SEEDS,
     log2_n=st.floats(0.0, 2.0),
-    intervals=st.integers(2, 5),
+    intervals=st.integers(1, 5),
     remainder=st.floats(0.05, 0.95),
     run=st.sampled_from(["schrodinger", "null"]),
 )
-# a remainder that would be a power: the run keeps it from the same chain
+# a remainder that pays: the run keeps its power from the same chain
 @example(n_points=64, seed=0, log2_n=2.0, intervals=2, remainder=0.9, run="schrodinger")
 @example(n_points=64, seed=1, log2_n=2.0, intervals=3, remainder=0.9, run="null")
-def test_kept_split_step_power_matches_the_vector_path(
+# one interval and a paying remainder, each a kept power
+@example(n_points=64, seed=2, log2_n=2.0, intervals=1, remainder=0.9, run="null")
+def test_kept_split_step_powers_match_the_stepping_loop(
     n_points, seed, log2_n, intervals, remainder, run
 ):
-    # a run of 2-5 equal split-step intervals and a remainder takes each
-    # equal interval as one product with the kept dense power, and the
-    # remainder too where it would be a power, with its own power from the
-    # same chain; forced through the per-interval vector path (no kept
-    # power) it gives the same states to roundoff. The interval is drawn
+    # a run of 1-5 equal split-step intervals and a remainder takes each
+    # interval whose length pays as one product with its kept dense power,
+    # all from one chain; each snapshot agrees to roundoff with the FFT
+    # stepping loop run from the snapshot before it. The interval is drawn
     # from the rule's crossover to 4 times it, in kernel steps (half steps
-    # under the null force). Measured over 240 draws (up to 7,600 kernel
-    # steps, 109 with a remainder that is a power): the two runs agree to
-    # 1.5e-14 of max|psi| and their final norms to 1.6e-15. Both drift from
-    # the input norm by about 1.7e-16 per step (1.0e-12 after 5,883 steps at
-    # N = 124), the same on either path, so the norm is held to the vector
-    # path's.
+    # under the null force). Compared per interval: over a whole run the
+    # two paths drift apart by the sum of the intervals' roundoff.
+    # Measured over 240 draws (up to 1,402 kernel steps per interval, 46 of
+    # one interval, 99 with a remainder that pays): largest deviation
+    # 3.6e-13 of max|psi|, norms 8.7e-14 of the input's.
     grid = Grid(-8.0, 8.0, n_points, Boundary.PERIODIC)
     rng = np.random.default_rng(seed)
     psi0 = random_nodeless_state(grid, rng, modes=4, amplitude=0.5)
@@ -525,22 +524,22 @@ def test_kept_split_step_power_matches_the_vector_path(
     spec = IntegratorSpec(Method.SPLIT_STEP, dt, False)
     crossover = next(n for n in range(1, 10**4) if evolve._split_power_pays(n_points, n))
     n = int(crossover * 2.0**log2_n)
-    stride = n if run == "schrodinger" else -(-n // 2)
-    assert evolve._split_power_pays(n_points, stride if run == "schrodinger" else 2 * stride)
+    substeps = 1 if run == "schrodinger" else 2
+    stride = -(-n // substeps)
+    assert evolve._split_power_pays(n_points, substeps * stride)
     t_final = (intervals * stride + max(1, int(remainder * stride))) * dt
-
-    def evolved():
-        if run == "schrodinger":
-            return schrodinger_evolve(psi0, V, spec, t_final, snapshot_stride=stride)
-        return collapsible_evolve(psi0, V, null_force(), spec, t_final, snapshot_stride=stride)
-
-    kept = evolved()
-    with mock.patch.object(evolve, "_kept_power", lambda *args: None):
-        vector = evolved()
-    assert len(kept.snapshots) == intervals + 2
-    for a, b in zip(kept.snapshots, vector.snapshots, strict=True):
-        assert np.max(np.abs(a.values - b.values)) <= 1e-12 * np.max(np.abs(b.values))
-    assert abs(norm(kept.final_state) - norm(vector.final_state)) <= 1e-12 * norm(psi0)
+    if run == "schrodinger":
+        traj = schrodinger_evolve(psi0, V, spec, t_final, snapshot_stride=stride)
+    else:
+        traj = collapsible_evolve(psi0, V, null_force(), spec, t_final, snapshot_stride=stride)
+    kernel = evolve._make_kernel(hamiltonian(V, spec.method), dt, substeps)
+    steps = np.rint(traj.times / dt).astype(int)
+    assert len(traj.snapshots) == intervals + 2
+    for i in range(1, len(steps)):
+        a = traj.snapshots[i].values
+        b = kernel.step(traj.snapshots[i - 1].values, substeps * (steps[i] - steps[i - 1]))
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+        assert abs(norm(traj.snapshots[i]) - norm(make_field(grid, b))) <= 1e-12 * norm(psi0)
 
 
 def _looped_dilation(mask: np.ndarray, periodic: bool, width: int) -> np.ndarray:

@@ -33,6 +33,20 @@ from cqhjlab.states import (
 CN = Method.CRANK_NICOLSON
 
 
+def test_equal_potentials_are_equal_and_hash_alike():
+    # same grid and bitwise-equal samples in distinct arrays; the Hamiltonian
+    # cache is keyed on the potential itself
+    g = Grid(-8.0, 8.0, 64, Boundary.PERIODIC)
+    a = harmonic_potential(g, 1.0)
+    b = harmonic_potential(Grid(-8.0, 8.0, 64, Boundary.PERIODIC), 1.0)
+    assert a.samples is not b.samples
+    assert a == b and hash(a) == hash(b)
+    assert a != harmonic_potential(g, 2.0)
+    assert a != harmonic_potential(Grid(-8.0, 8.0, 64, Boundary.BOX), 1.0)
+    assert a != a.grid
+    assert hamiltonian(a, CN) is hamiltonian(b, CN)
+
+
 def test_packet_unit_norm(periodic_grid):
     p = gaussian_packet(periodic_grid, 0.0, 0.0, 1.0)
     assert abs(norm(p) - 1.0) <= 1e-12
