@@ -27,12 +27,12 @@ from .grid import (
     _check_finite,
     _derivative_op,
     _fd_matrix,
+    _normalized,
     _readonly,
     cumulative_integral,
     gradient,
     laplacian,
     make_field,
-    norm,
     require_same_grid,
 )
 from .states import Potential
@@ -76,16 +76,6 @@ class MomentumField:
     @property
     def values(self) -> np.ndarray:
         return self.field.values
-
-    @property
-    def classical(self) -> np.ndarray:
-        """Real part: the classical momentum, the phase gradient."""
-        return self.field.values.real
-
-    @property
-    def osmotic(self) -> np.ndarray:
-        """Imaginary part: minus the log-magnitude gradient."""
-        return self.field.values.imag
 
     def require_nodeless(self) -> "MomentumField":
         if self.node_mask.any():
@@ -165,11 +155,8 @@ def p_to_psi(p: MomentumField) -> tuple[Field, float]:
     """
     p.require_nodeless()
     action = cumulative_integral(p.field)  # complex action/hbar, anchored left
-    raw = np.exp(1j * action.values)
-    raw_field = make_field(p.grid, raw)
-    scale = norm(raw_field)
-    psi = Field(p.grid, raw / scale)
-    return psi, -float(np.log(scale))
+    values, scale = _normalized(p.grid, np.exp(1j * action.values))
+    return _adopt(Field, grid=p.grid, values=values), -float(np.log(scale))
 
 
 def dilated_mask(mask: np.ndarray, grid: Grid, width: int = 3) -> np.ndarray:
@@ -403,6 +390,4 @@ def random_nodeless_state(
     scale = np.max(np.abs(g))
     if scale > 0:
         g *= amplitude / scale
-    vals = np.exp(g)
-    n = norm(Field(grid, vals))
-    return make_field(grid, vals / n)
+    return make_field(grid, _normalized(grid, np.exp(g))[0])

@@ -38,7 +38,8 @@ class ConvergenceFailure(CqhjError):
 
 
 class ZeroState(CqhjError):
-    """A wave function with (numerically) zero norm where a state is required."""
+    """A state that is zero where one is required: every entry is zero, or a
+    superposition cancels below 1e-12 of its largest coefficient."""
 
 
 class NodePresent(CqhjError):

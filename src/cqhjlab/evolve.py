@@ -163,6 +163,7 @@ from .grid import (
     _antiderivative_op,
     _check_finite,
     _derivative_op,
+    _normalized,
     _readonly,
     _sq_norm,
     norm,
@@ -723,9 +724,10 @@ def collapsible_evolve(
     recorded states are the full Strang states. Under the null force the
     steps between snapshots are one linear interval. The node mask is that
     of the half-stepped state; a state with no unmasked point left raises
-    NodeBlowup. Any nonzero input norm is accepted; the log scale of the
-    entry normalization and of every renormalization (IntegratorSpec, at
-    most 1 / (rate dt) steps apart) is summed into gauge_log_magnitude.
+    NodeBlowup. Every nonzero finite scale of psi0 is accepted (grid.norm),
+    an all-zero psi0 raises ZeroState; the log scale of the entry
+    normalization and of every renormalization (IntegratorSpec, at most
+    1 / (rate dt) steps apart) is summed into gauge_log_magnitude.
     Split-step checks each half step against schrodinger_evolve's bound, so
     it requires dt * E_max <= 0.2. psi0 and V must share a grid
     (GridMismatch) and node_threshold lie in (0, 1) (ValueError).
@@ -736,9 +738,7 @@ def collapsible_evolve(
     kernel = _make_kernel(H, spec.dt, substeps=2)
     dt = spec.dt
 
-    scale = norm(Field(grid, psi0.values))
-    if scale == 0.0:
-        raise AllMasked("initial state has zero norm")
+    vals0, scale = _normalized(grid, psi0.values)
 
     # the exact sub-step's time factor (module docstring); dt in the limit
     # rate -> 0, which also covers the null force
@@ -768,6 +768,6 @@ def collapsible_evolve(
             return kernel.step(b, 1)
 
     return _drive(
-        psi0.values / scale, spec, t_final, snapshot_stride, advance, _psi_recorder(H, target),
+        vals0, spec, t_final, snapshot_stride, advance, _psi_recorder(H, target),
         grid if spec.renormalize_each_step else None, -float(np.log(scale)), cap,
     )

@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import GridMismatch, NonFiniteField, PeriodicityViolation, SchemeMismatch
+from .errors import GridMismatch, NonFiniteField, PeriodicityViolation, SchemeMismatch, ZeroState
 
 
 class Boundary(Enum):
@@ -81,6 +81,10 @@ _EDGES = {1: ((0, 1, 2, 3, 4), (-1, 0, 1, 2, 3)), 2: ((0, 1, 2, 3, 4, 5), (-1, 0
 # relative |integral of f| above which cumulative_integral calls a periodic
 # field multi-valued
 PERIODIC_INTEGRAL_TOLERANCE = 1e-8
+# the max|f| between which norm's plain weighted sum of |f|^2 neither
+# overflows nor loses digits to underflow, about 1e-146 and 2e146
+_F = np.finfo(np.float64)
+_NORM_RANGE = (np.sqrt(_F.tiny / _F.eps), np.sqrt(_F.max * _F.eps))
 
 
 @dataclass(frozen=True)
@@ -286,7 +290,25 @@ def _sq_norm(g: Grid, amp: np.ndarray) -> float:
 
 
 def norm(f: Field) -> float:
-    return float(np.sqrt(_sq_norm(f.grid, np.abs(f.values))))
+    """Grid norm sqrt(sum w |f|^2), the one place that squares amplitudes
+    for a norm: the plain weighted sum while max|f| lies in _NORM_RANGE (or
+    is 0, Inf or NaN), else max|f| norm(f / max|f|), so no square overflows
+    or underflows (Blue's scaled norm, as LAPACK's dnrm2)."""
+    amp = np.abs(f.values)
+    peak = amp.max()
+    if not (0.0 < peak < _NORM_RANGE[0] or _NORM_RANGE[1] < peak < np.inf):
+        return float(np.sqrt(_sq_norm(f.grid, amp)))
+    return float(peak) * float(np.sqrt(_sq_norm(f.grid, amp / peak)))
+
+
+def _normalized(g: Grid, values: np.ndarray) -> tuple[np.ndarray, float]:
+    """(values / norm, norm) of raw values on g; NonFiniteField for a NaN or
+    Inf entry, ZeroState only when every entry is zero (or subnormal)."""
+    _check_finite(values)
+    scale = norm(Field(g, values))
+    if scale == 0.0:
+        raise ZeroState("every entry of the state is zero")
+    return values / scale, scale
 
 
 def cumulative_integral(f: Field) -> Field:

@@ -82,15 +82,7 @@ class Scenario:
     def _eigenstate_count(self) -> int:
         """How many of the lowest eigenstates the initial state and the
         targets reach into."""
-        r = self.resolved
-        init = r["initial_state"]
-        named = [
-            init.get("index", 0),
-            *init.get("indices", ()),
-            r["force"].get("target_index", 0),
-            r["run"]["fidelity_target_index"] or 0,
-        ]
-        return max(named) + 1
+        return max(index for _, index in _named_eigenstates(self.resolved)) + 1
 
     def build_initial_state(self, grid: Grid, V: Potential) -> Field:
         s = self.resolved["initial_state"]
@@ -226,6 +218,17 @@ class _SectionReader:
         return values
 
 
+def _named_eigenstates(resolved: dict) -> list[tuple[str, int]]:
+    """(key, index) of each eigenstate the initial state and the targets name."""
+    init = resolved["initial_state"]
+    named = [("initial_state.index", init.get("index", 0))]
+    named += [("initial_state.indices", index) for index in init.get("indices", ())]
+    return named + [
+        ("force.target", resolved["force"].get("target_index", 0)),
+        ("run.fidelity_target", resolved["run"]["fidelity_target_index"] or 0),
+    ]
+
+
 def _parse_target(reader: _SectionReader, key: str) -> int:
     raw = reader._raw(key)
     if not raw.startswith("eigenstate:"):
@@ -344,6 +347,12 @@ def _resolve(sections: dict, name: str) -> Scenario:
         "integrator": resolved_integ,
         "run": resolved_run,
     }
+
+    # the oscillator's recurrence reaches state 20, the solver n_points // 8 states
+    top = 20 if kind == "harmonic" else resolved_grid["n_points"] // 8 - 1
+    for key, index in _named_eigenstates(resolved):
+        if not 0 <= index <= top:
+            raise ConfigError(f"{key} names eigenstate {index}; this scenario supplies 0..{top}")
 
     if "units" in readers:
         units = readers["units"]

@@ -7,6 +7,7 @@ These are the oracles the dynamical solvers are validated against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -28,8 +29,8 @@ from .grid import (
     Grid,
     _derivative_op,
     _fd_matrix,
+    _normalized,
     _readonly,
-    _sq_norm,
     _spectral_multiplier,
     laplacian,
     make_field,
@@ -162,13 +163,6 @@ class EigenPair:
     state: Field
 
 
-def _normalize(grid: Grid, values: np.ndarray) -> np.ndarray:
-    n = np.sqrt(_sq_norm(grid, np.abs(values)))
-    if n < 1e-300:
-        raise ZeroState("cannot normalize a zero field")
-    return values / n
-
-
 def hamiltonian_residual(pair: EigenPair, V: Potential) -> float:
     """Relative residual |H0 psi - E psi| / |psi| of a candidate eigenpair,
     with the grid's derivative operator (one-sided rows at box edges)."""
@@ -190,7 +184,7 @@ def gaussian_packet(grid: Grid, x0: float, k0: float, sigma: float) -> Field:
     if np.max(envelope_edges) >= 1e-10:
         raise DomainOverflow("packet support reaches the domain edge above 1e-10 of peak")
     v = np.exp(-((grid.x - x0) ** 2) / (2.0 * sigma**2) + 1j * k0 * grid.x)
-    return make_field(grid, _normalize(grid, v))
+    return make_field(grid, _normalized(grid, v)[0])
 
 
 def ho_eigenstate(n: int, omega: float, grid: Grid) -> EigenPair:
@@ -208,7 +202,7 @@ def ho_eigenstate(n: int, omega: float, grid: Grid) -> EigenPair:
             np.sqrt(2.0 / m) * xi * phi - np.sqrt((m - 1) / m) * phi_prev,
             phi,
         )
-    state = make_field(grid, _normalize(grid, phi.astype(np.complex128)))
+    state = make_field(grid, _normalized(grid, phi.astype(np.complex128))[0])
     pair = EigenPair(energy=(n + 0.5) * omega, state=state)
     V = harmonic_potential(grid, omega)
     res = hamiltonian_residual(pair, V)
@@ -258,28 +252,32 @@ def solve_eigenstates(H: Hamiltonian, count: int) -> list[EigenPair]:
         peak = np.argmax(np.abs(v))
         if v[peak] < 0:
             v = -v
-        pairs.append(
-            EigenPair(energy=float(energies[j]), state=make_field(grid, _normalize(grid, v.astype(np.complex128))))
-        )
+        state = make_field(grid, _normalized(grid, v.astype(np.complex128))[0])
+        pairs.append(EigenPair(energy=float(energies[j]), state=state))
     return pairs
 
 
 def superpose(coefficients, states) -> Field:
-    """Normalized linear combination of wave functions on a common grid."""
+    """Normalized linear combination of wave functions on a common grid.
+    The coefficients are divided by the power of two at or above their
+    largest real or imaginary part, exactly, so no product overflows and
+    every nonzero finite scale gives one state. ZeroState when the sum is
+    zero or cancels below 1e-12 of that part."""
     states = list(states)
     coefficients = [complex(c) for c in coefficients]
     if len(coefficients) != len(states) or not states:
         raise ValueError("need equally many coefficients and states, at least one")
-    if all(abs(c) == 0.0 for c in coefficients):
-        raise ZeroState("all superposition coefficients vanish")
+    largest = max(max(abs(c.real), abs(c.imag)) for c in coefficients)
+    exponent = math.frexp(largest)[1]
     g = states[0].grid
     acc = np.zeros(g.n_points, dtype=np.complex128)
     for c, s in zip(coefficients, states):
         require_same_grid(states[0], s)
-        acc += c * s.values
-    if norm(Field(g, acc)) < 1e-12:
-        raise ZeroState("superposition cancels to numerical zero")
-    return make_field(g, _normalize(g, acc))
+        acc += complex(math.ldexp(c.real, -exponent), math.ldexp(c.imag, -exponent)) * s.values
+    values, scale = _normalized(g, acc)
+    if scale < 1e-12 * math.ldexp(largest, -exponent):
+        raise ZeroState("superposition cancels to roundoff of its largest coefficient")
+    return make_field(g, values)
 
 
 def position_expectation(psi: Field) -> float:
@@ -298,7 +296,3 @@ def position_variance(psi: Field) -> float:
 def _inner(grid: Grid, a: np.ndarray, b: np.ndarray) -> complex:
     """Grid inner product <a|b> of two value arrays."""
     return complex(np.dot(grid.quadrature_weights, np.conj(a) * b))
-
-
-def overlap(a: Field, b: Field) -> complex:
-    return _inner(require_same_grid(a, b), a.values, b.values)

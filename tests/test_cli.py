@@ -1,9 +1,15 @@
 """Command-line interface: subcommands, exit codes, output layout."""
 
+import cmath
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cqhjlab import evolve, runner, states
 from cqhjlab.cli import main
@@ -239,6 +245,48 @@ def test_run_solver_error_writes_partial_snapshots(tmp_path, monkeypatch, capsys
         assert np.load(f, allow_pickle=False).tobytes() == snap.values.tobytes(), f.name
 
 
+UNSUPPLIABLE = """
+[grid]
+x_min = -8.0
+x_max = 8.0
+n_points = {n_points}
+boundary = box
+
+[potential]
+kind = {potential}
+
+[initial_state]
+kind = eigenstate
+index = {index}
+
+[force]
+kind = null
+
+[integrator]
+method = crank_nicolson
+dt = 1e-3
+
+[run]
+t_final = 0.01
+"""
+
+
+@pytest.mark.parametrize(
+    "n_points, potential, index",
+    [(16, "box", 40), (256, "harmonic\nomega = 1.0", 21)],
+    ids=["solved-16-points", "oscillator"],
+)
+def test_run_unsuppliable_eigenstate_exit_two(tmp_path, capsys, n_points, potential, index):
+    # a 16-point box solves n_points // 8 = 2 states and the oscillator's
+    # recurrence reaches state 20; an index past either used to end in a
+    # ValueError traceback and exit 1
+    bad = tmp_path / "bad.ini"
+    bad.write_text(UNSUPPLIABLE.format(n_points=n_points, potential=potential, index=index))
+    assert main(["run", str(bad), "--output", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: initial_state.index ") and "Traceback" not in err
+
+
 def test_unknown_bundled_name_exit_two(capsys):
     assert main(["run", "no_such_scenario"]) == 2
     assert "no bundled scenario" in capsys.readouterr().err
@@ -353,6 +401,14 @@ def test_sweep_invalid_value_exit_two_before_any_run(capsys, monkeypatch, param,
     assert message in capsys.readouterr().err
 
 
+def test_sweep_unsuppliable_eigenstate_exit_two_before_any_run(capsys, monkeypatch):
+    # a sweep override re-resolves, so it meets the same index check
+    monkeypatch.setattr(runner, "execute", lambda scenario: pytest.fail("a row ran"))
+    args = ["sweep", "ho_ground_stationary", "--param", "initial_state.index", "--values", "1,21"]
+    assert main([*args, "--workers", "1"]) == 2
+    assert "initial_state.index names eigenstate 21" in capsys.readouterr().err
+
+
 def test_sweep_bad_param_exit_two(mini_config, capsys):
     assert (
         main(["sweep", str(mini_config), "--param", "force.nope", "--values", "1,2"]) == 2
@@ -451,3 +507,96 @@ def test_full_level_includes_convergence_studies():
     assert "residual-resolution-study" in names
     assert "strang-timestep-order" in names
     assert "rk4-timestep-order" in names
+
+
+# -- a property over drawn scenarios ------------------------------------------
+# The draw space: grids of 16-256 points on either boundary and a drawn
+# extent; every potential, initial state, force and method; eigenstate
+# indices up to 40, which the smaller grids cannot supply (half of them
+# from 0..3, so that most draws run); superposition coefficients of
+# magnitude 1e-300 to 1e300 at any phase; t_final <= 0.05. Draws that break
+# a rule of the format (a box potential on a ring, split-step on a box) are
+# part of the space: they must exit 2. 100 examples take about a second.
+
+INDICES = st.integers(0, 3) | st.integers(0, 40)
+
+
+def _section(name: str, **keys) -> str:
+    return f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items() if v is not None)
+
+
+@st.composite
+def scenario_texts(draw) -> str:
+    x_min = draw(st.floats(-20.0, 0.0))
+    grid = _section(
+        "grid",
+        x_min=repr(x_min),
+        x_max=repr(x_min + draw(st.floats(2.0, 40.0))),
+        n_points=draw(st.integers(16, 256)),
+        boundary=draw(st.sampled_from(["box", "periodic"])),
+    )
+    potential = draw(st.sampled_from(["free", "harmonic", "box", "double_well"]))
+    potential = _section(
+        "potential",
+        kind=potential,
+        omega=repr(draw(st.floats(0.1, 5.0))) if potential == "harmonic" else None,
+        a=repr(draw(st.floats(0.01, 2.0))) if potential == "double_well" else None,
+        b=repr(draw(st.floats(0.5, 5.0))) if potential == "double_well" else None,
+    )
+    kind = draw(st.sampled_from(["packet", "eigenstate", "superposition"]))
+    if kind == "packet":
+        initial = _section(
+            "initial_state", kind=kind, x0=repr(x_min + draw(st.floats(0.0, 40.0))),
+            k0=repr(draw(st.floats(-5.0, 5.0))), sigma=repr(draw(st.floats(0.05, 5.0))),
+        )
+    elif kind == "eigenstate":
+        initial = _section("initial_state", kind=kind, index=draw(INDICES))
+    else:
+        indices = draw(st.lists(INDICES, min_size=1, max_size=3))
+        coefficients = [
+            cmath.rect(10.0 ** draw(st.floats(-300.0, 300.0)), draw(st.floats(0.0, 2 * np.pi)))
+            for _ in indices
+        ]
+        initial = _section(
+            "initial_state", kind=kind, indices=", ".join(map(str, indices)),
+            coefficients=", ".join(f"{c.real!r}{c.imag:+.17g}j" for c in coefficients),
+        )
+    force = draw(st.sampled_from(["null", "pinning", "kostin"]))
+    force = _section(
+        "force",
+        kind=force,
+        kappa=repr(draw(st.floats(0.1, 10.0))) if force == "pinning" else None,
+        target=f"eigenstate:{draw(INDICES)}" if force == "pinning" else None,
+        gamma=repr(draw(st.floats(0.1, 10.0))) if force == "kostin" else None,
+    )
+    integrator = _section(
+        "integrator",
+        method=draw(st.sampled_from(["split_step", "crank_nicolson"])),
+        dt=repr(10.0 ** draw(st.floats(-4.0, -2.0))),
+        renormalize=draw(st.sampled_from(["true", "false"])),
+    )
+    run = _section(
+        "run",
+        t_final=repr(draw(st.floats(1e-3, 0.05))),
+        snapshot_stride=draw(st.integers(1, 20)),
+        fidelity_target=draw(st.none() | INDICES.map("eigenstate:{}".format)),
+    )
+    return "\n".join([grid, potential, initial, force, integrator, run])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=100, deadline=None)
+@given(text=scenario_texts())
+def test_every_drawn_scenario_exits_with_a_documented_code(text):
+    # exit 0, 2 (config error) or 3 (solver error), never an escaped
+    # exception or a traceback; a solver error leaves an incomplete summary
+    with tempfile.TemporaryDirectory() as tmp:
+        config, out = Path(tmp) / "drawn.ini", Path(tmp) / "out"
+        config.write_text(text)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["run", str(config), "--output", str(out)])
+        assert code in (0, 2, 3), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        if code == 3:
+            assert json.loads((out / "summary.json").read_text())["incomplete"] is True

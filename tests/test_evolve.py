@@ -39,10 +39,13 @@ from cqhjlab.errors import (
     NonFiniteField,
     PeriodicityViolation,
     StabilityViolation,
+    ZeroState,
 )
 from cqhjlab.evolve import _make_kernel
 from cqhjlab.forces import evaluate, gauge_potential
 from cqhjlab.grid import gradient
+from cqhjlab.runner import load_scenario_or_bundled
+from cqhjlab.scenario import apply_override
 from cqhjlab.states import hamiltonian, position_expectation, position_variance
 
 
@@ -732,6 +735,38 @@ def test_collapsible_homogeneity_pointwise(ho_box_setup):
         assert np.max(np.abs(np.abs(a.values) ** 2 - np.abs(b.values) ** 2)) <= 1e-10
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("s", [1e160, 1e-200])
+def test_collapsible_runs_any_finite_scale_of_the_bundled_pinning_inputs(s):
+    # the norm of psi0 * s is taken scaled, so neither the squares of 1e160
+    # (overflow) nor those of 1e-200 (underflow) reach a sum: the run is the
+    # unscaled one, with the log scale offset by -ln s
+    scenario = apply_override(load_scenario_or_bundled("pinning_collapse"), "run.t_final", 0.1)
+    grid = scenario.build_grid()
+    V = scenario.build_potential(grid)
+    psi0 = scenario.build_initial_state(grid, V)
+    force = scenario.build_force(grid, V)
+    target = scenario.build_fidelity_target(grid, V)
+    spec = scenario.build_integrator()
+
+    def run(c):
+        return collapsible_evolve(
+            Field(grid, c * psi0.values), V, force, spec, 0.1, snapshot_stride=20, target=target
+        )
+
+    ref, scaled = run(1.0), run(s)
+    assert abs(scaled.observables["fidelity_target"][-1] - ref.observables["fidelity_target"][-1]) <= 1e-12
+    offset = scaled.observables["gauge_log_magnitude"] - ref.observables["gauge_log_magnitude"]
+    assert np.max(np.abs(offset + np.log(s))) <= 1e-12
+
+
+def test_collapsible_rejects_an_all_zero_state(ho_box_setup):
+    grid, V, pairs = ho_box_setup
+    spec = IntegratorSpec(Method.CRANK_NICOLSON, 1e-3, True)
+    with pytest.raises(ZeroState):
+        collapsible_evolve(Field(grid, np.zeros(grid.n_points)), V, null_force(), spec, 0.01)
+
+
 def test_eigenstate_fixed_point_null_force():
     g = Grid(-12.0, 12.0, 256, Boundary.PERIODIC)
     V = harmonic_potential(g, 1.0)
@@ -1057,19 +1092,22 @@ def test_strong_pinning_with_one_snapshot_stays_finite(ho_box_setup):
     "kappa, advances_per_interval", [(3.5, 1), (125.0, 3)], ids=["whole-interval", "capped"]
 )
 def test_one_norm_per_advance(ho_box_setup, monkeypatch, kappa, advances_per_interval):
-    # 100 steps at stride 20 with a target: the entry norm, the target's
-    # norm, and one norm per advance. kappa = 3.5 advances a whole interval
-    # at a time; kappa = 125 caps an advance at 1 / (kappa dt) = 8 steps,
-    # so each interval is three advances (8 + 8 + 4)
+    # 100 steps at stride 20 with a target: the entry normalization
+    # (_normalized), the target's norm, and one norm per advance. kappa = 3.5
+    # advances a whole interval at a time; kappa = 125 caps an advance at
+    # 1 / (kappa dt) = 8 steps, so each interval is three advances (8 + 8 + 4)
     grid, V, pairs = ho_box_setup
     calls = []
-    real = evolve.norm
 
-    def counted(field):
-        calls.append(None)
-        return real(field)
+    def counted(real):
+        def call(*args):
+            calls.append(None)
+            return real(*args)
 
-    monkeypatch.setattr(evolve, "norm", counted)
+        return call
+
+    monkeypatch.setattr(evolve, "norm", counted(evolve.norm))
+    monkeypatch.setattr(evolve, "_normalized", counted(evolve._normalized))
     psi0 = superpose([1.0, 1.0], [pairs[0].state, pairs[1].state])
     spec = IntegratorSpec(Method.CRANK_NICOLSON, 1e-3, True)
     traj = collapsible_evolve(

@@ -14,12 +14,14 @@ from cqhjlab import (
     IntegratorSpec,
     Method,
     cumulative_integral,
+    fidelity,
     free_potential,
     gaussian_packet,
     gradient,
     integrate,
     laplacian,
     make_field,
+    norm,
     schrodinger_evolve,
 )
 from cqhjlab.errors import (
@@ -34,7 +36,7 @@ from cqhjlab.grid import (
     _fd_weights,
     _spectral_multiplier,
 )
-from cqhjlab.states import hamiltonian, overlap
+from cqhjlab.states import hamiltonian
 
 
 @pytest.mark.parametrize("boundary", [Boundary.BOX, Boundary.PERIODIC])
@@ -80,11 +82,27 @@ def test_grid_rejects_non_finite_bounds(bounds, boundary):
         Grid(*bounds, 64, boundary)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("boundary", [Boundary.BOX, Boundary.PERIODIC])
+def test_norm_is_homogeneous_at_every_finite_scale(boundary):
+    # outside the safe range of max|f| the norm is taken scaled by max|f|,
+    # so no square overflows or underflows; inside it, the plain weighted
+    # sum bit for bit
+    g = Grid(-8.0, 8.0, 256, boundary)
+    f = gaussian_packet(g, 0.0, 1.0, 1.0)
+    unit = norm(f)
+    for s in (1e-300, 1e-200, 1e-150, 1e150, 1e200, 1e300):
+        assert abs(norm(Field(g, s * f.values)) / (s * unit) - 1.0) <= 1e-14
+    plain = np.sqrt(np.dot(g.quadrature_weights, np.abs(3.0 * f.values) ** 2))
+    assert norm(Field(g, 3.0 * f.values)) == plain
+    assert norm(Field(g, np.zeros(256))) == 0.0
+
+
 def test_cross_grid_operations_rejected():
     a = make_field(Grid(0.0, 1.0, 64, Boundary.BOX), np.ones(64))
     b = make_field(Grid(0.0, 2.0, 64, Boundary.BOX), np.ones(64))
     with pytest.raises(GridMismatch):
-        overlap(a, b)
+        fidelity(a, b)
 
 
 def test_field_rejects_nonfinite():

@@ -11,6 +11,7 @@ from cqhjlab import (
     box_potential,
     collapsible_evolve,
     double_well_potential,
+    fidelity,
     free_potential,
     gaussian_packet,
     harmonic_potential,
@@ -25,7 +26,6 @@ from cqhjlab.errors import DomainOverflow, GridMismatch, UnresolvedState, ZeroSt
 from cqhjlab.states import (
     hamiltonian,
     hamiltonian_residual,
-    overlap,
     position_expectation,
     position_variance,
 )
@@ -120,7 +120,8 @@ def test_eigensolver_orthonormality():
     pairs = solve_eigenstates(hamiltonian(harmonic_potential(g, 1.0), CN), 5)
     for i in range(5):
         for j in range(5):
-            ov = abs(overlap(pairs[i].state, pairs[j].state))
+            a, b = pairs[i].state, pairs[j].state
+            ov = np.sqrt(fidelity(a, b)) if i != j else norm(a) ** 2
             assert ov <= 1e-8 if i != j else abs(ov - 1.0) <= 1e-10
 
 
@@ -136,7 +137,7 @@ def test_eigensolver_matches_analytic_states():
     pairs = solve_eigenstates(hamiltonian(harmonic_potential(g, 1.0), CN), 6)
     for n in range(6):
         ana = ho_eigenstate(n, 1.0, g)
-        fid = abs(overlap(pairs[n].state, ana.state)) ** 2
+        fid = fidelity(pairs[n].state, ana.state)
         assert fid >= 1.0 - 1e-6
 
 
@@ -226,21 +227,21 @@ def test_eigensolver_count_guard():
 def test_superpose_identity(ho_setup):
     _, _, pairs = ho_setup
     s = superpose([1.0, 0.0], [pairs[0].state, pairs[1].state])
-    assert abs(abs(overlap(s, pairs[0].state)) - 1.0) <= 1e-12
+    assert abs(np.sqrt(fidelity(s, pairs[0].state)) - 1.0) <= 1e-12
 
 
 def test_superpose_equal_weights(ho_setup):
     _, _, pairs = ho_setup
     s = superpose([1.0, 1.0], [pairs[0].state, pairs[1].state])
     for n in (0, 1):
-        assert abs(abs(overlap(s, pairs[n].state)) ** 2 - 0.5) <= 1e-10
+        assert abs(fidelity(s, pairs[n].state) - 0.5) <= 1e-10
 
 
 def test_superpose_born_arithmetic(ho_setup):
     _, _, pairs = ho_setup
     s = superpose([0.6, 0.8j], [pairs[0].state, pairs[1].state])
-    assert abs(abs(overlap(s, pairs[0].state)) ** 2 - 0.36) <= 1e-10
-    assert abs(abs(overlap(s, pairs[1].state)) ** 2 - 0.64) <= 1e-10
+    assert abs(fidelity(s, pairs[0].state) - 0.36) <= 1e-10
+    assert abs(fidelity(s, pairs[1].state) - 0.64) <= 1e-10
 
 
 def test_superpose_grid_mismatch(ho_setup, box_grid):
@@ -248,6 +249,18 @@ def test_superpose_grid_mismatch(ho_setup, box_grid):
     other = ho_eigenstate(0, 1.0, box_grid)
     with pytest.raises(GridMismatch):
         superpose([1.0, 1.0], [pairs[0].state, other.state])
+
+
+def test_superpose_accepts_any_finite_scale_of_its_coefficients(ho_setup):
+    # the coefficients are scaled by a power of two before any product, and
+    # the cancellation test is relative to the largest of them
+    _, _, pairs = ho_setup
+    states = [pairs[0].state, pairs[1].state]
+    big = superpose([1e300, 1.0], states)
+    assert abs(norm(big) - 1.0) <= 1e-14
+    assert np.max(np.abs(big.values - superpose([1.0, 1e-300], states).values)) <= 1e-14
+    tiny = superpose([1e-170, 1e-170], states)
+    assert np.max(np.abs(tiny.values - superpose([1.0, 1.0], states).values)) <= 1e-14
 
 
 def test_superpose_zero_state(ho_setup):
