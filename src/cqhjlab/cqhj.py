@@ -161,15 +161,21 @@ def p_to_psi(p: MomentumField) -> tuple[Field, float]:
 
 def dilated_mask(mask: np.ndarray, grid: Grid, width: int = 3) -> np.ndarray:
     """Node mask grown by `width` grid points on each side, so derivative
-    stencils evaluated outside it never touch a masked point. The growth
-    wraps around a periodic grid and stops at the walls of a box grid."""
-    # entry j of the full convolution counts the masked points within width
-    # of grid point j - width; a periodic grid folds the overhang back
-    full = np.convolve(mask.astype(np.float64), np.ones(2 * width + 1))
-    n = mask.size
+    stencils evaluated outside it never touch a masked point; a stack of
+    masks grows along its last axis, row by row. The growth wraps around a
+    periodic grid and stops at the walls of a box grid."""
+    # pad[j + width] is mask[j], wrapped or False past the ends, and point j
+    # is the OR of the 2 width + 1 points pad[j : j + 2 width + 1]
+    n = mask.shape[-1]
     if grid.boundary is Boundary.PERIODIC:
-        return np.bincount(np.arange(-width, n + width) % n, full, n) > 0.5
-    return full[width : width + n] > 0.5
+        pad = mask[..., np.arange(-width, n + width) % n]
+    else:
+        pad = np.zeros(mask.shape[:-1] + (n + 2 * width,), bool)
+        pad[..., width : width + n] = mask
+    out = pad[..., :n].copy()
+    for s in range(1, 2 * width + 1):
+        out |= pad[..., s : s + n]
+    return out
 
 
 def _masked_gradient(values: np.ndarray, mask: np.ndarray, grid: Grid) -> np.ndarray:
@@ -284,15 +290,24 @@ def cqhj_rhs_from_state(
     return Field(psi.grid, -_masked_gradient(H.values, mask, psi.grid)), mask
 
 
+def _masked_moments(values: np.ndarray, mask: np.ndarray, grid: Grid):
+    """(mean, std) of each row of a stack of fields over the complement of
+    its dilated mask row, as arrays: sums along the rows with the dropped
+    points zeroed, so a row's moments do not depend on the rows stacked
+    with it. NodePresent when the dilated mask covers a whole row."""
+    keep = ~dilated_mask(mask, grid, STATS_STENCIL_WIDTH)
+    count = keep.sum(axis=-1)
+    if not count.all():
+        raise NodePresent("mask covers the entire grid")
+    mean = np.where(keep, values, 0.0).sum(axis=-1) / count
+    dev = np.where(keep, np.abs(values - mean[..., None]) ** 2, 0.0)
+    return mean, np.sqrt(dev.sum(axis=-1) / count)
+
+
 def masked_stats(field: Field, mask: np.ndarray) -> tuple[complex, float]:
     """(mean, std) of a field over the complement of the dilated mask."""
-    keep = ~dilated_mask(mask, field.grid, STATS_STENCIL_WIDTH)
-    vals = field.values[keep]
-    if vals.size == 0:
-        raise NodePresent("mask covers the entire grid")
-    mean = vals.mean()
-    std = float(np.sqrt(np.mean(np.abs(vals - mean) ** 2)))
-    return complex(mean), std
+    mean, std = _masked_moments(field.values[None], mask[None], field.grid)
+    return complex(mean[0]), float(std[0])
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ImaginaryEnergy, ZeroSpread, ZeroState
-from .grid import Field, Grid, _sq_norm, norm, require_same_grid
-from .states import Hamiltonian, _inner
+from .grid import Field, Grid, _scaled_rows, _sq_norm, require_same_grid
+from .states import Hamiltonian
 
 HBAR_SI = 1.054571817e-34  # J s
 ELECTRON_MASS_KG = 9.1093837015e-31
@@ -25,25 +25,47 @@ BRACKET_MIN_S = 1e-13
 BRACKET_MAX_S = 1e-4
 
 
-def _fidelity(grid: Grid, a: np.ndarray, b: np.ndarray, na: float, nb: float) -> float:
-    """fidelity of the value arrays a and b, with norms na and nb."""
-    if na < 1e-150 or nb < 1e-150:
+def _scaled(psi: Field) -> tuple[np.ndarray, float]:
+    """(values, squared norm) of psi as grid._scaled_rows takes them, the
+    values as a one-row stack: divided by max|psi| where grid.norm rescales
+    psi, else psi's own, so no square taken of them overflows or
+    underflows."""
+    vals, _, sq, _ = _scaled_rows(psi.grid, psi.values[None])
+    return vals, float(sq[0])
+
+
+def _inners(grid: Grid, a: np.ndarray, b: np.ndarray) -> list[complex]:
+    """Grid inner products <a|b> of the rows of two stacks of value arrays,
+    or of each row of a with the one array b; one np.dot per row, so a row's
+    product does not depend on the rows stacked with it."""
+    w = grid.quadrature_weights
+    return [complex(np.dot(w, row)) for row in np.conj(a) * b]
+
+
+def _fidelity(inner: complex, na: float, nb: float) -> float:
+    """fidelity from the inner product <a|b> and the norms na and nb of two
+    states, each scaled as _scaled takes it."""
+    if na == 0.0 or nb == 0.0:
         raise ZeroState("fidelity of a zero state is undefined")
-    val = abs(_inner(grid, a, b)) ** 2 / (na**2 * nb**2)
+    val = abs(inner) ** 2 / (na**2 * nb**2)
     return float(min(val, 1.0))
 
 
 def fidelity(a: Field, b: Field) -> float:
-    """Squared normalized overlap |<a|b>|^2 / (<a|a><b|b>), in [0, 1]."""
-    return _fidelity(require_same_grid(a, b), a.values, b.values, norm(a), norm(b))
+    """Squared normalized overlap |<a|b>|^2 / (<a|a><b|b>), in [0, 1]. A
+    state that grid.norm rescales is divided by its max|psi| first, so that
+    scale does not change the value."""
+    g = require_same_grid(a, b)
+    (va, sa), (vb, sb) = _scaled(a), _scaled(b)
+    return _fidelity(_inners(g, va, vb)[0], math.sqrt(sa), math.sqrt(sb))
 
 
-def _energy(grid: Grid, values: np.ndarray, hvalues: np.ndarray, sq_norm: float) -> float:
-    """energy of the finite values with H applied (hvalues) and squared norm
-    sq_norm."""
-    if sq_norm < 1e-300:
+def _energy(inner: complex, sq_norm: float) -> float:
+    """energy from the inner product <psi|H psi> and the squared norm of a
+    finite state psi, scaled as _scaled takes it."""
+    if sq_norm == 0.0:
         raise ZeroState("energy of a zero state is undefined")
-    val = _inner(grid, values, hvalues) / sq_norm
+    val = inner / sq_norm
     scale = max(1.0, abs(val))
     if abs(val.imag) > 1e-10 * scale:
         raise ImaginaryEnergy(
@@ -53,28 +75,29 @@ def _energy(grid: Grid, values: np.ndarray, hvalues: np.ndarray, sq_norm: float)
 
 
 def energy(psi: Field, H: Hamiltonian) -> float:
-    """Expectation of the linear Hamiltonian H (states.Hamiltonian), normalized.
+    """Expectation of the linear Hamiltonian H (states.Hamiltonian), normalized,
+    of any nonzero finite scale of psi.
 
     A NaN or Inf entry raises NonFiniteField. The imaginary residual must
     vanish (V real, symmetric operator); a residual above 1e-10 of the
     energy scale indicates a numerics bug and raises ImaginaryEnergy.
     """
     require_same_grid(psi, H.grid)
-    v = psi.check_finite().values
-    return _energy(psi.grid, v, H.apply(v), _sq_norm(psi.grid, np.abs(v)))
+    v, sq_norm = _scaled(psi.check_finite())
+    return _energy(_inners(psi.grid, v, H.apply(v))[0], sq_norm)
 
 
 def energy_spread(psi: Field, H: Hamiltonian) -> float:
-    """Standard deviation of the linear Hamiltonian H in the given state;
-    a NaN or Inf entry raises NonFiniteField, a zero state ZeroState."""
+    """Standard deviation of the linear Hamiltonian H in the given state, of
+    any nonzero finite scale; a NaN or Inf entry raises NonFiniteField, a
+    zero state ZeroState."""
     g = require_same_grid(psi, H.grid)
-    v = psi.check_finite().values
-    den = _sq_norm(g, np.abs(v))
-    if den < 1e-300:
+    v, den = _scaled(psi.check_finite())
+    if den == 0.0:
         raise ZeroState("energy spread of a zero state is undefined")
     hvals = H.apply(v)
-    e1 = _inner(g, v, hvals) / den
-    e2 = _sq_norm(g, np.abs(hvals)) / den
+    e1 = _inners(g, v, hvals)[0] / den
+    e2 = _sq_norm(g, np.abs(hvals[0])) / den
     var = e2 - abs(e1) ** 2
     return float(np.sqrt(max(var, 0.0)))
 

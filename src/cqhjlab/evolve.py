@@ -92,15 +92,18 @@ so a step is bitwise the allocating expression it replaces.
 
 All three propagators run on one stepping loop, `_drive`. Each supplies
 only an interval function advance(vals, m), which takes a full Strang
-state m steps on, and a snapshot function record(vals, obs, log), both on
-raw ndarrays; the loop owns the snapshot cadence (t = 0, every
-snapshot_stride-th step and the last step), the step cap, the
-renormalization of each advance's end state and its running log scale,
-the assembly of the Trajectory, and attaching the partial trajectory to
-any CqhjError a step or a snapshot raises. The recorder takes every
-observable from one finite check and one weighted |psi|^2 sum, through
-masked_stats and the private helpers behind energy, fidelity and
-hamiltonian_field_from_state, so each formula has one copy.
+state m steps on, and a recorder (record, series), both on raw ndarrays;
+the loop owns the snapshot cadence (t = 0, every snapshot_stride-th step
+and the last step), the step cap, the renormalization of each advance's
+end state and its running log scale, the assembly of the Trajectory, and
+attaching the partial trajectory to any CqhjError a step, a snapshot or
+the observables raise. record is the per-snapshot finite check, which
+keeps the state; series takes the observables of the kept states once per
+run, in blocks (_psi_series), through the formulas behind norm, energy,
+fidelity and masked_stats, so each formula has one copy, with the H field
+(H psi) / psi of the Hamiltonian the run steps with. A row's values do
+not depend on its block, and an observable error, earlier than any step
+error, wins.
 
 The force layer of a nonlinear run is one kernel per run on raw ndarrays
 (_gauge_kernel). It looks up the force's law once (forces._force_law, with
@@ -122,6 +125,7 @@ are the API boundary, built only for a snapshot.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache, reduce
@@ -138,12 +142,10 @@ from .cqhj import (
     _action_increments as psi_to_p,
     _check_node_threshold,
     _expanded_rhs,
-    _hamiltonian_field,
-    _node_mask,
-    masked_stats,
+    _masked_moments,
     p_to_psi,
 )
-from .diagnostics import _energy, _fidelity
+from .diagnostics import _energy, _fidelity, _inners, _scaled
 from .errors import (
     AllMasked,
     CqhjError,
@@ -165,7 +167,7 @@ from .grid import (
     _derivative_op,
     _normalized,
     _readonly,
-    _sq_norm,
+    _scaled_rows,
     norm,
     require_same_grid,
 )
@@ -423,39 +425,96 @@ def _cached_kernel(H: Hamiltonian, dt: float):
 # observables
 
 
-def _record_psi_observables(
-    store: dict,
-    vals: np.ndarray,
-    H: Hamiltonian,
-    target: tuple[np.ndarray, float] | None,
-    gauge_log_magnitude: float,
-) -> Field:
-    """Append the observables of the state vals to the store in one pass:
-    one finite check and one weighted |psi|^2 sum for the norm, the energy
-    and the fidelity. target is the fidelity target's (values, norm), or
-    None for no fidelity_target series. Returns the snapshot, which takes
-    vals without a copy."""
-    grid = H.grid
-    psi = _adopt(Field, grid=grid, values=vals).check_finite()
-    amp = np.abs(vals)
-    sq_norm = _sq_norm(grid, amp)
-    mask = _node_mask(amp, OBSERVABLE_NODE_THRESHOLD)
-    h_field = _adopt(Field, grid=grid, values=_hamiltonian_field(H.V, vals, mask))
-    mean, std = masked_stats(h_field, mask)
-    psi_norm = float(np.sqrt(sq_norm))
-    row = (
-        psi_norm,
-        _energy(grid, vals, H.apply(vals), sq_norm),
-        None if target is None else _fidelity(grid, vals, target[0], psi_norm, target[1]),
-        mean.real,
-        std,
-        gauge_log_magnitude,
-        0.0,  # gauge_phase: the scale factors are real
-    )
-    for key, value in zip(OBSERVABLES, row, strict=True):
-        if value is not None:
-            store.setdefault(key, []).append(value)
+# the bytes of one complex temporary of the observable block pass, which
+# sets its rows per block (_psi_series): 32 states at N = 512
+OBSERVE_BLOCK_BYTES = 1 << 18
+
+
+def _record_psi_observables(kept: list, vals: np.ndarray | None, grid: Grid, log: float):
+    """The snapshot of the state vals, which takes vals without a copy,
+    after its finite check; vals and its log scale are kept for the block
+    pass (_psi_series). vals None (a winding field of cqhj_evolve) keeps a
+    row of NaN."""
+    psi = None if vals is None else _adopt(Field, grid=grid, values=vals).check_finite()
+    kept.append((vals, log))
     return psi
+
+
+def _observe(H: Hamiltonian, target: tuple[np.ndarray, float] | None, stack: np.ndarray):
+    """The first five OBSERVABLES, norm to H_std, of a stack of finite
+    states, one column per state (fidelity_target NaN without a target),
+    from one operator application: the H field is (H psi) / psi off the
+    node mask and V on it. The weighted sums are one np.dot per row, so a
+    column is bitwise that of the state alone. AllMasked for a zero row,
+    then NodePresent, ImaginaryEnergy and ZeroState as the observables
+    raise them."""
+    grid = H.grid
+    vals, amp, sq, norms = _scaled_rows(grid, stack)
+    peak = amp.max(axis=-1, keepdims=True)
+    if not peak.all():
+        raise AllMasked("wave function vanishes identically")
+    # cqhj._node_mask's rule; a nonzero row keeps its peak point unmasked
+    mask = amp < OBSERVABLE_NODE_THRESHOLD * peak
+    hvals = H.apply(vals)
+    h_field = np.empty_like(hvals)
+    h_field[...] = H.V.samples
+    np.divide(hvals, vals, out=h_field, where=~mask)
+    mean, std = _masked_moments(h_field, mask, grid)
+    energies = list(map(_energy, _inners(grid, vals, hvals), sq.tolist()))
+    if target is None:
+        fids = [np.nan] * len(vals)
+    else:
+        inners = _inners(grid, vals, target[0])
+        fids = [_fidelity(i, n, target[1]) for i, n in zip(inners, np.sqrt(sq).tolist())]
+    return np.array([norms, energies, fids, mean.real, std])
+
+
+def _first_failure(H: Hamiltonian, target, stack: np.ndarray):
+    """(_observe of the stack, None), or, when a row fails, _observe of the
+    rows before the first failing one (None for none) and that row's error.
+    A row's observables depend on the row alone, so a leading slice of the
+    stack fails exactly when it holds that row, which bisection finds."""
+    try:
+        return _observe(H, target, stack), None
+    except CqhjError as exc:
+        error = exc
+    good, bad, cols = 0, len(stack), None
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        try:
+            cols, good = _observe(H, target, stack[:mid]), mid
+        except CqhjError as exc:
+            error, bad = exc, mid
+    return cols, error
+
+
+def _psi_series(kept: list, H: Hamiltonian, target: tuple[np.ndarray, float] | None):
+    """(observables, error) of the kept snapshots (state, log scale) of a
+    run, computed in blocks of OBSERVE_BLOCK_BYTES / (16 N) states: error is
+    None and the series cover every snapshot, or error is the first failing
+    snapshot's and the series stop before it. A state None records NaN
+    throughout."""
+    rows = [i for i, (v, _) in enumerate(kept) if v is not None]
+    block = max(1, OBSERVE_BLOCK_BYTES // (16 * H.grid.n_points))
+    parts, done, error = [], 0, None
+    for start in range(0, len(rows), block):
+        stack = np.stack([kept[i][0] for i in rows[start : start + block]])
+        cols, error = _first_failure(H, target, stack)
+        if cols is not None:
+            parts.append(cols)
+            done += cols.shape[1]
+        if error is not None:
+            break
+    count = rows[done] if error is not None else len(kept)
+    table = np.full((len(OBSERVABLES), count), np.nan)
+    if parts:
+        table[:5, rows[:done]] = np.concatenate(parts, axis=1)
+    table[5] = [log for _, log in kept[:count]]
+    table[6, rows[:done]] = 0.0  # gauge_phase: the scale factors are real
+    obs = dict(zip(OBSERVABLES, table))
+    if target is None:
+        del obs["fidelity_target"]
+    return obs, error
 
 
 # --------------------------------------------------------------------------
@@ -463,12 +522,19 @@ def _record_psi_observables(
 
 
 def _psi_recorder(H: Hamiltonian, target: Field | None):
-    """Snapshot function of the wave-function propagators; the target's
-    norm is taken once per run."""
+    """(record, series) of the wave-function propagators, as _drive takes
+    them: record(vals, log) is _record_psi_observables, series() the block
+    pass over the states it keeps (_psi_series). The target is scaled once
+    per run."""
+    kept: list = []
     if target is not None:
         require_same_grid(target, H.grid)
-        target = (target.values, norm(target))
-    return lambda v, obs, log: _record_psi_observables(obs, v, H, target, log)
+        vals, sq_norm = _scaled(target)
+        target = (vals[0], math.sqrt(sq_norm))
+    return (
+        lambda v, log: _record_psi_observables(kept, v, H.grid, log),
+        lambda: _psi_series(kept, H, target),
+    )
 
 
 def _step_count(t_final: float, dt: float, snapshot_stride: int) -> int:
@@ -487,7 +553,7 @@ def _drive(
     t_final: float,
     snapshot_stride: int,
     advance,
-    record,
+    recorder,
     grid: Grid | None,
     log: float = 0.0,
     cap: int = sys.maxsize,
@@ -497,24 +563,21 @@ def _drive(
     advance(vals, m) takes a full state m <= cap steps on. With a grid,
     each advance's end state is divided by its grid norm and log, from the
     entry log scale, sums the log scale factors; None: no renormalization.
-    record(vals, obs, log) appends the observables to obs and returns the
-    snapshot. ValueError, before the first record, unless t_final is
-    positive and finite and snapshot_stride >= 1.
+    recorder is (record, series): record(vals, log) keeps a snapshot and
+    returns it, and series() gives the observables of the kept snapshots
+    and the error of the first whose observables fail, or None; it runs
+    once, after the last step or after a step's or a snapshot's CqhjError.
+    Of two errors the earlier in time, the observables', is raised, with
+    the trajectory before it attached. ValueError, before the first
+    record, unless t_final is positive and finite and snapshot_stride >= 1.
     """
     n_steps = _step_count(t_final, spec.dt, snapshot_stride)
-    obs: dict = {}
+    record, series = recorder
     snaps: list = []
     times: list[float] = []
-
-    def trajectory() -> Trajectory:
-        return Trajectory(
-            times=np.asarray(times),
-            snapshots=snaps,
-            observables={k: np.asarray(v) for k, v in obs.items()},
-        )
-
+    error = None
     try:
-        snaps.append(record(vals, obs, log))
+        snaps.append(record(vals, log))
         times.append(0.0)
         step = 0
         for end in chain(range(snapshot_stride, n_steps, snapshot_stride), (n_steps,)):
@@ -526,12 +589,19 @@ def _drive(
                     scale = norm(_adopt(Field, grid=grid, values=vals))
                     log -= float(np.log(scale))
                     vals = vals / scale
-            snaps.append(record(vals, obs, log))
+            snaps.append(record(vals, log))
             times.append(step * spec.dt)
     except CqhjError as exc:
-        exc.trajectory = trajectory()
-        raise
-    return trajectory()
+        error = exc
+    obs, failure = series()
+    count = len(obs["norm"])
+    traj = Trajectory(times=np.asarray(times[:count]), snapshots=snaps[:count], observables=obs)
+    if failure is not None:
+        error = failure
+    if error is not None:
+        error.trajectory = traj
+        raise error
+    return traj
 
 
 def schrodinger_evolve(
@@ -647,22 +717,21 @@ def cqhj_evolve(
             monitor(vals, done * dt)
         return vals
 
-    record_psi = _psi_recorder(H, target)
+    record_psi, series = _psi_recorder(H, target)
 
-    def record(vals: np.ndarray, obs: dict, log: float) -> MomentumField:
+    def record(vals: np.ndarray, log: float) -> MomentumField:
         pf = MomentumField(Field(grid, vals), empty)
         try:
             psi, log_scale = p_to_psi(pf)
-            record_psi(psi.values, obs, log_scale)
         except PeriodicityViolation:
-            # winding fields have no single-valued reconstruction; keep the
-            # observable series aligned with the snapshot series
-            for key in OBSERVABLES:
-                if target is not None or key != "fidelity_target":
-                    obs.setdefault(key, []).append(np.nan)
+            # winding fields have no single-valued reconstruction: a row of
+            # NaN keeps the observable series aligned with the snapshots
+            record_psi(None, np.nan)
+        else:
+            record_psi(psi.values, log_scale)
         return pf
 
-    return _drive(p0.values, spec, t_final, snapshot_stride, advance, record, None)
+    return _drive(p0.values, spec, t_final, snapshot_stride, advance, (record, series), None)
 
 
 def _momentum_kernel(V: Potential):

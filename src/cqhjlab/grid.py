@@ -289,16 +289,45 @@ def _sq_norm(g: Grid, amp: np.ndarray) -> float:
     return float(np.dot(g.quadrature_weights, amp**2).real)
 
 
+def _rescaled(peak):
+    """Whether a state of max|f| = peak is divided by peak before its
+    squares are taken: peak is finite and nonzero but outside _NORM_RANGE.
+    Elementwise on an array of peaks."""
+    lo, hi = _NORM_RANGE
+    return ((0.0 < peak) & (peak < lo)) | ((hi < peak) & (peak < np.inf))
+
+
 def norm(f: Field) -> float:
-    """Grid norm sqrt(sum w |f|^2), the one place that squares amplitudes
+    """Grid norm sqrt(sum w |f|^2), the one rule that squares amplitudes
     for a norm: the plain weighted sum while max|f| lies in _NORM_RANGE (or
     is 0, Inf or NaN), else max|f| norm(f / max|f|), so no square overflows
     or underflows (Blue's scaled norm, as LAPACK's dnrm2)."""
     amp = np.abs(f.values)
     peak = amp.max()
-    if not (0.0 < peak < _NORM_RANGE[0] or _NORM_RANGE[1] < peak < np.inf):
+    if not _rescaled(peak):
         return float(np.sqrt(_sq_norm(f.grid, amp)))
     return float(peak) * float(np.sqrt(_sq_norm(f.grid, amp / peak)))
+
+
+def _scaled_rows(g: Grid, values: np.ndarray):
+    """(values, amp, sq_norms, norms) of a stack of states on g, one per row
+    along the last axis, under norm's rule: each row that norm rescales is
+    divided, with its magnitudes amp, by its max|f| (in a copy; the other
+    rows are taken as they are), sq_norms are the squared norms of the rows
+    so divided, one weighted sum per row, and norms are norm of each row,
+    bitwise. Squares taken of the returned values neither overflow nor
+    underflow."""
+    amp = np.abs(values)
+    peak = amp.max(axis=-1)
+    rows = np.flatnonzero(_rescaled(peak))
+    scale = np.ones(peak.shape)
+    if rows.size:
+        scale[rows] = peak[rows]
+        values = values.copy()
+        values[rows] /= scale[rows, None]
+        amp[rows] /= scale[rows, None]
+    sq = np.array([_sq_norm(g, a) for a in amp])
+    return values, amp, sq, scale * np.sqrt(sq)
 
 
 def _normalized(g: Grid, values: np.ndarray) -> tuple[np.ndarray, float]:

@@ -141,11 +141,13 @@ class Hamiltonian:
         return M
 
     def apply(self, values: np.ndarray) -> np.ndarray:
-        """H0 values on the full grid, in a fresh array; V values at box walls."""
+        """H0 values on the full grid, in a fresh array; V values at box walls.
+        A stack of states is taken along its last axis in one FFT or sparse
+        product, each row bitwise its own apply."""
         if self._L is None:
             return -0.5 * _derivative_op(self.grid, 2)(values) + self.V.samples * values
         out = self.V.samples * values
-        out[self.inner] += -0.5 * (self._L @ values[self.inner])
+        out[..., self.inner] += -0.5 * (self._L @ values[..., self.inner].T).T
         return out
 
 
@@ -173,10 +175,16 @@ def hamiltonian_residual(pair: EigenPair, V: Potential) -> float:
 
 
 def gaussian_packet(grid: Grid, x0: float, k0: float, sigma: float) -> Field:
-    """Normalized Gaussian packet exp(-(x-x0)^2/(2 sigma^2) + i k0 x)."""
+    """Normalized Gaussian packet exp(-(x-x0)^2/(2 sigma^2) + i k0 x);
+    DomainOverflow unless x0 lies strictly inside the grid and the envelope
+    stays below 1e-10 of its peak at both edges."""
     if sigma < 4.0 * grid.dx:
         raise UnresolvedState(
             f"sigma = {sigma} is below 4 dx = {4*grid.dx:.3g}; the packet is unresolved"
+        )
+    if not grid.x_min < x0 < grid.x_max:
+        raise DomainOverflow(
+            f"packet centre x0 = {x0} is not inside the grid ({grid.x_min}, {grid.x_max})"
         )
     envelope_edges = np.exp(
         -((np.array([grid.x_min, grid.x_max]) - x0) ** 2) / (2.0 * sigma**2)
@@ -292,7 +300,3 @@ def position_variance(psi: Field) -> float:
     mean = position_expectation(psi)
     return float(np.dot(w, (psi.grid.x - mean) ** 2 * dens) / np.dot(w, dens))
 
-
-def _inner(grid: Grid, a: np.ndarray, b: np.ndarray) -> complex:
-    """Grid inner product <a|b> of two value arrays."""
-    return complex(np.dot(grid.quadrature_weights, np.conj(a) * b))

@@ -100,6 +100,29 @@ def test_energy_superposition_average(ho_setup):
     assert abs(energy(s, spectral(V)) - 1.0) <= 1e-6
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e160, 1e-160, 1e-200])
+@pytest.mark.parametrize(
+    "boundary, method",
+    [(Boundary.BOX, Method.CRANK_NICOLSON), (Boundary.PERIODIC, Method.SPLIT_STEP)],
+)
+def test_observables_are_scale_free(boundary, method, scale):
+    # energy, energy_spread and fidelity are of degree zero in psi: a state
+    # whose squares would overflow or underflow is divided by max|psi|
+    # first, as grid.norm does
+    g = Grid(-8.0, 8.0, 512, boundary)
+    V = harmonic_potential(g, 1.0)
+    H = hamiltonian(V, method)
+    ground, excited = (ho_eigenstate(n, 1.0, g).state for n in (0, 1))
+    psi = superpose([1.0, 1.0], [ground, excited])
+    big = make_field(g, scale * psi.values)
+    assert abs(energy(big, H) - energy(psi, H)) <= 1e-12
+    assert abs(energy_spread(big, H) - energy_spread(psi, H)) <= 1e-12
+    assert abs(fidelity(big, ground) - fidelity(psi, ground)) <= 1e-12
+    assert abs(fidelity(ground, big) - fidelity(ground, psi)) <= 1e-12
+    assert abs(fidelity(big, big) - 1.0) <= 1e-12
+
+
 @pytest.mark.parametrize("boundary", [Boundary.BOX, Boundary.PERIODIC])
 def test_energy_of_non_finite_field_raises(boundary):
     g = Grid(-8.0, 8.0, 128, boundary)

@@ -29,13 +29,14 @@ from cqhjlab import (
     superpose,
 )
 from cqhjlab import evolve
-from cqhjlab.cqhj import hamiltonian_field_from_state, masked_stats
+from cqhjlab.cqhj import masked_stats
 from cqhjlab.diagnostics import energy
 from cqhjlab.errors import (
     AllMasked,
     GridMismatch,
     NodeApproach,
     NodeBlowup,
+    NodePresent,
     NonFiniteField,
     PeriodicityViolation,
     StabilityViolation,
@@ -485,22 +486,30 @@ def test_renormalization_logged(ho_box_setup):
     [(Boundary.BOX, Method.CRANK_NICOLSON), (Boundary.PERIODIC, Method.SPLIT_STEP)],
 )
 def test_recorder_matches_the_public_observables(boundary, method, with_target):
-    # the one-pass recorder shares one finite check and one |psi|^2 sum;
-    # each value must be bitwise the public function's. The superposition
-    # has a node and tails below the observable node threshold, so the mask
-    # and its dilation take part.
+    # the recorder keeps the state and its log scale, and the block pass at
+    # the run's end takes every observable from one finite check, one
+    # |psi|^2 sum per row and one operator application; norm, energy and
+    # fidelity must be bitwise the public functions', and the H field is
+    # (H psi) / psi of the run's Hamiltonian off the node mask, V on it. The
+    # superposition has a node and tails below the observable node
+    # threshold, so the mask and its dilation take part.
     g = Grid(-8.0, 8.0, 512, boundary)
     V = harmonic_potential(g, 1.0)
     ground, excited = (ho_eigenstate(n, 1.0, g).state for n in (0, 1))
     psi = superpose([1.0, 1.0], [ground, excited])
     target = Field(g, 3.0 * ground.values) if with_target else None
     H = hamiltonian(V, method)
-    obs = {}
-    snap = evolve._psi_recorder(H, target)(psi.values, obs, 0.25)
+    record, series = evolve._psi_recorder(H, target)
+    snap = record(psi.values, 0.25)
     assert np.array_equal(snap.values, psi.values)
-    h_field, mask = hamiltonian_field_from_state(psi, V, evolve.OBSERVABLE_NODE_THRESHOLD)
+    obs, error = series()
+    assert error is None
+    amp = np.abs(psi.values)
+    mask = amp < evolve.OBSERVABLE_NODE_THRESHOLD * amp.max()
     assert 0 < mask.sum() < g.n_points
-    mean, std = masked_stats(h_field, mask)
+    h_field = V.samples.astype(np.complex128)
+    h_field[~mask] = H.apply(psi.values)[~mask] / psi.values[~mask]
+    mean, std = masked_stats(Field(g, h_field), mask)
     want = {
         "norm": [norm(psi)],
         "energy": [energy(psi, H)],
@@ -511,7 +520,7 @@ def test_recorder_matches_the_public_observables(boundary, method, with_target):
     }
     if with_target:
         want["fidelity_target"] = [fidelity(psi, target)]
-    assert obs == want
+    assert {key: series.tolist() for key, series in obs.items()} == want
 
 
 @pytest.mark.parametrize(
@@ -536,6 +545,73 @@ def test_recorder_errors_keep_the_partial_trajectory(ho_box_setup, monkeypatch, 
     assert np.array_equal(partial.times, [0.0, spec.dt, 2 * spec.dt])
     assert len(partial.snapshots) == 3
     assert all(len(series) == 3 for series in partial.observables.values())
+
+
+def test_a_nan_from_a_step_stops_the_run_at_the_next_snapshot(ho_box_setup, monkeypatch):
+    # the per-snapshot finite check still stops the run where the NaN
+    # appears: the second of five snapshot intervals (one kernel call each)
+    # returns a NaN, and no interval after it is stepped
+    grid, V, pairs = ho_box_setup
+    spec = IntegratorSpec(Method.CRANK_NICOLSON, 1e-3, False)
+    kernel = _make_kernel(hamiltonian(V, spec.method), spec.dt)
+    step, calls = kernel.step, []
+
+    def nan_step(values, n):
+        calls.append(n)
+        return step(values, n) if len(calls) < 2 else np.full_like(values, np.nan)
+
+    monkeypatch.setattr(kernel, "step", nan_step)
+    with pytest.raises(NonFiniteField) as err:
+        schrodinger_evolve(pairs[0].state, V, spec, 10 * spec.dt, snapshot_stride=2)
+    assert calls == [2, 2]
+    partial = err.value.trajectory
+    assert np.array_equal(partial.times, [0.0, 2 * spec.dt])
+    assert all(len(series) == 2 for series in partial.observables.values())
+
+
+@pytest.mark.parametrize(
+    "spike, later, error, rows",
+    [
+        (35, None, NodePresent, 35),
+        (35, NodeBlowup, NodePresent, 35),
+        (None, NodeBlowup, NodeBlowup, 38),
+    ],
+    ids=["observable", "observable-then-step", "step"],
+)
+def test_the_earlier_of_an_observable_and_a_step_error_wins(
+    ho_box_setup, monkeypatch, spike, later, error, rows
+):
+    # 40 steps at stride 1 on 512 points: the observable block pass takes
+    # rows 0-31 and 32-40. Step 35 returns a one-point spike, finite, whose
+    # dilated node mask covers the grid (NodePresent from its observables),
+    # and step 38 raises NodeBlowup. The observable error of snapshot 35 is
+    # earlier than the step error and wins; either carries the rows before
+    # it, bitwise those of the unbroken run
+    grid, V, pairs = ho_box_setup
+    spec = IntegratorSpec(Method.CRANK_NICOLSON, 1e-3, False)
+    whole = schrodinger_evolve(pairs[0].state, V, spec, 40 * spec.dt, target=pairs[0].state)
+    kernel = _make_kernel(hamiltonian(V, spec.method), spec.dt)
+    step, calls = kernel.step, []
+
+    def broken_step(values, n):
+        calls.append(n)
+        if later is not None and len(calls) == 38:
+            raise later("step error")
+        if len(calls) == spike:
+            out = np.zeros_like(values)
+            out[grid.n_points // 2] = 1.0
+            return out
+        return step(values, n)
+
+    monkeypatch.setattr(kernel, "step", broken_step)
+    with pytest.raises(error) as err:
+        schrodinger_evolve(pairs[0].state, V, spec, 40 * spec.dt, target=pairs[0].state)
+    partial = err.value.trajectory
+    assert np.array_equal(partial.times, whole.times[:rows])
+    assert len(partial.snapshots) == rows
+    assert partial.observables.keys() == whole.observables.keys()
+    for key, series in partial.observables.items():
+        assert np.array_equal(series, whole.observables[key][:rows]), key
 
 
 def test_snapshot_cadence_shared_by_all_propagators(ho_box_setup):
@@ -1093,7 +1169,8 @@ def test_strong_pinning_with_one_snapshot_stays_finite(ho_box_setup):
 )
 def test_one_norm_per_advance(ho_box_setup, monkeypatch, kappa, advances_per_interval):
     # 100 steps at stride 20 with a target: the entry normalization
-    # (_normalized), the target's norm, and one norm per advance. kappa = 3.5
+    # (_normalized) and one norm per advance; the target is scaled by the
+    # observables' own rule (diagnostics._scaled). kappa = 3.5
     # advances a whole interval at a time; kappa = 125 caps an advance at
     # 1 / (kappa dt) = 8 steps, so each interval is three advances (8 + 8 + 4)
     grid, V, pairs = ho_box_setup
@@ -1115,7 +1192,7 @@ def test_one_norm_per_advance(ho_box_setup, monkeypatch, kappa, advances_per_int
         target=pairs[0].state,
     )
     assert len(traj.snapshots) == 6
-    assert len(calls) == 2 + 5 * advances_per_interval
+    assert len(calls) == 1 + 5 * advances_per_interval
     assert np.max(np.abs(traj.observables["norm"] - 1.0)) <= 1e-13
 
 

@@ -20,6 +20,8 @@ from cqhjlab import (
     collapsible_evolve,
     cqhj_rhs,
     custom_potential,
+    energy,
+    fidelity,
     gaussian_packet,
     gradient,
     hamiltonian,
@@ -36,7 +38,7 @@ from cqhjlab import (
     schrodinger_evolve,
     superpose,
 )
-from cqhjlab import evolve
+from cqhjlab import diagnostics, evolve
 from cqhjlab.cqhj import DEFAULT_NODE_THRESHOLD, dilated_mask
 from cqhjlab.errors import PeriodicityViolation
 from cqhjlab.forces import GAUGE_MEAN_TOLERANCE, _force_law
@@ -565,3 +567,67 @@ def test_dilated_mask_matches_the_looped_dilation(boundary, mask, width):
     want = _looped_dilation(mask, boundary is Boundary.PERIODIC, width)
     got = dilated_mask(mask, grid, width)
     assert got.dtype == bool and np.array_equal(got, want)
+
+
+OBSERVE_CASES = [
+    (Boundary.BOX, Method.CRANK_NICOLSON),
+    (Boundary.PERIODIC, Method.CRANK_NICOLSON),
+    (Boundary.PERIODIC, Method.SPLIT_STEP),
+]
+
+
+def _observed_states(boundary: Boundary, seed: int, rows: int) -> list:
+    """rows drawn states on a 512-point grid, where the block pass takes 32
+    rows at a time: a band-limited field times a Gaussian envelope whose
+    tails fall below the observable node threshold, every other one times
+    a double zero at a drawn interior grid point, each at a drawn scale
+    between 1e-3 and 1e3 or at 1e160 or 1e-200."""
+    g = Grid(-8.0, 8.0, 512, boundary)
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(rows):
+        v = random_nodeless_state(g, rng, 5, 0.3).values * np.exp(-(g.x**2) / 2)
+        if i % 2:
+            j = rng.integers(32, 480)
+            v = v * (1.0 - np.cos(2 * np.pi * (g.x - g.x[j]) / g.length))
+        scale = rng.choice([10.0 ** rng.uniform(-3, 3), 1e160, 1e-200])
+        out.append(v * scale * np.exp(1j * rng.uniform(0, 2 * np.pi)))
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    case=st.sampled_from(OBSERVE_CASES),
+    seed=SEEDS,
+    rows=st.integers(1, 40),
+    cut=st.integers(0, 40),
+)
+@example(case=OBSERVE_CASES[0], seed=0, rows=33, cut=0)
+def test_observable_rows_do_not_depend_on_their_block(case, seed, rows, cut):
+    # the observable block pass gives each state bitwise the values of its
+    # one-row pass, under the pass's own blocks of 32 rows (33 rows cross a
+    # block boundary) and under any split of the stack in two; norm, energy
+    # and fidelity are also bitwise the public functions'
+    boundary, method = case
+    states = _observed_states(boundary, seed, rows)
+    g = Grid(-8.0, 8.0, 512, boundary)
+    H = hamiltonian(harmonic_potential(g, 1.0), method)
+    target = ho_eigenstate(0, 1.0, g).state
+    record, series = evolve._psi_recorder(H, target)
+    for v in states:
+        record(v, 0.0)
+    obs, error = series()
+    assert error is None
+    target_vals, sq_norm = diagnostics._scaled(target)
+    scaled_target = (target_vals[0], np.sqrt(sq_norm))
+    stack = np.stack(states)
+    cut = min(cut, rows)
+    halves = [evolve._observe(H, scaled_target, s) for s in (stack[:cut], stack[cut:]) if len(s)]
+    split = np.concatenate(halves, axis=1)
+    keys = ["norm", "energy", "fidelity_target", "H_mean_re", "H_std"]
+    for i, v in enumerate(states):
+        one = evolve._observe(H, scaled_target, v[None])[:, 0]
+        assert np.array_equal(split[:, i], one)
+        assert np.array_equal([obs[k][i] for k in keys], one)
+        psi = Field(g, v)
+        assert one[:3].tolist() == [norm(psi), energy(psi, H), fidelity(psi, target)]

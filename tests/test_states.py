@@ -75,6 +75,19 @@ def test_packet_domain_guard():
         gaussian_packet(g, 1.0, 0.0, 1.0)
 
 
+@pytest.mark.parametrize(
+    "x0", [20.0, -20.0, 8.0, -8.0], ids=["right", "left", "right-edge", "left-edge"]
+)
+@pytest.mark.parametrize("boundary", [Boundary.BOX, Boundary.PERIODIC])
+def test_packet_centre_off_the_grid_is_a_domain_overflow(boundary, x0):
+    # the envelope's edge test alone passes a centre far outside the grid:
+    # at x0 = 20 the box packet used to peak on the wall x = 8, where psi
+    # must vanish
+    g = Grid(-8.0, 8.0, 256, boundary)
+    with pytest.raises(DomainOverflow, match="not inside the grid"):
+        gaussian_packet(g, x0, 0.0, 1.0)
+
+
 def test_ho_ground_energy(periodic_grid):
     pair = ho_eigenstate(0, 1.0, periodic_grid)
     assert pair.energy == pytest.approx(0.5)
