@@ -35,7 +35,7 @@ from .grid import (
     make_field,
     require_same_grid,
 )
-from .states import Potential
+from .states import Hamiltonian, Potential
 
 DEFAULT_NODE_THRESHOLD = 1e-6
 # grid points masked_stats drops on each side of a masked point
@@ -93,18 +93,14 @@ def _check_node_threshold(node_threshold: float) -> None:
 
 def _node_mask(amp: np.ndarray, node_threshold: float) -> np.ndarray:
     """Points where the magnitude amp = |psi| falls below node_threshold
-    times its peak.
-
-    A non-finite entry is never masked, so the derivative taken next
-    reports it as NonFiniteField.
-    """
+    times its peak; ValueError unless 0 < node_threshold < 1, then AllMasked
+    for a zero amp. A non-finite entry is never masked, so the derivative
+    taken next reports it as NonFiniteField."""
+    _check_node_threshold(node_threshold)
     peak = amp.max()
     if peak <= 0.0:
         raise AllMasked("wave function vanishes identically")
-    mask = amp < node_threshold * peak
-    if mask.all():
-        raise AllMasked("wave function vanishes everywhere at the node threshold")
-    return mask
+    return amp < node_threshold * peak
 
 
 def psi_to_p(psi: Field, node_threshold: float = DEFAULT_NODE_THRESHOLD) -> MomentumField:
@@ -248,46 +244,46 @@ def cqhj_rhs(
 
 def hamiltonian_field_from_state(
     psi: Field,
-    V: Potential,
+    H: Hamiltonian,
     node_threshold: float = DEFAULT_NODE_THRESHOLD,
 ) -> tuple[Field, np.ndarray]:
     """Quantum-Hamiltonian field evaluated directly from the wave function,
-    H = V - (1/2) (lap psi)/psi.
+    H = (H0 psi)/psi with H0 the linear Hamiltonian (states.Hamiltonian).
 
     Algebraically identical to the momentum-field form, but numerically
     robust near nodes because psi itself stays smooth there. Returns the
     field together with the node mask (entries under the threshold hold V).
     """
-    require_same_grid(psi, V.grid)
+    require_same_grid(psi, H.grid)
     mask = _node_mask(np.abs(psi.values), node_threshold)
-    vals = _hamiltonian_field(V, psi.check_finite().values, mask)
+    values = psi.check_finite().values
+    vals = _hamiltonian_field(H.V.samples, values, H.apply(values), mask)
     return _adopt(Field, grid=psi.grid, values=vals), mask
 
 
-def _hamiltonian_field(V: Potential, values: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """hamiltonian_field_from_state's values from finite psi values and the
-    node mask, in a fresh array."""
-    lp = _derivative_op(V.grid, 2)(values)
-    vals = np.array(V.samples, dtype=np.complex128)
-    ok = ~mask
-    vals[ok] -= 0.5 * lp[ok] / values[ok]
-    return vals
+def _hamiltonian_field(V: np.ndarray, values: np.ndarray, hvals: np.ndarray, mask: np.ndarray):
+    """The H field (H0 psi)/psi off the node mask and V on it, of raw values
+    and H0 values of one state or a stack along the last axis; fresh."""
+    out = np.where(mask, V, 0j)
+    np.divide(hvals, values, out=out, where=~mask)
+    return out
 
 
 def cqhj_rhs_from_state(
     psi: Field,
-    V: Potential,
+    H: Hamiltonian,
     node_threshold: float = DEFAULT_NODE_THRESHOLD,
 ) -> tuple[Field, np.ndarray]:
-    """Canonical-form right-hand side -grad H with H evaluated from psi.
-    Returns the field and the node mask of the evaluation.
+    """Canonical-form right-hand side -grad H, the H field from psi and the
+    linear Hamiltonian H (hamiltonian_field_from_state). Returns the field
+    and the node mask of the evaluation.
 
-    H is differentiated segment-wise, as cqhj_rhs does: each unmasked run
-    on its own, so no masked value enters the derivative; runs shorter
-    than the stencil hold 0, as do masked points.
+    The field is differentiated segment-wise, as cqhj_rhs does: each
+    unmasked run on its own, so no masked value enters the derivative; runs
+    shorter than the stencil hold 0, as do masked points.
     """
-    H, mask = hamiltonian_field_from_state(psi, V, node_threshold)
-    return Field(psi.grid, -_masked_gradient(H.values, mask, psi.grid)), mask
+    field, mask = hamiltonian_field_from_state(psi, H, node_threshold)
+    return Field(psi.grid, -_masked_gradient(field.values, mask, psi.grid)), mask
 
 
 def _masked_moments(values: np.ndarray, mask: np.ndarray, grid: Grid):

@@ -18,7 +18,6 @@ from .grid import Field, Grid, _scaled_rows, _sq_norm, require_same_grid
 from .states import Hamiltonian
 
 HBAR_SI = 1.054571817e-34  # J s
-ELECTRON_MASS_KG = 9.1093837015e-31
 
 # reported experimental window for the collapse time, in seconds
 BRACKET_MIN_S = 1e-13
@@ -44,10 +43,13 @@ def _inners(grid: Grid, a: np.ndarray, b: np.ndarray) -> list[complex]:
 
 def _fidelity(inner: complex, na: float, nb: float) -> float:
     """fidelity from the inner product <a|b> and the norms na and nb of two
-    states, each scaled as _scaled takes it."""
+    states, each scaled as _scaled takes it; squared after the ratio where
+    na^2 nb^2 would leave the normal range."""
     if na == 0.0 or nb == 0.0:
         raise ZeroState("fidelity of a zero state is undefined")
-    val = abs(inner) ** 2 / (na**2 * nb**2)
+    den = na**2 * nb**2
+    normal = np.finfo(float).tiny <= den < math.inf
+    val = abs(inner) ** 2 / den if normal else (abs(inner) / (na * nb)) ** 2
     return float(min(val, 1.0))
 
 

@@ -47,7 +47,7 @@ class NodePresent(CqhjError):
 
 
 class AllMasked(NodePresent):
-    """The source wave function vanishes everywhere at the node threshold."""
+    """The source wave function is zero at every point: all of it is masked."""
 
 
 class StabilityViolation(CqhjError):

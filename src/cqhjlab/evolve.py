@@ -98,12 +98,12 @@ and the last step), the step cap, the renormalization of each advance's
 end state and its running log scale, the assembly of the Trajectory, and
 attaching the partial trajectory to any CqhjError a step, a snapshot or
 the observables raise. record is the per-snapshot finite check, which
-keeps the state; series takes the observables of the kept states once per
-run, in blocks (_psi_series), through the formulas behind norm, energy,
-fidelity and masked_stats, so each formula has one copy, with the H field
-(H psi) / psi of the Hamiltonian the run steps with. A row's values do
-not depend on its block, and an observable error, earlier than any step
-error, wins.
+keeps the state and observes each block of kept states in one pass as it
+fills (_PsiObservations); series observes the rest at the run's end or
+after an error. The pass takes the formulas behind norm, energy,
+fidelity, masked_stats and hamiltonian_field_from_state (with the run's
+Hamiltonian), so each has one copy. A row's values do not depend on its
+block, and an observable error, earlier than any step error, wins.
 
 The force layer of a nonlinear run is one kernel per run on raw ndarrays
 (_gauge_kernel). It looks up the force's law once (forces._force_law, with
@@ -142,6 +142,7 @@ from .cqhj import (
     _action_increments as psi_to_p,
     _check_node_threshold,
     _expanded_rhs,
+    _hamiltonian_field,
     _masked_moments,
     p_to_psi,
 )
@@ -425,29 +426,86 @@ def _cached_kernel(H: Hamiltonian, dt: float):
 # observables
 
 
-# the bytes of one complex temporary of the observable block pass, which
-# sets its rows per block (_psi_series): 32 states at N = 512
+# the bytes of one complex temporary of an observed block, which sets its
+# rows (_PsiObservations): 32 states at N = 512
 OBSERVE_BLOCK_BYTES = 1 << 18
 
 
-def _record_psi_observables(kept: list, vals: np.ndarray | None, grid: Grid, log: float):
+class _PsiObservations:
+    """The observables of one wave-function run's snapshots: the kept states
+    waiting for their block of OBSERVE_BLOCK_BYTES / (16 N) states, the
+    observed columns, and each snapshot's (log scale, gauge phase). The
+    target is scaled once per run."""
+
+    def __init__(self, H: Hamiltonian, target: Field | None):
+        if target is not None:
+            require_same_grid(target, H.grid)
+            vals, sq_norm = _scaled(target)
+            target = (vals[0], math.sqrt(sq_norm))
+        self.H, self.target = H, target
+        self.block = max(1, OBSERVE_BLOCK_BYTES // (16 * H.grid.n_points))
+        self.waiting, self.parts, self.scales = [], [np.empty((5, 0))], []
+
+    def observe(self):
+        """Observe the waiting states and keep their columns up to the first
+        failing one, found by bisection (a row's observables depend on the
+        row alone); that state's error, or None."""
+        if not self.waiting:
+            return None
+        stack, self.waiting = np.stack(self.waiting), []
+        try:
+            self.parts.append(_observe(self.H, self.target, stack))
+            return None
+        except CqhjError as exc:
+            error = exc
+        good, bad, cols = 0, len(stack), np.empty((5, 0))
+        while bad - good > 1:
+            mid = (good + bad) // 2
+            try:
+                cols, good = _observe(self.H, self.target, stack[:mid]), mid
+            except CqhjError as exc:
+                error, bad = exc, mid
+        self.parts.append(cols)
+        return error
+
+    def series(self):
+        """(observables, error), the waiting states observed now: error is
+        None and the series cover every snapshot, or error is the first
+        failing snapshot's and the series stop before it."""
+        error = self.observe()
+        cols = np.concatenate(self.parts, axis=1)
+        scales = np.reshape(self.scales[: cols.shape[1]], (-1, 2)).T
+        obs = dict(zip(OBSERVABLES, np.vstack([cols, scales])))
+        if self.target is None:
+            del obs["fidelity_target"]
+        return obs, error
+
+
+def _record_psi_observables(run: _PsiObservations, vals: np.ndarray | None, log: float):
     """The snapshot of the state vals, which takes vals without a copy,
-    after its finite check; vals and its log scale are kept for the block
-    pass (_psi_series). vals None (a winding field of cqhj_evolve) keeps a
-    row of NaN."""
-    psi = None if vals is None else _adopt(Field, grid=grid, values=vals).check_finite()
-    kept.append((vals, log))
+    after its finite check. vals waits for its block, which this call
+    observes once it is full, raising the first failing state's error.
+    vals None (a winding field of cqhj_evolve) observes the waiting states
+    and records a row of NaN."""
+    psi = None if vals is None else _adopt(Field, grid=run.H.grid, values=vals).check_finite()
+    run.scales.append((log, np.nan if vals is None else 0.0))  # the scale factors are real
+    if vals is not None:
+        run.waiting.append(vals)
+    error = run.observe() if vals is None or len(run.waiting) == run.block else None
+    if error is not None:
+        raise error
+    if vals is None:
+        run.parts.append(np.full((5, 1), np.nan))
     return psi
 
 
 def _observe(H: Hamiltonian, target: tuple[np.ndarray, float] | None, stack: np.ndarray):
     """The first five OBSERVABLES, norm to H_std, of a stack of finite
     states, one column per state (fidelity_target NaN without a target),
-    from one operator application: the H field is (H psi) / psi off the
-    node mask and V on it. The weighted sums are one np.dot per row, so a
-    column is bitwise that of the state alone. AllMasked for a zero row,
-    then NodePresent, ImaginaryEnergy and ZeroState as the observables
-    raise them."""
+    from one operator application. The weighted sums are one np.dot per
+    row, so a column is bitwise that of the state alone. AllMasked for a
+    zero row, then NodePresent, ImaginaryEnergy and ZeroState as the
+    observables raise them."""
     grid = H.grid
     vals, amp, sq, norms = _scaled_rows(grid, stack)
     peak = amp.max(axis=-1, keepdims=True)
@@ -456,10 +514,7 @@ def _observe(H: Hamiltonian, target: tuple[np.ndarray, float] | None, stack: np.
     # cqhj._node_mask's rule; a nonzero row keeps its peak point unmasked
     mask = amp < OBSERVABLE_NODE_THRESHOLD * peak
     hvals = H.apply(vals)
-    h_field = np.empty_like(hvals)
-    h_field[...] = H.V.samples
-    np.divide(hvals, vals, out=h_field, where=~mask)
-    mean, std = _masked_moments(h_field, mask, grid)
+    mean, std = _masked_moments(_hamiltonian_field(H.V.samples, vals, hvals, mask), mask, grid)
     energies = list(map(_energy, _inners(grid, vals, hvals), sq.tolist()))
     if target is None:
         fids = [np.nan] * len(vals)
@@ -469,72 +524,16 @@ def _observe(H: Hamiltonian, target: tuple[np.ndarray, float] | None, stack: np.
     return np.array([norms, energies, fids, mean.real, std])
 
 
-def _first_failure(H: Hamiltonian, target, stack: np.ndarray):
-    """(_observe of the stack, None), or, when a row fails, _observe of the
-    rows before the first failing one (None for none) and that row's error.
-    A row's observables depend on the row alone, so a leading slice of the
-    stack fails exactly when it holds that row, which bisection finds."""
-    try:
-        return _observe(H, target, stack), None
-    except CqhjError as exc:
-        error = exc
-    good, bad, cols = 0, len(stack), None
-    while bad - good > 1:
-        mid = (good + bad) // 2
-        try:
-            cols, good = _observe(H, target, stack[:mid]), mid
-        except CqhjError as exc:
-            error, bad = exc, mid
-    return cols, error
-
-
-def _psi_series(kept: list, H: Hamiltonian, target: tuple[np.ndarray, float] | None):
-    """(observables, error) of the kept snapshots (state, log scale) of a
-    run, computed in blocks of OBSERVE_BLOCK_BYTES / (16 N) states: error is
-    None and the series cover every snapshot, or error is the first failing
-    snapshot's and the series stop before it. A state None records NaN
-    throughout."""
-    rows = [i for i, (v, _) in enumerate(kept) if v is not None]
-    block = max(1, OBSERVE_BLOCK_BYTES // (16 * H.grid.n_points))
-    parts, done, error = [], 0, None
-    for start in range(0, len(rows), block):
-        stack = np.stack([kept[i][0] for i in rows[start : start + block]])
-        cols, error = _first_failure(H, target, stack)
-        if cols is not None:
-            parts.append(cols)
-            done += cols.shape[1]
-        if error is not None:
-            break
-    count = rows[done] if error is not None else len(kept)
-    table = np.full((len(OBSERVABLES), count), np.nan)
-    if parts:
-        table[:5, rows[:done]] = np.concatenate(parts, axis=1)
-    table[5] = [log for _, log in kept[:count]]
-    table[6, rows[:done]] = 0.0  # gauge_phase: the scale factors are real
-    obs = dict(zip(OBSERVABLES, table))
-    if target is None:
-        del obs["fidelity_target"]
-    return obs, error
-
-
 # --------------------------------------------------------------------------
 # propagators
 
 
 def _psi_recorder(H: Hamiltonian, target: Field | None):
     """(record, series) of the wave-function propagators, as _drive takes
-    them: record(vals, log) is _record_psi_observables, series() the block
-    pass over the states it keeps (_psi_series). The target is scaled once
-    per run."""
-    kept: list = []
-    if target is not None:
-        require_same_grid(target, H.grid)
-        vals, sq_norm = _scaled(target)
-        target = (vals[0], math.sqrt(sq_norm))
-    return (
-        lambda v, log: _record_psi_observables(kept, v, H.grid, log),
-        lambda: _psi_series(kept, H, target),
-    )
+    them: record(vals, log) is _record_psi_observables, series() is
+    _PsiObservations.series."""
+    run = _PsiObservations(H, target)
+    return lambda v, log: _record_psi_observables(run, v, log), run.series
 
 
 def _step_count(t_final: float, dt: float, snapshot_stride: int) -> int:
@@ -564,12 +563,13 @@ def _drive(
     each advance's end state is divided by its grid norm and log, from the
     entry log scale, sums the log scale factors; None: no renormalization.
     recorder is (record, series): record(vals, log) keeps a snapshot and
-    returns it, and series() gives the observables of the kept snapshots
-    and the error of the first whose observables fail, or None; it runs
-    once, after the last step or after a step's or a snapshot's CqhjError.
-    Of two errors the earlier in time, the observables', is raised, with
-    the trajectory before it attached. ValueError, before the first
-    record, unless t_final is positive and finite and snapshot_stride >= 1.
+    returns it, or raises a kept snapshot's observable error; series()
+    gives the observables of the kept snapshots and the error of the first
+    whose observables fail, or None, once, after the last step or after a
+    step's or a snapshot's CqhjError. Of two errors the earlier in time,
+    the observables', is raised, with the trajectory before it attached.
+    ValueError, before the first record, unless t_final is positive and
+    finite and snapshot_stride >= 1.
     """
     n_steps = _step_count(t_final, spec.dt, snapshot_stride)
     record, series = recorder

@@ -31,6 +31,7 @@ from .grid import (
     _fd_matrix,
     _normalized,
     _readonly,
+    _scaled_rows,
     _spectral_multiplier,
     laplacian,
     make_field,
@@ -289,13 +290,14 @@ def superpose(coefficients, states) -> Field:
 
 
 def position_expectation(psi: Field) -> float:
-    dens = np.abs(psi.values) ** 2
+    # |psi|^2 of psi scaled by the norm rule, so no square overflows or underflows
+    dens = _scaled_rows(psi.grid, psi.values[None])[1][0] ** 2
     w = psi.grid.quadrature_weights
     return float(np.dot(w, psi.grid.x * dens) / np.dot(w, dens))
 
 
 def position_variance(psi: Field) -> float:
-    dens = np.abs(psi.values) ** 2
+    dens = _scaled_rows(psi.grid, psi.values[None])[1][0] ** 2
     w = psi.grid.quadrature_weights
     mean = position_expectation(psi)
     return float(np.dot(w, (psi.grid.x - mean) ** 2 * dens) / np.dot(w, dens))

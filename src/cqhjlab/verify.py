@@ -196,23 +196,23 @@ def _form_agreement():
 
 def _eigenstate_hamiltonian():
     g = Grid(-12.0, 12.0, 512, Boundary.PERIODIC)
-    V = harmonic_potential(g, 1.0)
+    H = hamiltonian(harmonic_potential(g, 1.0), Method.SPLIT_STEP)
     worst = 0.0
     for n in range(4):
         pair = ho_eigenstate(n, 1.0, g)
-        H, mask = hamiltonian_field_from_state(pair.state, V, node_threshold=1e-5)
-        mean, std = masked_stats(H, mask)
+        field, mask = hamiltonian_field_from_state(pair.state, H, node_threshold=1e-5)
+        mean, std = masked_stats(field, mask)
         worst = max(worst, std / pair.energy, abs(mean.real - pair.energy) / pair.energy)
     return worst, "H-field mean/std vs energy, oscillator n=0..3"
 
 
 def _eigenstate_rhs():
     g = Grid(-12.0, 12.0, 512, Boundary.PERIODIC)
-    V = harmonic_potential(g, 1.0)
+    H = hamiltonian(harmonic_potential(g, 1.0), Method.SPLIT_STEP)
     worst = 0.0
     for n in range(4):
         pair = ho_eigenstate(n, 1.0, g)
-        rhs, mask = cqhj_rhs_from_state(pair.state, V, node_threshold=1e-5)
+        rhs, mask = cqhj_rhs_from_state(pair.state, H, node_threshold=1e-5)
         keep = ~dilated_mask(mask, g, 5)
         worst = max(worst, np.max(np.abs(rhs.values[keep])))
     return worst, "momentum rate on stationary states, off-mask"

@@ -28,6 +28,7 @@ from cqhjlab import (
     derivation_residuals,
     fidelity,
     gaussian_packet,
+    hamiltonian,
     hamiltonian_field_from_state,
     harmonic_potential,
     ho_eigenstate,
@@ -123,14 +124,14 @@ def test_acceptance_2_psi_elimination_equivalence():
 def test_acceptance_3_eigenstate_characterization():
     with Budget(3, "eigenstate-characterization", 5.0):
         g = Grid(-12.0, 12.0, 512, Boundary.PERIODIC)
-        V = harmonic_potential(g, 1.0)
+        H = hamiltonian(harmonic_potential(g, 1.0), Method.SPLIT_STEP)
         for n in range(4):
             pair = ho_eigenstate(n, 1.0, g)
-            H, mask = hamiltonian_field_from_state(pair.state, V, node_threshold=1e-5)
-            mean, std = masked_stats(H, mask)
+            field, mask = hamiltonian_field_from_state(pair.state, H, node_threshold=1e-5)
+            mean, std = masked_stats(field, mask)
             assert std <= 1e-5 * pair.energy
             assert abs(mean.real - pair.energy) <= 1e-5 * pair.energy
-            rhs, m2 = cqhj_rhs_from_state(pair.state, V, node_threshold=1e-5)
+            rhs, m2 = cqhj_rhs_from_state(pair.state, H, node_threshold=1e-5)
             keep = ~dilated_mask(m2, g, 5)
             assert np.max(np.abs(rhs.values[keep])) <= 1e-6
 

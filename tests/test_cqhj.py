@@ -8,6 +8,7 @@ from cqhjlab import (
     Boundary,
     Field,
     Grid,
+    Method,
     MomentumField,
     RhsForm,
     cqhj_rhs,
@@ -17,6 +18,7 @@ from cqhjlab import (
     free_potential,
     gaussian_packet,
     gradient,
+    hamiltonian,
     hamiltonian_field_from_state,
     harmonic_potential,
     ho_eigenstate,
@@ -72,6 +74,24 @@ def test_node_masking_first_excited(periodic_grid):
 def test_all_masked_raises(periodic_grid):
     with pytest.raises(AllMasked):
         psi_to_p(Field(periodic_grid, np.zeros(periodic_grid.n_points)))
+
+
+@pytest.mark.parametrize("threshold", [0.0, -1.0, np.nan, 1.0, 2.0])
+def test_node_threshold_outside_the_unit_interval_is_rejected(ho_setup, threshold):
+    # a threshold of 0 or below masks nothing and the map divides by zero at
+    # a node; one of 1 or above masks the peak point too
+    grid, V, pairs = ho_setup
+    H = hamiltonian(V, Method.SPLIT_STEP)
+    psi = pairs[1].state
+    calls = [
+        lambda: psi_to_p(psi, threshold),
+        lambda: hamiltonian_field_from_state(psi, H, threshold),
+        lambda: cqhj_rhs_from_state(psi, H, threshold),
+        lambda: derivation_residuals(pairs[0].state, V, threshold),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="node_threshold"):
+            call()
 
 
 def test_momentum_map_homogeneity(periodic_grid):
@@ -200,7 +220,7 @@ def test_h_field_from_state_matches_p_route(ho_setup):
     psi = random_nodeless_state(grid, np.random.default_rng(8))
     p = psi_to_p(psi)
     H_p = quantum_hamiltonian_field(p, V)
-    H_s, mask = hamiltonian_field_from_state(psi, V)
+    H_s, mask = hamiltonian_field_from_state(psi, hamiltonian(V, Method.SPLIT_STEP))
     assert not mask.any()
     assert np.max(np.abs(H_p.values - H_s.values)) <= 1e-8
 
@@ -228,9 +248,10 @@ def test_dilated_mask_wraps_only_on_periodic_grids():
 
 def test_eigenstate_characterization_all_levels(ho_setup):
     grid, V, pairs = ho_setup
+    H = hamiltonian(V, Method.SPLIT_STEP)
     for pair in pairs:
-        H, mask = hamiltonian_field_from_state(pair.state, V, node_threshold=1e-5)
-        mean, std = masked_stats(H, mask)
+        field, mask = hamiltonian_field_from_state(pair.state, H, node_threshold=1e-5)
+        mean, std = masked_stats(field, mask)
         assert std <= 1e-5 * pair.energy
         assert abs(mean.real - pair.energy) <= 1e-5 * pair.energy
 
@@ -252,7 +273,8 @@ def test_rhs_vanishes_on_eigenstates(ho_setup):
     keep = ~dilated_mask(p.node_mask, grid, 5)
     assert np.max(np.abs(r.values[keep])) <= 1e-6
     # cross-check through the H-field constancy route
-    rs, mask = cqhj_rhs_from_state(pairs[0].state, V, node_threshold=1e-5)
+    H = hamiltonian(V, Method.SPLIT_STEP)
+    rs, mask = cqhj_rhs_from_state(pairs[0].state, H, node_threshold=1e-5)
     assert np.max(np.abs(rs.values[~dilated_mask(mask, grid, 5)])) <= 1e-6
 
 
@@ -337,11 +359,12 @@ def test_rhs_on_short_runs_matches_the_per_run_formula(boundary, masked):
 def test_rhs_from_state_differentiates_h_segment_wise(ho_setup):
     # the same masked-derivative rule as cqhj_rhs: no fill of the masked zone
     grid, V, pairs = ho_setup
+    H = hamiltonian(V, Method.SPLIT_STEP)
     for pair in pairs:
-        rhs, mask = cqhj_rhs_from_state(pair.state, V, node_threshold=1e-5)
-        H, h_mask = hamiltonian_field_from_state(pair.state, V, node_threshold=1e-5)
+        rhs, mask = cqhj_rhs_from_state(pair.state, H, node_threshold=1e-5)
+        field, h_mask = hamiltonian_field_from_state(pair.state, H, node_threshold=1e-5)
         assert np.array_equal(mask, h_mask) and mask.any()
-        assert rhs.values.tobytes() == (-_masked_gradient(H.values, mask, grid)).tobytes()
+        assert rhs.values.tobytes() == (-_masked_gradient(field.values, mask, grid)).tobytes()
 
 
 def test_rhs_form_agreement(periodic_grid):

@@ -26,6 +26,7 @@ from cqhjlab import (
 )
 from cqhjlab.diagnostics import BRACKET_MAX_S, BRACKET_MIN_S, HBAR_SI
 from cqhjlab.errors import GridMismatch, NonFiniteField, ZeroSpread, ZeroState
+from cqhjlab.states import position_expectation, position_variance
 
 
 def fake_trajectory(times, fidelities):
@@ -101,15 +102,17 @@ def test_energy_superposition_average(ho_setup):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("scale", [1e160, 1e-160, 1e-200])
+@pytest.mark.parametrize("scale", [1e160, 1e100, 1e-100, 1e-160, 1e-200])
 @pytest.mark.parametrize(
     "boundary, method",
     [(Boundary.BOX, Method.CRANK_NICOLSON), (Boundary.PERIODIC, Method.SPLIT_STEP)],
 )
 def test_observables_are_scale_free(boundary, method, scale):
-    # energy, energy_spread and fidelity are of degree zero in psi: a state
-    # whose squares would overflow or underflow is divided by max|psi|
-    # first, as grid.norm does
+    # energy, energy_spread, fidelity and the position moments are of
+    # degree zero in psi: a state whose squares would overflow or underflow
+    # is divided by max|psi| first, as grid.norm does, and the fidelity of
+    # two states inside that range (1e100 and 1e-100) takes the ratio of
+    # |<a|b>| to the product of their norms before squaring it
     g = Grid(-8.0, 8.0, 512, boundary)
     V = harmonic_potential(g, 1.0)
     H = hamiltonian(V, method)
@@ -121,6 +124,8 @@ def test_observables_are_scale_free(boundary, method, scale):
     assert abs(fidelity(big, ground) - fidelity(psi, ground)) <= 1e-12
     assert abs(fidelity(ground, big) - fidelity(ground, psi)) <= 1e-12
     assert abs(fidelity(big, big) - 1.0) <= 1e-12
+    assert abs(position_expectation(big) - position_expectation(psi)) <= 1e-12
+    assert abs(position_variance(big) - position_variance(psi)) <= 1e-12
 
 
 @pytest.mark.parametrize("boundary", [Boundary.BOX, Boundary.PERIODIC])

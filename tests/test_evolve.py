@@ -17,6 +17,7 @@ from cqhjlab import (
     fidelity,
     free_potential,
     gaussian_packet,
+    hamiltonian_field_from_state,
     harmonic_potential,
     ho_eigenstate,
     kostin_friction,
@@ -486,11 +487,11 @@ def test_renormalization_logged(ho_box_setup):
     [(Boundary.BOX, Method.CRANK_NICOLSON), (Boundary.PERIODIC, Method.SPLIT_STEP)],
 )
 def test_recorder_matches_the_public_observables(boundary, method, with_target):
-    # the recorder keeps the state and its log scale, and the block pass at
-    # the run's end takes every observable from one finite check, one
-    # |psi|^2 sum per row and one operator application; norm, energy and
-    # fidelity must be bitwise the public functions', and the H field is
-    # (H psi) / psi of the run's Hamiltonian off the node mask, V on it. The
+    # the recorder keeps the state and its log scale, and the block pass
+    # takes every observable from one finite check, one |psi|^2 sum per row
+    # and one operator application; norm, energy and fidelity must be
+    # bitwise the public functions', and the H field bitwise the public
+    # hamiltonian_field_from_state's under the run's Hamiltonian. The
     # superposition has a node and tails below the observable node
     # threshold, so the mask and its dilation take part.
     g = Grid(-8.0, 8.0, 512, boundary)
@@ -504,12 +505,9 @@ def test_recorder_matches_the_public_observables(boundary, method, with_target):
     assert np.array_equal(snap.values, psi.values)
     obs, error = series()
     assert error is None
-    amp = np.abs(psi.values)
-    mask = amp < evolve.OBSERVABLE_NODE_THRESHOLD * amp.max()
+    h_field, mask = hamiltonian_field_from_state(psi, H, evolve.OBSERVABLE_NODE_THRESHOLD)
     assert 0 < mask.sum() < g.n_points
-    h_field = V.samples.astype(np.complex128)
-    h_field[~mask] = H.apply(psi.values)[~mask] / psi.values[~mask]
-    mean, std = masked_stats(Field(g, h_field), mask)
+    mean, std = masked_stats(h_field, mask)
     want = {
         "norm": [norm(psi)],
         "energy": [energy(psi, H)],
@@ -612,6 +610,59 @@ def test_the_earlier_of_an_observable_and_a_step_error_wins(
     assert partial.observables.keys() == whole.observables.keys()
     for key, series in partial.observables.items():
         assert np.array_equal(series, whole.observables[key][:rows]), key
+
+
+def test_a_failing_snapshot_stops_the_run_when_its_block_fills(ho_box_setup, monkeypatch):
+    # 100 steps at stride 1 on 512 points, observed in blocks of 32
+    # snapshots: kernel call 1 returns a one-point spike, finite, whose
+    # dilated node mask covers the grid. Its block fills at snapshot 31, and
+    # the run stops there with the one row before it
+    grid, V, pairs = ho_box_setup
+    spec = IntegratorSpec(Method.CRANK_NICOLSON, 1e-3, False)
+    kernel = _make_kernel(hamiltonian(V, spec.method), spec.dt)
+    step, calls = kernel.step, []
+
+    def spiking_step(values, n):
+        calls.append(n)
+        if len(calls) == 1:
+            out = np.zeros_like(values)
+            out[grid.n_points // 2] = 1.0
+            return out
+        return step(values, n)
+
+    monkeypatch.setattr(kernel, "step", spiking_step)
+    with pytest.raises(NodePresent) as err:
+        schrodinger_evolve(pairs[0].state, V, spec, 100 * spec.dt)
+    assert len(calls) <= 31
+    partial = err.value.trajectory
+    assert len(partial.snapshots) == 1
+    assert all(len(series) == 1 for series in partial.observables.values())
+
+
+def test_full_blocks_are_observed_inside_the_recorder(ho_box_setup, monkeypatch):
+    # 40 snapshots on 512 points: the first block of 32 is observed by the
+    # per-snapshot recorder call that fills it, the other 8 at the run's end
+    grid, V, pairs = ho_box_setup
+    record, observe = evolve._record_psi_observables, evolve._observe
+    inside, blocks = [], []
+
+    def traced_record(*args):
+        inside.append(True)
+        try:
+            return record(*args)
+        finally:
+            inside.pop()
+
+    def traced_observe(H, target, stack):
+        blocks.append((len(stack), bool(inside)))
+        return observe(H, target, stack)
+
+    monkeypatch.setattr(evolve, "_record_psi_observables", traced_record)
+    monkeypatch.setattr(evolve, "_observe", traced_observe)
+    spec = IntegratorSpec(Method.CRANK_NICOLSON, 1e-3, False)
+    traj = schrodinger_evolve(pairs[0].state, V, spec, 39 * spec.dt, target=pairs[0].state)
+    assert len(traj.snapshots) == 40
+    assert blocks == [(32, True), (8, False)]
 
 
 def test_snapshot_cadence_shared_by_all_propagators(ho_box_setup):

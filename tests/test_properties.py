@@ -322,14 +322,16 @@ def _frozen_mask_substep(force, psi: Field, rate: float):
     """(Phi, substep) of the collapse step's exact gauge sub-step at psi with
     the pair mask frozen at that of psi: substep(vals, dt) is
     vals exp(i tau Phi[vals]), tau = -expm1(-rate dt) / rate, with Phi taken
-    from the unmasked increments of vals on psi's pairs."""
+    from the unmasked increments of vals on psi's pairs: those of the
+    smallest positive node threshold, which masks no point of these states."""
     g = psi.grid
     periodic = g.boundary is Boundary.PERIODIC
     law = _force_law(force, g)
     _, frozen = evolve.psi_to_p(psi.values, DEFAULT_NODE_THRESHOLD, periodic)
 
     def phi(vals):
-        inc, _ = evolve.psi_to_p(vals, 0.0, periodic)
+        inc, mask = evolve.psi_to_p(vals, np.finfo(float).tiny, periodic)
+        assert not mask.any()
         return evolve.gauge_potential(evolve.evaluate_force(inc, frozen, law), g)
 
     def substep(vals, dt):
