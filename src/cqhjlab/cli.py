@@ -24,14 +24,11 @@ from .diagnostics import UnitSystem, make_collapse_report
 from .errors import ConfigError, CqhjError
 from .runner import (
     OUTPUT_ROOT_ENV,
-    _write_json,
     load_scenario_or_bundled,
     resolve_output_dir,
     run_to_directory,
     sweep as run_sweep,
-    write_snapshots,
     write_sweep_table,
-    write_timeseries,
 )
 from .verify import run_checks
 
@@ -101,21 +98,7 @@ def _number(name: str, value: float, positive: bool = True) -> float:
 def _cmd_run(args) -> int:
     scenario = load_scenario_or_bundled(args.config)
     out_dir = resolve_output_dir(scenario, args.output)
-    try:
-        result = run_to_directory(scenario, out_dir)
-    except CqhjError as exc:
-        print(f"solver error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        incomplete = {"schema_version": scenario.resolved["schema_version"],
-                      "scenario": scenario.resolved["name"],
-                      "incomplete": True,
-                      "error": f"{type(exc).__name__}: {exc}"}
-        out_dir.mkdir(parents=True, exist_ok=True)
-        if exc.trajectory is not None:
-            write_timeseries(exc.trajectory, out_dir)
-            if scenario.resolved["run"]["write_snapshots"]:
-                write_snapshots(exc.trajectory, out_dir)
-        _write_json(out_dir / "summary.json", incomplete)
-        return EXIT_SOLVER_ERROR
+    result = run_to_directory(scenario, out_dir)  # it writes a failed run's artifacts too
     print(json.dumps(result.summary, indent=2, sort_keys=True))
     print(f"artifacts written to {out_dir}", file=sys.stderr)
     return EXIT_OK

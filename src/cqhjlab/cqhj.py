@@ -29,6 +29,7 @@ from .grid import (
     _fd_matrix,
     _normalized,
     _readonly,
+    _scaled_rows,
     cumulative_integral,
     gradient,
     laplacian,
@@ -253,12 +254,14 @@ def hamiltonian_field_from_state(
     Algebraically identical to the momentum-field form, but numerically
     robust near nodes because psi itself stays smooth there. Returns the
     field together with the node mask (entries under the threshold hold V).
+    psi is scaled by grid._scaled_rows first, so its scale never matters.
     """
-    require_same_grid(psi, H.grid)
-    mask = _node_mask(np.abs(psi.values), node_threshold)
-    values = psi.check_finite().values
-    vals = _hamiltonian_field(H.V.samples, values, H.apply(values), mask)
-    return _adopt(Field, grid=psi.grid, values=vals), mask
+    g = require_same_grid(psi, H.grid)
+    values, amp, _, _ = _scaled_rows(g, psi.values[None])
+    mask = _node_mask(amp[0], node_threshold)
+    _check_finite(values)
+    vals = _hamiltonian_field(H.V.samples, values[0], H.apply(values[0]), mask)
+    return _adopt(Field, grid=g, values=vals), mask
 
 
 def _hamiltonian_field(V: np.ndarray, values: np.ndarray, hvals: np.ndarray, mask: np.ndarray):

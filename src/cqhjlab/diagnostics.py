@@ -1,6 +1,10 @@
 """Observables, collapse-time extraction, the dimensionless collapse
 measure, and conversion between internal units (hbar = m = 1) and SI.
 
+Every observable of a state is computed here, by energy, energy_spread,
+fidelity and the recorder's block pass _observe, on states scaled by one
+rule, grid._scaled_rows.
+
 The dimensionless measure reported here is tau * DeltaE / hbar, the natural
 time-energy-uncertainty scale of the initial state. It is an artifact-defined
 stand-in chosen by this package, not a published definition.
@@ -13,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ImaginaryEnergy, ZeroSpread, ZeroState
+from .cqhj import _hamiltonian_field, _masked_moments
+from .errors import AllMasked, ImaginaryEnergy, ZeroSpread, ZeroState
 from .grid import Field, Grid, _scaled_rows, _sq_norm, require_same_grid
 from .states import Hamiltonian
 
@@ -23,14 +28,12 @@ HBAR_SI = 1.054571817e-34  # J s
 BRACKET_MIN_S = 1e-13
 BRACKET_MAX_S = 1e-4
 
-
-def _scaled(psi: Field) -> tuple[np.ndarray, float]:
-    """(values, squared norm) of psi as grid._scaled_rows takes them, the
-    values as a one-row stack: divided by max|psi| where grid.norm rescales
-    psi, else psi's own, so no square taken of them overflows or
-    underflows."""
-    vals, _, sq, _ = _scaled_rows(psi.grid, psi.values[None])
-    return vals, float(sq[0])
+OBSERVABLE_NODE_THRESHOLD = 1e-5
+# the observable series of a trajectory, one value per snapshot, in the
+# column order of timeseries.csv
+OBSERVABLES = (
+    "norm", "energy", "fidelity_target", "H_mean_re", "H_std", "gauge_log_magnitude", "gauge_phase"
+)
 
 
 def _inners(grid: Grid, a: np.ndarray, b: np.ndarray) -> list[complex]:
@@ -43,7 +46,7 @@ def _inners(grid: Grid, a: np.ndarray, b: np.ndarray) -> list[complex]:
 
 def _fidelity(inner: complex, na: float, nb: float) -> float:
     """fidelity from the inner product <a|b> and the norms na and nb of two
-    states, each scaled as _scaled takes it; squared after the ratio where
+    states, each scaled by _scaled_rows; squared after the ratio where
     na^2 nb^2 would leave the normal range."""
     if na == 0.0 or nb == 0.0:
         raise ZeroState("fidelity of a zero state is undefined")
@@ -58,13 +61,13 @@ def fidelity(a: Field, b: Field) -> float:
     state that grid.norm rescales is divided by its max|psi| first, so that
     scale does not change the value."""
     g = require_same_grid(a, b)
-    (va, sa), (vb, sb) = _scaled(a), _scaled(b)
-    return _fidelity(_inners(g, va, vb)[0], math.sqrt(sa), math.sqrt(sb))
+    vals, _, sq, _ = _scaled_rows(g, np.stack((a.values, b.values)))
+    return _fidelity(_inners(g, vals[:1], vals[1])[0], *np.sqrt(sq).tolist())
 
 
 def _energy(inner: complex, sq_norm: float) -> float:
     """energy from the inner product <psi|H psi> and the squared norm of a
-    finite state psi, scaled as _scaled takes it."""
+    finite state psi, scaled by _scaled_rows."""
     if sq_norm == 0.0:
         raise ZeroState("energy of a zero state is undefined")
     val = inner / sq_norm
@@ -84,9 +87,9 @@ def energy(psi: Field, H: Hamiltonian) -> float:
     vanish (V real, symmetric operator); a residual above 1e-10 of the
     energy scale indicates a numerics bug and raises ImaginaryEnergy.
     """
-    require_same_grid(psi, H.grid)
-    v, sq_norm = _scaled(psi.check_finite())
-    return _energy(_inners(psi.grid, v, H.apply(v))[0], sq_norm)
+    g = require_same_grid(psi, H.grid)
+    v, _, sq, _ = _scaled_rows(g, psi.check_finite().values[None])
+    return _energy(_inners(g, v, H.apply(v))[0], float(sq[0]))
 
 
 def energy_spread(psi: Field, H: Hamiltonian) -> float:
@@ -94,7 +97,7 @@ def energy_spread(psi: Field, H: Hamiltonian) -> float:
     any nonzero finite scale; a NaN or Inf entry raises NonFiniteField, a
     zero state ZeroState."""
     g = require_same_grid(psi, H.grid)
-    v, den = _scaled(psi.check_finite())
+    v, _, (den,), _ = _scaled_rows(g, psi.check_finite().values[None])
     if den == 0.0:
         raise ZeroState("energy spread of a zero state is undefined")
     hvals = H.apply(v)
@@ -102,6 +105,33 @@ def energy_spread(psi: Field, H: Hamiltonian) -> float:
     e2 = _sq_norm(g, np.abs(hvals[0])) / den
     var = e2 - abs(e1) ** 2
     return float(np.sqrt(max(var, 0.0)))
+
+
+def _observe(H: Hamiltonian, target: Field | None, stack: np.ndarray) -> np.ndarray:
+    """The first five OBSERVABLES, norm to H_std, of a stack of finite
+    states, one column per state (fidelity_target NaN without a target),
+    from one operator application, bitwise norm, energy, fidelity and the
+    masked_stats of hamiltonian_field_from_state at OBSERVABLE_NODE_THRESHOLD.
+    The weighted sums are one np.dot per row, so a column is bitwise that of
+    the state alone. AllMasked for a zero row, then NodePresent,
+    ImaginaryEnergy and ZeroState as the observables raise them."""
+    grid = H.grid
+    vals, amp, sq, norms = _scaled_rows(grid, stack)
+    peak = amp.max(axis=-1, keepdims=True)
+    if not peak.all():
+        raise AllMasked("wave function vanishes identically")
+    # cqhj._node_mask's rule; a nonzero row keeps its peak point unmasked
+    mask = amp < OBSERVABLE_NODE_THRESHOLD * peak
+    hvals = H.apply(vals)
+    mean, std = _masked_moments(_hamiltonian_field(H.V.samples, vals, hvals, mask), mask, grid)
+    energies = list(map(_energy, _inners(grid, vals, hvals), sq.tolist()))
+    if target is None:
+        fids = [np.nan] * len(vals)
+    else:
+        tvals, _, tsq, _ = _scaled_rows(grid, target.values[None])
+        inners = _inners(grid, vals, tvals[0])
+        fids = [_fidelity(i, n, math.sqrt(tsq[0])) for i, n in zip(inners, np.sqrt(sq).tolist())]
+    return np.array([norms, energies, fids, mean.real, std])
 
 
 def collapse_time(traj, epsilon: float):

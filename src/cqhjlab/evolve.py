@@ -99,8 +99,10 @@ end state and its running log scale, the assembly of the Trajectory, and
 attaching the partial trajectory to any CqhjError a step, a snapshot or
 the observables raise. record is the per-snapshot finite check, which
 keeps the state and observes each block of kept states in one pass as it
-fills (_PsiObservations); series observes the rest at the run's end or
-after an error. The pass takes the formulas behind norm, energy,
+fills; series observes the rest at the run's end or after an error.
+_PsiObservations keeps only the waiting states, the bisection to a block's
+first failing state and the log scales; the pass is diagnostics._observe,
+which computes every observable by the formulas behind norm, energy,
 fidelity, masked_stats and hamiltonian_field_from_state (with the run's
 Hamiltonian), so each has one copy. A row's values do not depend on its
 block, and an observable error, earlier than any step error, wins.
@@ -125,7 +127,6 @@ are the API boundary, built only for a snapshot.
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache, reduce
@@ -142,11 +143,9 @@ from .cqhj import (
     _action_increments as psi_to_p,
     _check_node_threshold,
     _expanded_rhs,
-    _hamiltonian_field,
-    _masked_moments,
     p_to_psi,
 )
-from .diagnostics import _energy, _fidelity, _inners, _scaled
+from .diagnostics import OBSERVABLES, _observe
 from .errors import (
     AllMasked,
     CqhjError,
@@ -168,24 +167,10 @@ from .grid import (
     _derivative_op,
     _normalized,
     _readonly,
-    _scaled_rows,
     norm,
     require_same_grid,
 )
 from .states import Hamiltonian, Method, Potential, hamiltonian
-
-OBSERVABLE_NODE_THRESHOLD = 1e-5
-# the observable series of a trajectory, one value per snapshot, in the
-# column order of timeseries.csv
-OBSERVABLES = (
-    "norm",
-    "energy",
-    "fidelity_target",
-    "H_mean_re",
-    "H_std",
-    "gauge_log_magnitude",
-    "gauge_phase",
-)
 
 
 @dataclass(frozen=True)
@@ -432,16 +417,14 @@ OBSERVE_BLOCK_BYTES = 1 << 18
 
 
 class _PsiObservations:
-    """The observables of one wave-function run's snapshots: the kept states
-    waiting for their block of OBSERVE_BLOCK_BYTES / (16 N) states, the
-    observed columns, and each snapshot's (log scale, gauge phase). The
-    target is scaled once per run."""
+    """The block bookkeeping of one wave-function run's observables: the
+    kept states waiting for their block of OBSERVE_BLOCK_BYTES / (16 N)
+    states, the columns diagnostics._observe gave, and each snapshot's (log
+    scale, gauge phase)."""
 
     def __init__(self, H: Hamiltonian, target: Field | None):
         if target is not None:
             require_same_grid(target, H.grid)
-            vals, sq_norm = _scaled(target)
-            target = (vals[0], math.sqrt(sq_norm))
         self.H, self.target = H, target
         self.block = max(1, OBSERVE_BLOCK_BYTES // (16 * H.grid.n_points))
         self.waiting, self.parts, self.scales = [], [np.empty((5, 0))], []
@@ -497,31 +480,6 @@ def _record_psi_observables(run: _PsiObservations, vals: np.ndarray | None, log:
     if vals is None:
         run.parts.append(np.full((5, 1), np.nan))
     return psi
-
-
-def _observe(H: Hamiltonian, target: tuple[np.ndarray, float] | None, stack: np.ndarray):
-    """The first five OBSERVABLES, norm to H_std, of a stack of finite
-    states, one column per state (fidelity_target NaN without a target),
-    from one operator application. The weighted sums are one np.dot per
-    row, so a column is bitwise that of the state alone. AllMasked for a
-    zero row, then NodePresent, ImaginaryEnergy and ZeroState as the
-    observables raise them."""
-    grid = H.grid
-    vals, amp, sq, norms = _scaled_rows(grid, stack)
-    peak = amp.max(axis=-1, keepdims=True)
-    if not peak.all():
-        raise AllMasked("wave function vanishes identically")
-    # cqhj._node_mask's rule; a nonzero row keeps its peak point unmasked
-    mask = amp < OBSERVABLE_NODE_THRESHOLD * peak
-    hvals = H.apply(vals)
-    mean, std = _masked_moments(_hamiltonian_field(H.V.samples, vals, hvals, mask), mask, grid)
-    energies = list(map(_energy, _inners(grid, vals, hvals), sq.tolist()))
-    if target is None:
-        fids = [np.nan] * len(vals)
-    else:
-        inners = _inners(grid, vals, target[0])
-        fids = [_fidelity(i, n, target[1]) for i, n in zip(inners, np.sqrt(sq).tolist())]
-    return np.array([norms, energies, fids, mean.real, std])
 
 
 # --------------------------------------------------------------------------

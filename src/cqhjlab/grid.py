@@ -310,13 +310,15 @@ def norm(f: Field) -> float:
 
 
 def _scaled_rows(g: Grid, values: np.ndarray):
-    """(values, amp, sq_norms, norms) of a stack of states on g, one per row
-    along the last axis, under norm's rule: each row that norm rescales is
-    divided, with its magnitudes amp, by its max|f| (in a copy; the other
-    rows are taken as they are), sq_norms are the squared norms of the rows
-    so divided, one weighted sum per row, and norms are norm of each row,
-    bitwise. Squares taken of the returned values neither overflow nor
-    underflow."""
+    """(values, amp, sq_norms, norms) of a 2-D stack of complex states on g,
+    one per row, under norm's rule, the one scale rule of every observable:
+    each row that norm rescales is divided, with its magnitudes amp, by its
+    max|f| (in a copy; the other rows are taken as they are), sq_norms are
+    the squared norms of the rows so divided, one weighted sum per row, and
+    norms are norm of each row, bitwise, so no square taken of the values
+    overflows or underflows. A row is divided one real part at a time, as
+    numpy's complex-by-real division overflows the reciprocal of a
+    subnormal peak."""
     amp = np.abs(values)
     peak = amp.max(axis=-1)
     rows = np.flatnonzero(_rescaled(peak))
@@ -324,20 +326,21 @@ def _scaled_rows(g: Grid, values: np.ndarray):
     if rows.size:
         scale[rows] = peak[rows]
         values = values.copy()
-        values[rows] /= scale[rows, None]
+        values.view(np.float64)[rows] /= scale[rows, None]
         amp[rows] /= scale[rows, None]
     sq = np.array([_sq_norm(g, a) for a in amp])
     return values, amp, sq, scale * np.sqrt(sq)
 
 
 def _normalized(g: Grid, values: np.ndarray) -> tuple[np.ndarray, float]:
-    """(values / norm, norm) of raw values on g; NonFiniteField for a NaN or
-    Inf entry, ZeroState only when every entry is zero (or subnormal)."""
+    """(values / norm, norm) of raw complex values of any nonzero finite
+    scale on g, divided under _scaled_rows' rule; NonFiniteField for a NaN
+    or Inf entry, ZeroState only when every entry is zero."""
     _check_finite(values)
-    scale = norm(Field(g, values))
-    if scale == 0.0:
+    vals, _, sq, norms = _scaled_rows(g, values[None])
+    if not sq[0]:
         raise ZeroState("every entry of the state is zero")
-    return values / scale, scale
+    return vals[0] / math.sqrt(sq[0]), float(norms[0])
 
 
 def cumulative_integral(f: Field) -> Field:

@@ -27,8 +27,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .diagnostics import collapse_time, make_collapse_report
-from .evolve import OBSERVABLES, Trajectory, collapsible_evolve
+from .diagnostics import OBSERVABLES, collapse_time, make_collapse_report
+from .errors import ConfigError, CqhjError
+from .evolve import Trajectory, collapsible_evolve
 from .scenario import SCHEMA_VERSION, Scenario, apply_override, load_scenario
 from .states import hamiltonian
 
@@ -163,8 +164,24 @@ def write_artifacts(result: RunResult, out_dir: Path, wall_time_s: float) -> Non
 
 
 def run_to_directory(scenario: Scenario, out_dir: Path) -> RunResult:
+    """Execute the scenario and write its artifacts into out_dir. A run that
+    raises a CqhjError keeps the timeseries.csv (and the snapshot files) of
+    the partial trajectory the error carries, next to a summary.json flagged
+    incomplete, and the error is raised again."""
     started = time.perf_counter()
-    result = execute(scenario)
+    try:
+        result = execute(scenario)
+    except CqhjError as exc:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        if exc.trajectory is not None:
+            write_timeseries(exc.trajectory, out_dir)
+            if scenario.resolved["run"]["write_snapshots"]:
+                write_snapshots(exc.trajectory, out_dir)
+        _write_json(out_dir / "summary.json", {
+            "schema_version": SCHEMA_VERSION, "scenario": scenario.resolved["name"],
+            "incomplete": True, "error": f"{type(exc).__name__}: {exc}",
+        })
+        raise
     write_artifacts(result, out_dir, wall_time_s=time.perf_counter() - started)
     return result
 
@@ -200,7 +217,11 @@ def _sweep_row(args):
 
 
 def sweep(scenario: Scenario, param: str, values, workers: int | None = None) -> list[dict]:
-    """Run the scenario once per parameter value; rows keep input order."""
+    """Run the scenario once per parameter value; rows keep input order. The
+    pool starts at most one worker per value (by default one per CPU this
+    process may run on); workers below 1 is a ConfigError."""
+    if workers is not None and workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
     values = list(values)
     # validate the overrides eagerly so a bad parameter or value fails before any run
     for v in values:
@@ -209,8 +230,10 @@ def sweep(scenario: Scenario, param: str, values, workers: int | None = None) ->
     if workers is None:
         # the CPUs this process may run on, which os.cpu_count() ignores
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-        workers = min(len(values), cpus or 1)
-    if workers <= 1 or len(values) == 1:
+        workers = cpus or 1
+    # the pool forks all its workers at once, so at most one per value
+    workers = min(workers, len(values))
+    if workers <= 1:
         return [_sweep_row(t) for t in tasks]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_sweep_row, tasks))
@@ -248,7 +271,6 @@ def load_bundled_scenario(name: str) -> Scenario:
     """Scenario shipped with the package (name without .ini suffix)."""
     from importlib import resources
 
-    from .errors import ConfigError
     from .scenario import parse_scenario
 
     ref = resources.files("cqhjlab") / "scenarios" / f"{name}.ini"

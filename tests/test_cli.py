@@ -225,6 +225,20 @@ def test_run_solver_error_writes_partial_timeseries(tmp_path, monkeypatch, capsy
     assert "nan" not in {v for row in rows for v in row}
 
 
+def test_run_to_directory_keeps_the_partial_artifacts_of_a_failed_run(tmp_path, monkeypatch):
+    # the library entry writes what a failed run computed, as the CLI's run
+    # does, and raises the error again
+    _node_blowup_from_step(monkeypatch, 1001)
+    out = tmp_path / "phase0_out"
+    with pytest.raises(NodeBlowup):
+        runner.run_to_directory(parse_scenario(PHASE0_PINNING, name="phase0"), out)
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["incomplete"] is True
+    assert summary["error"].startswith("NodeBlowup: ")
+    assert len((out / "timeseries.csv").read_text().splitlines()[2:]) == 51
+    assert not (out / "manifest.json").exists()
+
+
 def test_run_solver_error_writes_partial_snapshots(tmp_path, monkeypatch, capsys):
     # with the dump on, a failed run keeps one snapshot file per row of its
     # partial timeseries, each holding the state of that row's snapshot
@@ -401,6 +415,14 @@ def test_sweep_invalid_value_exit_two_before_any_run(capsys, monkeypatch, param,
     args = ["sweep", "pinning_collapse", "--param", param, "--values", f"1,{value}"]
     assert main([*args, "--workers", "1"]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_sweep_workers_below_one_exit_two_before_any_run(capsys, monkeypatch, workers):
+    monkeypatch.setattr(runner, "execute", lambda scenario: pytest.fail("a row ran"))
+    args = ["sweep", "pinning_collapse", "--param", "force.kappa", "--values", "1,2"]
+    assert main([*args, "--workers", workers]) == 2
+    assert f"workers must be >= 1, got {workers}" in capsys.readouterr().err
 
 
 def test_sweep_unsuppliable_eigenstate_exit_two_before_any_run(capsys, monkeypatch):

@@ -1,5 +1,7 @@
 """Observables, collapse-time extraction, dimensionless measure, units."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -18,12 +20,14 @@ from cqhjlab import (
     free_potential,
     gaussian_packet,
     hamiltonian,
+    hamiltonian_field_from_state,
     harmonic_potential,
     ho_eigenstate,
     make_field,
     make_collapse_report,
     superpose,
 )
+from cqhjlab.cqhj import masked_stats
 from cqhjlab.diagnostics import BRACKET_MAX_S, BRACKET_MIN_S, HBAR_SI
 from cqhjlab.errors import GridMismatch, NonFiniteField, ZeroSpread, ZeroState
 from cqhjlab.states import position_expectation, position_variance
@@ -102,17 +106,25 @@ def test_energy_superposition_average(ho_setup):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("scale", [1e160, 1e100, 1e-100, 1e-160, 1e-200])
+@pytest.mark.parametrize("scale", [1e305, 1e160, 1e100, 1e-100, 1e-160, 1e-200, 1e-310])
 @pytest.mark.parametrize(
     "boundary, method",
     [(Boundary.BOX, Method.CRANK_NICOLSON), (Boundary.PERIODIC, Method.SPLIT_STEP)],
 )
 def test_observables_are_scale_free(boundary, method, scale):
-    # energy, energy_spread, fidelity and the position moments are of
-    # degree zero in psi: a state whose squares would overflow or underflow
-    # is divided by max|psi| first, as grid.norm does, and the fidelity of
-    # two states inside that range (1e100 and 1e-100) takes the ratio of
-    # |<a|b>| to the product of their norms before squaring it
+    # energy, energy_spread, fidelity, the position moments and the H field
+    # are of degree zero in psi: a state whose squares would overflow or
+    # underflow is divided by max|psi| first, as grid.norm does, and the
+    # fidelity of two states inside that range (1e100 and 1e-100) takes the
+    # ratio of |<a|b>| to the product of their norms before squaring it.
+    # At 1e305 H psi would overflow unscaled, and a subnormal peak (1e-310)
+    # is divided one real part at a time, as the reciprocal of it overflows.
+    # The H field's moments are compared with those of the same values
+    # brought to unit scale by the exact power of two 2^-e, scale = m 2^e:
+    # at 1e-310 the tails are subnormals that keep fewer bits than psi's.
+    # The moments run over tails down to 1e-5 of the peak, where the
+    # spectral (H psi)/psi magnifies the rounding of the division by the
+    # peak to 3e-11
     g = Grid(-8.0, 8.0, 512, boundary)
     V = harmonic_potential(g, 1.0)
     H = hamiltonian(V, method)
@@ -126,6 +138,13 @@ def test_observables_are_scale_free(boundary, method, scale):
     assert abs(fidelity(big, big) - 1.0) <= 1e-12
     assert abs(position_expectation(big) - position_expectation(psi)) <= 1e-12
     assert abs(position_variance(big) - position_variance(psi)) <= 1e-12
+    unit = Field(g, np.ldexp(big.values.view(float), -math.frexp(scale)[1]).view(complex))
+    field, mask = hamiltonian_field_from_state(unit, H, 1e-5)
+    big_field, big_mask = hamiltonian_field_from_state(big, H, 1e-5)
+    assert np.array_equal(big_mask, mask)
+    (mean, std), (big_mean, big_std) = masked_stats(field, mask), masked_stats(big_field, big_mask)
+    assert abs(big_mean - mean) <= 1e-10
+    assert abs(big_std - std) <= 1e-10
 
 
 @pytest.mark.parametrize("boundary", [Boundary.BOX, Boundary.PERIODIC])

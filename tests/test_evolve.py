@@ -1,5 +1,6 @@
 """Propagators: linear Schroedinger, momentum-space RK4, collapsible Strang."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -31,7 +32,7 @@ from cqhjlab import (
 )
 from cqhjlab import evolve
 from cqhjlab.cqhj import masked_stats
-from cqhjlab.diagnostics import energy
+from cqhjlab.diagnostics import OBSERVABLE_NODE_THRESHOLD, energy
 from cqhjlab.errors import (
     AllMasked,
     GridMismatch,
@@ -505,7 +506,7 @@ def test_recorder_matches_the_public_observables(boundary, method, with_target):
     assert np.array_equal(snap.values, psi.values)
     obs, error = series()
     assert error is None
-    h_field, mask = hamiltonian_field_from_state(psi, H, evolve.OBSERVABLE_NODE_THRESHOLD)
+    h_field, mask = hamiltonian_field_from_state(psi, H, OBSERVABLE_NODE_THRESHOLD)
     assert 0 < mask.sum() < g.n_points
     mean, std = masked_stats(h_field, mask)
     want = {
@@ -863,11 +864,16 @@ def test_collapsible_homogeneity_pointwise(ho_box_setup):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("s", [1e160, 1e-200])
+@pytest.mark.parametrize("s", [1e160, 1e-200, 1e-310])
 def test_collapsible_runs_any_finite_scale_of_the_bundled_pinning_inputs(s):
     # the norm of psi0 * s is taken scaled, so neither the squares of 1e160
     # (overflow) nor those of 1e-200 (underflow) reach a sum: the run is the
-    # unscaled one, with the log scale offset by -ln s
+    # unscaled one, with the log scale offset by -ln s. A subnormal peak
+    # (1e-310) is divided one real part at a time, since numpy's
+    # complex-by-real division overflows the reciprocal of it. The reference
+    # starts from the values the scaled run holds, brought to unit scale by
+    # the exact power of two 2^-e, s = m 2^e: psi0 * 1e-310 is subnormal
+    # and keeps fewer bits in its tails than psi0
     scenario = apply_override(load_scenario_or_bundled("pinning_collapse"), "run.t_final", 0.1)
     grid = scenario.build_grid()
     V = scenario.build_potential(grid)
@@ -876,15 +882,16 @@ def test_collapsible_runs_any_finite_scale_of_the_bundled_pinning_inputs(s):
     target = scenario.build_fidelity_target(grid, V)
     spec = scenario.build_integrator()
 
-    def run(c):
+    def run(values):
         return collapsible_evolve(
-            Field(grid, c * psi0.values), V, force, spec, 0.1, snapshot_stride=20, target=target
+            Field(grid, values), V, force, spec, 0.1, snapshot_stride=20, target=target
         )
 
-    ref, scaled = run(1.0), run(s)
+    values, e = s * psi0.values, math.frexp(s)[1]
+    ref, scaled = run(np.ldexp(values.view(float), -e).view(complex)), run(values)
     assert abs(scaled.observables["fidelity_target"][-1] - ref.observables["fidelity_target"][-1]) <= 1e-12
     offset = scaled.observables["gauge_log_magnitude"] - ref.observables["gauge_log_magnitude"]
-    assert np.max(np.abs(offset + np.log(s))) <= 1e-12
+    assert np.max(np.abs(offset + e * np.log(2.0))) <= 1e-12
 
 
 def test_collapsible_rejects_an_all_zero_state(ho_box_setup):
@@ -1221,7 +1228,7 @@ def test_strong_pinning_with_one_snapshot_stays_finite(ho_box_setup):
 def test_one_norm_per_advance(ho_box_setup, monkeypatch, kappa, advances_per_interval):
     # 100 steps at stride 20 with a target: the entry normalization
     # (_normalized) and one norm per advance; the target is scaled by the
-    # observables' own rule (diagnostics._scaled). kappa = 3.5
+    # observables' own rule (grid._scaled_rows, in diagnostics). kappa = 3.5
     # advances a whole interval at a time; kappa = 125 caps an advance at
     # 1 / (kappa dt) = 8 steps, so each interval is three advances (8 + 8 + 4)
     grid, V, pairs = ho_box_setup

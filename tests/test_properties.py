@@ -620,15 +620,13 @@ def test_observable_rows_do_not_depend_on_their_block(case, seed, rows, cut):
         record(v, 0.0)
     obs, error = series()
     assert error is None
-    target_vals, sq_norm = diagnostics._scaled(target)
-    scaled_target = (target_vals[0], np.sqrt(sq_norm))
     stack = np.stack(states)
     cut = min(cut, rows)
-    halves = [evolve._observe(H, scaled_target, s) for s in (stack[:cut], stack[cut:]) if len(s)]
+    halves = [diagnostics._observe(H, target, s) for s in (stack[:cut], stack[cut:]) if len(s)]
     split = np.concatenate(halves, axis=1)
     keys = ["norm", "energy", "fidelity_target", "H_mean_re", "H_std"]
     for i, v in enumerate(states):
-        one = evolve._observe(H, scaled_target, v[None])[:, 0]
+        one = diagnostics._observe(H, target, v[None])[:, 0]
         assert np.array_equal(split[:, i], one)
         assert np.array_equal([obs[k][i] for k in keys], one)
         psi = Field(g, v)

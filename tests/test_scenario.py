@@ -9,7 +9,8 @@ import pytest
 
 from cqhjlab import scenario as scenario_module
 from cqhjlab.errors import ConfigError
-from cqhjlab.evolve import OBSERVABLES, Trajectory
+from cqhjlab.diagnostics import OBSERVABLES
+from cqhjlab.evolve import Trajectory
 from cqhjlab.grid import Boundary, Field, Grid
 from cqhjlab.runner import RunResult, execute, run_to_directory, sweep, write_artifacts
 from cqhjlab.scenario import SCHEMA_VERSION, Scenario, apply_override, parse_scenario
@@ -263,6 +264,33 @@ def test_default_sweep_workers_follow_cpu_affinity(monkeypatch):
     s = parse_scenario(MINI, name="mini")
     rows = sweep(s, "integrator.dt", [2e-3, 1.5e-3, 1e-3])
     assert [r["status"] for r in rows] == ["ok", "ok", "ok"]
+
+
+def test_explicit_sweep_workers_are_capped_at_the_values(monkeypatch):
+    # the pool forks all its workers at once: a million requested for two
+    # values start two; the fake pool maps serially and starts no process
+    from cqhjlab import runner
+
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", SerialPool)
+    s = parse_scenario(MINI, name="mini")
+    rows = sweep(s, "integrator.dt", [2e-3, 1e-3], workers=10**6)
+    assert started == [2]
+    assert [r["status"] for r in rows] == ["ok", "ok"]
 
 
 def test_pooled_sweep_rows_equal_single_runs():
