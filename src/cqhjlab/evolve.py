@@ -53,25 +53,33 @@ Strang state, and a nonlinear step makes one solve.
 A linear run (schrodinger_evolve, or collapsible_evolve under the null
 force, whose m steps are 2m half steps) advances through one helper,
 _linear_advance: each snapshot interval is one kernel.step call, or one
-vector-matrix product with a dense power the run keeps. Before its first
-step the run asks once for the dense powers (S^n)^T, S the N x N Strang
-step matrix, of those of its interval lengths (the snapshot stride and the
-remainder, in kernel steps) that pay. The powers come from one squaring
-chain (_SplitStepKernel.powers): S is built by one batched step of the N
-unit states, its squarings S^(2^k) serve every length, and the set bits of
-each length are multiplied into its own matrix, so the chain makes
+vector-matrix product with a kept dense power. Before its first step the
+run asks once (_kept_powers) for the dense powers (S^n)^T, S the N x N
+Strang step matrix, of those of its interval lengths (the snapshot stride
+and the remainder, in kernel steps) that pay. The powers come from one
+squaring chain (_SplitStepKernel.powers): S is built by one batched step of
+the N unit states, its squarings S^(2^k) serve every length, and the set
+bits of each length are multiplied into its own matrix, so the chain makes
 bit_length(n) - 1 squarings and popcount - 1 products per length, with at
-most four N x N arrays alive (64 MB at N = 1024) and two kept. Whether a
-length pays is a rule of (N, n), not a setting (_split_power_pays): n must
-exceed bit_length(n) + 2 products at a committed, conservative cost per
-product, or a shorter n must, so every n from the first that pays takes
-the power; grids above 1024 points always step. Every other split-step
-interval steps by FFT, one FFT pair per step, merging the potential
-factors that meet. The bundled 256-point stationary run (12 intervals of
-10,000 half steps and one of 5,664) makes 20 N x N products and builds S
-once, in place of 168 products for powering each interval on its own
-(BENCH_24). Crank-Nicolson and the nonlinear steps (n <= 2) never take a
-power.
+most four N x N arrays alive (64 MB at N = 1024). One module-level slot
+keeps the read-only powers of the last such run, keyed by its kernel and
+its tuple of paying lengths, so the next run of the same kernel and lengths
+(a sweep, a repeated run) takes them with no chain; any other run empties
+the slot before its chain starts, so the peak stays four arrays. Between
+runs the slot holds at most two N x N arrays, 2 MB at N = 256 and 32 MB at
+N = 1024. The powers are a pure function of the kernel and the lengths, so
+no output depends on the slot. Whether a length pays is a rule of (N, n),
+not a setting (_split_power_pays): n must exceed bit_length(n) + 2
+products at a committed, conservative cost per product, or a shorter n
+must, so every n from the first that pays takes the power; grids above
+1024 points always step. Every other split-step interval steps by FFT, one
+FFT pair per step, merging the potential factors that meet. The bundled
+256-point stationary run (12 intervals of 10,000 half steps and one of
+5,664) makes 20 N x N products and builds S once, in place of 168 products
+for powering each interval on its own (BENCH_24), and a repeated run of it
+builds none: the benchmark's stationary_split steps_per_s rose from 2.06M
+to 8.59M (BENCH_30). Crank-Nicolson and the nonlinear steps (n <= 2) never
+take a power.
 
 A Crank-Nicolson call of n steps takes them in solves of q steps, full
 ones first and then the rest, and every solve follows one rule: m <= q
@@ -186,8 +194,10 @@ class IntegratorSpec:
     A linear run takes each snapshot interval as one kernel call (FFT
     steps, or Crank-Nicolson solves of at most q <= 8 Cayley steps, q a
     conditioning rule) or, on split-step, as one product with the dense
-    power the run keeps for each interval length that pays (module
-    docstring).
+    power of each interval length that pays. One slot keeps the last
+    linear split-step run's powers, at most two N x N arrays (2 MB at
+    N = 256, 32 MB at N = 1024), for the next run of the same kernel and
+    lengths; no output depends on it (module docstring).
     """
 
     method: Method
@@ -218,11 +228,12 @@ class Trajectory:
 
 class _SplitStepKernel:
     """n Strang steps exp(-iV dt/2) exp(-iK dt) exp(-iV dt/2) in one call, via
-    FFT step by step. powers builds the dense powers of the step matrix a
-    run keeps for its intervals that pay (_linear_advance), all from one
-    squaring chain; the run, not the kernel, keeps them. The kernel holds
-    read-only factors and no buffer; numpy's complex product is not bitwise
-    commutative, so operand order is fixed."""
+    FFT step by step. powers builds the dense powers of the step matrix
+    for a run's intervals that pay (_linear_advance), all from one squaring
+    chain; the kernel does not keep them: the one slot of _kept_powers
+    keeps the last run's for the next run of this kernel and its lengths.
+    The kernel holds read-only factors and no buffer; numpy's complex
+    product is not bitwise commutative, so operand order is fixed."""
 
     def __init__(self, H: Hamiltonian, dt: float):
         self.half_v = _readonly(np.exp(-0.5j * dt * H.V.samples))
@@ -354,18 +365,41 @@ class _CrankNicolsonKernel:
         return out
 
 
+# the one slot that keeps the powers of the last linear split-step run,
+# {(kernel, lengths): {n: (S^n)^T}} with at most one entry (_kept_powers)
+_KEPT_POWERS: dict = {}
+
+
+def _kept_powers(kernel: _SplitStepKernel, lengths: list) -> dict:
+    """{n: (S^n)^T}, read-only, for the paying interval lengths of a linear
+    split-step run on kernel: those of the last run when its kernel and
+    lengths are these, else a new squaring chain (kernel.powers). The slot
+    is emptied before the new chain starts, so the old powers are released
+    first. The powers are a pure function of the kernel and the lengths, so
+    a run from kept powers is bitwise a run from a fresh chain."""
+    key = (kernel, tuple(lengths))
+    powers = _KEPT_POWERS.get(key)
+    if powers is None:
+        _KEPT_POWERS.clear()
+        powers = kernel.powers(lengths)
+        for power in powers.values():
+            power.flags.writeable = False  # the chain's own arrays, frozen in place
+        _KEPT_POWERS[key] = powers
+    return powers
+
+
 def _linear_advance(kernel, substeps: int, t_final: float, dt: float, snapshot_stride: int):
     """advance(vals, m) of a linear run to t_final, m steps being substeps *
     m kernel steps (module docstring). The run's interval lengths are the
     stride and the remainder; on split-step each that pays
-    (_split_power_pays) is kept as (S^n)^T, all from one squaring chain, and
-    taken as one vector-matrix product. Any other interval is one
-    kernel.step call."""
+    (_split_power_pays) is taken as one vector-matrix product with (S^n)^T,
+    all from one squaring chain or from the last run's (_kept_powers). Any
+    other interval is one kernel.step call."""
     count, rest = divmod(_step_count(t_final, dt, snapshot_stride), snapshot_stride)
     lengths = [substeps * m for m in (snapshot_stride if count else 0, rest) if m]
     split = isinstance(kernel, _SplitStepKernel)
     paying = [n for n in lengths if split and _split_power_pays(kernel.half_v.size, n)]
-    kept = kernel.powers(paying) if paying else {}
+    kept = _kept_powers(kernel, paying) if paying else {}
 
     def advance(vals: np.ndarray, m: int) -> np.ndarray:
         n = substeps * m

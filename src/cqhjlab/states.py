@@ -289,16 +289,20 @@ def superpose(coefficients, states) -> Field:
     return make_field(g, values)
 
 
-def position_expectation(psi: Field) -> float:
-    # |psi|^2 of psi scaled by the norm rule, so no square overflows or underflows
+def _position_mean(psi: Field):
+    """(<x>, dens, w) of psi: dens is |psi|^2 of psi scaled by the norm rule,
+    so no square overflows or underflows, and w the quadrature weights."""
     dens = _scaled_rows(psi.grid, psi.values[None])[1][0] ** 2
     w = psi.grid.quadrature_weights
-    return float(np.dot(w, psi.grid.x * dens) / np.dot(w, dens))
+    return float(np.dot(w, psi.grid.x * dens) / np.dot(w, dens)), dens, w
+
+
+def position_expectation(psi: Field) -> float:
+    return _position_mean(psi)[0]
 
 
 def position_variance(psi: Field) -> float:
-    dens = _scaled_rows(psi.grid, psi.values[None])[1][0] ** 2
-    w = psi.grid.quadrature_weights
-    mean = position_expectation(psi)
+    # the mean and the spread from one scaled density
+    mean, dens, w = _position_mean(psi)
     return float(np.dot(w, (psi.grid.x - mean) ** 2 * dens) / np.dot(w, dens))
 

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -323,9 +324,12 @@ def test_split_step_power_is_deterministic():
     a, b = (psi0.values @ kernel.powers([5000])[5000] for _ in range(2))
     assert a.tobytes() == b.tobytes()
     spec = IntegratorSpec(Method.SPLIT_STEP, 1e-4, False)
-    a, b = (
-        collapsible_evolve(psi0, V, null_force(), spec, 0.5, snapshot_stride=2500) for _ in range(2)
-    )
+
+    def run():
+        evolve._KEPT_POWERS.clear()  # each run builds its own chain
+        return collapsible_evolve(psi0, V, null_force(), spec, 0.5, snapshot_stride=2500)
+
+    a, b = run(), run()
     assert len(a.snapshots) == 3
     for sa, sb in zip(a.snapshots, b.snapshots, strict=True):
         assert sa.values.tobytes() == sb.values.tobytes()
@@ -334,7 +338,9 @@ def test_split_step_power_is_deterministic():
 def _spy_split_step(monkeypatch):
     """The interval lengths of every squaring chain (the lengths of each
     powers call) and the n of every kernel.step call of the split-step
-    kernels, recorded while the calls run as before."""
+    kernels, recorded while the calls run as before, from an empty slot of
+    kept powers, so a run builds its own chain whatever ran before it."""
+    evolve._KEPT_POWERS.clear()
     calls = {"powers": [], "step": []}
     powers, step = evolve._SplitStepKernel.powers, evolve._SplitStepKernel.step
 
@@ -428,6 +434,7 @@ def test_kept_split_step_power_peaks_below_four_square_arrays():
     spec = IntegratorSpec(Method.SPLIT_STEP, 1e-4, False)
     _make_kernel(hamiltonian(V, Method.SPLIT_STEP), 1e-4)
     assert evolve._split_power_pays(g.n_points, 3000)
+    evolve._KEPT_POWERS.clear()  # the run builds its own chain
     tracemalloc.start()
     try:
         traj = schrodinger_evolve(psi0, V, spec, 0.9, snapshot_stride=3000)
@@ -457,6 +464,89 @@ def test_kept_split_step_powers_with_remainder_peak_below_five_square_arrays(mon
     assert len(traj.snapshots) == 5
     assert calls == {"powers": [[3000, 2900]], "step": []}
     assert peak < 5 * g.n_points**2 * np.dtype(np.complex128).itemsize
+
+
+def _stationary_run(psi0, omega=1.0, t_final=0.59):
+    """A 256-point split-step run at stride 3,000 on the oscillator of
+    frequency omega: at t_final 0.59 its intervals are one of 3,000 steps
+    and a 2,900-step remainder, each a paying length."""
+    V = harmonic_potential(psi0.grid, omega)
+    spec = IntegratorSpec(Method.SPLIT_STEP, 1e-4, False)
+    return schrodinger_evolve(psi0, V, spec, t_final, snapshot_stride=3000)
+
+
+def test_a_repeated_split_step_run_takes_the_kept_powers(monkeypatch):
+    # a second run on the same kernel and lengths, from another initial
+    # state, builds no chain: it takes the powers the first run kept, and
+    # its snapshots are bitwise those of the same run from an empty slot
+    g = Grid(-12.0, 12.0, 256, Boundary.PERIODIC)
+    calls = _spy_split_step(monkeypatch)
+    _stationary_run(ho_eigenstate(0, 1.0, g).state)
+    psi0 = random_nodeless_state(g, np.random.default_rng(29), modes=4, amplitude=0.5)
+    kept = _stationary_run(psi0)
+    assert calls == {"powers": [[3000, 2900]], "step": []}
+    evolve._KEPT_POWERS.clear()
+    fresh = _stationary_run(psi0)
+    assert calls["powers"] == [[3000, 2900]] * 2
+    assert len(kept.snapshots) == len(fresh.snapshots) == 3
+    for a, b in zip(kept.snapshots, fresh.snapshots, strict=True):
+        assert a.values.tobytes() == b.values.tobytes()
+
+
+@pytest.mark.parametrize("other", ["kernel", "lengths"])
+def test_another_kernel_or_lengths_builds_from_an_empty_slot(monkeypatch, other):
+    # a run on another kernel (another potential) or with other lengths (no
+    # remainder) finds the slot empty when its chain starts: the old kept
+    # powers are released before the new ones are built
+    g = Grid(-12.0, 12.0, 256, Boundary.PERIODIC)
+    psi0 = ho_eigenstate(0, 1.0, g).state
+    evolve._KEPT_POWERS.clear()
+    _stationary_run(psi0)
+    old = weakref.ref(next(iter(evolve._KEPT_POWERS.values()))[3000])
+    seen = []
+    powers = evolve._SplitStepKernel.powers
+
+    def spy(self, lengths):
+        seen.append((list(lengths), len(evolve._KEPT_POWERS), old() is None))
+        return powers(self, lengths)
+
+    monkeypatch.setattr(evolve._SplitStepKernel, "powers", spy)
+    if other == "kernel":
+        _stationary_run(psi0, omega=0.5)
+        assert seen == [([3000, 2900], 0, True)]
+    else:
+        _stationary_run(psi0, t_final=0.9)
+        assert seen == [([3000], 0, True)]
+    assert len(evolve._KEPT_POWERS) == 1
+
+
+def test_kept_split_step_powers_are_read_only():
+    g = Grid(-12.0, 12.0, 256, Boundary.PERIODIC)
+    evolve._KEPT_POWERS.clear()
+    _stationary_run(ho_eigenstate(0, 1.0, g).state)
+    (kept,) = evolve._KEPT_POWERS.values()
+    assert sorted(kept) == [2900, 3000]
+    for power in kept.values():
+        assert not power.flags.writeable
+        with pytest.raises(ValueError):
+            power[0, 0] = 0.0
+
+
+def test_a_repeated_split_step_run_peaks_below_one_square_array():
+    # the second run of one kernel and lengths takes the kept powers: no
+    # N x N array is allocated, only its states
+    g = Grid(-12.0, 12.0, 256, Boundary.PERIODIC)
+    psi0 = ho_eigenstate(1, 1.0, g).state
+    evolve._KEPT_POWERS.clear()
+    _stationary_run(psi0)
+    tracemalloc.start()
+    try:
+        traj = _stationary_run(psi0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(traj.snapshots) == 3
+    assert peak < g.n_points**2 * np.dtype(np.complex128).itemsize
 
 
 def test_crank_nicolson_norm_conservation(ho_box_setup):

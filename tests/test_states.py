@@ -5,6 +5,7 @@ import pytest
 
 from cqhjlab import (
     Boundary,
+    Field,
     Grid,
     IntegratorSpec,
     Method,
@@ -22,7 +23,9 @@ from cqhjlab import (
     solve_eigenstates,
     superpose,
 )
+from cqhjlab import states, verify
 from cqhjlab.errors import DomainOverflow, GridMismatch, UnresolvedState, ZeroState
+from cqhjlab.grid import _scaled_rows
 from cqhjlab.states import (
     hamiltonian,
     hamiltonian_residual,
@@ -61,6 +64,40 @@ def test_packet_variance_moment_oracle(periodic_grid):
     # |psi|^2 ~ exp(-x^2/sigma^2) has variance sigma^2/2
     p = gaussian_packet(periodic_grid, 0.0, 0.7, 1.0)
     assert abs(position_variance(p) - 0.5) <= 1e-8
+
+
+def _two_pass_variance(psi):
+    """The variance with its mean from position_expectation, which scales
+    and squares the state a second time."""
+    dens = _scaled_rows(psi.grid, psi.values[None])[1][0] ** 2
+    w = psi.grid.quadrature_weights
+    mean = position_expectation(psi)
+    return float(np.dot(w, (psi.grid.x - mean) ** 2 * dens) / np.dot(w, dens))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e300, 1e-310])
+def test_position_variance_scales_the_state_once(periodic_grid, monkeypatch, scale):
+    # one scaled density serves the mean and the spread, and the variance is
+    # bitwise the two-pass formula's, at any finite scale of the state
+    psi = Field(periodic_grid, gaussian_packet(periodic_grid, 0.8, 0.7, 1.5).values * scale)
+    calls = []
+
+    def spy(g, values):
+        calls.append(len(values))
+        return _scaled_rows(g, values)
+
+    monkeypatch.setattr(states, "_scaled_rows", spy)
+    var = position_variance(psi)
+    assert calls == [1]
+    assert var.hex() == _two_pass_variance(psi).hex()
+
+
+def test_free_packet_spreading_measures_the_two_pass_variance(monkeypatch):
+    # the one verify check that takes a variance measures the same value,
+    # to the last digit of its repr, as with the two-pass formula
+    measured = verify._free_spreading()[0]
+    monkeypatch.setattr(verify, "position_variance", _two_pass_variance)
+    assert repr(verify._free_spreading()[0]) == repr(measured)
 
 
 def test_packet_resolution_guard():
