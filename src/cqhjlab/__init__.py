@@ -75,6 +75,8 @@ from .states import (  # noqa: F401
     hamiltonian,
     harmonic_potential,
     ho_eigenstate,
+    position_expectation,
+    position_variance,
     solve_eigenstates,
     superpose,
 )

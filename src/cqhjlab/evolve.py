@@ -73,13 +73,8 @@ not a setting (_split_power_pays): n must exceed bit_length(n) + 2
 products at a committed, conservative cost per product, or a shorter n
 must, so every n from the first that pays takes the power; grids above
 1024 points always step. Every other split-step interval steps by FFT, one
-FFT pair per step, merging the potential factors that meet. The bundled
-256-point stationary run (12 intervals of 10,000 half steps and one of
-5,664) makes 20 N x N products and builds S once, in place of 168 products
-for powering each interval on its own (BENCH_24), and a repeated run of it
-builds none: the benchmark's stationary_split steps_per_s rose from 2.06M
-to 8.59M (BENCH_30). Crank-Nicolson and the nonlinear steps (n <= 2) never
-take a power.
+FFT pair per step, merging the potential factors that meet. Crank-Nicolson
+and the nonlinear steps (n <= 2) never take a power.
 
 A Crank-Nicolson call of n steps takes them in solves of q steps, full
 ones first and then the rest, and every solve follows one rule: m <= q
@@ -103,17 +98,17 @@ only an interval function advance(vals, m), which takes a full Strang
 state m steps on, and a recorder (record, series), both on raw ndarrays;
 the loop owns the snapshot cadence (t = 0, every snapshot_stride-th step
 and the last step), the step cap, the renormalization of each advance's
-end state and its running log scale, the assembly of the Trajectory, and
-attaching the partial trajectory to any CqhjError a step, a snapshot or
-the observables raise. record is the per-snapshot finite check, which
-keeps the state and observes each block of kept states in one pass as it
-fills; series observes the rest at the run's end or after an error.
-_PsiObservations keeps only the waiting states, the bisection to a block's
-first failing state and the log scales; the pass is diagnostics._observe,
-which computes every observable by the formulas behind norm, energy,
-fidelity, masked_stats and hamiltonian_field_from_state (with the run's
-Hamiltonian), so each has one copy. A row's values do not depend on its
-block, and an observable error, earlier than any step error, wins.
+end state and its running log scale, and the Trajectory: one (S, N) array
+allocated before the first step, snapshot i its row i, whose first rows
+are the partial trajectory attached to any CqhjError a step, a snapshot
+or the observables raise. record is the per-snapshot finite check, which
+writes the state into its row and observes each full block of kept rows,
+a view, in one pass; series observes the rest at the run's end or after
+an error. The pass is diagnostics._observe, which computes every
+observable by the formulas behind norm, energy, fidelity, masked_stats
+and hamiltonian_field_from_state (with the run's Hamiltonian), so each
+has one copy. A row's values do not depend on its block, and an
+observable error, earlier than any step error, wins.
 
 The force layer of a nonlinear run is one kernel per run on raw ndarrays
 (_gauge_kernel). It looks up the force's law once (forces._force_law, with
@@ -137,8 +132,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache, reduce
-from itertools import chain
+from functools import lru_cache, partial, reduce
 from operator import matmul
 
 import numpy as np
@@ -162,6 +156,7 @@ from .errors import (
     PeriodicityViolation,
     SchemeMismatch,
     StabilityViolation,
+    ZeroState,
 )
 from .forces import CollapseForce, ForceKind, _force_law
 from .forces import _evaluate as evaluate_force, _pair_lift as gauge_potential
@@ -189,13 +184,9 @@ class IntegratorSpec:
     norm and sums the log scale factors into gauge_log_magnitude: once per
     snapshot interval, and at least once per e-folding time 1 / (rate dt)
     steps of a collapse force (module docstring). dt must be positive and
-    finite.
-
-    A linear run takes each snapshot interval as one kernel call (FFT
-    steps, or Crank-Nicolson solves of at most q <= 8 Cayley steps, q a
-    conditioning rule) or, on split-step, as one product with the dense
-    power of each interval length that pays. One slot keeps the last
-    linear split-step run's powers, at most two N x N arrays (2 MB at
+    finite. A linear run takes each snapshot interval as one kernel call
+    or, on split-step, one product with a dense power. One slot keeps the
+    last linear split-step run's powers, at most two N x N arrays (2 MB at
     N = 256, 32 MB at N = 1024), for the next run of the same kernel and
     lengths; no output depends on it (module docstring).
     """
@@ -211,15 +202,14 @@ class IntegratorSpec:
 
 @dataclass
 class Trajectory:
-    """Recorded time series of an evolution run."""
+    """Recorded time series of a run: snapshot i is row i of snapshots, a
+    read-only C-contiguous complex128 (len(times), N) array of psi (p for
+    cqhj_evolve), and final_state the last row as a Field (MomentumField)."""
 
     times: np.ndarray
-    snapshots: list
+    snapshots: np.ndarray
     observables: dict[str, np.ndarray] = dc_field(default_factory=dict)
-
-    @property
-    def final_state(self):
-        return self.snapshots[-1]
+    final_state: Field | MomentumField | None = None
 
 
 # --------------------------------------------------------------------------
@@ -452,24 +442,24 @@ OBSERVE_BLOCK_BYTES = 1 << 18
 
 class _PsiObservations:
     """The block bookkeeping of one wave-function run's observables: the
-    kept states waiting for their block of OBSERVE_BLOCK_BYTES / (16 N)
-    states, the columns diagnostics._observe gave, and each snapshot's (log
-    scale, gauge phase)."""
+    (S, N) array rows the kept states are written into, observed in blocks
+    of OBSERVE_BLOCK_BYTES / (16 N) rows, the columns diagnostics._observe
+    gave, and each snapshot's (log scale, gauge phase)."""
 
-    def __init__(self, H: Hamiltonian, target: Field | None):
+    def __init__(self, H: Hamiltonian, target: Field | None, rows: np.ndarray):
         if target is not None:
             require_same_grid(target, H.grid)
-        self.H, self.target = H, target
+        self.H, self.target, self.rows = H, target, rows
         self.block = max(1, OBSERVE_BLOCK_BYTES // (16 * H.grid.n_points))
-        self.waiting, self.parts, self.scales = [], [np.empty((5, 0))], []
+        self.kept, self.observed, self.parts, self.scales = 0, 0, [np.empty((5, 0))], []
 
     def observe(self):
-        """Observe the waiting states and keep their columns up to the first
-        failing one, found by bisection (a row's observables depend on the
-        row alone); that state's error, or None."""
-        if not self.waiting:
+        """Observe the kept rows not yet observed, a view, and keep their
+        columns up to the first failing one, found by bisection (a row's
+        observables depend on the row alone); that row's error, or None."""
+        stack, self.observed = self.rows[self.observed : self.kept], self.kept
+        if not len(stack):
             return None
-        stack, self.waiting = np.stack(self.waiting), []
         try:
             self.parts.append(_observe(self.H, self.target, stack))
             return None
@@ -486,7 +476,7 @@ class _PsiObservations:
         return error
 
     def series(self):
-        """(observables, error), the waiting states observed now: error is
+        """(observables, error), the kept rows left observed now: error is
         None and the series cover every snapshot, or error is the first
         failing snapshot's and the series stop before it."""
         error = self.observe()
@@ -498,34 +488,32 @@ class _PsiObservations:
         return obs, error
 
 
-def _record_psi_observables(run: _PsiObservations, vals: np.ndarray | None, log: float):
-    """The snapshot of the state vals, which takes vals without a copy,
-    after its finite check. vals waits for its block, which this call
-    observes once it is full, raising the first failing state's error.
-    vals None (a winding field of cqhj_evolve) observes the waiting states
-    and records a row of NaN."""
-    psi = None if vals is None else _adopt(Field, grid=run.H.grid, values=vals).check_finite()
-    run.scales.append((log, np.nan if vals is None else 0.0))  # the scale factors are real
+def _record_psi_observables(run: _PsiObservations, i: int, vals: np.ndarray | None, log: float):
+    """Snapshot i of the state vals: after its finite check vals is written
+    into row i, and a full block of kept rows is observed, raising the
+    first failing row's error. vals None (a winding field of cqhj_evolve)
+    observes the rows before it and records a row of NaN."""
     if vals is not None:
-        run.waiting.append(vals)
-    error = run.observe() if vals is None or len(run.waiting) == run.block else None
+        _check_finite(vals)
+        run.rows[i], run.kept = vals, i + 1
+    run.scales.append((log, np.nan if vals is None else 0.0))  # the scale factors are real
+    error = run.observe() if vals is None or run.kept - run.observed == run.block else None
     if error is not None:
         raise error
     if vals is None:
         run.parts.append(np.full((5, 1), np.nan))
-    return psi
+        run.kept = run.observed = i + 1
 
 
 # --------------------------------------------------------------------------
 # propagators
 
 
-def _psi_recorder(H: Hamiltonian, target: Field | None):
-    """(record, series) of the wave-function propagators, as _drive takes
-    them: record(vals, log) is _record_psi_observables, series() is
-    _PsiObservations.series."""
-    run = _PsiObservations(H, target)
-    return lambda v, log: _record_psi_observables(run, v, log), run.series
+def _psi_recorder(H: Hamiltonian, target: Field | None, rows: np.ndarray):
+    """(record, series) of a wave-function run into the (S, N) array rows,
+    as _drive takes them: _record_psi_observables, _PsiObservations.series."""
+    run = _PsiObservations(H, target, rows)
+    return lambda i, v, log: _record_psi_observables(run, i, v, log), run.series
 
 
 def _step_count(t_final: float, dt: float, snapshot_stride: int) -> int:
@@ -545,6 +533,7 @@ def _drive(
     snapshot_stride: int,
     advance,
     recorder,
+    state,
     grid: Grid | None,
     log: float = 0.0,
     cap: int = sys.maxsize,
@@ -552,44 +541,46 @@ def _drive(
     """The stepping loop of every propagator (see the module docstring).
 
     advance(vals, m) takes a full state m <= cap steps on. With a grid,
-    each advance's end state is divided by its grid norm and log, from the
+    each advance's end state is divided by its grid norm (a NaN, Inf or
+    zero state raises NonFiniteField or ZeroState first) and log, from the
     entry log scale, sums the log scale factors; None: no renormalization.
-    recorder is (record, series): record(vals, log) keeps a snapshot and
-    returns it, or raises a kept snapshot's observable error; series()
-    gives the observables of the kept snapshots and the error of the first
-    whose observables fail, or None, once, after the last step or after a
-    step's or a snapshot's CqhjError. Of two errors the earlier in time,
-    the observables', is raised, with the trajectory before it attached.
-    ValueError, before the first record, unless t_final is positive and
-    finite and snapshot_stride >= 1.
+    recorder(rows) is (record, series) for the run's (S, N) snapshot array:
+    record(i, vals, log) writes snapshot i into row i, or raises a kept
+    snapshot's observable error; series() gives the observables of the
+    kept snapshots and the error of the first whose observables fail, or
+    None, once, after the last step or after a step's or a snapshot's
+    CqhjError. Of two errors the earlier in time, the observables', is
+    raised with the trajectory before it; state(row) is the final_state.
+    Bad run inputs raise ValueError (_step_count) first.
     """
     n_steps = _step_count(t_final, spec.dt, snapshot_stride)
-    record, series = recorder
-    snaps: list = []
-    times: list[float] = []
-    error = None
+    ends = [0, *range(snapshot_stride, n_steps, snapshot_stride), n_steps]
+    rows = np.empty((len(ends), vals.size), np.complex128)
+    record, series = recorder(rows)
+    step, error = 0, None
     try:
-        snaps.append(record(vals, log))
-        times.append(0.0)
-        step = 0
-        for end in chain(range(snapshot_stride, n_steps, snapshot_stride), (n_steps,)):
-            while step < end:
-                m = min(cap, end - step)
+        record(0, vals, log)
+        for i in range(1, len(ends)):
+            while step < ends[i]:
+                m = min(cap, ends[i] - step)
                 vals = advance(vals, m)
                 step += m
                 if grid is not None:
                     scale = norm(_adopt(Field, grid=grid, values=vals))
+                    if not 0.0 < scale < np.inf:
+                        _check_finite(vals)
+                        raise ZeroState("every entry of the state is zero")
                     log -= float(np.log(scale))
                     vals = vals / scale
-            snaps.append(record(vals, log))
-            times.append(step * spec.dt)
+            record(i, vals, log)
     except CqhjError as exc:
         error = exc
     obs, failure = series()
     count = len(obs["norm"])
-    traj = Trajectory(times=np.asarray(times[:count]), snapshots=snaps[:count], observables=obs)
-    if failure is not None:
-        error = failure
+    rows.flags.writeable = False
+    final = state(rows[count - 1]) if count else None
+    traj = Trajectory(np.multiply(ends[:count], spec.dt), rows[:count], obs, final)
+    error = failure or error
     if error is not None:
         error.trajectory = traj
         raise error
@@ -620,8 +611,8 @@ def schrodinger_evolve(
     H = hamiltonian(V, spec.method)
     advance = _linear_advance(_make_kernel(H, spec.dt), 1, t_final, spec.dt, snapshot_stride)
     return _drive(
-        psi0.values, spec, t_final, snapshot_stride, advance, _psi_recorder(H, target),
-        grid if spec.renormalize_each_step else None,
+        psi0.values, spec, t_final, snapshot_stride, advance, partial(_psi_recorder, H, target),
+        partial(Field, grid), grid if spec.renormalize_each_step else None,
     )
 
 
@@ -677,7 +668,6 @@ def cqhj_evolve(
             f"RK4 needs dt <= {dt_max:.3e} for this grid, got {spec.dt:.3e}"
         )
     H = hamiltonian(V, spec.method)
-    empty = np.zeros(grid.n_points, dtype=bool)
     rhs, d = _momentum_kernel(V)
     antiderivative = _antiderivative_op(grid) if grid.boundary is Boundary.BOX else None
     dt = spec.dt
@@ -709,21 +699,27 @@ def cqhj_evolve(
             monitor(vals, done * dt)
         return vals
 
-    record_psi, series = _psi_recorder(H, target)
+    def momentum(vals: np.ndarray) -> MomentumField:
+        return MomentumField(Field(grid, vals), np.zeros(grid.n_points, bool))
 
-    def record(vals: np.ndarray, log: float) -> MomentumField:
-        pf = MomentumField(Field(grid, vals), empty)
-        try:
-            psi, log_scale = p_to_psi(pf)
-        except PeriodicityViolation:
-            # winding fields have no single-valued reconstruction: a row of
-            # NaN keeps the observable series aligned with the snapshots
-            record_psi(None, np.nan)
-        else:
-            record_psi(psi.values, log_scale)
-        return pf
+    def recorder(rows: np.ndarray):
+        # p in the trajectory's rows, psi in the observer's own (NaN if winding)
+        record_psi, series = _psi_recorder(H, target, np.full_like(rows, np.nan))
 
-    return _drive(p0.values, spec, t_final, snapshot_stride, advance, (record, series), None)
+        def record(i: int, vals: np.ndarray, log: float) -> None:
+            rows[i] = vals
+            try:
+                psi, log_scale = p_to_psi(momentum(vals))
+            except PeriodicityViolation:
+                # winding fields have no single-valued reconstruction: a row of
+                # NaN keeps the observable series aligned with the snapshots
+                record_psi(i, None, np.nan)
+            else:
+                record_psi(i, psi.values, log_scale)
+
+        return record, series
+
+    return _drive(p0.values, spec, t_final, snapshot_stride, advance, recorder, momentum, None)
 
 
 def _momentum_kernel(V: Potential):
@@ -829,6 +825,7 @@ def collapsible_evolve(
             return kernel.step(b, 1)
 
     return _drive(
-        vals0, spec, t_final, snapshot_stride, advance, _psi_recorder(H, target),
-        grid if spec.renormalize_each_step else None, -float(np.log(scale)), cap,
+        vals0, spec, t_final, snapshot_stride, advance, partial(_psi_recorder, H, target),
+        partial(Field, grid), grid if spec.renormalize_each_step else None,
+        -float(np.log(scale)), cap,
     )

@@ -298,11 +298,13 @@ def _position_mean(psi: Field):
 
 
 def position_expectation(psi: Field) -> float:
+    """<x> of psi, of any nonzero finite scale."""
     return _position_mean(psi)[0]
 
 
 def position_variance(psi: Field) -> float:
-    # the mean and the spread from one scaled density
+    """<x^2> - <x>^2 of psi, of any nonzero finite scale; the mean and the
+    spread come from one scaled density."""
     mean, dens, w = _position_mean(psi)
     return float(np.dot(w, (psi.grid.x - mean) ** 2 * dens) / np.dot(w, dens))
 

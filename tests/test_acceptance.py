@@ -168,7 +168,7 @@ def test_acceptance_5_homogeneity_probability_conservation():
                 Field(g, c * psi0.values), V, force, spec, 2.0, snapshot_stride=250
             )
             for a, b in zip(ta.snapshots, tb.snapshots):
-                assert np.max(np.abs(np.abs(a.values) ** 2 - np.abs(b.values) ** 2)) <= 1e-10
+                assert np.max(np.abs(np.abs(a) ** 2 - np.abs(b) ** 2)) <= 1e-10
             assert np.max(np.abs(ta.observables["norm"] - 1.0)) <= 1e-9
             assert np.max(np.abs(tb.observables["norm"] - 1.0)) <= 1e-9
 

@@ -258,7 +258,7 @@ def test_run_solver_error_writes_partial_snapshots(tmp_path, monkeypatch, capsys
     assert len(files) == len(rows) == len(partial.snapshots) == 51
     assert [f.name for f in files] == [f"t_{i:02d}.npy" for i in range(51)]
     for f, snap in zip(files, partial.snapshots):
-        assert np.load(f, allow_pickle=False).tobytes() == snap.values.tobytes(), f.name
+        assert np.load(f, allow_pickle=False).tobytes() == snap.tobytes(), f.name
 
 
 UNSUPPLIABLE = """

@@ -100,7 +100,7 @@ def test_coherent_state_centroid():
     traj = schrodinger_evolve(
         psi0, V, IntegratorSpec(Method.SPLIT_STEP, 1.5e-4, False), 2 * np.pi, snapshot_stride=400
     )
-    xs = np.array([position_expectation(s) for s in traj.snapshots])
+    xs = np.array([position_expectation(Field(g, s)) for s in traj.snapshots])
     assert np.max(np.abs(xs - np.cos(traj.times))) <= 1e-5
 
 
@@ -189,7 +189,7 @@ def test_schrodinger_fused_steps_match_single_steps(monkeypatch, boundary, metho
     assert len(every) == 12
     for traj in runs[1:]:
         for t, snap in zip(traj.times, traj.snapshots):
-            assert np.max(np.abs(snap.values - every[t].values)) <= 1e-13, t
+            assert np.max(np.abs(snap - every[t])) <= 1e-13, t
 
 
 def test_kernel_cached_per_grid_potential_dt_and_method():
@@ -332,7 +332,7 @@ def test_split_step_power_is_deterministic():
     a, b = run(), run()
     assert len(a.snapshots) == 3
     for sa, sb in zip(a.snapshots, b.snapshots, strict=True):
-        assert sa.values.tobytes() == sb.values.tobytes()
+        assert sa.tobytes() == sb.tobytes()
 
 
 def _spy_split_step(monkeypatch):
@@ -420,7 +420,7 @@ def test_split_step_remainder_left_to_the_kernel(monkeypatch, t_final, rest, cal
     seen = _spy_split_step(monkeypatch)
     traj = schrodinger_evolve(psi0, V, spec, t_final, snapshot_stride=3000)
     assert seen == calls
-    prev = traj.snapshots[-2].values
+    prev = traj.snapshots[-2]
     last = prev @ powers([rest])[rest] if rest == 2900 else kernel.step(prev, rest)
     assert traj.final_state.values.tobytes() == last.tobytes()
 
@@ -490,7 +490,7 @@ def test_a_repeated_split_step_run_takes_the_kept_powers(monkeypatch):
     assert calls["powers"] == [[3000, 2900]] * 2
     assert len(kept.snapshots) == len(fresh.snapshots) == 3
     for a, b in zip(kept.snapshots, fresh.snapshots, strict=True):
-        assert a.values.tobytes() == b.values.tobytes()
+        assert a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("other", ["kernel", "lengths"])
@@ -591,9 +591,10 @@ def test_recorder_matches_the_public_observables(boundary, method, with_target):
     psi = superpose([1.0, 1.0], [ground, excited])
     target = Field(g, 3.0 * ground.values) if with_target else None
     H = hamiltonian(V, method)
-    record, series = evolve._psi_recorder(H, target)
-    snap = record(psi.values, 0.25)
-    assert np.array_equal(snap.values, psi.values)
+    rows = np.empty((1, g.n_points), complex)
+    record, series = evolve._psi_recorder(H, target, rows)
+    record(0, psi.values, 0.25)
+    assert np.array_equal(rows[0], psi.values)
     obs, error = series()
     assert error is None
     h_field, mask = hamiltonian_field_from_state(psi, H, OBSERVABLE_NODE_THRESHOLD)
@@ -633,6 +634,32 @@ def test_recorder_errors_keep_the_partial_trajectory(ho_box_setup, monkeypatch, 
     partial = err.value.trajectory
     assert np.array_equal(partial.times, [0.0, spec.dt, 2 * spec.dt])
     assert len(partial.snapshots) == 3
+    assert all(len(series) == 3 for series in partial.observables.values())
+
+
+@pytest.mark.parametrize(
+    "bad, error", [(np.nan, NonFiniteField), (np.inf, NonFiniteField), (0.0, ZeroState)],
+    ids=["nan", "inf", "zero"],
+)
+def test_a_renormalized_run_is_not_divided_by_a_bad_norm(ho_box_setup, monkeypatch, bad, error):
+    # under renormalization the third kernel call returns a NaN, an Inf or
+    # an all-zero state: the run raises the typed error before dividing by
+    # its norm (which warned), with the two snapshots before it
+    grid, V, pairs = ho_box_setup
+    spec = IntegratorSpec(Method.CRANK_NICOLSON, 1e-3, True)
+    kernel = _make_kernel(hamiltonian(V, spec.method), spec.dt)
+    step, calls = kernel.step, []
+
+    def failing_step(values, n):
+        calls.append(n)
+        return step(values, n) if len(calls) < 3 else np.full_like(values, bad)
+
+    monkeypatch.setattr(kernel, "step", failing_step)
+    with pytest.raises(error) as err:
+        schrodinger_evolve(pairs[0].state, V, spec, 5 * spec.dt, target=pairs[0].state)
+    assert len(calls) == 3
+    partial = err.value.trajectory
+    assert np.array_equal(partial.times, [0.0, spec.dt, 2 * spec.dt])
     assert all(len(series) == 3 for series in partial.observables.values())
 
 
@@ -780,7 +807,66 @@ def test_snapshot_cadence_shared_by_all_propagators(ho_box_setup):
             assert len(series) == 4, (name, key)
 
 
+@pytest.mark.parametrize("propagator", ["schrodinger", "cqhj", "collapsible"])
+def test_snapshots_are_the_rows_of_one_read_only_array(ho_box_setup, propagator):
+    # each propagator keeps its snapshots as the rows of one read-only,
+    # C-contiguous complex128 array of shape (len(times), N), psi (p of a
+    # cqhj_evolve run), and final_state is its last row as a Field
+    # (MomentumField)
+    g, V, pairs = ho_box_setup
+    psi0 = superpose([1.0, 1.0], [pairs[0].state, pairs[1].state])
+    p0 = MomentumField(Field(g, 0.2j * g.x), np.zeros(g.n_points, bool))
+    dt = 5e-4
+    cn = IntegratorSpec(Method.CRANK_NICOLSON, dt, True)
+    if propagator == "schrodinger":
+        traj = schrodinger_evolve(psi0, V, cn, 7 * dt, snapshot_stride=3)
+    elif propagator == "cqhj":
+        traj = cqhj_evolve(p0, V, IntegratorSpec(Method.RK4, dt), 7 * dt, snapshot_stride=3)
+    else:
+        traj = collapsible_evolve(psi0, V, pinning_force(pairs[0], 2.0), cn, 7 * dt, snapshot_stride=3)
+    snaps = traj.snapshots
+    assert isinstance(snaps, np.ndarray) and snaps.dtype == np.complex128
+    assert snaps.shape == (len(traj.times), g.n_points) == (4, g.n_points)
+    assert snaps.flags.c_contiguous and not snaps.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        snaps[0, 0] = 0.0
+    kind = MomentumField if propagator == "cqhj" else Field
+    assert type(traj.final_state) is kind
+    assert traj.final_state.values.tobytes() == snaps[-1].tobytes()
+
+
 # -- momentum-space propagation --------------------------------------------------
+
+
+def test_winding_snapshots_of_a_momentum_run_observe_as_nan(monkeypatch):
+    # p_to_psi rejects snapshots 5 and 33 of 41 as winding: on 512 points
+    # they fall in the first and the second observed block of 32 rows. Their
+    # row of every observable is NaN, every other row is bitwise that of the
+    # unbroken run, and p stays in the trajectory's rows
+    g = Grid(-8.0, 8.0, 512, Boundary.BOX)
+    V = harmonic_potential(g, 1.0)
+    # a wide Gaussian magnitude keeps clear of the RK4 node monitor
+    p0 = MomentumField(Field(g, 0.2j * g.x), np.zeros(g.n_points, bool))
+    target = ho_eigenstate(0, 1.0, g).state
+    spec = IntegratorSpec(Method.RK4, 5e-4)
+    whole = cqhj_evolve(p0, V, spec, 40 * spec.dt, target=target)
+    real, calls = evolve.p_to_psi, []
+
+    def winding(pf):
+        calls.append(None)
+        if len(calls) in (6, 34):
+            raise PeriodicityViolation("the field winds")
+        return real(pf)
+
+    monkeypatch.setattr(evolve, "p_to_psi", winding)
+    traj = cqhj_evolve(p0, V, spec, 40 * spec.dt, target=target)
+    assert len(calls) == len(traj.times) == 41
+    assert traj.snapshots.tobytes() == whole.snapshots.tobytes()
+    assert traj.observables.keys() == whole.observables.keys()
+    for key, series in traj.observables.items():
+        nan = np.isnan(series)
+        assert np.flatnonzero(nan).tolist() == [5, 33], key
+        assert np.array_equal(series[~nan], whole.observables[key][~nan]), key
 
 
 def test_momentum_stationary_ground_state():
@@ -950,7 +1036,7 @@ def test_collapsible_homogeneity_pointwise(ho_box_setup):
     ta = collapsible_evolve(psi0, V, force, spec, 1.0, snapshot_stride=250)
     tb = collapsible_evolve(Field(grid, c * psi0.values), V, force, spec, 1.0, snapshot_stride=250)
     for a, b in zip(ta.snapshots, tb.snapshots):
-        assert np.max(np.abs(np.abs(a.values) ** 2 - np.abs(b.values) ** 2)) <= 1e-10
+        assert np.max(np.abs(np.abs(a) ** 2 - np.abs(b) ** 2)) <= 1e-10
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

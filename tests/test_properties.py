@@ -40,7 +40,7 @@ from cqhjlab import (
 )
 from cqhjlab import diagnostics, evolve
 from cqhjlab.cqhj import DEFAULT_NODE_THRESHOLD, dilated_mask
-from cqhjlab.errors import PeriodicityViolation
+from cqhjlab.errors import NonFiniteField, PeriodicityViolation
 from cqhjlab.forces import GAUGE_MEAN_TOLERANCE, _force_law
 from cqhjlab.grid import _antiderivative_op, cumulative_integral
 
@@ -152,7 +152,7 @@ def test_collapsible_step_ignores_the_scale_of_psi0(
     if renormalize:
         assert np.max(np.abs(a.observables["norm"] - 1.0)) <= 1e-13
     for sa, sb in zip(a.snapshots, b.snapshots, strict=True):
-        assert np.max(np.abs(np.abs(sa.values) ** 2 - np.abs(sb.values) ** 2)) <= 1e-12
+        assert np.max(np.abs(np.abs(sa) ** 2 - np.abs(sb) ** 2)) <= 1e-12
 
 
 @settings(max_examples=30, deadline=None)
@@ -197,8 +197,8 @@ def test_snapshot_cadence_does_not_change_the_trajectory(case, seed, rate, strid
     fused = collapsible_evolve(psi0, V, force, spec, t_final, snapshot_stride=stride)
     steps = np.rint(fused.times / spec.dt).astype(int)
     for step, snap in zip(steps, fused.snapshots, strict=True):
-        ref = every.snapshots[step].values
-        assert np.max(np.abs(snap.values - ref)) <= 1e-13 * np.max(np.abs(ref))
+        ref = every.snapshots[step]
+        assert np.max(np.abs(snap - ref)) <= 1e-13 * np.max(np.abs(ref))
     log_scale = every.observables["gauge_log_magnitude"][steps]
     assert np.max(np.abs(fused.observables["gauge_log_magnitude"] - log_scale)) <= 1e-12
 
@@ -237,10 +237,71 @@ def test_renormalization_does_not_change_a_linear_trajectory(boundary, propagato
         for r in (True, False)
     )
     for a, b in zip(on.snapshots, off.snapshots, strict=True):
-        assert np.max(np.abs(a.values - b.values)) <= 1e-13 * np.max(np.abs(b.values))
+        assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
     for key in ("norm", "gauge_log_magnitude"):
         assert np.max(np.abs(on.observables[key] - off.observables[key])) <= 1e-13, key
     assert np.max(np.abs(on.observables["norm"] - 1.0)) <= 1e-14
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    boundary=st.sampled_from(list(Boundary)),
+    run=st.sampled_from(["schrodinger", "collapsible null", "collapsible pinning"]),
+    seed=SEEDS,
+    stride=st.integers(1, 41),
+    renormalize=st.booleans(),
+    cut=st.integers(0, 2**16),
+)
+def test_a_cut_run_keeps_the_first_rows_of_the_uncut_run(
+    boundary, run, seed, stride, renormalize, cut
+):
+    # the run's kernel returns NaN from a drawn call on: the typed error
+    # carries the partial trajectory, whose snapshot array is bitwise the
+    # first rows of the uncut run's. 40 steps, Crank-Nicolson on the box
+    # grid and split-step on the periodic one
+    rng = np.random.default_rng(seed)
+    if boundary is Boundary.BOX:
+        grid, (ground, psi0) = BOX, _box_superposition(rng)
+        spec = IntegratorSpec(Method.CRANK_NICOLSON, 1e-3, renormalize)
+    else:
+        grid = PERIODIC
+        psi0, ground = (random_nodeless_state(grid, rng, modes=4, amplitude=0.5) for _ in range(2))
+        spec = IntegratorSpec(Method.SPLIT_STEP, 2e-4, renormalize)
+    V = harmonic_potential(grid, 1.0)
+    if run == "schrodinger":
+        substeps = 1
+        evolve_ = lambda: schrodinger_evolve(psi0, V, spec, 40 * spec.dt, snapshot_stride=stride)
+    else:
+        substeps = 2
+        force = null_force() if run == "collapsible null" else pinning_force(ground, 2.0)
+        evolve_ = lambda: collapsible_evolve(
+            psi0, V, force, spec, 40 * spec.dt, snapshot_stride=stride
+        )
+    kernel = evolve._make_kernel(hamiltonian(V, spec.method), spec.dt, substeps)
+    calls = []
+
+    def counted(values, n):
+        calls.append(n)
+        out = type(kernel).step(kernel, values, n)
+        return np.full_like(out, np.nan) if len(calls) >= bad else out
+
+    bad = np.inf
+    kernel.step = counted
+    try:
+        uncut = evolve_()
+        bad, calls = 1 + cut % len(calls), []
+        try:
+            evolve_()
+        except NonFiniteField as exc:
+            partial = exc.trajectory
+        else:
+            raise AssertionError("the run with a NaN step was not cut")
+    finally:
+        del kernel.step
+    rows = len(partial.snapshots)
+    assert 1 <= rows < len(uncut.snapshots)
+    assert partial.snapshots.tobytes() == uncut.snapshots[:rows].tobytes()
+    assert np.array_equal(partial.times, uncut.times[:rows])
 
 
 def _pair_phi_by_hand(psi: Field, rate: float, target: Field | None):
@@ -413,8 +474,8 @@ def _chunked_and_single_steps(boundary, n_points, propagator, seed, stride, step
     chunked, single = run(stride), run(1)
     err = 0.0
     for t, snap in zip(chunked.times, chunked.snapshots, strict=True):
-        ref = single.snapshots[int(round(t / spec.dt))].values
-        err = max(err, np.max(np.abs(snap.values - ref)) / np.max(np.abs(ref)))
+        ref = single.snapshots[int(round(t / spec.dt))]
+        err = max(err, np.max(np.abs(snap - ref)) / np.max(np.abs(ref)))
     return err, evolve._make_kernel(hamiltonian(V, spec.method), h).chunk
 
 
@@ -540,10 +601,10 @@ def test_kept_split_step_powers_match_the_stepping_loop(
     steps = np.rint(traj.times / dt).astype(int)
     assert len(traj.snapshots) == intervals + 2
     for i in range(1, len(steps)):
-        a = traj.snapshots[i].values
-        b = kernel.step(traj.snapshots[i - 1].values, substeps * (steps[i] - steps[i - 1]))
+        a = traj.snapshots[i]
+        b = kernel.step(traj.snapshots[i - 1], substeps * (steps[i] - steps[i - 1]))
         assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
-        assert abs(norm(traj.snapshots[i]) - norm(make_field(grid, b))) <= 1e-12 * norm(psi0)
+        assert abs(norm(make_field(grid, a)) - norm(make_field(grid, b))) <= 1e-12 * norm(psi0)
 
 
 def _looped_dilation(mask: np.ndarray, periodic: bool, width: int) -> np.ndarray:
@@ -615,9 +676,9 @@ def test_observable_rows_do_not_depend_on_their_block(case, seed, rows, cut):
     g = Grid(-8.0, 8.0, 512, boundary)
     H = hamiltonian(harmonic_potential(g, 1.0), method)
     target = ho_eigenstate(0, 1.0, g).state
-    record, series = evolve._psi_recorder(H, target)
-    for v in states:
-        record(v, 0.0)
+    record, series = evolve._psi_recorder(H, target, np.empty((rows, g.n_points), complex))
+    for i, v in enumerate(states):
+        record(i, v, 0.0)
     obs, error = series()
     assert error is None
     stack = np.stack(states)

@@ -7,11 +7,11 @@ import json
 import numpy as np
 import pytest
 
-from cqhjlab import scenario as scenario_module
+from cqhjlab import evolve, scenario as scenario_module
 from cqhjlab.errors import ConfigError
 from cqhjlab.diagnostics import OBSERVABLES
 from cqhjlab.evolve import Trajectory
-from cqhjlab.grid import Boundary, Field, Grid
+from cqhjlab.grid import Boundary, Grid
 from cqhjlab.runner import RunResult, execute, run_to_directory, sweep, write_artifacts
 from cqhjlab.scenario import SCHEMA_VERSION, Scenario, apply_override, parse_scenario
 from cqhjlab.states import Method, hamiltonian, superpose
@@ -179,7 +179,7 @@ def test_artifact_csvs_match_reference_formatter(tmp_path):
     times = np.array([0.0, 0.1])
     traj = Trajectory(
         times=times,
-        snapshots=[Field(grid, v) for v in values],
+        snapshots=np.array(values),
         observables={"norm": np.array([1.0, 1.0 - 2.0**-52]), "energy": np.array([-0.0, 1e16])},
     )
     text = MINI.replace("snapshot_stride = 10", "snapshot_stride = 10\nwrite_snapshots = true")
@@ -198,6 +198,20 @@ def test_artifact_csvs_match_reference_formatter(tmp_path):
     assert (tmp_path / "timeseries.csv").read_bytes() == want
 
 
+def test_density_drift_is_the_row_by_row_maximum():
+    # 51 snapshots on 512 points are observed in two blocks of rows; the
+    # summary's max_density_drift, one reduction over the snapshot array,
+    # is bitwise the largest drift of any snapshot taken row by row
+    text = MINI.replace("snapshot_stride = 10", "snapshot_stride = 1")
+    result = execute(parse_scenario(text, name="mini"))
+    snaps = result.trajectory.snapshots
+    assert len(snaps) == 51 > evolve.OBSERVE_BLOCK_BYTES // (16 * snaps.shape[1])
+    dens0 = np.abs(snaps[0]) ** 2
+    want = max(float(np.max(np.abs(np.abs(row) ** 2 - dens0))) for row in snaps)
+    assert want > 0.0
+    assert result.summary["max_density_drift"].hex() == want.hex()
+
+
 def test_snapshot_files_one_per_snapshot(tmp_path):
     # 11 snapshots 1e-7 apart; names built from t to 6 decimals kept 2 files
     text = (
@@ -214,7 +228,7 @@ def test_snapshot_files_one_per_snapshot(tmp_path):
     rows = list(csv.reader(io.StringIO((out / "timeseries.csv").read_text())))[2:]
     assert [float(row[0]) for row in rows] == list(result.trajectory.times)
     for f, snap in zip(files, result.trajectory.snapshots):
-        assert np.load(f, allow_pickle=False).tobytes() == snap.values.tobytes(), f.name
+        assert np.load(f, allow_pickle=False).tobytes() == snap.tobytes(), f.name
 
 
 def test_second_dump_into_one_directory_replaces_the_snapshots(tmp_path):
@@ -231,7 +245,7 @@ def test_second_dump_into_one_directory_replaces_the_snapshots(tmp_path):
     assert [f.name for f in files] == ["t_0.npy", "t_1.npy", "t_2.npy"]
     assert len(files) == result.summary["snapshots"]
     for f, snap in zip(files, result.trajectory.snapshots, strict=True):
-        assert np.load(f, allow_pickle=False).tobytes() == snap.values.tobytes(), f.name
+        assert np.load(f, allow_pickle=False).tobytes() == snap.tobytes(), f.name
     assert (out / "snapshots" / "notes.txt").read_text() == "kept"
 
 
