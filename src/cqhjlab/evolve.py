@@ -87,7 +87,8 @@ step's double half step is (A^2)^-1 B^2. q is a rule, not a setting
 <= 10, theta = h/2 ||H||_inf for the kernel step h, which bounds the
 condition number of A^q and so the roundoff of the solve. A stiff kernel
 (theta > 1.47, e.g. N = 1024 on [-8, 8] at h = 5e-4) falls back to q = 2,
-the double step. Kernels are cached per Hamiltonian and dt, so repeated
+the double step; an A^m or B^m that overflows raises StabilityViolation.
+Kernels are cached per Hamiltonian and dt, so repeated
 runs on one setup (sweeps, the benchmark) factor once. A cached kernel
 holds no buffer: each split-step call takes its own output and FFT scratch
 and transforms into them, with the operand order of every product fixed,
@@ -104,7 +105,9 @@ are the partial trajectory attached to any CqhjError a step, a snapshot
 or the observables raise. record is the per-snapshot finite check, which
 writes the state into its row and observes each full block of kept rows,
 a view, in one pass; series observes the rest at the run's end or after
-an error. The pass is diagnostics._observe, which computes every
+an error. The observables are one (len(OBSERVABLES), S) array, NaN until
+observed, whose read-only rows are the series. The pass is
+diagnostics._observe, which computes every
 observable by the formulas behind norm, energy, fidelity, masked_stats
 and hamiltonian_field_from_state (with the run's Hamiltonian), so each
 has one copy. A row's values do not depend on its block, and an
@@ -184,11 +187,9 @@ class IntegratorSpec:
     norm and sums the log scale factors into gauge_log_magnitude: once per
     snapshot interval, and at least once per e-folding time 1 / (rate dt)
     steps of a collapse force (module docstring). dt must be positive and
-    finite. A linear run takes each snapshot interval as one kernel call
-    or, on split-step, one product with a dense power. One slot keeps the
-    last linear split-step run's powers, at most two N x N arrays (2 MB at
-    N = 256, 32 MB at N = 1024), for the next run of the same kernel and
-    lengths; no output depends on it (module docstring).
+    finite. One slot keeps the last linear split-step run's dense powers,
+    at most two N x N arrays (2 MB at N = 256, 32 MB at N = 1024), for the
+    next run of the same kernel and lengths (module docstring).
     """
 
     method: Method
@@ -204,7 +205,8 @@ class IntegratorSpec:
 class Trajectory:
     """Recorded time series of a run: snapshot i is row i of snapshots, a
     read-only C-contiguous complex128 (len(times), N) array of psi (p for
-    cqhj_evolve), and final_state the last row as a Field (MomentumField)."""
+    cqhj_evolve), final_state the last row as a Field (MomentumField), and
+    each observable series a read-only row of one float64 array."""
 
     times: np.ndarray
     snapshots: np.ndarray
@@ -310,8 +312,9 @@ def _cayley_chunk(matrix, dt: float) -> int:
     """The chunk q of a Crank-Nicolson kernel of step dt (module docstring).
     Over the eigenvalues E of the Hermitian H, |E| <= ||H||_inf, A^q has the
     singular values (1 + (dt E / 2)^2)^(q/2) >= 1, so (1 + theta^2)^(q/2)
-    bounds its condition number."""
-    theta = 0.5 * dt * abs(matrix).sum(axis=1).max()
+    bounds its condition number. theta is clipped at 2, past the 1.47 from
+    which q is 2, in Python floats, so the rule cannot overflow."""
+    theta = min(0.5 * dt * float(abs(matrix).sum(axis=1).max()), 2.0)
     q = CAYLEY_CHUNK_MAX
     while q > 2 and (1.0 + theta**2) ** (q // 2) > CAYLEY_CONDITION_BOUND:
         q -= 2
@@ -329,8 +332,9 @@ class _CrankNicolsonKernel:
     def __init__(self, H: Hamiltonian, dt: float):
         self.inner = H.inner
         eye = sp.identity(H.matrix.shape[0], dtype=np.complex128, format="csc")
-        self._A = eye + 0.5j * dt * H.matrix
-        self._B = eye - 0.5j * dt * H.matrix
+        with np.errstate(over="ignore", invalid="ignore"):  # _solve checks the factors
+            self._A = eye + 0.5j * dt * H.matrix
+            self._B = eye - 0.5j * dt * H.matrix
         self.chunk = _cayley_chunk(H.matrix, dt)
         self._ops: dict = {}
 
@@ -349,6 +353,8 @@ class _CrankNicolsonKernel:
             # 6,284-half-step N = 512 run 6.2e-13 from a long-double reference,
             # against 2.0e-13 (and 1.7e-13 for double half steps)
             A, B = (reduce(matmul, [M] * m) for M in (self._A, self._B))
+            if not (np.isfinite(A.data).all() and np.isfinite(B.data).all()):
+                raise StabilityViolation(f"the Cayley factors A^{m}, B^{m} of this step overflow")
             op = self._ops[m] = (splu(A.tocsc()).solve, B.tocsr())
         out = np.zeros(values.shape, values.dtype)
         out[self.inner] = op[0](op[1] @ values[self.inner])
@@ -443,46 +449,40 @@ OBSERVE_BLOCK_BYTES = 1 << 18
 class _PsiObservations:
     """The block bookkeeping of one wave-function run's observables: the
     (S, N) array rows the kept states are written into, observed in blocks
-    of OBSERVE_BLOCK_BYTES / (16 N) rows, the columns diagnostics._observe
-    gave, and each snapshot's (log scale, gauge phase)."""
+    of OBSERVE_BLOCK_BYTES / (16 N) rows into the columns of obs, a
+    NaN-filled (len(OBSERVABLES), S) array, column i for snapshot i."""
 
     def __init__(self, H: Hamiltonian, target: Field | None, rows: np.ndarray):
         if target is not None:
             require_same_grid(target, H.grid)
         self.H, self.target, self.rows = H, target, rows
         self.block = max(1, OBSERVE_BLOCK_BYTES // (16 * H.grid.n_points))
-        self.kept, self.observed, self.parts, self.scales = 0, 0, [np.empty((5, 0))], []
+        self.obs, self.kept, self.observed = np.full((len(OBSERVABLES), len(rows)), np.nan), 0, 0
 
     def observe(self):
-        """Observe the kept rows not yet observed, a view, and keep their
-        columns up to the first failing one, found by bisection (a row's
-        observables depend on the row alone); that row's error, or None."""
-        stack, self.observed = self.rows[self.observed : self.kept], self.kept
-        if not len(stack):
-            return None
-        try:
-            self.parts.append(_observe(self.H, self.target, stack))
-            return None
-        except CqhjError as exc:
-            error = exc
-        good, bad, cols = 0, len(stack), np.empty((5, 0))
-        while bad - good > 1:
-            mid = (good + bad) // 2
+        """Observe the kept rows not yet observed, a view, up to the first
+        failing one, found by bisection (a row's observables depend on the
+        row alone), which ends the kept rows; that row's error, or None."""
+        start, stack = self.observed, self.rows[self.observed : self.kept]
+        good, bad = 0, len(stack)
+        mid, error = bad, None  # the whole stack first, then bisection
+        while mid > good:
             try:
-                cols, good = _observe(self.H, self.target, stack[:mid]), mid
+                self.obs[:5, start : start + mid] = _observe(self.H, self.target, stack[:mid])
+                good = mid
             except CqhjError as exc:
                 error, bad = exc, mid
-        self.parts.append(cols)
+            mid = (good + bad) // 2
+        self.kept = self.observed = start + good
         return error
 
     def series(self):
-        """(observables, error), the kept rows left observed now: error is
-        None and the series cover every snapshot, or error is the first
-        failing snapshot's and the series stop before it."""
+        """(observables, error), the kept rows left observed now: the series
+        are read-only rows of obs that cover every snapshot with error None,
+        or stop before the first failing snapshot, whose error is error."""
         error = self.observe()
-        cols = np.concatenate(self.parts, axis=1)
-        scales = np.reshape(self.scales[: cols.shape[1]], (-1, 2)).T
-        obs = dict(zip(OBSERVABLES, np.vstack([cols, scales])))
+        self.obs.flags.writeable = False
+        obs = dict(zip(OBSERVABLES, self.obs[:, : self.observed]))
         if self.target is None:
             del obs["fidelity_target"]
         return obs, error
@@ -490,18 +490,18 @@ class _PsiObservations:
 
 def _record_psi_observables(run: _PsiObservations, i: int, vals: np.ndarray | None, log: float):
     """Snapshot i of the state vals: after its finite check vals is written
-    into row i, and a full block of kept rows is observed, raising the
-    first failing row's error. vals None (a winding field of cqhj_evolve)
-    observes the rows before it and records a row of NaN."""
+    into row i and (log, 0.0) into column i's scale and phase, and a full
+    block of kept rows is observed, raising the first failing row's error.
+    vals None (a winding field of cqhj_evolve) observes the rows before it
+    and leaves column i NaN."""
     if vals is not None:
         _check_finite(vals)
         run.rows[i], run.kept = vals, i + 1
-    run.scales.append((log, np.nan if vals is None else 0.0))  # the scale factors are real
+        run.obs[5:, i] = log, 0.0  # the scale factors are real
     error = run.observe() if vals is None or run.kept - run.observed == run.block else None
     if error is not None:
         raise error
     if vals is None:
-        run.parts.append(np.full((5, 1), np.nan))
         run.kept = run.observed = i + 1
 
 
@@ -711,8 +711,8 @@ def cqhj_evolve(
             try:
                 psi, log_scale = p_to_psi(momentum(vals))
             except PeriodicityViolation:
-                # winding fields have no single-valued reconstruction: a row of
-                # NaN keeps the observable series aligned with the snapshots
+                # winding fields have no single-valued reconstruction: a NaN
+                # column keeps the observable series aligned with the snapshots
                 record_psi(i, None, np.nan)
             else:
                 record_psi(i, psi.values, log_scale)

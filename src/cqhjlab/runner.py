@@ -167,12 +167,15 @@ def run_to_directory(scenario: Scenario, out_dir: Path) -> RunResult:
     """Execute the scenario and write its artifacts into out_dir. A run that
     raises a CqhjError keeps the timeseries.csv (and the snapshot files) of
     the partial trajectory the error carries, next to a summary.json flagged
-    incomplete, and the error is raised again."""
+    incomplete, and the error is raised again; an earlier run's
+    manifest.json and timeseries.csv in out_dir are deleted."""
     started = time.perf_counter()
     try:
         result = execute(scenario)
     except CqhjError as exc:
         out_dir.mkdir(parents=True, exist_ok=True)
+        for name in ("manifest.json", "timeseries.csv"):
+            (out_dir / name).unlink(missing_ok=True)
         if exc.trajectory is not None:
             write_timeseries(exc.trajectory, out_dir)
             if scenario.resolved["run"]["write_snapshots"]:
@@ -192,28 +195,14 @@ def run_to_directory(scenario: Scenario, out_dir: Path) -> RunResult:
 def _sweep_row(args):
     """One sweep run; returns a plain dict (must stay picklable)."""
     scenario, param, value = args
+    row = dict.fromkeys(SWEEP_COLUMNS) | {"value": value, "status": "failed", "error": ""}
     try:
         result = execute(apply_override(scenario, param, value))
-        rep = result.summary["collapse_report"] or {}
-        return {
-            "value": value,
-            "status": "ok",
-            "tau_internal": rep.get("tau_internal"),
-            "tau_si": rep.get("tau_si"),
-            "xi": rep.get("xi"),
-            "final_fidelity": result.summary["final_fidelity_target"],
-            "error": "",
-        }
     except Exception as exc:  # a failed row must not abort the sweep and lose finished rows
-        return {
-            "value": value,
-            "status": "failed",
-            "tau_internal": None,
-            "tau_si": None,
-            "xi": None,
-            "final_fidelity": None,
-            "error": f"{type(exc).__name__}: {exc}",
-        }
+        return row | {"error": f"{type(exc).__name__}: {exc}"}
+    rep = result.summary["collapse_report"] or {}
+    row.update((k, rep.get(k)) for k in ("tau_internal", "tau_si", "xi"))
+    return row | {"status": "ok", "final_fidelity": result.summary["final_fidelity_target"]}
 
 
 def sweep(scenario: Scenario, param: str, values, workers: int | None = None) -> list[dict]:

@@ -14,6 +14,8 @@ import configparser
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .diagnostics import UnitSystem
 from .errors import ConfigError
 from .evolve import IntegratorSpec, Method
@@ -53,21 +55,27 @@ class Scenario:
 
     # -- builders ---------------------------------------------------------
     def build_grid(self) -> Grid:
+        """The grid; ConfigError unless 1/dx^2 and 1/dx^4 (of the box stencil's
+        D2^2) are finite, in Python floats, where an overflow is no warning."""
         g = self.resolved["grid"]
+        dx = (g["x_max"] - g["x_min"]) / (g["n_points"] - (g["boundary"] == "box"))
+        if not (0.0 < dx * dx < math.inf and 1.0 / (dx * dx) / (dx * dx) < math.inf):
+            raise ConfigError(f"grid.x_min, x_max and n_points give dx = {dx:.3g}, out of range")
         return Grid(g["x_min"], g["x_max"], g["n_points"], _BOUNDARIES[g["boundary"]])
 
     def build_potential(self, grid: Grid) -> Potential:
+        """The potential; ConfigError if a sample overflows on the grid."""
         p = self.resolved["potential"]
-        kind = p["kind"]
-        if kind == "free":
-            return free_potential(grid)
-        if kind == "harmonic":
-            return harmonic_potential(grid, p["omega"])
-        if kind == "box":
-            return box_potential(grid)
-        if kind == "double_well":
-            return double_well_potential(grid, p["a"], p["b"])
-        raise ConfigError(f"unknown potential kind {kind!r}")
+        build = {"free": free_potential, "harmonic": harmonic_potential,
+                 "box": box_potential, "double_well": double_well_potential}.get(p["kind"])
+        if build is None:
+            raise ConfigError(f"unknown potential kind {p['kind']!r}")
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                return build(grid, *(p[k] for k in ("omega", "a", "b") if k in p))
+        except (FloatingPointError, OverflowError) as exc:
+            keys = ", ".join(f"potential.{k} = {v}" for k, v in p.items())
+            raise ConfigError(f"{keys} overflows on grid [{grid.x_min}, {grid.x_max}]") from exc
 
     def _eigenstate(self, index: int, grid: Grid, V: Potential) -> Field:
         if self.resolved["potential"]["kind"] == "harmonic":
@@ -373,7 +381,9 @@ def _resolve(sections: dict, name: str) -> Scenario:
     if unread:
         raise ConfigError(f"unknown config keys: {unread}")
 
-    return Scenario(resolved=resolved, sections=sections)
+    scenario = Scenario(resolved=resolved, sections=sections)
+    scenario.build_potential(scenario.build_grid())  # a ConfigError if either overflows
+    return scenario
 
 
 def load_scenario(path) -> Scenario:

@@ -239,6 +239,96 @@ def test_run_to_directory_keeps_the_partial_artifacts_of_a_failed_run(tmp_path, 
     assert not (out / "manifest.json").exists()
 
 
+def _bundled_variant(tmp_path, name: str, *edits) -> Path:
+    """The bundled scenario name with each (old line, new lines) edit, as a
+    config file in tmp_path."""
+    text = (Path(runner.__file__).parent / "scenarios" / f"{name}.ini").read_text()
+    for old, new in edits:
+        assert f"\n{old}\n" in text, old
+        text = text.replace(f"\n{old}\n", f"\n{new}\n")
+    config = tmp_path / f"{name}_variant.ini"
+    config.write_text(text)
+    return config
+
+
+def _run_captured(config: Path, out: Path) -> tuple[int, str]:
+    """The exit code and stderr of `cqhjlab run config --output out`."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["run", str(config), "--output", str(out)])
+    return code, err.getvalue()
+
+
+NULL_FORCE = (("kind = pinning", "kind = null"), ("kappa = 2.0", ""), ("target = eigenstate:0", ""))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "force, dt, code",
+    [("pinning", "1e200", 0), ("pinning", "1e306", 3), ("null", "1e200", 3), ("null", "1e306", 3)],
+)
+def test_a_huge_crank_nicolson_step_exits_without_a_traceback(tmp_path, force, dt, code):
+    # the chunk rule overflowed at dt = 1e200 (a warning, a traceback under
+    # -W error), the null-force run's A^2 overflowed into a factor splu
+    # called exactly singular, and at 1e306 building A overflowed; an
+    # overflowing factor is a StabilityViolation, exit 3
+    edits = [("dt = 1e-3", f"dt = {dt}"), *(NULL_FORCE if force == "null" else ())]
+    config = _bundled_variant(tmp_path, "pinning_collapse", *edits)
+    got, err = _run_captured(config, tmp_path / "out")
+    assert got == code, err
+    assert "Traceback" not in err
+    if code == 3:
+        assert "solver error: StabilityViolation: " in err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "potential, bound, omega, key",
+    [
+        ("free", "1e300", None, "grid.x_min"),
+        ("free", "1e308", None, "grid.x_min"),
+        ("free", "1e-100", None, "grid.x_min"),
+        ("harmonic", "1e160", "1.0", "grid.x_min"),
+        ("harmonic", "1e300", "1.0", "grid.x_min"),
+        ("harmonic", "1e154", "10.0", "potential.kind = harmonic, potential.omega = 10.0"),
+        ("harmonic", "8.0", "1e200", "potential.kind = harmonic, potential.omega = 1e+200"),
+    ],
+)
+def test_an_overflowing_grid_or_potential_is_a_config_error(tmp_path, potential, bound, omega, key):
+    # a grid whose x_max - x_min, 1/dx^2 or 1/dx^4 (the box stencil's D2^2)
+    # overflows, or a potential whose samples overflow, is a config error
+    # naming the keys (exit 2), where it was an OverflowError, a ValueError,
+    # a RuntimeWarning or a factor splu called exactly singular
+    pot = "kind = free" if omega is None else f"kind = harmonic\nomega = {omega}"
+    config = _bundled_variant(
+        tmp_path, "pinning_collapse", ("x_min = -8.0", f"x_min = -{bound}"),
+        ("x_max = 8.0", f"x_max = {bound}"), ("kind = harmonic\nomega = 1.0", pot),
+    )
+    code, err = _run_captured(config, tmp_path / "out")
+    assert code == 2, err
+    assert err.startswith(f"config error: {key}")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_failed_run_leaves_no_artifacts_of_an_earlier_run(tmp_path):
+    # ho_ground_stationary writes its three files into out; a pinning run at
+    # omega = 1e10 then fails before its first snapshot (ZeroState, exit 3)
+    # and leaves its incomplete summary.json alone
+    out = tmp_path / "out"
+    code, err = _run_captured(Path("ho_ground_stationary"), out)
+    assert code == 0, err
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "summary.json", "timeseries.csv"]
+    config = _bundled_variant(tmp_path, "pinning_collapse", ("omega = 1.0", "omega = 1e10"))
+    code, err = _run_captured(config, out)
+    assert code == 3, err
+    assert "solver error: ZeroState: " in err and "Traceback" not in err
+    assert [p.name for p in out.iterdir()] == ["summary.json"]
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["incomplete"] is True and summary["scenario"] == config.stem
+
+
 def test_run_solver_error_writes_partial_snapshots(tmp_path, monkeypatch, capsys):
     # with the dump on, a failed run keeps one snapshot file per row of its
     # partial timeseries, each holding the state of that row's snapshot
@@ -596,7 +686,7 @@ def scenario_texts(draw) -> str:
     integrator = _section(
         "integrator",
         method=draw(st.sampled_from(["split_step", "crank_nicolson"])),
-        dt=repr(10.0 ** draw(st.floats(-4.0, -2.0))),
+        dt=repr(10.0 ** draw(st.floats(-4.0, 300.0))),
         renormalize=draw(st.sampled_from(["true", "false"])),
     )
     run = _section(

@@ -33,7 +33,7 @@ from cqhjlab import (
 )
 from cqhjlab import evolve
 from cqhjlab.cqhj import masked_stats
-from cqhjlab.diagnostics import OBSERVABLE_NODE_THRESHOLD, energy
+from cqhjlab.diagnostics import OBSERVABLE_NODE_THRESHOLD, OBSERVABLES, energy
 from cqhjlab.errors import (
     AllMasked,
     GridMismatch,
@@ -147,6 +147,49 @@ def test_single_half_step_on_a_stiff_grid_is_one_cayley_solve():
     want[inner] = np.linalg.solve(eye + 0.5j * h * H, (eye - 0.5j * h * H) @ v[inner])
     got = kernel.step(v, 1)
     assert np.linalg.norm(got - want) <= 2e-14 * np.linalg.norm(want)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_the_cayley_chunk_rule_cannot_overflow():
+    # the chunk q is the largest even q <= 8 with (1 + theta^2)^(q/2) <= 10,
+    # theta = dt/2 ||H||_inf: wherever that form is finite the rule gives
+    # its q, and a step so long that theta^2 overflows gives q = 2 without
+    # a warning
+    g = Grid(-8.0, 8.0, 512, Boundary.BOX)
+    matrix = hamiltonian(harmonic_potential(g, 1.0), Method.CRANK_NICOLSON).matrix
+    row = abs(matrix).sum(axis=1).max()
+
+    def reference(dt):
+        with np.errstate(over="ignore"):
+            theta = 0.5 * dt * row
+            qs = [q for q in (8, 6, 4) if (1.0 + theta**2) ** (q // 2) <= 10.0]
+            finite = np.isfinite((1.0 + theta**2) ** 4)
+        return (qs[0] if qs else 2), finite
+
+    edges = [2 * math.sqrt(10.0 ** (2 / q) - 1.0) / row for q in (8, 6, 4)]
+    dts = [*np.geomspace(1e-8, 1e300, 400), *edges, *(np.nextafter(e, 1.0) for e in edges)]
+    for dt in dts:
+        q, finite = reference(dt)
+        if finite:
+            assert evolve._cayley_chunk(matrix, dt) == q, dt
+    assert {q for q in map(reference, dts)} >= {(8, True), (6, True), (4, True), (2, False)}
+    assert evolve._cayley_chunk(matrix, 1e300) == 2
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("dt", [1e160, 1e200, 1e306])
+def test_a_cayley_factor_that_overflows_is_a_stability_violation(dt):
+    # a step so long that A^2 (or, from about 1e305, A itself) overflows
+    # raises StabilityViolation before the LU, where splu called the NaN
+    # factor exactly singular
+    g = Grid(-8.0, 8.0, 512, Boundary.BOX)
+    kernel = evolve._CrankNicolsonKernel(
+        hamiltonian(harmonic_potential(g, 1.0), Method.CRANK_NICOLSON), dt
+    )
+    psi = ho_eigenstate(0, 1.0, g).state.values
+    with pytest.raises(StabilityViolation, match="overflow"):
+        kernel.step(psi, 2)
+    assert not kernel._ops
 
 
 def test_split_step_double_step_merges_potential_factors():
@@ -833,6 +876,66 @@ def test_snapshots_are_the_rows_of_one_read_only_array(ho_box_setup, propagator)
     kind = MomentumField if propagator == "cqhj" else Field
     assert type(traj.final_state) is kind
     assert traj.final_state.values.tobytes() == snaps[-1].tobytes()
+
+
+@pytest.mark.parametrize("with_target", [True, False], ids=["target", "no_target"])
+@pytest.mark.parametrize("propagator", ["schrodinger", "cqhj", "collapsible"])
+def test_observables_are_read_only_rows_of_one_array(ho_box_setup, propagator, with_target):
+    # each observable series is row OBSERVABLES.index(key) of one
+    # (len(OBSERVABLES), len(times)) float64 array, read-only; without a
+    # target the fidelity_target row is left out
+    g, V, pairs = ho_box_setup
+    psi0 = superpose([1.0, 1.0], [pairs[0].state, pairs[1].state])
+    p0 = MomentumField(Field(g, 0.2j * g.x), np.zeros(g.n_points, bool))
+    target = pairs[0].state if with_target else None
+    dt = 5e-4
+    cn = IntegratorSpec(Method.CRANK_NICOLSON, dt, True)
+    if propagator == "schrodinger":
+        traj = schrodinger_evolve(psi0, V, cn, 7 * dt, snapshot_stride=3, target=target)
+    elif propagator == "cqhj":
+        spec = IntegratorSpec(Method.RK4, dt)
+        traj = cqhj_evolve(p0, V, spec, 7 * dt, snapshot_stride=3, target=target)
+    else:
+        force = pinning_force(pairs[0], 2.0)
+        traj = collapsible_evolve(psi0, V, force, cn, 7 * dt, snapshot_stride=3, target=target)
+    obs = traj.observables
+    want = [k for k in OBSERVABLES if with_target or k != "fidelity_target"]
+    assert list(obs) == want
+    table = obs["norm"].base
+    assert table.shape == (len(OBSERVABLES), len(traj.times)) and table.dtype == np.float64
+    for key, series in obs.items():
+        assert series.base is table and not series.flags.writeable, key
+        assert np.shares_memory(series, table[OBSERVABLES.index(key)]), key
+        assert np.array_equal(series, table[OBSERVABLES.index(key)]), key
+        with pytest.raises(ValueError, match="read-only"):
+            series[0] = 0.0
+
+
+def test_a_winding_row_reads_nan_in_all_seven_series(monkeypatch):
+    # p_to_psi rejects the first and the last of 5 snapshots as winding:
+    # their column reads NaN in all seven series, scale and phase too, and
+    # the snapshots between read the unbroken run's values
+    g = Grid(-8.0, 8.0, 512, Boundary.BOX)
+    V = harmonic_potential(g, 1.0)
+    p0 = MomentumField(Field(g, 0.2j * g.x), np.zeros(g.n_points, bool))
+    target = ho_eigenstate(0, 1.0, g).state
+    spec = IntegratorSpec(Method.RK4, 5e-4)
+    whole = cqhj_evolve(p0, V, spec, 4 * spec.dt, target=target)
+    real, calls = evolve.p_to_psi, []
+
+    def winding(pf):
+        calls.append(None)
+        if len(calls) in (1, 5):
+            raise PeriodicityViolation("the field winds")
+        return real(pf)
+
+    monkeypatch.setattr(evolve, "p_to_psi", winding)
+    traj = cqhj_evolve(p0, V, spec, 4 * spec.dt, target=target)
+    assert list(traj.observables) == list(OBSERVABLES)
+    for key, series in traj.observables.items():
+        assert np.isnan(series[[0, 4]]).all(), key
+        assert np.array_equal(series[1:4], whole.observables[key][1:4]), key
+        assert not np.isnan(series[1:4]).any(), key
 
 
 # -- momentum-space propagation --------------------------------------------------
