@@ -9,7 +9,8 @@ Subcommands:
 Exit codes: 0 success, 1 verification failure, 2 config error,
 3 runtime solver error (a failed run keeps the timeseries.csv of its
 partial trajectory, and its snapshot files when write_snapshots is on, next
-to an incomplete summary.json).
+to an incomplete summary.json). A run that exits 0 or 3 replaces every
+artifact an earlier run left in its output directory.
 """
 
 from __future__ import annotations

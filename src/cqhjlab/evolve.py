@@ -518,12 +518,15 @@ def _psi_recorder(H: Hamiltonian, target: Field | None, rows: np.ndarray):
 
 def _step_count(t_final: float, dt: float, snapshot_stride: int) -> int:
     """The steps of a run to t_final, at least one; ValueError unless
-    t_final is positive and finite and snapshot_stride >= 1."""
+    t_final is positive and finite, dt does not exceed it and
+    snapshot_stride >= 1."""
     if not 0.0 < t_final < np.inf:
         raise ValueError(f"t_final must be positive and finite, got {t_final}")
+    if dt > t_final:
+        raise ValueError(f"dt = {dt} exceeds t_final = {t_final}")
     if snapshot_stride < 1:
         raise ValueError(f"snapshot_stride must be >= 1, got {snapshot_stride}")
-    return max(1, int(round(t_final / dt)))
+    return int(round(t_final / dt))
 
 
 def _drive(

@@ -10,9 +10,10 @@ CSV values are shortest round-trip decimals, lines end in LF. Snapshots can
 be dumped, byte-reproducibly, as snapshots/t_<index>.npy: file i is row i
 of the trajectory's (S, N) snapshot array, psi alone, a complex128 array
 of the grid's length. Its time is row i of timeseries.csv, and x is the
-grid that manifest.json echoes. Sweeps fan out over a process pool with no
-shared state; the result table keeps the input order of the values and
-records per-row failures without aborting the rest.
+grid that manifest.json echoes. A run's files replace all an earlier run
+left in the directory; a failed run writes no manifest.json. Sweeps fan out
+over a process pool with no shared state; the result table keeps the input
+order of the values and records per-row failures without aborting the rest.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 from . import __version__
 from .diagnostics import OBSERVABLES, collapse_time, make_collapse_report
 from .errors import ConfigError, CqhjError
-from .evolve import Trajectory, collapsible_evolve
+from .evolve import OBSERVE_BLOCK_BYTES, Trajectory, collapsible_evolve
 from .scenario import SCHEMA_VERSION, Scenario, apply_override, load_scenario
 from .states import hamiltonian
 
@@ -94,9 +95,6 @@ def execute(scenario: Scenario) -> RunResult:
             units=scenario.build_units(),
         )
     obs = traj.observables
-    drift = np.abs(traj.snapshots)  # |psi_k|^2 - |psi_0|^2 in place: one (S, N) array
-    drift **= 2
-    drift -= drift[0].copy()
     summary = {
         "schema_version": SCHEMA_VERSION,
         "scenario": scenario.resolved["name"],
@@ -105,13 +103,27 @@ def execute(scenario: Scenario) -> RunResult:
         "final_norm": float(obs["norm"][-1]),
         "max_norm_deviation": float(np.max(np.abs(obs["norm"] - 1.0))),
         "final_energy": float(obs["energy"][-1]),
-        "max_density_drift": float(np.max(np.abs(drift, out=drift))),
+        "max_density_drift": _max_density_drift(traj.snapshots),
         "final_fidelity_target": (
             float(obs["fidelity_target"][-1]) if "fidelity_target" in obs else None
         ),
         "collapse_report": report.as_dict() if report is not None else None,
     }
     return RunResult(scenario=scenario, trajectory=traj, summary=summary)
+
+
+def _max_density_drift(snapshots: np.ndarray) -> float:
+    """max |(|psi_k|^2 - |psi_0|^2)| over the (S, N) snapshot array, reduced
+    over blocks of the observed block's rows, so no (S, N) temporary."""
+    dens0 = np.abs(snapshots[0]) ** 2
+    rows = max(1, OBSERVE_BLOCK_BYTES // (16 * snapshots.shape[1]))
+    peak = 0.0
+    for k in range(0, len(snapshots), rows):
+        drift = np.abs(snapshots[k : k + rows])  # |psi_k|^2 - |psi_0|^2 in place
+        drift **= 2
+        drift -= dens0
+        peak = max(peak, np.max(np.abs(drift, out=drift)))
+    return float(peak)
 
 
 def resolve_output_dir(scenario: Scenario, override=None) -> Path:
@@ -136,21 +148,39 @@ def write_timeseries(traj: Trajectory, out_dir: Path) -> None:
 def write_snapshots(traj: Trajectory, out_dir: Path) -> None:
     """snapshots/t_<index>.npy, psi of each snapshot of a finished run or of
     the partial trajectory a failed one carries; the index is zero-padded so
-    the names sort in time order. The t_*.npy files of an earlier dump into
-    out_dir are deleted first, so the directory holds this run's alone."""
+    the names sort in time order."""
     snap_dir = out_dir / "snapshots"
     snap_dir.mkdir(parents=True, exist_ok=True)
-    for old in snap_dir.glob("t_*.npy"):
-        old.unlink()
     width = len(str(len(traj.snapshots) - 1))
     for i, row in enumerate(traj.snapshots):
         np.save(snap_dir / f"t_{i:0{width}d}.npy", row, allow_pickle=False)
 
 
-def write_artifacts(result: RunResult, out_dir: Path, wall_time_s: float) -> None:
+def _write_run(
+    out_dir: Path, scenario: Scenario, summary: dict, traj: Trajectory | None, manifest=None
+) -> None:
+    """The one writer of a run directory. It deletes every file a run leaves
+    (manifest.json, timeseries.csv, snapshots/t_*.npy, and snapshots/ if that
+    empties it) and nothing else, then writes summary.json; with a trajectory,
+    full or partial, its timeseries.csv and, when run.write_snapshots is on,
+    its dump; and manifest.json, which only a finished run has."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_timeseries(result.trajectory, out_dir)
-    _write_json(out_dir / "summary.json", result.summary)
+    snap_dir = out_dir / "snapshots"
+    for old in (out_dir / "manifest.json", out_dir / "timeseries.csv", *snap_dir.glob("t_*.npy")):
+        old.unlink(missing_ok=True)
+    if snap_dir.is_dir() and not any(snap_dir.iterdir()):
+        snap_dir.rmdir()
+    _write_json(out_dir / "summary.json", summary)
+    if traj is not None:
+        write_timeseries(traj, out_dir)
+        if scenario.resolved["run"]["write_snapshots"]:
+            write_snapshots(traj, out_dir)
+    if manifest is not None:
+        _write_json(out_dir / "manifest.json", manifest)
+
+
+def write_artifacts(result: RunResult, out_dir: Path, wall_time_s: float) -> None:
+    """A finished run's artifacts (_write_run); manifest.json records wall_time_s."""
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "tool_version": __version__,
@@ -158,32 +188,23 @@ def write_artifacts(result: RunResult, out_dir: Path, wall_time_s: float) -> Non
         "deterministic": True,
         "wall_time_s": wall_time_s,
     }
-    _write_json(out_dir / "manifest.json", manifest)
-    if result.scenario.resolved["run"]["write_snapshots"]:
-        write_snapshots(result.trajectory, out_dir)
+    _write_run(out_dir, result.scenario, result.summary, result.trajectory, manifest)
 
 
 def run_to_directory(scenario: Scenario, out_dir: Path) -> RunResult:
-    """Execute the scenario and write its artifacts into out_dir. A run that
-    raises a CqhjError keeps the timeseries.csv (and the snapshot files) of
-    the partial trajectory the error carries, next to a summary.json flagged
-    incomplete, and the error is raised again; an earlier run's
-    manifest.json and timeseries.csv in out_dir are deleted."""
+    """Execute the scenario and write its artifacts into out_dir, in place of
+    an earlier run's. A run that raises a CqhjError writes a summary.json
+    flagged incomplete, with the timeseries.csv (and the dump) of the
+    partial trajectory the error carries, and the error is raised again."""
     started = time.perf_counter()
     try:
         result = execute(scenario)
     except CqhjError as exc:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for name in ("manifest.json", "timeseries.csv"):
-            (out_dir / name).unlink(missing_ok=True)
-        if exc.trajectory is not None:
-            write_timeseries(exc.trajectory, out_dir)
-            if scenario.resolved["run"]["write_snapshots"]:
-                write_snapshots(exc.trajectory, out_dir)
-        _write_json(out_dir / "summary.json", {
+        summary = {
             "schema_version": SCHEMA_VERSION, "scenario": scenario.resolved["name"],
             "incomplete": True, "error": f"{type(exc).__name__}: {exc}",
-        })
+        }
+        _write_run(out_dir, scenario, summary, exc.trajectory)
         raise
     write_artifacts(result, out_dir, wall_time_s=time.perf_counter() - started)
     return result

@@ -338,6 +338,9 @@ def _resolve(sections: dict, name: str) -> Scenario:
         raise ConfigError(f"run.collapse_epsilon must lie in (0, 0.5), got {eps}")
     if not threshold < 1.0:
         raise ConfigError(f"run.node_threshold must lie in (0, 1), got {threshold}")
+    dt, t_final = resolved_integ["dt"], resolved_run["t_final"]
+    if dt > t_final:
+        raise ConfigError(f"integrator.dt = {dt} exceeds run.t_final = {t_final}")
     if "fidelity_target" in run.section:
         resolved_run["fidelity_target_index"] = _parse_target(run, "fidelity_target")
     elif fkind == "pinning":

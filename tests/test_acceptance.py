@@ -303,7 +303,7 @@ snapshot_stride = 20
         unstable.write_text(
             config.replace("boundary = box", "boundary = periodic")
             .replace("crank_nicolson", "split_step")
-            .replace("dt = 2e-3", "dt = 0.5")
+            .replace("dt = 2e-3", "dt = 0.1")
         )
         assert main(["run", str(unstable), "--output", str(tmp_path / "u")]) == 3
         capsys.readouterr()

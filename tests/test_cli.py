@@ -271,14 +271,30 @@ def test_a_huge_crank_nicolson_step_exits_without_a_traceback(tmp_path, force, d
     # the chunk rule overflowed at dt = 1e200 (a warning, a traceback under
     # -W error), the null-force run's A^2 overflowed into a factor splu
     # called exactly singular, and at 1e306 building A overflowed; an
-    # overflowing factor is a StabilityViolation, exit 3
-    edits = [("dt = 1e-3", f"dt = {dt}"), *(NULL_FORCE if force == "null" else ())]
+    # overflowing factor is a StabilityViolation, exit 3. t_final = dt: one
+    # step, as a dt past t_final = 4.0 took before it became a config error
+    edits = [
+        ("dt = 1e-3", f"dt = {dt}"),
+        ("t_final = 4.0", f"t_final = {dt}"),
+        *(NULL_FORCE if force == "null" else ()),
+    ]
     config = _bundled_variant(tmp_path, "pinning_collapse", *edits)
     got, err = _run_captured(config, tmp_path / "out")
     assert got == code, err
     assert "Traceback" not in err
     if code == 3:
         assert "solver error: StabilityViolation: " in err
+
+
+@pytest.mark.parametrize("dt", ["4.5", "1e200"])
+def test_a_step_longer_than_the_run_is_a_config_error(tmp_path, dt):
+    # it used to take one whole step and report it as the run's end: exit 0
+    # with "t_final": 1e+200 in summary.json
+    config = _bundled_variant(tmp_path, "pinning_collapse", ("dt = 1e-3", f"dt = {dt}"))
+    got, err = _run_captured(config, tmp_path / "out")
+    assert got == 2, err
+    assert f"config error: integrator.dt = {float(dt)} exceeds run.t_final = 4.0" in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -628,7 +644,9 @@ def test_full_level_includes_convergence_studies():
 # extent; every potential, initial state, force and method; eigenstate
 # indices up to 40, which the smaller grids cannot supply (half of them
 # from 0..3, so that most draws run); superposition coefficients of
-# magnitude 1e-300 to 1e300 at any phase; t_final <= 0.05. Draws that break
+# magnitude 1e-300 to 1e300 at any phase; steps dt of 1e-4 to 1e300 and
+# t_final <= 0.05, or t_final = dt for a longer step, so that a huge step
+# runs (one step) rather than being a config error. Draws that break
 # a rule of the format (a box potential on a ring, split-step on a box) are
 # part of the space: they must exit 2. 100 examples take about a second.
 
@@ -683,15 +701,16 @@ def scenario_texts(draw) -> str:
         target=f"eigenstate:{draw(INDICES)}" if force == "pinning" else None,
         gamma=repr(draw(st.floats(0.1, 10.0))) if force == "kostin" else None,
     )
+    dt = 10.0 ** draw(st.floats(-4.0, 300.0))
     integrator = _section(
         "integrator",
         method=draw(st.sampled_from(["split_step", "crank_nicolson"])),
-        dt=repr(10.0 ** draw(st.floats(-4.0, 300.0))),
+        dt=repr(dt),
         renormalize=draw(st.sampled_from(["true", "false"])),
     )
     run = _section(
         "run",
-        t_final=repr(draw(st.floats(1e-3, 0.05))),
+        t_final=repr(max(draw(st.floats(1e-3, 0.05)), dt)),
         snapshot_stride=draw(st.integers(1, 20)),
         fidelity_target=draw(st.none() | INDICES.map("eigenstate:{}".format)),
     )

@@ -1541,6 +1541,7 @@ def test_one_norm_per_advance(ho_box_setup, monkeypatch, kappa, advances_per_int
         (0.0, 1, "t_final"),
         (np.nan, 1, "t_final"),
         (np.inf, 1, "t_final"),
+        (5e-4, 1, "dt = 0.001 exceeds t_final = 0.0005"),
         (0.1, 0, "snapshot_stride"),
         (0.1, -5, "snapshot_stride"),
     ],

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from cqhjlab import evolve, scenario as scenario_module
-from cqhjlab.errors import ConfigError
+from cqhjlab.errors import ConfigError, ZeroState
 from cqhjlab.diagnostics import OBSERVABLES
 from cqhjlab.evolve import Trajectory
 from cqhjlab.grid import Boundary, Grid
@@ -247,6 +247,34 @@ def test_second_dump_into_one_directory_replaces_the_snapshots(tmp_path):
     for f, snap in zip(files, result.trajectory.snapshots, strict=True):
         assert np.load(f, allow_pickle=False).tobytes() == snap.tobytes(), f.name
     assert (out / "snapshots" / "notes.txt").read_text() == "kept"
+
+
+def test_a_run_without_the_dump_deletes_an_earlier_dump(tmp_path):
+    # the dump's 11 files and their directory go, so the directory holds
+    # the files of the second run alone
+    out = tmp_path / "out"
+    dump = MINI.replace("snapshot_stride = 10", "snapshot_stride = 5\nwrite_snapshots = true")
+    run_to_directory(parse_scenario(dump, name="mini"), out)
+    assert len(list((out / "snapshots").glob("t_*.npy"))) == 11
+    run_to_directory(parse_scenario(MINI, name="mini"), out)
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "summary.json", "timeseries.csv"]
+    rows = (out / "timeseries.csv").read_text().splitlines()[2:]
+    assert len(rows) == json.loads((out / "summary.json").read_text())["snapshots"] == 6
+
+
+def test_a_run_that_fails_before_its_first_snapshot_deletes_an_earlier_dump(tmp_path):
+    # omega = 1e10 makes the initial superposition underflow to zero, a
+    # ZeroState before the first snapshot: only its incomplete summary.json
+    # is left, no file of the earlier dump
+    out = tmp_path / "out"
+    dump = MINI.replace("snapshot_stride = 10", "snapshot_stride = 10\nwrite_snapshots = true")
+    run_to_directory(parse_scenario(dump, name="mini"), out)
+    assert len(list((out / "snapshots").glob("t_*.npy"))) == 6
+    with pytest.raises(ZeroState):
+        run_to_directory(parse_scenario(dump.replace("omega = 1.0", "omega = 1e10"), name="z"), out)
+    assert [p.name for p in out.iterdir()] == ["summary.json"]
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["incomplete"] is True and summary["scenario"] == "z"
 
 
 def test_sweep_rows_match_single_runs():
