@@ -23,7 +23,6 @@ from .grid import (
     Boundary,
     Field,
     Grid,
-    _adopt,
     _check_finite,
     _derivative_op,
     _fd_matrix,
@@ -110,11 +109,9 @@ def psi_to_p(psi: Field, node_threshold: float = DEFAULT_NODE_THRESHOLD) -> Mome
     values = psi.values
     mask = _node_mask(np.abs(values), node_threshold)
     _check_finite(values)
-    dpsi = _derivative_op(psi.grid, 1)(values)
-    np.multiply(-1j, dpsi, out=dpsi)
-    p = np.zeros(values.shape, values.dtype)
-    np.divide(dpsi, values, out=p, where=~mask)
-    return _adopt(MomentumField, field=_adopt(Field, grid=psi.grid, values=p), node_mask=mask)
+    dpsi = -1j * _derivative_op(psi.grid, 1)(values)
+    p = np.divide(dpsi, values, out=np.zeros_like(values), where=~mask)
+    return MomentumField(Field(psi.grid, p), mask)
 
 
 def _action_increments(values: np.ndarray, node_threshold: float, periodic: bool):
@@ -153,7 +150,7 @@ def p_to_psi(p: MomentumField) -> tuple[Field, float]:
     p.require_nodeless()
     action = cumulative_integral(p.field)  # complex action/hbar, anchored left
     values, scale = _normalized(p.grid, np.exp(1j * action.values))
-    return _adopt(Field, grid=p.grid, values=values), -float(np.log(scale))
+    return Field(p.grid, values), -float(np.log(scale))
 
 
 def dilated_mask(mask: np.ndarray, grid: Grid, width: int = 3) -> np.ndarray:
@@ -260,8 +257,7 @@ def hamiltonian_field_from_state(
     values, amp, _, _ = _scaled_rows(g, psi.values[None])
     mask = _node_mask(amp[0], node_threshold)
     _check_finite(values)
-    vals = _hamiltonian_field(H.V.samples, values[0], H.apply(values[0]), mask)
-    return _adopt(Field, grid=g, values=vals), mask
+    return Field(g, _hamiltonian_field(H.V.samples, values[0], H.apply(values[0]), mask)), mask
 
 
 def _hamiltonian_field(V: np.ndarray, values: np.ndarray, hvals: np.ndarray, mask: np.ndarray):

@@ -99,19 +99,19 @@ only an interval function advance(vals, m), which takes a full Strang
 state m steps on, and a recorder (record, series), both on raw ndarrays;
 the loop owns the snapshot cadence (t = 0, every snapshot_stride-th step
 and the last step), the step cap, the renormalization of each advance's
-end state and its running log scale, and the Trajectory: one (S, N) array
-allocated before the first step, snapshot i its row i, whose first rows
-are the partial trajectory attached to any CqhjError a step, a snapshot
-or the observables raise. record is the per-snapshot finite check, which
-writes the state into its row and observes each full block of kept rows,
-a view, in one pass; series observes the rest at the run's end or after
-an error. The observables are one (len(OBSERVABLES), S) array, NaN until
-observed, whose read-only rows are the series. The pass is
-diagnostics._observe, which computes every
-observable by the formulas behind norm, energy, fidelity, masked_stats
-and hamiltonian_field_from_state (with the run's Hamiltonian), so each
-has one copy. A row's values do not depend on its block, and an
-observable error, earlier than any step error, wins.
+end state (norm, bound to the raw core grid._norm: no Field is built) and
+its running log scale, and the Trajectory: one (S, N) array allocated
+before the first step, snapshot i its row i, whose first rows are the
+partial trajectory attached to any CqhjError a step, a snapshot or the
+observables raise. record is the per-snapshot finite check, which writes
+the state into its row and observes each full block of kept rows, a view,
+in one pass; series observes the rest at the run's end or after an error.
+The observables are one (len(OBSERVABLES), S) array, NaN until observed,
+whose read-only rows are the series. The pass is diagnostics._observe,
+which computes every observable by the formulas behind norm, energy,
+fidelity, masked_stats and hamiltonian_field_from_state (with the run's
+Hamiltonian), so each has one copy. A row's values do not depend on its
+block, and an observable error, earlier than any step error, wins.
 
 The force layer of a nonlinear run is one kernel per run on raw ndarrays
 (_gauge_kernel). It looks up the force's law once (forces._force_law, with
@@ -167,13 +167,12 @@ from .grid import (
     Boundary,
     Field,
     Grid,
-    _adopt,
     _antiderivative_op,
     _check_finite,
     _derivative_op,
+    _norm as norm,
     _normalized,
     _readonly,
-    norm,
     require_same_grid,
 )
 from .states import Hamiltonian, Method, Potential, hamiltonian
@@ -518,12 +517,15 @@ def _psi_recorder(H: Hamiltonian, target: Field | None, rows: np.ndarray):
 
 def _step_count(t_final: float, dt: float, snapshot_stride: int) -> int:
     """The steps of a run to t_final, at least one; ValueError unless
-    t_final is positive and finite, dt does not exceed it and
-    snapshot_stride >= 1."""
+    t_final is positive and finite, dt does not exceed it, t_final / dt is
+    a finite count below 2**53 (the largest whose times step * dt stay
+    distinct) and snapshot_stride >= 1."""
     if not 0.0 < t_final < np.inf:
         raise ValueError(f"t_final must be positive and finite, got {t_final}")
     if dt > t_final:
         raise ValueError(f"dt = {dt} exceeds t_final = {t_final}")
+    if not t_final / dt < 2.0**53:
+        raise ValueError(f"t_final / dt = {t_final / dt:.3g} steps, not a count below 2**53")
     if snapshot_stride < 1:
         raise ValueError(f"snapshot_stride must be >= 1, got {snapshot_stride}")
     return int(round(t_final / dt))
@@ -557,19 +559,19 @@ def _drive(
     Bad run inputs raise ValueError (_step_count) first.
     """
     n_steps = _step_count(t_final, spec.dt, snapshot_stride)
-    ends = [0, *range(snapshot_stride, n_steps, snapshot_stride), n_steps]
-    rows = np.empty((len(ends), vals.size), np.complex128)
+    rows = np.empty((1 - (-n_steps // snapshot_stride), vals.size), np.complex128)
     record, series = recorder(rows)
     step, error = 0, None
     try:
         record(0, vals, log)
-        for i in range(1, len(ends)):
-            while step < ends[i]:
-                m = min(cap, ends[i] - step)
+        for i in range(1, len(rows)):
+            end = min(i * snapshot_stride, n_steps)  # the step of snapshot i
+            while step < end:
+                m = min(cap, end - step)
                 vals = advance(vals, m)
                 step += m
                 if grid is not None:
-                    scale = norm(_adopt(Field, grid=grid, values=vals))
+                    scale = norm(grid, vals)
                     if not 0.0 < scale < np.inf:
                         _check_finite(vals)
                         raise ZeroState("every entry of the state is zero")
@@ -582,7 +584,8 @@ def _drive(
     count = len(obs["norm"])
     rows.flags.writeable = False
     final = state(rows[count - 1]) if count else None
-    traj = Trajectory(np.multiply(ends[:count], spec.dt), rows[:count], obs, final)
+    steps = [min(i * snapshot_stride, n_steps) for i in range(count)]
+    traj = Trajectory(np.multiply(steps, spec.dt), rows[:count], obs, final)
     error = failure or error
     if error is not None:
         error.trajectory = traj

@@ -11,10 +11,11 @@ take the p-route: the force field F(p) at the points, then its
 antiderivative. The collapse step takes the pair route: every force is
 linear in p, so the integral of F over a pair of neighbouring points is the
 force of the pair's action increment (cqhj._action_increments), and Phi is
-the cumulative sum of those pair forces (_pair_lift), with no derivative and
-no antiderivative. The p-route stays as the reference. A pinning force holds
-its pointer state's wave function, which the p-route reads as its momentum
-field and the pair route as its action increments.
+the cumulative sum of those pair forces (_pair_lift), with no derivative
+and no antiderivative. The p-route stays as the reference, and its Fields
+are built through the constructor. A pinning force holds its pointer
+state's wave function, which the p-route reads as its momentum field and
+the pair route as its action increments.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .grid import (  # noqa: F401
     Boundary,
     Field,
     Grid,
-    _adopt,
     _antiderivative_op,
     cumulative_integral,
 )
@@ -119,8 +119,8 @@ def evaluate(force: CollapseForce, p: MomentumField) -> Field:
     nodes, where p itself is undefined).
     """
     if (law := _force_law(force, p.grid, pairs=False)) is None:
-        return _adopt(Field, grid=p.grid, values=np.zeros(p.grid.n_points, np.complex128))
-    return _adopt(Field, grid=p.grid, values=_evaluate(p.values, p.node_mask, law))
+        return Field(p.grid, np.zeros(p.grid.n_points))
+    return Field(p.grid, _evaluate(p.values, p.node_mask, law))
 
 
 def _force_law(force: CollapseForce, grid: Grid, pairs: bool = True) -> tuple | None:
@@ -180,7 +180,7 @@ def gauge_potential(force_field: Field) -> Field:
                 f"exceeds {GAUGE_MEAN_TOLERANCE:.1e} * max(max|F|, 1)"
             )
         F = F - mean
-    return _adopt(Field, grid=g, values=_antiderivative_op(g)(F))
+    return Field(g, _antiderivative_op(g)(F))
 
 
 def _pair_lift(f: np.ndarray, g: Grid) -> np.ndarray:

@@ -5,7 +5,8 @@ The grid's boundary picks the derivative operator: FFT (spectral) on
 periodic grids, 4th-order finite differences with one-sided edge rows on
 box grids. The wavenumbers and the multipliers (i k)^order are read-only
 arrays built once per grid; each spectral transform works in one array of
-its own and only reads its input.
+its own and only reads its input. Public operators wrap raw cores, and a
+Field is built only by its constructor, which freezes a copy.
 
 Internal units use hbar = m = 1 throughout; physical units enter only in
 the diagnostics layer.
@@ -34,20 +35,6 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.array(a)  # always copy; never freeze a caller-owned buffer
     a.flags.writeable = False
     return a
-
-
-def _adopt(cls, **attrs):
-    """An instance of the frozen dataclass cls (Field, MomentumField) that
-    takes its arrays without the constructor's copy and checks: each array
-    is frozen in place. Only for arrays the package has just allocated, of
-    the dtype and shape the constructor would produce, that nothing else
-    holds for writing."""
-    for value in attrs.values():
-        if isinstance(value, np.ndarray):
-            value.flags.writeable = False
-    obj = object.__new__(cls)
-    obj.__dict__.update(attrs)
-    return obj
 
 
 @lru_cache(maxsize=None)
@@ -264,7 +251,7 @@ def _derivative_op(g: Grid, order: int):
 
 def _derivative(f: Field, order: int) -> Field:
     f.check_finite()
-    return _adopt(Field, grid=f.grid, values=_derivative_op(f.grid, order)(f.values))
+    return Field(f.grid, _derivative_op(f.grid, order)(f.values))
 
 
 def gradient(f: Field) -> Field:
@@ -298,15 +285,20 @@ def _rescaled(peak):
 
 
 def norm(f: Field) -> float:
-    """Grid norm sqrt(sum w |f|^2), the one rule that squares amplitudes
+    """Grid norm sqrt(sum w |f|^2); the Field wrapper of _norm."""
+    return _norm(f.grid, f.values)
+
+
+def _norm(g: Grid, values: np.ndarray) -> float:
+    """Grid norm of raw values on g, the one rule that squares amplitudes
     for a norm: the plain weighted sum while max|f| lies in _NORM_RANGE (or
     is 0, Inf or NaN), else max|f| norm(f / max|f|), so no square overflows
     or underflows (Blue's scaled norm, as LAPACK's dnrm2)."""
-    amp = np.abs(f.values)
+    amp = np.abs(values)
     peak = amp.max()
     if not _rescaled(peak):
-        return float(np.sqrt(_sq_norm(f.grid, amp)))
-    return float(peak) * float(np.sqrt(_sq_norm(f.grid, amp / peak)))
+        return float(np.sqrt(_sq_norm(g, amp)))
+    return float(peak) * float(np.sqrt(_sq_norm(g, amp / peak)))
 
 
 def _scaled_rows(g: Grid, values: np.ndarray):
@@ -354,7 +346,7 @@ def cumulative_integral(f: Field) -> Field:
     correction, giving 4th-order global accuracy so that the discrete
     gradient inverts this operation to discretization tolerance.
     """
-    return _adopt(Field, grid=f.grid, values=_antiderivative_op(f.grid)(f.values))
+    return Field(f.grid, _antiderivative_op(f.grid)(f.values))
 
 
 @lru_cache(maxsize=32)

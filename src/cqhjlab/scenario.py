@@ -18,10 +18,12 @@ import numpy as np
 
 from .diagnostics import UnitSystem
 from .errors import ConfigError
-from .evolve import IntegratorSpec, Method
+from .evolve import IntegratorSpec, Method, _step_count
 from .forces import CollapseForce, kostin_friction, null_force, pinning_force
 from .grid import Boundary, Field, Grid
 from .states import (
+    HO_TOP_INDEX,
+    POINTS_PER_STATE,
     Potential,
     box_potential,
     double_well_potential,
@@ -341,6 +343,10 @@ def _resolve(sections: dict, name: str) -> Scenario:
     dt, t_final = resolved_integ["dt"], resolved_run["t_final"]
     if dt > t_final:
         raise ConfigError(f"integrator.dt = {dt} exceeds run.t_final = {t_final}")
+    try:
+        _step_count(t_final, dt, resolved_run["snapshot_stride"])
+    except ValueError as exc:
+        raise ConfigError(f"integrator.dt = {dt} and run.t_final = {t_final}: {exc}") from exc
     if "fidelity_target" in run.section:
         resolved_run["fidelity_target_index"] = _parse_target(run, "fidelity_target")
     elif fkind == "pinning":
@@ -359,8 +365,7 @@ def _resolve(sections: dict, name: str) -> Scenario:
         "run": resolved_run,
     }
 
-    # the oscillator's recurrence reaches state 20, the solver n_points // 8 states
-    top = 20 if kind == "harmonic" else resolved_grid["n_points"] // 8 - 1
+    top = HO_TOP_INDEX if kind == "harmonic" else resolved_grid["n_points"] // POINTS_PER_STATE - 1
     for key, index in _named_eigenstates(resolved):
         if not 0 <= index <= top:
             raise ConfigError(f"{key} names eigenstate {index}; this scenario supplies 0..{top}")

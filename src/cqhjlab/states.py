@@ -42,6 +42,9 @@ from .grid import (
 # largest Hamiltonian residual ho_eigenstate accepts before calling the
 # state unresolved on the grid
 EIGENSTATE_RESIDUAL_TOL = 1e-6
+# the highest oscillator state ho_eigenstate's recurrence builds, and the
+# grid points per state solve_eigenstates needs, which scenario also reads
+HO_TOP_INDEX, POINTS_PER_STATE = 20, 8
 
 
 @dataclass(frozen=True)
@@ -199,8 +202,8 @@ def gaussian_packet(grid: Grid, x0: float, k0: float, sigma: float) -> Field:
 def ho_eigenstate(n: int, omega: float, grid: Grid) -> EigenPair:
     """Harmonic-oscillator eigenstate via the normalized Hermite-function
     three-term recurrence; energy (n + 1/2) omega."""
-    if n < 0 or n > 20:
-        raise ValueError("eigenstate index must be in 0..20")
+    if not 0 <= n <= HO_TOP_INDEX:
+        raise ValueError(f"eigenstate index must be in 0..{HO_TOP_INDEX}")
     if omega <= 0:
         raise ValueError("omega must be positive")
     xi = np.sqrt(omega) * grid.x
@@ -233,11 +236,11 @@ def solve_eigenstates(H: Hamiltonian, count: int) -> list[EigenPair]:
     grids solve densely. Returned states are grid-normalized, mutually
     orthogonal and sign-fixed for reproducibility.
     """
-    grid = H.grid
+    grid, limit = H.grid, H.grid.n_points // POINTS_PER_STATE
     if count < 1:
         raise ValueError("count must be >= 1")
-    if count > grid.n_points // 8:
-        raise ValueError(f"count must be <= n_points/8 = {grid.n_points // 8}")
+    if count > limit:
+        raise ValueError(f"count must be <= n_points/{POINTS_PER_STATE} = {limit}")
     try:
         if grid.boundary is Boundary.BOX:
             # a fixed start vector makes the iteration repeat exactly

@@ -298,6 +298,18 @@ def test_a_step_longer_than_the_run_is_a_config_error(tmp_path, dt):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_step_too_small_to_count_is_a_config_error(tmp_path):
+    # t_final / dt = 4 / 1e-320 overflows to inf, which ended the run in an
+    # OverflowError traceback, exit 1
+    config = _bundled_variant(tmp_path, "pinning_collapse", ("dt = 1e-3", "dt = 1e-320"))
+    got, err = _run_captured(config, tmp_path / "out")
+    assert got == 2, err
+    assert err.startswith("config error: integrator.dt = 1e-320 and run.t_final = 4.0: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
     "potential, bound, omega, key",
     [

@@ -1564,6 +1564,27 @@ def test_run_inputs_rejected_before_the_first_snapshot(
     assert recorded == []
 
 
+def test_step_count_stops_below_2_53():
+    # the largest count whose step numbers, and so the times step * dt, are
+    # exact; 4 / 1e-320 overflows to inf, and 4 / 1e-300 would have asked
+    # for a 4e300-entry list of snapshot steps
+    assert evolve._step_count(2.0**53 - 1.0, 1.0, 1) == 2**53 - 1
+    for t_final, dt in [(2.0**53, 1.0), (4.0, 1e-300), (4.0, 1e-320)]:
+        with pytest.raises(ValueError, match="not a count below 2"):
+            evolve._step_count(t_final, dt, 1)
+
+
+@pytest.mark.parametrize("stride, steps", [(20, [0, 20, 40, 50]), (10**30, [0, 50])])
+def test_snapshot_times_are_the_stride_steps_and_the_last(ho_box_setup, stride, steps):
+    # snapshot i is at step min(i * stride, n_steps), also for a stride
+    # past any int64
+    grid, V, pairs = ho_box_setup
+    spec = IntegratorSpec(Method.CRANK_NICOLSON, 1e-3, True)
+    traj = schrodinger_evolve(pairs[0].state, V, spec, 0.05, snapshot_stride=stride)
+    assert traj.times.tobytes() == np.multiply(steps, 1e-3).tobytes()
+    assert len(traj.snapshots) == len(steps)
+
+
 @pytest.mark.parametrize("dt", [np.nan, np.inf, -np.inf, 0.0, -1e-3])
 def test_integrator_spec_rejects_non_finite_or_non_positive_dt(dt):
     with pytest.raises(ValueError, match="dt must be positive"):

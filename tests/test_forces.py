@@ -9,14 +9,21 @@ from cqhjlab import (
     Field,
     ForceKind,
     Grid,
+    Method,
+    MomentumField,
     cumulative_integral,
     evaluate,
     gauge_potential,
     gradient,
+    hamiltonian,
+    hamiltonian_field_from_state,
+    harmonic_potential,
     ho_eigenstate,
     kostin_friction,
+    laplacian,
     make_field,
     null_force,
+    p_to_psi,
     pinning_force,
     psi_to_p,
     superpose,
@@ -340,19 +347,36 @@ def test_force_chain_matches_explicit_formula_bitwise(boundary, kind):
 
 @pytest.mark.parametrize("boundary", [Boundary.BOX, Boundary.PERIODIC])
 def test_force_chain_outputs_are_read_only_and_unshared(boundary):
+    # every Field and MomentumField the chain returns holds fresh frozen
+    # arrays, and no call changes the writeable flag of an array it reads
     g, psi, target = _chain_inputs(boundary)
-    p = psi_to_p(psi)
-    pairs = [
-        (gradient(psi).values, psi.values),
-        (p.values, psi.values),
-        (p.node_mask, psi.values),
-    ]
+    H = hamiltonian(harmonic_potential(g, 1.0), Method.CRANK_NICOLSON)
+    outputs = []
+
+    def arrays(x):
+        if isinstance(x, MomentumField):
+            return [x.values, x.node_mask]
+        return [x.values] if isinstance(x, Field) else []
+
+    def checked(fn, *inputs):
+        sources = [a for x in inputs for a in arrays(x)]
+        flags = [a.flags.writeable for a in sources]
+        out = fn(*inputs)
+        assert [a.flags.writeable for a in sources] == flags
+        out = out[0] if isinstance(out, tuple) else out
+        outputs.extend((a, sources) for a in arrays(out))
+        return out
+
+    p = checked(psi_to_p, psi)
+    checked(laplacian, psi)
+    checked(cumulative_integral, checked(gradient, psi))
+    checked(p_to_psi, psi_to_p(Field(g, np.exp(0.1j * np.sin(g.x)))))
+    checked(hamiltonian_field_from_state, psi, H)
     for force in (pinning_force(target, 2.5), kostin_friction(0.4), null_force()):
-        f = evaluate(force, p)
-        pairs += [(f.values, p.values), (gauge_potential(f).values, f.values)]
-    for out, source in pairs:
+        checked(gauge_potential, checked(evaluate, force, p))
+    for out, sources in outputs:
         assert not out.flags.writeable
-        assert not np.shares_memory(out, source)
+        assert not any(np.shares_memory(out, source) for source in sources)
         with pytest.raises(ValueError):
             out[0] = out[1]
 

@@ -84,6 +84,14 @@ def test_validation_names_offending_key(mutation, anchor):
     assert anchor in str(err.value)
 
 
+@pytest.mark.parametrize("dt", ["1e-320", "1e-300"])
+def test_a_step_count_past_2_53_is_a_config_error(dt):
+    # 0.1 / 1e-320 overflows to inf, which ended the run in an OverflowError;
+    # 0.1 / 1e-300 is a 1e299-step run
+    with pytest.raises(ConfigError, match=r"integrator\.dt = .* and run\.t_final = 0\.1: "):
+        parse_scenario(MINI.replace("dt = 2e-3", f"dt = {dt}"))
+
+
 def test_syntax_error_carries_line_info():
     with pytest.raises(ConfigError) as err:
         parse_scenario("[grid\nx_min = 0\n")
