@@ -139,8 +139,6 @@ from functools import lru_cache, partial, reduce
 from operator import matmul
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from .cqhj import (
     DEFAULT_NODE_THRESHOLD,
@@ -153,6 +151,7 @@ from .cqhj import (
 from .diagnostics import OBSERVABLES, _observe
 from .errors import (
     AllMasked,
+    ConfigError,
     CqhjError,
     NodeApproach,
     NodeBlowup,
@@ -329,6 +328,8 @@ class _CrankNicolsonKernel:
     first use (module docstring)."""
 
     def __init__(self, H: Hamiltonian, dt: float):
+        import scipy.sparse as sp
+
         self.inner = H.inner
         eye = sp.identity(H.matrix.shape[0], dtype=np.complex128, format="csc")
         with np.errstate(over="ignore", invalid="ignore"):  # _solve checks the factors
@@ -354,6 +355,8 @@ class _CrankNicolsonKernel:
             A, B = (reduce(matmul, [M] * m) for M in (self._A, self._B))
             if not (np.isfinite(A.data).all() and np.isfinite(B.data).all()):
                 raise StabilityViolation(f"the Cayley factors A^{m}, B^{m} of this step overflow")
+            from scipy.sparse.linalg import splu
+
             op = self._ops[m] = (splu(A.tocsc()).solve, B.tocsr())
         out = np.zeros(values.shape, values.dtype)
         out[self.inner] = op[0](op[1] @ values[self.inner])
@@ -556,10 +559,19 @@ def _drive(
     None, once, after the last step or after a step's or a snapshot's
     CqhjError. Of two errors the earlier in time, the observables', is
     raised with the trajectory before it; state(row) is the final_state.
-    Bad run inputs raise ValueError (_step_count) first.
+    Bad run inputs raise ValueError (_step_count) first, and a snapshot
+    array that cannot be allocated a ConfigError.
     """
     n_steps = _step_count(t_final, spec.dt, snapshot_stride)
-    rows = np.empty((1 - (-n_steps // snapshot_stride), vals.size), np.complex128)
+    shape = (1 - (-n_steps // snapshot_stride), vals.size)
+    try:
+        rows = np.empty(shape, np.complex128)
+    except MemoryError as exc:
+        raise ConfigError(
+            f"run.t_final = {t_final}, integrator.dt = {spec.dt} and run.snapshot_stride = "
+            f"{snapshot_stride} ask for {shape[0]} snapshots of {shape[1]} points, "
+            f"{16 * shape[0] * shape[1]:.3g} bytes, more than can be allocated"
+        ) from exc
     record, series = recorder(rows)
     step, error = 0, None
     try:

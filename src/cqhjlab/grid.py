@@ -21,7 +21,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import GridMismatch, NonFiniteField, PeriodicityViolation, SchemeMismatch, ZeroState
 
@@ -200,7 +199,7 @@ def _spectral_multiplier(grid: Grid, order: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _fd_matrix(n: int, order: int, periodic: bool) -> sp.csr_array:
+def _fd_matrix(n: int, order: int, periodic: bool):
     """4th-order finite-difference operator of the given derivative order on
     n points, in units of dx**-order: central rows, wrapped on periodic
     grids; on box grids the first two rows are one-sided and the last two
@@ -210,6 +209,8 @@ def _fd_matrix(n: int, order: int, periodic: bool) -> sp.csr_array:
     keeps its entries in stencil order and a matvec sums the terms in that
     order.
     """
+    import scipy.sparse as sp
+
     wc = _fd_weights(_C4, order)
     offsets = np.asarray(_C4)[wc != 0.0]
     wc = wc[wc != 0.0]

@@ -9,16 +9,18 @@ A run writes three files into its output directory:
 CSV values are shortest round-trip decimals, lines end in LF. Snapshots can
 be dumped, byte-reproducibly, as snapshots/t_<index>.npy: file i is row i
 of the trajectory's (S, N) snapshot array, psi alone, a complex128 array
-of the grid's length. Its time is row i of timeseries.csv, and x is the
-grid that manifest.json echoes. A run's files replace all an earlier run
-left in the directory; a failed run writes no manifest.json. Sweeps fan out
-over a process pool with no shared state; the result table keeps the input
-order of the values and records per-row failures without aborting the rest.
+of the grid's length in NumPy .npy format 1.0, the bytes np.save writes.
+Its time is row i of timeseries.csv, and x is the grid that manifest.json
+echoes. A run's files replace all an earlier run left in the directory; a
+failed run writes no manifest.json. Sweeps fan out over a process pool
+with no shared state; the result table keeps the input order of the values
+and records per-row failures without aborting the rest.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 import time
@@ -148,12 +150,20 @@ def write_timeseries(traj: Trajectory, out_dir: Path) -> None:
 def write_snapshots(traj: Trajectory, out_dir: Path) -> None:
     """snapshots/t_<index>.npy, psi of each snapshot of a finished run or of
     the partial trajectory a failed one carries; the index is zero-padded so
-    the names sort in time order."""
+    the names sort in time order. Every row shares one .npy 1.0 header, so
+    each file is one unbuffered write of that header and the row's bytes."""
     snap_dir = out_dir / "snapshots"
     snap_dir.mkdir(parents=True, exist_ok=True)
-    width = len(str(len(traj.snapshots) - 1))
-    for i, row in enumerate(traj.snapshots):
-        np.save(snap_dir / f"t_{i:0{width}d}.npy", row, allow_pickle=False)
+    rows = traj.snapshots
+    if len(rows) == 0:
+        return
+    buf = io.BytesIO()
+    np.lib.format.write_array_header_1_0(buf, np.lib.format.header_data_from_array_1_0(rows[0]))
+    head = buf.getvalue()
+    width = len(str(len(rows) - 1))
+    for i, row in enumerate(rows):
+        with open(snap_dir / f"t_{i:0{width}d}.npy", "wb", buffering=0) as fh:
+            fh.write(head + row.tobytes())
 
 
 def _write_run(
@@ -245,6 +255,10 @@ def sweep(scenario: Scenario, param: str, values, workers: int | None = None) ->
     workers = min(workers, len(values))
     if workers <= 1:
         return [_sweep_row(t) for t in tasks]
+    if scenario.resolved["integrator"]["method"] == "crank_nicolson":
+        # Crank-Nicolson rows (every box run is one) build sparse operators
+        # and their LU; the forked workers inherit scipy imported here once
+        import scipy.sparse.linalg  # noqa: F401
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_sweep_row, tasks))
 

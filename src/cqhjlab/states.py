@@ -13,9 +13,6 @@ from enum import Enum
 from functools import lru_cache
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg import circulant, eigh
-from scipy.sparse.linalg import ArpackError, eigsh
 
 from .errors import (
     ConvergenceFailure,
@@ -125,20 +122,25 @@ class Hamiltonian:
         self.V, self.method = V, method
         self.inner = slice(1, -1) if grid.boundary is Boundary.BOX else slice(None)
         self._L = None  # the kinetic stencil; None for the spectral operator
+        if grid.boundary is Boundary.PERIODIC and method is not Method.CRANK_NICOLSON:
+            return
+        import scipy.sparse as sp
+
         if grid.boundary is Boundary.BOX:
             n, inv = grid.n_points - 2, 1.0 / grid.dx**2
             diagonals = [np.full(n, -2.0 * inv), np.full(n - 1, inv), np.full(n - 1, inv)]
             D2 = sp.diags_array(diagonals, offsets=[0, 1, -1], format="csr")
             self._L = (D2 - (grid.dx**2 / 12.0) * (D2 @ D2)).tocsr()
-        elif method is Method.CRANK_NICOLSON:
+        else:
             self._L = (1.0 / grid.dx**2) * _fd_matrix(grid.n_points, 2, True)
-        if self._L is not None:
-            self._sparse = (-0.5 * self._L + sp.diags_array(V.samples[self.inner])).tocsc()
+        self._sparse = (-0.5 * self._L + sp.diags_array(V.samples[self.inner])).tocsc()
 
     @property
     def matrix(self):
         if self._L is not None:
             return self._sparse
+        from scipy.linalg import circulant
+
         M = circulant(np.fft.ifft(_spectral_multiplier(self.grid, 2)).real)
         M *= -0.5
         M[np.diag_indices_from(M)] += self.V.samples
@@ -236,6 +238,10 @@ def solve_eigenstates(H: Hamiltonian, count: int) -> list[EigenPair]:
     grids solve densely. Returned states are grid-normalized, mutually
     orthogonal and sign-fixed for reproducibility.
     """
+    from scipy.linalg import eigh
+    from scipy.sparse import issparse
+    from scipy.sparse.linalg import ArpackError, eigsh
+
     grid, limit = H.grid, H.grid.n_points // POINTS_PER_STATE
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -254,7 +260,7 @@ def solve_eigenstates(H: Hamiltonian, count: int) -> list[EigenPair]:
             full[1:-1, :] = vecs[:, order]
         else:
             M = H.matrix  # dense for the spectral operator, built on this access
-            M = M.toarray() if sp.issparse(M) else M
+            M = M.toarray() if issparse(M) else M
             energies, full = eigh(M, subset_by_index=(0, count - 1))
     except (np.linalg.LinAlgError, ArpackError) as exc:  # pragma: no cover
         raise ConvergenceFailure(f"eigensolver failed: {exc}") from exc

@@ -4,6 +4,10 @@ import cmath
 import contextlib
 import io
 import json
+import os
+import resource
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -307,6 +311,77 @@ def test_a_step_too_small_to_count_is_a_config_error(tmp_path):
     assert err.startswith("config error: integrator.dt = 1e-320 and run.t_final = 4.0: ")
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+def _fresh(code: str, *args: str, cwd=None, preexec_fn=None) -> subprocess.CompletedProcess:
+    """`python -W error::RuntimeWarning -c code args` in a fresh interpreter
+    that imports cqhjlab from this tree."""
+    src = str(Path(runner.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", code, *args],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), cwd=cwd,
+        preexec_fn=preexec_fn,
+    )
+
+
+# runs main(argv) and prints, on its last stdout line, the exit code and
+# the scipy modules the process has loaded
+_CLI_SCIPY = """
+import json, sys
+from cqhjlab.cli import main
+try:
+    code = main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+"""
+
+
+def _scipy_loaded(tmp_path, *argv) -> list[str]:
+    done = _fresh(_CLI_SCIPY, *argv, cwd=tmp_path)
+    code, loaded = json.loads(done.stdout.splitlines()[-1])
+    assert code == 0 and "Traceback" not in done.stderr, done.stderr
+    return loaded
+
+
+def test_import_and_a_periodic_split_step_run_load_no_scipy(tmp_path):
+    # scipy is imported by the functions that build a sparse operator, an
+    # LU or a dense eigensolve; importing the package, --help, convert-units
+    # and the split-step oscillator run build none of them
+    done = _fresh("import sys, cqhjlab; print([m for m in sys.modules if m.startswith('scipy')])")
+    assert done.returncode == 0 and done.stdout.strip() == "[]", done.stderr
+    assert _scipy_loaded(tmp_path, "--help") == []
+    units = ["convert-units", "--tau", "1", "--mass-kg", "1e-30", "--length-m", "1e-9"]
+    assert _scipy_loaded(tmp_path, *units) == []
+    assert _scipy_loaded(tmp_path, "run", "ho_ground_stationary", "--output", "out") == []
+    assert json.loads((tmp_path / "out" / "summary.json").read_text())["snapshots"] == 14
+
+
+def test_a_crank_nicolson_run_loads_the_sparse_solver(tmp_path):
+    # the check above is not vacuous: a short box pinning run builds its LU
+    config = _bundled_variant(tmp_path, "pinning_collapse", ("t_final = 4.0", "t_final = 0.02"))
+    loaded = _scipy_loaded(tmp_path, "run", str(config), "--output", "out")
+    assert {"scipy.sparse", "scipy.sparse.linalg"} <= set(loaded)
+
+
+def test_an_unallocatable_snapshot_array_is_a_config_error(tmp_path):
+    # 4e15 steps at stride 20 pass the 2**53 count check and ask for a
+    # (2e14 + 1, 512) array, 1.42 EiB, which ended the run in an
+    # _ArrayMemoryError traceback, exit 1; the address space is capped at
+    # 4 GiB so the request fails at once whatever the host's overcommit
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+    config = _bundled_variant(tmp_path, "pinning_collapse", ("dt = 1e-3", "dt = 1e-15"))
+    run = "import sys; from cqhjlab.cli import main; sys.exit(main(sys.argv[1:]))"
+    done = _fresh(run, "run", str(config), "--output", "out", cwd=tmp_path, preexec_fn=cap)
+    assert done.returncode == 2, done.stderr
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith(
+        "config error: run.t_final = 4.0, integrator.dt = 1e-15 and run.snapshot_stride = 20 "
+        "ask for 200000000000001 snapshots of 512 points, 1.64e+18 bytes"
+    ), done.stderr
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -12,7 +12,14 @@ from cqhjlab.errors import ConfigError, ZeroState
 from cqhjlab.diagnostics import OBSERVABLES
 from cqhjlab.evolve import Trajectory
 from cqhjlab.grid import Boundary, Grid
-from cqhjlab.runner import RunResult, execute, run_to_directory, sweep, write_artifacts
+from cqhjlab.runner import (
+    RunResult,
+    execute,
+    run_to_directory,
+    sweep,
+    write_artifacts,
+    write_snapshots,
+)
 from cqhjlab.scenario import SCHEMA_VERSION, Scenario, apply_override, parse_scenario
 from cqhjlab.states import Method, hamiltonian, superpose
 
@@ -161,6 +168,31 @@ def test_snapshot_dump(tmp_path):
     assert len(list((tmp_path / "b" / "snapshots").glob("t_*.npy"))) == 3
     for f in files:
         assert f.read_bytes() == (tmp_path / "b" / "snapshots" / f.name).read_bytes(), f.name
+
+
+@pytest.mark.parametrize("boundary", ["box", "periodic"])
+def test_snapshot_files_are_the_bytes_np_save_writes(tmp_path, boundary):
+    # the dump writes one shared .npy header and each row's bytes; every
+    # file equals np.save of its row, at S = 1, 10 and 11 (where the index
+    # gains a digit), and maps back read-only
+    text = MINI.replace("snapshot_stride = 10", "snapshot_stride = 1")
+    if boundary == "periodic":  # null force: pinning winds on a periodic grid
+        text = text.replace("boundary = box", "boundary = periodic").replace(
+            "kind = pinning\nkappa = 4.0\ntarget = eigenstate:0", "kind = null"
+        )
+    traj = execute(parse_scenario(text, name="mini")).trajectory
+    for count in (1, 10, 11):
+        out = tmp_path / f"{count}"
+        write_snapshots(Trajectory(traj.times[:count], traj.snapshots[:count]), out)
+        files = sorted((out / "snapshots").glob("t_*.npy"))
+        assert len(files) == count
+        for i, (f, row) in enumerate(zip(files, traj.snapshots, strict=False)):
+            want = io.BytesIO()
+            np.save(want, row, allow_pickle=False)
+            assert f.name == f"t_{i:0{len(str(count - 1))}d}.npy"
+            assert f.read_bytes() == want.getvalue(), f.name
+            mapped = np.load(f, mmap_mode="r", allow_pickle=False)
+            assert mapped.dtype == np.complex128 and mapped.tobytes() == row.tobytes(), f.name
 
 
 def _reference_csv(head, header, rows):
