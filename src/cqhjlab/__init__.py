@@ -5,8 +5,10 @@ Schroedinger evolution on 1-D grids.
 The package evolves wave functions and complex momentum fields
 p = -i (grad psi)/psi (hbar = m = 1 internally), verifies the identity
 chain that closes the momentum-field equation of motion, simulates
-finite-time collapse under pluggable non-potential forces, and extracts
-collapse times with SI conversion and a dimensionless measure.
+collapse under pluggable non-potential forces (an exponential approach:
+under pinning at rate kappa, 1 - F falls as exp(-2 kappa t)), and extracts
+collapse times, the crossings of F = 1 - epsilon, with SI conversion and a
+dimensionless measure.
 """
 
 __version__ = "0.1.0"

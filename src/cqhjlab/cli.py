@@ -10,7 +10,9 @@ Exit codes: 0 success, 1 verification failure, 2 config error,
 3 runtime solver error (a failed run keeps the timeseries.csv of its
 partial trajectory, and its snapshot files when write_snapshots is on, next
 to an incomplete summary.json). A run that exits 0 or 3 replaces every
-artifact an earlier run left in its output directory.
+artifact an earlier run left in its output directory. run and sweep make
+that directory before the first run, so an output path that cannot be a
+directory is a config error.
 """
 
 from __future__ import annotations
@@ -19,12 +21,14 @@ import argparse
 import json
 import math
 import sys
+from pathlib import Path
 
 from . import __version__
 from .diagnostics import UnitSystem, make_collapse_report
 from .errors import ConfigError, CqhjError
 from .runner import (
     OUTPUT_ROOT_ENV,
+    check_sweep,
     load_scenario_or_bundled,
     resolve_output_dir,
     run_to_directory,
@@ -96,9 +100,21 @@ def _number(name: str, value: float, positive: bool = True) -> float:
     return value
 
 
+def _output_dir(scenario, override) -> Path:
+    """The resolved output directory, made now; ConfigError naming its key
+    and path if it cannot be made (e.g. the path is a file)."""
+    out_dir = resolve_output_dir(scenario, override)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        key = "--output" if override else "output.directory"
+        raise ConfigError(f"{key} {out_dir} cannot be a directory: {exc.strerror}") from exc
+    return out_dir
+
+
 def _cmd_run(args) -> int:
     scenario = load_scenario_or_bundled(args.config)
-    out_dir = resolve_output_dir(scenario, args.output)
+    out_dir = _output_dir(scenario, args.output)
     result = run_to_directory(scenario, out_dir)  # it writes a failed run's artifacts too
     print(json.dumps(result.summary, indent=2, sort_keys=True))
     print(f"artifacts written to {out_dir}", file=sys.stderr)
@@ -133,8 +149,9 @@ def _cmd_sweep(args) -> int:
         raise ConfigError(f"--values must be a comma-separated number list: {exc}") from exc
     if not values:
         raise ConfigError("--values is empty")
+    check_sweep(scenario, args.param, values, args.workers)
+    out_dir = _output_dir(scenario, args.output)
     rows = run_sweep(scenario, args.param, values, workers=args.workers)
-    out_dir = resolve_output_dir(scenario, args.output)
     write_sweep_table(rows, args.param, out_dir)
     for row in rows:
         print(json.dumps(row, sort_keys=True))

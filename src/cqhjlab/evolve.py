@@ -444,21 +444,26 @@ def _cached_kernel(H: Hamiltonian, dt: float):
 
 
 # the bytes of one complex temporary of an observed block, which sets its
-# rows (_PsiObservations): 32 states at N = 512
+# rows (observe_block_rows): 32 states at N = 512
 OBSERVE_BLOCK_BYTES = 1 << 18
+
+
+def observe_block_rows(n_points: int) -> int:
+    """The rows of one observed block of N = n_points states, at least one."""
+    return max(1, OBSERVE_BLOCK_BYTES // (16 * n_points))
 
 
 class _PsiObservations:
     """The block bookkeeping of one wave-function run's observables: the
     (S, N) array rows the kept states are written into, observed in blocks
-    of OBSERVE_BLOCK_BYTES / (16 N) rows into the columns of obs, a
-    NaN-filled (len(OBSERVABLES), S) array, column i for snapshot i."""
+    of observe_block_rows(N) rows into the columns of obs, a NaN-filled
+    (len(OBSERVABLES), S) array, column i for snapshot i."""
 
     def __init__(self, H: Hamiltonian, target: Field | None, rows: np.ndarray):
         if target is not None:
             require_same_grid(target, H.grid)
         self.H, self.target, self.rows = H, target, rows
-        self.block = max(1, OBSERVE_BLOCK_BYTES // (16 * H.grid.n_points))
+        self.block = observe_block_rows(H.grid.n_points)
         self.obs, self.kept, self.observed = np.full((len(OBSERVABLES), len(rows)), np.nan), 0, 0
 
     def observe(self):

@@ -33,7 +33,7 @@ import numpy as np
 from . import __version__
 from .diagnostics import OBSERVABLES, collapse_time, make_collapse_report
 from .errors import ConfigError, CqhjError
-from .evolve import OBSERVE_BLOCK_BYTES, Trajectory, collapsible_evolve
+from .evolve import Trajectory, collapsible_evolve, observe_block_rows
 from .scenario import SCHEMA_VERSION, Scenario, apply_override, load_scenario
 from .states import hamiltonian
 
@@ -118,7 +118,7 @@ def _max_density_drift(snapshots: np.ndarray) -> float:
     """max |(|psi_k|^2 - |psi_0|^2)| over the (S, N) snapshot array, reduced
     over blocks of the observed block's rows, so no (S, N) temporary."""
     dens0 = np.abs(snapshots[0]) ** 2
-    rows = max(1, OBSERVE_BLOCK_BYTES // (16 * snapshots.shape[1]))
+    rows = observe_block_rows(snapshots.shape[1])
     peak = 0.0
     for k in range(0, len(snapshots), rows):
         drift = np.abs(snapshots[k : k + rows])  # |psi_k|^2 - |psi_0|^2 in place
@@ -236,16 +236,21 @@ def _sweep_row(args):
     return row | {"status": "ok", "final_fidelity": result.summary["final_fidelity_target"]}
 
 
+def check_sweep(scenario: Scenario, param: str, values, workers: int | None = None) -> None:
+    """The ConfigError of a sweep's arguments, raised before any run: workers
+    below 1, or a parameter or value the scenario rejects."""
+    if workers is not None and workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
+    for v in values:
+        apply_override(scenario, param, v)
+
+
 def sweep(scenario: Scenario, param: str, values, workers: int | None = None) -> list[dict]:
     """Run the scenario once per parameter value; rows keep input order. The
     pool starts at most one worker per value (by default one per CPU this
-    process may run on); workers below 1 is a ConfigError."""
-    if workers is not None and workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
+    process may run on); bad arguments raise check_sweep's ConfigError."""
     values = list(values)
-    # validate the overrides eagerly so a bad parameter or value fails before any run
-    for v in values:
-        apply_override(scenario, param, v)
+    check_sweep(scenario, param, values, workers)
     tasks = [(scenario, param, v) for v in values]
     if workers is None:
         # the CPUs this process may run on, which os.cpu_count() ignores

@@ -5,10 +5,13 @@ import contextlib
 import io
 import json
 import os
+import re
 import resource
+import shutil
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -243,15 +246,19 @@ def test_run_to_directory_keeps_the_partial_artifacts_of_a_failed_run(tmp_path, 
     assert not (out / "manifest.json").exists()
 
 
-def _bundled_variant(tmp_path, name: str, *edits) -> Path:
-    """The bundled scenario name with each (old line, new lines) edit, as a
-    config file in tmp_path."""
+def _bundled_text(name: str, *edits) -> str:
+    """The bundled scenario name with each (old line, new lines) edit."""
     text = (Path(runner.__file__).parent / "scenarios" / f"{name}.ini").read_text()
     for old, new in edits:
         assert f"\n{old}\n" in text, old
         text = text.replace(f"\n{old}\n", f"\n{new}\n")
+    return text
+
+
+def _bundled_variant(tmp_path, name: str, *edits) -> Path:
+    """_bundled_text(name, *edits) as a config file in tmp_path."""
     config = tmp_path / f"{name}_variant.ini"
-    config.write_text(text)
+    config.write_text(_bundled_text(name, *edits))
     return config
 
 
@@ -266,22 +273,31 @@ def _run_captured(config: Path, out: Path) -> tuple[int, str]:
 NULL_FORCE = (("kind = pinning", "kind = null"), ("kappa = 2.0", ""), ("target = eigenstate:0", ""))
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
+def _one_step(dt: str):
+    """dt and t_final = dt: one step, as a dt past t_final = 4.0 took before
+    it became a config error."""
+    return ("dt = 1e-3", f"dt = {dt}"), ("t_final = 4.0", f"t_final = {dt}")
+
+
 @pytest.mark.parametrize(
-    "force, dt, code",
-    [("pinning", "1e200", 0), ("pinning", "1e306", 3), ("null", "1e200", 3), ("null", "1e306", 3)],
+    "edits, code",
+    [
+        (_one_step("1e200"), 0),
+        (_one_step("1e306"), 3),
+        ((*_one_step("1e200"), *NULL_FORCE), 3),
+        ((*_one_step("1e306"), *NULL_FORCE), 3),
+        ([("coefficients = 0.7071067811865476+0j, 0.7071067811865476+0j",
+           "coefficients = 1e300, 1")], 0),
+    ],
+    ids=["pinning-1e200-0", "pinning-1e306-3", "null-1e200-3", "null-1e306-3", "coefficients-1e300-0"],
 )
-def test_a_huge_crank_nicolson_step_exits_without_a_traceback(tmp_path, force, dt, code):
+def test_a_huge_crank_nicolson_step_exits_without_a_traceback(tmp_path, edits, code):
     # the chunk rule overflowed at dt = 1e200 (a warning, a traceback under
     # -W error), the null-force run's A^2 overflowed into a factor splu
     # called exactly singular, and at 1e306 building A overflowed; an
-    # overflowing factor is a StabilityViolation, exit 3. t_final = dt: one
-    # step, as a dt past t_final = 4.0 took before it became a config error
-    edits = [
-        ("dt = 1e-3", f"dt = {dt}"),
-        ("t_final = 4.0", f"t_final = {dt}"),
-        *(NULL_FORCE if force == "null" else ()),
-    ]
+    # overflowing factor is a StabilityViolation, exit 3. A coefficient of
+    # 1e300 is no error either: the norm is taken scaled by max|psi| (its
+    # squares overflowed, and the run ended in exit 3)
     config = _bundled_variant(tmp_path, "pinning_collapse", *edits)
     got, err = _run_captured(config, tmp_path / "out")
     assert got == code, err
@@ -297,11 +313,10 @@ def test_a_step_longer_than_the_run_is_a_config_error(tmp_path, dt):
     config = _bundled_variant(tmp_path, "pinning_collapse", ("dt = 1e-3", f"dt = {dt}"))
     got, err = _run_captured(config, tmp_path / "out")
     assert got == 2, err
-    assert f"config error: integrator.dt = {float(dt)} exceeds run.t_final = 4.0" in err
+    assert err == f"config error: integrator.dt = {float(dt)} exceeds run.t_final = 4.0\n"
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_a_step_too_small_to_count_is_a_config_error(tmp_path):
     # t_final / dt = 4 / 1e-320 overflows to inf, which ended the run in an
     # OverflowError traceback, exit 1
@@ -313,16 +328,20 @@ def test_a_step_too_small_to_count_is_a_config_error(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
-def _fresh(code: str, *args: str, cwd=None, preexec_fn=None) -> subprocess.CompletedProcess:
+def _fresh(code: str, *args: str, cwd=None, preexec_fn=None, env=None) -> subprocess.CompletedProcess:
     """`python -W error::RuntimeWarning -c code args` in a fresh interpreter
-    that imports cqhjlab from this tree."""
+    that imports cqhjlab from this tree, with env's variables set."""
     src = str(Path(runner.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-W", "error::RuntimeWarning", "-c", code, *args],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), cwd=cwd,
-        preexec_fn=preexec_fn,
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path, **(env or {})),
+        cwd=cwd, preexec_fn=preexec_fn,
     )
+
+
+# `cqhjlab argv...`, as python -m cqhjlab runs it
+CLI = "import sys; from cqhjlab.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
 # runs main(argv) and prints, on its last stdout line, the exit code and
@@ -374,8 +393,7 @@ def test_an_unallocatable_snapshot_array_is_a_config_error(tmp_path):
         resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
 
     config = _bundled_variant(tmp_path, "pinning_collapse", ("dt = 1e-3", "dt = 1e-15"))
-    run = "import sys; from cqhjlab.cli import main; sys.exit(main(sys.argv[1:]))"
-    done = _fresh(run, "run", str(config), "--output", "out", cwd=tmp_path, preexec_fn=cap)
+    done = _fresh(CLI, "run", str(config), "--output", "out", cwd=tmp_path, preexec_fn=cap)
     assert done.returncode == 2, done.stderr
     assert "Traceback" not in done.stderr
     assert done.stderr.startswith(
@@ -384,7 +402,6 @@ def test_an_unallocatable_snapshot_array_is_a_config_error(tmp_path):
     ), done.stderr
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
     "potential, bound, omega, key",
     [
@@ -414,7 +431,6 @@ def test_an_overflowing_grid_or_potential_is_a_config_error(tmp_path, potential,
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_a_failed_run_leaves_no_artifacts_of_an_earlier_run(tmp_path):
     # ho_ground_stationary writes its three files into out; a pinning run at
     # omega = 1e10 then fails before its first snapshot (ZeroState, exit 3)
@@ -481,19 +497,25 @@ t_final = 0.01
 
 
 @pytest.mark.parametrize(
-    "n_points, potential, index",
-    [(16, "box", 40), (256, "harmonic\nomega = 1.0", 21)],
-    ids=["solved-16-points", "oscillator"],
+    "text, key",
+    [
+        (UNSUPPLIABLE.format(n_points=16, potential="box", index=40), "initial_state.index"),
+        (UNSUPPLIABLE.format(n_points=256, potential="harmonic\nomega = 1.0", index=21),
+         "initial_state.index"),
+        (_bundled_text("pinning_collapse", ("target = eigenstate:0", "target = eigenstate:600")),
+         "force.target"),
+    ],
+    ids=["solved-16-points", "oscillator", "pinning-target"],
 )
-def test_run_unsuppliable_eigenstate_exit_two(tmp_path, capsys, n_points, potential, index):
+def test_run_unsuppliable_eigenstate_exit_two(tmp_path, capsys, text, key):
     # a 16-point box solves n_points // 8 = 2 states and the oscillator's
-    # recurrence reaches state 20; an index past either used to end in a
-    # ValueError traceback and exit 1
+    # recurrence reaches state 20; an index past either, as a state or as a
+    # pinning target, used to end in a ValueError traceback and exit 1
     bad = tmp_path / "bad.ini"
-    bad.write_text(UNSUPPLIABLE.format(n_points=n_points, potential=potential, index=index))
+    bad.write_text(text)
     assert main(["run", str(bad), "--output", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: initial_state.index ") and "Traceback" not in err
+    assert err.startswith(f"config error: {key} ") and "Traceback" not in err
 
 
 def test_unknown_bundled_name_exit_two(capsys):
@@ -514,6 +536,19 @@ def test_output_root_env(mini_config, tmp_path, monkeypatch, capsys):
     assert main(["run", str(mini_config)]) == 0
     capsys.readouterr()
     assert (root / "out" / "timeseries.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_an_output_path_that_is_a_file_is_a_config_error(tmp_path, capsys, monkeypatch, command):
+    # the run finished (a sweep: every row), then the directory's mkdir
+    # raised FileExistsError, a traceback with exit 1
+    monkeypatch.setattr(runner, "execute", lambda scenario: pytest.fail("a run started"))
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    sweep = ["--param", "force.kappa", "--values", "1,2", "--workers", "1"] if command == "sweep" else []
+    for out in (taken, taken / "out"):
+        assert main([command, "pinning_collapse", *sweep, "--output", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: --output {out} cannot be a directory: ")
 
 
 def test_convert_units_output(capsys):
@@ -691,6 +726,7 @@ def test_bundled_stationary_scenario_summary(tmp_path, capsys):
     assert code == 0
     summary = json.loads(capsys.readouterr().out)
     assert summary["max_density_drift"] <= 1e-8
+    assert abs(summary["final_energy"] - 0.5) <= 1e-9
     assert summary["final_fidelity_target"] >= 1.0 - 1e-9
 
 
@@ -716,14 +752,163 @@ def test_sweep_over_dt_converges():
     assert 1.0 - fidelity(finals[0], finals[1]) <= 1e-6
 
 
-def test_full_level_includes_convergence_studies():
-    from cqhjlab.verify import FULL_CHECKS
+def test_full_level_includes_convergence_studies(monkeypatch, capsys):
+    from cqhjlab import verify
 
-    names = [name for name, *_ in FULL_CHECKS]
+    names = [name for name, *_ in verify.FULL_CHECKS]
     assert "fd4-convergence-order" in names
     assert "residual-resolution-study" in names
     assert "strang-timestep-order" in names
     assert "rk4-timestep-order" in names
+    # --level full --json reports one result per check of both lists; each
+    # check is stubbed to measure its own tolerance, so no solver runs
+    for level in ("FAST_CHECKS", "FULL_CHECKS"):
+        checks = getattr(verify, level)
+        stubs = [(name, lambda tol=tol: (tol, "stub"), tol, kind) for name, _, tol, kind in checks]
+        monkeypatch.setattr(verify, level, stubs)
+    assert main(["verify", "--level", "full", "--json"]) == 0
+    checks = json.loads(capsys.readouterr().out.splitlines()[-1])["checks"]
+    assert [c["name"] for c in checks] == [n for n, *_ in verify.FAST_CHECKS + verify.FULL_CHECKS]
+    assert all(c["passed"] for c in checks)
+
+
+# -- fresh interpreters: dumps, repeated runs, the README -----------------------
+# Each run is a fresh process (_fresh): no kernel, LU or kept power of a test.
+
+DUMP = ("[run]", "[run]\nwrite_snapshots = true")
+ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1"}
+
+# two runs of one scenario in one interpreter; the second takes the
+# split-step powers the first kept (the same slot entry before and after it)
+RUN_TWICE = """
+import sys
+from pathlib import Path
+from cqhjlab import evolve
+from cqhjlab.runner import load_scenario_or_bundled, run_to_directory
+scenario = load_scenario_or_bundled(sys.argv[1])
+run_to_directory(scenario, Path(sys.argv[2]))
+(kept,) = evolve._KEPT_POWERS.values()
+run_to_directory(scenario, Path(sys.argv[3]))
+assert next(iter(evolve._KEPT_POWERS.values())) is kept, "the second run built a new chain"
+"""
+
+# each variant with the dump on: (bundled scenario, edits, sides): a, b
+# CLI runs, 1thread under one BLAS thread, inproc(_1thread) RUN_TWICE into
+# <side>_a and _b. pinning_null takes several box Crank-Nicolson steps per
+# solve; ho_one_interval (stride past 62,832 steps) one kept dense power
+DUMPS = {
+    "pinning_collapse": ("pinning_collapse", (), ("a", "b")),
+    "kostin_relaxation": ("kostin_relaxation", (), ("a", "b")),
+    "pinning_null": ("pinning_collapse", NULL_FORCE, ("a", "b")),
+    "ho_ground_stationary": (
+        "ho_ground_stationary", (), ("a", "b", "1thread", "inproc", "inproc_1thread")
+    ),
+    "ho_one_interval": (
+        "ho_ground_stationary", [("snapshot_stride = 5000", "snapshot_stride = 100000")], ("a", "1thread")
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def dumps(tmp_path_factory) -> Path:
+    """The directory of every side of every DUMPS variant, <variant>/<side>,
+    each run in a fresh process (two at a time) that exits 0."""
+    root = tmp_path_factory.mktemp("dumps")
+    jobs = []
+    for name, (bundled, edits, sides) in DUMPS.items():
+        (root / name).mkdir()
+        config = str(_bundled_variant(root / name, bundled, DUMP, *edits))
+        for side in sides:
+            out = str(root / name / side)
+            argv = ([RUN_TWICE, config, f"{out}_a", f"{out}_b"] if side.startswith("inproc")
+                    else [CLI, "run", config, "--output", out])
+            jobs.append((argv, ONE_THREAD if side.endswith("1thread") else {}))
+    with ThreadPoolExecutor(2) as pool:
+        for done in pool.map(lambda job: _fresh(*job[0], env=job[1]), jobs):
+            assert done.returncode == 0, done.stderr
+    return root
+
+
+def _differing(one: Path, other: Path) -> list[str]:
+    """The snapshot files, timeseries.csv and summary.json that differ in
+    bytes between two run directories, or that only one of them holds."""
+
+    def files(out):
+        paths = [*out.glob("snapshots/*"), out / "timeseries.csv", out / "summary.json"]
+        return {str(f.relative_to(out)): f.read_bytes() for f in paths}
+
+    a, b = files(one), files(other)
+    return sorted(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
+
+
+@pytest.mark.parametrize(
+    "name", ["pinning_collapse", "kostin_relaxation", "pinning_null", "ho_ground_stationary"]
+)
+def test_two_fresh_runs_write_the_same_dump(dumps, name):
+    assert len(list((dumps / name / "a" / "snapshots").iterdir())) > 1
+    assert _differing(dumps / name / "a", dumps / name / "b") == []
+
+
+@pytest.mark.parametrize("name, files", [("ho_ground_stationary", 14), ("ho_one_interval", 2)])
+def test_one_blas_thread_writes_the_dump_of_the_default(dumps, name, files):
+    # every split-step interval, the remainder and a single one too, is a
+    # dense matrix power from one squaring chain
+    assert len(list((dumps / name / "a" / "snapshots").iterdir())) == files
+    assert _differing(dumps / name / "a", dumps / name / "1thread") == []
+
+
+@pytest.mark.parametrize(
+    "one, other",
+    [("a", "inproc_a"), ("a", "inproc_b"), ("inproc_a", "inproc_b"),
+     ("1thread", "inproc_1thread_a"), ("1thread", "inproc_1thread_b")],
+)
+def test_a_run_from_kept_powers_writes_the_bytes_of_a_fresh_process(dumps, one, other):
+    ho = dumps / "ho_ground_stationary"
+    assert _differing(ho / one, ho / other) == []
+
+
+def test_a_rerun_replaces_the_dump_of_an_earlier_run(dumps, tmp_path):
+    # pinning_collapse's dump of 201 files is rerun at a coarser stride in
+    # its directory: one file per snapshot that summary.json counts, each psi
+    # on the grid; then rerun without the dump: no file is left
+    out = shutil.copytree(dumps / "pinning_collapse" / "a", tmp_path / "out")
+    coarse = _bundled_variant(
+        tmp_path, "pinning_collapse", DUMP, ("snapshot_stride = 20", "snapshot_stride = 500")
+    )
+    done = _fresh(CLI, "run", str(coarse), "--output", str(out))
+    assert done.returncode == 0, done.stderr
+    snapshots = json.loads((out / "summary.json").read_text())["snapshots"]
+    n_points = json.loads((out / "manifest.json").read_text())["scenario"]["grid"]["n_points"]
+    files = sorted(out.glob("snapshots/t_*.npy"))
+    assert len(files) == snapshots == 9
+    for f in files:
+        psi = np.load(f, allow_pickle=False)
+        assert psi.dtype == np.complex128 and psi.shape == (n_points,), f.name
+    done = _fresh(CLI, "run", "pinning_collapse", "--output", str(out))
+    assert done.returncode == 0, done.stderr
+    assert list(out.glob("snapshots/t_*.npy")) == []
+    rows = len((out / "timeseries.csv").read_text().splitlines()) - 2
+    assert json.loads((out / "summary.json").read_text())["snapshots"] == rows == 201
+
+
+@pytest.mark.parametrize("one_cpu", [False, True], ids=["pool", "one-cpu"])
+def test_the_readme_sweep_writes_three_ok_rows(tmp_path, one_cpu):
+    # the only run that starts the process pool, whose forked workers keep
+    # -W error; pinned to one CPU the default worker count follows the
+    # affinity set and the rows run in turn
+    cpu = min(os.sched_getaffinity(0))
+    pin = (lambda: os.sched_setaffinity(0, {cpu})) if one_cpu else None
+    argv = ["sweep", "pinning_collapse", "--param", "force.kappa", "--values", "1,2,4", "--output", "sweep"]
+    done = _fresh(CLI, *argv, cwd=tmp_path, preexec_fn=pin)
+    assert done.returncode == 0, done.stderr
+    rows = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()
+    assert sum(",ok," in row for row in rows) == 3
+
+
+def test_the_readme_library_example_runs(tmp_path):
+    section = (Path(__file__).parents[1] / "README.md").read_text().split("## Library use", 1)[1]
+    done = _fresh(re.search(r"```python\n(.*?)```", section, re.S).group(1), cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
 
 
 # -- a property over drawn scenarios ------------------------------------------
@@ -804,7 +989,6 @@ def scenario_texts(draw) -> str:
     return "\n".join([grid, potential, initial, force, integrator, run])
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=100, deadline=None)
 @given(text=scenario_texts())
 def test_every_drawn_scenario_exits_with_a_documented_code(text):

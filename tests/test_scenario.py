@@ -245,7 +245,7 @@ def test_density_drift_is_the_row_by_row_maximum():
     text = MINI.replace("snapshot_stride = 10", "snapshot_stride = 1")
     result = execute(parse_scenario(text, name="mini"))
     snaps = result.trajectory.snapshots
-    assert len(snaps) == 51 > evolve.OBSERVE_BLOCK_BYTES // (16 * snaps.shape[1])
+    assert len(snaps) == 51 > evolve.observe_block_rows(snaps.shape[1])
     dens0 = np.abs(snaps[0]) ** 2
     want = max(float(np.max(np.abs(np.abs(row) ** 2 - dens0))) for row in snaps)
     assert want > 0.0
