@@ -5,9 +5,9 @@ that eliminates the wave function from the dynamics.
 
 Internal units hbar = m = 1. The momentum field p = -i (grad psi)/psi has
 real part equal to the classical momentum (phase gradient) and imaginary
-part equal to minus the log-magnitude gradient (osmotic component). Points
-where |psi| falls below a threshold fraction of its peak are masked: p is
-not defined at nodes.
+part equal to minus the log-magnitude gradient (osmotic component). p is
+not defined at nodes: every reader of a state masks the points near them
+by one rule, _node_mask, which is also its finite check.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import AllMasked, NodePresent
+from .errors import AllMasked, NodePresent, NonFiniteField
 from .grid import (
     Boundary,
     Field,
@@ -86,20 +86,23 @@ class MomentumField:
 
 
 def _check_node_threshold(node_threshold: float) -> None:
-    """ValueError unless 0 < node_threshold < 1, a fraction of the peak."""
+    """ValueError unless 0 < node_threshold < 1 (_node_mask)."""
     if not 0.0 < node_threshold < 1.0:
         raise ValueError(f"node_threshold must lie in (0, 1), got {node_threshold}")
 
 
 def _node_mask(amp: np.ndarray, node_threshold: float) -> np.ndarray:
-    """Points where the magnitude amp = |psi| falls below node_threshold
-    times its peak; ValueError unless 0 < node_threshold < 1, then AllMasked
-    for a zero amp. A non-finite entry is never masked, so the derivative
-    taken next reports it as NonFiniteField."""
+    """The node-mask rule, also the finite check of every caller: the points
+    where the magnitude amp = |psi| falls below node_threshold times its
+    peak. ValueError unless 0 < node_threshold < 1, then AllMasked for a
+    zero amp, then NonFiniteField for a NaN or Inf entry (or a magnitude
+    past the float range), which makes the peak non-finite."""
     _check_node_threshold(node_threshold)
     peak = amp.max()
     if peak <= 0.0:
         raise AllMasked("wave function vanishes identically")
+    if not peak < np.inf:
+        raise NonFiniteField("field contains NaN or Inf entries")
     return amp < node_threshold * peak
 
 
@@ -108,7 +111,6 @@ def psi_to_p(psi: Field, node_threshold: float = DEFAULT_NODE_THRESHOLD) -> Mome
     AllMasked, then NonFiniteField."""
     values = psi.values
     mask = _node_mask(np.abs(values), node_threshold)
-    _check_finite(values)
     dpsi = -1j * _derivative_op(psi.grid, 1)(values)
     p = np.divide(dpsi, values, out=np.zeros_like(values), where=~mask)
     return MomentumField(Field(psi.grid, p), mask)
@@ -125,7 +127,6 @@ def _action_increments(values: np.ndarray, node_threshold: float, periodic: bool
     then NonFiniteField, as psi_to_p; values is only read."""
     amp = np.abs(values)
     mask = _node_mask(amp, node_threshold)
-    _check_finite(values)
     log_amp = np.zeros(amp.shape)
     np.log(amp, out=log_amp, where=~mask)
     if periodic:
@@ -256,7 +257,6 @@ def hamiltonian_field_from_state(
     g = require_same_grid(psi, H.grid)
     values, amp, _, _ = _scaled_rows(g, psi.values[None])
     mask = _node_mask(amp[0], node_threshold)
-    _check_finite(values)
     return Field(g, _hamiltonian_field(H.V.samples, values[0], H.apply(values[0]), mask)), mask
 
 

@@ -35,11 +35,11 @@ projector: M M = M to roundoff, since the increments of a cumulative sum
 are the summands. Then exp(-rate dt M) = I - (1 - exp(-rate dt)) M, which
 is psi exp(i tau Phi[psi]) with tau = -expm1(-rate dt) / rate: one force
 evaluation per step and no iteration, and two sub-steps of dt1 and dt2 are
-one of dt1 + dt2. Every force is of degree zero in psi
-and the node mask is relative to the peak, so a scale factor never changes
-the state's shape. With renormalization on, _drive alone divides the end
-state of each advance by its norm and sums the log scale factors, recorded
-at every snapshot (gauge_log_magnitude). A run of force rate r > 0
+one of dt1 + dt2. Every force is of degree zero in psi and the node mask
+(cqhj._node_mask) is scale-free, so a scale factor never changes the
+state's shape. With renormalization on, _drive alone divides the end state
+of each advance by its norm and sums the log scale factors, recorded at
+every snapshot (gauge_log_magnitude). A run of force rate r > 0
 advances at most max(1, floor(1 / (r dt))) steps at a time, one e-folding
 time of the force; a linear run advances whole snapshot intervals.
 
@@ -104,8 +104,9 @@ its running log scale, and the Trajectory: one (S, N) array allocated
 before the first step, snapshot i its row i, whose first rows are the
 partial trajectory attached to any CqhjError a step, a snapshot or the
 observables raise. record is the per-snapshot finite check, which writes
-the state into its row and observes each full block of kept rows, a view,
-in one pass; series observes the rest at the run's end or after an error.
+the state into its row and observes each full block (observe_block_rows)
+of kept rows, a view, in one pass; series observes the rest at the run's
+end or after an error.
 The observables are one (len(OBSERVABLES), S) array, NaN until observed,
 whose read-only rows are the series. The pass is diagnostics._observe,
 which computes every observable by the formulas behind norm, energy,
@@ -114,14 +115,14 @@ Hamiltonian), so each has one copy. A row's values do not depend on its
 block, and an observable error, earlier than any step error, wins.
 
 The force layer of a nonlinear run is one kernel per run on raw ndarrays
-(_gauge_kernel). It looks up the force's law once (forces._force_law, with
-the pinning target's increments taken from its wave function), and each
-step calls this module's names psi_to_p, evaluate_force and
-gauge_potential once each (the benchmark's tracer and the tests wrap these
-names). They bind the pair cores: psi_to_p the action increments
-(cqhj._action_increments, with psi_to_p's node mask and finite check),
-evaluate_force the pair force (forces._evaluate) and gauge_potential its
-cumulative sum (forces._pair_lift). No derivative, division or
+(_gauge_kernel). It looks up the force's law once (forces._force_law: the
+pinning target's increments, masked at the run's node_threshold as the
+state's are), and each step calls this module's names psi_to_p,
+evaluate_force and gauge_potential once each (the benchmark's tracer and
+the tests wrap these names). They bind the pair cores: psi_to_p the action
+increments (cqhj._action_increments, whose node mask is also its finite
+check), evaluate_force the pair force (forces._evaluate) and
+gauge_potential its cumulative sum (forces._pair_lift). No derivative, division or
 antiderivative is taken per step. The public psi_to_p, evaluate and
 gauge_potential stay the derivative route (p, then F(p), then its
 antiderivative), the reference: on nodeless states the two lifts agree to
@@ -182,12 +183,9 @@ class IntegratorSpec:
     """The integrator of a run and its time step dt.
 
     renormalize_each_step divides the end state of each advance by its grid
-    norm and sums the log scale factors into gauge_log_magnitude: once per
-    snapshot interval, and at least once per e-folding time 1 / (rate dt)
-    steps of a collapse force (module docstring). dt must be positive and
-    finite. One slot keeps the last linear split-step run's dense powers,
-    at most two N x N arrays (2 MB at N = 256, 32 MB at N = 1024), for the
-    next run of the same kernel and lengths (module docstring).
+    norm and sums the log scale factors into gauge_log_magnitude; a run's
+    advances are its snapshot intervals, cut at a collapse force's e-folding
+    cap (module docstring). dt must be positive and finite.
     """
 
     method: Method
@@ -220,8 +218,7 @@ class _SplitStepKernel:
     """n Strang steps exp(-iV dt/2) exp(-iK dt) exp(-iV dt/2) in one call, via
     FFT step by step. powers builds the dense powers of the step matrix
     for a run's intervals that pay (_linear_advance), all from one squaring
-    chain; the kernel does not keep them: the one slot of _kept_powers
-    keeps the last run's for the next run of this kernel and its lengths.
+    chain, which the kernel does not keep (the kept slot: module docstring).
     The kernel holds read-only factors and no buffer; numpy's complex
     product is not bitwise commutative, so operand order is fixed."""
 
@@ -322,10 +319,8 @@ def _cayley_chunk(matrix, dt: float) -> int:
 class _CrankNicolsonKernel:
     """Cayley step A^-1 B, A = 1 + i dt H / 2 and B = 1 - i dt H / 2, with H
     the Hamiltonian's sparse matrix on its unknowns (the interior points on
-    box grids, whose walls stay at zero; every point on periodic grids). A
-    and B commute, so m <= chunk steps are one solve and one matvec,
-    (A^m)^-1 B^m, with one sparse LU of A^m and one CSR B^m per m, built on
-    first use (module docstring)."""
+    box grids, whose walls stay at zero; every point on periodic grids),
+    taken in solves of at most chunk steps (module docstring)."""
 
     def __init__(self, H: Hamiltonian, dt: float):
         import scipy.sparse as sp
@@ -363,18 +358,14 @@ class _CrankNicolsonKernel:
         return out
 
 
-# the one slot that keeps the powers of the last linear split-step run,
-# {(kernel, lengths): {n: (S^n)^T}} with at most one entry (_kept_powers)
+# the kept slot (module docstring): {(kernel, lengths): {n: (S^n)^T}}
 _KEPT_POWERS: dict = {}
 
 
 def _kept_powers(kernel: _SplitStepKernel, lengths: list) -> dict:
     """{n: (S^n)^T}, read-only, for the paying interval lengths of a linear
-    split-step run on kernel: those of the last run when its kernel and
-    lengths are these, else a new squaring chain (kernel.powers). The slot
-    is emptied before the new chain starts, so the old powers are released
-    first. The powers are a pure function of the kernel and the lengths, so
-    a run from kept powers is bitwise a run from a fresh chain."""
+    split-step run on kernel, from the kept slot or from a new squaring
+    chain (kernel.powers), by the module docstring's rule."""
     key = (kernel, tuple(lengths))
     powers = _KEPT_POWERS.get(key)
     if powers is None:
@@ -391,7 +382,7 @@ def _linear_advance(kernel, substeps: int, t_final: float, dt: float, snapshot_s
     m kernel steps (module docstring). The run's interval lengths are the
     stride and the remainder; on split-step each that pays
     (_split_power_pays) is taken as one vector-matrix product with (S^n)^T,
-    all from one squaring chain or from the last run's (_kept_powers). Any
+    all from one squaring chain or from the kept slot (_kept_powers). Any
     other interval is one kernel.step call."""
     count, rest = divmod(_step_count(t_final, dt, snapshot_stride), snapshot_stride)
     lengths = [substeps * m for m in (snapshot_stride if count else 0, rest) if m]
@@ -765,7 +756,7 @@ def _gauge_kernel(force: CollapseForce, grid: Grid, node_threshold: float):
     vals, as one run's kernel on the pair route (module docstring). A
     pinning target on another grid raises GridMismatch here, before the
     first step; a state with no unmasked point left raises NodeBlowup."""
-    law = _force_law(force, grid)
+    law = _force_law(force, grid, node_threshold)
     periodic = grid.boundary is Boundary.PERIODIC
 
     def phi(vals: np.ndarray) -> np.ndarray:
@@ -806,8 +797,8 @@ def collapsible_evolve(
     of the half-stepped state; a state with no unmasked point left raises
     NodeBlowup. Every nonzero finite scale of psi0 is accepted (grid.norm),
     an all-zero psi0 raises ZeroState; the log scale of the entry
-    normalization and of every renormalization (IntegratorSpec, at most
-    1 / (rate dt) steps apart) is summed into gauge_log_magnitude.
+    normalization and of every renormalization (IntegratorSpec) is summed
+    into gauge_log_magnitude.
     Split-step checks each half step against schrodinger_evolve's bound, so
     it requires dt * E_max <= 0.2. psi0 and V must share a grid
     (GridMismatch) and node_threshold lie in (0, 1) (ValueError).

@@ -15,7 +15,9 @@ the cumulative sum of those pair forces (_pair_lift), with no derivative
 and no antiderivative. The p-route stays as the reference, and its Fields
 are built through the constructor. A pinning force holds its pointer
 state's wave function, which the p-route reads as its momentum field and
-the pair route as its action increments.
+the pair route as its action increments, both masked at their caller's
+node threshold: the run's node_threshold on the pair route,
+DEFAULT_NODE_THRESHOLD on the p-route.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .cqhj import (
     DEFAULT_NODE_THRESHOLD,
     MomentumField,
     _action_increments,
-    _check_node_threshold,
+    _node_mask,
     psi_to_p,
 )
 from .errors import GridMismatch, PeriodicityViolation
@@ -59,39 +61,31 @@ class ForceKind(Enum):
 class CollapseForce:
     """Descriptor of a collapse force F(p) of the momentum field p.
 
-    kind            which member of the family
-    rate            kappa for pinning, gamma for Kostin friction, 0 for null
-    target          wave function of the pointer state (PINNING only)
-    node_threshold  node mask threshold of the target (PINNING only)
+    kind    which member of the family
+    rate    kappa for pinning, gamma for Kostin friction, 0 for null
+    target  wave function of the pointer state (PINNING only)
 
-    evaluate reads the target as psi_to_p(target, node_threshold), the
-    collapse step as its action increments, once per run (_force_law).
+    The target is masked at its reader's node threshold (_force_law).
     """
 
     kind: ForceKind
     rate: float = 0.0
     target: Field | None = None
-    node_threshold: float = DEFAULT_NODE_THRESHOLD
 
 
 def null_force() -> CollapseForce:
     return CollapseForce(kind=ForceKind.NULL)
 
 
-def pinning_force(
-    target: EigenPair | Field,
-    kappa: float,
-    node_threshold: float = DEFAULT_NODE_THRESHOLD,
-) -> CollapseForce:
+def pinning_force(target: EigenPair | Field, kappa: float) -> CollapseForce:
     """Force -kappa (p - p_target) pulling the momentum field onto that of
     the pointer state target, an EigenPair or its wave function, so the
     collapse step's Phi is zero at psi = target. A MomentumField raises
     TypeError: the pointer state of a momentum field p is p_to_psi(p)[0].
-    A target with no unmasked point or a non-finite entry raises here, as
-    psi_to_p (AllMasked, then NonFiniteField)."""
+    A zero or non-finite target raises here, by the node-mask rule
+    (cqhj._node_mask: AllMasked, then NonFiniteField)."""
     if not 0.0 < kappa < np.inf:
         raise ValueError(f"pinning rate kappa must be positive and finite, got {kappa}")
-    _check_node_threshold(node_threshold)
     if isinstance(target, EigenPair):
         target = target.state
     if not isinstance(target, Field):
@@ -99,8 +93,8 @@ def pinning_force(
             f"pinning target must be an EigenPair or a wave-function Field, not "
             f"{type(target).__name__}; for a momentum field p pass p_to_psi(p)[0]"
         )
-    psi_to_p(target, node_threshold)  # raises on an all-masked or non-finite target
-    return CollapseForce(ForceKind.PINNING, kappa, target, node_threshold)
+    _node_mask(np.abs(target.values), DEFAULT_NODE_THRESHOLD)
+    return CollapseForce(ForceKind.PINNING, kappa, target)
 
 
 def kostin_friction(gamma: float) -> CollapseForce:
@@ -113,7 +107,8 @@ def kostin_friction(gamma: float) -> CollapseForce:
 
 def evaluate(force: CollapseForce, p: MomentumField) -> Field:
     """Force field for the given momentum field; the Field wrapper of
-    _evaluate. A pinning target on another grid raises GridMismatch.
+    _evaluate, with a pinning target masked at DEFAULT_NODE_THRESHOLD. A
+    pinning target on another grid raises GridMismatch.
 
     Masked points contribute zero force (documented regularization near
     nodes, where p itself is undefined).
@@ -123,24 +118,30 @@ def evaluate(force: CollapseForce, p: MomentumField) -> Field:
     return Field(p.grid, _evaluate(p.values, p.node_mask, law))
 
 
-def _force_law(force: CollapseForce, grid: Grid, pairs: bool = True) -> tuple | None:
+def _force_law(
+    force: CollapseForce,
+    grid: Grid,
+    node_threshold: float = DEFAULT_NODE_THRESHOLD,
+    pairs: bool = True,
+) -> tuple | None:
     """(coef, target, target mask) of a force on grid: -rate, and for
     pinning the target's action increments and pair mask
-    (cqhj._action_increments), the law of the collapse step's pair force,
-    or with pairs=False its momentum field and node mask, that of
-    evaluate; (-rate, None, None) for Kostin friction and None for the
-    null force. A pinning target on another grid raises GridMismatch."""
+    (cqhj._action_increments) at node_threshold, the law of the collapse
+    step's pair force, or with pairs=False its momentum field and node
+    mask, that of evaluate; (-rate, None, None) for Kostin friction and
+    None for the null force. A pinning target on another grid raises
+    GridMismatch."""
     if force.kind is ForceKind.NULL:
         return None
     if force.kind is ForceKind.KOSTIN_FRICTION:
         return -force.rate, None, None
-    target, threshold = force.target, force.node_threshold
+    target = force.target
     if target.grid != grid:
         raise GridMismatch("pinning target lives on a different grid")
     if pairs:
         periodic = grid.boundary is Boundary.PERIODIC
-        return -force.rate, *_action_increments(target.values, threshold, periodic)
-    p = psi_to_p(target, threshold)
+        return -force.rate, *_action_increments(target.values, node_threshold, periodic)
+    p = psi_to_p(target, node_threshold)
     return -force.rate, p.values, p.node_mask
 
 

@@ -52,8 +52,8 @@ class Scenario:
 
     resolved: dict
     sections: dict
-    # the eigenpairs solved for this scenario, per Hamiltonian
-    _eigenpairs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # the eigenstates built for this scenario, by (source, index) (_eigenstate)
+    _eigenstates: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     # -- builders ---------------------------------------------------------
     def build_grid(self) -> Grid:
@@ -80,14 +80,20 @@ class Scenario:
             raise ConfigError(f"{keys} overflows on grid [{grid.x_min}, {grid.x_max}]") from exc
 
     def _eigenstate(self, index: int, grid: Grid, V: Potential) -> Field:
-        if self.resolved["potential"]["kind"] == "harmonic":
-            return ho_eigenstate(index, self.resolved["potential"]["omega"], grid).state
-        # the states of the Hamiltonian the integrator steps with are stationary;
-        # one solve gives every state the scenario names
-        H = hamiltonian(V, _METHODS[self.resolved["integrator"]["method"]])
-        if H not in self._eigenpairs:
-            self._eigenpairs[H] = solve_eigenstates(H, self._eigenstate_count())
-        return self._eigenpairs[H][index].state
+        """The index-th eigenstate, built once per source: the grid of an
+        oscillator state, or the Hamiltonian the integrator steps with,
+        whose states are stationary; one solve gives every state the
+        scenario names."""
+        harmonic = self.resolved["potential"]["kind"] == "harmonic"
+        method = _METHODS[self.resolved["integrator"]["method"]]
+        source = grid if harmonic else hamiltonian(V, method)
+        if (source, index) not in self._eigenstates:
+            if harmonic:
+                built = {index: ho_eigenstate(index, self.resolved["potential"]["omega"], grid)}
+            else:
+                built = dict(enumerate(solve_eigenstates(source, self._eigenstate_count())))
+            self._eigenstates.update(((source, i), pair.state) for i, pair in built.items())
+        return self._eigenstates[source, index]
 
     def _eigenstate_count(self) -> int:
         """How many of the lowest eigenstates the initial state and the
@@ -112,10 +118,7 @@ class Scenario:
         if kind == "null":
             return null_force()
         if kind == "pinning":
-            target = self._eigenstate(f["target_index"], grid, V)
-            return pinning_force(
-                target, f["kappa"], node_threshold=self.resolved["run"]["node_threshold"]
-            )
+            return pinning_force(self._eigenstate(f["target_index"], grid, V), f["kappa"])
         if kind == "kostin":
             return kostin_friction(f["gamma"])
         raise ConfigError(f"unknown force kind {kind!r}")

@@ -293,11 +293,11 @@ def _pinning_fixed_point():
     g = Grid(-12.0, 12.0, 256, Boundary.PERIODIC)
     V = harmonic_potential(g, 1.0)
     pair = ho_eigenstate(0, 1.0, g)
-    # the force support is limited to the spectrally conditioned region:
-    # below 1e-4 of peak, global FFT roundoff divided by |psi| would feed
-    # a slow noise loop through the gauge lift
-    force = pinning_force(pair, 2.0, node_threshold=1e-4)
+    force = pinning_force(pair, 2.0)
     spec = IntegratorSpec(Method.SPLIT_STEP, 2e-4, True)
+    # the run's node threshold limits the force support to the spectrally
+    # conditioned region: below 1e-4 of peak, global FFT roundoff divided by
+    # |psi| would feed a slow noise loop through the gauge lift
     traj = collapsible_evolve(
         pair.state, V, force, spec, 1.0, snapshot_stride=10**9, node_threshold=1e-4
     )

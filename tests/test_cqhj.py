@@ -25,12 +25,19 @@ from cqhjlab import (
     make_field,
     norm,
     p_to_psi,
+    pinning_force,
     psi_to_p,
     quantum_hamiltonian_field,
     random_nodeless_state,
     unwrapped_phase,
 )
-from cqhjlab.cqhj import _masked_gradient, dilated_mask, masked_stats
+from cqhjlab.cqhj import (
+    DEFAULT_NODE_THRESHOLD,
+    _action_increments,
+    _masked_gradient,
+    dilated_mask,
+    masked_stats,
+)
 from cqhjlab.errors import AllMasked, NodePresent, NonFiniteField, PeriodicityViolation
 from cqhjlab.grid import _fd_matrix
 from cqhjlab.states import custom_potential
@@ -72,7 +79,7 @@ def test_node_masking_first_excited(periodic_grid):
 
 
 def test_all_masked_raises(periodic_grid):
-    with pytest.raises(AllMasked):
+    with pytest.raises(AllMasked, match="^wave function vanishes identically$"):
         psi_to_p(Field(periodic_grid, np.zeros(periodic_grid.n_points)))
 
 
@@ -175,8 +182,48 @@ def test_psi_to_p_rejects_nonfinite_values(boundary, bad):
     g = Grid(-4.0, 4.0, 64, boundary)
     vals = np.exp(-(g.x**2)).astype(complex)
     vals[20] = bad
-    with pytest.raises(NonFiniteField):
+    with pytest.raises(NonFiniteField, match=NON_FINITE):
         psi_to_p(Field(g, vals))
+
+
+NON_FINITE = "^field contains NaN or Inf entries$"
+# every reader of a state that masks its nodes; the mask rule is its finite
+# check, so a zero state raises AllMasked and then any NaN or Inf entry
+# NonFiniteField, with no other pass over the state
+MASK_READERS = {
+    "psi_to_p": psi_to_p,
+    "action_increments": lambda psi: _action_increments(psi.values, DEFAULT_NODE_THRESHOLD, False),
+    "hamiltonian_field_from_state": lambda psi: hamiltonian_field_from_state(
+        psi, hamiltonian(free_potential(psi.grid), Method.CRANK_NICOLSON)
+    ),
+    "pinning_force": lambda psi: pinning_force(psi, 1.0),
+}
+# a Gaussian with one bad entry, or a zero state with or without one
+MASK_CASES = {
+    "zero": (0.0, None, AllMasked, "^wave function vanishes identically$"),
+    "nan": (1.0, np.nan, NonFiniteField, NON_FINITE),
+    "inf": (1.0, np.inf, NonFiniteField, NON_FINITE),
+    "inf-nan": (1.0, complex(np.inf, np.nan), NonFiniteField, NON_FINITE),
+    "zero-nan": (0.0, np.nan, NonFiniteField, NON_FINITE),
+}
+# the cases test_all_masked_raises, test_psi_to_p_rejects_nonfinite_values
+# and test_pinning_rejects_an_all_masked_or_non_finite_target cover
+MASK_CASES_ELSEWHERE = {("psi_to_p", "zero"), ("psi_to_p", "nan"), ("psi_to_p", "inf"),
+                        ("pinning_force", "zero"), ("pinning_force", "nan")}
+
+
+@pytest.mark.parametrize(
+    "reader, case",
+    [(r, c) for r in MASK_READERS for c in MASK_CASES if (r, c) not in MASK_CASES_ELSEWHERE],
+)
+def test_the_node_mask_rule_is_the_finite_check(reader, case):
+    g = Grid(-4.0, 4.0, 64, Boundary.BOX)
+    scale, bad, error, message = MASK_CASES[case]
+    vals = scale * np.exp(-(g.x**2)).astype(complex)
+    if bad is not None:
+        vals[20] = bad
+    with pytest.raises(error, match=message):
+        MASK_READERS[reader](Field(g, vals))
 
 
 def test_p_to_psi_periodic_winding_rejected():

@@ -1217,7 +1217,7 @@ def test_pinning_target_fixed_point():
     g = Grid(-12.0, 12.0, 256, Boundary.PERIODIC)
     V = harmonic_potential(g, 1.0)
     pair = ho_eigenstate(0, 1.0, g)
-    force = pinning_force(pair, 2.0, node_threshold=1e-4)
+    force = pinning_force(pair, 2.0)
     spec = IntegratorSpec(Method.SPLIT_STEP, 2e-4, True)
     traj = collapsible_evolve(
         pair.state, V, force, spec, 1.0, snapshot_stride=10**9, node_threshold=1e-4
@@ -1414,8 +1414,6 @@ def test_node_threshold_outside_unit_interval_is_refused_on_entry(ho_box_setup, 
     grid, V, pairs = ho_box_setup
     psi0 = superpose([1.0, 1.0], [pairs[0].state, pairs[1].state])
     force = pinning_force(pairs[0], 3.5)
-    with pytest.raises(ValueError, match="node_threshold must lie in"):
-        pinning_force(pairs[0], 3.5, node_threshold=threshold)
     with pytest.raises(ValueError, match="node_threshold must lie in"):
         collapsible_evolve(
             psi0, V, force, IntegratorSpec(Method.CRANK_NICOLSON, 1e-3), 0.01,

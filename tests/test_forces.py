@@ -46,18 +46,19 @@ def test_pinning_fixed_point_zero_field(ho_setup):
 
 def test_pinning_forces_on_equal_targets_are_equal_and_hash_alike(ho_setup):
     # two distinct but bitwise-equal target fields make equal forces of one
-    # hash; another rate, threshold, target value or grid makes them differ
+    # hash; another rate, target value or grid makes them differ. A force
+    # is its kind, rate and target: the run's node threshold masks the target
     grid, _, pairs = ho_setup
     target = pairs[0].state
     twin = Field(grid, target.values.copy())
     assert twin is not target and twin == target and hash(twin) == hash(target)
     a, b = pinning_force(target, 3.0), pinning_force(twin, 3.0)
+    assert list(vars(a)) == ["kind", "rate", "target"]
     assert a == b and hash(a) == hash(b) and len({a, b, null_force()}) == 2
     other_grid = Grid(-12.0, 12.0, grid.n_points, Boundary.BOX)
     assert twin != Field(other_grid, target.values)
     assert twin != Field(grid, target.values * (1 + 1e-16j))
     assert a != pinning_force(target, 3.5)
-    assert a != pinning_force(target, 3.0, node_threshold=1e-5)
     assert a != pinning_force(pairs[1], 3.0)
     assert a != kostin_friction(3.0)
 
@@ -218,11 +219,11 @@ def test_pinning_accepts_eigenpair_and_momentum_field(ho_setup):
 
 def test_pinning_rejects_an_all_masked_or_non_finite_target(ho_setup):
     grid, _, pairs = ho_setup
-    with pytest.raises(AllMasked):
+    with pytest.raises(AllMasked, match="^wave function vanishes identically$"):
         pinning_force(Field(grid, np.zeros(grid.n_points)), 1.0)
     vals = pairs[0].state.values.copy()
     vals[3] = np.nan
-    with pytest.raises(NonFiniteField):
+    with pytest.raises(NonFiniteField, match="^field contains NaN or Inf entries$"):
         pinning_force(Field(grid, vals), 1.0)
 
 

@@ -304,22 +304,23 @@ def test_a_cut_run_keeps_the_first_rows_of_the_uncut_run(
     assert np.array_equal(partial.times, uncut.times[:rows])
 
 
-def _pair_phi_by_hand(psi: Field, rate: float, target: Field | None):
+def _pair_phi_by_hand(psi: Field, rate: float, target: Field | None, threshold: float):
     """Phi of the collapse step's pair route, written out. Each pair of
     neighbouring points (j, j + 1), with the wrap pair (N - 1, 0) on a
     periodic grid, has the action increment
     1/2 angle((psi[j+1] conj psi[j])^2) - i (log|psi[j+1]| - log|psi[j]|);
     the pair force is -rate (inc - the target's inc) for pinning and
     -rate Re inc for Kostin friction (target None), zero on every pair
-    touching a masked point. Phi is their cumulative sum from 0, after the
-    ring sum is spread over the pairs and dropped on a periodic grid;
-    PeriodicityViolation (returned) when it exceeds the gauge tolerance."""
+    touching a point of psi or of the target below threshold times its
+    peak. Phi is their cumulative sum from 0, after the ring sum is spread
+    over the pairs and dropped on a periodic grid; PeriodicityViolation
+    (returned) when it exceeds the gauge tolerance."""
     g = psi.grid
     periodic = g.boundary is Boundary.PERIODIC
 
     def increments(v):
         amp = np.abs(v)
-        mask = amp < DEFAULT_NODE_THRESHOLD * amp.max()
+        mask = amp < threshold * amp.max()
         log_amp = np.zeros(v.size)
         np.log(amp, out=log_amp, where=~mask)
         if periodic:
@@ -351,11 +352,18 @@ def _pair_phi_by_hand(psi: Field, rate: float, target: Field | None):
     seed=SEEDS,
     rate=st.floats(0.1, 5.0),
     node=st.one_of(st.none(), st.integers(1, 254)),
+    threshold=st.sampled_from([1e-6, 1e-4, 1e-2]),
 )
-def test_force_kernel_matches_the_pair_formula_bitwise(boundary, kind, seed, rate, node):
+@example(Boundary.BOX, "pinning", 0, 1.0, None, 1e-2)
+def test_force_kernel_matches_the_pair_formula_bitwise(
+    boundary, kind, seed, rate, node, threshold
+):
     # the collapse step's per-run kernel lifts the pair forces of the
-    # action increments, bitwise the formula written out above. The box
-    # states have masked tails; node puts a double zero
+    # action increments, bitwise the formula written out above, with the
+    # pairs of the state and of the target masked at the run's node
+    # threshold. The box states have masked tails, which grow with the
+    # threshold, so a target masked at any other threshold fails the
+    # example; node puts a double zero
     # 1 - cos(2 pi (x - x_node) / L) at a grid point, which is masked. On a
     # periodic grid the pairs at that node make the ring sum of the pair
     # forces exceed the tolerance (100 of 100 draws per force; the
@@ -368,11 +376,11 @@ def test_force_kernel_matches_the_pair_formula_bitwise(boundary, kind, seed, rat
     target = _drawn_state(boundary, seed + 1, 4, 0.3) if kind == "pinning" else None
     force = kostin_friction(rate) if target is None else pinning_force(target, rate)
     try:
-        kernel = evolve._gauge_kernel(force, g, DEFAULT_NODE_THRESHOLD)(psi.values)
+        kernel = evolve._gauge_kernel(force, g, threshold)(psi.values)
     except PeriodicityViolation as exc:
         assert boundary is Boundary.PERIODIC and node is not None, exc
         kernel = PeriodicityViolation
-    expected = _pair_phi_by_hand(psi, rate, target)
+    expected = _pair_phi_by_hand(psi, rate, target, threshold)
     if kernel is PeriodicityViolation or expected is PeriodicityViolation:
         assert kernel is expected
     else:

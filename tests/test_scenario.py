@@ -536,6 +536,34 @@ def test_one_eigensolve_per_scenario_build(monkeypatch):
     assert force.rate == 4.0 and np.array_equal(force.target.values, ground.state.values)
 
 
+def test_one_oscillator_build_per_named_state_and_grid(monkeypatch):
+    # MINI names the oscillator states 0 and 1 in its superposition and
+    # state 0 as the pinning and the fidelity target: each is built once,
+    # and a build on another grid builds anew
+    calls = []
+    real = scenario_module.ho_eigenstate
+
+    def counted(n, omega, grid):
+        calls.append((n, grid.n_points))
+        return real(n, omega, grid)
+
+    monkeypatch.setattr(scenario_module, "ho_eigenstate", counted)
+    s = parse_scenario(MINI, name="mini")
+    grid = s.build_grid()
+    V = s.build_potential(grid)
+    psi0 = s.build_initial_state(grid, V)
+    force = s.build_force(grid, V)
+    target = s.build_fidelity_target(grid, V)
+    assert calls == [(0, 512), (1, 512)]
+    ground, excited = (real(n, 1.0, grid).state for n in (0, 1))
+    coefficients = s.resolved["initial_state"]["coefficients"]
+    assert psi0 == superpose(coefficients, [ground, excited])
+    assert force.target == ground and target == ground
+    other = Grid(-8.0, 8.0, 1024, Boundary.BOX)
+    assert s.build_fidelity_target(other, s.build_potential(other)) == real(0, 1.0, other).state
+    assert calls[2:] == [(0, 1024)]
+
+
 def test_degenerate_sweep_equals_run():
     s = parse_scenario(MINI, name="mini")
     rows = sweep(s, "force.kappa", [4.0], workers=1)
