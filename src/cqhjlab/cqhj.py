@@ -47,15 +47,19 @@ class MomentumField:
     """Complex momentum field on a grid with a node mask.
 
     Masked entries hold 0 and mean "p is not defined here"; every unmasked
-    entry is finite. The field is degree zero in the source wave function.
+    entry is finite. node_threshold is the threshold of the mask rule
+    (_node_mask) that made the mask, at which evaluate (forces) also masks
+    a pinning target. The field is degree zero in the source wave function.
     Two momentum fields are equal when their fields are (Field) and their
-    node masks are the same.
+    node masks and node thresholds are the same.
     """
 
     field: Field
     node_mask: np.ndarray
+    node_threshold: float = DEFAULT_NODE_THRESHOLD
 
     def __post_init__(self):
+        _check_node_threshold(self.node_threshold)
         m = np.asarray(self.node_mask, dtype=bool)
         if m.shape != (self.field.grid.n_points,):
             raise ValueError("node mask does not match the grid")
@@ -64,10 +68,13 @@ class MomentumField:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self.field == other.field and self.node_mask.tobytes() == other.node_mask.tobytes()
+        return self._key() == other._key()
 
     def __hash__(self):
-        return hash((self.field, self.node_mask.tobytes()))
+        return hash(self._key())
+
+    def _key(self) -> tuple:
+        return self.field, self.node_mask.tobytes(), self.node_threshold
 
     @property
     def grid(self) -> Grid:
@@ -94,14 +101,16 @@ def _check_node_threshold(node_threshold: float) -> None:
 def _node_mask(amp: np.ndarray, node_threshold: float) -> np.ndarray:
     """The node-mask rule, also the finite check of every caller: the points
     where the magnitude amp = |psi| falls below node_threshold times its
-    peak. ValueError unless 0 < node_threshold < 1, then AllMasked for a
+    peak, of one state or of a stack with one state per row along the last
+    axis. ValueError unless 0 < node_threshold < 1, then AllMasked for a
     zero amp, then NonFiniteField for a NaN or Inf entry (or a magnitude
-    past the float range), which makes the peak non-finite."""
+    past the float range), which makes the peak non-finite; a stack raises
+    one of them when a row would."""
     _check_node_threshold(node_threshold)
-    peak = amp.max()
-    if peak <= 0.0:
+    peak = amp.max(axis=-1, keepdims=amp.ndim > 1)
+    if (peak.min() if amp.ndim > 1 else peak) <= 0.0:
         raise AllMasked("wave function vanishes identically")
-    if not peak < np.inf:
+    if not (peak.max() if amp.ndim > 1 else peak) < np.inf:
         raise NonFiniteField("field contains NaN or Inf entries")
     return amp < node_threshold * peak
 
@@ -113,7 +122,7 @@ def psi_to_p(psi: Field, node_threshold: float = DEFAULT_NODE_THRESHOLD) -> Mome
     mask = _node_mask(np.abs(values), node_threshold)
     dpsi = -1j * _derivative_op(psi.grid, 1)(values)
     p = np.divide(dpsi, values, out=np.zeros_like(values), where=~mask)
-    return MomentumField(Field(psi.grid, p), mask)
+    return MomentumField(Field(psi.grid, p), mask, node_threshold)
 
 
 def _action_increments(values: np.ndarray, node_threshold: float, periodic: bool):
@@ -180,10 +189,13 @@ def _masked_gradient(values: np.ndarray, mask: np.ndarray, grid: Grid) -> np.nda
     included. Otherwise each contiguous unmasked run is differentiated
     independently with 4th-order stencils (one-sided at run ends); runs too
     short for the stencil hold 0. Never differentiates across a masked zone.
+    A mask that covers the whole grid raises NodePresent.
     """
     if not mask.any():
         _check_finite(values)
         return _derivative_op(grid, 1)(values)
+    if mask.all():
+        raise NodePresent("momentum field is masked everywhere")
     out = np.zeros_like(values)
     # the unmasked runs [start, stop) begin and end where the padded mask flips
     edges = np.flatnonzero(np.diff(np.r_[True, mask, True]))
@@ -201,8 +213,6 @@ def quantum_hamiltonian_field(p: MomentumField, V: Potential) -> Field:
     contaminate the off-mask values, which are the only meaningful ones.
     """
     require_same_grid(p.field, V.grid)
-    if p.node_mask.all():
-        raise NodePresent("momentum field is masked everywhere")
     dp = _masked_gradient(p.values, p.node_mask, p.grid)
     vals = V.samples + 0.5 * p.values**2 - 0.5j * dp
     return Field(p.grid, vals)
@@ -233,8 +243,6 @@ def cqhj_rhs(
     the returned values are meaningful off-mask only.
     """
     require_same_grid(p.field, V.grid)
-    if p.node_mask.all():
-        raise NodePresent("momentum field is masked everywhere")
     d = partial(_masked_gradient, mask=p.node_mask, grid=p.grid)
     if form is RhsForm.CANONICAL:
         return Field(p.grid, -d(quantum_hamiltonian_field(p, V).values))

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cqhj import _hamiltonian_field, _masked_moments
-from .errors import AllMasked, ImaginaryEnergy, ZeroSpread, ZeroState
+from .cqhj import _hamiltonian_field, _masked_moments, _node_mask
+from .errors import ImaginaryEnergy, ZeroSpread, ZeroState
 from .grid import Field, Grid, _scaled_rows, _sq_norm, require_same_grid
 from .states import Hamiltonian
 
@@ -108,20 +108,17 @@ def energy_spread(psi: Field, H: Hamiltonian) -> float:
 
 
 def _observe(H: Hamiltonian, target: Field | None, stack: np.ndarray) -> np.ndarray:
-    """The first five OBSERVABLES, norm to H_std, of a stack of finite
-    states, one column per state (fidelity_target NaN without a target),
+    """The first five OBSERVABLES, norm to H_std, of a stack of states, one
+    column per state (fidelity_target NaN without a target),
     from one operator application, bitwise norm, energy, fidelity and the
     masked_stats of hamiltonian_field_from_state at OBSERVABLE_NODE_THRESHOLD.
     The weighted sums are one np.dot per row, so a column is bitwise that of
-    the state alone. AllMasked for a zero row, then NodePresent,
+    the state alone. The node mask (cqhj._node_mask) raises AllMasked for a
+    zero row and NonFiniteField for a NaN or Inf entry, then NodePresent,
     ImaginaryEnergy and ZeroState as the observables raise them."""
     grid = H.grid
     vals, amp, sq, norms = _scaled_rows(grid, stack)
-    peak = amp.max(axis=-1, keepdims=True)
-    if not peak.all():
-        raise AllMasked("wave function vanishes identically")
-    # cqhj._node_mask's rule; a nonzero row keeps its peak point unmasked
-    mask = amp < OBSERVABLE_NODE_THRESHOLD * peak
+    mask = _node_mask(amp, OBSERVABLE_NODE_THRESHOLD)
     hvals = H.apply(vals)
     mean, std = _masked_moments(_hamiltonian_field(H.V.samples, vals, hvals, mask), mask, grid)
     energies = list(map(_energy, _inners(grid, vals, hvals), sq.tolist()))

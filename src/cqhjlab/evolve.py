@@ -125,8 +125,10 @@ check), evaluate_force the pair force (forces._evaluate) and
 gauge_potential its cumulative sum (forces._pair_lift). No derivative, division or
 antiderivative is taken per step. The public psi_to_p, evaluate and
 gauge_potential stay the derivative route (p, then F(p), then its
-antiderivative), the reference: on nodeless states the two lifts agree to
-the box stencils' discretization error (verify's gauge-lift-agreement).
+antiderivative), the reference, on which evaluate masks a pinning target
+at the momentum field's node_threshold: on nodeless states the two lifts
+agree to the box stencils' discretization error (verify's
+gauge-lift-agreement).
 The momentum-space RK4 run likewise steps raw ndarrays (_momentum_kernel),
 each stage bitwise cqhj_rhs of the unmasked field. Field and MomentumField
 are the API boundary, built only for a snapshot.
@@ -147,6 +149,7 @@ from .cqhj import (
     _action_increments as psi_to_p,
     _check_node_threshold,
     _expanded_rhs,
+    _node_mask,
     p_to_psi,
 )
 from .diagnostics import OBSERVABLES, _observe
@@ -652,10 +655,12 @@ def cqhj_evolve(
 ) -> Trajectory:
     """Direct momentum-space evolution p_t = rhs(p) by classical RK4.
 
-    The reconstructed magnitude is monitored on p0 and after each step;
-    if it dips below the node threshold the run aborts with the partial
-    trajectory attached to the NodeApproach error (only the t = 0 snapshot
-    when p0 itself is below it; no step is taken then).
+    The reconstructed magnitude is monitored on p0 and after each step by
+    the node-mask rule (cqhj._node_mask); if it dips below the node
+    threshold the run aborts with the partial trajectory attached to the
+    NodeApproach error (only the t = 0 snapshot when p0 itself is below it;
+    no step is taken then). The run's momentum fields (final_state) carry
+    its node_threshold.
 
     On box grids every step ends with the re-projection p -> grad(int p),
     the discrete form of the exact identity p = -i grad(psi)/psi for
@@ -687,10 +692,10 @@ def cqhj_evolve(
     dt = spec.dt
 
     def monitor(vals: np.ndarray, t: float) -> None:
-        # magnitude ~ exp(-cumulative Im p)
+        # magnitude ~ exp(-cumulative Im p); rel's peak is exactly 1.0
         c = np.cumsum(vals.imag) * grid.dx
         rel = np.exp(-(c - c.min()))
-        if rel.min() / rel.max() < node_threshold or not np.all(np.isfinite(vals)):
+        if not np.all(np.isfinite(vals)) or _node_mask(rel, node_threshold).any():
             raise NodeApproach(
                 f"reconstructed magnitude fell below the node threshold at t = {t:.6g}"
             )
@@ -714,7 +719,7 @@ def cqhj_evolve(
         return vals
 
     def momentum(vals: np.ndarray) -> MomentumField:
-        return MomentumField(Field(grid, vals), np.zeros(grid.n_points, bool))
+        return MomentumField(Field(grid, vals), np.zeros(grid.n_points, bool), node_threshold)
 
     def recorder(rows: np.ndarray):
         # p in the trajectory's rows, psi in the observer's own (NaN if winding)

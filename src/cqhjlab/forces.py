@@ -15,9 +15,9 @@ the cumulative sum of those pair forces (_pair_lift), with no derivative
 and no antiderivative. The p-route stays as the reference, and its Fields
 are built through the constructor. A pinning force holds its pointer
 state's wave function, which the p-route reads as its momentum field and
-the pair route as its action increments, both masked at their caller's
-node threshold: the run's node_threshold on the pair route,
-DEFAULT_NODE_THRESHOLD on the p-route.
+the pair route as its action increments, both masked at the state's node
+threshold: the run's node_threshold on the pair route, the momentum
+field's (MomentumField.node_threshold) on the p-route.
 """
 
 from __future__ import annotations
@@ -107,13 +107,14 @@ def kostin_friction(gamma: float) -> CollapseForce:
 
 def evaluate(force: CollapseForce, p: MomentumField) -> Field:
     """Force field for the given momentum field; the Field wrapper of
-    _evaluate, with a pinning target masked at DEFAULT_NODE_THRESHOLD. A
-    pinning target on another grid raises GridMismatch.
+    _evaluate, with a pinning target masked at p.node_threshold, the
+    threshold that masked p. A pinning target on another grid raises
+    GridMismatch.
 
     Masked points contribute zero force (documented regularization near
     nodes, where p itself is undefined).
     """
-    if (law := _force_law(force, p.grid, pairs=False)) is None:
+    if (law := _force_law(force, p.grid, p.node_threshold, pairs=False)) is None:
         return Field(p.grid, np.zeros(p.grid.n_points))
     return Field(p.grid, _evaluate(p.values, p.node_mask, law))
 

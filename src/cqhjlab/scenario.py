@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .cqhj import DEFAULT_NODE_THRESHOLD, _check_node_threshold
 from .diagnostics import UnitSystem
 from .errors import ConfigError
 from .evolve import IntegratorSpec, Method, _step_count
@@ -335,14 +336,16 @@ def _resolve(sections: dict, name: str) -> Scenario:
         "t_final": run.number("t_final", positive=True),
         "snapshot_stride": run.integer("snapshot_stride", default=10, minimum=1),
         "collapse_epsilon": run.number("collapse_epsilon", default=1e-3),
-        "node_threshold": run.number("node_threshold", default=1e-6, positive=True),
+        "node_threshold": run.number("node_threshold", default=DEFAULT_NODE_THRESHOLD),
         "write_snapshots": run.boolean("write_snapshots", default=False),
     }
     eps, threshold = resolved_run["collapse_epsilon"], resolved_run["node_threshold"]
     if not 0.0 < eps < 0.5:
         raise ConfigError(f"run.collapse_epsilon must lie in (0, 0.5), got {eps}")
-    if not threshold < 1.0:
-        raise ConfigError(f"run.node_threshold must lie in (0, 1), got {threshold}")
+    try:
+        _check_node_threshold(threshold)
+    except ValueError as exc:
+        raise ConfigError(f"run.{exc}") from exc
     dt, t_final = resolved_integ["dt"], resolved_run["t_final"]
     if dt > t_final:
         raise ConfigError(f"integrator.dt = {dt} exceeds run.t_final = {t_final}")

@@ -35,9 +35,11 @@ from cqhjlab.cqhj import (
     DEFAULT_NODE_THRESHOLD,
     _action_increments,
     _masked_gradient,
+    _node_mask,
     dilated_mask,
     masked_stats,
 )
+from cqhjlab.diagnostics import _observe
 from cqhjlab.errors import AllMasked, NodePresent, NonFiniteField, PeriodicityViolation
 from cqhjlab.grid import _fd_matrix
 from cqhjlab.states import custom_potential
@@ -123,6 +125,9 @@ def test_momentum_fields_are_equal_with_equal_fields_and_masks(periodic_grid):
     mask[0] = True
     assert p != MomentumField(p.field, mask)
     assert p != MomentumField(Field(periodic_grid, 2 * values), p.node_mask)
+    # the threshold that made the mask is part of the field
+    fine, coarse = (MomentumField(p.field, p.node_mask, thr) for thr in (1e-6, 1e-4))
+    assert fine == p and fine != coarse
 
 
 def test_classical_osmotic_decomposition(periodic_grid):
@@ -197,6 +202,9 @@ MASK_READERS = {
         psi, hamiltonian(free_potential(psi.grid), Method.CRANK_NICOLSON)
     ),
     "pinning_force": lambda psi: pinning_force(psi, 1.0),
+    "observe": lambda psi: _observe(
+        hamiltonian(free_potential(psi.grid), Method.CRANK_NICOLSON), None, psi.values[None]
+    ),
 }
 # a Gaussian with one bad entry, or a zero state with or without one
 MASK_CASES = {
@@ -226,6 +234,21 @@ def test_the_node_mask_rule_is_the_finite_check(reader, case):
         MASK_READERS[reader](Field(g, vals))
 
 
+def test_a_stacked_node_mask_is_the_mask_of_each_row():
+    # each row is masked against its own peak, bitwise the 1-D rule
+    g = Grid(-4.0, 4.0, 64, Boundary.BOX)
+    amp = np.exp(-(g.x**2))[None] * np.array([[1.0], [1e-9], [1e9]])
+    mask = _node_mask(amp, DEFAULT_NODE_THRESHOLD)
+    assert mask.tobytes() == np.array([_node_mask(a, DEFAULT_NODE_THRESHOLD) for a in amp]).tobytes()
+    assert mask.any() and not mask.all(axis=-1).any()
+    amp[1] = 0.0
+    with pytest.raises(AllMasked, match="^wave function vanishes identically$"):
+        _node_mask(amp, DEFAULT_NODE_THRESHOLD)
+    amp[1, 20] = np.nan
+    with pytest.raises(NonFiniteField, match=NON_FINITE):
+        _node_mask(amp, DEFAULT_NODE_THRESHOLD)
+
+
 def test_p_to_psi_periodic_winding_rejected():
     g = Grid(0.0, 2 * np.pi, 64, Boundary.PERIODIC)
     p = MomentumField(Field(g, np.full(64, 3.0 + 0j)), np.zeros(64, bool))
@@ -252,6 +275,22 @@ def test_h_field_ground_state_constant(ho_setup):
     mean, std = masked_stats(H, p.node_mask)
     assert std <= 1e-6
     assert abs(mean.real - 0.5) <= 1e-6
+
+
+@pytest.mark.parametrize(
+    "reader",
+    [
+        quantum_hamiltonian_field,
+        cqhj_rhs,
+        lambda p, V: cqhj_rhs(p, V, RhsForm.CANONICAL),
+    ],
+    ids=["h_field", "rhs_expanded", "rhs_canonical"],
+)
+def test_a_field_masked_everywhere_raises_node_present(ho_setup, reader):
+    grid, V, pairs = ho_setup
+    p = MomentumField(pairs[0].state, np.ones(grid.n_points, bool))
+    with pytest.raises(NodePresent, match="^momentum field is masked everywhere$"):
+        reader(p, V)
 
 
 def test_h_field_non_eigenstate_varies(ho_setup):

@@ -990,6 +990,7 @@ def test_momentum_stationary_ground_state():
     weight = np.exp(-g.x**2 / 2)
     sel = weight >= 1e-5
     assert np.max(np.abs(traj.final_state.values[sel] - p0.values[sel])) <= 1e-7
+    assert traj.final_state.node_threshold == 1e-10  # the run's, not p0's
 
 
 def test_momentum_constant_plane_wave_free():

@@ -85,6 +85,17 @@ def test_pinning_acts_on_superpositions(ho_box_setup):
     assert np.max(np.abs(phi.values[ok] - phi.values[ok][0])) > 1e-2  # non-constant
 
 
+@pytest.mark.parametrize("threshold, zeros", [(1e-10, 78), (1e-6, 176), (1e-3, 274)])
+def test_evaluate_masks_the_target_at_the_momentum_fields_threshold(ho_box_setup, threshold, zeros):
+    # the force vanishes exactly where p or the target's p at p's threshold
+    # is masked, so a finer threshold widens its support
+    _, _, pairs = ho_box_setup
+    p = psi_to_p(pairs[1].state, threshold)
+    f = evaluate(pinning_force(pairs[0], 1.0), p).values
+    masked = p.node_mask | psi_to_p(pairs[0].state, threshold).node_mask
+    assert np.array_equal(f == 0.0, masked) and masked.sum() == zeros
+
+
 def test_force_homogeneity(ho_box_setup):
     grid, _, pairs = ho_box_setup
     psi = superpose([0.8, 0.6j], [pairs[0].state, pairs[1].state])
