@@ -172,26 +172,24 @@ def _cmd_convert_units(args) -> int:
     return EXIT_OK
 
 
+_COMMANDS = {
+    "run": _cmd_run,
+    "verify": _cmd_verify,
+    "sweep": _cmd_sweep,
+    "convert-units": _cmd_convert_units,
+}
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)  # a required subcommand, a key of _COMMANDS
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "convert-units":
-            return _cmd_convert_units(args)
-        parser.error(f"unknown command {args.command}")
+        return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     except CqhjError as exc:
         print(f"solver error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_SOLVER_ERROR
-    return EXIT_OK
 
 
 if __name__ == "__main__":

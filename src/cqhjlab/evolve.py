@@ -38,8 +38,9 @@ evaluation per step and no iteration, and two sub-steps of dt1 and dt2 are
 one of dt1 + dt2. Every force is of degree zero in psi and the node mask
 (cqhj._node_mask) is scale-free, so a scale factor never changes the
 state's shape. With renormalization on, _drive alone divides the end state
-of each advance by its norm and sums the log scale factors, recorded at
-every snapshot (gauge_log_magnitude). A run of force rate r > 0
+of each advance by its norm, under the grid's one norm rule, so any nonzero
+finite scale runs, and sums the log scale factors, recorded at every
+snapshot (gauge_log_magnitude). A run of force rate r > 0
 advances at most max(1, floor(1 / (r dt))) steps at a time, one e-folding
 time of the force; a linear run advances whole snapshot intervals.
 
@@ -99,14 +100,15 @@ only an interval function advance(vals, m), which takes a full Strang
 state m steps on, and a recorder (record, series), both on raw ndarrays;
 the loop owns the snapshot cadence (t = 0, every snapshot_stride-th step
 and the last step), the step cap, the renormalization of each advance's
-end state (norm, bound to the raw core grid._norm: no Field is built) and
-its running log scale, and the Trajectory: one (S, N) array allocated
-before the first step, snapshot i its row i, whose first rows are the
-partial trajectory attached to any CqhjError a step, a snapshot or the
-observables raise. record is the per-snapshot finite check, which writes
-the state into its row and observes each full block (observe_block_rows)
-of kept rows, a view, in one pass; series observes the rest at the run's
-end or after an error.
+end state (norm, bound to grid._normalized, the one division of a state
+by its norm, on raw values: no Field is built) and its running log
+scale, and the Trajectory: one (S, N) array allocated before the first
+step, snapshot i its row i, whose first rows are the partial trajectory
+attached to any CqhjError a step, a snapshot or the observables raise.
+record is the per-snapshot finite check, which writes the state into its
+row and observes each full block (observe_block_rows) of kept rows, a
+view, in one pass; series observes the rest at the run's end or after an
+error.
 The observables are one (len(OBSERVABLES), S) array, NaN until observed,
 whose read-only rows are the series. The pass is diagnostics._observe,
 which computes every observable by the formulas behind norm, energy,
@@ -162,7 +164,6 @@ from .errors import (
     PeriodicityViolation,
     SchemeMismatch,
     StabilityViolation,
-    ZeroState,
 )
 from .forces import CollapseForce, ForceKind, _force_law
 from .forces import _evaluate as evaluate_force, _pair_lift as gauge_potential
@@ -173,8 +174,8 @@ from .grid import (
     _antiderivative_op,
     _check_finite,
     _derivative_op,
-    _norm as norm,
     _normalized,
+    _normalized as norm,
     _readonly,
     require_same_grid,
 )
@@ -548,8 +549,9 @@ def _drive(
     """The stepping loop of every propagator (see the module docstring).
 
     advance(vals, m) takes a full state m <= cap steps on. With a grid,
-    each advance's end state is divided by its grid norm (a NaN, Inf or
-    zero state raises NonFiniteField or ZeroState first) and log, from the
+    norm (grid._normalized) divides each advance's end state, of any
+    nonzero finite scale, by its grid norm, raising NonFiniteField for a
+    NaN or Inf entry and ZeroState for a zero state, and log, from the
     entry log scale, sums the log scale factors; None: no renormalization.
     recorder(rows) is (record, series) for the run's (S, N) snapshot array:
     record(i, vals, log) writes snapshot i into row i, or raises a kept
@@ -582,12 +584,8 @@ def _drive(
                 vals = advance(vals, m)
                 step += m
                 if grid is not None:
-                    scale = norm(grid, vals)
-                    if not 0.0 < scale < np.inf:
-                        _check_finite(vals)
-                        raise ZeroState("every entry of the state is zero")
+                    vals, scale = norm(grid, vals)
                     log -= float(np.log(scale))
-                    vals = vals / scale
             record(i, vals, log)
     except CqhjError as exc:
         error = exc
@@ -621,7 +619,8 @@ def schrodinger_evolve(
     unconditionally stable; dt only controls accuracy, with phase errors
     O(dt^2 E^3) per unit time for energy-E components. The steps between
     snapshots are one linear interval, and a renormalized run divides by
-    the norm once per snapshot (IntegratorSpec). psi0 and V must share a
+    the norm once per snapshot (IntegratorSpec), so it takes any nonzero
+    finite scale of psi0 (grid.norm). psi0 and V must share a
     grid (GridMismatch otherwise).
     """
     grid = require_same_grid(psi0, V.grid)

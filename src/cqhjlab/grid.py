@@ -277,63 +277,54 @@ def _sq_norm(g: Grid, amp: np.ndarray) -> float:
     return float(np.dot(g.quadrature_weights, amp**2).real)
 
 
-def _rescaled(peak):
-    """Whether a state of max|f| = peak is divided by peak before its
-    squares are taken: peak is finite and nonzero but outside _NORM_RANGE.
-    Elementwise on an array of peaks."""
-    lo, hi = _NORM_RANGE
-    return ((0.0 < peak) & (peak < lo)) | ((hi < peak) & (peak < np.inf))
-
-
 def norm(f: Field) -> float:
-    """Grid norm sqrt(sum w |f|^2); the Field wrapper of _norm."""
-    return _norm(f.grid, f.values)
-
-
-def _norm(g: Grid, values: np.ndarray) -> float:
-    """Grid norm of raw values on g, the one rule that squares amplitudes
-    for a norm: the plain weighted sum while max|f| lies in _NORM_RANGE (or
-    is 0, Inf or NaN), else max|f| norm(f / max|f|), so no square overflows
-    or underflows (Blue's scaled norm, as LAPACK's dnrm2)."""
-    amp = np.abs(values)
-    peak = amp.max()
-    if not _rescaled(peak):
-        return float(np.sqrt(_sq_norm(g, amp)))
-    return float(peak) * float(np.sqrt(_sq_norm(g, amp / peak)))
+    """Grid norm sqrt(sum w |f|^2) of any scale of f, under _scaled_rows'
+    rule: 0 for a zero field, NaN or Inf for a NaN or Inf entry."""
+    return float(_scaled_rows(f.grid, f.values[None])[3][0])
 
 
 def _scaled_rows(g: Grid, values: np.ndarray):
     """(values, amp, sq_norms, norms) of a 2-D stack of complex states on g,
-    one per row, under norm's rule, the one scale rule of every observable:
-    each row that norm rescales is divided, with its magnitudes amp, by its
-    max|f| (in a copy; the other rows are taken as they are), sq_norms are
-    the squared norms of the rows so divided, one weighted sum per row, and
-    norms are norm of each row, bitwise, so no square taken of the values
-    overflows or underflows. A row is divided one real part at a time, as
-    numpy's complex-by-real division overflows the reciprocal of a
-    subnormal peak."""
+    one per row, under the one rule that squares amplitudes for a norm:
+    the plain weighted sum of |f|^2 while max|f| lies in _NORM_RANGE (or is
+    0, Inf or NaN), else max|f| norm(f / max|f|), so no square overflows or
+    underflows (Blue's scaled norm, as LAPACK's dnrm2). With every peak in
+    _NORM_RANGE the stack is taken as it is; else, in a copy, each row that
+    the rule rescales is divided, with its magnitudes amp, by its max|f|
+    and every other row by 1, exactly. sq_norms are the squared norms of
+    the rows so divided, one weighted sum per row, and norms the norm of
+    each row. A row is divided one real part at a time, as numpy's
+    complex-by-real division overflows the reciprocal of a subnormal peak."""
     amp = np.abs(values)
     peak = amp.max(axis=-1)
-    rows = np.flatnonzero(_rescaled(peak))
-    scale = np.ones(peak.shape)
-    if rows.size:
-        scale[rows] = peak[rows]
-        values = values.copy()
-        values.view(np.float64)[rows] /= scale[rows, None]
-        amp[rows] /= scale[rows, None]
+    scale = 1.0
+    lo, hi = _NORM_RANGE
+    if not all(lo <= p <= hi for p in peak.tolist()):
+        # a finite nonzero peak outside _NORM_RANGE divides its row
+        rescaled = ((0.0 < peak) & (peak < lo)) | ((hi < peak) & (peak < np.inf))
+        scale = np.where(rescaled, peak, 1.0)
+        values = np.ascontiguousarray(values).view(np.float64) / scale[:, None]
+        values = values.view(np.complex128)
+        amp = amp / scale[:, None]
     sq = np.array([_sq_norm(g, a) for a in amp])
     return values, amp, sq, scale * np.sqrt(sq)
 
 
 def _normalized(g: Grid, values: np.ndarray) -> tuple[np.ndarray, float]:
     """(values / norm, norm) of raw complex values of any nonzero finite
-    scale on g, divided under _scaled_rows' rule; NonFiniteField for a NaN
-    or Inf entry, ZeroState only when every entry is zero."""
-    _check_finite(values)
+    scale on g, divided under _scaled_rows' rule, the one division of a
+    state by its norm. The squared norm is the finite check: a NaN or Inf
+    entry makes it NaN or Inf, and only then are the entries looked at
+    (NonFiniteField, also for finite entries whose squared norm overflows
+    the grid's weights); ZeroState when it is zero, every entry zero."""
     vals, _, sq, norms = _scaled_rows(g, values[None])
-    if not sq[0]:
+    sq = sq.item()
+    if not 0.0 < sq < math.inf:
+        _check_finite(values)
+        if sq:
+            raise NonFiniteField("the squared norm of the state overflows")
         raise ZeroState("every entry of the state is zero")
-    return vals[0] / math.sqrt(sq[0]), float(norms[0])
+    return vals[0] / math.sqrt(sq), norms.item()
 
 
 def cumulative_integral(f: Field) -> Field:

@@ -169,12 +169,9 @@ class _SectionReader:
             return default
         return self.section[key].strip()
 
-    def string(self, key, choices=None, default=_REQUIRED):
-        v = self._raw(key, default)
-        if not isinstance(v, str):
-            return v
-        v = v.lower()
-        if choices and v not in choices:
+    def string(self, key, choices):
+        v = self._raw(key).lower()
+        if v not in choices:
             raise ConfigError(
                 f"{self.name}.{key} must be one of {sorted(choices)}, got {v!r}"
             )
@@ -207,11 +204,10 @@ class _SectionReader:
     def boolean(self, key, default=_REQUIRED):
         v = self._raw(key, default)
         if isinstance(v, str):
-            if v.lower() in ("true", "yes", "1", "on"):
-                return True
-            if v.lower() in ("false", "no", "0", "off"):
-                return False
-            raise ConfigError(f"{self.name}.{key} is not a boolean: {v!r}")
+            try:
+                return configparser.ConfigParser.BOOLEAN_STATES[v.lower()]
+            except KeyError:
+                raise ConfigError(f"{self.name}.{key} is not a boolean: {v!r}") from None
         return v
 
     def int_list(self, key):

@@ -132,6 +132,105 @@ def test_run_nonfinite_number_exit_two(tmp_path, capsys, old, new, key):
     assert key in err and "finite" in err
 
 
+PACKET = "kind = packet\nx0 = 0.5\nk0 = 0.0\nsigma = 1.0"
+SUPERPOSITION = "kind = superposition\nindices = 0, 1\ncoefficients = 1, 1j"
+TO_RING = ("boundary = box", "boundary = periodic")
+
+
+@pytest.mark.parametrize(
+    "edits, key",
+    [
+        ([("[force]\nkind = kostin\ngamma = 0.3\n", "")], "[force]"),
+        ([("x0 = 0.5", "x0 = half")], "initial_state.x0 is not a number"),
+        (
+            [("dt = 2e-3", "dt = 2e-3\nrenormalize = maybe")],
+            "integrator.renormalize is not a boolean",
+        ),
+        (
+            [(PACKET, SUPERPOSITION.replace("0, 1", "0, one"))],
+            "initial_state.indices is not an integer list",
+        ),
+        (
+            [(PACKET, SUPERPOSITION.replace("1, 1j", "1, 1j+"))],
+            "initial_state.coefficients is not a complex list",
+        ),
+        ([("eigenstate:0", "ground")], "run.fidelity_target must look like 'eigenstate:<index>'"),
+        ([("eigenstate:0", "eigenstate:first")], "run.fidelity_target has a non-integer index"),
+        ([("x_max = 8.0", "x_max = -8.0")], "grid.x_max must exceed grid.x_min"),
+        (
+            [TO_RING, ("kind = harmonic\nomega = 1.0", "kind = box")],
+            "potential.kind box requires grid.boundary = box",
+        ),
+        (
+            [(PACKET, SUPERPOSITION.replace("1, 1j", "1"))],
+            "initial_state.indices and initial_state.coefficients must have equal",
+        ),
+        ([("[output]", "[extra]\nkey = 1\n\n[output]")], "unknown config sections: ['extra']"),
+        ([], "cannot read scenario file"),
+    ],
+    ids=[
+        "missing-section", "not-a-number", "not-a-boolean", "integer-list", "complex-list",
+        "target-form", "target-index", "x-max-below-x-min", "box-potential-on-a-ring",
+        "unequal-lists", "unknown-section", "unreadable-path",
+    ],
+)
+def test_run_config_error_names_its_key(tmp_path, edits, key):
+    # one edit of FAST_MINI per case, each a documented config error (exit
+    # 2, no artifacts); with no edit the scenario path is not a file
+    text = FAST_MINI
+    for old, new in edits:
+        assert old in text, old
+        text = text.replace(old, new)
+    config = tmp_path / "edited.ini"
+    if edits:
+        config.write_text(text)
+    else:
+        config = tmp_path / "missing" / "mini.ini"
+    code, err = _run_captured(config, tmp_path / "out")
+    assert code == 2, err
+    assert err.startswith("config error: ") and key in err, err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "param, values, message",
+    [
+        ("kappa", "1,2", "sweep parameter must look like section.key, got 'kappa'"),
+        ("force.gamma", "0.3,fast", "--values must be a comma-separated number list"),
+        ("force.gamma", ", ,", "--values is empty"),
+    ],
+    ids=["param-without-a-dot", "values-unparsed", "values-empty"],
+)
+def test_sweep_argument_error_exit_two(mini_config, tmp_path, capsys, param, values, message):
+    args = ["--param", param, "--values", values, "--workers", "1"]
+    assert main(["sweep", str(mini_config), *args, "--output", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err, err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_sweep_with_a_failing_row_exits_three_and_writes_every_row(tmp_path, capsys):
+    # null force on a 64- and a 320-point ring at dt = 1e-3: the first row
+    # runs, the second breaks split-step's bound dt * E_max <= 0.1
+    # (StabilityViolation), and the table keeps both rows in input order
+    text = (
+        FAST_MINI.replace(*TO_RING)
+        .replace("method = crank_nicolson", "method = split_step")
+        .replace("kind = kostin\ngamma = 0.3", "kind = null")
+        .replace("dt = 2e-3", "dt = 1e-3")
+    )
+    config = tmp_path / "ring.ini"
+    config.write_text(text)
+    out = tmp_path / "out"
+    args = ["--param", "grid.n_points", "--values", "64,320", "--workers", "1"]
+    assert main(["sweep", str(config), *args, "--output", str(out)]) == 3
+    capsys.readouterr()
+    lines = (out / "sweep.csv").read_text().splitlines()
+    assert len(lines) == 4
+    assert lines[2].startswith("64.0,ok,")
+    assert lines[3].startswith("320.0,failed,") and "StabilityViolation" in lines[3]
+
+
 def test_sweep_nonfinite_value_exit_two(mini_config, tmp_path, capsys):
     args = ["--values", "0.1,inf", "--workers", "1", "--output", str(tmp_path / "out")]
     assert main(["sweep", str(mini_config), "--param", "run.t_final", *args]) == 2

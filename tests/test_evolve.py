@@ -435,7 +435,10 @@ def test_single_interval_split_step_run_builds_no_kept_power(monkeypatch, run):
         traj = schrodinger_evolve(psi0, V, spec, 0.6, snapshot_stride=10**6)
     else:
         traj = collapsible_evolve(psi0, V, null_force(), spec, 0.3, snapshot_stride=3000)
-    assert calls == {"powers": [[n]], "step": []}
+    assert calls == {"powers": [[n]], "step": []}, (
+        f"a single paying interval keeps one power, of its {n} steps, and makes no "
+        f"kernel.step call; got {calls}"
+    )
     want = psi0.values @ powers([n])[n]
     assert traj.final_state.values.tobytes() == want.tobytes()
 

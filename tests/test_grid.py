@@ -29,11 +29,14 @@ from cqhjlab.errors import (
     NonFiniteField,
     PeriodicityViolation,
     SchemeMismatch,
+    ZeroState,
 )
 from cqhjlab.grid import (
     _C4,
     _fd_matrix,
     _fd_weights,
+    _normalized,
+    _scaled_rows,
     _spectral_multiplier,
 )
 from cqhjlab.states import hamiltonian
@@ -95,6 +98,35 @@ def test_norm_is_homogeneous_at_every_finite_scale(boundary):
     plain = np.sqrt(np.dot(g.quadrature_weights, np.abs(3.0 * f.values) ** 2))
     assert norm(Field(g, 3.0 * f.values)) == plain
     assert norm(Field(g, np.zeros(256))) == 0.0
+
+
+@pytest.mark.parametrize(
+    "x_max, values, error",
+    [
+        (8.0, [1.0] * 15 + [np.nan], NonFiniteField),
+        (8.0, [1.0] * 15 + [np.inf], NonFiniteField),
+        (8.0, [0.0] * 16, ZeroState),
+        (1e17, [1e146] * 16, NonFiniteField),
+    ],
+    ids=["nan", "inf", "zero", "finite-entries-overflowing-norm"],
+)
+def test_normalized_raises_the_error_of_its_squared_norm(x_max, values, error):
+    # the squared norm is the finite check: NaN or Inf for a NaN or Inf
+    # entry, zero for a zero state, and Inf (after numpy's overflow warning)
+    # for entries of 1e146, inside the range whose squares are summed as
+    # they are, on a box 1e17 wide (weights 6.7e15)
+    g = Grid(-8.0, x_max, 16, Boundary.BOX)
+    with np.errstate(over="ignore"), pytest.raises(error):
+        _normalized(g, np.array(values, np.complex128))
+
+
+def test_a_strided_stack_scales_as_its_copy():
+    # the rescaled rows are divided as float pairs, which a strided last
+    # axis cannot be viewed as in place
+    g = Grid(-8.0, 8.0, 16, Boundary.BOX)
+    wide = np.outer([1e-200, 1.0, 1e200], np.arange(1.0, 33.0) * (1 + 1j))
+    for got, want in zip(_scaled_rows(g, wide[:, ::2]), _scaled_rows(g, wide[:, ::2].copy())):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_cross_grid_operations_rejected():

@@ -243,6 +243,42 @@ def test_renormalization_does_not_change_a_linear_trajectory(boundary, propagato
     assert np.max(np.abs(on.observables["norm"] - 1.0)) <= 1e-14
 
 
+# (grid, method, dt) of the renormalized runs of psi0 = 0.8 phi0 + 0.6i phi1
+SCALE_CASES = {
+    "crank_nicolson box": (BOX, Method.CRANK_NICOLSON, 1e-3),
+    "split_step ring": (Grid(-8.0, 8.0, 256, Boundary.PERIODIC), Method.SPLIT_STEP, 5e-5),
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=st.sampled_from(sorted(SCALE_CASES)), log10_c=st.floats(-310.0, 300.0))
+@example("crank_nicolson box", -310.0)
+@example("split_step ring", -310.0)
+def test_a_renormalized_run_takes_any_scale_of_psi0(case, log10_c):
+    # the run's first renormalization divides c psi0 by its norm, whatever
+    # c: rows 1 onward are the c = 1 run's, and gauge_log_magnitude is
+    # offset by -ln c. 20 steps at stride 5. Measured per case over 300
+    # draws of log10 c in [-310, 300], 300 in [-310, -308] and 50 in
+    # [-1, 1]: rows agree to 6.3e-13 of max|psi| near 1e-310, where c psi0
+    # is subnormal and keeps about 40 bits (5.7e-8 at 1e-315, outside the
+    # draw), and to 5.9e-15 from 1e-308 up; the offset is -ln c to 1.1e-13,
+    # one ulp of ln 1e-310.
+    grid, method, dt = SCALE_CASES[case]
+    phi0, phi1 = (ho_eigenstate(n, 1.0, grid).state.values for n in (0, 1))
+    psi0 = 0.8 * phi0 + 0.6j * phi1
+    c = 10.0**log10_c
+    spec = IntegratorSpec(method, dt, True)
+    V = harmonic_potential(grid, 1.0)
+    ref, run = (
+        schrodinger_evolve(Field(grid, s * psi0), V, spec, 20 * dt, snapshot_stride=5)
+        for s in (1.0, c)
+    )
+    assert np.max(np.abs(run.snapshots[1:] - ref.snapshots[1:])) <= 1e-12 * np.max(np.abs(psi0))
+    offset = run.observables["gauge_log_magnitude"] - ref.observables["gauge_log_magnitude"]
+    assert offset[0] == 0.0
+    assert np.max(np.abs(offset[1:] + np.log(c))) <= 2.5e-13
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     boundary=st.sampled_from(list(Boundary)),
