@@ -401,6 +401,10 @@ def _linear_advance(kernel, substeps: int, t_final: float, dt: float, snapshot_s
     return advance
 
 
+# the largest h * E_max of one split-step kernel step h (_make_kernel)
+SPLIT_STEP_BOUND = 0.1
+
+
 def _split_step_e_max(grid: Grid) -> float:
     """Kinetic cutoff max(k^2) / 2 of the split-step kernel; it counts the
     Nyquist mode, which exp(-i dt k^2 / 2) propagates on even grids."""
@@ -410,7 +414,8 @@ def _split_step_e_max(grid: Grid) -> float:
 def _make_kernel(H: Hamiltonian, dt: float, substeps: int = 1):
     """The cached kernel of H's method, step dt / substeps (collapsible_evolve
     steps in halves). Split-step needs each kernel step h to keep
-    h * E_max <= 0.1 (_split_step_e_max), so dt * E_max <= 0.1 substeps."""
+    h * E_max <= SPLIT_STEP_BOUND (_split_step_e_max), so dt * E_max <=
+    SPLIT_STEP_BOUND * substeps (StabilityViolation otherwise)."""
     grid = H.grid
     if H.method is Method.RK4:
         raise ValueError("RK4 integrates the momentum-field equation, not psi")
@@ -418,7 +423,7 @@ def _make_kernel(H: Hamiltonian, dt: float, substeps: int = 1):
         if grid.boundary is not Boundary.PERIODIC:
             raise SchemeMismatch("split-step requires a periodic grid")
         e_max = _split_step_e_max(grid)
-        bound = 0.1 * substeps
+        bound = SPLIT_STEP_BOUND * substeps
         if dt * e_max > bound:
             raise StabilityViolation(
                 f"split-step needs dt <= {bound / e_max:.3g} on this grid "
@@ -613,22 +618,29 @@ def schrodinger_evolve(
 ) -> Trajectory:
     """Linear Schroedinger evolution of a wave function to t_final.
 
-    Split-step requires dt * E_max <= 0.1, with E_max = max(k^2) / 2 the
-    kinetic cutoff, (pi / dx)^2 / 2 on an even grid (enforced,
-    StabilityViolation otherwise). Crank-Nicolson is
+    Split-step requires dt * E_max <= SPLIT_STEP_BOUND = 0.1, with E_max =
+    max(k^2) / 2 the kinetic cutoff, (pi / dx)^2 / 2 on an even grid
+    (enforced, StabilityViolation otherwise). Crank-Nicolson is
     unconditionally stable; dt only controls accuracy, with phase errors
     O(dt^2 E^3) per unit time for energy-E components. The steps between
-    snapshots are one linear interval, and a renormalized run divides by
-    the norm once per snapshot (IntegratorSpec), so it takes any nonzero
-    finite scale of psi0 (grid.norm). psi0 and V must share a
-    grid (GridMismatch otherwise).
+    snapshots are one linear interval. A renormalized run (IntegratorSpec)
+    enters with psi0 divided by its norm, as collapsible_evolve does, and
+    divides by the norm once per snapshot, so it takes any nonzero finite
+    scale of psi0 (grid.norm), an all-zero psi0 raises ZeroState, and the
+    entry log scale is in gauge_log_magnitude from row 0 on. A run without
+    renormalization steps psi0 as given. psi0 and V must share a grid
+    (GridMismatch otherwise).
     """
     grid = require_same_grid(psi0, V.grid)
     H = hamiltonian(V, spec.method)
     advance = _linear_advance(_make_kernel(H, spec.dt), 1, t_final, spec.dt, snapshot_stride)
+    vals0, log = psi0.values, 0.0
+    if spec.renormalize_each_step:
+        vals0, scale = _normalized(grid, vals0)
+        log = -float(np.log(scale))
     return _drive(
-        psi0.values, spec, t_final, snapshot_stride, advance, partial(_psi_recorder, H, target),
-        partial(Field, grid), grid if spec.renormalize_each_step else None,
+        vals0, spec, t_final, snapshot_stride, advance, partial(_psi_recorder, H, target),
+        partial(Field, grid), grid if spec.renormalize_each_step else None, log,
     )
 
 
@@ -803,8 +815,8 @@ def collapsible_evolve(
     an all-zero psi0 raises ZeroState; the log scale of the entry
     normalization and of every renormalization (IntegratorSpec) is summed
     into gauge_log_magnitude.
-    Split-step checks each half step against schrodinger_evolve's bound, so
-    it requires dt * E_max <= 0.2. psi0 and V must share a grid
+    Split-step checks each half step against SPLIT_STEP_BOUND, so it
+    requires dt * E_max <= 0.2. psi0 and V must share a grid
     (GridMismatch) and node_threshold lie in (0, 1) (ValueError).
     """
     _check_node_threshold(node_threshold)

@@ -70,9 +70,7 @@ class Scenario:
         """The potential; ConfigError if a sample overflows on the grid."""
         p = self.resolved["potential"]
         build = {"free": free_potential, "harmonic": harmonic_potential,
-                 "box": box_potential, "double_well": double_well_potential}.get(p["kind"])
-        if build is None:
-            raise ConfigError(f"unknown potential kind {p['kind']!r}")
+                 "box": box_potential, "double_well": double_well_potential}[p["kind"]]
         try:
             with np.errstate(over="raise", invalid="raise"):
                 return build(grid, *(p[k] for k in ("omega", "a", "b") if k in p))
@@ -108,10 +106,9 @@ class Scenario:
             return gaussian_packet(grid, s["x0"], s["k0"], s["sigma"])
         if kind == "eigenstate":
             return self._eigenstate(s["index"], grid, V)
-        if kind == "superposition":
-            states = [self._eigenstate(i, grid, V) for i in s["indices"]]
-            return superpose(s["coefficients"], states)
-        raise ConfigError(f"unknown initial state kind {kind!r}")
+        # a superposition, the one kind left: _resolve admits no other
+        states = [self._eigenstate(i, grid, V) for i in s["indices"]]
+        return superpose(s["coefficients"], states)
 
     def build_force(self, grid: Grid, V: Potential) -> CollapseForce:
         f = self.resolved["force"]
@@ -120,9 +117,7 @@ class Scenario:
             return null_force()
         if kind == "pinning":
             return pinning_force(self._eigenstate(f["target_index"], grid, V), f["kappa"])
-        if kind == "kostin":
-            return kostin_friction(f["gamma"])
-        raise ConfigError(f"unknown force kind {kind!r}")
+        return kostin_friction(f["gamma"])  # the one kind left: _resolve admits no other
 
     def build_integrator(self) -> IntegratorSpec:
         i = self.resolved["integrator"]
@@ -184,20 +179,20 @@ class _SectionReader:
                 v = float(v)
             except ValueError as exc:
                 raise ConfigError(f"{self.name}.{key} is not a number: {v!r}") from exc
-        if v is not None and not math.isfinite(v):
+        if not math.isfinite(v):
             raise ConfigError(f"{self.name}.{key} must be finite, got {v}")
-        if v is not None and positive and not v > 0:
+        if positive and not v > 0:
             raise ConfigError(f"{self.name}.{key} must be positive, got {v}")
         return v
 
-    def integer(self, key, default=_REQUIRED, minimum=None):
+    def integer(self, key, minimum, default=_REQUIRED):
         v = self._raw(key, default)
         if isinstance(v, str):
             try:
                 v = int(v)
             except ValueError as exc:
                 raise ConfigError(f"{self.name}.{key} is not an integer: {v!r}") from exc
-        if v is not None and minimum is not None and v < minimum:
+        if v < minimum:
             raise ConfigError(f"{self.name}.{key} must be >= {minimum}, got {v}")
         return v
 

@@ -8,7 +8,9 @@ studies plus the long-run collapse behaviors.
 
 Each check reports a measured value against a tolerance. The tolerance
 scale multiplies upper bounds and divides lower bounds, so a scale below
-one uniformly tightens the suite.
+one uniformly tightens the suite. Inputs that several checks share (the
+harmonic oscillator, the cosine ring, the Gaussian-derivative error and
+the split-step time step) each have one helper below.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .cqhj import (
 )
 from .diagnostics import UnitSystem, collapse_time, fidelity
 from .evolve import (
+    SPLIT_STEP_BOUND,
     IntegratorSpec,
     Method,
     _gauge_kernel,
@@ -106,6 +109,34 @@ def _check(name, fn, tolerance, kind="max", scale=1.0):
     )
 
 
+# -- shared inputs -----------------------------------------------------------
+
+
+def _oscillator(n_points=512, boundary=Boundary.BOX, half_width=8.0):
+    """(grid, V, phi0, phi1): the omega = 1 harmonic oscillator on
+    [-half_width, half_width] and its two lowest eigenpairs."""
+    g = Grid(-half_width, half_width, n_points, boundary)
+    return g, harmonic_potential(g, 1.0), ho_eigenstate(0, 1.0, g), ho_eigenstate(1, 1.0, g)
+
+
+def _cosine_ring(n_points=512):
+    """(grid, V): V = 1.5 cos(2 pi x / L) on the ring [-12, 12)."""
+    g = Grid(-12.0, 12.0, n_points, Boundary.PERIODIC)
+    return g, custom_potential(g, 1.5 * np.cos(2 * np.pi * g.x / g.length))
+
+
+def _gaussian_derivative_error(g):
+    """max |gradient(exp(-x^2 / 2)) + x exp(-x^2 / 2)| on g."""
+    f = make_field(g, np.exp(-g.x**2 / 2))
+    return np.max(np.abs(gradient(f).values - (-g.x * np.exp(-g.x**2 / 2))))
+
+
+def _split_step_dt(g, t_final):
+    """The largest dt that divides t_final with dt * E_max within 0.95 of
+    the split-step bound."""
+    return t_final / np.ceil(t_final * _split_step_e_max(g) / (0.95 * SPLIT_STEP_BOUND))
+
+
 # -- substrate checks -------------------------------------------------------
 
 
@@ -134,19 +165,12 @@ def _gradient_linearity():
 
 
 def _fd4_doubling_ratio():
-    errs = []
-    for n in (256, 512):
-        g = Grid(-10.0, 10.0, n, Boundary.BOX)
-        f = make_field(g, np.exp(-g.x**2 / 2))
-        exact = -g.x * np.exp(-g.x**2 / 2)
-        errs.append(np.max(np.abs(gradient(f).values - exact)))
+    errs = [_gaussian_derivative_error(Grid(-10.0, 10.0, n, Boundary.BOX)) for n in (256, 512)]
     return errs[0] / errs[1], "gaussian derivative error ratio n=256/512"
 
 
 def _spectral_floor():
-    g = Grid(-10.0, 10.0, 64, Boundary.PERIODIC)
-    f = make_field(g, np.exp(-g.x**2 / 2))
-    err = np.max(np.abs(gradient(f).values - (-g.x * np.exp(-g.x**2 / 2))))
+    err = _gaussian_derivative_error(Grid(-10.0, 10.0, 64, Boundary.PERIODIC))
     return err, "resolved gaussian at n=64"
 
 
@@ -171,8 +195,7 @@ def _cumulative_inverse():
 
 
 def _residual_suite(n_states=20):
-    g = Grid(-12.0, 12.0, 512, Boundary.PERIODIC)
-    V = custom_potential(g, 1.5 * np.cos(2 * np.pi * g.x / g.length))
+    g, V = _cosine_ring()
     rng = np.random.default_rng(42)
     worst = 0.0
     for _ in range(n_states):
@@ -182,8 +205,7 @@ def _residual_suite(n_states=20):
 
 
 def _form_agreement():
-    g = Grid(-12.0, 12.0, 512, Boundary.PERIODIC)
-    V = custom_potential(g, 1.5 * np.cos(2 * np.pi * g.x / g.length))
+    g, V = _cosine_ring()
     rng = np.random.default_rng(7)
     worst = 0.0
     for _ in range(5):
@@ -195,8 +217,8 @@ def _form_agreement():
 
 
 def _eigenstate_hamiltonian():
-    g = Grid(-12.0, 12.0, 512, Boundary.PERIODIC)
-    H = hamiltonian(harmonic_potential(g, 1.0), Method.SPLIT_STEP)
+    g, V, _, _ = _oscillator(boundary=Boundary.PERIODIC, half_width=12.0)
+    H = hamiltonian(V, Method.SPLIT_STEP)
     worst = 0.0
     for n in range(4):
         pair = ho_eigenstate(n, 1.0, g)
@@ -207,8 +229,8 @@ def _eigenstate_hamiltonian():
 
 
 def _eigenstate_rhs():
-    g = Grid(-12.0, 12.0, 512, Boundary.PERIODIC)
-    H = hamiltonian(harmonic_potential(g, 1.0), Method.SPLIT_STEP)
+    g, V, _, _ = _oscillator(boundary=Boundary.PERIODIC, half_width=12.0)
+    H = hamiltonian(V, Method.SPLIT_STEP)
     worst = 0.0
     for n in range(4):
         pair = ho_eigenstate(n, 1.0, g)
@@ -229,9 +251,7 @@ def _map_homogeneity():
 
 
 def _force_homogeneity():
-    g = Grid(-8.0, 8.0, 512, Boundary.BOX)
-    pair0 = ho_eigenstate(0, 1.0, g)
-    pair1 = ho_eigenstate(1, 1.0, g)
+    g, _, pair0, pair1 = _oscillator()
     psi = superpose([0.8, 0.6j], [pair0.state, pair1.state])
     c = 1.7 - 0.4j
     worst = 0.0
@@ -263,8 +283,7 @@ def _gauge_lift_agreement():
 
 
 def _null_force_reduction():
-    g = Grid(-8.0, 8.0, 512, Boundary.BOX)
-    V = harmonic_potential(g, 1.0)
+    g, V, _, _ = _oscillator()
     psi0 = gaussian_packet(g, 1.0, 0.5, 1.0)
     spec = IntegratorSpec(Method.CRANK_NICOLSON, 1e-3, True)
     nl = collapsible_evolve(psi0, V, null_force(), spec, 1.0, snapshot_stride=10**9)
@@ -275,10 +294,7 @@ def _null_force_reduction():
 
 
 def _density_scaling_invariance():
-    g = Grid(-8.0, 8.0, 512, Boundary.BOX)
-    V = harmonic_potential(g, 1.0)
-    pair0 = ho_eigenstate(0, 1.0, g)
-    pair1 = ho_eigenstate(1, 1.0, g)
+    g, V, pair0, pair1 = _oscillator()
     psi0 = superpose([1 / np.sqrt(2), 1 / np.sqrt(2)], [pair0.state, pair1.state])
     c = 2.7 * np.exp(1j * np.pi / 5)
     spec = IntegratorSpec(Method.CRANK_NICOLSON, 1e-3, True)
@@ -290,9 +306,7 @@ def _density_scaling_invariance():
 
 
 def _pinning_fixed_point():
-    g = Grid(-12.0, 12.0, 256, Boundary.PERIODIC)
-    V = harmonic_potential(g, 1.0)
-    pair = ho_eigenstate(0, 1.0, g)
+    _, V, pair, _ = _oscillator(256, Boundary.PERIODIC, 12.0)
     force = pinning_force(pair, 2.0)
     spec = IntegratorSpec(Method.SPLIT_STEP, 2e-4, True)
     # the run's node threshold limits the force support to the spectrally
@@ -306,17 +320,14 @@ def _pinning_fixed_point():
 
 
 def _eigensolver_ladder():
-    g = Grid(-8.0, 8.0, 3072, Boundary.BOX)
-    V = harmonic_potential(g, 1.0)
+    _, V, _, _ = _oscillator(3072)
     pairs = solve_eigenstates(hamiltonian(V, Method.CRANK_NICOLSON), 4)
     worst = max(abs(p.energy - (j + 0.5)) for j, p in enumerate(pairs))
     return worst, "harmonic ladder energies, n=3072"
 
 
 def _born_rule():
-    g = Grid(-8.0, 8.0, 1024, Boundary.BOX)
-    pair0 = ho_eigenstate(0, 1.0, g)
-    pair1 = ho_eigenstate(1, 1.0, g)
+    _, _, pair0, pair1 = _oscillator(1024)
     psi = superpose([0.6, 0.8j], [pair0.state, pair1.state])
     e0 = abs(fidelity(psi, pair0.state) - 0.36)
     e1 = abs(fidelity(psi, pair1.state) - 0.64)
@@ -334,11 +345,9 @@ def _unit_round_trip():
 
 
 def _fd4_order_study():
-    errs = {}
-    for n in (128, 256, 512):
-        g = Grid(-10.0, 10.0, n, Boundary.BOX)
-        f = make_field(g, np.exp(-g.x**2 / 2))
-        errs[n] = np.max(np.abs(gradient(f).values - (-g.x * np.exp(-g.x**2 / 2))))
+    errs = {
+        n: _gaussian_derivative_error(Grid(-10.0, 10.0, n, Boundary.BOX)) for n in (128, 256, 512)
+    }
     o1 = np.log2(errs[128] / errs[256])
     o2 = np.log2(errs[256] / errs[512])
     return min(o1, o2), f"orders {o1:.2f}, {o2:.2f} over n=128/256/512"
@@ -347,8 +356,7 @@ def _fd4_order_study():
 def _residual_resolution_study():
     vals = {}
     for n in (256, 512):
-        g = Grid(-12.0, 12.0, n, Boundary.PERIODIC)
-        V = custom_potential(g, 1.5 * np.cos(2 * np.pi * g.x / g.length))
+        g, V = _cosine_ring(n)
         psi = random_nodeless_state(g, np.random.default_rng(7), modes=16, amplitude=2.5)
         vals[n] = derivation_residuals(psi, V).closed_form
     return vals[256] / vals[512], f"closed-form residual {vals[256]:.2e} -> {vals[512]:.2e}"
@@ -359,11 +367,8 @@ def _cross_propagator():
     V = free_potential(g)
     psi0 = random_nodeless_state(g, np.random.default_rng(3), modes=5, amplitude=0.35)
     p0 = psi_to_p(psi0, node_threshold=1e-12)
-    # the largest dt with dt * E_max <= 0.095 that divides t_final = 1
-    dt_psi = 1.0 / np.ceil(_split_step_e_max(g) / 0.095)
-    tr_psi = schrodinger_evolve(
-        psi0, V, IntegratorSpec(Method.SPLIT_STEP, dt_psi, False), 1.0, snapshot_stride=10**9
-    )
+    spec = IntegratorSpec(Method.SPLIT_STEP, _split_step_dt(g, 1.0), False)
+    tr_psi = schrodinger_evolve(psi0, V, spec, 1.0, snapshot_stride=10**9)
     tr_p = cqhj_evolve(
         p0, V, IntegratorSpec(Method.RK4, 2e-4), 1.0, snapshot_stride=10**9, node_threshold=1e-12
     )
@@ -373,8 +378,7 @@ def _cross_propagator():
 
 
 def _momentum_stationarity():
-    g = Grid(-6.0, 6.0, 320, Boundary.BOX)
-    V = harmonic_potential(g, 1.0)
+    g, V, _, _ = _oscillator(320, half_width=6.0)
     p0 = MomentumField(Field(g, 1j * g.x), np.zeros(g.n_points, dtype=bool))
     dt0 = 0.9 * 1.05 * g.dx**2
     T = 2 * np.pi
@@ -394,10 +398,7 @@ def _momentum_stationarity():
 
 
 def _strang_order():
-    g = Grid(-8.0, 8.0, 512, Boundary.BOX)
-    V = harmonic_potential(g, 1.0)
-    pair0 = ho_eigenstate(0, 1.0, g)
-    pair1 = ho_eigenstate(1, 1.0, g)
+    _, V, pair0, pair1 = _oscillator()
     psi0 = superpose([0.8, 0.6j], [pair0.state, pair1.state])
     force = pinning_force(pair0, 1.0)
     t_final = 0.25
@@ -431,10 +432,7 @@ def _rk4_order():
 
 
 def _pinning_rate_scaling():
-    g = Grid(-8.0, 8.0, 512, Boundary.BOX)
-    V = harmonic_potential(g, 1.0)
-    pair0 = ho_eigenstate(0, 1.0, g)
-    pair1 = ho_eigenstate(1, 1.0, g)
+    _, V, pair0, pair1 = _oscillator()
     psi0 = superpose([1 / np.sqrt(2), 1 / np.sqrt(2)], [pair0.state, pair1.state])
     taus = {}
     for kappa in (1.0, 2.0, 4.0):
@@ -451,9 +449,7 @@ def _pinning_rate_scaling():
 
 
 def _kostin_relaxation():
-    g = Grid(-8.0, 8.0, 512, Boundary.BOX)
-    V = harmonic_potential(g, 1.0)
-    pair0 = ho_eigenstate(0, 1.0, g)
+    g, V, pair0, _ = _oscillator()
     psi0 = gaussian_packet(g, 0.8, 0.0, 1.0)
     spec = IntegratorSpec(Method.CRANK_NICOLSON, 2e-3, True)
     traj = collapsible_evolve(
@@ -470,11 +466,8 @@ def _free_spreading():
     g = Grid(-16.0, 16.0, 512, Boundary.PERIODIC)
     V = free_potential(g)
     psi0 = gaussian_packet(g, 0.0, 0.0, 1.0)
-    # the largest dt with dt * E_max <= 0.095 that divides t_final = 2
-    dt = 2.0 / np.ceil(2.0 * _split_step_e_max(g) / 0.095)
-    traj = schrodinger_evolve(
-        psi0, V, IntegratorSpec(Method.SPLIT_STEP, dt, False), 2.0, snapshot_stride=10**9
-    )
+    spec = IntegratorSpec(Method.SPLIT_STEP, _split_step_dt(g, 2.0), False)
+    traj = schrodinger_evolve(psi0, V, spec, 2.0, snapshot_stride=10**9)
     var = position_variance(traj.final_state)
     want = 0.5 * (1.0 + 4.0)
     return abs(var - want) / want, "free-packet variance at t=2 vs closed form"

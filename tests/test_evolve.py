@@ -56,7 +56,7 @@ from cqhjlab.states import hamiltonian, position_expectation, position_variance
 
 
 def split_step_dt(grid, safety=0.95):
-    return safety * 0.1 / evolve._split_step_e_max(grid)
+    return safety * evolve.SPLIT_STEP_BOUND / evolve._split_step_e_max(grid)
 
 
 # -- linear propagation --------------------------------------------------------

@@ -296,33 +296,38 @@ def _chain_by_hand(g, psi, kind, rate, target):
     return Phi - (dx**2 / 12.0) * (fp - fp[0]), mask
 
 
-def _pair_lift_by_hand(g, psi, kind, rate, target):
-    """Phi of the collapse step's pair route, written out: the action
-    increment 1/2 angle((psi[j+1] conj psi[j])^2) - i (log|psi[j+1]| -
-    log|psi[j]|) of each pair of neighbouring points, with the wrap pair on
-    periodic grids; the pair force, zero on pairs touching a masked point;
-    the ring sum dropped on periodic grids, or PeriodicityViolation
-    (returned) past the gauge tolerance; the cumulative sum from 0."""
+def _pair_phi_by_hand(psi: Field, rate: float, target: Field | None, threshold: float):
+    """Phi of the collapse step's pair route, written out. Each pair of
+    neighbouring points (j, j + 1), with the wrap pair (N - 1, 0) on a
+    periodic grid, has the action increment
+    1/2 angle((psi[j+1] conj psi[j])^2) - i (log|psi[j+1]| - log|psi[j]|);
+    the pair force is -rate (inc - the target's inc) for pinning and
+    -rate Re inc for Kostin friction (target None), zero on every pair
+    touching a point of psi or of the target below threshold times its
+    peak. Phi is their cumulative sum from 0, after the ring sum is spread
+    over the pairs and dropped on a periodic grid; PeriodicityViolation
+    (returned) when it exceeds the gauge tolerance."""
+    g = psi.grid
     periodic = g.boundary is Boundary.PERIODIC
 
     def increments(v):
         amp = np.abs(v)
-        mask = amp < 1e-6 * amp.max()
+        mask = amp < threshold * amp.max()
         log_amp = np.zeros(v.size)
         np.log(amp, out=log_amp, where=~mask)
         if periodic:
-            v, log_amp, mask = (np.append(a, a[0]) for a in (v, log_amp, mask))
+            v, log_amp, mask = np.r_[v, v[0]], np.r_[log_amp, log_amp[0]], np.r_[mask, mask[0]]
         r = v[1:] * np.conj(v[:-1])
         inc = 0.5 * np.angle(r * r) - 1j * (log_amp[1:] - log_amp[:-1])
         return inc, mask[1:] | mask[:-1]
 
-    inc, masked = increments(psi)
-    if kind is ForceKind.PINNING:
-        target_inc, target_masked = increments(target)
+    inc, masked = increments(psi.values)
+    if target is None:
+        f = -rate * inc.real.astype(complex)
+    else:
+        target_inc, target_masked = increments(target.values)
         f = -rate * (inc - target_inc)
         masked = masked | target_masked
-    else:
-        f = -rate * inc.real.astype(complex)
     f[masked] = 0.0
     if periodic:
         ring = f.sum()
@@ -348,7 +353,9 @@ def test_force_chain_matches_explicit_formula_bitwise(boundary, kind):
     # the periodic grid the pinning pairs at the double zero leave a ring
     # sum of 3.9e-2, past the tolerance (1.4e-2 here), so both raise
     kernel = _gauge_kernel(force, g, DEFAULT_NODE_THRESHOLD)
-    pairs = _pair_lift_by_hand(g, psi.values, kind, rate, target.values)
+    pairs = _pair_phi_by_hand(
+        psi, rate, target if kind is ForceKind.PINNING else None, DEFAULT_NODE_THRESHOLD
+    )
     if pairs is PeriodicityViolation:
         assert (boundary, kind) == (Boundary.PERIODIC, ForceKind.PINNING)
         with pytest.raises(PeriodicityViolation):

@@ -41,8 +41,9 @@ from cqhjlab import (
 from cqhjlab import diagnostics, evolve
 from cqhjlab.cqhj import DEFAULT_NODE_THRESHOLD, dilated_mask
 from cqhjlab.errors import NonFiniteField, PeriodicityViolation
-from cqhjlab.forces import GAUGE_MEAN_TOLERANCE, _force_law
+from cqhjlab.forces import _force_law
 from cqhjlab.grid import _antiderivative_op, cumulative_integral
+from test_forces import _pair_phi_by_hand
 
 SEEDS = st.integers(0, 2**32 - 1)
 # c = 10**log_mag * exp(i angle): magnitudes from 1e-3 to 1e3, any phase
@@ -251,18 +252,20 @@ SCALE_CASES = {
 
 
 @settings(max_examples=30, deadline=None)
-@given(case=st.sampled_from(sorted(SCALE_CASES)), log10_c=st.floats(-310.0, 300.0))
+@given(case=st.sampled_from(sorted(SCALE_CASES)), log10_c=st.floats(-310.0, 308.0))
 @example("crank_nicolson box", -310.0)
 @example("split_step ring", -310.0)
+@example("split_step ring", 307.0)
 def test_a_renormalized_run_takes_any_scale_of_psi0(case, log10_c):
-    # the run's first renormalization divides c psi0 by its norm, whatever
-    # c: rows 1 onward are the c = 1 run's, and gauge_log_magnitude is
-    # offset by -ln c. 20 steps at stride 5. Measured per case over 300
-    # draws of log10 c in [-310, 300], 300 in [-310, -308] and 50 in
-    # [-1, 1]: rows agree to 6.3e-13 of max|psi| near 1e-310, where c psi0
-    # is subnormal and keeps about 40 bits (5.7e-8 at 1e-315, outside the
-    # draw), and to 5.9e-15 from 1e-308 up; the offset is -ln c to 1.1e-13,
-    # one ulp of ln 1e-310.
+    # the run enters with c psi0 divided by its norm, whatever c: every row
+    # is the c = 1 run's, and gauge_log_magnitude is offset by -ln c from
+    # row 0 on. 20 steps at stride 5. A run that stepped c psi0 before its
+    # first renormalization overflowed in the split-step FFT from c = 1e306
+    # up. Measured per case over 300 draws of log10 c in [-310, 308], 300
+    # in [-310, -308], 100 in [300, 308] and 50 in [-1, 1]: rows agree to
+    # 9.8e-14 of max|psi| below 1e-308, where c psi0 is subnormal and keeps
+    # about 43 bits, and to 2.9e-15 from 1e-308 up; the offset is -ln c to
+    # 1.4e-14.
     grid, method, dt = SCALE_CASES[case]
     phi0, phi1 = (ho_eigenstate(n, 1.0, grid).state.values for n in (0, 1))
     psi0 = 0.8 * phi0 + 0.6j * phi1
@@ -273,10 +276,9 @@ def test_a_renormalized_run_takes_any_scale_of_psi0(case, log10_c):
         schrodinger_evolve(Field(grid, s * psi0), V, spec, 20 * dt, snapshot_stride=5)
         for s in (1.0, c)
     )
-    assert np.max(np.abs(run.snapshots[1:] - ref.snapshots[1:])) <= 1e-12 * np.max(np.abs(psi0))
+    assert np.max(np.abs(run.snapshots - ref.snapshots)) <= 1e-12 * np.max(np.abs(psi0))
     offset = run.observables["gauge_log_magnitude"] - ref.observables["gauge_log_magnitude"]
-    assert offset[0] == 0.0
-    assert np.max(np.abs(offset[1:] + np.log(c))) <= 2.5e-13
+    assert np.max(np.abs(offset + np.log(c))) <= 2.5e-13
 
 
 @settings(max_examples=30, deadline=None)
@@ -340,47 +342,6 @@ def test_a_cut_run_keeps_the_first_rows_of_the_uncut_run(
     assert np.array_equal(partial.times, uncut.times[:rows])
 
 
-def _pair_phi_by_hand(psi: Field, rate: float, target: Field | None, threshold: float):
-    """Phi of the collapse step's pair route, written out. Each pair of
-    neighbouring points (j, j + 1), with the wrap pair (N - 1, 0) on a
-    periodic grid, has the action increment
-    1/2 angle((psi[j+1] conj psi[j])^2) - i (log|psi[j+1]| - log|psi[j]|);
-    the pair force is -rate (inc - the target's inc) for pinning and
-    -rate Re inc for Kostin friction (target None), zero on every pair
-    touching a point of psi or of the target below threshold times its
-    peak. Phi is their cumulative sum from 0, after the ring sum is spread
-    over the pairs and dropped on a periodic grid; PeriodicityViolation
-    (returned) when it exceeds the gauge tolerance."""
-    g = psi.grid
-    periodic = g.boundary is Boundary.PERIODIC
-
-    def increments(v):
-        amp = np.abs(v)
-        mask = amp < threshold * amp.max()
-        log_amp = np.zeros(v.size)
-        np.log(amp, out=log_amp, where=~mask)
-        if periodic:
-            v, log_amp, mask = np.r_[v, v[0]], np.r_[log_amp, log_amp[0]], np.r_[mask, mask[0]]
-        r = v[1:] * np.conj(v[:-1])
-        inc = 0.5 * np.angle(r * r) - 1j * (log_amp[1:] - log_amp[:-1])
-        return inc, mask[1:] | mask[:-1]
-
-    inc, masked = increments(psi.values)
-    if target is None:
-        f = -rate * inc.real.astype(complex)
-    else:
-        target_inc, target_masked = increments(target.values)
-        f = -rate * (inc - target_inc)
-        masked = masked | target_masked
-    f[masked] = 0.0
-    if periodic:
-        ring = f.sum()
-        if abs(ring) > GAUGE_MEAN_TOLERANCE * max(np.max(np.abs(f)) / g.dx, 1.0):
-            return PeriodicityViolation
-        f = f[:-1] - ring / f.size
-    return np.concatenate([[0.0], np.cumsum(f)])
-
-
 @settings(max_examples=40, deadline=None)
 @given(
     boundary=st.sampled_from(list(Boundary)),
@@ -395,9 +356,9 @@ def test_force_kernel_matches_the_pair_formula_bitwise(
     boundary, kind, seed, rate, node, threshold
 ):
     # the collapse step's per-run kernel lifts the pair forces of the
-    # action increments, bitwise the formula written out above, with the
-    # pairs of the state and of the target masked at the run's node
-    # threshold. The box states have masked tails, which grow with the
+    # action increments, bitwise the formula written out in test_forces,
+    # with the pairs of the state and of the target masked at the run's
+    # node threshold. The box states have masked tails, which grow with the
     # threshold, so a target masked at any other threshold fails the
     # example; node puts a double zero
     # 1 - cos(2 pi (x - x_node) / L) at a grid point, which is masked. On a
