@@ -24,11 +24,14 @@ log|psi[j]|), the angle folded into (-pi/2, pi/2] so that a real sign
 change carries no momentum, as in Re p. The pair force is
 -kappa (inc - the target's inc) under pinning and -gamma Re inc under
 Kostin friction, zero on every pair that touches a node-masked point, and
-Phi is its cumulative sum from Phi = 0 at the left edge, so Phi is flat
-across a masked zone. On periodic grids the wrap pair closes the ring and
-the ring sum is dropped or rejected as gauge_potential drops or rejects a
-mean force. With the node mask held at the sub-step's start state the
-sub-flow is u_t = -rate M u, for u = log psi minus that of the pinning
+Phi is its cumulative sum from one cut, so Phi is flat across a masked
+zone: from the left wall of a box, and on a ring from just after its first
+masked pair counted from the wrap pair (N - 1, 0), where psi ~ 0 takes the
+ring remainder. A ring with no masked pair is cut at the wrap pair; its
+folded increments sum to pi n for an integer n, so its pair forces sum to
+-rate pi n, n is read exactly, and n != 0 raises PeriodicityViolation. No
+tolerance is involved. With the node mask held at the sub-step's start
+state the sub-flow is u_t = -rate M u, for u = log psi minus that of the pinning
 target (or the unwrapped phase under Kostin friction), with rate = kappa
 (gamma) and M = cumulative sum o kept pairs o increments an exact
 projector: M M = M to roundoff, since the increments of a cumulative sum
@@ -124,7 +127,8 @@ evaluate_force and gauge_potential once each (the benchmark's tracer and
 the tests wrap these names). They bind the pair cores: psi_to_p the action
 increments (cqhj._action_increments, whose node mask is also its finite
 check), evaluate_force the pair force (forces._evaluate) and
-gauge_potential its cumulative sum (forces._pair_lift). No derivative, division or
+gauge_potential, handed the pair mask and the law, its cumulative sum from
+the cut (forces._pair_lift). No derivative, division or
 antiderivative is taken per step. The public psi_to_p, evaluate and
 gauge_potential stay the derivative route (p, then F(p), then its
 antiderivative), the reference, on which evaluate masks a pinning target
@@ -161,6 +165,7 @@ from .errors import (
     CqhjError,
     NodeApproach,
     NodeBlowup,
+    NonFiniteField,
     PeriodicityViolation,
     SchemeMismatch,
     StabilityViolation,
@@ -628,7 +633,9 @@ def schrodinger_evolve(
     divides by the norm once per snapshot, so it takes any nonzero finite
     scale of psi0 (grid.norm), an all-zero psi0 raises ZeroState, and the
     entry log scale is in gauge_log_magnitude from row 0 on. A run without
-    renormalization steps psi0 as given. psi0 and V must share a grid
+    renormalization steps psi0 as given; on split-step its first FFT pair
+    reaches N max|psi0|, so one whose N max|psi0| overflows raises
+    NonFiniteField before the first step. psi0 and V must share a grid
     (GridMismatch otherwise).
     """
     grid = require_same_grid(psi0, V.grid)
@@ -638,6 +645,10 @@ def schrodinger_evolve(
     if spec.renormalize_each_step:
         vals0, scale = _normalized(grid, vals0)
         log = -float(np.log(scale))
+    elif spec.method is Method.SPLIT_STEP and abs(vals0).max() > sys.float_info.max / vals0.size:
+        raise NonFiniteField(  # the first FFT pair reaches N max|psi0|
+            f"max|psi0| = {abs(vals0).max():.3g} overflows the FFT; the run does not renormalize"
+        )
     return _drive(
         vals0, spec, t_final, snapshot_stride, advance, partial(_psi_recorder, H, target),
         partial(Field, grid), grid if spec.renormalize_each_step else None, log,
@@ -782,7 +793,7 @@ def _gauge_kernel(force: CollapseForce, grid: Grid, node_threshold: float):
             raise NodeBlowup(
                 "force evaluation has no unmasked momentum values left"
             ) from exc
-        return gauge_potential(evaluate_force(inc, mask, law), grid)
+        return gauge_potential(evaluate_force(inc, mask, law), mask, law, grid)
 
     return phi
 

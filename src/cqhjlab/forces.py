@@ -12,8 +12,12 @@ antiderivative. The collapse step takes the pair route: every force is
 linear in p, so the integral of F over a pair of neighbouring points is the
 force of the pair's action increment (cqhj._action_increments), and Phi is
 the cumulative sum of those pair forces (_pair_lift), with no derivative
-and no antiderivative. The p-route stays as the reference, and its Fields
-are built through the constructor. A pinning force holds its pointer
+and no antiderivative. On a ring Phi starts just after the first masked
+pair, counted from the wrap pair, so the ring remainder falls where
+psi ~ 0; with no masked pair it starts after the wrap pair, and a ring
+whose pair forces sum to -rate pi n, n != 0 an integer winding, raises.
+The p-route stays as the reference, and its Fields are built through the
+constructor. A pinning force holds its pointer
 state's wave function, which the p-route reads as its momentum field and
 the pair route as its action increments, both masked at the state's node
 threshold: the run's node_threshold on the pair route, the momentum
@@ -46,8 +50,7 @@ from .grid import (  # noqa: F401
 from .states import EigenPair
 
 # |mean of F| * L, relative to max(max|F|, 1), up to which gauge_potential
-# (and _pair_lift, on the ring sum of the pair forces) drops the mean of a
-# force on a periodic grid instead of rejecting it
+# drops the mean of a force on a periodic grid instead of rejecting it
 GAUGE_MEAN_TOLERANCE = 1e-4
 
 
@@ -172,6 +175,10 @@ def gauge_potential(force_field: Field) -> Field:
     max(max|F|, 1), is near-node regularization residue with no
     single-valued lift: it is dropped rather than left to tilt Phi across
     the domain. A larger mean (a winding force) raises PeriodicityViolation.
+    This route keeps a tolerance because it takes a force, not psi: F holds
+    no pair mask at which to cut the ring, and its mean is a quadrature of
+    p, not the exact integer winding that the collapse step's pair lift
+    (_pair_lift) reads.
     """
     g, F = force_field.grid, force_field.values
     if g.boundary is Boundary.PERIODIC:
@@ -185,21 +192,26 @@ def gauge_potential(force_field: Field) -> Field:
     return Field(g, _antiderivative_op(g)(F))
 
 
-def _pair_lift(f: np.ndarray, g: Grid) -> np.ndarray:
-    """Phi on g from the pair forces f of the collapse step (_evaluate of
-    action increments): their cumulative sum, Phi = 0 at the left edge, so
-    Phi is flat across a masked zone. On periodic grids the wrap pair closes
-    the ring, and the ring sum keeps gauge_potential's rule: up to
-    GAUGE_MEAN_TOLERANCE * max(max|f| / dx, 1) it is spread evenly over the
-    pairs and dropped, above it PeriodicityViolation. f is only read."""
-    phi = np.zeros(g.n_points, np.complex128)
+def _pair_lift(f: np.ndarray, mask: np.ndarray, law: tuple, g: Grid) -> np.ndarray:
+    """Phi on g from the pair forces f = _evaluate(inc, mask, law) of the
+    collapse step: their cumulative sum from one cut, Phi = 0 at the point
+    after it, so Phi is flat across every masked pair but the cut. On a box
+    the cut is the left wall. On a ring it is the first pair of the force's
+    mask (mask, or mask | the target's) met from the left edge, the wrap
+    pair (N - 1, 0) first, and the ring remainder falls there, where
+    psi ~ 0. A ring with no masked pair is cut at the wrap pair after the
+    winding check: the folded increments of a ring (less the target's) sum
+    to pi n exactly, so the pair forces sum to -rate pi n up to roundoff,
+    and an integer n != 0 raises PeriodicityViolation. No tolerance is
+    involved. f and mask are only read."""
+    phi, cut = np.zeros(g.n_points, np.complex128), 0
     if g.boundary is Boundary.PERIODIC:
-        ring = f.sum()
-        if abs(ring) > GAUGE_MEAN_TOLERANCE * max(float(np.max(np.abs(f))) / g.dx, 1.0):
+        mask = mask if law[2] is None else mask | law[2]
+        cut = int(np.argmax(np.roll(mask, 1)))  # the first point whose left pair is masked
+        if not mask[cut - 1] and (n := round(f.sum().real / (np.pi * law[0]))):
             raise PeriodicityViolation(
-                f"force on periodic grid winds: ring sum of the pair forces "
-                f"{abs(ring):.3e} exceeds {GAUGE_MEAN_TOLERANCE:.1e} * max(max|F|, 1)"
+                f"force on periodic grid winds: its folded increments sum to pi * {n}"
             )
-        f = f[:-1] - ring / f.size
-    np.cumsum(f, out=phi[1:])
-    return phi
+        f = np.roll(f, -cut)
+    np.cumsum(f[: g.n_points - 1], out=phi[1:])
+    return np.roll(phi, cut) if cut else phi

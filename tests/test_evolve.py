@@ -35,7 +35,7 @@ from cqhjlab import (
 )
 from cqhjlab import evolve
 from cqhjlab.cqhj import masked_stats
-from cqhjlab.diagnostics import OBSERVABLE_NODE_THRESHOLD, OBSERVABLES, energy
+from cqhjlab.diagnostics import OBSERVABLE_NODE_THRESHOLD, OBSERVABLES, collapse_time, energy
 from cqhjlab.errors import (
     AllMasked,
     GridMismatch,
@@ -418,6 +418,7 @@ def test_split_step_run_builds_its_interval_power_once(monkeypatch):
 
 @pytest.mark.parametrize("run", ["schrodinger", "null"])
 def test_single_interval_split_step_run_builds_no_kept_power(monkeypatch, run):
+    """The run keeps exactly one power, that of its one paying interval."""
     # one interval (stride >= steps) that pays is one chain for its length
     # and one vector-matrix product with that power, bitwise, and no
     # kernel.step call
@@ -1430,9 +1431,10 @@ def test_node_threshold_outside_unit_interval_is_refused_on_entry(ho_box_setup, 
 
 
 def test_winding_periodic_force_keeps_the_partial_trajectory():
-    # one unit of net momentum on the ring: Kostin friction -gamma Re(p) has
-    # mean -gamma 2 pi / L, which no single-valued Phi lifts; the first step
-    # raises, after the t = 0 snapshot
+    # one unit of net momentum on a ring with no masked pair: the pair
+    # forces of Kostin friction sum to -gamma pi n with n = 2 (the folded
+    # increments of one turn), which no single-valued Phi lifts; the first
+    # step raises, after the t = 0 snapshot
     grid = Grid(-8.0, 8.0, 128, Boundary.PERIODIC)
     k0 = 2.0 * np.pi / grid.length
     psi0 = Field(grid, np.exp(1j * k0 * grid.x + 0.3 * np.cos(k0 * grid.x)))
@@ -1472,6 +1474,92 @@ def test_periodic_pinning_with_masked_tails_runs_like_its_box_twin(n_points):
     assert ring == pytest.approx(box, abs=1e-6)
 
 
+def _two_state_pinning(grid, method, dt, phase, t_final, stride):
+    """The paper's collapse on grid: (phi_0 + e^(i phase) phi_1) / sqrt(2)
+    pinned to phi_0 at kappa = 2 in the oscillator, with the states of
+    solve_eigenstates for the run's Hamiltonian."""
+    V = harmonic_potential(grid, 1.0)
+    pairs = solve_eigenstates(hamiltonian(V, method), 2)
+    psi0 = superpose([1.0, np.exp(1j * phase)], [pairs[0].state, pairs[1].state])
+    return collapsible_evolve(
+        psi0, V, pinning_force(pairs[0], 2.0), IntegratorSpec(method, dt, True), t_final,
+        snapshot_stride=stride, target=pairs[0].state,
+    )
+
+
+@pytest.mark.parametrize("phase", [np.pi / 4, np.pi / 2], ids=["pi/4", "pi/2"])
+@pytest.mark.parametrize("method, dt", [(Method.CRANK_NICOLSON, 1e-3), (Method.SPLIT_STEP, 2e-5)])
+@pytest.mark.parametrize("n_points", [256, 512])
+@pytest.mark.parametrize("half_length", [8.0, 12.0])
+def test_periodic_twin_of_the_collapse_runs_like_its_box_twin(
+    half_length, n_points, method, dt, phase
+):
+    # the states' tails are masked on the ring, so the lift cuts it at the
+    # first masked pair; the ring sum of the pair forces (5.9 at one input),
+    # which the former mean-drop tolerance rejected at t = 0 in all 16
+    # cases, falls there. After 100 steps (200 under split-step) the
+    # fidelity is that of the 512-point Crank-Nicolson box twin at the same
+    # dt, to 1.7e-7 at most (on the 256-point ring [-12, 12)), and has
+    # risen by 5.1e-3 at least
+    steps = 100 if method is Method.CRANK_NICOLSON else 200
+    ring = Grid(-half_length, half_length, n_points, Boundary.PERIODIC)
+    fid = _two_state_pinning(ring, method, dt, phase, steps * dt, steps).observables
+    box = Grid(-8.0, 8.0, 512, Boundary.BOX)
+    twin = _two_state_pinning(box, Method.CRANK_NICOLSON, dt, phase, steps * dt, steps).observables
+    assert fid["fidelity_target"][-1] == pytest.approx(twin["fidelity_target"][-1], abs=1e-6)
+    assert fid["fidelity_target"][-1] > fid["fidelity_target"][0] + 4e-3
+
+
+def test_periodic_twin_collapse_time_matches_the_box_twin():
+    # tau at phase pi/2, Crank-Nicolson N = 512 on [-8, 8) and on its box
+    # twin, a snapshot every step: 1.6143282006 on the ring and
+    # 1.6143281935 on the box, 7.1e-9 apart
+    ring, box = (
+        collapse_time(
+            _two_state_pinning(
+                Grid(-8.0, 8.0, 512, boundary), Method.CRANK_NICOLSON, 1e-3, np.pi / 2, 1.7, 1
+            ),
+            1e-3,
+        )
+        for boundary in (Boundary.PERIODIC, Boundary.BOX)
+    )
+    assert box == pytest.approx(1.6143281935, abs=1e-9)
+    assert ring == pytest.approx(box, abs=1e-8)
+
+
+@pytest.mark.parametrize("k0", [0.0, 0.3])
+@pytest.mark.parametrize(
+    "boundary, method, dt",
+    [
+        (Boundary.BOX, Method.CRANK_NICOLSON, 1e-3),
+        (Boundary.PERIODIC, Method.CRANK_NICOLSON, 1e-3),
+        (Boundary.PERIODIC, Method.SPLIT_STEP, 2e-4),
+    ],
+    ids=["box-cn", "ring-cn", "ring-split"],
+)
+def test_kostin_centroid_on_a_ring_follows_the_damped_oscillator(boundary, method, dt, k0):
+    # Ehrenfest under Kostin friction (Kostin 1972): <x>'' + gamma <x>' +
+    # <x> = 0 in the unit oscillator, from <x> = 0.8 and <p> = k0. The
+    # packet's tails are masked, so the ring is cut there. Largest
+    # |<x> - x_cl| over t <= 2 at gamma = 0.2, N = 256 on [-10, 10): box
+    # twin 5.16e-6 (k0 = 0) and 5.20e-6 (0.3), which set the bound; ring
+    # 5.08e-6 and 5.13e-6 under Crank-Nicolson, 2.4e-10 and 4.8e-10 under
+    # split-step
+    gamma = 0.2
+    grid = Grid(-10.0, 10.0, 256, boundary)
+    spec = IntegratorSpec(method, dt, True)
+    traj = collapsible_evolve(
+        gaussian_packet(grid, 0.8, k0, 1.0), harmonic_potential(grid, 1.0),
+        kostin_friction(gamma), spec, 2.0, snapshot_stride=round(0.1 / dt),
+    )
+    x = [position_expectation(Field(grid, row)) for row in traj.snapshots]
+    w = math.sqrt(1.0 - gamma**2 / 4)
+    t = traj.times
+    x_cl = np.exp(-gamma * t / 2) * (0.8 * np.cos(w * t) + (k0 + 0.4 * gamma) / w * np.sin(w * t))
+    assert len(x) == 21
+    assert np.max(np.abs(x - x_cl)) <= 6e-6
+
+
 @pytest.mark.parametrize("force_kind", ["pinning", "null"])
 def test_one_linear_solve_per_step(ho_box_setup, monkeypatch, force_kind):
     # adjacent half steps between snapshots are one double half step: a
@@ -1506,6 +1594,25 @@ def test_one_linear_solve_per_step(ho_box_setup, monkeypatch, force_kind):
 
 
 # -- renormalization and run inputs -------------------------------------------
+
+
+@pytest.mark.parametrize("c", [1e306, 1e307])
+def test_unrenormalized_split_step_run_names_the_scale_its_fft_overflows(c):
+    # a run that does not renormalize steps c phi_0 as given, and its first
+    # FFT pair reaches N max|psi0|: on the 256-point ring that passes the
+    # largest float from c = 9.4e305 on, where the FFT warned of an
+    # overflow and the run ended in a NonFiniteField naming neither. It
+    # raises before the first step now; at c = 1e300 it still runs.
+    g = Grid(-8.0, 8.0, 256, Boundary.PERIODIC)
+    V = harmonic_potential(g, 1.0)
+    phi0 = ho_eigenstate(0, 1.0, g).state.values
+    spec = IntegratorSpec(Method.SPLIT_STEP, 5e-5, False)
+    with pytest.raises(NonFiniteField, match=r"max\|psi0\| = 7\.51e\+30.*does not renormalize"):
+        schrodinger_evolve(Field(g, c * phi0), V, spec, 5e-4)
+    traj = schrodinger_evolve(Field(g, 1e300 * phi0), V, spec, 5e-4, snapshot_stride=5)
+    assert traj.snapshots[0].tobytes() == (1e300 * phi0).tobytes()
+    unit = schrodinger_evolve(Field(g, phi0), V, spec, 5e-4, snapshot_stride=5)
+    assert np.max(np.abs(traj.snapshots / 1e300 - unit.snapshots)) <= 1e-14
 
 
 def test_strong_pinning_with_one_snapshot_stays_finite(ho_box_setup):

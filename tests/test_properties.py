@@ -1,13 +1,15 @@
 """Property-based checks of the momentum map, the collapsible step and the
 linear propagators on drawn states, scale factors, rates, snapshot strides
 and renormalization. Grids stay at 128-512 points and runs at 40 steps,
-except the chunked linear steps' stiff grids (up to 2048 points, 60 steps)
+except the ring lift's small rings (32-128 points, no run), the chunked
+linear steps' stiff grids (up to 2048 points, 60 steps)
 and the split-step matrix power (32-128 points, up to 3,100 steps in one
 interval, and up to about 9,300 in a run of kept-power intervals), so the
 module adds about six seconds to the suite."""
 
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cqhjlab import (
@@ -362,26 +364,65 @@ def test_force_kernel_matches_the_pair_formula_bitwise(
     # threshold, so a target masked at any other threshold fails the
     # example; node puts a double zero
     # 1 - cos(2 pi (x - x_node) / L) at a grid point, which is masked. On a
-    # periodic grid the pairs at that node make the ring sum of the pair
-    # forces exceed the tolerance (100 of 100 draws per force; the
-    # derivative route raised on 95 under pinning and 99 under Kostin
-    # friction of 100 such draws), and then both give PeriodicityViolation.
+    # periodic grid the ring is cut at the first pair of that node, where
+    # the ring sum of the pair forces falls (it rejected 100 of 100 draws
+    # per force under the former mean-drop tolerance); the drawn rings with
+    # no node wind zero times.
     psi = _drawn_state(boundary, seed, 6, 0.35)
     g = psi.grid
     if node is not None:
         psi = Field(g, psi.values * (1.0 - np.cos(2 * np.pi * (g.x - g.x[node]) / g.length)))
     target = _drawn_state(boundary, seed + 1, 4, 0.3) if kind == "pinning" else None
     force = kostin_friction(rate) if target is None else pinning_force(target, rate)
-    try:
-        kernel = evolve._gauge_kernel(force, g, threshold)(psi.values)
-    except PeriodicityViolation as exc:
-        assert boundary is Boundary.PERIODIC and node is not None, exc
-        kernel = PeriodicityViolation
-    expected = _pair_phi_by_hand(psi, rate, target, threshold)
-    if kernel is PeriodicityViolation or expected is PeriodicityViolation:
-        assert kernel is expected
+    kernel = evolve._gauge_kernel(force, g, threshold)(psi.values)
+    assert np.array_equal(kernel, _pair_phi_by_hand(psi, rate, target, threshold))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(["pinning", "kostin"]),
+    seed=SEEDS,
+    n_points=st.sampled_from([32, 64, 128]),
+    rate=st.floats(0.1, 5.0),
+    winding=st.integers(-3, 3).filter(bool),
+    node=st.integers(0, 127),
+)
+def test_ring_lift_cuts_at_a_masked_pair_and_reads_an_exact_winding(
+    kind, seed, n_points, rate, winding, node
+):
+    # the collapse step's lift on a ring: with no masked pair the pair
+    # forces sum to -rate pi n, the folded increments of a turn
+    # e^(2 pi i m x / L) summing to pi n with n = 2m, and n != 0 raises;
+    # with a double zero at a grid point Phi starts at the first point whose left pair is masked, and is
+    # finite and flat across every other masked pair
+    g = Grid(-6.0, 6.0, n_points, Boundary.PERIODIC)
+    psi = random_nodeless_state(g, np.random.default_rng(seed), 4, 0.3).values
+    if kind == "pinning":
+        target = random_nodeless_state(g, np.random.default_rng(seed + 1), 4, 0.3)
+        force = pinning_force(target, rate)
     else:
-        assert np.array_equal(kernel, expected)
+        force = kostin_friction(rate)
+    law = _force_law(force, g)
+    phi = evolve._gauge_kernel(force, g, DEFAULT_NODE_THRESHOLD)
+    turn = np.exp(2j * np.pi * winding * (g.x - g.x_min) / g.length)
+    for m, vals in ((0, psi), (winding, psi * turn)):
+        inc, mask = evolve.psi_to_p(vals, DEFAULT_NODE_THRESHOLD, True)
+        assert not mask.any()
+        ring = evolve.evaluate_force(inc, mask, law).sum()
+        assert abs(ring + rate * np.pi * 2 * m) <= 1e-12
+    assert np.isfinite(phi(psi)).all()
+    with pytest.raises(PeriodicityViolation):
+        phi(psi * turn)
+    x_node = g.x[node % n_points]
+    noded = psi * (1.0 - np.cos(2 * np.pi * (g.x - x_node) / g.length))
+    _, mask = evolve.psi_to_p(noded, DEFAULT_NODE_THRESHOLD, True)
+    masked = np.flatnonzero(mask)
+    after = (masked + 1) % n_points
+    lift = phi(noded)
+    assert np.isfinite(lift).all()
+    assert lift[after.min()] == 0.0
+    flat = after != after.min()
+    assert flat.any() and np.array_equal(lift[after[flat]], lift[masked[flat]])
 
 
 def _frozen_mask_substep(force, psi: Field, rate: float):
@@ -398,7 +439,7 @@ def _frozen_mask_substep(force, psi: Field, rate: float):
     def phi(vals):
         inc, mask = evolve.psi_to_p(vals, np.finfo(float).tiny, periodic)
         assert not mask.any()
-        return evolve.gauge_potential(evolve.evaluate_force(inc, frozen, law), g)
+        return evolve.gauge_potential(evolve.evaluate_force(inc, frozen, law), frozen, law, g)
 
     def substep(vals, dt):
         return vals * np.exp(-1j * np.expm1(-rate * dt) / rate * phi(vals))
